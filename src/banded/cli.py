@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / positive verdict, 1 invalid input, 2 negative
 mathematical verdict (no surface, morph violated, verification failed,
-non-simple section), 3 usage error or unmet precondition.
+non-simple section), 3 usage error or unmet precondition, 4 internal error
+(any other `BandedError`: a bug in this package).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .errors import InputError, ParseError, PreconditionError, SectionError
+from .errors import BandedError, InputError, ParseError, PreconditionError, SectionError
 from .model import cross_section, verify_banded_surface
 from .morph import convex_chord_rule, planarity_preserving
 from .solver import brute_force_assignments, solve_no_steiner
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,6 +209,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"banded: precondition not met: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BandedError as exc:
+        print(f"banded: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -48,3 +48,7 @@ class PreconditionError(BandedError):
 
 class InternalConsistencyError(BandedError):
     """Two routines that must agree produced different answers; this is a bug."""
+
+
+class GenerationError(BandedError):
+    """A random instance generator gave up before producing a valid instance."""

@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+from .errors import GenerationError
 from .geometry import Point2, polygon_is_ccw, polygon_is_convex, polygon_is_simple
 from .model import LabeledPolygon, SliceInstance
 from .morph import rotate_copy_instance
@@ -181,7 +182,7 @@ def jiggled_instance(rng: random.Random, polygon: LabeledPolygon, amount: int = 
         ]
         if polygon_is_simple(pts) and polygon_is_ccw(pts):
             return _as_instance(polygon, pts)
-    raise RuntimeError("jiggle failed to produce a simple polygon")
+    raise GenerationError("jiggle failed to produce a simple polygon")
 
 
 def rotated_instance(rng: random.Random, polygon: LabeledPolygon) -> SliceInstance:

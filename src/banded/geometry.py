@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateTriangleError, ZeroVectorError
 
@@ -248,6 +249,15 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
 # ---------------------------------------------------------------------------
 
 
+def denominator_lcm(values: Iterable[Rational]) -> int:
+    """The least positive k with k * v an integer for every int or Fraction v.
+
+    Multiplying coordinates by one positive factor is a similarity, so exact
+    predicates give the same verdicts on the integer copy, and far faster.
+    """
+    return math.lcm(*{v.denominator for v in values})
+
+
 def polygon_signed_area2(pts: Sequence[Point2]):
     """Twice the signed area (positive for counterclockwise order)."""
     total = 0
@@ -261,25 +271,41 @@ def polygon_signed_area2(pts: Sequence[Point2]):
 def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     """True iff the closed polygonal chain is simple.
 
-    Non-adjacent edges must be disjoint; adjacent edges may share only their
-    common vertex.  Collinear (flat) vertices are allowed.  Quadratic-time
-    pairwise test, exact.
+    Vertices must be distinct, non-adjacent edges disjoint, and adjacent
+    edges may share only their common vertex.  Collinear (flat) vertices are
+    allowed.  Exact: the polygon is first scaled onto integers by one
+    positive factor (a similarity, so the verdict is unchanged), then a sweep
+    over the edges sorted by min-x runs the exact segment test only on pairs
+    whose bounding boxes meet.
     """
     n = len(pts)
     if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    if len({(p.x, p.y) for p in pts}) != n:
+    k = denominator_lcm(c for p in pts for c in (p.x, p.y))
+    q = [Point2(int(p.x * k), int(p.y * k)) for p in pts]
+    if len(set(q)) != n:
         return False
+    edges = []
     for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            c, d = pts[j], pts[(j + 1) % n]
-            adjacent = (j == i + 1) or (i == 0 and j == n - 1)
-            if adjacent:
-                if segments_intersect_2d(a, b, c, d, mode="proper"):
-                    return False
-            elif segments_intersect_2d(a, b, c, d, mode="any"):
+        a, b = q[i], q[(i + 1) % n]
+        if segments_intersect_2d(a, b, b, q[(i + 2) % n], mode="proper"):
+            return False  # edge i+1 folds back onto edge i
+        x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
+        y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        edges.append((x0, x1, y0, y1, i, a, b))
+    edges.sort(key=lambda e: e[0])
+    active = []
+    for x0, x1, y0, y1, i, a, b in edges:
+        active = [e for e in active if e[1] >= x0]
+        for _, _, v0, v1, j, c, d in active:
+            if (
+                v0 <= y1
+                and y0 <= v1
+                and (i - j) % n not in (1, n - 1)
+                and segments_intersect_2d(a, b, c, d, mode="any")
+            ):
                 return False
+        active.append((x0, x1, y0, y1, i, a, b))
     return True
 
 

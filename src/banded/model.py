@@ -18,6 +18,7 @@ from .geometry import (
     Point2,
     Point3,
     Triangle3,
+    denominator_lcm,
     open_triangles_intersect_3d,
     polygon_is_ccw,
     polygon_is_convex,
@@ -214,22 +215,14 @@ class VerificationReport:
 DEFAULT_SECTION_LEVELS = tuple(Fraction(j, 16) for j in range(1, 16))
 
 
-def _den(v) -> int:
-    return v.denominator if isinstance(v, Fraction) else 1
-
-
 def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     """The instance with all coordinates scaled to integers by one positive
     factor.  Scaling x and y together (z untouched) is a linear bijection of
     space, so chord conflicts, solvability, and verifier verdicts all carry
     over unchanged; integer coordinates make the exact predicates much faster.
     """
-    import math
-
-    k = 1
-    for poly in (inst.source, inst.target):
-        for p in poly.vertices:
-            k = math.lcm(k, _den(p.x), _den(p.y))
+    polys = (inst.source, inst.target)
+    k = denominator_lcm(c for poly in polys for p in poly.vertices for c in (p.x, p.y))
     if k == 1:
         return inst
 
@@ -245,27 +238,16 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
 def _scaled_triangles(triangles) -> list[Triangle3]:
     """Triangles with coordinates scaled onto integers, one positive factor
     per axis; intersection verdicts are invariant under such scalings."""
-    import math
-
-    kx = ky = kz = 1
-    for t in triangles:
-        for p in t.vertices:
-            kx = math.lcm(kx, _den(p.x))
-            ky = math.lcm(ky, _den(p.y))
-            kz = math.lcm(kz, _den(p.z))
+    points = [p for t in triangles for p in t.vertices]
+    kx = denominator_lcm(p.x for p in points)
+    ky = denominator_lcm(p.y for p in points)
+    kz = denominator_lcm(p.z for p in points)
     if kx == ky == kz == 1:
         return list(triangles)
-    out = []
-    for t in triangles:
-        out.append(
-            Triangle3(
-                *(
-                    Point3(int(p.x * kx), int(p.y * ky), int(p.z * kz))
-                    for p in t.vertices
-                )
-            )
-        )
-    return out
+    return [
+        Triangle3(*(Point3(int(p.x * kx), int(p.y * ky), int(p.z * kz)) for p in t.vertices))
+        for t in triangles
+    ]
 
 
 def assignment_to_surface(inst: SliceInstance, assignment: ChordAssignment) -> BandedSurface:

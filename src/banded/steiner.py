@@ -521,7 +521,7 @@ def _morph_plan(inst: SliceInstance, max_layers: int) -> list[LabeledPolygon] | 
     def snapshot(t: Fraction) -> LabeledPolygon | None:
         poly = morph_position(inst, t).polygon
         pts = poly.vertices
-        if len({(p.x, p.y) for p in pts}) != len(pts) or not polygon_is_simple(pts):
+        if not polygon_is_simple(pts):
             return None
         return LabeledPolygon(pts, 0)
 
@@ -650,7 +650,7 @@ def _ladder_plan(inst: SliceInstance, max_attempts: int = 400) -> list[LabeledPo
         t = Fraction(t8, 8)
         poly = morph_position(inst, t).polygon
         pts = poly.vertices
-        if len({(p.x, p.y) for p in pts}) != len(pts) or not polygon_is_simple(pts):
+        if not polygon_is_simple(pts):
             continue
         snap = LabeledPolygon(pts, 0)
         if _gap_assignment(src, snap) is not None:

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from banded import cli
 from banded.cli import main
+from banded.errors import InternalConsistencyError
 from banded.fileio import save_instance
 from banded.figures import reference_instances
 
@@ -73,6 +75,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             run("frobnicate")
         assert info.value.code == 3
+
+    def test_internal_error_is_4(self, monkeypatch, capsys):
+        def broken(inst):
+            raise InternalConsistencyError("failed to join the two flattened layers")
+
+        monkeypatch.setattr(cli, "build_layered_surface", broken)
+        assert run("steiner", fig("fig1_twisted_prism")) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == "banded: internal error: failed to join the two flattened layers"
 
 
 class TestPipelines:

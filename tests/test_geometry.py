@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -164,16 +165,80 @@ class TestPolygons:
                             return False
             return True
 
+        def coord(rng, r):
+            d = rng.choice((1, 2, 3, 5, 7, 11))
+            return Fraction(rng.randint(-r * d, r * d), d)
+
+        def star(rng, n):
+            # angle-sorted points around the origin: mostly simple, so the
+            # sweep has to clear every pair rather than stop early
+            pts = [P(coord(rng, 12), coord(rng, 12)) for _ in range(n)]
+            return sorted(pts, key=lambda q: math.atan2(q.y, q.x))
+
+        def mutate(rng, pts):
+            pts = list(pts)
+            n = len(pts)
+            i = rng.randrange(n)
+            a, b = pts[i], pts[(i + 1) % n]
+            kind = rng.choice(("flat", "fold", "touch", "repeat", "none"))
+            if kind == "flat":  # a vertex inside edge ab: still simple
+                t = Fraction(rng.randint(1, 6), 7)
+                pts.insert(i + 1, P(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+            elif kind == "fold":  # after b, go back along ba
+                t = Fraction(rng.randint(1, 6), 7)
+                pts.insert(i + 2, P(b.x + t * (a.x - b.x), b.y + t * (a.y - b.y)))
+            elif kind == "touch" and n > 4:  # a vertex onto a non-adjacent edge
+                j = (i + rng.randint(2, n - 3)) % n
+                c, d = pts[j], pts[(j + 1) % n]
+                t = Fraction(rng.randint(0, 5), 5)
+                pts[i] = P(c.x + t * (d.x - c.x), c.y + t * (d.y - c.y))
+            elif kind == "repeat" and n > 3:
+                pts[i] = pts[(i + rng.randint(2, n - 2)) % n]
+            return pts
+
+        # contacts that only closed bounding boxes see: a vertex resting on a
+        # horizontal edge, one on a vertical edge, and a fold-back through
+        # the closing vertex
+        for pts in (
+            [P(0, 0), P(4, 0), P(4, 4), P(3, 4), P(2, 0), P(1, 4), P(0, 4)],
+            [P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(0, 3), P(4, 2), P(0, 1)],
+            [P(4, 0), P(2, 0), P(2, 4), P(0, 4), P(0, 0)],
+        ):
+            assert not oracle(pts)
+            assert not polygon_is_simple(pts)
+
         rng = random.Random(42)
-        agree = 0
+        verdicts = {True: 0, False: 0}
         for _ in range(200):
             n = rng.randint(3, 9)
             pts = tuple(P(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(n))
-            if len({(q.x, q.y) for q in pts}) != n:
-                continue
-            assert polygon_is_simple(pts) == oracle(pts)
-            agree += 1
-        assert agree > 100
+            verdict = polygon_is_simple(pts)
+            verdicts[verdict] += 1
+            assert verdict == oracle(pts), pts
+        for _ in range(150):
+            pts = star(rng, rng.randint(3, 40))
+            for _ in range(rng.randint(0, 3)):
+                pts = mutate(rng, pts)
+            verdict = polygon_is_simple(pts)
+            verdicts[verdict] += 1
+            assert verdict == oracle(pts), pts
+        assert min(verdicts.values()) > 100
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=10
+        ),
+        st.booleans(),
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.tuples(*(st.fractions(-9, 9, max_denominator=30),) * 2),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_invariant_under_scaling_and_translation(self, xys, by_angle, k, shift):
+        if by_angle:  # star-shaped order, so simple polygons are common too
+            xys = sorted(xys, key=lambda q: math.atan2(q[1] - 0.1, q[0] - 0.2))
+        pts = [P(Fraction(x, 3), Fraction(y, 2)) for x, y in xys]
+        moved = [P(k * q.x + shift[0], k * q.y + shift[1]) for q in pts]
+        assert polygon_is_simple(moved) == polygon_is_simple(pts)
 
 
 class TestOpenTrianglesIntersect:
