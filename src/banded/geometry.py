@@ -63,6 +63,11 @@ class Triangle3:
     def normal(self):
         return _cross3(_sub3(self.b, self.a), _sub3(self.c, self.a))
 
+    @functools.cached_property
+    def offset(self):
+        """normal . a, so that the plane is {p : normal . p == offset}."""
+        return _dot3(self.normal, (self.a.x, self.a.y, self.a.z))
+
     def is_degenerate(self) -> bool:
         return self.normal == (0, 0, 0)
 
@@ -456,6 +461,51 @@ def _clip_triangle_2d(subject, clip):
     return out
 
 
+def _plane_sides(t: Triangle3, points) -> list[int]:
+    """The side of t's plane that each point lies on: +1 where t's normal
+    points, -1 opposite, 0 on the plane."""
+    (nx, ny, nz), off = t.normal, t.offset
+    return [_sign(nx * p.x + ny * p.y + nz * p.z - off) for p in points]
+
+
+def _lone_vertex_first(verts, signs):
+    """Rotate a triangle cyclically so that its first vertex is alone on its
+    side of another triangle's plane: strictly on one side with the other
+    two on the closed other side, or on the plane with the other two
+    strictly on one side.  `signs` are the vertices' sides of that plane,
+    neither all zero nor all one strict sign.  The flag is True when the
+    other two lie on the positive side, so that the other triangle must be
+    flipped (two vertices swapped) to put the lone vertex on the positive
+    side."""
+    if signs.count(1) == 1:
+        k, flip = signs.index(1), False
+    elif signs.count(-1) == 1:
+        k, flip = signs.index(-1), True
+    else:  # one vertex on the plane, the other two on one strict side
+        k, flip = signs.index(0), signs.count(1) == 2
+    return (verts[k], verts[(k + 1) % 3], verts[(k + 2) % 3]), flip
+
+
+def _crossing_triangles_meet(t1: Triangle3, s1, t2: Triangle3, s2) -> bool:
+    """Whether two closed triangles in crossing planes have a common point,
+    decided from orientation signs alone (Guigue & Devillers 2003).
+
+    s1 holds t1's vertex sides of t2's plane and s2 the converse.  Once each
+    triangle has its lone vertex first and the pair is oriented so that both
+    lone vertices lie on the positive sides, t1 and t2 cut the planes'
+    common line in the intervals [j, i] and [k, l] (i on edge p1q1, j on
+    p1r1, k on p2q2, l on p2r2, in the order of n1 x n2).  The intervals
+    meet iff k <= i and j <= l, and those are the signs of the two
+    tetrahedra below."""
+    (p1, q1, r1), flip2 = _lone_vertex_first(t1.vertices, s1)
+    (p2, q2, r2), flip1 = _lone_vertex_first(t2.vertices, s2)
+    if flip1:
+        q1, r1 = r1, q1
+    if flip2:
+        q2, r2 = r2, q2
+    return orient3d(p1, q1, p2, q2) <= 0 and orient3d(p1, p2, r1, r2) <= 0
+
+
 def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     """Exact conflict test between two closed triangles.
 
@@ -465,6 +515,13 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     grazing a face, boundaries touching at a non-shared point, or coplanar
     overlap beyond a shared edge.  This is exactly the condition under which
     two faces cannot coexist on an embedded surface.
+
+    After a bounding-box test and the plane-side signs of each triangle's
+    vertices, triangles in crossing planes that share no vertex are decided
+    by two more orientation signs, with no point constructed.  Triangles
+    that share a vertex have their contact set constructed exactly on the
+    planes' common line and checked against the shared structure; coplanar
+    triangles are clipped against each other in 2D.
     """
     if t1.is_degenerate() or t2.is_degenerate():
         raise DegenerateTriangleError("open_triangles_intersect_3d needs proper triangles")
@@ -473,19 +530,17 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     if any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(3)):
         return False
 
-    n1 = t1.normal
-    s2 = [_sign(_dot3(n1, _sub3(v, t1.a))) for v in t2.vertices]
-    if all(s > 0 for s in s2) or all(s < 0 for s in s2):
+    s2 = _plane_sides(t1, t2.vertices)
+    if s2[0] == s2[1] == s2[2] != 0:
         return False
-    n2 = t2.normal
-    s1 = [_sign(_dot3(n2, _sub3(v, t2.a))) for v in t1.vertices]
-    if all(s > 0 for s in s1) or all(s < 0 for s in s1):
+    s1 = _plane_sides(t2, t1.vertices)
+    if s1[0] == s1[1] == s1[2] != 0:
         return False
 
-    shared_vertices, shared_edges = _shared_structure(t1, t2)
-
-    if all(s == 0 for s in s2):
+    n1, n2 = t1.normal, t2.normal
+    if s2 == [0, 0, 0]:
         # coplanar: intersect in 2D
+        shared_vertices, shared_edges = _shared_structure(t1, t2)
         axis = _proj_axis(n1)
         sub = [_project(p, axis) for p in t2.vertices]
         clip = [_project(p, axis) for p in t1.vertices]
@@ -511,7 +566,12 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
         se2 = [(_project(a, axis), _project(b, axis)) for a, b in shared_edges]
         return not _contact_allowed_2d(pts2, sv2, se2)
 
-    # proper plane crossing: contact lies on the plane intersection line
+    # a shared vertex lies on both planes
+    if not any(s == 0 and p in t2.vertices for p, s in zip(t1.vertices, s1)):
+        return _crossing_triangles_meet(t1, s1, t2, s2)
+
+    # proper plane crossing with a shared vertex: construct the contact on
+    # the planes' common line, then check it against the shared structure
     direction = _cross3(n1, n2)
     origin_h = _line_on_both_planes(t1.a, n1, t2.a, n2, direction)
     i1 = _line_triangle_interval(origin_h, direction, t1, _proj_axis(n1))
@@ -527,7 +587,7 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     pts = [_line_point(origin_h, direction, lo)]
     if lo[0] * hi[1] != hi[0] * lo[1]:
         pts.append(_line_point(origin_h, direction, hi))
-    return not _contact_allowed(pts, shared_vertices, shared_edges)
+    return not _contact_allowed(pts, *_shared_structure(t1, t2))
 
 
 def _contact_allowed_2d(points, shared_vertices, shared_edges) -> bool:

@@ -220,11 +220,11 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     factor.  Scaling x and y together (z untouched) is a linear bijection of
     space, so chord conflicts, solvability, and verifier verdicts all carry
     over unchanged; integer coordinates make the exact predicates much faster.
+    The coordinates come back as ints even when the factor is 1: integral
+    `Fraction` values cost as much in arithmetic as any other `Fraction`.
     """
     polys = (inst.source, inst.target)
     k = denominator_lcm(c for poly in polys for p in poly.vertices for c in (p.x, p.y))
-    if k == 1:
-        return inst
 
     def scale(poly: LabeledPolygon) -> LabeledPolygon:
         return LabeledPolygon(
@@ -237,13 +237,12 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
 
 def _scaled_triangles(triangles) -> list[Triangle3]:
     """Triangles with coordinates scaled onto integers, one positive factor
-    per axis; intersection verdicts are invariant under such scalings."""
+    per axis; intersection verdicts are invariant under such scalings.  As
+    in `scaled_to_integers`, the coordinates come back as ints."""
     points = [p for t in triangles for p in t.vertices]
     kx = denominator_lcm(p.x for p in points)
     ky = denominator_lcm(p.y for p in points)
     kz = denominator_lcm(p.z for p in points)
-    if kx == ky == kz == 1:
-        return list(triangles)
     return [
         Triangle3(*(Point3(int(p.x * kx), int(p.y * ky), int(p.z * kz)) for p in t.vertices))
         for t in triangles

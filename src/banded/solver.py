@@ -96,24 +96,45 @@ def _cidx(c: Chord) -> int:
     return 0 if c is Chord.RIGHT else 1
 
 
+_NO_CONFLICT = ((False, False), (False, False))
+
+
 def build_conflict_table(inst: SliceInstance) -> ConflictTable:
+    """The conflict table of an instance, with the verdicts of `conflicts`.
+
+    Every chord triangle of band i lies in band i's quad, so two bands whose
+    quads have disjoint closed xy bounding boxes cannot conflict (z cannot
+    separate them: every quad spans the full height).  The boxes are sorted
+    by min-x and swept with an active list, and the triangle tests run only
+    on pairs whose boxes meet; every other pair is recorded conflict-free.
+    """
     n = inst.n
-    choices = _choices(scaled_to_integers(inst))
+    scaled = scaled_to_integers(inst)
+    choices = _choices(scaled)
     self_conflicts = {}
     for i in range(n):
         for c in (Chord.RIGHT, Chord.LEFT):
             cc = choices[(i, c)]
             self_conflicts[(i, c)] = open_triangles_intersect_3d(*cc.triangles)
-    pairs = {}
+    boxes = []
     for i in range(n):
-        for j in range(i + 1, n):
-            mat = [[False, False], [False, False]]
-            for ci in (Chord.RIGHT, Chord.LEFT):
-                for cj in (Chord.RIGHT, Chord.LEFT):
-                    mat[_cidx(ci)][_cidx(cj)] = _tris_conflict(
-                        choices[(i, ci)], choices[(j, cj)]
-                    )
-            pairs[(i, j)] = (tuple(mat[0]), tuple(mat[1]))
+        quad = scaled.band_quad(i)
+        xs = [p.x for p in quad]
+        ys = [p.y for p in quad]
+        boxes.append((min(xs), max(xs), min(ys), max(ys), i))
+    boxes.sort()
+    pairs = dict.fromkeys(((i, j) for i in range(n) for j in range(i + 1, n)), _NO_CONFLICT)
+    active = []
+    for x0, x1, y0, y1, i in boxes:
+        active = [box for box in active if box[1] >= x0]
+        for _, _, v0, v1, j in active:
+            if v0 <= y1 and y0 <= v1:
+                a, b = (i, j) if i < j else (j, i)
+                pairs[(a, b)] = tuple(
+                    tuple(_tris_conflict(choices[(a, ca)], choices[(b, cb)]) for cb in Chord)
+                    for ca in Chord
+                )
+        active.append((x0, x1, y0, y1, i))
     return ConflictTable(n, self_conflicts, pairs)
 
 

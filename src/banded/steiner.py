@@ -165,47 +165,12 @@ def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon) -> ChordAssign
 
 
 def _gap_assignment_uncached(lower: LabeledPolygon, upper: LabeledPolygon) -> ChordAssignment | None:
-    """Chord assignment for the normalized two-layer instance, or None.
-
-    Gaps that move a single vertex get a reduced clause build: every other
-    band is a vertical wall over an edge of a simple polygon, and two such
-    walls can only meet along a genuinely shared vertical edge, so only pairs
-    involving the two moving bands need conflict tests.
-    """
+    """Chord assignment for the normalized two-layer instance, or None."""
     inst = SliceInstance(
         LabeledPolygon(lower.vertices, 0), LabeledPolygon(upper.vertices, 1)
     )
-    n = inst.n
-    moved = [i for i, (p, q) in enumerate(zip(lower.vertices, upper.vertices)) if p != q]
-    if len(moved) == 1:
-        from .model import scaled_to_integers
-        from .solver import _choices, _choice_literal, _tris_conflict
-        from .geometry import open_triangles_intersect_3d
-        from .twosat import Clause2
-
-        choices = _choices(scaled_to_integers(inst))
-        v = moved[0]
-        moving = {(v - 1) % n, v}
-        clauses = []
-        for i in sorted(moving):
-            for c in (Chord.RIGHT, Chord.LEFT):
-                cc = choices[(i, c)]
-                if open_triangles_intersect_3d(*cc.triangles):
-                    lit = ~_choice_literal(i, c)
-                    clauses.append(Clause2(lit, lit))
-            for j in range(n):
-                if j == i or (j in moving and j < i):
-                    continue
-                for ci in (Chord.RIGHT, Chord.LEFT):
-                    for cj in (Chord.RIGHT, Chord.LEFT):
-                        if _tris_conflict(choices[(i, ci)], choices[(j, cj)]):
-                            clauses.append(
-                                Clause2(~_choice_literal(i, ci), ~_choice_literal(j, cj))
-                            )
-        result = solve_2sat(n, clauses)
-    else:
-        n, clauses = build_clauses(inst, build_conflict_table(inst))
-        result = solve_2sat(n, clauses)
+    n, clauses = build_clauses(inst, build_conflict_table(inst))
+    result = solve_2sat(n, clauses)
     if not result.satisfiable:
         return None
     return ChordAssignment.from_bools(result.assignment)
@@ -436,7 +401,7 @@ def _finish_stack(inst: SliceInstance, interior: list[LabeledPolygon]) -> LayerS
     return LayerStack(tuple(polys), tuple(assignments))
 
 
-def build_stack(inst: SliceInstance, ear_starts: tuple[int, int] = (0, 0)) -> LayerStack:
+def build_stack(inst: SliceInstance) -> LayerStack:
     """Full collapse stack with middle layers joining the two flattened ends;
     the last resort when no cheaper plan exists."""
     bottom = _relaxed_chain(LabeledPolygon(inst.source.vertices, 0), _layer_budget(inst.n))
@@ -697,5 +662,5 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
     if plan is not None:
         stack = _finish_stack(inst, plan)
     else:
-        stack = build_stack(inst, (0, 0))
+        stack = build_stack(inst)
     return _assemble(list(stack.polygons), list(stack.gap_assignments))

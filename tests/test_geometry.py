@@ -19,6 +19,7 @@ from banded.geometry import (
     polygon_is_ccw,
     polygon_is_convex,
     polygon_is_simple,
+    segment_triangle_contact_3d,
     segments_intersect_2d,
 )
 
@@ -309,6 +310,56 @@ class TestOpenTrianglesIntersect:
             t1 = self._random_triangle(rng)
             t2 = self._random_triangle(rng)
             assert open_triangles_intersect_3d(t1, t2) == open_triangles_intersect_3d(t2, t1)
+
+    def test_crossing_pairs_agree_with_edge_contact_oracle(self):
+        # two closed triangles in crossing planes meet iff an edge of one
+        # meets the other; with no shared vertex, any contact conflicts.
+        # t1 has even coordinates so that half-steps along its edges, used
+        # to put t2's vertices on t1's plane, stay integral.
+        rng = random.Random(29)
+
+        def on_plane(t, m, k):
+            return V(*(
+                a + (m * (b - a) + k * (c - a)) // 2
+                for a, b, c in zip(t.a, t.b, t.c)
+            ))
+
+        seen = {}
+        while sum(seen.values()) < 4000:
+            spread = rng.choice((1, 2, 3))
+            zs = rng.choice(((0, 1), tuple(range(-spread, spread + 1))))
+
+            def point(scale=1):
+                return V(
+                    scale * rng.randint(-spread, spread),
+                    scale * rng.randint(-spread, spread),
+                    scale * rng.choice(zs),
+                )
+
+            t1 = Triangle3(point(2), point(2), point(2))
+            if t1.is_degenerate():
+                continue
+            verts = [point(), point(), point()]
+            for k in rng.sample(range(3), rng.choice((0, 0, 1, 2))):
+                verts[k] = on_plane(t1, rng.randint(-1, 2), rng.randint(-1, 2))
+            t2 = Triangle3(*verts)
+            if t2.is_degenerate() or set(t1.vertices) & set(t2.vertices):
+                continue
+            sides = [orient3d(t1.a, t1.b, t1.c, v) for v in t2.vertices]
+            if sides == [0, 0, 0]:
+                continue
+            hit = open_triangles_intersect_3d(t1, t2)
+            oracle = any(
+                segment_triangle_contact_3d(u.vertices[i], u.vertices[i - 1], w)
+                for u, w in ((t1, t2), (t2, t1))
+                for i in range(3)
+            )
+            assert hit == oracle, (t1, t2)
+            key = (hit, sides.count(0))
+            seen[key] = seen.get(key, 0) + 1
+        # contacts and misses with t2 crossing t1's plane, touching it at a
+        # vertex, and lying on it along an edge all occur
+        assert all(seen.get((hit, k), 0) >= 40 for hit in (True, False) for k in (0, 1, 2))
 
     def test_agrees_with_barycentric_probe_oracle(self):
         # probing oracle: a grid point inside both closed triangles that lies

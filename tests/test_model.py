@@ -50,10 +50,13 @@ class TestTypes:
     def test_scaled_to_integers(self):
         half = tuple(Point2(Fraction(p.x, 2), Fraction(p.y, 3)) for p in SQUARE)
         inst = SliceInstance(LabeledPolygon(half, 0), LabeledPolygon(SQUARE, 1))
-        scaled = scaled_to_integers(inst)
-        for poly in (scaled.source, scaled.target):
-            for p in poly.vertices:
-                assert p.x == int(p.x) and p.y == int(p.y)
+        integral = tuple(Point2(Fraction(p.x), Fraction(p.y)) for p in SQUARE)
+        whole = SliceInstance(LabeledPolygon(integral, 0), LabeledPolygon(SQUARE, 1))
+        for case in (inst, whole):
+            scaled = scaled_to_integers(case)
+            for poly in (scaled.source, scaled.target):
+                for p in poly.vertices:
+                    assert type(p.x) is int and type(p.y) is int
 
 
 class TestAssignmentToSurface:

@@ -5,7 +5,13 @@ import pytest
 
 from banded.errors import PreconditionError
 from banded.figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
-from banded.generators import random_instance
+from banded.generators import (
+    jiggled_instance,
+    random_instance,
+    random_polygon,
+    rotated_instance,
+    similar_copy_instance,
+)
 from banded.geometry import Point2, Triangle3, segment_triangle_contact_3d
 from banded.model import (
     Chord,
@@ -25,6 +31,13 @@ from banded.solver import (
 )
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
+
+
+def _instance(source, target):
+    return SliceInstance(
+        LabeledPolygon(tuple(Point2(*xy) for xy in source), 0),
+        LabeledPolygon(tuple(Point2(*xy) for xy in target), 1),
+    )
 
 
 def identity_square():
@@ -77,13 +90,39 @@ class TestConflicts:
                             )
 
     def test_conflict_table_matches_conflicts(self):
-        inst = fig7_star().instance
-        table = build_conflict_table(inst)
-        for (i, j), mat in table.pairs.items():
-            for ci in Chord:
-                for cj in Chord:
-                    idx = (0 if ci is Chord.RIGHT else 1, 0 if cj is Chord.RIGHT else 1)
-                    assert mat[idx[0]][idx[1]] == conflicts(inst, i, ci, j, cj)
+        # the swept table against the unpruned pairwise reference, on every
+        # target style; the pinned pair has bands 0 and 3 conflicting while
+        # their boxes meet only along the line x = 5, and its quarter turn
+        # puts that line on a y boundary, so an open-box sweep misses both
+        rng = random.Random(17)
+        source = ((5, 0), (5, 4), (6, 7), (5, 6), (4, 5), (2, 6))
+        target = ((5, 6), (7, 6), (1, 9), (5, 2), (4, 5), (3, 7))
+        pinned = _instance(source, target)
+        turned = _instance(*(tuple((-y, x) for x, y in p) for p in (source, target)))
+        instances = [fig7_star().instance, pinned, turned]
+        for n in range(3, 13):
+            for kind in ("convex", "star"):
+                poly = random_polygon(rng, n, kind)
+                other = random_polygon(rng, n, kind)
+                instances += [
+                    similar_copy_instance(rng, poly),
+                    jiggled_instance(rng, poly),
+                    rotated_instance(rng, poly),
+                    SliceInstance(poly, LabeledPolygon(other.vertices, 1)),
+                ]
+        for inst in instances:
+            inst.validate()
+            table = build_conflict_table(inst)
+            assert sorted(table.pairs) == [
+                (i, j) for i in range(inst.n) for j in range(i + 1, inst.n)
+            ]
+            for (i, j), mat in table.pairs.items():
+                for ci in Chord:
+                    for cj in Chord:
+                        idx = (0 if ci is Chord.RIGHT else 1, 0 if cj is Chord.RIGHT else 1)
+                        assert mat[idx[0]][idx[1]] == conflicts(inst, i, ci, j, cj)
+        for inst in (pinned, turned):
+            assert build_conflict_table(inst).pairs[(0, 3)] == ((True, True), (True, True))
 
     def test_triangle_instance_wraparound_band_pair(self):
         # with n=3 every band pair is adjacent: bands 0 and 2 share the
