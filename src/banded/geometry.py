@@ -518,10 +518,11 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
 
     After a bounding-box test and the plane-side signs of each triangle's
     vertices, triangles in crossing planes that share no vertex are decided
-    by two more orientation signs, with no point constructed.  Triangles
-    that share a vertex have their contact set constructed exactly on the
-    planes' common line and checked against the shared structure; coplanar
-    triangles are clipped against each other in 2D.
+    by two more orientation signs, with no point constructed, and those
+    that share an edge meet in just that edge.  Triangles that share one
+    vertex have their contact set constructed exactly on the planes' common
+    line and checked against the shared structure; coplanar triangles are
+    clipped against each other in 2D.
     """
     if t1.is_degenerate() or t2.is_degenerate():
         raise DegenerateTriangleError("open_triangles_intersect_3d needs proper triangles")
@@ -567,8 +568,13 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
         return not _contact_allowed_2d(pts2, sv2, se2)
 
     # a shared vertex lies on both planes
-    if not any(s == 0 and p in t2.vertices for p, s in zip(t1.vertices, s1)):
+    shared = sum(1 for p, s in zip(t1.vertices, s1) if s == 0 and p in t2.vertices)
+    if not shared:
         return _crossing_triangles_meet(t1, s1, t2, s2)
+    if shared == 2:
+        # the planes cross in the shared edge's line, which each triangle
+        # meets in exactly that edge: the contact is the shared edge
+        return False
 
     # proper plane crossing with a shared vertex: construct the contact on
     # the planes' common line, then check it against the shared structure

@@ -11,13 +11,16 @@ themselves; no sampling heuristics and no floating point are involved.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
+from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, ccw_angle, segments_intersect_2d
+from .geometry import AngleClass, Point2, ccw_angle, denominator_lcm, segments_intersect_2d
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
-from .quadfield import AlgebraicNumber, QuadExt, poly_eval, rational_between
+from .quadfield import AlgebraicNumber, QuadExt, rational_between, sign_a_plus_b_sqrt
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,11 @@ def morph_position(inst: SliceInstance, t) -> MorphSnapshot:
 # ---------------------------------------------------------------------------
 # moving-point polynomial helpers
 # ---------------------------------------------------------------------------
-
-
-def _linear(a, b):
-    """Coefficients (c0, c1) of a + (b - a) * t."""
-    return (Fraction(a), Fraction(b) - Fraction(a))
+#
+# The decision scales the source and target onto integers once, by one
+# positive factor k (a similarity, which leaves every event time unchanged),
+# so every coefficient below is an int.  Polynomials are coefficient tuples
+# (c0, c1) or (c0, c1, c2) in the time t.
 
 
 def _lin_sub(p, q):
@@ -82,19 +85,14 @@ def _quad_sub(p, q):
 
 
 class _MovingPoint:
+    """A vertex moving from p to q, scaled by k: (x0 + x1 t, y0 + y1 t)."""
+
     __slots__ = ("x", "y")
 
-    def __init__(self, p: Point2, q: Point2):
-        self.x = _linear(p.x, q.x)
-        self.y = _linear(p.y, q.y)
-
-    def at(self, t):
-        return Point2(self.x[0] + self.x[1] * t, self.y[0] + self.y[1] * t)
-
-    def ranges(self):
-        x0, x1 = self.x[0], self.x[0] + self.x[1]
-        y0, y1 = self.y[0], self.y[0] + self.y[1]
-        return (min(x0, x1), max(x0, x1)), (min(y0, y1), max(y0, y1))
+    def __init__(self, p: Point2, q: Point2, k: int):
+        x0, y0 = int(p.x * k), int(p.y * k)
+        self.x = (x0, int(q.x * k) - x0)
+        self.y = (y0, int(q.y * k) - y0)
 
 
 def _orient_quad(a: _MovingPoint, b: _MovingPoint, c: _MovingPoint):
@@ -114,21 +112,97 @@ def _quad_is_zero(q):
     return q[0] == 0 and q[1] == 0 and q[2] == 0
 
 
-def _roots01(q):
-    from .quadfield import roots_in_open_interval
+def _certified_sign(q) -> int:
+    """+1 (or -1) when q's Bernstein coefficients over [0, 1] prove q > 0
+    (or q < 0) on all of (0, 1), else 0.
 
-    return roots_in_open_interval(q[0], q[1], q[2], 0, 1)
+    With b0 = q(0), b2 = q(1) and 2 b1 = 4 q(1/2) - b0 - b2 = 2 c0 + c1,
+    q = b0 (1-t)^2 + 2 b1 t (1-t) + b2 t^2, so b0, b2 >= 0 and b1 > 0 make
+    every term non-negative and the middle one positive inside (0, 1)."""
+    b0, b2, b1x2 = q[0], q[0] + q[1] + q[2], 2 * q[0] + q[1]
+    if b0 >= 0 and b2 >= 0 and b1x2 > 0:
+        return 1
+    if b0 <= 0 and b2 <= 0 and b1x2 < 0:
+        return -1
+    return 0
+
+
+def _has_root01(q) -> bool:
+    """Whether q has a root strictly inside (0, 1); the zero polynomial has
+    none, as for `roots_in_open_interval`.  Integer arithmetic only."""
+    c0, c1, c2 = q
+    b0, b2 = c0, c0 + c1 + c2
+    if (b0 < 0 < b2) or (b2 < 0 < b0):
+        return True
+    if c2 < 0:
+        c0, c1, c2, b0, b2 = -c0, -c1, -c2, -b0, -b2
+    # no sign change: roots inside need the apex -c1 / (2 c2) inside too
+    if c2 == 0 or not 0 < -c1 < 2 * c2:
+        return False
+    disc = c1 * c1 - 4 * c0 * c2
+    # a double root at the apex, or two roots of which one is inside
+    # exactly when the value at its side's end is positive
+    return disc == 0 or (disc > 0 and (b0 > 0 or b2 > 0))
+
+
+def _roots01(q, kk: int):
+    """The roots of q in (0, 1).  They are isolated from the unscaled
+    coefficients q / k^2, so that their brackets do not depend on k."""
+    if not _has_root01(q):
+        return []
+    return quadfield.roots_in_open_interval(*(Fraction(c, kk) for c in q), 0, 1)
+
+
+class _Time:
+    """An exact time t = (p + q sqrt(d)) / r with ints p, q, d and r > 0;
+    q = d = 0 when t is rational.  Multiplying by r (or by r^2) is a positive
+    factor, so signs of the int polynomials and positions scaled by r are
+    computed in ints, or in Z[sqrt(d)] at a root, with no Fraction."""
+
+    __slots__ = ("p", "q", "d", "r")
+
+    def __init__(self, t):
+        if isinstance(t, QuadExt):
+            a, b, d = Fraction(t.a), Fraction(t.b), Fraction(t.d)
+            # sqrt(d) = sqrt(d.num * d.den) / d.den
+            bden = b.denominator * d.denominator
+            self.r = r = math.lcm(a.denominator, bden)
+            self.p = a.numerator * (r // a.denominator)
+            self.q = b.numerator * (r // bden)
+            self.d = d.numerator * d.denominator
+        else:
+            t = Fraction(t)
+            self.p, self.q, self.d, self.r = t.numerator, 0, 0, t.denominator
+
+    def sign(self, c) -> int:
+        """Sign of the int quadratic c at t, from r^2 c(t) = a + b sqrt(d)."""
+        p, q, d, r = self.p, self.q, self.d, self.r
+        a = (c[0] * r + c[1] * p) * r + c[2] * (p * p + q * q * d)
+        if not q:
+            return (a > 0) - (a < 0)
+        return sign_a_plus_b_sqrt(a, q * (c[1] * r + 2 * c[2] * p), d)
+
+    def point(self, m: "_MovingPoint") -> Point2:
+        """r times the position of m at t."""
+        p, q, d, r = self.p, self.q, self.d, self.r
+        (x0, x1), (y0, y1) = m.x, m.y
+        if not q:
+            return Point2(x0 * r + x1 * p, y0 * r + y1 * p)
+        return Point2(QuadExt(x0 * r + x1 * p, x1 * q, d), QuadExt(y0 * r + y1 * p, y1 * q, d))
 
 
 def _collision_times(a: _MovingPoint, b: _MovingPoint):
     """Rational times in (0,1) at which the two moving points coincide."""
     dx = _lin_sub(a.x, b.x)
     dy = _lin_sub(a.y, b.y)
+    for c0, c1 in (dx, dy):
+        if (c0 > 0 and c0 + c1 > 0) or (c0 < 0 and c0 + c1 < 0):
+            return []  # a strict sign on [0, 1]: they never meet
 
     def line_zero_times(c):
         if c[1] == 0:
             return None if c[0] != 0 else "always"
-        return [Fraction(-c[0], 1) / c[1]]
+        return [Fraction(-c[0], c[1])]
 
     zx, zy = line_zero_times(dx), line_zero_times(dy)
     if zx == "always" and zy == "always":
@@ -144,6 +218,72 @@ def _collision_times(a: _MovingPoint, b: _MovingPoint):
     if cands is None:
         return []
     return [t for t in cands if 0 < t < 1]
+
+
+def _collision_events(pairs):
+    return [AlgebraicNumber.from_rational(t) for a, b in pairs for t in _collision_times(a, b)]
+
+
+def _predicate(kind: str, points, polys):
+    """The exact violation test of one candidate, at a time t that is a
+    Fraction or a QuadExt.  `points` are the moving points involved and
+    `polys` the candidate's polynomials: the shoelace for orientation_flip,
+    the cross and dot product at the middle vertex for angle_collapse, and
+    for edge_contact the four orientations that `segments_intersect_2d`
+    takes, whose signs settle it unless one of them is 0."""
+    if kind == "orientation_flip":
+        (shoelace,) = polys
+        return lambda t: _Time(t).sign(shoelace) <= 0
+    if kind == "angle_collapse":
+        cross, dot = polys
+
+        def collapsed(t):
+            t = _Time(t)
+            return t.sign(cross) == 0 and t.sign(dot) >= 0
+
+        return collapsed
+    if kind == "vertex_collision":
+        a, b = points
+
+        def collide(t):
+            t = _Time(t)
+            return t.point(a) == t.point(b)
+
+        return collide
+
+    def edges_touch(t):
+        t = _Time(t)
+        o1, o2, o3, o4 = (t.sign(q) for q in polys)
+        if o1 and o2 and o3 and o4:
+            return o1 != o2 and o3 != o4
+        return segments_intersect_2d(*(t.point(m) for m in points), mode="any")
+
+    return edges_touch
+
+
+def _box_pairs(moving) -> list[tuple[int, int]]:
+    """The non-adjacent edge pairs (i, j), i < j, ascending, whose boxes over
+    t in [0, 1] meet.  An edge's box is that of its endpoints' source and
+    target positions; the boxes are swept in order of min-x with an active
+    list, and closed comparisons keep pairs whose boxes only touch."""
+    n = len(moving)
+    boxes = []
+    for i in range(n):
+        u, v = moving[i], moving[(i + 1) % n]
+        xs = (u.x[0], u.x[0] + u.x[1], v.x[0], v.x[0] + v.x[1])
+        ys = (u.y[0], u.y[0] + u.y[1], v.y[0], v.y[0] + v.y[1])
+        boxes.append((min(xs), max(xs), min(ys), max(ys), i))
+    boxes.sort(key=lambda b: b[0])
+    pairs = []
+    active = []
+    for x0, x1, y0, y1, i in boxes:
+        active = [b for b in active if b[1] >= x0]
+        for _, _, v0, v1, j in active:
+            if v0 <= y1 and y0 <= v1 and (i - j) % n not in (1, n - 1):
+                pairs.append((j, i) if j < i else (i, j))
+        active.append((x0, x1, y0, y1, i))
+    pairs.sort()
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +302,6 @@ def _sorted_unique_events(events):
     return out
 
 
-def _scalar_violates(value, *, nonpositive=False) -> bool:
-    if isinstance(value, QuadExt):
-        s = value.sign()
-    else:
-        s = (value > 0) - (value < 0)
-    return s <= 0 if nonpositive else s < 0
-
-
 @dataclass
 class _Run:
     start: AlgebraicNumber  # left boundary of the violating stretch
@@ -186,7 +318,7 @@ class _Run:
 def _violating_runs(events, predicate) -> list[_Run]:
     """Split (0,1) at the events and merge the consecutive violating pieces.
 
-    `predicate` receives an exact scalar (Fraction or QuadExt) and must be
+    `predicate` receives an exact time (Fraction or QuadExt) and must be
     constant on each open piece between events; it is also evaluated exactly
     at each event.
     """
@@ -241,89 +373,68 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     or crossing, a polygon angle collapsing to zero (adjacent edges folding
     onto each other), two vertices colliding, and the signed area dropping to
     or below zero (the polygon inverting).  Endpoint times are excluded.
+
+    The polygons are scaled onto integers once.  Only non-adjacent edges
+    whose swept boxes meet are examined, and a pair, or a vertex's angle,
+    whose orientation signs are certified constant over (0, 1) from integer
+    Bernstein coefficients is dismissed before any root is isolated.
     """
     if validate:
         inst.validate()
     n = inst.n
-    moving = [
-        _MovingPoint(p, q) for p, q in zip(inst.source.vertices, inst.target.vertices)
-    ]
-    candidates: list[tuple[_Run, str, tuple[int, ...], list]] = []
+    ends = list(zip(inst.source.vertices, inst.target.vertices))
+    k = denominator_lcm(c for p, q in ends for c in (p.x, p.y, q.x, q.y))
+    kk = k * k
+    moving = [_MovingPoint(p, q, k) for p, q in ends]
+    candidates: list[tuple[_Run, str, tuple[int, ...], Callable]] = []
+
+    def scan(kind, subjects, points, polys, events):
+        predicate = _predicate(kind, points, polys)
+        for run in _violating_runs(_sorted_unique_events(events), predicate):
+            candidates.append((run, kind, subjects, predicate))
 
     # vertex collisions (rational instants)
     for i in range(n):
         for j in range(i + 1, n):
-            for t in _collision_times(moving[i], moving[j]):
+            pair = (moving[i], moving[j])
+            for t in _collision_times(*pair):
                 e = AlgebraicNumber.from_rational(t)
-                run = _Run(e, e, True, t)
-                candidates.append((run, "vertex_collision", (i, j)))
+                collide = _predicate("vertex_collision", pair, ())
+                candidates.append((_Run(e, e, True, t), "vertex_collision", (i, j), collide))
 
     # angle collapse at each vertex (adjacent edge pairs)
     for i in range(n):
         a, b, c = moving[(i - 1) % n], moving[i], moving[(i + 1) % n]
-        quad = _orient_quad(a, b, c)
-        dotq = _dot_quad(a, b, c)
-
-        def angle_pred(t, a=a, b=b, c=c):
-            pa, pb, pc = a.at(t), b.at(t), c.at(t)
-            cross = (pb.x - pa.x) * (pc.y - pa.y) - (pb.y - pa.y) * (pc.x - pa.x)
-            if not _scalar_is_zero(cross):
-                return False
-            dot = (pa.x - pb.x) * (pc.x - pb.x) + (pa.y - pb.y) * (pc.y - pb.y)
-            return not _scalar_violates(dot)  # dot >= 0 while collinear
-
-        events = _roots01(quad)
-        if _quad_is_zero(quad):
-            events = _roots01(dotq)
-        events += [
-            AlgebraicNumber.from_rational(t)
-            for pair in ((a, b), (b, c), (a, c))
-            for t in _collision_times(*pair)
-        ]
-        for run in _violating_runs(_sorted_unique_events(events), angle_pred):
-            candidates.append((run, "angle_collapse", (i,)))
+        cross = _orient_quad(a, b, c)
+        if _certified_sign(cross):
+            continue  # never collinear inside (0, 1)
+        dot = _dot_quad(a, b, c)
+        events = _roots01(dot if _quad_is_zero(cross) else cross, kk)
+        events += _collision_events(((a, b), (b, c), (a, c)))
+        scan("angle_collapse", (i,), (a, b, c), (cross, dot), events)
 
     # non-adjacent edge pairs
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            e = (moving[i], moving[(i + 1) % n])
-            f = (moving[j], moving[(j + 1) % n])
-            if _ranges_disjoint(e, f):
-                continue
-
-            def edge_pred(t, e=e, f=f):
-                return segments_intersect_2d(
-                    e[0].at(t), e[1].at(t), f[0].at(t), f[1].at(t), mode="any"
-                )
-
-            events = []
-            for quad in (
-                _orient_quad(e[0], e[1], f[0]),
-                _orient_quad(e[0], e[1], f[1]),
-                _orient_quad(f[0], f[1], e[0]),
-                _orient_quad(f[0], f[1], e[1]),
-            ):
-                events += _roots01(quad)
-            for u in e:
-                for v in f:
-                    events += [AlgebraicNumber.from_rational(t) for t in _collision_times(u, v)]
-            for run in _violating_runs(_sorted_unique_events(events), edge_pred):
-                candidates.append((run, "edge_contact", (i, j)))
+    for i, j in _box_pairs(moving):
+        e0, e1, f0, f1 = moving[i], moving[(i + 1) % n], moving[j], moving[(j + 1) % n]
+        o1, o2 = _orient_quad(e0, e1, f0), _orient_quad(e0, e1, f1)
+        s = _certified_sign(o1)
+        if s and s == _certified_sign(o2):
+            continue  # f stays strictly on one side of e's line
+        o3, o4 = _orient_quad(f0, f1, e0), _orient_quad(f0, f1, e1)
+        s = _certified_sign(o3)
+        if s and s == _certified_sign(o4):
+            continue  # e stays strictly on one side of f's line
+        quads = (o1, o2, o3, o4)
+        events = [r for q in quads for r in _roots01(q, kk)]
+        events += _collision_events((u, v) for u in (e0, e1) for v in (f0, f1))
+        scan("edge_contact", (i, j), (e0, e1, f0, f1), quads, events)
 
     # orientation flip: the shoelace quadratic must stay strictly positive
-    shoelace = (Fraction(0), Fraction(0), Fraction(0))
+    shoelace = (0, 0, 0)
     for i in range(n):
         a, b = moving[i], moving[(i + 1) % n]
         shoelace = _quad_add(shoelace, _quad_sub(_lin_mul(a.x, b.y), _lin_mul(a.y, b.x)))
-
-    def area_pred(t):
-        return _scalar_violates(poly_eval(shoelace, t), nonpositive=True)
-
-    events = _roots01(shoelace)
-    for run in _violating_runs(_sorted_unique_events(events), area_pred):
-        candidates.append((run, "orientation_flip", tuple()))
+    scan("orientation_flip", (), (), (shoelace,), _roots01(shoelace, kk))
 
     if not candidates:
         return PlanarityVerdict(preserved=True)
@@ -333,8 +444,7 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
             lambda p, q: p[0].start.compare(q[0].start) or _tiebreak(p, q)
         )
     )
-    run, kind, subjects = candidates[0]
-    predicate = _predicate_for(kind, subjects, moving, shoelace, n)
+    run, kind, subjects, predicate = candidates[0]
     lo, hi = _tighten_run(run, predicate)
     return PlanarityVerdict(
         preserved=False,
@@ -351,52 +461,6 @@ def _tiebreak(p, q):
     kp = (p[0].instantaneous, p[1], p[2])
     kq = (q[0].instantaneous, q[1], q[2])
     return -1 if kp < kq else (1 if kp > kq else 0)
-
-
-def _scalar_is_zero(value) -> bool:
-    if isinstance(value, QuadExt):
-        return value.sign() == 0
-    return value == 0
-
-
-def _ranges_disjoint(e, f) -> bool:
-    (ex0, ex1), (ey0, ey1) = e[0].ranges()
-    (fx0, fx1), (fy0, fy1) = e[1].ranges()
-    ax = (min(ex0, fx0), max(ex1, fx1))
-    ay = (min(ey0, fy0), max(ey1, fy1))
-    (gx0, gx1), (gy0, gy1) = f[0].ranges()
-    (hx0, hx1), (hy0, hy1) = f[1].ranges()
-    bx = (min(gx0, hx0), max(gx1, hx1))
-    by = (min(gy0, hy0), max(gy1, hy1))
-    return ax[1] < bx[0] or bx[1] < ax[0] or ay[1] < by[0] or by[1] < ay[0]
-
-
-def _predicate_for(kind, subjects, moving, shoelace, n):
-    if kind == "orientation_flip":
-        return lambda t: _scalar_violates(poly_eval(shoelace, t), nonpositive=True)
-    if kind == "edge_contact":
-        i, j = subjects
-        e = (moving[i], moving[(i + 1) % n])
-        f = (moving[j], moving[(j + 1) % n])
-        return lambda t: segments_intersect_2d(
-            e[0].at(t), e[1].at(t), f[0].at(t), f[1].at(t), mode="any"
-        )
-    if kind == "angle_collapse":
-        (i,) = subjects
-        a, b, c = moving[(i - 1) % n], moving[i], moving[(i + 1) % n]
-
-        def pred(t):
-            pa, pb, pc = a.at(t), b.at(t), c.at(t)
-            cross = (pb.x - pa.x) * (pc.y - pa.y) - (pb.y - pa.y) * (pc.x - pa.x)
-            if not _scalar_is_zero(cross):
-                return False
-            dot = (pa.x - pb.x) * (pc.x - pb.x) + (pa.y - pb.y) * (pc.y - pb.y)
-            return not _scalar_violates(dot)
-
-        return pred
-    i, j = subjects  # vertex_collision
-    return lambda t: moving[i].at(t) == moving[j].at(t)
-
 
 # ---------------------------------------------------------------------------
 # convex chord rule, rotations, similarity

@@ -361,6 +361,76 @@ class TestOpenTrianglesIntersect:
         # vertex, and lying on it along an edge all occur
         assert all(seen.get((hit, k), 0) >= 40 for hit in (True, False) for k in (0, 1, 2))
 
+    def test_shared_edge_pairs(self):
+        # triangles sharing an edge AB: in crossing planes they meet in just
+        # AB (legal); coplanar, they overlap exactly when the third vertices
+        # lie on the same side of AB
+        rng = random.Random(31)
+        seen = {}
+        while sum(seen.values()) < 2000:
+            spread = rng.choice((1, 2, 3))
+            zs = rng.choice(((0, 1), tuple(range(-spread, spread + 1))))
+
+            def point():
+                return V(rng.randint(-spread, spread), rng.randint(-spread, spread), rng.choice(zs))
+
+            a, b, c = point(), point(), point()
+            t1 = Triangle3(a, b, c)
+            if t1.is_degenerate():
+                continue
+            m, k = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
+            coplanar = rng.random() < 0.3
+            if coplanar:
+                d = V(*(p + m * (q - p) + k * (r - p) for p, q, r in zip(a, b, c)))
+            else:
+                d = point()
+            verts = [a, b, d]
+            rng.shuffle(verts)
+            t2 = Triangle3(*verts)
+            if t2.is_degenerate() or d in t1.vertices:
+                continue
+            on_plane = orient3d(a, b, c, d) == 0
+            hit = open_triangles_intersect_3d(t1, t2)
+            assert hit == open_triangles_intersect_3d(t2, t1)
+            if on_plane:
+                # d lies on c's side of AB iff (b - a) x (d - a) points along t1's normal
+                above = V(*(p + q for p, q in zip(a, t1.normal)))
+                assert hit == (orient3d(a, b, d, above) > 0), (t1, t2)
+                key = ("coplanar", hit)
+            else:
+                assert not hit, (t1, t2)
+                key = ("crossing", hit)
+            seen[key] = seen.get(key, 0) + 1
+        kinds = (("crossing", False), ("coplanar", True), ("coplanar", False))
+        assert all(seen.get(key, 0) >= 100 for key in kinds)
+
+    def test_one_shared_vertex_pairs_agree_with_far_edge_oracle(self):
+        # triangles (v, b, c) and (v, d, e) in crossing planes meet in a
+        # segment of the planes' common line that starts at v; it is more
+        # than v exactly when its far end, which lies on the boundary of
+        # one triangle away from v, is on edge bc or edge de
+        rng = random.Random(37)
+        seen = {}
+        while sum(seen.values()) < 2000:
+            spread = rng.choice((1, 2, 3))
+            zs = rng.choice(((0, 1), tuple(range(-spread, spread + 1))))
+
+            def point():
+                return V(rng.randint(-spread, spread), rng.randint(-spread, spread), rng.choice(zs))
+
+            v, b, c, d, e = (point() for _ in range(5))
+            t1, t2 = Triangle3(v, b, c), Triangle3(*rng.sample((v, d, e), 3))
+            if t1.is_degenerate() or t2.is_degenerate() or len({b, c, d, e} - {v}) < 4:
+                continue
+            if [orient3d(v, b, c, p) for p in (d, e)] == [0, 0]:
+                continue  # coplanar
+            hit = open_triangles_intersect_3d(t1, t2)
+            assert hit == open_triangles_intersect_3d(t2, t1)
+            oracle = segment_triangle_contact_3d(b, c, t2) or segment_triangle_contact_3d(d, e, t1)
+            assert hit == oracle, (t1, t2)
+            seen[hit] = seen.get(hit, 0) + 1
+        assert seen.get(True, 0) >= 100 and seen.get(False, 0) >= 100
+
     def test_agrees_with_barycentric_probe_oracle(self):
         # probing oracle: a grid point inside both closed triangles that lies
         # outside the genuinely shared structure certifies a conflict

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from banded.errors import AllPointsEqualError, PreconditionError
+from banded import morph
+from banded.errors import AllPointsEqualError, InputError, PreconditionError
 from banded.figures import fig3b_sat_nonplanar, fig7_star
 from banded.generators import (
     jiggled_instance,
@@ -27,6 +29,7 @@ from banded.morph import (
     rotate_copy_instance,
     similarity_witness,
 )
+from banded.quadfield import QuadExt, poly_eval, roots_in_open_interval
 from banded.solver import brute_force_assignments, solve_no_steiner
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -134,6 +137,151 @@ class TestPlanarity:
         inst = SliceInstance(LabeledPolygon(src, 0), LabeledPolygon(tgt, 1))
         verdict = planarity_preserving(inst, validate=False)
         assert not verdict.preserved
+
+
+def _instance(src, tgt) -> SliceInstance:
+    return SliceInstance(
+        LabeledPolygon(tuple(Point2(*p) for p in src), 0),
+        LabeledPolygon(tuple(Point2(*p) for p in tgt), 1),
+    )
+
+
+def _verdict_tuple(v):
+    return (v.preserved, v.kind, v.subjects, v.interval, v.instantaneous)
+
+
+class TestKernel:
+    def test_certificates_agree_with_root_isolation(self):
+        # every quadratic with coefficients in -4..4: double roots, roots at
+        # exactly 0 and 1, linear and constant ones, and the zero polynomial
+        samples = [Fraction(k, 16) for k in range(1, 16)]
+        certified = 0
+        for q in itertools.product(range(-4, 5), repeat=3):
+            roots = roots_in_open_interval(*q, 0, 1)
+            assert morph._has_root01(q) == bool(roots), q
+            for t in samples:
+                v = poly_eval(q, t)
+                assert morph._Time(t).sign(q) == (v > 0) - (v < 0)
+            for r in roots:
+                assert morph._Time(r.as_scalar()).sign(q) == 0
+            sign = morph._certified_sign(q)
+            if sign:
+                certified += 1
+                assert not roots, q
+                assert all(morph._Time(t).sign(q) == sign for t in samples), q
+        assert morph._certified_sign((0, 0, 0)) == 0
+        assert certified > 100
+
+    def test_roots_do_not_depend_on_the_scale(self):
+        # roots of a scaled quadratic keep the brackets of the unscaled one
+        for q in itertools.product(range(-4, 5), repeat=3):
+            kk = 36
+            scaled = morph._roots01(tuple(c * kk for c in q), kk)
+            plain = roots_in_open_interval(*q, 0, 1)
+            assert [(r.rat, r.p, r.q, r.d, r.lo, r.hi) for r in scaled] == [
+                (r.rat, r.p, r.q, r.d, r.lo, r.hi) for r in plain
+            ]
+
+    def test_sign_at_a_quadratic_irrationality(self):
+        # t = (1 + sqrt(3)) / 4 is a root of 8t^2 - 4t - 1
+        t = QuadExt(Fraction(1, 4), Fraction(1, 4), 3)
+        assert morph._Time(t).sign((-1, -4, 8)) == 0
+        assert morph._Time(t).sign((0, -1, 2)) == 1  # 2t^2 - t = 1/4 there
+        assert morph._Time(t).sign((1, -4, 0)) == -1  # 1 - 4t = -sqrt(3)
+
+    def test_collision_times(self):
+        def moving(p, q):
+            return morph._MovingPoint(Point2(*p), Point2(*q), 1)
+
+        # along one line towards each other, meeting at t = 1/2
+        half = [Fraction(1, 2)]
+        assert morph._collision_times(moving((0, 0), (4, 0)), moving((4, 0), (0, 0))) == half
+        # the same with the other axis constant
+        assert morph._collision_times(moving((2, 0), (2, 4)), moving((2, 4), (2, 0))) == half
+        # meeting only at t = 0 or at t = 1: excluded
+        assert morph._collision_times(moving((0, 0), (4, 0)), moving((0, 0), (0, 4))) == []
+        assert morph._collision_times(moving((0, 0), (4, 4)), moving((4, 0), (4, 4))) == []
+        # dx keeps a strict sign on [0, 1]
+        assert morph._collision_times(moving((0, 0), (4, 0)), moving((1, 3), (5, -3))) == []
+        with pytest.raises(InputError):
+            morph._collision_times(moving((1, 1), (2, 3)), moving((1, 1), (2, 3)))
+
+    def test_box_pairs_match_all_pairs(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            g = rng.choice((2, 4, 8))
+            moving = [
+                morph._MovingPoint(
+                    Point2(rng.randint(0, g), rng.randint(0, g)),
+                    Point2(rng.randint(0, g), rng.randint(0, g)),
+                    1,
+                )
+                for _ in range(n)
+            ]
+
+            def box(i):
+                u, v = moving[i], moving[(i + 1) % n]
+                xs = (u.x[0], sum(u.x), v.x[0], sum(v.x))
+                ys = (u.y[0], sum(u.y), v.y[0], sum(v.y))
+                return min(xs), max(xs), min(ys), max(ys)
+
+            expected = []
+            for i in range(n):
+                for j in range(i + 2, n):
+                    if i == 0 and j == n - 1:
+                        continue
+                    a, b = box(i), box(j)
+                    if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
+                        expected.append((i, j))
+            assert morph._box_pairs(moving) == expected
+
+    # a U whose arms carry a spike each, tips on the line x = 5: the left tip
+    # moves down past the right one, so the two meet at t = 1/2 where every
+    # edge pair involved has boxes that meet only along x = 5
+    U_ARMS = (
+        (0, 0), (10, 0), (10, 10), (7, 10), (7, 6), (5, 5), (7, 4),
+        (7, 2), (3, 2), (3, 4), None, (3, 6), (3, 10), (0, 10),
+    )
+
+    @pytest.mark.parametrize("quarter_turn", [False, True])
+    def test_contact_on_a_box_boundary(self, quarter_turn):
+        def polygon(tip):
+            pts = [tip if p is None else p for p in self.U_ARMS]
+            return [(-y, x) for x, y in pts] if quarter_turn else pts
+
+        inst = _instance(polygon((5, 7)), polygon((5, 3)))
+        inst.validate()
+        half = Fraction(1, 2)
+        assert _verdict_tuple(planarity_preserving(inst)) == (
+            False, "edge_contact", (4, 9), (half, half), True
+        )
+
+    # vertex 3 grazes edge 0 at t = 1/2 (a double root of the orientation)
+    TOUCH = (
+        ((0, 0), (4, 2), (6, 4), (2, Fraction(3, 2)), (-2, 4)),
+        ((0, 0), (4, -2), (6, 4), (4, Fraction(-3, 2)), (-2, 4)),
+    )
+
+    def test_contacts_at_the_endpoints_are_excluded(self):
+        inst = _instance(*self.TOUCH)
+        inst.validate()
+
+        def sub(a, b):
+            # the linear morph restricted to [a, b] is the linear morph
+            # between the snapshots at a and b
+            return SliceInstance(
+                LabeledPolygon(morph_position(inst, a).polygon.vertices, 0),
+                LabeledPolygon(morph_position(inst, b).polygon.vertices, 1),
+            )
+
+        half = Fraction(1, 2)
+        assert planarity_preserving(sub(0, half), validate=False).preserved
+        assert planarity_preserving(sub(half, 1), validate=False).preserved
+        for a, b, t in ((Fraction(1, 4), 1, Fraction(1, 3)), (0, Fraction(3, 4), Fraction(2, 3))):
+            assert _verdict_tuple(planarity_preserving(sub(a, b))) == (
+                False, "edge_contact", (0, 2), (t, t), True
+            )
 
 
 class TestConvexChordRule:
