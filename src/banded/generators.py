@@ -171,12 +171,18 @@ def similar_copy_instance(rng: random.Random, polygon: LabeledPolygon) -> SliceI
 
 
 def jiggled_instance(rng: random.Random, polygon: LabeledPolygon, amount: int = 2) -> SliceInstance:
-    """Target = source with small random exact offsets, re-checked simple+CCW."""
-    for _ in range(200):
+    """Target = source with small random exact offsets, re-checked simple+CCW.
+
+    After 200 draws with offsets up to `amount`, the offset range shrinks a
+    quarter at a time, 10 draws each, down to zero, where the target is the
+    source itself; so every valid source gets an instance."""
+    full = amount * 4
+    spans = [full] * 200 + [span for span in range(full - 1, 0, -1) for _ in range(10)] + [0]
+    for span in spans:
         pts = [
             Point2(
-                p.x + Fraction(rng.randint(-amount * 4, amount * 4), 4),
-                p.y + Fraction(rng.randint(-amount * 4, amount * 4), 4),
+                p.x + Fraction(rng.randint(-span, span), 4),
+                p.y + Fraction(rng.randint(-span, span), 4),
             )
             for p in polygon.vertices
         ]

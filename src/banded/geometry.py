@@ -95,10 +95,6 @@ def orient2d(a, b, c) -> int:
     return _sign((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
 
 
-def _orient2d_raw(ax, ay, bx, by, cx, cy) -> int:
-    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-
-
 def _sub3(p: Point3, q: Point3):
     return (p.x - q.x, p.y - q.y, p.z - q.z)
 
@@ -370,72 +366,6 @@ def _shared_structure(t1: Triangle3, t2: Triangle3):
     return shared_vertices, shared_edges
 
 
-def _point_on_segment_3d(p: Point3, a: Point3, b: Point3) -> bool:
-    if _cross3(_sub3(p, a), _sub3(b, a)) != (0, 0, 0):
-        return False
-    d = _sub3(b, a)
-    t = _dot3(_sub3(p, a), d)
-    return 0 <= t <= _dot3(d, d)
-
-
-def _contact_allowed(points, shared_vertices, shared_edges) -> bool:
-    """points: 1 or 2 distinct 3D points spanning the contact set (a point or
-    a segment).  Contact is legal iff it lies inside the shared structure."""
-    if len(points) == 1:
-        p = points[0]
-        if any(p == v for v in shared_vertices):
-            return True
-        return any(_point_on_segment_3d(p, a, b) for a, b in shared_edges)
-    return any(
-        _point_on_segment_3d(points[0], a, b) and _point_on_segment_3d(points[1], a, b)
-        for a, b in shared_edges
-    )
-
-
-def _line_triangle_interval(origin_h, direction, tri: Triangle3, axis: int):
-    """Parameter interval {s : origin + s*direction in tri} for a line lying
-    in the triangle's plane.  `origin_h` is homogeneous (ox, oy, oz, w) with
-    w > 0.  Bounds are returned as exact (num, den) pairs with den > 0, or
-    None if the intersection is empty.  All arithmetic stays in the input
-    ring (no normalization), which matters in hot paths."""
-    w = origin_h[3]
-    o2 = _project_tuple(origin_h, axis)
-    d2 = _project_tuple(direction, axis)
-    verts = [_project(p, axis) for p in tri.vertices]
-    lo = hi = None  # rational pairs (num, den), den > 0
-    for i in range(3):
-        a, b = verts[i], verts[(i + 1) % 3]
-        g = orient2d(a, b, verts[(i + 2) % 3])
-        ex, ey = b.x - a.x, b.y - a.y
-        alpha = ex * (o2[1] - a.y * w) - ey * (o2[0] - a.x * w)
-        beta = (ex * d2[1] - ey * d2[0]) * w
-        if g < 0:
-            alpha, beta = -alpha, -beta
-        # constraint: alpha + beta * s >= 0
-        if beta == 0:
-            if alpha < 0:
-                return None
-            continue
-        num, den = (-alpha, beta) if beta > 0 else (alpha, -beta)
-        if beta > 0:
-            if lo is None or num * lo[1] > lo[0] * den:
-                lo = (num, den)
-        else:
-            if hi is None or num * hi[1] < hi[0] * den:
-                hi = (num, den)
-    if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
-        return None
-    return lo, hi
-
-
-def _project_tuple(v, axis: int):
-    if axis == 0:
-        return (v[1], v[2])
-    if axis == 1:
-        return (v[2], v[0])
-    return (v[0], v[1])
-
-
 def _clip_triangle_2d(subject, clip):
     """Intersection of two triangles in 2D (lists of Point2) via half-plane
     clipping; returns the convex intersection's points, possibly duplicated."""
@@ -506,6 +436,34 @@ def _crossing_triangles_meet(t1: Triangle3, s1, t2: Triangle3, s2) -> bool:
     return orient3d(p1, q1, p2, q2) <= 0 and orient3d(p1, p2, r1, r2) <= 0
 
 
+def _shared_vertex_triangles_meet(t1: Triangle3, s1, t2: Triangle3, s2, i: int) -> bool:
+    """Whether two closed triangles in crossing planes that share exactly
+    one vertex, v = t1.vertices[i], have a common point other than v,
+    decided from orientation signs alone.
+
+    s1 and s2 are as in `_crossing_triangles_meet`.  Rotated cyclically (so
+    normals and sides keep their signs) to t1 = (v, a, b) and t2 = (v, c, d),
+    each triangle cuts the planes' common line in a segment that starts at
+    v and ends on its far edge, so they meet beyond v iff [a, b] meets t2 or
+    [c, d] meets t1.  A far edge strictly on one side of the other plane
+    leaves its triangle touching that plane only in v.  Otherwise [a, b]
+    meets t2's plane in one point, which lies in the closed t2 iff
+    orient3d(a, b, v, c) = sc, orient3d(a, b, c, d) and
+    orient3d(a, b, d, v) = -sd have no two strictly opposite signs; sc and
+    -sd already agree, so the test is on the sign of orient3d(a, b, c, d)
+    alone, and the converse test for [c, d] uses the same sign."""
+    j = t2.vertices.index(t1.vertices[i])
+    a, b = t1.vertices[(i + 1) % 3], t1.vertices[(i + 2) % 3]
+    c, d = t2.vertices[(j + 1) % 3], t2.vertices[(j + 2) % 3]
+    sa, sb = s1[(i + 1) % 3], s1[(i + 2) % 3]
+    sc, sd = s2[(j + 1) % 3], s2[(j + 2) % 3]
+    if sa == sb or sc == sd:
+        return False  # a far edge strictly on one side of the other plane
+    o = orient3d(a, b, c, d)
+    # [a, b] meets t2, or [c, d] meets t1: `x or -y` is the common sign
+    return o == 0 or o == (sc or -sd) or o == (sa or -sb)
+
+
 def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     """Exact conflict test between two closed triangles.
 
@@ -518,11 +476,10 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
 
     After a bounding-box test and the plane-side signs of each triangle's
     vertices, triangles in crossing planes that share no vertex are decided
-    by two more orientation signs, with no point constructed, and those
-    that share an edge meet in just that edge.  Triangles that share one
-    vertex have their contact set constructed exactly on the planes' common
-    line and checked against the shared structure; coplanar triangles are
-    clipped against each other in 2D.
+    by two more orientation signs, those that share one vertex by one more,
+    with no point constructed in either case, and those that share an edge
+    meet in just that edge.  Coplanar triangles are clipped against each
+    other in 2D.
     """
     if t1.is_degenerate() or t2.is_degenerate():
         raise DegenerateTriangleError("open_triangles_intersect_3d needs proper triangles")
@@ -538,11 +495,10 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     if s1[0] == s1[1] == s1[2] != 0:
         return False
 
-    n1, n2 = t1.normal, t2.normal
     if s2 == [0, 0, 0]:
         # coplanar: intersect in 2D
         shared_vertices, shared_edges = _shared_structure(t1, t2)
-        axis = _proj_axis(n1)
+        axis = _proj_axis(t1.normal)
         sub = [_project(p, axis) for p in t2.vertices]
         clip = [_project(p, axis) for p in t1.vertices]
         region = _clip_triangle_2d(sub, clip)
@@ -568,32 +524,14 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
         return not _contact_allowed_2d(pts2, sv2, se2)
 
     # a shared vertex lies on both planes
-    shared = sum(1 for p, s in zip(t1.vertices, s1) if s == 0 and p in t2.vertices)
+    shared = [i for i, (p, s) in enumerate(zip(t1.vertices, s1)) if s == 0 and p in t2.vertices]
     if not shared:
         return _crossing_triangles_meet(t1, s1, t2, s2)
-    if shared == 2:
+    if len(shared) == 2:
         # the planes cross in the shared edge's line, which each triangle
         # meets in exactly that edge: the contact is the shared edge
         return False
-
-    # proper plane crossing with a shared vertex: construct the contact on
-    # the planes' common line, then check it against the shared structure
-    direction = _cross3(n1, n2)
-    origin_h = _line_on_both_planes(t1.a, n1, t2.a, n2, direction)
-    i1 = _line_triangle_interval(origin_h, direction, t1, _proj_axis(n1))
-    if i1 is None:
-        return False
-    i2 = _line_triangle_interval(origin_h, direction, t2, _proj_axis(n2))
-    if i2 is None:
-        return False
-    lo = i1[0] if i1[0][0] * i2[0][1] >= i2[0][0] * i1[0][1] else i2[0]
-    hi = i1[1] if i1[1][0] * i2[1][1] <= i2[1][0] * i1[1][1] else i2[1]
-    if lo[0] * hi[1] > hi[0] * lo[1]:
-        return False
-    pts = [_line_point(origin_h, direction, lo)]
-    if lo[0] * hi[1] != hi[0] * lo[1]:
-        pts.append(_line_point(origin_h, direction, hi))
-    return not _contact_allowed(pts, *_shared_structure(t1, t2))
+    return _shared_vertex_triangles_meet(t1, s1, t2, s2, shared[0])
 
 
 def _contact_allowed_2d(points, shared_vertices, shared_edges) -> bool:
@@ -606,36 +544,6 @@ def _contact_allowed_2d(points, shared_vertices, shared_edges) -> bool:
         point_on_segment_2d(points[0], a, b) and point_on_segment_2d(points[1], a, b)
         for a, b in shared_edges
     )
-
-
-def _line_point(origin_h, direction, s_pair) -> Point3:
-    """Exact point origin + s*direction with homogeneous origin and rational
-    parameter pair s = (num, den)."""
-    ox, oy, oz, w = origin_h
-    sn, sd = s_pair
-    den = w * sd
-    return Point3(
-        Fraction(ox * sd + direction[0] * w * sn, den),
-        Fraction(oy * sd + direction[1] * w * sn, den),
-        Fraction(oz * sd + direction[2] * w * sn, den),
-    )
-
-
-def _line_on_both_planes(p1: Point3, n1, p2: Point3, n2, direction):
-    """A homogeneous point (x, y, z, w), w > 0, on both planes' intersection."""
-    c1 = _dot3(n1, (p1.x, p1.y, p1.z))
-    c2 = _dot3(n2, (p2.x, p2.y, p2.z))
-    k = _proj_axis(direction)
-    # set coordinate k to 0 and solve the remaining 2x2 system
-    i, j = (1, 2) if k == 0 else (2, 0) if k == 1 else (0, 1)
-    det = n1[i] * n2[j] - n1[j] * n2[i]
-    coords = [0, 0, 0]
-    coords[i] = c1 * n2[j] - c2 * n1[j]
-    coords[j] = n1[i] * c2 - n2[i] * c1
-    if det < 0:
-        det = -det
-        coords = [-c for c in coords]
-    return (coords[0], coords[1], coords[2], det)
 
 
 def segment_triangle_contact_3d(p: Point3, q: Point3, tri: Triangle3) -> bool:

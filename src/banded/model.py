@@ -10,6 +10,7 @@ as ground truth for the solver and the brute-force oracle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -484,28 +485,63 @@ def perturbed_level(s: BandedSurface, t: Fraction) -> Fraction:
 
 def cross_section(s: BandedSurface, t) -> CrossSection:
     """Intersect the surface with the plane z=t and chain the result into one
-    simple closed polygon; any other outcome raises SectionError."""
+    simple closed polygon; any other outcome raises SectionError.
+
+    The work is done in integers: x, y and z (with t) are scaled by one
+    positive factor per axis, and each crossing edge's point is computed
+    once over one common denominator.  Such a scaling keeps the
+    lexicographic order of points, simplicity and orientation, so the chain
+    and the verdicts are those of the rational points; only the returned
+    polygon is built in Fractions.
+    """
     t = Fraction(t)
     if not 0 < t < 1:
         raise PreconditionError("section level must satisfy 0 < t < 1")
-    if t in _vertex_z_levels(s):
+    pts3 = [p for p, _ in s.vertices]
+    kx = denominator_lcm(p.x for p in pts3)
+    ky = denominator_lcm(p.y for p in pts3)
+    kz = denominator_lcm([t] + [p.z for p in pts3])
+    xs = [p.x.numerator * (kx // p.x.denominator) for p in pts3]
+    ys = [p.y.numerator * (ky // p.y.denominator) for p in pts3]
+    zs = [p.z.numerator * (kz // p.z.denominator) for p in pts3]
+    level = t.numerator * (kz // t.denominator)
+    if level in set(zs):
         raise PreconditionError(f"section level {t} hits a vertex; retry slightly off")
-    segments = []
-    for k in range(len(s.faces)):
-        tri = s.face_triangle(k)
-        zs = [tri.a.z, tri.b.z, tri.c.z]
-        if t < min(zs) or t > max(zs):
+
+    # each crossing edge, keyed by its sorted vertex pair, maps to its point
+    # at the level as (x, y, w) with x/w, y/w the scaled coordinates, w > 0
+    edge_points: dict[tuple[int, int], tuple[int, int, int]] = {}
+    face_edges = []
+    for k, (a, b, c) in enumerate(s.faces):
+        za, zb, zc = zs[a], zs[b], zs[c]
+        if not min(za, zb, zc) < level < max(za, zb, zc):
             continue
-        pts = []
-        verts = tri.vertices
-        for i in range(3):
-            u, v = verts[i], verts[(i + 1) % 3]
-            if (u.z - t) * (v.z - t) < 0:
-                lam = Fraction(t - u.z, v.z - u.z)
-                pts.append((u.x + lam * (v.x - u.x), u.y + lam * (v.y - u.y)))
-        if len(pts) != 2 or pts[0] == pts[1]:
+        keys = []
+        for u, v in ((a, b), (b, c), (c, a)):
+            if (zs[u] < level) == (zs[v] < level):
+                continue
+            key = (u, v) if u < v else (v, u)
+            keys.append(key)
+            if key not in edge_points:
+                lo, hi = (u, v) if zs[u] < zs[v] else (v, u)
+                below, above = level - zs[lo], zs[hi] - level
+                edge_points[key] = (
+                    xs[lo] * above + xs[hi] * below,
+                    ys[lo] * above + ys[hi] * below,
+                    above + below,
+                )
+        face_edges.append((k, keys))
+    w = math.lcm(*(pw for _, _, pw in edge_points.values()))
+    points = {key: (px * (w // pw), py * (w // pw)) for key, (px, py, pw) in edge_points.items()}
+
+    def rational(pt):
+        return Fraction(pt[0], kx * w), Fraction(pt[1], ky * w)
+
+    segments = []
+    for k, (e, f) in face_edges:
+        if points[e] == points[f]:
             raise SectionError(f"face {k} has an unexpected section at t={t}")
-        segments.append((pts[0], pts[1]))
+        segments.append((points[e], points[f]))
     if not segments:
         raise SectionError(f"no face crosses the plane z={t}")
 
@@ -515,7 +551,9 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
         incidence.setdefault(b, []).append(idx)
     for pt, ids in incidence.items():
         if len(ids) != 2:
-            raise SectionError(f"section point {pt} touches {len(ids)} segments; cannot chain")
+            raise SectionError(
+                f"section point {rational(pt)} touches {len(ids)} segments; cannot chain"
+            )
 
     start = min(incidence)
     cycle = [start]
@@ -538,12 +576,12 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     if len(used) != len(segments):
         raise SectionError("section chains into more than one cycle; surface is not monotone here")
 
-    pts2 = [Point2(x, y) for x, y in cycle]
-    if not polygon_is_simple(pts2):
+    scaled = [Point2(x, y) for x, y in cycle]
+    if not polygon_is_simple(scaled):
         raise SectionError(f"section at t={t} is not a simple polygon")
-    if polygon_signed_area2(pts2) < 0:
-        pts2.reverse()
-    return CrossSection(t, LabeledPolygon(tuple(pts2), t))
+    if polygon_signed_area2(scaled) < 0:
+        cycle.reverse()
+    return CrossSection(t, LabeledPolygon(tuple(Point2(*rational(pt)) for pt in cycle), t))
 
 
 def _check_sections(s: BandedSurface, levels) -> CheckResult:

@@ -408,10 +408,13 @@ class TestOpenTrianglesIntersect:
         # triangles (v, b, c) and (v, d, e) in crossing planes meet in a
         # segment of the planes' common line that starts at v; it is more
         # than v exactly when its far end, which lies on the boundary of
-        # one triangle away from v, is on edge bc or edge de
+        # one triangle away from v, is on edge bc or edge de.  The kernel
+        # decides from the far edges' sides of the other plane: one strictly
+        # on one side (its triangle touches that plane only in v, so always
+        # a miss), an endpoint on the other plane, or both straddling.
         rng = random.Random(37)
         seen = {}
-        while sum(seen.values()) < 2000:
+        while sum(seen.values()) < 4000:
             spread = rng.choice((1, 2, 3))
             zs = rng.choice(((0, 1), tuple(range(-spread, spread + 1))))
 
@@ -419,6 +422,13 @@ class TestOpenTrianglesIntersect:
                 return V(rng.randint(-spread, spread), rng.randint(-spread, spread), rng.choice(zs))
 
             v, b, c, d, e = (point() for _ in range(5))
+            if rng.random() < 0.5:
+                # (v, d, e) near the reflection of (v, b, c) through v, so
+                # that both far edges often straddle and miss
+                d, e = (
+                    V(2 * v.x - p.x + q.x % 2, 2 * v.y - p.y + q.y % 2, 2 * v.z - p.z + q.z % 2)
+                    for p, q in ((b, d), (c, e))
+                )
             t1, t2 = Triangle3(v, b, c), Triangle3(*rng.sample((v, d, e), 3))
             if t1.is_degenerate() or t2.is_degenerate() or len({b, c, d, e} - {v}) < 4:
                 continue
@@ -428,8 +438,19 @@ class TestOpenTrianglesIntersect:
             assert hit == open_triangles_intersect_3d(t2, t1)
             oracle = segment_triangle_contact_3d(b, c, t2) or segment_triangle_contact_3d(d, e, t1)
             assert hit == oracle, (t1, t2)
-            seen[hit] = seen.get(hit, 0) + 1
-        assert seen.get(True, 0) >= 100 and seen.get(False, 0) >= 100
+            s1 = [orient3d(*t2.vertices, p) for p in (b, c)]
+            s2 = [orient3d(*t1.vertices, p) for p in (d, e)]
+            if s1[0] == s1[1] or s2[0] == s2[1]:
+                branch = "one side"
+            elif 0 in s1 + s2:
+                branch = "endpoint on plane"
+            else:
+                branch = "straddling"
+            seen[branch, hit] = seen.get((branch, hit), 0) + 1
+        assert seen.get(("one side", True), 0) == 0
+        for branch in "one side", "endpoint on plane", "straddling":
+            for hit in (False,) if branch == "one side" else (True, False):
+                assert seen.get((branch, hit), 0) >= 40, seen
 
     def test_agrees_with_barycentric_probe_oracle(self):
         # probing oracle: a grid point inside both closed triangles that lies

@@ -1,23 +1,38 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from banded.errors import InputError, PreconditionError, SectionError
-from banded.figures import fig1_twisted_prism
-from banded.geometry import Point2, orient2d
+from banded.errors import (
+    BandedError,
+    InputError,
+    InternalConsistencyError,
+    PreconditionError,
+    SectionError,
+)
+from banded.figures import fig1_twisted_prism, fig3a_no_surface
+from banded.generators import random_instance
+from banded.geometry import Point2, Point3, orient2d, polygon_is_simple, polygon_signed_area2
 from banded.model import (
+    DEFAULT_SECTION_LEVELS,
     BandedSurface,
     Chord,
     ChordAssignment,
+    CrossSection,
     LabeledPolygon,
     OriginalLabel,
     SliceInstance,
+    SteinerLabel,
     assignment_to_surface,
     cross_section,
     perturbed_level,
     scaled_to_integers,
     verify_banded_surface,
 )
+from banded.steiner import build_layered_surface
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
 
@@ -271,3 +286,226 @@ def test_combinatorial_checks_never_fail_for_assignment_surfaces():
         report = verify_banded_surface(assignment_to_surface(inst, assignment))
         assert report.topology.passed, report.summary()
         assert report.path_disjointness.passed, report.summary()
+
+
+def fraction_cross_section(s: BandedSurface, t) -> CrossSection:
+    """Reference: the per-face `Fraction` section that `cross_section`
+    must match value for value, or raise the same exception as."""
+    t = Fraction(t)
+    if not 0 < t < 1:
+        raise PreconditionError("section level must satisfy 0 < t < 1")
+    if t in {Fraction(p.z) for p, _ in s.vertices}:
+        raise PreconditionError(f"section level {t} hits a vertex; retry slightly off")
+    segments = []
+    for k in range(len(s.faces)):
+        tri = s.face_triangle(k)
+        zs = [tri.a.z, tri.b.z, tri.c.z]
+        if t < min(zs) or t > max(zs):
+            continue
+        pts = []
+        verts = tri.vertices
+        for i in range(3):
+            u, v = verts[i], verts[(i + 1) % 3]
+            if (u.z - t) * (v.z - t) < 0:
+                lam = Fraction(t - u.z, v.z - u.z)
+                pts.append((u.x + lam * (v.x - u.x), u.y + lam * (v.y - u.y)))
+        if len(pts) != 2 or pts[0] == pts[1]:
+            raise SectionError(f"face {k} has an unexpected section at t={t}")
+        segments.append((pts[0], pts[1]))
+    if not segments:
+        raise SectionError(f"no face crosses the plane z={t}")
+
+    incidence: dict[tuple, list[int]] = {}
+    for idx, (a, b) in enumerate(segments):
+        incidence.setdefault(a, []).append(idx)
+        incidence.setdefault(b, []).append(idx)
+    for pt, ids in incidence.items():
+        if len(ids) != 2:
+            raise SectionError(f"section point {pt} touches {len(ids)} segments; cannot chain")
+
+    start = min(incidence)
+    cycle = [start]
+    used = set()
+    current = start
+    while True:
+        nxt_seg = None
+        for idx in incidence[current]:
+            if idx not in used:
+                nxt_seg = idx
+                break
+        if nxt_seg is None:
+            break
+        used.add(nxt_seg)
+        a, b = segments[nxt_seg]
+        current = b if a == current else a
+        if current == start:
+            break
+        cycle.append(current)
+    if len(used) != len(segments):
+        raise SectionError("section chains into more than one cycle; surface is not monotone here")
+
+    pts2 = [Point2(x, y) for x, y in cycle]
+    if not polygon_is_simple(pts2):
+        raise SectionError(f"section at t={t} is not a simple polygon")
+    if polygon_signed_area2(pts2) < 0:
+        pts2.reverse()
+    return CrossSection(t, LabeledPolygon(tuple(pts2), t))
+
+
+def section_outcome(section, s, t):
+    """The section with its coordinate types, or the exception raised."""
+    try:
+        result = section(s, t)
+    except BandedError as exc:
+        return type(exc), str(exc)
+    types = {type(c) for p in result.polygon.vertices for c in p}
+    return result, types
+
+
+def mesh(points, faces) -> BandedSurface:
+    """A bare mesh: `cross_section` reads only vertices and faces."""
+    vertices = tuple((Point3(*p), SteinerLabel(i)) for i, p in enumerate(points))
+    return BandedSurface(vertices, tuple(faces), (frozenset(range(len(faces))),), ((0, 1),))
+
+
+def tube(columns):
+    """A strip of bands between consecutive (bottom xy, top xy) columns."""
+    points = [p for (bx, by), (tx, ty) in columns for p in ((bx, by, 0), (tx, ty, 1))]
+    faces = []
+    for i in range(len(columns) - 1):
+        p, q, p1, q1 = 2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3
+        faces += [(p, p1, q1), (p, q1, q)]
+    return points, faces
+
+
+def slit_mesh() -> BandedSurface:
+    # the two seam edges (0,0,0)-(0,2,1) and (0,2,0)-(0,0,1) are boundary
+    # edges with no vertex in common that meet at (0, 1, 1/2)
+    return mesh(*tube([((0, 0), (0, 2)), ((4, 0), (4, 0)), ((4, 4), (4, 4)), ((0, 4), (0, 4)), ((0, 2), (0, 0))]))
+
+
+def two_cycle_mesh() -> BandedSurface:
+    square = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
+    a_points, a_faces = tube([(p, p) for p in square])
+    b_points, b_faces = tube([((x + 10, y), (x + 10, y)) for x, y in square])
+    # close each strip onto its own first column
+    a_faces = [tuple(v % 8 for v in f) for f in a_faces]
+    b_faces = [tuple(v % 8 + 10 for v in f) for f in b_faces]
+    return mesh(a_points + b_points, a_faces + b_faces)
+
+
+def bowtie_prism() -> BandedSurface:
+    bowtie = tuple(Point2(*xy) for xy in ((0, 0), (4, 4), (4, 0), (0, 4)))
+    shifted = tuple(p.translated(1, 0) for p in bowtie)
+    inst = SliceInstance(LabeledPolygon(bowtie, 0), LabeledPolygon(shifted, 1))
+    return assignment_to_surface(inst, ChordAssignment.from_string("RRRR"))
+
+
+def degenerate_face_mesh() -> BandedSurface:
+    s = assignment_to_surface(identity_square(), ChordAssignment.from_string("RRRR"))
+    points = [tuple(p) for p, _ in s.vertices] + [(10, 10, 0), (11, 11, Fraction(1, 2)), (12, 12, 1)]
+    faces = list(s.faces[:4]) + [(8, 9, 10)] + list(s.faces[4:])
+    return mesh(points, faces)
+
+
+def mixed_denominators(s: BandedSurface) -> BandedSurface:
+    """An affine copy with coordinates over denominators 5, 7, 11 and 17."""
+    points = [
+        (p.x * Fraction(3, 7) + Fraction(1, 5), p.y * Fraction(5, 11) - Fraction(2, 3), (p.z * 13 + 2) / Fraction(17))
+        for p, _ in s.vertices
+    ]
+    return mesh(points, s.faces)
+
+
+@functools.cache
+def layered_surfaces() -> tuple[BandedSurface, ...]:
+    """`build_layered_surface` outputs for convex and star instances, n <= 12."""
+    surfaces = [build_layered_surface(fig3a_no_surface().instance)]
+    for kind in ("convex", "star"):
+        rng = random.Random(505)
+        for _ in range(40):
+            inst = random_instance(rng, rng.randint(3, 12), kind)
+            try:
+                surfaces.append(build_layered_surface(inst))
+            except InternalConsistencyError:
+                continue  # a builder failure (ROADMAP); not what is tested here
+    return tuple(surfaces)
+
+
+def edge_case_meshes() -> list[BandedSurface]:
+    square = assignment_to_surface(identity_square(), ChordAssignment.from_string("RRRR"))
+    holey = BandedSurface(square.vertices, square.faces[:-1], square.bands, square.paths)
+    half_height = mesh([(p.x, p.y, Fraction(p.z, 2)) for p, _ in square.vertices], square.faces)
+    meshes = [square, holey, half_height, slit_mesh(), two_cycle_mesh(), bowtie_prism()]
+    return meshes + [degenerate_face_mesh()]
+
+
+class TestCrossSectionMatchesFractionReference:
+    def test_layered_surfaces(self):
+        rng = random.Random(8)
+        big = 10**12 + 39  # prime
+        surfaces = layered_surfaces()
+        assert len(surfaces) >= 70
+        assert sum(len({p.z for p, _ in s.vertices}) > 2 for s in surfaces) >= 10
+        kinds = set()
+        for s in surfaces + tuple(mixed_denominators(s) for s in surfaces[::3]):
+            levels = list(DEFAULT_SECTION_LEVELS) + [Fraction(rng.randrange(1, big), big) for _ in range(5)]
+            levels += sorted({p.z for p, _ in s.vertices})[1:2]  # hits a vertex
+            for t in levels:
+                got = section_outcome(cross_section, s, t)
+                assert got == section_outcome(fraction_cross_section, s, t), (s, t)
+                kinds.add(got[1] == {Fraction} or got[0])
+        assert kinds == {True, PreconditionError, SectionError}
+
+    def test_edge_case_meshes(self):
+        levels = [Fraction(j, 16) for j in range(-1, 18)] + [Fraction(1, 3), Fraction(999_999, 1_000_000)]
+        messages = []
+        for s in edge_case_meshes():
+            for t in levels:
+                got = section_outcome(cross_section, s, t)
+                assert got == section_outcome(fraction_cross_section, s, t), (s, t)
+                if got[0] is SectionError:
+                    messages.append(got[1])
+        for expected in (
+            "has an unexpected section",
+            "no face crosses",
+            "touches 1 segments",
+            "more than one cycle",
+            "is not a simple polygon",
+        ):
+            assert any(expected in m for m in messages), expected
+
+    def test_slit_closes_only_where_the_seams_meet(self):
+        s = slit_mesh()
+        section = cross_section(s, Fraction(1, 2))
+        assert Point2(0, 1) in section.polygon.vertices
+        with pytest.raises(SectionError):
+            cross_section(s, Fraction(1, 4))
+
+
+def _metamorphic_surfaces():
+    surfaces = edge_case_meshes() + [
+        assignment_to_surface(fig1_twisted_prism().instance, ChordAssignment.from_string("RRR"))
+    ]
+    return surfaces + list(layered_surfaces()[:40:4])
+
+
+positive = st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=60)
+offset = st.fractions(min_value=-30, max_value=30, max_denominator=60)
+level = st.fractions(min_value=Fraction(1, 10**6), max_value=1 - Fraction(1, 10**6), max_denominator=10**6)
+
+
+@given(st.integers(0, 10**6), positive, positive, offset, offset, level)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_section_commutes_with_positive_xy_scaling_and_translation(pick, kx, ky, dx, dy, t):
+    surfaces = _metamorphic_surfaces()
+    s = surfaces[pick % len(surfaces)]
+    image = mesh([(kx * p.x + dx, ky * p.y + dy, p.z) for p, _ in s.vertices], s.faces)
+    try:
+        section = cross_section(s, t)
+    except BandedError as exc:
+        with pytest.raises(type(exc)):
+            cross_section(image, t)
+        return
+    mapped = tuple(Point2(kx * p.x + dx, ky * p.y + dy) for p in section.polygon.vertices)
+    assert cross_section(image, t).polygon.vertices == mapped
