@@ -575,6 +575,8 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
         cycle.append(current)
     if len(used) != len(segments):
         raise SectionError("section chains into more than one cycle; surface is not monotone here")
+    if len(cycle) < 3:
+        raise SectionError(f"section at t={t} closes after {len(cycle)} points; not a polygon")
 
     scaled = [Point2(x, y) for x, y in cycle]
     if not polygon_is_simple(scaled):

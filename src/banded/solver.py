@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, PreconditionError
-from .geometry import Triangle3, open_triangles_intersect_3d, orient3d
+from .geometry import (
+    Triangle3,
+    _crossing_triangles_meet,
+    _shared_vertex_triangles_meet,
+    open_triangles_intersect_3d,
+    orient3d,
+)
 from .model import (
     BandedSurface,
     Chord,
@@ -98,6 +104,100 @@ def _cidx(c: Chord) -> int:
 
 _NO_CONFLICT = ((False, False), (False, False))
 
+# The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two
+# triangles, then the left chord's, each in `chord_triangles` order.  They
+# are also the four faces of the tetrahedron on the quad; _FOURTH[k] is the
+# quad vertex off triple k.
+_QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
+_FOURTH = (3, 1, 2, 0)
+
+
+@dataclass(frozen=True, slots=True)
+class _BandPlanes:
+    """A band's quad points, its four chord triangles in `_QUAD_TRIPLES`
+    order, their planes (normal and offset, as `Triangle3` has them), and
+    per plane the side row that puts four points strictly opposite the
+    quad's fourth vertex (None when that vertex lies on the plane)."""
+
+    points: tuple
+    triangles: tuple
+    planes: tuple
+    separating: tuple
+
+    @classmethod
+    def of(cls, quad, right: ChordChoiceTriangles, left: ChordChoiceTriangles):
+        points = tuple((p.x, p.y, p.z) for p in quad)
+        triangles = right.triangles + left.triangles
+        planes = tuple((*t.normal, t.offset) for t in triangles)
+        separating = []
+        for plane, fourth in zip(planes, _FOURTH):
+            own = _sides(plane, (points[fourth],))[0]
+            separating.append((-own,) * 4 if own else None)
+        return cls(points, triangles, planes, tuple(separating))
+
+
+def _sides(plane, points) -> tuple:
+    """The side of the plane each point lies on, with the signs of
+    `geometry._plane_sides`: +1 where the normal points, -1 opposite."""
+    nx, ny, nz, off = plane
+    dots = [nx * x + ny * y + nz * z - off for x, y, z in points]
+    return tuple([(d > 0) - (d < 0) for d in dots])
+
+
+def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
+    """The conflict matrix of bands a < b, with the verdicts of `conflicts`.
+
+    One sign matrix holds b's four points against a's four planes and the
+    converse, 32 signs.  A plane of either band with that band's fourth
+    vertex strictly on one side and all four points of the other band
+    strictly on the other side separates the two tetrahedra, so no
+    triangles meet.  Otherwise each of the 16 triangle pairs follows
+    `open_triangles_intersect_3d` with its signs read from the matrix.
+    """
+    b_sides = [_sides(plane, b.points) for plane in a.planes]
+    if any(row == sep for row, sep in zip(b_sides, a.separating)):
+        return _NO_CONFLICT
+    a_sides = [_sides(plane, a.points) for plane in b.planes]
+    if any(row == sep for row, sep in zip(a_sides, b.separating)):
+        return _NO_CONFLICT
+    mat = tuple(
+        tuple(
+            any(
+                _triangles_meet(a, k, b_sides[k], b, m, a_sides[m])
+                for k in (2 * ca, 2 * ca + 1)
+                for m in (2 * cb, 2 * cb + 1)
+            )
+            for cb in (0, 1)
+        )
+        for ca in (0, 1)
+    )
+    # the shared all-False matrix lets `build_clauses` skip the pair
+    return _NO_CONFLICT if mat == _NO_CONFLICT else mat
+
+
+def _triangles_meet(a: _BandPlanes, k: int, b_row, b: _BandPlanes, m: int, a_row) -> bool:
+    """`open_triangles_intersect_3d` on triangle k of band a and triangle m
+    of band b, given b's points against plane k and a's against plane m."""
+    p, q, r = _QUAD_TRIPLES[m]
+    s2 = (b_row[p], b_row[q], b_row[r])
+    if s2[0] == s2[1] == s2[2] != 0:
+        return False
+    p, q, r = _QUAD_TRIPLES[k]
+    s1 = (a_row[p], a_row[q], a_row[r])
+    if s1[0] == s1[1] == s1[2] != 0:
+        return False
+    t1, t2 = a.triangles[k], b.triangles[m]
+    if s2 == (0, 0, 0):
+        return open_triangles_intersect_3d(t1, t2)
+    # a shared vertex lies on both planes and is equal by value
+    v1, v2 = t1.vertices, t2.vertices
+    shared = [i for i in range(3) if s1[i] == 0 and v1[i] in v2]
+    if not shared:
+        return _crossing_triangles_meet(t1, s1, t2, s2)
+    if len(shared) == 2:
+        return False
+    return _shared_vertex_triangles_meet(t1, s1, t2, s2, shared[0])
+
 
 def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     """The conflict table of an instance, with the verdicts of `conflicts`.
@@ -105,8 +205,9 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
     separate them: every quad spans the full height).  The boxes are sorted
-    by min-x and swept with an active list, and the triangle tests run only
-    on pairs whose boxes meet; every other pair is recorded conflict-free.
+    by min-x and swept with an active list, and `_band_pair_conflicts` runs
+    only on pairs whose boxes meet; every other pair is recorded
+    conflict-free.
     """
     n = inst.n
     scaled = scaled_to_integers(inst)
@@ -116,11 +217,14 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
         for c in (Chord.RIGHT, Chord.LEFT):
             cc = choices[(i, c)]
             self_conflicts[(i, c)] = open_triangles_intersect_3d(*cc.triangles)
+    bands = [
+        _BandPlanes.of(scaled.band_quad(i), choices[(i, Chord.RIGHT)], choices[(i, Chord.LEFT)])
+        for i in range(n)
+    ]
     boxes = []
-    for i in range(n):
-        quad = scaled.band_quad(i)
-        xs = [p.x for p in quad]
-        ys = [p.y for p in quad]
+    for i, band in enumerate(bands):
+        xs = [p[0] for p in band.points]
+        ys = [p[1] for p in band.points]
         boxes.append((min(xs), max(xs), min(ys), max(ys), i))
     boxes.sort()
     pairs = dict.fromkeys(((i, j) for i in range(n) for j in range(i + 1, n)), _NO_CONFLICT)
@@ -130,10 +234,7 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
         for _, _, v0, v1, j in active:
             if v0 <= y1 and y0 <= v1:
                 a, b = (i, j) if i < j else (j, i)
-                pairs[(a, b)] = tuple(
-                    tuple(_tris_conflict(choices[(a, ca)], choices[(b, cb)]) for cb in Chord)
-                    for ca in Chord
-                )
+                pairs[(a, b)] = _band_pair_conflicts(bands[a], bands[b])
         active.append((x0, x1, y0, y1, i))
     return ConflictTable(n, self_conflicts, pairs)
 
@@ -153,9 +254,11 @@ def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
             lit = ~_choice_literal(i, c)
             clauses.append(Clause2(lit, lit))
     for (i, j), mat in sorted(table.pairs.items()):
-        for ci in (Chord.RIGHT, Chord.LEFT):
-            for cj in (Chord.RIGHT, Chord.LEFT):
-                if mat[_cidx(ci)][_cidx(cj)]:
+        if mat is _NO_CONFLICT:
+            continue
+        for ci, row in zip(Chord, mat):
+            for cj, bad in zip(Chord, row):
+                if bad:
                     clauses.append(
                         Clause2(~_choice_literal(i, ci), ~_choice_literal(j, cj))
                     )

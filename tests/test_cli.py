@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from banded.errors import InternalConsistencyError
 from banded.fileio import save_instance
 from banded.figures import reference_instances
 
-FIGDIR = Path(__file__).resolve().parent.parent / "figures"
+ROOT = Path(__file__).resolve().parent.parent
+FIGDIR = ROOT / "figures"
 
 
 def run(*args):
@@ -161,3 +165,20 @@ def test_bundled_figures_match_frozen_instances():
         loaded = load_instance(FIGDIR / f"{name}.json")
         assert loaded.source.vertices == ref.instance.source.vertices
         assert loaded.target.vertices == ref.instance.target.vertices
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a face repeated with reversed winding sections into a 2-point cycle:
+    # a negative verdict with one line on stderr, not a traceback
+    mesh = tmp_path / "two.off"
+    mesh.write_text("OFF\n3 2 0\n0 0 0\n1 0 1\n0 1 1\n3 0 1 2\n3 0 2 1\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "banded", "section", str(mesh), "--t", "1/2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["banded: section at t=1/2 closes after 2 points; not a polygon"]

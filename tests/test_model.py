@@ -260,6 +260,13 @@ class TestCrossSection:
         with pytest.raises(SectionError):
             cross_section(holey, Fraction(1, 2))
 
+    def test_two_point_cycle_is_a_section_error(self):
+        # one face repeated with reversed winding: both faces cut the level
+        # in the same segment, which chains into a closed cycle of 2 points
+        two = mesh([(0, 0, 0), (1, 0, 1), (0, 1, 1)], [(0, 1, 2), (0, 2, 1)])
+        with pytest.raises(SectionError, match="closes after 2 points"):
+            cross_section(two, Fraction(1, 2))
+
 
 def test_verify_report_summary_mentions_failures():
     inst = identity_square()
