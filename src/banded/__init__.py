@@ -71,14 +71,7 @@ from .solver import (
     conflicts,
     solve_no_steiner,
 )
-from .steiner import (
-    Layer,
-    LayerStack,
-    build_layered_surface,
-    collapse_ear,
-    join_consecutive_layers,
-    join_triangles,
-)
+from .steiner import build_layered_surface
 from .twosat import Clause2, Literal, TwoSatResult, evaluate_clauses, solve_2sat
 
 __version__ = "0.1.0"
@@ -97,8 +90,6 @@ __all__ = [
     "InputError",
     "InternalConsistencyError",
     "LabeledPolygon",
-    "Layer",
-    "LayerStack",
     "Literal",
     "MeshStructureError",
     "MorphSnapshot",
@@ -122,15 +113,12 @@ __all__ = [
     "build_layered_surface",
     "ccw_angle",
     "chord_triangles",
-    "collapse_ear",
     "conflicts",
     "convex_chord_rule",
     "cross_section",
     "evaluate_clauses",
     "export_mesh",
     "export_section",
-    "join_consecutive_layers",
-    "join_triangles",
     "load_instance",
     "load_surface",
     "morph_position",

@@ -9,7 +9,6 @@ non-simple section), 3 usage error or unmet precondition, 4 internal error
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -38,13 +37,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="banded",
         description="Decide and build banded surfaces between two labelled parallel polygons.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized generators (BANDED_SEED env is the fallback); "
-        "the bundled commands are deterministic and ignore it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -187,14 +179,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        env = os.environ.get("BANDED_SEED")
-        if env is not None:
-            try:
-                args.seed = int(env)
-            except ValueError:
-                print(f"banded: error: BANDED_SEED must be an integer, got {env!r}", file=sys.stderr)
-                return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

@@ -261,24 +261,50 @@ def assignment_to_surface(inst: SliceInstance, assignment: ChordAssignment) -> B
     n = inst.n
     if len(assignment) != n:
         raise InputError(f"assignment length {len(assignment)} != instance size {n}")
-    vertices = [
-        (inst.source.point3(i), OriginalLabel(0, i)) for i in range(n)
-    ] + [
-        (inst.target.point3(i), OriginalLabel(1, i)) for i in range(n)
-    ]
+    return layers_to_surface((inst.source, inst.target), (assignment,))
+
+
+def layers_to_surface(polys, assignments) -> BandedSurface:
+    """Build the surface over polygons stacked bottom to top, with one chord
+    assignment per gap, each split as in `assignment_to_surface`.
+
+    Vertex i of layer g is vertex g*n + i.  The bottom and top layers carry
+    original labels (sides 0 and 1), every layer between them Steiner
+    labels numbered upward; path i runs through vertex i of every layer.
+    """
+    n = polys[0].n
+    m = len(polys)
+    vertices = []
+    steiner_id = 0
+    for li, poly in enumerate(polys):
+        for i in range(n):
+            if li == 0:
+                label = OriginalLabel(0, i)
+            elif li == m - 1:
+                label = OriginalLabel(1, i)
+            else:
+                label = SteinerLabel(steiner_id)
+                steiner_id += 1
+            vertices.append((poly.point3(i), label))
     faces: list[tuple[int, int, int]] = []
-    bands = []
-    for i, choice in enumerate(assignment.choices):
-        j = (i + 1) % n
-        if choice is Chord.RIGHT:
-            faces.append((i, j, n + j))
-            faces.append((i, n + j, n + i))
-        else:
-            faces.append((i, j, n + i))
-            faces.append((j, n + j, n + i))
-        bands.append(frozenset((2 * i, 2 * i + 1)))
-    paths = tuple((i, n + i) for i in range(n))
-    return BandedSurface(tuple(vertices), tuple(faces), tuple(bands), paths)
+    band_faces: list[list[int]] = [[] for _ in range(n)]
+    for g, assignment in enumerate(assignments):
+        lo, hi = g * n, (g + 1) * n
+        for i, choice in enumerate(assignment.choices):
+            j = (i + 1) % n
+            if choice is Chord.RIGHT:
+                new = [(lo + i, lo + j, hi + j), (lo + i, hi + j, hi + i)]
+            else:
+                new = [(lo + i, lo + j, hi + i), (lo + j, hi + j, hi + i)]
+            band_faces[i].extend(range(len(faces), len(faces) + 2))
+            faces.extend(new)
+    paths = tuple(tuple(g * n + i for g in range(m)) for i in range(n))
+    return BandedSurface(
+        tuple(vertices),
+        tuple(faces),
+        tuple(frozenset(b) for b in band_faces),
+        paths,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +612,8 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     return CrossSection(t, LabeledPolygon(tuple(Point2(*rational(pt)) for pt in cycle), t))
 
 
-def _check_sections(s: BandedSurface, levels) -> CheckResult:
-    for t in levels:
+def _check_sections(s: BandedSurface) -> CheckResult:
+    for t in DEFAULT_SECTION_LEVELS:
         try:
             cross_section(s, perturbed_level(s, Fraction(t)))
         except SectionError as exc:
@@ -597,7 +623,6 @@ def _check_sections(s: BandedSurface, levels) -> CheckResult:
 
 def verify_banded_surface(
     s: BandedSurface,
-    section_levels=DEFAULT_SECTION_LEVELS,
     *,
     force_sections: bool = False,
     _triangles=None,
@@ -609,7 +634,8 @@ def verify_banded_surface(
     intermediate layers), a passing pairwise-intersection check already forces
     each plane section to chain into one simple polygon, so the section check
     is certified structurally; layered surfaces are checked by sampling the
-    given levels.  Pass force_sections=True to always sample.
+    levels j/16 of `DEFAULT_SECTION_LEVELS`.  Pass force_sections=True to
+    always sample.
 
     Later checks assume structurally sound input, so they are skipped (marked
     failed with a note) when the topology check already failed hard.
@@ -632,5 +658,5 @@ def verify_banded_surface(
     elif not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
     else:
-        sections = _check_sections(s, section_levels)
+        sections = _check_sections(s)
     return VerificationReport(topo, paths, inter, sections)

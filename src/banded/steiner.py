@@ -16,47 +16,22 @@ price is O(n^2) added vertices overall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import Point2, orient2d, polygon_is_simple, segments_intersect_2d
-from .model import (
-    BandedSurface,
-    Chord,
-    ChordAssignment,
-    LabeledPolygon,
-    OriginalLabel,
-    SliceInstance,
-    SteinerLabel,
-)
+from .model import BandedSurface, ChordAssignment, LabeledPolygon, SliceInstance, layers_to_surface
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One intermediate polygon of the stack; `moved_vertex` names the vertex
-    repositioned by the step that produced this layer (None for rigid steps)."""
-
-    polygon: LabeledPolygon
-    moved_vertex: int | None = None
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """All polygons of the construction bottom-to-top, the source and target
-    included, with one chord assignment per gap."""
-
-    polygons: tuple[LabeledPolygon, ...]
-    gap_assignments: tuple[ChordAssignment, ...]
+def _is_corner(pts, i: int) -> bool:
+    n = len(pts)
+    return orient2d(pts[(i - 1) % n], pts[i % n], pts[(i + 1) % n]) != 0
 
 
 def _corner_count(pts) -> int:
-    n = len(pts)
-    return sum(
-        1 for i in range(n) if orient2d(pts[(i - 1) % n], pts[i], pts[(i + 1) % n]) != 0
-    )
+    return sum(1 for i in range(len(pts)) if _is_corner(pts, i))
 
 
 def _point_in_closed_triangle(p, a, b, c) -> bool:
@@ -69,21 +44,13 @@ def _point_in_closed_triangle(p, a, b, c) -> bool:
     return s1 <= 0 and s2 <= 0 and s3 <= 0
 
 
-def _is_corner(pts, i: int) -> bool:
-    n = len(pts)
-    return orient2d(pts[(i - 1) % n], pts[i], pts[(i + 1) % n]) != 0
-
-
-def _ear_is_valid(pts, i: int) -> bool:
-    """Vertex i is a strictly convex corner, its neighbours are corners too
-    (collapsing between flattened vertices would un-flatten them and undo
-    earlier progress), and the closed neighbour triangle contains no other
-    vertex and touches no non-incident edge."""
+def _is_ear(pts, i: int) -> bool:
+    """Vertex i is a strictly convex corner, and the closed triangle on it
+    and its neighbours contains no other vertex and meets no non-incident
+    edge."""
     n = len(pts)
     a, v, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
     if orient2d(a, v, c) <= 0:
-        return False
-    if not (_is_corner(pts, (i - 1) % n) and _is_corner(pts, (i + 1) % n)):
         return False
     for k in range(n):
         if k in ((i - 1) % n, i, (i + 1) % n):
@@ -101,15 +68,25 @@ def _ear_is_valid(pts, i: int) -> bool:
     return True
 
 
+def _flattened(pts, i: int) -> tuple[Point2, ...]:
+    """The vertices with vertex i moved onto its neighbours' midpoint."""
+    n = len(pts)
+    a, c = pts[(i - 1) % n], pts[(i + 1) % n]
+    mid = Point2(Fraction(a.x + c.x, 2), Fraction(a.y + c.y, 2))
+    return tuple(mid if k == i else pts[k] for k in range(n))
+
+
 def collapse_ear(poly: LabeledPolygon, start: int = 0) -> tuple[LabeledPolygon, int]:
     """Flatten one ear: move a convex corner onto the midpoint of the segment
     joining its neighbours.  The vertex count stays n (the moved vertex ends
     up collinear); the geometric corner count drops by one.
 
-    Ears are tried starting from index `start` (cyclically), lowest first.
-    Raises PreconditionError when only 3 corners remain and
-    InternalConsistencyError when no collapsible ear exists (possible once
-    flattened vertices hem in every remaining corner).
+    Ears are tried starting from index `start` (cyclically), lowest first;
+    an ear whose neighbours are flattened is skipped, since collapsing it
+    would un-flatten them and undo earlier progress.  Raises
+    PreconditionError when only 3 corners remain and InternalConsistencyError
+    when no collapsible ear exists (possible once flattened vertices hem in
+    every remaining corner).
     """
     pts = poly.vertices
     n = len(pts)
@@ -117,18 +94,16 @@ def collapse_ear(poly: LabeledPolygon, start: int = 0) -> tuple[LabeledPolygon, 
         raise PreconditionError("polygon is already a triangle; nothing to collapse")
     for off in range(n):
         i = (start + off) % n
-        if not _ear_is_valid(pts, i):
+        if not (_is_corner(pts, i - 1) and _is_corner(pts, i + 1) and _is_ear(pts, i)):
             continue
-        a, c = pts[(i - 1) % n], pts[(i + 1) % n]
-        mid = Point2(Fraction(a.x + c.x, 2), Fraction(a.y + c.y, 2))
-        new_pts = tuple(mid if k == i else pts[k] for k in range(n))
+        new_pts = _flattened(pts, i)
         if polygon_is_simple(new_pts) and _corner_count(new_pts) < _corner_count(pts):
             return LabeledPolygon(new_pts, poly.z_level), i
     raise InternalConsistencyError("no collapsible ear in this polygon")
 
 
-def _collapse_sequence(poly: LabeledPolygon, start: int = 0) -> list[Layer]:
-    """Collapse toward 3 geometric corners; returns the produced layers in
+def _collapse_sequence(poly: LabeledPolygon, start: int = 0) -> list[LabeledPolygon]:
+    """Collapse toward 3 geometric corners; returns the produced polygons in
     order (not including the input polygon).  The sequence may stop early:
     earlier collapses leave flattened vertices around, and a corner pinched
     between two of them cannot be collapsed without undoing that work; the
@@ -137,62 +112,24 @@ def _collapse_sequence(poly: LabeledPolygon, start: int = 0) -> list[Layer]:
     current = poly
     while _corner_count(current.vertices) > 3:
         try:
-            current, moved = collapse_ear(current, start)
+            current, _ = collapse_ear(current, start)
         except InternalConsistencyError:
             break
-        layers.append(Layer(current, moved))
+        layers.append(current)
     return layers
 
 
-def _poly_key(poly: LabeledPolygon):
-    out = []
-    for p in poly.vertices:
-        fx, fy = Fraction(p.x), Fraction(p.y)
-        out.append((fx.numerator, fx.denominator, fy.numerator, fy.denominator))
-    return tuple(out)
-
-
-_gap_memo: dict = {}
-
-
-def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon) -> ChordAssignment | None:
-    key = (_poly_key(lower), _poly_key(upper))
-    if key not in _gap_memo:
-        if len(_gap_memo) > 4096:
-            _gap_memo.clear()
-        _gap_memo[key] = _gap_assignment_uncached(lower, upper)
-    return _gap_memo[key]
-
-
-def _gap_assignment_uncached(lower: LabeledPolygon, upper: LabeledPolygon) -> ChordAssignment | None:
-    """Chord assignment for the normalized two-layer instance, or None."""
-    inst = SliceInstance(
-        LabeledPolygon(lower.vertices, 0), LabeledPolygon(upper.vertices, 1)
-    )
-    n, clauses = build_clauses(inst, build_conflict_table(inst))
-    result = solve_2sat(n, clauses)
-    if not result.satisfiable:
-        return None
-    return ChordAssignment.from_bools(result.assignment)
-
-
-def join_consecutive_layers(lower: Layer, upper: Layer) -> ChordAssignment:
-    """Chord choices joining two stack neighbours that differ in at most one
-    vertex position.  Such gaps are always compatible: all bands but the two
-    at the moved vertex are vertical walls, and the two moving bands stay
-    inside the empty ear prism."""
-    lp, up = lower.polygon, upper.polygon
-    if lp.z_level == up.z_level:
-        raise PreconditionError("consecutive layers need distinct heights")
-    differing = [
-        i for i, (p, q) in enumerate(zip(lp.vertices, up.vertices)) if p != q
-    ]
-    if len(differing) > 1:
-        raise PreconditionError("consecutive collapse layers may differ in one vertex only")
-    assignment = _gap_assignment(lp, up)
-    if assignment is None:
-        raise InternalConsistencyError("a single-vertex collapse gap came out unsolvable")
-    return assignment
+def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) -> ChordAssignment | None:
+    """Chord assignment for the gap between two layers stood at heights 0
+    and 1, or None.  `memo` holds the verdicts of one build, keyed by the
+    two layers' vertices (so an int and the equal `Fraction` share a key)."""
+    key = (lower.vertices, upper.vertices)
+    if key not in memo:
+        inst = SliceInstance(LabeledPolygon(lower.vertices, 0), LabeledPolygon(upper.vertices, 1))
+        n, clauses = build_clauses(inst, build_conflict_table(inst))
+        result = solve_2sat(n, clauses)
+        memo[key] = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +150,6 @@ def _rotated(pts, center: Point2, c: Fraction, s: Fraction):
         dx, dy = p.x - center.x, p.y - center.y
         out.append(Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy))
     return tuple(out)
-
-
-def _translated(pts, dx, dy):
-    return tuple(Point2(p.x + dx, p.y + dy) for p in pts)
 
 
 def _pythagorean_rotation(angle: float) -> tuple[Fraction, Fraction]:
@@ -244,11 +177,7 @@ def _rotation_steps(total_angle: float, max_step: float = 1.2) -> list[tuple[Fra
 
 def _triangle_orientation_angle(pts) -> float:
     """Float direction of the longest edge of the corner triangle (heuristic)."""
-    corners = [
-        pts[i]
-        for i in range(len(pts))
-        if orient2d(pts[(i - 1) % len(pts)], pts[i], pts[(i + 1) % len(pts)]) != 0
-    ]
+    corners = [p for i, p in enumerate(pts) if _is_corner(pts, i)]
     if len(corners) < 2:
         return 0.0
     best, angle = -1.0, 0.0
@@ -262,11 +191,11 @@ def _triangle_orientation_angle(pts) -> float:
     return angle
 
 
-def _bisect_join(lower, upper, depth: int = 0, max_depth: int = 8):
+def _bisect_join(lower, upper, memo: dict, depth: int = 0, max_depth: int = 8):
     """Try to connect two same-height polygons by straight per-vertex motion,
     splitting at vertex-wise midpoints while gaps stay unsolvable.  Returns
     the list of intermediate polygons, or None."""
-    if _gap_assignment(lower, upper) is not None:
+    if _gap_assignment(lower, upper, memo) is not None:
         return []
     if depth >= max_depth:
         return None
@@ -277,16 +206,16 @@ def _bisect_join(lower, upper, depth: int = 0, max_depth: int = 8):
     if not polygon_is_simple(mid_pts):
         return None
     mid = LabeledPolygon(mid_pts, lower.z_level)
-    left = _bisect_join(lower, mid, depth + 1, max_depth)
+    left = _bisect_join(lower, mid, memo, depth + 1, max_depth)
     if left is None:
         return None
-    right = _bisect_join(mid, upper, depth + 1, max_depth)
+    right = _bisect_join(mid, upper, memo, depth + 1, max_depth)
     if right is None:
         return None
     return left + [mid] + right
 
 
-def join_triangles(lower: LabeledPolygon, upper: LabeledPolygon) -> list[LabeledPolygon]:
+def join_triangles(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) -> list[LabeledPolygon]:
     """Intermediate polygons joining the two flattened layers; empty when the
     direct gap is already solvable.
 
@@ -297,22 +226,19 @@ def join_triangles(lower: LabeledPolygon, upper: LabeledPolygon) -> list[Labeled
     step well under a half turn), and bridges the rest by bisected straight
     motion; every gap is certified by the chord solver before being accepted.
     """
-    if _gap_assignment(lower, upper) is not None:
+    if _gap_assignment(lower, upper, memo) is not None:
         return []
     inters: list[LabeledPolygon] = []
     current = lower
 
     c_lo, c_up = _centroid(current.vertices), _centroid(upper.vertices)
     if c_lo != c_up:
-        shifted = LabeledPolygon(
-            _translated(current.vertices, c_up.x - c_lo.x, c_up.y - c_lo.y),
-            current.z_level,
-        )
-        if _gap_assignment(current, shifted) is None:
+        shifted = current.translated(c_up.x - c_lo.x, c_up.y - c_lo.y)
+        if _gap_assignment(current, shifted, memo) is None:
             raise InternalConsistencyError("translation gap came out unsolvable")
         inters.append(shifted)
         current = shifted
-        direct = _bisect_join(current, upper, max_depth=1)
+        direct = _bisect_join(current, upper, memo, max_depth=1)
         if direct is not None:
             return inters + direct
 
@@ -332,11 +258,11 @@ def join_triangles(lower: LabeledPolygon, upper: LabeledPolygon) -> list[Labeled
             rotated = LabeledPolygon(
                 _rotated(current.vertices, center, c, s), current.z_level
             )
-            if _gap_assignment(current, rotated) is None:
+            if _gap_assignment(current, rotated, memo) is None:
                 break
             inters.append(rotated)
             current = rotated
-        best_tail = _bisect_join(current, upper)
+        best_tail = _bisect_join(current, upper, memo)
         if best_tail is not None:
             break
     if best_tail is None:
@@ -349,44 +275,11 @@ def join_triangles(lower: LabeledPolygon, upper: LabeledPolygon) -> list[Labeled
 # ---------------------------------------------------------------------------
 
 
-def _assemble(polys: list[LabeledPolygon], assignments: list[ChordAssignment]) -> BandedSurface:
-    n = polys[0].n
-    m = len(polys)
-    vertices = []
-    steiner_id = 0
-    for li, poly in enumerate(polys):
-        for i in range(n):
-            if li == 0:
-                label = OriginalLabel(0, i)
-            elif li == m - 1:
-                label = OriginalLabel(1, i)
-            else:
-                label = SteinerLabel(steiner_id)
-                steiner_id += 1
-            vertices.append((poly.point3(i), label))
-    faces: list[tuple[int, int, int]] = []
-    band_faces: list[list[int]] = [[] for _ in range(n)]
-    for g, assignment in enumerate(assignments):
-        lo, hi = g * n, (g + 1) * n
-        for i, choice in enumerate(assignment.choices):
-            j = (i + 1) % n
-            if choice is Chord.RIGHT:
-                new = [(lo + i, lo + j, hi + j), (lo + i, hi + j, hi + i)]
-            else:
-                new = [(lo + i, lo + j, hi + i), (lo + j, hi + j, hi + i)]
-            band_faces[i].extend(range(len(faces), len(faces) + 2))
-            faces.extend(new)
-    paths = tuple(tuple(g * n + i for g in range(m)) for i in range(n))
-    return BandedSurface(
-        tuple(vertices),
-        tuple(faces),
-        tuple(frozenset(b) for b in band_faces),
-        paths,
-    )
-
-
-def _finish_stack(inst: SliceInstance, interior: list[LabeledPolygon]) -> LayerStack:
-    """Assign heights uniformly and solve every gap of the final stack."""
+def _finish_stack(
+    inst: SliceInstance, interior: list[LabeledPolygon], memo: dict
+) -> tuple[list[LabeledPolygon], list[ChordAssignment]]:
+    """Assign heights uniformly; returns the polygons bottom to top, the
+    source and target included, and the solved assignment of every gap."""
     m = len(interior)
     polys = [LabeledPolygon(inst.source.vertices, 0)]
     for k, poly in enumerate(interior, start=1):
@@ -394,47 +287,22 @@ def _finish_stack(inst: SliceInstance, interior: list[LabeledPolygon]) -> LayerS
     polys.append(LabeledPolygon(inst.target.vertices, 1))
     assignments = []
     for lower, upper in zip(polys, polys[1:]):
-        assignment = _gap_assignment(lower, upper)
+        assignment = _gap_assignment(lower, upper, memo)
         if assignment is None:
             raise InternalConsistencyError("a certified gap failed to re-solve")
         assignments.append(assignment)
-    return LayerStack(tuple(polys), tuple(assignments))
+    return polys, assignments
 
 
-def build_stack(inst: SliceInstance) -> LayerStack:
-    """Full collapse stack with middle layers joining the two flattened ends;
-    the last resort when no cheaper plan exists."""
+def build_stack(inst: SliceInstance, memo: dict) -> list[LabeledPolygon]:
+    """Interior layers of the full collapse stack, with middle layers joining
+    the two flattened ends; the last resort when no cheaper plan exists."""
     bottom = _relaxed_chain(LabeledPolygon(inst.source.vertices, 0), _layer_budget(inst.n))
     top = _relaxed_chain(LabeledPolygon(inst.target.vertices, 0), _layer_budget(inst.n))
     middle = join_triangles(
-        LabeledPolygon(bottom[-1].vertices, 0), LabeledPolygon(top[-1].vertices, 0)
+        LabeledPolygon(bottom[-1].vertices, 0), LabeledPolygon(top[-1].vertices, 0), memo
     )
-    interior = bottom[1:] + middle + list(reversed(top[1:]))
-    return _finish_stack(inst, interior)
-
-
-def _relaxed_ear_ok(pts, i: int) -> bool:
-    """Like the strict ear test but tolerating flattened neighbours; used by
-    the planner, where progress is measured by mating tests rather than by
-    the corner count alone."""
-    n = len(pts)
-    a, v, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-    if orient2d(a, v, c) <= 0:
-        return False
-    for k in range(n):
-        if k in ((i - 1) % n, i, (i + 1) % n):
-            continue
-        if _point_in_closed_triangle(pts[k], a, v, c):
-            return False
-    tri_sides = ((a, v), (v, c), (c, a))
-    for k in range(n):
-        if k == (i - 1) % n or k == i:
-            continue
-        e0, e1 = pts[k], pts[(k + 1) % n]
-        for s0, s1 in tri_sides:
-            if segments_intersect_2d(e0, e1, s0, s1, mode="proper"):
-                return False
-    return True
+    return bottom[1:] + middle + list(reversed(top[1:]))
 
 
 def _relaxed_chain(poly: LabeledPolygon, cap: int) -> list[LabeledPolygon]:
@@ -444,29 +312,26 @@ def _relaxed_chain(poly: LabeledPolygon, cap: int) -> list[LabeledPolygon]:
     flattened neighbour may pop back out); a visited set and the cap bound
     the walk, so it cannot cycle."""
     layers = [poly]
-    seen = {tuple((p.x, p.y) for p in poly.vertices)}
+    seen = {poly.vertices}
     current = poly
     while len(layers) - 1 < cap and _corner_count(current.vertices) > 3:
         pts = current.vertices
         n = len(pts)
         best = None
         for i in range(n):
-            if not _relaxed_ear_ok(pts, i):
+            if not _is_ear(pts, i):
                 continue
-            a, c = pts[(i - 1) % n], pts[(i + 1) % n]
-            mid = Point2(Fraction(a.x + c.x, 2), Fraction(a.y + c.y, 2))
-            new_pts = tuple(mid if k == i else pts[k] for k in range(n))
-            key = tuple((p.x, p.y) for p in new_pts)
-            if key in seen or not polygon_is_simple(new_pts):
+            new_pts = _flattened(pts, i)
+            if new_pts in seen or not polygon_is_simple(new_pts):
                 continue
             decreases = _corner_count(new_pts) < _corner_count(pts)
-            candidate = (0 if decreases else 1, i, LabeledPolygon(new_pts, poly.z_level), key)
+            candidate = (0 if decreases else 1, i, new_pts)
             if best is None or candidate[:2] < best[:2]:
                 best = candidate
         if best is None:
             break
-        seen.add(best[3])
-        current = best[2]
+        seen.add(best[2])
+        current = LabeledPolygon(best[2], poly.z_level)
         layers.append(current)
     return layers
 
@@ -476,7 +341,7 @@ def _layer_budget(n: int) -> int:
     return 2 * (n - 3) + 12 // n
 
 
-def _morph_plan(inst: SliceInstance, max_layers: int) -> list[LabeledPolygon] | None:
+def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[LabeledPolygon] | None:
     """Interior layers taken from the linear morph itself, bisected until all
     gaps are chord-solvable.  Cheap and small when source and target are
     already close or related by a rotation; gives up (None) where a snapshot
@@ -491,7 +356,7 @@ def _morph_plan(inst: SliceInstance, max_layers: int) -> list[LabeledPolygon] | 
         return LabeledPolygon(pts, 0)
 
     def rec(lo_poly, hi_poly, lo_t, hi_t, depth):
-        if _gap_assignment(lo_poly, hi_poly) is not None:
+        if _gap_assignment(lo_poly, hi_poly, memo) is not None:
             return []
         if depth == 0:
             return None
@@ -529,7 +394,7 @@ _ROTATION_PALETTE = (
 )
 
 
-def _rotation_plan(inst: SliceInstance, max_layers: int) -> list[LabeledPolygon] | None:
+def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[LabeledPolygon] | None:
     """For targets that are an exact rotation (plus translation) of the
     source: stand full-size copies rotated by rational sub-steps between the
     two, refining the step size until every gap solves or the layer budget
@@ -568,7 +433,7 @@ def _rotation_plan(inst: SliceInstance, max_layers: int) -> list[LabeledPolygon]
         ok = True
         prev = src
         for layer in layers + [tgt]:
-            if _gap_assignment(prev, layer) is None:
+            if _gap_assignment(prev, layer, memo) is None:
                 ok = False
                 break
             prev = layer
@@ -577,7 +442,7 @@ def _rotation_plan(inst: SliceInstance, max_layers: int) -> list[LabeledPolygon]
     return None
 
 
-def _ladder_plan(inst: SliceInstance, max_attempts: int = 400) -> list[LabeledPolygon] | None:
+def _ladder_plan(inst: SliceInstance, memo: dict, max_attempts: int = 400) -> list[LabeledPolygon] | None:
     """Pair a prefix approaching the source against a suffix approaching the
     target, cheapest total first.  Prefixes/suffixes come from the relaxed
     flattening chain, from strict chains started at other ears (different
@@ -596,16 +461,15 @@ def _ladder_plan(inst: SliceInstance, max_attempts: int = 400) -> list[LabeledPo
 
         def add(cost, layers):
             end = layers[-1] if layers else poly
-            key = tuple((p.x, p.y) for p in end.vertices)
-            if cost <= budget and ends.get(key, cost + 1) > cost:
-                ends[key] = cost
+            if cost <= budget and ends.get(end.vertices, cost + 1) > cost:
+                ends[end.vertices] = cost
                 out.append((cost, list(reversed(layers)) if reverse else layers, end))
 
         chain = _relaxed_chain(poly, budget)
         for i in range(len(chain)):
             add(i, chain[1 : i + 1])
         for start in range(1, min(n, 6)):
-            strict = [l.polygon for l in _collapse_sequence(poly, start)]
+            strict = _collapse_sequence(poly, start)
             add(len(strict), strict)
         return out
 
@@ -618,9 +482,9 @@ def _ladder_plan(inst: SliceInstance, max_attempts: int = 400) -> list[LabeledPo
         if not polygon_is_simple(pts):
             continue
         snap = LabeledPolygon(pts, 0)
-        if _gap_assignment(src, snap) is not None:
+        if _gap_assignment(src, snap, memo) is not None:
             bottom_cands.append((1, [snap], snap))
-        if _gap_assignment(snap, tgt) is not None:
+        if _gap_assignment(snap, tgt, memo) is not None:
             top_cands.append((1, [snap], snap))
 
     pairs = sorted(
@@ -634,7 +498,7 @@ def _ladder_plan(inst: SliceInstance, max_attempts: int = 400) -> list[LabeledPo
     for _cost, kb, kt in pairs[:max_attempts]:
         prefix, lo = bottom_cands[kb][1], bottom_cands[kb][2]
         suffix, hi = top_cands[kt][1], top_cands[kt][2]
-        if _gap_assignment(lo, hi) is not None:
+        if _gap_assignment(lo, hi, memo) is not None:
             return prefix + suffix
     return None
 
@@ -644,7 +508,8 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
 
     Strategy ladder, cheapest first, every gap certified by the chord solver:
     the direct chord solution (zero added vertices); interior layers sampled
-    from the morph itself (bisected until gaps solve); ear-collapse plans
+    from the morph itself (bisected until gaps solve); exact sub-rotations
+    when the target is a rotated copy of the source; ear-collapse plans
     whose flattened ends join without middle layers; and finally the full
     collapse stack with rotation/bisection middle layers.
     """
@@ -653,14 +518,14 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
     if direct.satisfiable:
         return direct.surface
 
+    # gap verdicts of this build only, starting with the direct pair's
+    memo = {(inst.source.vertices, inst.target.vertices): None}
     budget = _layer_budget(inst.n)
-    plan = _morph_plan(inst, max_layers=budget)
+    plan = _morph_plan(inst, budget, memo)
     if plan is None:
-        plan = _rotation_plan(inst, max_layers=budget)
+        plan = _rotation_plan(inst, budget, memo)
     if plan is None:
-        plan = _ladder_plan(inst)
-    if plan is not None:
-        stack = _finish_stack(inst, plan)
-    else:
-        stack = build_stack(inst)
-    return _assemble(list(stack.polygons), list(stack.gap_assignments))
+        plan = _ladder_plan(inst, memo)
+    if plan is None:
+        plan = build_stack(inst, memo)
+    return layers_to_surface(*_finish_stack(inst, plan, memo))

@@ -153,10 +153,6 @@ class TestPipelines:
         Path(str(mesh) + ".bands.json").write_text(json.dumps(bands))
         assert run("verify", str(mesh), "--bands", str(mesh) + ".bands.json") == 2
 
-    def test_seed_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("BANDED_SEED", "notanint")
-        assert run("check", fig("fig1_twisted_prism")) == 3
-
 
 def test_bundled_figures_match_frozen_instances():
     for name, ref in reference_instances().items():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import banded.solver as solver
+import banded.steiner as steiner
 from banded.errors import PreconditionError
 from banded.figures import fig3a_no_surface, fig7_star
 from banded.generators import random_instance, random_star_polygon
@@ -11,12 +13,11 @@ from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface
 from banded.morph import rotate_copy_instance
 from banded.solver import solve_no_steiner
 from banded.steiner import (
-    Layer,
     build_layered_surface,
     collapse_ear,
-    join_consecutive_layers,
     join_triangles,
     _corner_count,
+    _gap_assignment,
 )
 
 
@@ -65,41 +66,30 @@ class TestCollapseEar:
 class TestJoins:
     def test_identical_layers_join(self):
         poly = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        lower = Layer(LabeledPolygon(poly.vertices, 0))
-        upper = Layer(LabeledPolygon(poly.vertices, Fraction(1, 4)))
-        assignment = join_consecutive_layers(lower, upper)
+        lower = LabeledPolygon(poly.vertices, 0)
+        upper = LabeledPolygon(poly.vertices, Fraction(1, 4))
+        assignment = _gap_assignment(lower, upper, {})
         assert len(assignment) == 3
 
-    def test_equal_heights_rejected(self):
-        poly = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        with pytest.raises(PreconditionError):
-            join_consecutive_layers(Layer(poly), Layer(poly))
-
     def test_collapse_gap_joins(self):
+        # a gap that moves one vertex across an empty ear is always solvable
         poly = LabeledPolygon(
             (Point2(0, 0), Point2(4, 0), Point2(5, 3), Point2(1, 4)), 0
         )
-        collapsed, moved = collapse_ear(poly)
-        lower = Layer(LabeledPolygon(poly.vertices, 0))
-        upper = Layer(LabeledPolygon(collapsed.vertices, Fraction(1, 2)), moved)
-        assignment = join_consecutive_layers(lower, upper)
+        collapsed, _ = collapse_ear(poly)
+        assignment = _gap_assignment(poly, LabeledPolygon(collapsed.vertices, Fraction(1, 2)), {})
         assert len(assignment) == 4
-
-    def test_multi_vertex_difference_rejected(self):
-        a = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        b = LabeledPolygon((Point2(1, 0), Point2(5, 0), Point2(0, 5)), Fraction(1, 2))
-        with pytest.raises(PreconditionError):
-            join_consecutive_layers(Layer(a), Layer(b))
 
     def test_congruent_triangles_direct(self):
         tri = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        assert join_triangles(tri, tri) == []
+        assert join_triangles(tri, tri, {}) == []
 
     def test_half_turn_triangles_need_layers(self):
         inst = fig3a_no_surface().instance
         mids = join_triangles(
             LabeledPolygon(inst.source.vertices, 0),
             LabeledPolygon(inst.target.vertices, 0),
+            {},
         )
         assert len(mids) >= 1
 
@@ -135,6 +125,34 @@ class TestBuildLayeredSurface:
         s = build_layered_surface(inst)
         assert verify_banded_surface(s, force_sections=True).passed
         assert s.steiner_count() <= 2 * 9 * 6 + 12
+
+    def test_no_state_between_calls(self, monkeypatch):
+        # two builds of one instance do the same work, and the direct pair's
+        # table, built by the failed direct solve, is not built again
+        inst = fig3a_no_surface().instance
+        pair = (inst.source.vertices, inst.target.vertices)
+        tables = []
+
+        def counted(module):
+            inner = module.build_conflict_table
+
+            def build_conflict_table(table_inst):
+                tables.append((module.__name__, (table_inst.source.vertices, table_inst.target.vertices)))
+                return inner(table_inst)
+
+            return build_conflict_table
+
+        monkeypatch.setattr(solver, "build_conflict_table", counted(solver))
+        monkeypatch.setattr(steiner, "build_conflict_table", counted(steiner))
+        per_call = []
+        for _ in range(2):
+            tables.clear()
+            surface = build_layered_surface(inst)
+            per_call.append(list(tables))
+        assert surface.steiner_count() > 0
+        gaps = [[k for m, k in call if m == steiner.__name__] for call in per_call]
+        assert len(gaps[0]) == len(gaps[1]) > 0
+        assert [sum(k == pair for _, k in call) for call in per_call] == [1, 1]
 
     def test_fuzz_small_instances(self):
         rng = random.Random(101)
