@@ -169,9 +169,6 @@ class BandedSurface:
         i, j, l = self.faces[k]
         return Triangle3(self.vertices[i][0], self.vertices[j][0], self.vertices[l][0])
 
-    def triangles(self) -> list[Triangle3]:
-        return [self.face_triangle(k) for k in range(len(self.faces))]
-
     def steiner_count(self) -> int:
         return sum(1 for _, label in self.vertices if isinstance(label, SteinerLabel))
 
@@ -208,12 +205,12 @@ class VerificationReport:
         lines = []
         for name in ("topology", "path_disjointness", "face_intersections", "monotone_sections"):
             check: CheckResult = getattr(self, name)
-            status = "pass" if check.passed else f"FAIL ({check.detail})"
+            if check.passed:
+                status = f"pass ({check.detail})" if check.detail else "pass"
+            else:
+                status = f"FAIL ({check.detail})"
             lines.append(f"{name}: {status}")
         return "\n".join(lines)
-
-
-DEFAULT_SECTION_LEVELS = tuple(Fraction(j, 16) for j in range(1, 16))
 
 
 def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
@@ -236,18 +233,24 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     return SliceInstance(scale(inst.source), scale(inst.target))
 
 
-def _scaled_triangles(triangles) -> list[Triangle3]:
-    """Triangles with coordinates scaled onto integers, one positive factor
-    per axis; intersection verdicts are invariant under such scalings.  As
-    in `scaled_to_integers`, the coordinates come back as ints."""
-    points = [p for t in triangles for p in t.vertices]
-    kx = denominator_lcm(p.x for p in points)
-    ky = denominator_lcm(p.y for p in points)
-    kz = denominator_lcm(p.z for p in points)
-    return [
-        Triangle3(*(Point3(int(p.x * kx), int(p.y * ky), int(p.z * kz)) for p in t.vertices))
-        for t in triangles
-    ]
+def _integer_axis(values: list) -> tuple[int, list[int]]:
+    """The lcm k of the denominators of `values` (ints or Fractions) and
+    the integers k * v, in order."""
+    k = denominator_lcm(values)
+    return k, [v.numerator * (k // v.denominator) for v in values]
+
+
+def _integer_points(s: "BandedSurface") -> list[Point3]:
+    """The mesh's vertices scaled onto integers, one positive factor per
+    axis.  Such a scaling keeps coincidence, degeneracy and every
+    intersection verdict, and int arithmetic is far faster than `Fraction`
+    arithmetic; as in `scaled_to_integers`, the coordinates come back as
+    ints even when a factor is 1."""
+    pts = [p for p, _ in s.vertices]
+    _, xs = _integer_axis([p.x for p in pts])
+    _, ys = _integer_axis([p.y for p in pts])
+    _, zs = _integer_axis([p.z for p in pts])
+    return [Point3(x, y, z) for x, y, z in zip(xs, ys, zs)]
 
 
 def assignment_to_surface(inst: SliceInstance, assignment: ChordAssignment) -> BandedSurface:
@@ -317,15 +320,18 @@ def _face_edges(face):
     return ((a, b), (b, c), (c, a))
 
 
-def _check_topology(s: BandedSurface) -> CheckResult:
+def _check_topology(s: BandedSurface, points: list[Point3], triangles: list[Triangle3]) -> CheckResult:
+    """The annulus checks on the mesh, with `points` its `_integer_points`.
+    Each face's integer triangle is appended to `triangles` once the face
+    has passed its own checks, so a pass leaves one triangle per face."""
     nv = len(s.vertices)
     if len(s.bands) != len(s.paths):
         return CheckResult(False, "band count differs from path count")
     seen_coords = {}
-    for idx, (p, _) in enumerate(s.vertices):
-        key = (p.x, p.y, p.z)
+    for idx, key in enumerate(points):
         if key in seen_coords:
-            return CheckResult(False, f"vertices {seen_coords[key]} and {idx} coincide at {key}")
+            p = s.point(idx)
+            return CheckResult(False, f"vertices {seen_coords[key]} and {idx} coincide at {(p.x, p.y, p.z)}")
         seen_coords[key] = idx
 
     face_band = {}
@@ -346,9 +352,10 @@ def _check_topology(s: BandedSurface) -> CheckResult:
     for k, face in enumerate(s.faces):
         if len(set(face)) != 3 or any(not 0 <= v < nv for v in face):
             return CheckResult(False, f"face {k} is malformed: {face}")
-        tri = s.face_triangle(k)
+        tri = Triangle3(*(points[v] for v in face))
         if tri.is_degenerate():
             return CheckResult(False, f"face {k} is degenerate")
+        triangles.append(tri)
         referenced.update(face)
         for e in _face_edges(face):
             if e in directed:
@@ -458,10 +465,12 @@ def _check_paths(s: BandedSurface) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_face_intersections(s: BandedSurface, triangles, pair_memo) -> CheckResult:
-    scaled = _scaled_triangles(triangles)
-    m = len(scaled)
-    bounds = [t.bounds() for t in scaled]
+def _check_face_intersections(triangles, memo_keys, pair_memo) -> CheckResult:
+    """No two faces meet outside a vertex or edge they share.  With
+    `pair_memo`, verdicts are memoised under the ids of the `memo_keys`
+    objects, one per face in face order."""
+    m = len(triangles)
+    bounds = [t.bounds() for t in triangles]
     order = sorted(range(m), key=lambda k: bounds[k][0][2])
     active: list[int] = []
     for k in order:
@@ -481,13 +490,13 @@ def _check_face_intersections(s: BandedSurface, triangles, pair_memo) -> CheckRe
             ):
                 continue
             if pair_memo is None:
-                hit = open_triangles_intersect_3d(scaled[j], scaled[k])
+                hit = open_triangles_intersect_3d(triangles[j], triangles[k])
             else:
-                ij = (id(triangles[j]), id(triangles[k]))
+                ij = (id(memo_keys[j]), id(memo_keys[k]))
                 key = ij if ij[0] < ij[1] else (ij[1], ij[0])
                 hit = pair_memo.get(key)
                 if hit is None:
-                    hit = open_triangles_intersect_3d(scaled[j], scaled[k])
+                    hit = open_triangles_intersect_3d(triangles[j], triangles[k])
                     pair_memo[key] = hit
             if hit:
                 return CheckResult(False, f"faces {j} and {k} intersect improperly")
@@ -495,17 +504,20 @@ def _check_face_intersections(s: BandedSurface, triangles, pair_memo) -> CheckRe
     return CheckResult(True)
 
 
-def _vertex_z_levels(s: BandedSurface) -> set:
-    return {Fraction(p.z) for p, _ in s.vertices}
+def _z_levels(s: BandedSurface) -> list:
+    """The distinct vertex z-levels together with 0 and 1, in increasing
+    order: consecutive levels bound the surface's open slabs."""
+    return sorted({p.z for p, _ in s.vertices} | {0, 1})
 
 
 def perturbed_level(s: BandedSurface, t: Fraction) -> Fraction:
-    """t itself if no vertex sits at that level, else a nearby safe level."""
-    levels = _vertex_z_levels(s)
+    """t itself if no vertex sits at that level, else the midpoint of the
+    slab just above it."""
     t = Fraction(t)
+    levels = _z_levels(s)
     if t not in levels:
         return t
-    above = min((z for z in levels | {Fraction(1)} if z > t), default=Fraction(1))
+    above = next((z for z in levels if z > t), 1)
     return (t + above) / 2
 
 
@@ -524,13 +536,10 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     if not 0 < t < 1:
         raise PreconditionError("section level must satisfy 0 < t < 1")
     pts3 = [p for p, _ in s.vertices]
-    kx = denominator_lcm(p.x for p in pts3)
-    ky = denominator_lcm(p.y for p in pts3)
-    kz = denominator_lcm([t] + [p.z for p in pts3])
-    xs = [p.x.numerator * (kx // p.x.denominator) for p in pts3]
-    ys = [p.y.numerator * (ky // p.y.denominator) for p in pts3]
-    zs = [p.z.numerator * (kz // p.z.denominator) for p in pts3]
-    level = t.numerator * (kz // t.denominator)
+    kx, xs = _integer_axis([p.x for p in pts3])
+    ky, ys = _integer_axis([p.y for p in pts3])
+    _, zs = _integer_axis([p.z for p in pts3] + [t])
+    level = zs.pop()
     if level in set(zs):
         raise PreconditionError(f"section level {t} hits a vertex; retry slightly off")
 
@@ -612,13 +621,16 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     return CrossSection(t, LabeledPolygon(tuple(Point2(*rational(pt)) for pt in cycle), t))
 
 
-def _check_sections(s: BandedSurface) -> CheckResult:
-    for t in DEFAULT_SECTION_LEVELS:
+def _check_sections(s: BandedSurface, levels) -> CheckResult:
+    """One `cross_section` per open slab between consecutive `levels`, at
+    its midpoint; see `verify_banded_surface` for why that is complete."""
+    slabs = list(zip(levels, levels[1:]))
+    for lo, hi in slabs:
         try:
-            cross_section(s, perturbed_level(s, Fraction(t)))
+            cross_section(s, Fraction(lo + hi, 2))
         except SectionError as exc:
             return CheckResult(False, str(exc))
-    return CheckResult(True)
+    return CheckResult(True, f"sectioned {len(slabs)} slab{'s' if len(slabs) != 1 else ''}")
 
 
 def verify_banded_surface(
@@ -630,33 +642,65 @@ def verify_banded_surface(
 ) -> VerificationReport:
     """Run the four certification checks and report per-check verdicts.
 
-    Monotonicity: when every face spans the full height z in [0,1] (no
-    intermediate layers), a passing pairwise-intersection check already forces
-    each plane section to chain into one simple polygon, so the section check
-    is certified structurally; layered surfaces are checked by sampling the
-    levels j/16 of `DEFAULT_SECTION_LEVELS`.  Pass force_sections=True to
-    always sample.
+    The vertices are scaled onto integers once, one positive factor per
+    axis, which keeps every verdict; topology's degeneracy test and the
+    face-pair check share the resulting triangles.  Later checks assume
+    structurally sound input, so they are skipped (marked failed with a
+    note) when the topology check already failed hard.
 
-    Later checks assume structurally sound input, so they are skipped (marked
-    failed with a note) when the topology check already failed hard.
+    Sections.  `monotone_sections` runs only once topology, paths and the
+    face-pair check have passed, and then one plane section per open slab
+    between consecutive vertex z-levels is a complete check:
+
+    - Every vertex lies on a path with z in [0, 1].  Topology requires every
+      vertex to be used by a face, every face to belong to a band, and a
+      band's faces to use only vertices of its two paths; each path runs
+      strictly upward from z = 0 to z = 1.  So the vertex levels, with 0
+      and 1, cut (0, 1) into open slabs, and every level lies in one slab
+      or on a vertex level.
+    - Within an open slab no vertex lies on the plane, so the faces and
+      edges that cross it are the same at every level of the slab, and
+      each crossing point moves linearly with the level.  Each crossing
+      face cuts a proper segment between two of its crossing edges, and
+      the path edges make the section non-empty.  The chaining of the
+      segments (which points join, into how many cycles) can then change
+      only where two crossing points of different edges coincide, and a
+      simple section stops being simple only where two of its segments
+      meet outside a shared point.  Either is a common point of two faces
+      outside a vertex or edge they share, which the face-pair check has
+      excluded at every level.  So the verdict is constant on each slab,
+      and one section at each slab's midpoint decides every level in
+      (0, 1) that no vertex sits on, including every level a sampler of
+      fixed levels would test.
+
+    A surface whose only slab is (0, 1), every face spanning the full
+    height, is certified structurally unless force_sections=True: each
+    band's faces cross every level in one arc between its two paths, the
+    arcs chain into one cycle, and the face-pair check keeps it simple.
+
+    `_triangles` and `_pair_memo` let a caller that verifies many meshes
+    over one set of faces memoise face-pair verdicts: `_pair_memo` maps
+    pairs of ids of the `_triangles` objects, one per face in face order,
+    to verdicts.
     """
+    triangles: list[Triangle3] = []
     try:
-        topo = _check_topology(s)
+        points = _integer_points(s)
+        topo = _check_topology(s, points, triangles)
         paths = _check_paths(s)
     except (IndexError, KeyError, TypeError) as exc:
         raise MeshStructureError(f"malformed mesh: {exc}") from exc
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
-    triangles = _triangles if _triangles is not None else s.triangles()
-    inter = _check_face_intersections(s, triangles, _pair_memo)
-    full_height = all(
-        min(t.a.z, t.b.z, t.c.z) == 0 and max(t.a.z, t.b.z, t.c.z) == 1 for t in triangles
-    )
-    if inter.passed and full_height and not force_sections:
-        sections = CheckResult(True, "structural: every face spans the full height")
-    elif not inter.passed:
+    inter = _check_face_intersections(triangles, _triangles, _pair_memo)
+    levels = _z_levels(s)
+    if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
+    elif not paths.passed:
+        sections = CheckResult(False, "skipped: path check failed")
+    elif len(levels) == 2 and not force_sections:
+        sections = CheckResult(True, "structural: every face spans the full height")
     else:
-        sections = _check_sections(s)
+        sections = _check_sections(s, levels)
     return VerificationReport(topo, paths, inter, sections)

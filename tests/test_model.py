@@ -13,11 +13,11 @@ from banded.errors import (
     PreconditionError,
     SectionError,
 )
+import banded.model as model
 from banded.figures import fig1_twisted_prism, fig3a_no_surface
 from banded.generators import random_instance
 from banded.geometry import Point2, Point3, orient2d, polygon_is_simple, polygon_signed_area2
 from banded.model import (
-    DEFAULT_SECTION_LEVELS,
     BandedSurface,
     Chord,
     ChordAssignment,
@@ -35,6 +35,7 @@ from banded.model import (
 from banded.steiner import build_layered_surface
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
+SIXTEENTHS = [Fraction(j, 16) for j in range(1, 16)]
 
 
 def identity_square():
@@ -96,6 +97,28 @@ class TestAssignmentToSurface:
         assert s.faces[0] == (0, 1, 5) and s.faces[1] == (0, 5, 4)
 
 
+def missing_path_mesh() -> BandedSurface:
+    """An annulus between two triangles whose edge set pairs A' with B, so
+    no disjoint vertical path system exists."""
+    inst = fig1_twisted_prism().instance
+    vertices = tuple(
+        [(inst.source.point3(i), OriginalLabel(0, i)) for i in range(3)]
+        + [(inst.target.point3(i), OriginalLabel(1, i)) for i in range(3)]
+    )
+    A, B, C, Ap, Bp, Cp = range(6)
+    faces = (
+        (B, C, Bp),
+        (C, Cp, Bp),
+        (C, A, Cp),
+        (A, B, Cp),
+        (B, Ap, Cp),
+        (B, Bp, Ap),
+    )
+    bands = (frozenset({3, 4, 5}), frozenset({0, 1}), frozenset({2}))
+    paths = ((A, Cp, Ap), (B, Bp), (C, Cp))
+    return BandedSurface(vertices, faces, bands, paths)
+
+
 class TestVerifier:
     def test_identity_prism_passes(self):
         inst = identity_square()
@@ -110,26 +133,7 @@ class TestVerifier:
         assert report.passed, report.summary()
 
     def test_missing_path_mesh_fails_on_paths(self):
-        # an annulus between two triangles whose edge set pairs A' with B, so
-        # no disjoint vertical path system exists
-        inst = fig1_twisted_prism().instance
-        vertices = tuple(
-            [(inst.source.point3(i), OriginalLabel(0, i)) for i in range(3)]
-            + [(inst.target.point3(i), OriginalLabel(1, i)) for i in range(3)]
-        )
-        A, B, C, Ap, Bp, Cp = range(6)
-        faces = (
-            (B, C, Bp),
-            (C, Cp, Bp),
-            (C, A, Cp),
-            (A, B, Cp),
-            (B, Ap, Cp),
-            (B, Bp, Ap),
-        )
-        bands = (frozenset({3, 4, 5}), frozenset({0, 1}), frozenset({2}))
-        paths = ((A, Cp, Ap), (B, Bp), (C, Cp))
-        s = BandedSurface(vertices, faces, bands, paths)
-        report = verify_banded_surface(s)
+        report = verify_banded_surface(missing_path_mesh())
         assert report.topology.passed, report.summary()
         assert not report.path_disjointness.passed
         assert not report.passed
@@ -252,6 +256,9 @@ class TestCrossSection:
         inst = identity_square()
         s = assignment_to_surface(inst, ChordAssignment.from_string("RRRR"))
         assert perturbed_level(s, Fraction(1, 2)) == Fraction(1, 2)
+        layered = dict(layered_builds())["fig3a"]
+        for lo, hi in slabs(layered)[1:]:
+            assert perturbed_level(layered, lo) == (lo + hi) / 2
 
     def test_section_error_on_hole(self):
         inst = identity_square()
@@ -359,6 +366,16 @@ def fraction_cross_section(s: BandedSurface, t) -> CrossSection:
     return CrossSection(t, LabeledPolygon(tuple(pts2), t))
 
 
+def slabs(s: BandedSurface) -> list[tuple[Fraction, Fraction]]:
+    """The open slabs of (0, 1) between consecutive vertex z-levels."""
+    levels = sorted({Fraction(p.z) for p, _ in s.vertices if 0 <= p.z <= 1} | {Fraction(0), Fraction(1)})
+    return list(zip(levels, levels[1:]))
+
+
+def slab_midpoints(s: BandedSurface) -> list[Fraction]:
+    return [(lo + hi) / 2 for lo, hi in slabs(s)]
+
+
 def section_outcome(section, s, t):
     """The section with its coordinate types, or the exception raised."""
     try:
@@ -424,19 +441,41 @@ def mixed_denominators(s: BandedSurface) -> BandedSurface:
     return mesh(points, s.faces)
 
 
+# Builds of the seed-505 streams that ROADMAP item 1 is about: star #2
+# raises and star #10 (n = 10) adds 350 vertices against a bound of 152.
+# Both are pinned as reproducers in tests/test_steiner.py.
+BUILD_FAILURES = {"star #2"}
+OVER_BOUND = {"star #10"}
+
+
 @functools.cache
-def layered_surfaces() -> tuple[BandedSurface, ...]:
-    """`build_layered_surface` outputs for convex and star instances, n <= 12."""
-    surfaces = [build_layered_surface(fig3a_no_surface().instance)]
+def layered_builds() -> tuple[tuple[str, BandedSurface], ...]:
+    """Named `build_layered_surface` outputs for `fig3a_no_surface` and
+    40 convex and 40 star instances (n 3-12, `Random(505)` per kind)."""
+    builds = [("fig3a", build_layered_surface(fig3a_no_surface().instance))]
     for kind in ("convex", "star"):
         rng = random.Random(505)
-        for _ in range(40):
+        for k in range(40):
             inst = random_instance(rng, rng.randint(3, 12), kind)
+            name = f"{kind} #{k}"
             try:
-                surfaces.append(build_layered_surface(inst))
+                builds.append((name, build_layered_surface(inst)))
             except InternalConsistencyError:
-                continue  # a builder failure (ROADMAP); not what is tested here
-    return tuple(surfaces)
+                if name not in BUILD_FAILURES:
+                    raise
+    return tuple(builds)
+
+
+@functools.cache
+def layered_surfaces() -> tuple[BandedSurface, ...]:
+    return tuple(s for _, s in layered_builds())
+
+
+def test_layered_surfaces_within_bound():
+    for name, s in layered_builds():
+        n = s.n
+        if name not in OVER_BOUND:
+            assert s.steiner_count() <= 2 * n * (n - 3) + 12, name
 
 
 def edge_case_meshes() -> list[BandedSurface]:
@@ -456,7 +495,7 @@ class TestCrossSectionMatchesFractionReference:
         assert sum(len({p.z for p, _ in s.vertices}) > 2 for s in surfaces) >= 10
         kinds = set()
         for s in surfaces + tuple(mixed_denominators(s) for s in surfaces[::3]):
-            levels = list(DEFAULT_SECTION_LEVELS) + [Fraction(rng.randrange(1, big), big) for _ in range(5)]
+            levels = SIXTEENTHS + slab_midpoints(s) + [Fraction(rng.randrange(1, big), big) for _ in range(5)]
             levels += sorted({p.z for p, _ in s.vertices})[1:2]  # hits a vertex
             for t in levels:
                 got = section_outcome(cross_section, s, t)
@@ -488,6 +527,95 @@ class TestCrossSectionMatchesFractionReference:
         assert Point2(0, 1) in section.polygon.vertices
         with pytest.raises(SectionError):
             cross_section(s, Fraction(1, 4))
+
+
+def sections_pass(s: BandedSurface, levels) -> bool:
+    """Whether the section at each level, moved off vertex levels by
+    `perturbed_level`, is one simple polygon."""
+    try:
+        for t in levels:
+            cross_section(s, perturbed_level(s, t))
+    except SectionError:
+        return False
+    return True
+
+
+def forced_sections(monkeypatch, s: BandedSurface):
+    """The forced verification report and the levels it sectioned at."""
+    levels = []
+
+    def counted(surface, t):
+        levels.append(Fraction(t))
+        return cross_section(surface, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "cross_section", counted)
+        report = verify_banded_surface(s, force_sections=True)
+    return report, levels
+
+
+class TestSlabSections:
+    def test_one_section_per_slab_decides_every_level(self, monkeypatch):
+        # the forced verdict equals the verdict at every sixteenth, at
+        # random levels and at every slab midpoint, from one section per slab
+        rng = random.Random(16)
+        big = 10**9 + 7  # prime
+        reached = 0
+        for s in layered_surfaces() + tuple(_metamorphic_surfaces()):
+            plain = verify_banded_surface(s)
+            if not (plain.topology.passed and plain.path_disjointness.passed and plain.face_intersections.passed):
+                continue
+            reached += 1
+            report, levels = forced_sections(monkeypatch, s)
+            sampled = SIXTEENTHS + [Fraction(rng.randrange(1, big), big) for _ in range(5)] + slab_midpoints(s)
+            assert report.monotone_sections.passed == sections_pass(s, sampled)
+            expected = slabs(s)
+            if report.monotone_sections.passed:
+                assert len(levels) == len(expected)
+            for t, (lo, hi) in zip(levels, expected):
+                assert lo < t < hi
+            assert len(levels) <= len(expected)
+        assert reached >= len(layered_surfaces()) + 2
+
+    def test_sections_a_slab_below_the_first_sixteenth(self, monkeypatch):
+        # squeeze the lowest slab of a layered surface into (0, 1/32): the
+        # sixteenths never look there, the per-slab check must
+        s = next(s for s in layered_surfaces() if len(slabs(s)) >= 2)
+        first = slabs(s)[0][1]
+
+        def squeezed(z):
+            if z <= first:
+                return z / first / 32
+            return Fraction(1, 32) + (z - first) / (1 - first) * Fraction(31, 32)
+
+        image = BandedSurface(
+            tuple((Point3(p.x, p.y, squeezed(Fraction(p.z))), label) for p, label in s.vertices),
+            s.faces,
+            s.bands,
+            s.paths,
+        )
+        assert all(perturbed_level(image, t) > Fraction(1, 32) for t in SIXTEENTHS)
+        report, levels = forced_sections(monkeypatch, image)
+        assert report.passed, report.summary()
+        assert len(levels) == len(slabs(image)) and min(levels) == Fraction(1, 64)
+
+    def test_detail_names_how_sections_passed(self):
+        square = assignment_to_surface(identity_square(), ChordAssignment.from_string("RRRR"))
+        assert verify_banded_surface(square).monotone_sections.detail == (
+            "structural: every face spans the full height"
+        )
+        assert verify_banded_surface(square, force_sections=True).monotone_sections.detail == "sectioned 1 slab"
+        layered = dict(layered_builds())["fig3a"]
+        report = verify_banded_surface(layered)
+        assert report.monotone_sections.detail == f"sectioned {len(slabs(layered))} slabs"
+        assert f"monotone_sections: pass (sectioned {len(slabs(layered))} slabs)" in report.summary()
+        assert len(slabs(layered)) > 1
+
+    def test_sections_skipped_when_paths_fail(self):
+        report = verify_banded_surface(missing_path_mesh(), force_sections=True)
+        assert report.topology.passed and report.face_intersections.passed
+        assert not report.path_disjointness.passed
+        assert report.monotone_sections.detail == "skipped: path check failed"
 
 
 def _metamorphic_surfaces():

@@ -5,7 +5,7 @@ import pytest
 
 import banded.solver as solver
 import banded.steiner as steiner
-from banded.errors import PreconditionError
+from banded.errors import InternalConsistencyError, PreconditionError
 from banded.figures import fig3a_no_surface, fig7_star
 from banded.generators import random_instance, random_star_polygon
 from banded.geometry import Point2
@@ -164,3 +164,28 @@ class TestBuildLayeredSurface:
             assert s.steiner_count() <= 2 * n * (n - 3) + 12
             report = verify_banded_surface(s)
             assert report.passed, report.summary()
+
+
+def seed_505_star(index):
+    """Star instance `index` of the seed-505 stream of tests/test_model.py."""
+    rng = random.Random(505)
+    for _ in range(index):
+        random_instance(rng, rng.randint(3, 12), "star")
+    return random_instance(rng, rng.randint(3, 12), "star")
+
+
+# Reproducers of ROADMAP item 1: both instances reach `build_stack`.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="build_stack adds 350 vertices, bound 152")
+def test_seed_505_star_10_within_bound():
+    inst = seed_505_star(10)
+    n = inst.n
+    assert build_layered_surface(inst).steiner_count() <= 2 * n * (n - 3) + 12
+
+
+@pytest.mark.xfail(strict=True, raises=InternalConsistencyError, reason="build_stack fails to join its layers")
+def test_seed_505_star_2_builds():
+    inst = seed_505_star(2)
+    s = build_layered_surface(inst)
+    n = inst.n
+    assert s.steiner_count() <= 2 * n * (n - 3) + 12
+    assert verify_banded_surface(s).passed
