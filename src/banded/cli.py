@@ -13,7 +13,14 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .errors import BandedError, InputError, ParseError, PreconditionError, SectionError
+from .errors import (
+    BandedError,
+    InputError,
+    InternalConsistencyError,
+    ParseError,
+    PreconditionError,
+    SectionError,
+)
 from .model import cross_section, verify_banded_surface
 from .morph import convex_chord_rule, planarity_preserving
 from .solver import brute_force_assignments, solve_no_steiner
@@ -97,9 +104,9 @@ def _cmd_solve(args) -> int:
     if args.brute_force:
         oracle = brute_force_assignments(inst)
         if outcome.satisfiable != bool(oracle):
-            raise AssertionError("solver and enumeration oracle disagree; this is a bug")
+            raise InternalConsistencyError("solver and enumeration oracle disagree")
         if outcome.satisfiable and str(outcome.assignment) not in {str(a) for a in oracle}:
-            raise AssertionError("solver assignment missing from the oracle list; this is a bug")
+            raise InternalConsistencyError("solver assignment missing from the oracle list")
         print(f"brute force: {len(oracle)} of {2 ** inst.n} assignments are valid")
     if not outcome.satisfiable:
         print(outcome.describe())

@@ -296,12 +296,15 @@ def read_off(path) -> tuple[list, list]:
         pos += 1
         return tok
 
-    def take_int(kind: str) -> int:
+    def take_int(kind: str, below: int | None = None) -> int:
         tok, ln = take(kind)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
             raise ParseError(f"{path}: expected integer {kind}, got {tok!r}", line=ln)
+        if below is not None and not 0 <= value < below:
+            raise ParseError(f"{path}: {kind} {value} outside [0, {below})", line=ln)
+        return value
 
     nv, nf, _ne = take_int("vertex count"), take_int("face count"), take_int("edge count")
     vertices = []
@@ -319,7 +322,7 @@ def read_off(path) -> tuple[list, list]:
         arity = take_int("face arity")
         if arity != 3:
             raise ParseError(f"{path}: only triangle faces supported, got {arity}-gon")
-        faces.append(tuple(take_int("face index") for _ in range(3)))
+        faces.append(tuple(take_int("face index", nv) for _ in range(3)))
     return vertices, faces
 
 

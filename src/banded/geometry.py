@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,9 +112,20 @@ def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def orient3d(a: Point3, b: Point3, c: Point3, d: Point3) -> int:
-    """Sign of det(b-a, c-a, d-a); 0 iff the four points are coplanar."""
-    return _sign(_dot3(_cross3(_sub3(b, a), _sub3(c, a)), _sub3(d, a)))
+def orient3d(a, b, c, d) -> int:
+    """Sign of det(b-a, c-a, d-a); 0 iff the four points are coplanar.
+
+    The points are `Point3`s or (x, y, z) tuples; on tuples no intermediate
+    object is built."""
+    ax, ay, az = a
+    bx, by, bz = b
+    cx, cy, cz = c
+    dx, dy, dz = d
+    ux, uy, uz = bx - ax, by - ay, bz - az
+    vx, vy, vz = cx - ax, cy - ay, cz - az
+    wx, wy, wz = dx - ax, dy - ay, dz - az
+    det = ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
+    return (det > 0) - (det < 0)
 
 
 class AngleClass(enum.Enum):
@@ -391,70 +403,123 @@ def _clip_triangle_2d(subject, clip):
     return out
 
 
-def _plane_sides(t: Triangle3, points) -> list[int]:
-    """The side of t's plane that each point lies on: +1 where t's normal
-    points, -1 opposite, 0 on the plane."""
-    (nx, ny, nz), off = t.normal, t.offset
-    return [_sign(nx * p.x + ny * p.y + nz * p.z - off) for p in points]
+def _plane(a, b, c):
+    """The plane through the (x, y, z) tuples a, b, c as (nx, ny, nz,
+    offset), with the normal (b - a) x (c - a) and the offset normal . a,
+    as `Triangle3` has them; the normal is zero iff the points are
+    collinear."""
+    ax, ay, az = a
+    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
+    vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return nx, ny, nz, nx * ax + ny * ay + nz * az
 
 
-def _lone_vertex_first(verts, signs):
-    """Rotate a triangle cyclically so that its first vertex is alone on its
-    side of another triangle's plane: strictly on one side with the other
-    two on the closed other side, or on the plane with the other two
-    strictly on one side.  `signs` are the vertices' sides of that plane,
-    neither all zero nor all one strict sign.  The flag is True when the
-    other two lie on the positive side, so that the other triangle must be
-    flipped (two vertices swapped) to put the lone vertex on the positive
-    side."""
+def _plane_sides(plane, points) -> tuple:
+    """The side of `plane` (as `_plane` gives it) that each point lies on:
+    +1 where the normal points, -1 opposite, 0 on the plane."""
+    nx, ny, nz, off = plane
+    dots = [nx * x + ny * y + nz * z - off for x, y, z in points]
+    return tuple([(d > 0) - (d < 0) for d in dots])
+
+
+def _lone_vertex(signs):
+    """The cyclic rotation (i, j, k) of a triangle's vertex indices, and a
+    flag, that put first a vertex alone on its side of another triangle's
+    plane: strictly on one side
+    with the other two on the closed other side, or on the plane with the
+    other two strictly on one side.  `signs` are the vertices' sides of
+    that plane, neither all zero nor all one strict sign.  The flag is True
+    when the other two lie on the positive side, so that the other triangle
+    must be flipped (two vertices swapped) to put the lone vertex on the
+    positive side."""
     if signs.count(1) == 1:
         k, flip = signs.index(1), False
     elif signs.count(-1) == 1:
         k, flip = signs.index(-1), True
     else:  # one vertex on the plane, the other two on one strict side
         k, flip = signs.index(0), signs.count(1) == 2
-    return (verts[k], verts[(k + 1) % 3], verts[(k + 2) % 3]), flip
+    return k, (k + 1) % 3, (k + 2) % 3, flip
 
 
-def _crossing_triangles_meet(t1: Triangle3, s1, t2: Triangle3, s2) -> bool:
-    """Whether two closed triangles in crossing planes have a common point,
-    decided from orientation signs alone (Guigue & Devillers 2003).
+_ON_PLANE = (0, 0, 0)
 
-    s1 holds t1's vertex sides of t2's plane and s2 the converse.  Once each
-    triangle has its lone vertex first and the pair is oriented so that both
-    lone vertices lie on the positive sides, t1 and t2 cut the planes'
-    common line in the intervals [j, i] and [k, l] (i on edge p1q1, j on
-    p1r1, k on p2q2, l on p2r2, in the order of n1 x n2).  The intervals
-    meet iff k <= i and j <= l, and those are the signs of the two
-    tetrahedra below."""
-    (p1, q1, r1), flip2 = _lone_vertex_first(t1.vertices, s1)
-    (p2, q2, r2), flip1 = _lone_vertex_first(t2.vertices, s2)
+# `_lone_vertex` of every side triple but _ON_PLANE, and None for the two
+# triples that put a triangle strictly on one side of the other's plane
+_LONE_VERTEX = {
+    s: None if s[0] == s[1] == s[2] else _lone_vertex(s)
+    for s in itertools.product((-1, 0, 1), repeat=3)
+    if s != _ON_PLANE
+}
+
+
+def _triangles_meet(v1, s1, v2, s2):
+    """The verdict of `open_triangles_intersect_3d` on two proper triangles,
+    or None when they are coplanar, which the caller decides.
+
+    v1 and v2 are the vertex triples, (x, y, z) tuples or `Point3`s; s1
+    holds v1's vertex sides of v2's plane and s2 the converse, as tuples
+    from `_plane_sides`.  A triangle strictly on one side of the other's
+    plane misses it.  Otherwise the planes cross, and a vertex the two
+    share (equal by value) lies on both: with none,
+    `_crossing_triangles_meet` decides; with two, the planes cross in the
+    shared edge's line, which each triangle meets in exactly that edge, so
+    the contact is the shared edge; with one, `_shared_vertex_triangles_meet`
+    decides.  No point is constructed."""
+    if s2 == _ON_PLANE:
+        return None
+    if _LONE_VERTEX[s1] is None or _LONE_VERTEX[s2] is None:
+        return False
+    if 0 in s1:
+        shared = [i for i in range(3) if s1[i] == 0 and v1[i] in v2]
+        if len(shared) == 2:
+            return False
+        if shared:
+            return _shared_vertex_triangles_meet(v1, s1, v2, s2, shared[0])
+    return _crossing_triangles_meet(v1, s1, v2, s2)
+
+
+def _crossing_triangles_meet(v1, s1, v2, s2) -> bool:
+    """Whether two closed triangles in crossing planes that share no vertex
+    have a common point, decided from orientation signs alone (Guigue &
+    Devillers 2003); the arguments are as in `_triangles_meet`.
+
+    Once each triangle has its lone vertex first (`_LONE_VERTEX`) and the
+    pair is oriented so that both lone vertices lie on the positive sides,
+    t1 = (p1, q1, r1) and t2 = (p2, q2, r2) cut the planes' common line in
+    the intervals [j, i] and [k, l] (i on edge p1q1, j on p1r1, k on p2q2,
+    l on p2r2, in the order of n1 x n2).  The intervals meet iff k <= i and
+    j <= l, and those are the signs of the two tetrahedra below."""
+    p, q, r, flip2 = _LONE_VERTEX[s1]
+    i, j, k, flip1 = _LONE_VERTEX[s2]
     if flip1:
-        q1, r1 = r1, q1
+        q, r = r, q
     if flip2:
-        q2, r2 = r2, q2
-    return orient3d(p1, q1, p2, q2) <= 0 and orient3d(p1, p2, r1, r2) <= 0
+        j, k = k, j
+    p1, p2 = v1[p], v2[i]
+    return orient3d(p1, v1[q], p2, v2[j]) <= 0 and orient3d(p1, p2, v1[r], v2[k]) <= 0
 
 
-def _shared_vertex_triangles_meet(t1: Triangle3, s1, t2: Triangle3, s2, i: int) -> bool:
+def _shared_vertex_triangles_meet(v1, s1, v2, s2, i: int) -> bool:
     """Whether two closed triangles in crossing planes that share exactly
-    one vertex, v = t1.vertices[i], have a common point other than v,
-    decided from orientation signs alone.
+    one vertex, v = v1[i], have a common point other than v, decided from
+    orientation signs alone; the other arguments are as in
+    `_triangles_meet`.
 
-    s1 and s2 are as in `_crossing_triangles_meet`.  Rotated cyclically (so
-    normals and sides keep their signs) to t1 = (v, a, b) and t2 = (v, c, d),
-    each triangle cuts the planes' common line in a segment that starts at
-    v and ends on its far edge, so they meet beyond v iff [a, b] meets t2 or
-    [c, d] meets t1.  A far edge strictly on one side of the other plane
-    leaves its triangle touching that plane only in v.  Otherwise [a, b]
-    meets t2's plane in one point, which lies in the closed t2 iff
-    orient3d(a, b, v, c) = sc, orient3d(a, b, c, d) and
-    orient3d(a, b, d, v) = -sd have no two strictly opposite signs; sc and
-    -sd already agree, so the test is on the sign of orient3d(a, b, c, d)
-    alone, and the converse test for [c, d] uses the same sign."""
-    j = t2.vertices.index(t1.vertices[i])
-    a, b = t1.vertices[(i + 1) % 3], t1.vertices[(i + 2) % 3]
-    c, d = t2.vertices[(j + 1) % 3], t2.vertices[(j + 2) % 3]
+    Rotated cyclically (so normals and sides keep their signs) to
+    t1 = (v, a, b) and t2 = (v, c, d), each triangle cuts the planes'
+    common line in a segment that starts at v and ends on its far edge, so
+    they meet beyond v iff [a, b] meets t2 or [c, d] meets t1.  A far edge
+    strictly on one side of the other plane leaves its triangle touching
+    that plane only in v.  Otherwise [a, b] meets t2's plane in one point,
+    which lies in the closed t2 iff orient3d(a, b, v, c) = sc,
+    orient3d(a, b, c, d) and orient3d(a, b, d, v) = -sd have no two
+    strictly opposite signs; sc and -sd already agree, so the test is on
+    the sign of orient3d(a, b, c, d) alone, and the converse test for
+    [c, d] uses the same sign."""
+    j = v2.index(v1[i])
+    a, b = v1[(i + 1) % 3], v1[(i + 2) % 3]
+    c, d = v2[(j + 1) % 3], v2[(j + 2) % 3]
     sa, sb = s1[(i + 1) % 3], s1[(i + 2) % 3]
     sc, sd = s2[(j + 1) % 3], s2[(j + 2) % 3]
     if sa == sb or sc == sd:
@@ -474,12 +539,10 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     overlap beyond a shared edge.  This is exactly the condition under which
     two faces cannot coexist on an embedded surface.
 
-    After a bounding-box test and the plane-side signs of each triangle's
-    vertices, triangles in crossing planes that share no vertex are decided
-    by two more orientation signs, those that share one vertex by one more,
-    with no point constructed in either case, and those that share an edge
-    meet in just that edge.  Coplanar triangles are clipped against each
-    other in 2D.
+    After a bounding-box test, the plane-side signs of each triangle's
+    vertices go through `_triangles_meet`, which decides every pair in
+    crossing planes from orientation signs.  Coplanar triangles are
+    clipped against each other in 2D.
     """
     if t1.is_degenerate() or t2.is_degenerate():
         raise DegenerateTriangleError("open_triangles_intersect_3d needs proper triangles")
@@ -488,50 +551,39 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     if any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(3)):
         return False
 
-    s2 = _plane_sides(t1, t2.vertices)
-    if s2[0] == s2[1] == s2[2] != 0:
-        return False
-    s1 = _plane_sides(t2, t1.vertices)
-    if s1[0] == s1[1] == s1[2] != 0:
-        return False
+    v1, v2 = t1.vertices, t2.vertices
+    s2 = _plane_sides((*t1.normal, t1.offset), v2)
+    s1 = _plane_sides((*t2.normal, t2.offset), v1)
+    hit = _triangles_meet(v1, s1, v2, s2)
+    if hit is not None:
+        return hit
 
-    if s2 == [0, 0, 0]:
-        # coplanar: intersect in 2D
-        shared_vertices, shared_edges = _shared_structure(t1, t2)
-        axis = _proj_axis(t1.normal)
-        sub = [_project(p, axis) for p in t2.vertices]
-        clip = [_project(p, axis) for p in t1.vertices]
-        region = _clip_triangle_2d(sub, clip)
-        distinct = []
-        for p in region:
-            if p not in distinct:
-                distinct.append(p)
-        if not distinct:
-            return False
-        if len(distinct) == 1:
-            pts2 = distinct
-        else:
-            base = distinct[0]
-            rest = [p for p in distinct[1:] if p != base]
-            if any(orient2d(base, rest[0], p) != 0 for p in rest[1:]):
-                return True  # positive-area overlap can never be legal
-            # collinear: take extremes along the segment direction
-            dx, dy = rest[0].x - base.x, rest[0].y - base.y
-            keyed = sorted(distinct, key=lambda p: (p.x - base.x) * dx + (p.y - base.y) * dy)
-            pts2 = [keyed[0], keyed[-1]]
-        sv2 = [_project(p, axis) for p in shared_vertices]
-        se2 = [(_project(a, axis), _project(b, axis)) for a, b in shared_edges]
-        return not _contact_allowed_2d(pts2, sv2, se2)
-
-    # a shared vertex lies on both planes
-    shared = [i for i, (p, s) in enumerate(zip(t1.vertices, s1)) if s == 0 and p in t2.vertices]
-    if not shared:
-        return _crossing_triangles_meet(t1, s1, t2, s2)
-    if len(shared) == 2:
-        # the planes cross in the shared edge's line, which each triangle
-        # meets in exactly that edge: the contact is the shared edge
+    # coplanar: intersect in 2D
+    shared_vertices, shared_edges = _shared_structure(t1, t2)
+    axis = _proj_axis(t1.normal)
+    sub = [_project(p, axis) for p in v2]
+    clip = [_project(p, axis) for p in v1]
+    region = _clip_triangle_2d(sub, clip)
+    distinct = []
+    for p in region:
+        if p not in distinct:
+            distinct.append(p)
+    if not distinct:
         return False
-    return _shared_vertex_triangles_meet(t1, s1, t2, s2, shared[0])
+    if len(distinct) == 1:
+        pts2 = distinct
+    else:
+        base = distinct[0]
+        rest = [p for p in distinct[1:] if p != base]
+        if any(orient2d(base, rest[0], p) != 0 for p in rest[1:]):
+            return True  # positive-area overlap can never be legal
+        # collinear: take extremes along the segment direction
+        dx, dy = rest[0].x - base.x, rest[0].y - base.y
+        keyed = sorted(distinct, key=lambda p: (p.x - base.x) * dx + (p.y - base.y) * dy)
+        pts2 = [keyed[0], keyed[-1]]
+    sv2 = [_project(p, axis) for p in shared_vertices]
+    se2 = [(_project(a, axis), _project(b, axis)) for a, b in shared_edges]
+    return not _contact_allowed_2d(pts2, sv2, se2)
 
 
 def _contact_allowed_2d(points, shared_vertices, shared_edges) -> bool:

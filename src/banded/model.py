@@ -19,6 +19,8 @@ from .geometry import (
     Point2,
     Point3,
     Triangle3,
+    _plane,
+    _triangles_meet,
     denominator_lcm,
     open_triangles_intersect_3d,
     polygon_is_ccw,
@@ -240,17 +242,17 @@ def _integer_axis(values: list) -> tuple[int, list[int]]:
     return k, [v.numerator * (k // v.denominator) for v in values]
 
 
-def _integer_points(s: "BandedSurface") -> list[Point3]:
+def _integer_points(s: "BandedSurface") -> list[tuple[int, int, int]]:
     """The mesh's vertices scaled onto integers, one positive factor per
-    axis.  Such a scaling keeps coincidence, degeneracy and every
-    intersection verdict, and int arithmetic is far faster than `Fraction`
-    arithmetic; as in `scaled_to_integers`, the coordinates come back as
-    ints even when a factor is 1."""
+    axis, as (x, y, z) tuples.  Such a scaling keeps coincidence,
+    degeneracy and every intersection verdict, and int arithmetic is far
+    faster than `Fraction` arithmetic; as in `scaled_to_integers`, the
+    coordinates come back as ints even when a factor is 1."""
     pts = [p for p, _ in s.vertices]
     _, xs = _integer_axis([p.x for p in pts])
     _, ys = _integer_axis([p.y for p in pts])
     _, zs = _integer_axis([p.z for p in pts])
-    return [Point3(x, y, z) for x, y, z in zip(xs, ys, zs)]
+    return list(zip(xs, ys, zs))
 
 
 def assignment_to_surface(inst: SliceInstance, assignment: ChordAssignment) -> BandedSurface:
@@ -320,10 +322,11 @@ def _face_edges(face):
     return ((a, b), (b, c), (c, a))
 
 
-def _check_topology(s: BandedSurface, points: list[Point3], triangles: list[Triangle3]) -> CheckResult:
+def _check_topology(s: BandedSurface, points: list, faces: list) -> CheckResult:
     """The annulus checks on the mesh, with `points` its `_integer_points`.
-    Each face's integer triangle is appended to `triangles` once the face
-    has passed its own checks, so a pass leaves one triangle per face."""
+    Each face's integer vertex triple and plane (as `geometry._plane` gives
+    it) are appended to `faces` once the face has passed its own checks, so
+    a pass leaves one entry per face."""
     nv = len(s.vertices)
     if len(s.bands) != len(s.paths):
         return CheckResult(False, "band count differs from path count")
@@ -352,10 +355,11 @@ def _check_topology(s: BandedSurface, points: list[Point3], triangles: list[Tria
     for k, face in enumerate(s.faces):
         if len(set(face)) != 3 or any(not 0 <= v < nv for v in face):
             return CheckResult(False, f"face {k} is malformed: {face}")
-        tri = Triangle3(*(points[v] for v in face))
-        if tri.is_degenerate():
+        verts = tuple(points[v] for v in face)
+        plane = _plane(*verts)
+        if plane[:3] == (0, 0, 0):
             return CheckResult(False, f"face {k} is degenerate")
-        triangles.append(tri)
+        faces.append((verts, plane))
         referenced.update(face)
         for e in _face_edges(face):
             if e in directed:
@@ -465,42 +469,56 @@ def _check_paths(s: BandedSurface) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_face_intersections(triangles, memo_keys, pair_memo) -> CheckResult:
-    """No two faces meet outside a vertex or edge they share.  With
-    `pair_memo`, verdicts are memoised under the ids of the `memo_keys`
-    objects, one per face in face order."""
-    m = len(triangles)
-    bounds = [t.bounds() for t in triangles]
-    order = sorted(range(m), key=lambda k: bounds[k][0][2])
+def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
+    """Yield (j, k, hit) for every pair of faces j, k whose closed bounding
+    boxes meet, hit being the verdict of `open_triangles_intersect_3d`;
+    `faces` holds each face's vertex triple and plane as `_check_topology`
+    leaves them.
+
+    The boxes are sorted by min-x and swept with an active list; each pair
+    that also meets in y and z gets its six plane-side signs here and goes
+    through `geometry._triangles_meet`, and only a coplanar pair through
+    `open_triangles_intersect_3d`.  With `pair_memo`, verdicts are memoised
+    under the ids of the `memo_keys` objects, one per face in face order."""
+    boxes = []
+    for verts, _ in faces:
+        xs, ys, zs = zip(*verts)
+        boxes.append((min(xs), max(xs), min(ys), max(ys), min(zs), max(zs)))
     active: list[int] = []
-    for k in order:
-        (lo_k, hi_k) = bounds[k]
-        still = []
+    for k in sorted(range(len(faces)), key=lambda k: boxes[k][0]):
+        x0, _, y0, y1, z0, z1 = boxes[k]
+        active = [j for j in active if boxes[j][1] >= x0]
+        vk, (nx, ny, nz, off) = faces[k]
         for j in active:
-            if bounds[j][1][2] >= lo_k[2]:
-                still.append(j)
-        active = still
-        for j in active:
-            lo_j, hi_j = bounds[j]
-            if (
-                lo_j[0] > hi_k[0]
-                or lo_k[0] > hi_j[0]
-                or lo_j[1] > hi_k[1]
-                or lo_k[1] > hi_j[1]
-            ):
+            _, _, v0, v1, w0, w1 = boxes[j]
+            if v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
                 continue
-            if pair_memo is None:
-                hit = open_triangles_intersect_3d(triangles[j], triangles[k])
-            else:
+            if pair_memo is not None:
                 ij = (id(memo_keys[j]), id(memo_keys[k]))
                 key = ij if ij[0] < ij[1] else (ij[1], ij[0])
                 hit = pair_memo.get(key)
-                if hit is None:
-                    hit = open_triangles_intersect_3d(triangles[j], triangles[k])
-                    pair_memo[key] = hit
-            if hit:
-                return CheckResult(False, f"faces {j} and {k} intersect improperly")
+                if hit is not None:
+                    yield j, k, hit
+                    continue
+            vj, (mx, my, mz, moff) = faces[j]
+            sj = tuple([(d > 0) - (d < 0) for d in [nx * x + ny * y + nz * z - off for x, y, z in vj]])
+            sk = tuple([(d > 0) - (d < 0) for d in [mx * x + my * y + mz * z - moff for x, y, z in vk]])
+            hit = _triangles_meet(vj, sj, vk, sk)
+            if hit is None:
+                hit = open_triangles_intersect_3d(
+                    Triangle3(*(Point3(*p) for p in vj)), Triangle3(*(Point3(*p) for p in vk))
+                )
+            if pair_memo is not None:
+                pair_memo[key] = hit
+            yield j, k, hit
         active.append(k)
+
+
+def _check_face_intersections(faces, memo_keys, pair_memo) -> CheckResult:
+    """No two faces meet outside a vertex or edge they share."""
+    for j, k, hit in _face_pair_verdicts(faces, memo_keys, pair_memo):
+        if hit:
+            return CheckResult(False, f"faces {j} and {k} intersect improperly")
     return CheckResult(True)
 
 
@@ -644,9 +662,10 @@ def verify_banded_surface(
 
     The vertices are scaled onto integers once, one positive factor per
     axis, which keeps every verdict; topology's degeneracy test and the
-    face-pair check share the resulting triangles.  Later checks assume
-    structurally sound input, so they are skipped (marked failed with a
-    note) when the topology check already failed hard.
+    face-pair check share the resulting vertex triples and face planes.
+    Later checks assume structurally sound input, so they are skipped
+    (marked failed with a note) when the topology check already failed
+    hard.
 
     Sections.  `monotone_sections` runs only once topology, paths and the
     face-pair check have passed, and then one plane section per open slab
@@ -683,17 +702,17 @@ def verify_banded_surface(
     pairs of ids of the `_triangles` objects, one per face in face order,
     to verdicts.
     """
-    triangles: list[Triangle3] = []
+    faces: list = []
     try:
         points = _integer_points(s)
-        topo = _check_topology(s, points, triangles)
+        topo = _check_topology(s, points, faces)
         paths = _check_paths(s)
     except (IndexError, KeyError, TypeError) as exc:
         raise MeshStructureError(f"malformed mesh: {exc}") from exc
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
-    inter = _check_face_intersections(triangles, _triangles, _pair_memo)
+    inter = _check_face_intersections(faces, _triangles, _pair_memo)
     levels = _z_levels(s)
     if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")

@@ -9,13 +9,15 @@ clause, so satisfiability of the O(n^2) clauses decides existence exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     Triangle3,
-    _crossing_triangles_meet,
-    _shared_vertex_triangles_meet,
+    _plane,
+    _plane_sides,
+    _triangles_meet,
     open_triangles_intersect_3d,
     orient3d,
 )
@@ -111,15 +113,32 @@ _NO_CONFLICT = ((False, False), (False, False))
 _QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
 _FOURTH = (3, 1, 2, 0)
 
+# the sides of a quad's four points against a plane, split into the side
+# triples of its four chord triangles, for every row of signs
+_TRIANGLE_SIDES = {
+    row: tuple(tuple(row[v] for v in triple) for triple in _QUAD_TRIPLES)
+    for row in itertools.product((-1, 0, 1), repeat=4)
+}
+
+# per choice pair (right = 0, left = 1), its four triangle tests (k, m),
+# triangle k of the lower band against triangle m of the upper one
+_CHOICE_TESTS = tuple(
+    tuple(tuple((k, m) for k in (2 * ca, 2 * ca + 1) for m in (2 * cb, 2 * cb + 1)) for cb in (0, 1))
+    for ca in (0, 1)
+)
+
 
 @dataclass(frozen=True, slots=True)
 class _BandPlanes:
-    """A band's quad points, its four chord triangles in `_QUAD_TRIPLES`
-    order, their planes (normal and offset, as `Triangle3` has them), and
-    per plane the side row that puts four points strictly opposite the
-    quad's fourth vertex (None when that vertex lies on the plane)."""
+    """A band's quad points as int tuples; its four chord triangles in
+    `_QUAD_TRIPLES` order, as vertex triples of those tuples and as the
+    `Triangle3`s of the coplanar fallback; their planes as `geometry._plane`
+    gives them; and per plane the side row that puts four points strictly
+    opposite the quad's fourth vertex (None when that vertex lies on the
+    plane)."""
 
     points: tuple
+    vertices: tuple
     triangles: tuple
     planes: tuple
     separating: tuple
@@ -127,76 +146,56 @@ class _BandPlanes:
     @classmethod
     def of(cls, quad, right: ChordChoiceTriangles, left: ChordChoiceTriangles):
         points = tuple((p.x, p.y, p.z) for p in quad)
-        triangles = right.triangles + left.triangles
-        planes = tuple((*t.normal, t.offset) for t in triangles)
+        vertices = tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
+        planes = tuple(_plane(*v) for v in vertices)
         separating = []
         for plane, fourth in zip(planes, _FOURTH):
-            own = _sides(plane, (points[fourth],))[0]
+            own = _plane_sides(plane, (points[fourth],))[0]
             separating.append((-own,) * 4 if own else None)
-        return cls(points, triangles, planes, tuple(separating))
-
-
-def _sides(plane, points) -> tuple:
-    """The side of the plane each point lies on, with the signs of
-    `geometry._plane_sides`: +1 where the normal points, -1 opposite."""
-    nx, ny, nz, off = plane
-    dots = [nx * x + ny * y + nz * z - off for x, y, z in points]
-    return tuple([(d > 0) - (d < 0) for d in dots])
+        return cls(points, vertices, right.triangles + left.triangles, planes, tuple(separating))
 
 
 def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
     """The conflict matrix of bands a < b, with the verdicts of `conflicts`.
 
-    One sign matrix holds b's four points against a's four planes and the
+    A sign matrix holds b's four points against a's four planes and the
     converse, 32 signs.  A plane of either band with that band's fourth
     vertex strictly on one side and all four points of the other band
     strictly on the other side separates the two tetrahedra, so no
-    triangles meet.  Otherwise each of the 16 triangle pairs follows
-    `open_triangles_intersect_3d` with its signs read from the matrix.
+    triangles meet; each row is tested as it is computed.  Otherwise each
+    of the 16 triangle pairs goes through `geometry._triangles_meet` with
+    its side triples read from the matrix, and a coplanar pair through
+    `open_triangles_intersect_3d`.
     """
-    b_sides = [_sides(plane, b.points) for plane in a.planes]
-    if any(row == sep for row, sep in zip(b_sides, a.separating)):
-        return _NO_CONFLICT
-    a_sides = [_sides(plane, a.points) for plane in b.planes]
-    if any(row == sep for row, sep in zip(a_sides, b.separating)):
-        return _NO_CONFLICT
+    b_sides = []  # b_sides[k][m]: b's triangle m against a's plane k
+    for plane, separating in zip(a.planes, a.separating):
+        row = _plane_sides(plane, b.points)
+        if row == separating:
+            return _NO_CONFLICT
+        b_sides.append(_TRIANGLE_SIDES[row])
+    a_sides = []  # a_sides[m][k]: a's triangle k against b's plane m
+    for plane, separating in zip(b.planes, b.separating):
+        row = _plane_sides(plane, a.points)
+        if row == separating:
+            return _NO_CONFLICT
+        a_sides.append(_TRIANGLE_SIDES[row])
     mat = tuple(
-        tuple(
-            any(
-                _triangles_meet(a, k, b_sides[k], b, m, a_sides[m])
-                for k in (2 * ca, 2 * ca + 1)
-                for m in (2 * cb, 2 * cb + 1)
-            )
-            for cb in (0, 1)
-        )
-        for ca in (0, 1)
+        tuple(_choices_meet(a, a_sides, b, b_sides, tests) for tests in row)
+        for row in _CHOICE_TESTS
     )
     # the shared all-False matrix lets `build_clauses` skip the pair
     return _NO_CONFLICT if mat == _NO_CONFLICT else mat
 
 
-def _triangles_meet(a: _BandPlanes, k: int, b_row, b: _BandPlanes, m: int, a_row) -> bool:
-    """`open_triangles_intersect_3d` on triangle k of band a and triangle m
-    of band b, given b's points against plane k and a's against plane m."""
-    p, q, r = _QUAD_TRIPLES[m]
-    s2 = (b_row[p], b_row[q], b_row[r])
-    if s2[0] == s2[1] == s2[2] != 0:
-        return False
-    p, q, r = _QUAD_TRIPLES[k]
-    s1 = (a_row[p], a_row[q], a_row[r])
-    if s1[0] == s1[1] == s1[2] != 0:
-        return False
-    t1, t2 = a.triangles[k], b.triangles[m]
-    if s2 == (0, 0, 0):
-        return open_triangles_intersect_3d(t1, t2)
-    # a shared vertex lies on both planes and is equal by value
-    v1, v2 = t1.vertices, t2.vertices
-    shared = [i for i in range(3) if s1[i] == 0 and v1[i] in v2]
-    if not shared:
-        return _crossing_triangles_meet(t1, s1, t2, s2)
-    if len(shared) == 2:
-        return False
-    return _shared_vertex_triangles_meet(t1, s1, t2, s2, shared[0])
+def _choices_meet(a: _BandPlanes, a_sides, b: _BandPlanes, b_sides, tests) -> bool:
+    """Whether any triangle test (k, m) of one choice pair finds contact."""
+    for k, m in tests:
+        hit = _triangles_meet(a.vertices[k], a_sides[m][k], b.vertices[m], b_sides[k][m])
+        if hit is None:
+            hit = open_triangles_intersect_3d(a.triangles[k], b.triangles[m])
+        if hit:
+            return True
+    return False
 
 
 def build_conflict_table(inst: SliceInstance) -> ConflictTable:

@@ -89,6 +89,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert err == "banded: internal error: failed to join the two flattened layers"
 
+    def test_oracle_disagreement_is_internal_error(self, monkeypatch, capsys):
+        # fig1 is SAT, so an oracle that finds no surface disagrees
+        monkeypatch.setattr(cli, "brute_force_assignments", lambda inst: [])
+        assert run("solve", fig("fig1_twisted_prism"), "--brute-force") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["banded: internal error: solver and enumeration oracle disagree"]
+
+    @pytest.mark.parametrize("index", ["5", "-1"])
+    def test_off_face_index_out_of_range_is_invalid_input(self, tmp_path, capsys, index):
+        mesh = tmp_path / "m.off"
+        mesh.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 1\n0 1 1\n3 0 1 {index}\n")
+        assert run("section", str(mesh), "--t", "1/2") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"banded: parse error: {mesh}: face index {index} outside [0, 3) (line 6)"]
+
 
 class TestPipelines:
     def test_solve_export_verify_section(self, tmp_path, capsys):

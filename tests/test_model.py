@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,17 @@ from banded.errors import (
 import banded.model as model
 from banded.figures import fig1_twisted_prism, fig3a_no_surface
 from banded.generators import random_instance
-from banded.geometry import Point2, Point3, orient2d, polygon_is_simple, polygon_signed_area2
+from banded.geometry import (
+    Point2,
+    Point3,
+    Triangle3,
+    _plane,
+    open_triangles_intersect_3d,
+    orient2d,
+    orient3d,
+    polygon_is_simple,
+    polygon_signed_area2,
+)
 from banded.model import (
     BandedSurface,
     Chord,
@@ -616,6 +627,95 @@ class TestSlabSections:
         assert report.topology.passed and report.face_intersections.passed
         assert not report.path_disjointness.passed
         assert report.monotone_sections.detail == "skipped: path check failed"
+
+
+def face_pass_faces(s: BandedSurface):
+    """The face pass's input, built as `_check_topology` builds it but for
+    every face, so that meshes failing topology can be checked too."""
+    points = model._integer_points(s)
+    return points, [(verts, _plane(*verts)) for verts in (tuple(points[v] for v in f) for f in s.faces)]
+
+
+def face_pair_branch(t1, t2) -> str:
+    """The branch of the sign cascade that decides a pair, from `orient3d`
+    and vertex values alone."""
+    s2 = [orient3d(t1.a, t1.b, t1.c, p) for p in t2.vertices]
+    s1 = [orient3d(t2.a, t2.b, t2.c, p) for p in t1.vertices]
+    if any(s[0] == s[1] == s[2] != 0 for s in (s1, s2)):
+        return "strict dismissal"
+    if s2 == [0, 0, 0]:
+        return "coplanar fallback"
+    shared = sum(p in t2.vertices for p in t1.vertices)
+    return ("crossing", "one shared vertex", "shared edge")[shared]
+
+
+def face_pass_meshes():
+    """Every layered-corpus surface, and meshes whose faces intersect: a
+    vertex of every fifth surface pushed through the far side of the
+    annulus (skipped where a face degenerates), and a duplicated face."""
+    out = list(layered_surfaces())
+    for s in layered_surfaces()[::5]:
+        pts = [p for p, _ in s.vertices]
+        cx = Fraction(sum(p.x for p in pts), len(pts))
+        cy = Fraction(sum(p.y for p in pts), len(pts))
+        for v in (len(pts) // 2, len(pts) // 3):
+            p = pts[v]
+            moved = pts[:v] + [Point3(3 * cx - 2 * p.x, 3 * cy - 2 * p.y, p.z)] + pts[v + 1 :]
+            image = mesh(moved, s.faces)
+            if not any(image.face_triangle(k).is_degenerate() for k in range(len(s.faces))):
+                out.append(image)
+        out.append(mesh(pts, s.faces + s.faces[:1]))
+    return out
+
+
+class TestFacePass:
+    def test_every_box_pair_matches_the_general_predicate(self, monkeypatch):
+        # the x-swept pass visits exactly the pairs whose closed boxes meet,
+        # decides each as `open_triangles_intersect_3d` does, and calls that
+        # binding for the coplanar pairs alone; every pair is checked, not
+        # only those up to a first hit
+        fallbacks = []
+
+        def counted(t1, t2):
+            fallbacks.append(1)
+            return open_triangles_intersect_3d(t1, t2)
+
+        branches = Counter()
+        for s in face_pass_meshes():
+            points, faces = face_pass_faces(s)
+            boxes = [[(min(c), max(c)) for c in zip(*verts)] for verts, _ in faces]
+            expected = {
+                (j, k)
+                for k in range(len(faces))
+                for j in range(k)
+                if all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
+            }
+            seen = {}
+            with monkeypatch.context() as patched:
+                patched.setattr(model, "open_triangles_intersect_3d", counted)
+                for j, k, hit in model._face_pair_verdicts(faces):
+                    key = (min(j, k), max(j, k))
+                    assert key not in seen
+                    seen[key] = hit
+            assert set(seen) == expected
+            triangles = [Triangle3(*(Point3(*p) for p in verts)) for verts, _ in faces]
+            for (j, k), hit in seen.items():
+                t1, t2 = triangles[j], triangles[k]
+                assert hit == open_triangles_intersect_3d(t1, t2), (j, k)
+                branch = face_pair_branch(t1, t2)
+                branches[branch] += 1
+                if branch == "crossing":
+                    branches["crossing, meet" if hit else "crossing, disjoint"] += 1
+        for branch in (
+            "strict dismissal",
+            "coplanar fallback",
+            "shared edge",
+            "one shared vertex",
+            "crossing, meet",
+            "crossing, disjoint",
+        ):
+            assert branches[branch] > 0, branch
+        assert len(fallbacks) == branches["coplanar fallback"]
 
 
 def _metamorphic_surfaces():

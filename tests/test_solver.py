@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banded import solver
+from banded import geometry, solver
 from banded.errors import PreconditionError
 from banded.figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
 from banded.generators import (
@@ -32,6 +32,7 @@ from banded.model import (
     scaled_to_integers,
     verify_banded_surface,
 )
+from banded.morph import planarity_preserving
 from banded.solver import (
     brute_force_assignments,
     build_clauses,
@@ -241,13 +242,15 @@ class TestConflicts:
 
             return wrapped
 
+        # the tails are looked up in `geometry`, where the shared sign
+        # cascade calls them; the fallback on the solver's own binding
         with monkeypatch.context() as patched:
-            for name, fn in (
-                ("crossing", solver._crossing_triangles_meet),
-                ("one shared vertex", solver._shared_vertex_triangles_meet),
-                ("coplanar fallback", solver.open_triangles_intersect_3d),
+            for module, name, fn in (
+                (geometry, "crossing", geometry._crossing_triangles_meet),
+                (geometry, "one shared vertex", geometry._shared_vertex_triangles_meet),
+                (solver, "coplanar fallback", solver.open_triangles_intersect_3d),
             ):
-                patched.setattr(solver, fn.__name__, counted(name, fn))
+                patched.setattr(module, fn.__name__, counted(name, fn))
             tables = [build_conflict_table(inst) for _, inst in instances]
 
         branches = Counter()
@@ -421,3 +424,37 @@ def test_conflict_table_under_relabelling_translation_and_scaling(seed, n, kind,
     verdict = solve_no_steiner(inst).satisfiable
     assert solve_no_steiner(relabelled).satisfiable == verdict
     assert solve_no_steiner(moved).satisfiable == verdict
+
+
+def _mirrored(inst):
+    """The instance mirrored by x -> -x with both vertex orders reversed,
+    so that both polygons stay counterclockwise: its vertex i is vertex
+    n - 1 - i of inst, and its band i is band n - 2 - i (mod n) of inst with
+    the two chords exchanged."""
+    return SliceInstance(
+        *(
+            LabeledPolygon(tuple(Point2(-v.x, v.y) for v in reversed(p.vertices)), p.z_level)
+            for p in (inst.source, inst.target)
+        )
+    )
+
+
+@given(st.integers(0, 10**6), st.integers(3, 10), st.sampled_from(["convex", "star", "spiral"]))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_verdicts_under_mirror_and_reversal(seed, n, kind):
+    inst = random_instance(random.Random(seed), n, kind)
+    image = _mirrored(inst)
+    image.validate()
+    n = inst.n
+    table, mirrored = build_conflict_table(inst), build_conflict_table(image)
+    for (i, j), mat in mirrored.pairs.items():
+        a, b = (n - 2 - i) % n, (n - 2 - j) % n
+        old = table.pairs[(a, b)] if a < b else tuple(zip(*table.pairs[(b, a)]))
+        # right and left exchange, so both indices flip
+        assert mat == tuple(tuple(row[::-1]) for row in old[::-1])
+    other = {Chord.RIGHT: Chord.LEFT, Chord.LEFT: Chord.RIGHT}
+    assert mirrored.self_conflicts == {
+        (i, c): table.self_conflicts[((n - 2 - i) % n, other[c])] for i, c in mirrored.self_conflicts
+    }
+    assert solve_no_steiner(image).satisfiable == solve_no_steiner(inst).satisfiable
+    assert planarity_preserving(image).preserved == planarity_preserving(inst).preserved
