@@ -11,16 +11,15 @@ themselves; no sampling heuristics and no floating point are involved.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, ccw_angle, denominator_lcm, segments_intersect_2d
+from .geometry import AngleClass, Point2, ccw_angle, denominator_lcm
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
-from .quadfield import AlgebraicNumber, QuadExt, rational_between, sign_a_plus_b_sqrt
+from .quadfield import ExactTime, midpoint, rational_between
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,10 @@ class PlanarityVerdict:
     On violation, `interval` is a rational interval that contains the first
     violating stretch; unless `instantaneous` is set, its midpoint itself
     violates, so the witness can be re-checked directly.  `kind` is one of
-    edge_contact, angle_collapse, vertex_collision, orientation_flip, and
-    `subjects` names the offending edge or vertex indices.
+    edge_contact (`subjects` are the two edges' indices), angle_collapse
+    (the vertex whose angle closes) and orientation_flip (no subjects).  Two
+    colliding vertices are reported as the angle collapse or the edge
+    contact that starts with the collision.
     """
 
     preserved: bool
@@ -146,117 +147,88 @@ def _has_root01(q) -> bool:
 
 
 def _roots01(q, kk: int):
-    """The roots of q in (0, 1).  They are isolated from the unscaled
+    """The roots of q in (0, 1), bracketed as if isolated from the unscaled
     coefficients q / k^2, so that their brackets do not depend on k."""
     if not _has_root01(q):
         return []
-    return quadfield.roots_in_open_interval(*(Fraction(c, kk) for c in q), 0, 1)
-
-
-class _Time:
-    """An exact time t = (p + q sqrt(d)) / r with ints p, q, d and r > 0;
-    q = d = 0 when t is rational.  Multiplying by r (or by r^2) is a positive
-    factor, so signs of the int polynomials and positions scaled by r are
-    computed in ints, or in Z[sqrt(d)] at a root, with no Fraction."""
-
-    __slots__ = ("p", "q", "d", "r")
-
-    def __init__(self, t):
-        if isinstance(t, QuadExt):
-            a, b, d = Fraction(t.a), Fraction(t.b), Fraction(t.d)
-            # sqrt(d) = sqrt(d.num * d.den) / d.den
-            bden = b.denominator * d.denominator
-            self.r = r = math.lcm(a.denominator, bden)
-            self.p = a.numerator * (r // a.denominator)
-            self.q = b.numerator * (r // bden)
-            self.d = d.numerator * d.denominator
-        else:
-            t = Fraction(t)
-            self.p, self.q, self.d, self.r = t.numerator, 0, 0, t.denominator
-
-    def sign(self, c) -> int:
-        """Sign of the int quadratic c at t, from r^2 c(t) = a + b sqrt(d)."""
-        p, q, d, r = self.p, self.q, self.d, self.r
-        a = (c[0] * r + c[1] * p) * r + c[2] * (p * p + q * q * d)
-        if not q:
-            return (a > 0) - (a < 0)
-        return sign_a_plus_b_sqrt(a, q * (c[1] * r + 2 * c[2] * p), d)
-
-    def point(self, m: "_MovingPoint") -> Point2:
-        """r times the position of m at t."""
-        p, q, d, r = self.p, self.q, self.d, self.r
-        (x0, x1), (y0, y1) = m.x, m.y
-        if not q:
-            return Point2(x0 * r + x1 * p, y0 * r + y1 * p)
-        return Point2(QuadExt(x0 * r + x1 * p, x1 * q, d), QuadExt(y0 * r + y1 * p, y1 * q, d))
+    return quadfield.roots_in_open_interval(*q, kk)
 
 
 def _collision_times(a: _MovingPoint, b: _MovingPoint):
     """Rational times in (0,1) at which the two moving points coincide."""
-    dx = _lin_sub(a.x, b.x)
-    dy = _lin_sub(a.y, b.y)
-    for c0, c1 in (dx, dy):
-        if (c0 > 0 and c0 + c1 > 0) or (c0 < 0 and c0 + c1 < 0):
-            return []  # a strict sign on [0, 1]: they never meet
-
-    def line_zero_times(c):
-        if c[1] == 0:
-            return None if c[0] != 0 else "always"
-        return [Fraction(-c[0], c[1])]
-
-    zx, zy = line_zero_times(dx), line_zero_times(dy)
-    if zx == "always" and zy == "always":
-        raise InputError("two vertices travel identically; polygons have repeated vertices")
-    if zx == "always":
-        cands = zy
-    elif zy == "always":
-        cands = zx
-    elif zx is None or zy is None:
+    (x0, x1), (y0, y1) = _lin_sub(a.x, b.x), _lin_sub(a.y, b.y)
+    if not x1 and not y1:
+        if not x0 and not y0:
+            raise InputError("two vertices travel identically; polygons have repeated vertices")
+        return []
+    # both differences must vanish at one time: -x0 / x1, or -y0 / y1 where
+    # the x difference is identically zero
+    if not x1:
+        if x0:
+            return []
+        num, den = -y0, y1
+    elif not y1:
+        if y0:
+            return []
+        num, den = -x0, x1
+    elif x0 * y1 != y0 * x1:
         return []
     else:
-        cands = [t for t in zx if t in zy]
-    if cands is None:
-        return []
-    return [t for t in cands if 0 < t < 1]
+        num, den = -x0, x1
+    if den < 0:
+        num, den = -num, -den
+    return [Fraction(num, den)] if 0 < num < den else []
 
 
 def _collision_events(pairs):
-    return [AlgebraicNumber.from_rational(t) for a, b in pairs for t in _collision_times(a, b)]
+    return [ExactTime(t.numerator, t.denominator) for a, b in pairs for t in _collision_times(a, b)]
+
+
+def _gap(u, v):
+    """u - v for two linear coordinates, as a quadratic."""
+    return (u[0] - v[0], u[1] - v[1], 0)
+
+
+def _between(t: ExactTime, p: _MovingPoint, a: _MovingPoint, b: _MovingPoint) -> bool:
+    """`geometry._between_collinear(p, a, b)` on the positions at t: p lies
+    between a and b in x, or in y where a and b share their x."""
+    if t.sign(_gap(a.x, b.x)):
+        return t.sign(_gap(p.x, a.x)) * t.sign(_gap(p.x, b.x)) <= 0
+    return t.sign(_gap(p.y, a.y)) * t.sign(_gap(p.y, b.y)) <= 0
 
 
 def _predicate(kind: str, points, polys):
-    """The exact violation test of one candidate, at a time t that is a
-    Fraction or a QuadExt.  `points` are the moving points involved and
-    `polys` the candidate's polynomials: the shoelace for orientation_flip,
-    the cross and dot product at the middle vertex for angle_collapse, and
-    for edge_contact the four orientations that `segments_intersect_2d`
-    takes, whose signs settle it unless one of them is 0."""
+    """The exact violation test of one candidate at an `ExactTime`.
+    `points` are the moving points involved and `polys` the candidate's
+    polynomials: the shoelace for orientation_flip, the cross and dot
+    product at the middle vertex for angle_collapse, and for edge_contact
+    the four orientations that `segments_intersect_2d` takes, whose signs
+    settle it unless one of them is 0."""
     if kind == "orientation_flip":
         (shoelace,) = polys
-        return lambda t: _Time(t).sign(shoelace) <= 0
+        return lambda t: t.sign(shoelace) <= 0
     if kind == "angle_collapse":
         cross, dot = polys
-
-        def collapsed(t):
-            t = _Time(t)
-            return t.sign(cross) == 0 and t.sign(dot) >= 0
-
-        return collapsed
-    if kind == "vertex_collision":
-        a, b = points
-
-        def collide(t):
-            t = _Time(t)
-            return t.point(a) == t.point(b)
-
-        return collide
+        return lambda t: t.sign(cross) == 0 and t.sign(dot) >= 0
+    e0, e1, f0, f1 = points
 
     def edges_touch(t):
-        t = _Time(t)
+        """`segments_intersect_2d(e0, e1, f0, f1, mode="any")` at t."""
         o1, o2, o3, o4 = (t.sign(q) for q in polys)
         if o1 and o2 and o3 and o4:
             return o1 != o2 and o3 != o4
-        return segments_intersect_2d(*(t.point(m) for m in points), mode="any")
+        if not o1 and not o2:
+            # collinear: with u = e1 - e0, the projections (f - e0) . u of
+            # f0 and f1 span an interval that must meet [0, u . u]
+            return (t.sign(_dot_quad(f0, e0, e1)) >= 0 or t.sign(_dot_quad(f1, e0, e1)) >= 0) and (
+                t.sign(_dot_quad(f0, e1, e0)) >= 0 or t.sign(_dot_quad(f1, e1, e0)) >= 0
+            )
+        return (
+            (not o1 and _between(t, f0, e0, e1))
+            or (not o2 and _between(t, f1, e0, e1))
+            or (not o3 and _between(t, e0, f0, f1))
+            or (not o4 and _between(t, e1, f0, f1))
+        )
 
     return edges_touch
 
@@ -304,33 +276,29 @@ def _sorted_unique_events(events):
 
 @dataclass
 class _Run:
-    start: AlgebraicNumber  # left boundary of the violating stretch
-    end: AlgebraicNumber  # right boundary
+    start: ExactTime  # left boundary of the violating stretch
+    end: ExactTime  # right boundary
     instantaneous: bool  # single touching instant
-    sample: Fraction | None  # a rational violating time inside, when one exists
+    sample: ExactTime | None  # a rational violating time inside, when one exists
 
     def outer_bounds(self) -> tuple[Fraction, Fraction]:
-        lo = self.start.rat if self.start.rat is not None else self.start.lo
-        hi = self.end.rat if self.end.rat is not None else self.end.hi
-        return lo, hi
+        return self.start.bounds()[0], self.end.bounds()[1]
 
 
 def _violating_runs(events, predicate) -> list[_Run]:
     """Split (0,1) at the events and merge the consecutive violating pieces.
 
-    `predicate` receives an exact time (Fraction or QuadExt) and must be
-    constant on each open piece between events; it is also evaluated exactly
-    at each event.
+    `predicate` receives an `ExactTime` and must be constant on each open
+    piece between events; it is also evaluated exactly at each event.
     """
-    zero = AlgebraicNumber.from_rational(0)
-    one = AlgebraicNumber.from_rational(1)
-    bounds = [zero] + list(events) + [one]
+    one = ExactTime(1, 1)
+    bounds = [ExactTime(0, 1)] + list(events) + [one]
     pieces = []  # (left_bound, right_bound, is_point, violating, rational_sample)
     for a, b in zip(bounds, bounds[1:]):
         m = rational_between(a, b)
         pieces.append((a, b, False, bool(predicate(m)), m))
         if b is not one:
-            pieces.append((b, b, True, bool(predicate(b.as_scalar())), b.rat))
+            pieces.append((b, b, True, bool(predicate(b)), None if b.q else b))
     runs: list[_Run] = []
     current: list = []
     for piece in pieces + [None]:
@@ -352,9 +320,8 @@ def _tighten_run(run: _Run, predicate, max_rounds=200) -> tuple[Fraction, Fracti
     if run.instantaneous and run.sample is None:
         return run.outer_bounds()
     for _ in range(max_rounds):
-        lo, hi = run.outer_bounds()
-        if predicate((lo + hi) / 2):
-            return lo, hi
+        if predicate(midpoint(run.start.lower(), run.end.upper())):
+            return run.outer_bounds()
         run.start.refine()
         run.end.refine()
     raise InternalConsistencyError("failed to tighten a planarity violation interval")
@@ -369,10 +336,12 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     """Exact decision: do all intermediate polygons of the linear morph stay
     simple (and positively oriented) for t strictly inside (0, 1)?
 
-    Violations, in the order they are searched: non-adjacent edges touching
-    or crossing, a polygon angle collapsing to zero (adjacent edges folding
-    onto each other), two vertices colliding, and the signed area dropping to
-    or below zero (the polygon inverting).  Endpoint times are excluded.
+    Violations: non-adjacent edges touching or crossing, a polygon angle
+    collapsing to zero (adjacent edges folding onto each other), and the
+    signed area dropping to or below zero (the polygon inverting).  Endpoint
+    times are excluded.  Two vertices that collide are not scanned for: at
+    that instant adjacent vertices collapse their angle, and non-adjacent
+    ones bring their edges into contact, which the scans already find.
 
     The polygons are scaled onto integers once.  Only non-adjacent edges
     whose swept boxes meet are examined, and a pair, or a vertex's angle,
@@ -392,15 +361,6 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
         predicate = _predicate(kind, points, polys)
         for run in _violating_runs(_sorted_unique_events(events), predicate):
             candidates.append((run, kind, subjects, predicate))
-
-    # vertex collisions (rational instants)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (moving[i], moving[j])
-            for t in _collision_times(*pair):
-                e = AlgebraicNumber.from_rational(t)
-                collide = _predicate("vertex_collision", pair, ())
-                candidates.append((_Run(e, e, True, t), "vertex_collision", (i, j), collide))
 
     # angle collapse at each vertex (adjacent edge pairs)
     for i in range(n):

@@ -1,36 +1,26 @@
-"""Exact arithmetic in quadratic extensions of the rationals.
+"""Exact event times of a linear morph, in integer arithmetic.
 
-The planarity analysis needs the real roots of quadratic polynomials with
-rational coefficients, and needs to evaluate exact sign predicates *at* those
-roots.  Every such root lives in some field Q(sqrt(d)), so a tiny dedicated
-number type suffices; no general algebraic-number machinery is required.
+Every event of the morph planarity decision is a root of a quadratic with
+int coefficients, so every time it handles has the form
+
+    t = (p + q sqrt(d)) / r,   ints p, q, d and r > 0,
+
+with q = 0 when t is rational.  Each time carries an isolating bracket that
+is held in ints too, [lo, lo + |q|] / (r 2^k).  Halving the bracket, ordering
+two times and taking the sign of an int quadratic at a time are all done
+with sign tests of a + b sqrt(d) (the technique of CGAL's Root_of_2:
+Devillers, Fronville, Mourrain & Teillaud 2000), so no Fraction is built
+until a bracket is reported.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
-
-Rat = Union[int, Fraction]
 
 
-def exact_sqrt(x: Rat) -> Optional[Fraction]:
-    """The exact rational square root of x, or None if x is not a square."""
-    f = Fraction(x)
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    if rn * rn != f.numerator:
-        return None
-    rd = math.isqrt(f.denominator)
-    if rd * rd != f.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def sign_a_plus_b_sqrt(a: Rat, b: Rat, d: Rat) -> int:
-    """Sign of a + b*sqrt(d) for rational a, b and d > 0."""
+def sign_a_plus_b_sqrt(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for ints a and b, and d > 0 unless b == 0."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -45,263 +35,141 @@ def sign_a_plus_b_sqrt(a: Rat, b: Rat, d: Rat) -> int:
     return (mag < 0) - (mag > 0)  # a < 0, b > 0
 
 
-class QuadExt:
-    """Number a + b*sqrt(d) with rational a, b and a fixed non-square d > 0.
+class ExactTime:
+    """The real t = (p + q sqrt(d)) / r with its isolating bracket
+    [lo, lo + |q|] / (r 2^k).  A rational time has q = d = 0, and its
+    bracket is the point p / r."""
 
-    Supports ring arithmetic with other QuadExt values over the same d and
-    with rationals, plus exact comparisons; this is enough to run the
-    division-free geometric predicates at a quadratic irrationality.
-    """
+    __slots__ = ("p", "q", "d", "r", "lo", "k")
 
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: Rat, b: Rat, d: Rat):
-        self.a = a
-        self.b = b
-        self.d = d
+    def __init__(self, p: int, r: int, q: int = 0, d: int = 0, lo: int | None = None):
+        self.p, self.q, self.d, self.r = p, q, d, r
+        self.lo = p if lo is None else lo
+        self.k = 0
 
     def __repr__(self):
-        return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
+        return f"ExactTime(({self.p} + {self.q}*sqrt({self.d})) / {self.r} in {self.bounds()})"
 
-    def _pair(self, other):
-        """Return (a1, b1, a2, b2, d) for self and other in one common field."""
-        if isinstance(other, QuadExt):
-            if self.d == other.d:
-                return self.a, self.b, other.a, other.b, self.d
-            if self.b == 0:
-                return self.a, 0, other.a, other.b, other.d
-            if other.b == 0:
-                return self.a, self.b, other.a, 0, self.d
-            raise ValueError("mixing different quadratic fields")
-        if isinstance(other, (int, Fraction)):
-            return self.a, self.b, other, 0, self.d
-        return None
+    def lower(self) -> tuple[int, int]:
+        """The bracket's lower end as (numerator, denominator)."""
+        return self.lo, self.r << self.k
 
-    def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a1, b1, a2, b2, d = p
-        return QuadExt(a1 + a2, b1 + b2, d)
+    def upper(self) -> tuple[int, int]:
+        """The bracket's upper end as (numerator, denominator)."""
+        return self.lo + abs(self.q), self.r << self.k
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a1, b1, a2, b2, d = p
-        return QuadExt(a1 - a2, b1 - b2, d)
-
-    def __rsub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a1, b1, a2, b2, d = p
-        return QuadExt(a2 - a1, b2 - b1, d)
-
-    def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a1, b1, a2, b2, d = p
-        return QuadExt(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def sign(self) -> int:
-        return sign_a_plus_b_sqrt(self.a, self.b, self.d)
-
-    def _diff_sign(self, other) -> int:
-        p = self._pair(other)
-        a1, b1, a2, b2, d = p
-        return QuadExt(a1 - a2, b1 - b2, d).sign()
-
-    def __eq__(self, other):
-        if not isinstance(other, (QuadExt, int, Fraction)):
-            return NotImplemented
-        return self._diff_sign(other) == 0
-
-    def __lt__(self, other):
-        return self._diff_sign(other) < 0
-
-    def __le__(self, other):
-        return self._diff_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._diff_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._diff_sign(other) >= 0
-
-    def __hash__(self):  # pragma: no cover - QuadExt is never dict-keyed
-        raise TypeError("QuadExt is unhashable")
-
-
-class AlgebraicNumber:
-    """A real number, rational or of the form p + q*sqrt(d), with an
-    always-valid rational isolating bracket that can be refined on demand."""
-
-    __slots__ = ("rat", "p", "q", "d", "lo", "hi")
-
-    def __init__(self, rat=None, p=None, q=None, d=None, lo=None, hi=None):
-        self.rat = rat
-        self.p = p
-        self.q = q
-        self.d = d
-        if rat is not None:
-            self.lo = self.hi = rat
-        else:
-            self.lo = lo
-            self.hi = hi
-
-    @classmethod
-    def from_rational(cls, r: Rat) -> "AlgebraicNumber":
-        return cls(rat=Fraction(r))
-
-    @classmethod
-    def from_sqrt_form(cls, p: Rat, q: Rat, d: Rat) -> "AlgebraicNumber":
-        """p + q*sqrt(d); collapses to a rational when d is a perfect square."""
-        p, q, d = Fraction(p), Fraction(q), Fraction(d)
-        if q == 0 or d == 0:
-            return cls.from_rational(p)
-        root = exact_sqrt(d)
-        if root is not None:
-            return cls.from_rational(p + q * root)
-        m = d.numerator * d.denominator
-        r = math.isqrt(m)
-        s_lo = Fraction(r, d.denominator)
-        s_hi = Fraction(r + 1, d.denominator)
-        if q > 0:
-            lo, hi = p + q * s_lo, p + q * s_hi
-        else:
-            lo, hi = p + q * s_hi, p + q * s_lo
-        return cls(p=p, q=q, d=d, lo=lo, hi=hi)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.rat is not None
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        den = self.r << self.k
+        return Fraction(self.lo, den), Fraction(self.lo + abs(self.q), den)
 
     def refine(self) -> None:
-        if self.rat is not None:
+        """Halve the bracket, keeping the half that holds t; the width
+        numerator |q| stays, the denominator doubles."""
+        q = self.q
+        if not q:
             return
-        mid = (self.lo + self.hi) / 2
-        if sign_a_plus_b_sqrt(self.p - mid, self.q, self.d) > 0:
+        self.k += 1
+        mid = 2 * self.lo + abs(q)
+        # t > mid / (r 2^k)  <=>  p 2^k - mid + q 2^k sqrt(d) > 0
+        if sign_a_plus_b_sqrt((self.p << self.k) - mid, q << self.k, self.d) > 0:
             self.lo = mid
         else:
-            self.hi = mid
+            self.lo *= 2
 
-    def as_scalar(self):
-        """A value usable inside the division-free predicates."""
-        if self.rat is not None:
-            return self.rat
-        return QuadExt(self.p, self.q, self.d)
+    def sign_minus(self, num: int, den: int) -> int:
+        """Sign of t - num / den, for den > 0.  No bracket changes."""
+        return sign_a_plus_b_sqrt(self.p * den - num * self.r, self.q * den, self.d)
 
-    def compare(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            other = AlgebraicNumber.from_rational(other)
-        if self.rat is not None and other.rat is not None:
-            return (self.rat > other.rat) - (self.rat < other.rat)
-        if self.rat is not None:
-            return -_cmp_irrational_rational(other, self.rat)
-        if other.rat is not None:
-            return _cmp_irrational_rational(self, other.rat)
-        # both irrational: equality is decidable directly
+    def compare(self, other: ExactTime) -> int:
+        """Sign of self - other.  Two irrational times that differ are told
+        apart by halving both brackets until they separate."""
+        if not other.q:
+            return self.sign_minus(other.p, other.r)
+        if not self.q:
+            return -other.sign_minus(self.p, self.r)
+        # both irrational: equal exactly when the rational parts p / r and
+        # the irrational parts q sqrt(d) / r are
+        r1, r2 = self.r, other.r
         if (
-            self.p == other.p
+            self.p * r2 == other.p * r1
             and (self.q > 0) == (other.q > 0)
-            and self.q * self.q * self.d == other.q * other.q * other.d
+            and self.q * self.q * self.d * r2 * r2 == other.q * other.q * other.d * r1 * r1
         ):
             return 0
-        while not (self.hi < other.lo or other.hi < self.lo):
+        while True:
+            (lo1, den1), (hi1, _) = self.lower(), self.upper()
+            (lo2, den2), (hi2, _) = other.lower(), other.upper()
+            if hi1 * den2 < lo2 * den1:
+                return -1
+            if hi2 * den1 < lo1 * den2:
+                return 1
             self.refine()
             other.refine()
-        return -1 if self.hi < other.lo else 1
 
-    def __eq__(self, other):
-        if not isinstance(other, (AlgebraicNumber, int, Fraction)):
-            return NotImplemented
-        return self.compare(other) == 0
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("AlgebraicNumber is unhashable")
-
-    def __repr__(self):
-        if self.rat is not None:
-            return f"AlgebraicNumber({self.rat})"
-        return f"AlgebraicNumber({self.p} + {self.q}*sqrt({self.d}) in [{self.lo}, {self.hi}])"
-
-    def approx(self) -> float:
-        if self.rat is not None:
-            return float(self.rat)
-        return float((self.lo + self.hi) / 2)
+    def sign(self, c) -> int:
+        """Sign of the int quadratic c0 + c1 t + c2 t^2 at t, from
+        r^2 c(t) = a + b sqrt(d)."""
+        p, q, r = self.p, self.q, self.r
+        c0, c1, c2 = c
+        a = (c0 * r + c1 * p) * r + c2 * (p * p + q * q * self.d)
+        if not q:
+            return (a > 0) - (a < 0)
+        return sign_a_plus_b_sqrt(a, q * (c1 * r + 2 * c2 * p), self.d)
 
 
-def _cmp_irrational_rational(x: AlgebraicNumber, r: Fraction) -> int:
-    return sign_a_plus_b_sqrt(x.p - r, x.q, x.d)
+def midpoint(a: tuple[int, int], b: tuple[int, int]) -> ExactTime:
+    """The rational time halfway between a and b, given as (num, den)."""
+    (an, ad), (bn, bd) = a, b
+    return ExactTime(an * bd + bn * ad, 2 * ad * bd)
 
 
-def poly_eval(coeffs, t):
-    """Evaluate sum(coeffs[k] * t**k) by Horner; works for rational and
-    QuadExt arguments alike."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * t + c
-    return acc
+def roots_in_open_interval(c0: int, c1: int, c2: int, kk: int) -> list[ExactTime]:
+    """The roots in (0, 1) of c0 + c1 t + c2 t^2, ascending, for int
+    coefficients scaled by kk = k^2; the zero polynomial has none.
 
-
-def poly_sign_at(coeffs, t: AlgebraicNumber) -> int:
-    v = poly_eval([Fraction(c) for c in coeffs], t.as_scalar())
-    if isinstance(v, QuadExt):
-        return v.sign()
-    return (v > 0) - (v < 0)
-
-
-def quadratic_roots(c0: Rat, c1: Rat, c2: Rat) -> list[AlgebraicNumber]:
-    """Real roots of c0 + c1*t + c2*t^2, ascending.  The identically-zero
-    polynomial returns [] (callers must detect that case themselves)."""
+    The brackets do not depend on k: they are the ones that isolating the
+    roots from the unscaled coefficients c / kk gives.  There the
+    discriminant is Delta / k^4 with Delta = c1^2 - 4 c0 c2; in lowest terms
+    it is dn / dd, and with m = dn dd its root sqrt(m) / dd lies in
+    [isqrt(m), isqrt(m) + 1] / dd.  With g = gcd(Delta, k^4), dd = k^4 / g,
+    so each irrational root is (P +- g sqrt(m)) / R with P = -c1 kk and
+    R = 2 c2 kk (signs taken so that R > 0), and its bracket has width g / R
+    and lower end (P - g (isqrt(m) + 1)) / R or (P + g isqrt(m)) / R.
+    """
     if c2 == 0:
         if c1 == 0:
             return []
-        return [AlgebraicNumber.from_rational(Fraction(-c0, 1) / Fraction(c1))]
-    disc = Fraction(c1) * Fraction(c1) - 4 * Fraction(c2) * Fraction(c0)
-    if disc < 0:
-        return []
-    p = Fraction(-c1) / (2 * Fraction(c2))
-    if disc == 0:
-        return [AlgebraicNumber.from_rational(p)]
-    q = Fraction(1) / (2 * Fraction(c2))
-    roots = [
-        AlgebraicNumber.from_sqrt_form(p, -abs(q), disc),
-        AlgebraicNumber.from_sqrt_form(p, abs(q), disc),
-    ]
-    return roots
+        roots = [ExactTime(-c0, c1) if c1 > 0 else ExactTime(c0, -c1)]
+    else:
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc < 0:
+            return []
+        p, r = (-c1, 2 * c2) if c2 > 0 else (c1, -2 * c2)  # t = (p +- sqrt(disc)) / r
+        s = math.isqrt(disc)
+        if s * s == disc:
+            roots = [ExactTime(p - s, r), ExactTime(p + s, r)] if s else [ExactTime(p, r)]
+        else:
+            k4 = kk * kk
+            g = math.gcd(disc, k4)
+            m = (disc // g) * (k4 // g)
+            root = math.isqrt(m)
+            p, r = p * kk, r * kk
+            h = math.gcd(p, g, r)  # cancels without moving a bracket end
+            p, g, r = p // h, g // h, r // h
+            roots = [
+                ExactTime(p, r, -g, m, p - g * (root + 1)),
+                ExactTime(p, r, g, m, p + g * root),
+            ]
+    return [t for t in roots if t.sign_minus(0, 1) > 0 and t.sign_minus(1, 1) < 0]
 
 
-def roots_in_open_interval(c0, c1, c2, lo: Rat, hi: Rat) -> list[AlgebraicNumber]:
-    return [r for r in quadratic_roots(c0, c1, c2) if r.compare(lo) > 0 and r.compare(hi) < 0]
-
-
-def rational_between(x: AlgebraicNumber, y: AlgebraicNumber) -> Fraction:
-    """Some rational strictly between x and y (requires x < y)."""
+def rational_between(x: ExactTime, y: ExactTime) -> ExactTime:
+    """A rational time strictly between x and y (requires x < y): the
+    midpoint of x's upper and y's lower bracket end, once both brackets have
+    been halved enough for it to separate them."""
     while True:
-        m = (x.hi + y.lo) / 2
-        if x.compare(m) < 0 and y.compare(m) > 0:
+        m = midpoint(x.upper(), y.lower())
+        if x.sign_minus(m.p, m.r) < 0 and y.sign_minus(m.p, m.r) > 0:
             return m
         x.refine()
         y.refine()

@@ -1,8 +1,15 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import quadfield_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banded import morph
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
@@ -10,10 +17,19 @@ from banded.figures import fig3b_sat_nonplanar, fig7_star
 from banded.generators import (
     jiggled_instance,
     random_convex_polygon,
+    random_polygon,
     random_star_polygon,
+    rotated_instance,
     similar_copy_instance,
 )
-from banded.geometry import AngleClass, Point2, orient2d
+from banded.geometry import (
+    AngleClass,
+    Point2,
+    orient2d,
+    polygon_is_ccw,
+    polygon_is_simple,
+    segments_intersect_2d,
+)
 from banded.model import (
     Chord,
     LabeledPolygon,
@@ -29,8 +45,9 @@ from banded.morph import (
     rotate_copy_instance,
     similarity_witness,
 )
-from banded.quadfield import QuadExt, poly_eval, roots_in_open_interval
+from banded.quadfield import ExactTime, roots_in_open_interval
 from banded.solver import brute_force_assignments, solve_no_steiner
+from test_morph_verdicts import drawn
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
 
@@ -157,18 +174,18 @@ class TestKernel:
         samples = [Fraction(k, 16) for k in range(1, 16)]
         certified = 0
         for q in itertools.product(range(-4, 5), repeat=3):
-            roots = roots_in_open_interval(*q, 0, 1)
+            roots = roots_in_open_interval(*q, 1)
             assert morph._has_root01(q) == bool(roots), q
             for t in samples:
-                v = poly_eval(q, t)
-                assert morph._Time(t).sign(q) == (v > 0) - (v < 0)
+                v = ref.poly_eval(q, t)
+                assert ExactTime(t.numerator, t.denominator).sign(q) == (v > 0) - (v < 0)
             for r in roots:
-                assert morph._Time(r.as_scalar()).sign(q) == 0
+                assert r.sign(q) == 0
             sign = morph._certified_sign(q)
             if sign:
                 certified += 1
                 assert not roots, q
-                assert all(morph._Time(t).sign(q) == sign for t in samples), q
+                assert all(ExactTime(t.numerator, t.denominator).sign(q) == sign for t in samples), q
         assert morph._certified_sign((0, 0, 0)) == 0
         assert certified > 100
 
@@ -177,17 +194,20 @@ class TestKernel:
         for q in itertools.product(range(-4, 5), repeat=3):
             kk = 36
             scaled = morph._roots01(tuple(c * kk for c in q), kk)
-            plain = roots_in_open_interval(*q, 0, 1)
-            assert [(r.rat, r.p, r.q, r.d, r.lo, r.hi) for r in scaled] == [
-                (r.rat, r.p, r.q, r.d, r.lo, r.hi) for r in plain
-            ]
+            plain = roots_in_open_interval(*q, 1)
+            assert len(scaled) == len(plain), q
+            for a, b in zip(scaled, plain):
+                assert a.compare(b) == 0 and (a.q == 0) == (b.q == 0), q
+                assert a.bounds() == b.bounds(), q
+                a.refine(), b.refine()
+                assert a.bounds() == b.bounds(), q
 
     def test_sign_at_a_quadratic_irrationality(self):
         # t = (1 + sqrt(3)) / 4 is a root of 8t^2 - 4t - 1
-        t = QuadExt(Fraction(1, 4), Fraction(1, 4), 3)
-        assert morph._Time(t).sign((-1, -4, 8)) == 0
-        assert morph._Time(t).sign((0, -1, 2)) == 1  # 2t^2 - t = 1/4 there
-        assert morph._Time(t).sign((1, -4, 0)) == -1  # 1 - 4t = -sqrt(3)
+        t = ExactTime(1, 4, 1, 3)
+        assert t.sign((-1, -4, 8)) == 0
+        assert t.sign((0, -1, 2)) == 1  # 2t^2 - t = 1/4 there
+        assert t.sign((1, -4, 0)) == -1  # 1 - 4t = -sqrt(3)
 
     def test_collision_times(self):
         def moving(p, q):
@@ -282,6 +302,124 @@ class TestKernel:
             assert _verdict_tuple(planarity_preserving(sub(a, b))) == (
                 False, "edge_contact", (0, 2), (t, t), True
             )
+
+
+def _reference_time(t: ExactTime):
+    """t as a Fraction, or as a reference `QuadExt` when it is irrational."""
+    if not t.q:
+        return Fraction(t.p, t.r)
+    return ref.QuadExt(Fraction(t.p, t.r), Fraction(t.q, t.r), t.d)
+
+
+def _position(m, t) -> Point2:
+    return Point2(m.x[0] + m.x[1] * t, m.y[0] + m.y[1] * t)
+
+
+class TestContactFallback:
+    def test_integer_contact_matches_segments_intersect(self, monkeypatch):
+        # every time at which the decision tests an edge pair in the golden
+        # stream: its events, its piece samples and its tightening midpoints
+        seen = []
+        original = morph._predicate
+
+        def recording(kind, points, polys):
+            predicate = original(kind, points, polys)
+            if kind != "edge_contact":
+                return predicate
+
+            def record(t):
+                got = predicate(t)
+                seen.append((points, t, got))
+                return got
+
+            return record
+
+        monkeypatch.setattr(morph, "_predicate", recording)
+        for seed in range(200):
+            planarity_preserving(drawn(seed), validate=False)
+        cases = {"zero-length edge": 0, "collinear overlap": 0, "collinear disjoint": 0, "endpoint touch": 0}
+        for points, t, got in seen:
+            e0, e1, f0, f1 = p = [_position(m, _reference_time(t)) for m in points]
+            assert got == segments_intersect_2d(*p, mode="any"), (p, t)
+            if e0 == e1 or f0 == f1:
+                cases["zero-length edge"] += 1
+            elif orient2d(e0, e1, f0) == 0 and orient2d(e0, e1, f1) == 0:
+                cases["collinear overlap" if got else "collinear disjoint"] += 1
+            elif got and 0 in (orient2d(e0, e1, f0), orient2d(e0, e1, f1), orient2d(f0, f1, e0), orient2d(f0, f1, e1)):
+                cases["endpoint touch"] += 1
+        assert all(cases.values()), cases
+
+
+class TestTraceBindings:
+    def test_traced_run_sees_root_isolation_and_samples(self):
+        # the benchmark's tracer wraps `quadfield.roots_in_open_interval`
+        # and `morph.rational_between`; the decision must call both through
+        # those bindings, or a traced run reports no calls for them
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = "\n".join((
+            "import json, sys",
+            "sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks']",
+            "import spans",
+            "import banded.morph as morph",
+            "from banded.figures import fig3b_sat_nonplanar",
+            "tracer = spans.Tracer()",
+            "spans.install(tracer)",
+            "span = tracer.open(spans.OP)",
+            "verdict = morph.planarity_preserving(fig3b_sat_nonplanar().instance)",
+            "tracer.close(span)",
+            "calls = {k: v['calls'] for k, v in tracer.aggregate().items()}",
+            "print(json.dumps({'preserved': verdict.preserved, **calls}))",
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, root], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert calls["preserved"] is False
+        assert calls["quadfield.roots_in_open_interval"] > 0
+        assert calls["quadfield.rational_between"] > 0
+
+
+TARGET_STYLES = ("similar", "jiggle", "rotate", "independent")
+
+
+@st.composite
+def generated_instances(draw):
+    kind = draw(st.sampled_from(("convex", "star", "spiral")))
+    n = draw(st.integers(3, 12))
+    style = draw(st.sampled_from(TARGET_STYLES))
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    polygon = random_polygon(rng, n, kind)
+    if style == "similar":
+        return similar_copy_instance(rng, polygon)
+    if style == "jiggle":
+        return jiggled_instance(rng, polygon)
+    if style == "rotate":
+        return rotated_instance(rng, polygon)
+    other = random_polygon(rng, polygon.n, kind)
+    return SliceInstance(LabeledPolygon(polygon.vertices, 0), LabeledPolygon(other.vertices, 1))
+
+
+def _valid_at(inst, t) -> bool:
+    pts = morph_position(inst, t).polygon.vertices
+    return polygon_is_simple(pts) and polygon_is_ccw(pts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generated_instances())
+def test_verdict_agrees_with_snapshots(inst):
+    # a preserved morph is simple and counterclockwise at every snapshot; a
+    # violated one is valid before its witness interval, and invalid at the
+    # interval's midpoint unless the violation is a single instant
+    verdict = planarity_preserving(inst)
+    grid = [Fraction(j, 64) for j in range(1, 64)]
+    if verdict.preserved:
+        assert all(_valid_at(inst, t) for t in grid)
+        return
+    lo, hi = verdict.interval
+    assert all(_valid_at(inst, t) for t in grid if t < lo)
+    if not verdict.instantaneous:
+        assert not _valid_at(inst, (lo + hi) / 2)
 
 
 class TestConvexChordRule:
