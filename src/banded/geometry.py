@@ -197,12 +197,11 @@ def ccw_angle(u: Point2, v: Point2) -> tuple[AngleClass, AngleWitness]:
 
 
 def _between_collinear(p, a, b) -> bool:
-    # assumes p collinear with a,b
+    # assumes p collinear with a,b; where a and b share their x, p must share
+    # it too, so that a zero-length segment touches only its own point
     if a.x != b.x:
-        lo, hi = (a.x, b.x) if a.x < b.x else (b.x, a.x)
-        return lo <= p.x <= hi
-    lo, hi = (a.y, b.y) if a.y < b.y else (b.y, a.y)
-    return lo <= p.y <= hi
+        return a.x <= p.x <= b.x or b.x <= p.x <= a.x
+    return p.x == a.x and (a.y <= p.y <= b.y or b.y <= p.y <= a.y)
 
 
 def point_on_segment_2d(p, a, b) -> bool:
@@ -217,6 +216,9 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
     mode="proper":  a common point that is not a shared endpoint of the two
                     segments is required (touching endpoint-to-endpoint does
                     not count, but endpoint-into-interior contact does).
+
+    A zero-length segment is a point, which touches the other segment only
+    where it lies on it.
     """
     if mode not in ("any", "proper"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -225,7 +227,7 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
     o3 = orient2d(p3, p4, p1)
     o4 = orient2d(p3, p4, p2)
 
-    if o1 == 0 and o2 == 0:
+    if o1 == 0 and o2 == 0 and p1 != p2 and p3 != p4:
         # collinear: compare parameter intervals along p1->p2
         dx, dy = p2.x - p1.x, p2.y - p1.y
         t2 = dx * dx + dy * dy

@@ -189,12 +189,18 @@ def _gap(u, v):
     return (u[0] - v[0], u[1] - v[1], 0)
 
 
+def _apart(t: ExactTime, a: _MovingPoint, b: _MovingPoint) -> bool:
+    """Whether the positions of a and b at t differ."""
+    return bool(t.sign(_gap(a.x, b.x)) or t.sign(_gap(a.y, b.y)))
+
+
 def _between(t: ExactTime, p: _MovingPoint, a: _MovingPoint, b: _MovingPoint) -> bool:
     """`geometry._between_collinear(p, a, b)` on the positions at t: p lies
-    between a and b in x, or in y where a and b share their x."""
+    between a and b in x, or, where a and b share their x, shares it and
+    lies between them in y."""
     if t.sign(_gap(a.x, b.x)):
         return t.sign(_gap(p.x, a.x)) * t.sign(_gap(p.x, b.x)) <= 0
-    return t.sign(_gap(p.y, a.y)) * t.sign(_gap(p.y, b.y)) <= 0
+    return not t.sign(_gap(p.x, a.x)) and t.sign(_gap(p.y, a.y)) * t.sign(_gap(p.y, b.y)) <= 0
 
 
 def _predicate(kind: str, points, polys):
@@ -217,7 +223,7 @@ def _predicate(kind: str, points, polys):
         o1, o2, o3, o4 = (t.sign(q) for q in polys)
         if o1 and o2 and o3 and o4:
             return o1 != o2 and o3 != o4
-        if not o1 and not o2:
+        if not o1 and not o2 and _apart(t, e0, e1) and _apart(t, f0, f1):
             # collinear: with u = e1 - e0, the projections (f - e0) . u of
             # f0 and f1 span an interval that must meet [0, u . u]
             return (t.sign(_dot_quad(f0, e0, e1)) >= 0 or t.sign(_dot_quad(f1, e0, e1)) >= 0) and (

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
+    Point3,
     Triangle3,
     _plane,
     _plane_sides,
@@ -53,14 +54,6 @@ def chord_triangles(inst: SliceInstance, i: int, choice: Chord) -> ChordChoiceTr
         tris = (Triangle3(p0, p1, q0), Triangle3(p1, q1, q0))
     coplanar = orient3d(p0, p1, q1, q0) == 0
     return ChordChoiceTriangles(i, choice, tris, coplanar)
-
-
-def _choices(inst: SliceInstance):
-    return {
-        (i, c): chord_triangles(inst, i, c)
-        for i in range(inst.n)
-        for c in (Chord.RIGHT, Chord.LEFT)
-    }
 
 
 def _tris_conflict(a: ChordChoiceTriangles, b: ChordChoiceTriangles) -> bool:
@@ -108,10 +101,8 @@ _NO_CONFLICT = ((False, False), (False, False))
 
 # The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two
 # triangles, then the left chord's, each in `chord_triangles` order.  They
-# are also the four faces of the tetrahedron on the quad; _FOURTH[k] is the
-# quad vertex off triple k.
+# are also the four faces of the tetrahedron on the quad.
 _QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
-_FOURTH = (3, 1, 2, 0)
 
 # the sides of a quad's four points against a plane, split into the side
 # triples of its four chord triangles, for every row of signs
@@ -130,55 +121,89 @@ _CHOICE_TESTS = tuple(
 
 @dataclass(frozen=True, slots=True)
 class _BandPlanes:
-    """A band's quad points as int tuples; its four chord triangles in
-    `_QUAD_TRIPLES` order, as vertex triples of those tuples and as the
-    `Triangle3`s of the coplanar fallback; their planes as `geometry._plane`
-    gives them; and per plane the side row that puts four points strictly
-    opposite the quad's fourth vertex (None when that vertex lies on the
-    plane)."""
+    """A band's quad points as int tuples, its four chord triangles in
+    `_QUAD_TRIPLES` order as vertex triples of those tuples, and their
+    planes as `geometry._plane` gives them."""
 
     points: tuple
     vertices: tuple
-    triangles: tuple
     planes: tuple
-    separating: tuple
 
     @classmethod
-    def of(cls, quad, right: ChordChoiceTriangles, left: ChordChoiceTriangles):
+    def of(cls, quad):
         points = tuple((p.x, p.y, p.z) for p in quad)
         vertices = tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
-        planes = tuple(_plane(*v) for v in vertices)
-        separating = []
-        for plane, fourth in zip(planes, _FOURTH):
-            own = _plane_sides(plane, (points[fourth],))[0]
-            separating.append((-own,) * 4 if own else None)
-        return cls(points, vertices, right.triangles + left.triangles, planes, tuple(separating))
+        return cls(points, vertices, tuple(_plane(*v) for v in vertices))
+
+
+def _sections_apart(a, b) -> bool:
+    """Whether the closed tetrahedra on two band quads are disjoint, from the
+    quads' points (p0, p1, q1, q0) as (x, y, z) tuples, with the p's on one
+    level and the q's on another.
+
+    Lemma.  Let D hold the 8 xy differences u - w, with u and w the bottom
+    points of a and b, or their top points.  The closed tetrahedra meet iff
+    the origin lies in the convex hull of D.
+
+    Proof.  Let the levels be z0 != z1 and write z = (1 - t) z0 + t z1.  The
+    tetrahedron on a is the hull of a bottom segment A0 and a top segment
+    A1, so its section at t is (1 - t) A0 + t A1, and the same holds for b.
+    Two sections meet iff the origin lies in their Minkowski difference
+    (1 - t) (A0 - B0) + t (A1 - B1), where A0 - B0 is the hull of the four
+    bottom differences and A1 - B1 of the four top ones.  For convex X and
+    Y, the union of (1 - t) X + t Y over t in [0, 1] is the hull of X and
+    Y.  So some section pair meets iff the origin lies in the hull of D.
+
+    The origin is outside that hull iff all of D lies in an open half-plane
+    through it.  That holds iff some v in D has every w in D with
+    cross(v, w) > 0, or cross(v, w) = 0 and dot(v, w) > 0; then v is the
+    clockwise-most vector of D.  A zero vector, a vertex shared by value,
+    fails the test for every v.  Within an open half-plane, "w is strictly
+    clockwise of v" orders D, so one pass keeps the clockwise-most vector as
+    the only candidate, and a second pass checks it.  Disjoint closed
+    tetrahedra hold no common point of any chord triangles, so the pair
+    cannot conflict.  A face plane that strictly separates the tetrahedra
+    makes them disjoint, so this test ends every pair that such a plane
+    would end.
+    """
+    (a0x, a0y, _), (a1x, a1y, _), (a2x, a2y, _), (a3x, a3y, _) = a
+    (b0x, b0y, _), (b1x, b1y, _), (b2x, b2y, _), (b3x, b3y, _) = b
+    vectors = (
+        (a0x - b0x, a0y - b0y),
+        (a0x - b1x, a0y - b1y),
+        (a1x - b0x, a1y - b0y),
+        (a1x - b1x, a1y - b1y),
+        (a2x - b2x, a2y - b2y),
+        (a2x - b3x, a2y - b3y),
+        (a3x - b2x, a3y - b2y),
+        (a3x - b3x, a3y - b3y),
+    )
+    vx, vy = vectors[0]
+    for wx, wy in vectors:
+        if vx * wy < vy * wx:
+            vx, vy = wx, wy
+    for wx, wy in vectors:
+        cross = vx * wy - vy * wx
+        if cross < 0 or (cross == 0 and vx * wx + vy * wy <= 0):
+            return False
+    return True
 
 
 def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
     """The conflict matrix of bands a < b, with the verdicts of `conflicts`.
 
-    A sign matrix holds b's four points against a's four planes and the
-    converse, 32 signs.  A plane of either band with that band's fourth
-    vertex strictly on one side and all four points of the other band
-    strictly on the other side separates the two tetrahedra, so no
-    triangles meet; each row is tested as it is computed.  Otherwise each
-    of the 16 triangle pairs goes through `geometry._triangles_meet` with
-    its side triples read from the matrix, and a coplanar pair through
+    A pair whose closed tetrahedra are disjoint (`_sections_apart`) cannot
+    conflict.  Otherwise a sign matrix holds b's four points against a's
+    four planes and the converse, 32 signs, and each of the 16 triangle
+    pairs goes through `geometry._triangles_meet` with its side triples read
+    from the matrix, and a coplanar pair through
     `open_triangles_intersect_3d`.
     """
-    b_sides = []  # b_sides[k][m]: b's triangle m against a's plane k
-    for plane, separating in zip(a.planes, a.separating):
-        row = _plane_sides(plane, b.points)
-        if row == separating:
-            return _NO_CONFLICT
-        b_sides.append(_TRIANGLE_SIDES[row])
-    a_sides = []  # a_sides[m][k]: a's triangle k against b's plane m
-    for plane, separating in zip(b.planes, b.separating):
-        row = _plane_sides(plane, a.points)
-        if row == separating:
-            return _NO_CONFLICT
-        a_sides.append(_TRIANGLE_SIDES[row])
+    if _sections_apart(a.points, b.points):
+        return _NO_CONFLICT
+    # b_sides[k][m]: b's triangle m against a's plane k, and the converse
+    b_sides = [_TRIANGLE_SIDES[_plane_sides(plane, b.points)] for plane in a.planes]
+    a_sides = [_TRIANGLE_SIDES[_plane_sides(plane, a.points)] for plane in b.planes]
     mat = tuple(
         tuple(_choices_meet(a, a_sides, b, b_sides, tests) for tests in row)
         for row in _CHOICE_TESTS
@@ -187,12 +212,16 @@ def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
     return _NO_CONFLICT if mat == _NO_CONFLICT else mat
 
 
+def _triangle(vertices) -> Triangle3:
+    return Triangle3(*(Point3(*p) for p in vertices))
+
+
 def _choices_meet(a: _BandPlanes, a_sides, b: _BandPlanes, b_sides, tests) -> bool:
     """Whether any triangle test (k, m) of one choice pair finds contact."""
     for k, m in tests:
         hit = _triangles_meet(a.vertices[k], a_sides[m][k], b.vertices[m], b_sides[k][m])
         if hit is None:
-            hit = open_triangles_intersect_3d(a.triangles[k], b.triangles[m])
+            hit = open_triangles_intersect_3d(_triangle(a.vertices[k]), _triangle(b.vertices[m]))
         if hit:
             return True
     return False
@@ -207,21 +236,24 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     by min-x and swept with an active list, and `_band_pair_conflicts` runs
     only on pairs whose boxes meet; every other pair is recorded
     conflict-free.
+
+    A band's two chord triangles share the chord.  When the quad is not
+    coplanar they lie in crossing planes, so they meet only on the chord,
+    and the choice has no self-conflict; only coplanar quads are tested.
     """
+    if inst.source.z_level == inst.target.z_level:
+        raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
     scaled = scaled_to_integers(inst)
-    choices = _choices(scaled)
+    bands = [_BandPlanes.of(scaled.band_quad(i)) for i in range(n)]
     self_conflicts = {}
-    for i in range(n):
-        for c in (Chord.RIGHT, Chord.LEFT):
-            cc = choices[(i, c)]
-            self_conflicts[(i, c)] = open_triangles_intersect_3d(*cc.triangles)
-    bands = [
-        _BandPlanes.of(scaled.band_quad(i), choices[(i, Chord.RIGHT)], choices[(i, Chord.LEFT)])
-        for i in range(n)
-    ]
     boxes = []
     for i, band in enumerate(bands):
+        coplanar = orient3d(*band.points) == 0
+        for c in (Chord.RIGHT, Chord.LEFT):
+            self_conflicts[(i, c)] = coplanar and open_triangles_intersect_3d(
+                *chord_triangles(scaled, i, c).triangles
+            )
         xs = [p[0] for p in band.points]
         ys = [p[1] for p in band.points]
         boxes.append((min(xs), max(xs), min(ys), max(ys), i))
@@ -317,7 +349,7 @@ def brute_force_assignments(inst: SliceInstance, limit: int = 16) -> list[ChordA
     if n > limit:
         raise PreconditionError(f"brute force limited to n <= {limit}, got {n}")
     scaled = scaled_to_integers(inst)
-    choices = _choices(scaled)
+    choices = {(i, c): chord_triangles(scaled, i, c) for i in range(n) for c in Chord}
     memo: dict = {}
     valid = []
     for mask in range(1 << n):

@@ -16,6 +16,7 @@ from banded.geometry import (
     open_triangles_intersect_3d,
     orient2d,
     orient3d,
+    point_on_segment_2d,
     polygon_is_ccw,
     polygon_is_convex,
     polygon_is_simple,
@@ -99,18 +100,29 @@ class TestSegments:
     def test_disjoint_collinear(self):
         assert not segments_intersect_2d(P(0, 0), P(1, 0), P(2, 0), P(3, 0), mode="any")
 
+    def test_zero_length_segment_touches_only_its_point(self):
+        # the point (5, 0) shares only its y with the segment's end (0, 0)
+        for mode in ("any", "proper"):
+            assert not segments_intersect_2d(P(0, 0), P(1, 1), P(5, 0), P(5, 0), mode=mode)
+            assert not segments_intersect_2d(P(5, 0), P(5, 0), P(0, 0), P(1, 1), mode=mode)
+
     coords = st.integers(min_value=-8, max_value=8)
 
     @given(st.tuples(*(coords,) * 8))
     @settings(max_examples=300, derandomize=True)
     def test_symmetric(self, xs):
         a, b, c, d = P(xs[0], xs[1]), P(xs[2], xs[3]), P(xs[4], xs[5]), P(xs[6], xs[7])
-        if a == b or c == d:
-            return
         for mode in ("any", "proper"):
             assert segments_intersect_2d(a, b, c, d, mode=mode) == segments_intersect_2d(
                 c, d, a, b, mode=mode
             )
+
+    @given(st.tuples(*(coords,) * 6), st.booleans())
+    @settings(max_examples=300, derandomize=True)
+    def test_zero_length_segment_is_a_point(self, xs, first):
+        a, b, c = P(xs[0], xs[1]), P(xs[2], xs[3]), P(xs[4], xs[5])
+        pair = (c, c, a, b) if first else (a, b, c, c)
+        assert segments_intersect_2d(*pair, mode="any") == point_on_segment_2d(c, a, b)
 
 
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from banded import geometry, solver
@@ -61,14 +61,33 @@ def identity_square():
 QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
 
 
-def _separates(quad, other) -> bool:
-    """Whether a face plane of quad's tetrahedron has quad's fourth vertex
-    strictly on one side and all four points of other strictly on the other."""
-    for triple in QUAD_TRIPLES:
-        a, b, c = (quad[v] for v in triple)
-        (fourth,) = (p for v, p in enumerate(quad) if v not in triple)
-        own = orient3d(a, b, c, fourth)
-        if own and all(orient3d(a, b, c, p) == -own for p in other):
+def _sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def tetrahedra_disjoint(a, b) -> bool:
+    """Whether the closed tetrahedra on two quads, each at least a triangle,
+    are disjoint, by an exact separating-axis test in 3D.  The axes are the
+    face normals of both, the crosses of an edge of one with an edge of the
+    other, and the crosses of each face normal with each edge: when both
+    tetrahedra are flat in one plane, as two walls side by side in one
+    vertical plane, every face normal and edge cross is normal to that
+    plane, and only an in-plane edge normal separates them."""
+    a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
+    if set(a) & set(b):
+        return False
+    normals = [_cross(_sub(q[j], q[i]), _sub(q[k], q[i])) for q in (a, b) for i, j, k in QUAD_TRIPLES]
+    edges = [[_sub(q[j], q[i]) for i in range(4) for j in range(i + 1, 4)] for q in (a, b)]
+    axes = normals + [_cross(e, f) for e in edges[0] for f in edges[1]]
+    axes += [_cross(nrm, e) for nrm in normals for e in edges[0] + edges[1]]
+    for ux, uy, uz in axes:
+        on_a = [ux * x + uy * y + uz * z for x, y, z in a]
+        on_b = [ux * x + uy * y + uz * z for x, y, z in b]
+        if max(on_a) < min(on_b) or max(on_b) < min(on_a):
             return True
     return False
 
@@ -86,11 +105,12 @@ def _triangle_branch(t1, t2) -> str:
 
 def kernel_branches(inst, label: str) -> Counter:
     """Which branch of the band-pair kernel decides each test of the
-    conflict table, found from `orient3d` and vertex values alone: per pair
-    whose closed xy boxes meet, separation by a plane of the lower band,
-    then of the upper one, else one branch per triangle test, in the order
-    of `open_triangles_intersect_3d` and stopping a choice pair at its
-    first conflict.  Some branches also count under `label` or the pair."""
+    conflict table, found in 3D from `orient3d`, vertex values and
+    `tetrahedra_disjoint`: per pair whose closed xy boxes meet, disjoint
+    closed tetrahedra ("sections apart"), else one branch per triangle
+    test, in the order of `open_triangles_intersect_3d` and stopping a
+    choice pair at its first conflict.  Some branches also count under
+    `label` or the pair, and each coplanar quad under "coplanar quad"."""
     scaled = scaled_to_integers(inst)
     n = inst.n
     quads = [scaled.band_quad(i) for i in range(n)]
@@ -99,17 +119,15 @@ def kernel_branches(inst, label: str) -> Counter:
         for q in quads
     ]
     counts = Counter()
+    counts["coplanar quad"] = sum(orient3d(*quad) == 0 for quad in quads)
     for i in range(n):
         for j in range(i + 1, n):
             a, b = quads[i], quads[j]
             (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[i], boxes[j]
             if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                 continue
-            if _separates(a, b):
-                counts["separated by a"] += 1
-                continue
-            if _separates(b, a):
-                counts["separated by b"] += 1
+            if tetrahedra_disjoint(a, b):
+                counts["sections apart"] += 1
                 continue
             for ci in Chord:
                 for cj in Chord:
@@ -264,15 +282,18 @@ class TestConflicts:
                     for cj in Chord:
                         idx = (0 if ci is Chord.RIGHT else 1, 0 if cj is Chord.RIGHT else 1)
                         assert mat[idx[0]][idx[1]] == conflicts(inst, i, ci, j, cj), (label, inst)
+            for (i, c), folded in table.self_conflicts.items():
+                assert folded == open_triangles_intersect_3d(*chord_triangles(inst, i, c).triangles)
+                branches["folded quad"] += folded
         for inst in (pinned, turned):
             assert build_conflict_table(inst).pairs[(0, 3)] == ((True, True), (True, True))
 
         # every branch of the kernel is reached, and each one that calls out
         # is called exactly as often as the independent tally says (the
-        # fallback binding also serves the 2n self-conflict tests per table)
+        # fallback binding also serves the two self-conflict tests of each
+        # coplanar quad)
         for branch in (
-            "separated by a",
-            "separated by b",
+            "sections apart",
             "strict dismissal",
             "coplanar fallback, identity",
             "coplanar fallback, wall",
@@ -281,12 +302,19 @@ class TestConflicts:
             "one shared vertex",
             "crossing, meet",
             "crossing, disjoint",
+            "coplanar quad",
+            "folded quad",
         ):
             assert branches[branch] > 0, branch
         assert calls["crossing"] == branches["crossing"]
         assert calls["one shared vertex"] == branches["one shared vertex"]
-        self_tests = sum(2 * inst.n for _, inst in instances)
-        assert calls["coplanar fallback"] == branches["coplanar fallback"] + self_tests
+        assert calls["coplanar fallback"] == branches["coplanar fallback"] + 2 * branches["coplanar quad"]
+
+    def test_equal_levels_are_rejected(self):
+        # the sections-apart test needs two distinct levels
+        flat = LabeledPolygon(SQUARE, 0)
+        with pytest.raises(PreconditionError):
+            build_conflict_table(SliceInstance(flat, flat))
 
     def test_triangle_instance_wraparound_band_pair(self):
         # with n=3 every band pair is adjacent: bands 0 and 2 share the
@@ -372,6 +400,37 @@ class TestBruteForce:
                 moved = SliceInstance(inst.source, inst.target.translated(dx, dy))
                 s = assignment_to_surface(moved, out.assignment)
                 assert verify_banded_surface(s).passed
+
+
+GRID = st.tuples(st.integers(0, 3), st.integers(0, 3))
+LEVELS = st.lists(st.integers(-2, 2), min_size=2, max_size=2, unique=True)
+
+
+def _quad(bottom, top, levels):
+    (p0, p1), (q0, q1), (z0, z1) = bottom, top, levels
+    return ((*p0, z0), (*p1, z0), (*q1, z1), (*q0, z1))
+
+
+# two walls side by side in the vertical plane y = 0, which only an in-plane
+# axis separates
+@example(((0, 0), (1, 0)), ((0, 0), (1, 0)), ((2, 0), (3, 0)), ((2, 0), (3, 0)), [0, 1])
+@given(
+    st.tuples(GRID, GRID),
+    st.tuples(GRID, GRID),
+    st.tuples(GRID, GRID),
+    st.tuples(GRID, GRID),
+    LEVELS,
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_sections_apart_is_closed_tetrahedron_disjointness(bottom_a, top_a, bottom_b, top_b, levels):
+    # on a 4 x 4 grid the draws hold flat quads, vertices shared by value and
+    # corners that touch; a quad that is a single segment has no chord
+    # triangles, so at least one of its edges has length
+    assume(len(set(bottom_a)) == 2 or len(set(top_a)) == 2)
+    assume(len(set(bottom_b)) == 2 or len(set(top_b)) == 2)
+    a, b = _quad(bottom_a, top_a, levels), _quad(bottom_b, top_b, levels)
+    assert solver._sections_apart(a, b) == tetrahedra_disjoint(a, b)
+    assert solver._sections_apart(b, a) == solver._sections_apart(a, b)
 
 
 def _relabelled(inst, k):
