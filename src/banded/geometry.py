@@ -382,19 +382,22 @@ def _shared_structure(t1: Triangle3, t2: Triangle3):
 
 def _clip_triangle_2d(subject, clip):
     """Intersection of two triangles in 2D (lists of Point2) via half-plane
-    clipping; returns the convex intersection's points, possibly duplicated."""
+    clipping; returns the convex intersection's points, possibly duplicated.
+    An edge is cut where the signed areas `oc` and `op` of its ends against
+    the clip line interpolate to zero."""
     if orient2d(*clip) < 0:
         clip = [clip[0], clip[2], clip[1]]
     out = list(subject)
     for i in range(3):
         a, b = clip[i], clip[(i + 1) % 3]
+        dx, dy = b.x - a.x, b.y - a.y
         inp, out = out, []
         if not inp:
             return []
         for j, cur in enumerate(inp):
             prev = inp[j - 1]
-            oc = orient2d(a, b, cur)
-            op = orient2d(a, b, prev)
+            oc = dx * (cur.y - a.y) - dy * (cur.x - a.x)
+            op = dx * (prev.y - a.y) - dy * (prev.x - a.x)
             if op * oc < 0:
                 t = Fraction(op, op - oc)
                 out.append(

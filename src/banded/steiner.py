@@ -5,33 +5,57 @@ interior planes so that each consecutive pair admits a chord surface, and the
 gap surfaces stack into one annulus.  Every layer keeps all n vertices, so
 the n vertical paths thread through every level and the band structure is
 preserved verbatim.  Plans are tried cheapest first: snapshots of the linear
-morph; exact sub-rotation stages for rotated instances; flattening either
-polygon ear by ear (each step moves one convex vertex onto its neighbours'
-midpoint, one level up) and pairing partially flattened stages of the two
-sides; finally translation/rotation/bisected-motion middle layers between
-the fully flattened ends.  Each gap is certified by the chord solver; the
-price is O(n^2) added vertices overall.
+morph; exact sub-rotations for rotated instances; and the ear-squash route,
+which has built every pair tried.  Every gap is certified by the chord
+solver.
+
+The ear-squash route picks a corner triple {i, j, k} that is a triangle of
+some triangulation of both polygons (`_is_ear`).  Each side is squashed
+toward it: the *corners* are the vertices not yet squashed, and each layer
+takes an ear a-v-c of the corner polygon with v outside the triple and
+spreads v and every squashed vertex between a and c evenly over a-c.  The
+corners never move and each layer removes one corner, so a side takes
+n - 3 layers, and an ear outside the triple always exists (the leaves of the
+dual tree of a triangulation that contains the triple; Meisters 1975).
+Both chains end with every vertex at the same barycentric position of the
+triple's triangle, so the end gap is the affine morph x -> ((1 - t) I + tA) x
++ tv.  It is planar iff A has no eigenvalue in (-inf, 0], and convex
+polygons with a planar linear morph have a Steiner-free surface (the
+convex-morph theorem), so the full pair of chains joins: 2n(n - 3) added
+vertices, 12 under the bound 2n(n - 3) + 12.  Prefix pairs of the two
+chains are tried first, cheapest total first.
+
+The end gap's surface is the convex turn rule's (`convex_chord_rule`,
+which accepts the flat vertices on the triangle's sides); what is not
+proven is that every squash gap certifies.  A candidate argument: each
+moved point stays inside its empty ear triangle, and each unmoved band is a
+vertical wall.  Neither a failing squash gap nor a failing end gap has been
+seen; either would raise `InternalConsistencyError`.
+
+Two cases fall outside the theorem.  When common triples exist but none
+passes the eigenvalue test (a scaled half turn has A = -sI for every
+triple), the first common triple's chains are paired as above, and then
+one exact quarter turn R about a triple corner bridges their ends: R is
+planar, and A R^-1 passes for at least one of the two quarter turns, since
+its trace is c - b for one and b - c for the other (A = [[a, b], [c, d]]).
+The turned end replaces the last source squash where that gap certifies,
+and is otherwise an added layer, which the bound affords only for n <= 12.
+When no triple is common to both polygons, prefixes of the chains toward
+every triple of each side are paired, cheapest first, and the build raises
+`InternalConsistencyError` if none certifies.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError
 from .geometry import Point2, orient2d, polygon_is_simple, segments_intersect_2d
 from .model import BandedSurface, ChordAssignment, LabeledPolygon, SliceInstance, layers_to_surface
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
-
-
-def _is_corner(pts, i: int) -> bool:
-    n = len(pts)
-    return orient2d(pts[(i - 1) % n], pts[i % n], pts[(i + 1) % n]) != 0
-
-
-def _corner_count(pts) -> int:
-    return sum(1 for i in range(len(pts)) if _is_corner(pts, i))
 
 
 def _point_in_closed_triangle(p, a, b, c) -> bool:
@@ -44,79 +68,27 @@ def _point_in_closed_triangle(p, a, b, c) -> bool:
     return s1 <= 0 and s2 <= 0 and s3 <= 0
 
 
-def _is_ear(pts, i: int) -> bool:
-    """Vertex i is a strictly convex corner, and the closed triangle on it
-    and its neighbours contains no other vertex and meets no non-incident
-    edge."""
-    n = len(pts)
-    a, v, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-    if orient2d(a, v, c) <= 0:
+def _is_ear(pts, i: int, j: int, k: int) -> bool:
+    """Vertices i, j, k, in the cyclic order of the counterclockwise simple
+    polygon `pts`, span a triangle of some triangulation of it: the triangle
+    turns left, its closed area holds no other vertex and no polygon edge
+    crosses a side.  With j = i + 1 and k = j + 1 this is an ear at j."""
+    a, b, c = pts[i], pts[j], pts[k]
+    if orient2d(a, b, c) <= 0:
         return False
-    for k in range(n):
-        if k in ((i - 1) % n, i, (i + 1) % n):
-            continue
-        if _point_in_closed_triangle(pts[k], a, v, c):
+    triple = (i, j, k)
+    n = len(pts)
+    for m, p in enumerate(pts):
+        if m not in triple and _point_in_closed_triangle(p, a, b, c):
             return False
-    tri_sides = ((a, v), (v, c), (c, a))
-    for k in range(n):
-        if k == (i - 1) % n or k == i:  # the two edges incident to v
-            continue
-        e0, e1 = pts[k], pts[(k + 1) % n]
-        for s0, s1 in tri_sides:
-            if segments_intersect_2d(e0, e1, s0, s1, mode="proper"):
-                return False
+    sides = ((a, b), (b, c), (c, a))
+    for m in range(n):
+        if m in triple and (m + 1) % n in triple:
+            continue  # the edge is a side of the triangle
+        e0, e1 = pts[m], pts[(m + 1) % n]
+        if any(segments_intersect_2d(e0, e1, s0, s1, mode="proper") for s0, s1 in sides):
+            return False
     return True
-
-
-def _flattened(pts, i: int) -> tuple[Point2, ...]:
-    """The vertices with vertex i moved onto its neighbours' midpoint."""
-    n = len(pts)
-    a, c = pts[(i - 1) % n], pts[(i + 1) % n]
-    mid = Point2(Fraction(a.x + c.x, 2), Fraction(a.y + c.y, 2))
-    return tuple(mid if k == i else pts[k] for k in range(n))
-
-
-def collapse_ear(poly: LabeledPolygon, start: int = 0) -> tuple[LabeledPolygon, int]:
-    """Flatten one ear: move a convex corner onto the midpoint of the segment
-    joining its neighbours.  The vertex count stays n (the moved vertex ends
-    up collinear); the geometric corner count drops by one.
-
-    Ears are tried starting from index `start` (cyclically), lowest first;
-    an ear whose neighbours are flattened is skipped, since collapsing it
-    would un-flatten them and undo earlier progress.  Raises
-    PreconditionError when only 3 corners remain and InternalConsistencyError
-    when no collapsible ear exists (possible once flattened vertices hem in
-    every remaining corner).
-    """
-    pts = poly.vertices
-    n = len(pts)
-    if _corner_count(pts) <= 3:
-        raise PreconditionError("polygon is already a triangle; nothing to collapse")
-    for off in range(n):
-        i = (start + off) % n
-        if not (_is_corner(pts, i - 1) and _is_corner(pts, i + 1) and _is_ear(pts, i)):
-            continue
-        new_pts = _flattened(pts, i)
-        if polygon_is_simple(new_pts) and _corner_count(new_pts) < _corner_count(pts):
-            return LabeledPolygon(new_pts, poly.z_level), i
-    raise InternalConsistencyError("no collapsible ear in this polygon")
-
-
-def _collapse_sequence(poly: LabeledPolygon, start: int = 0) -> list[LabeledPolygon]:
-    """Collapse toward 3 geometric corners; returns the produced polygons in
-    order (not including the input polygon).  The sequence may stop early:
-    earlier collapses leave flattened vertices around, and a corner pinched
-    between two of them cannot be collapsed without undoing that work; the
-    join machinery bridges whatever shape remains."""
-    layers = []
-    current = poly
-    while _corner_count(current.vertices) > 3:
-        try:
-            current, _ = collapse_ear(current, start)
-        except InternalConsistencyError:
-            break
-        layers.append(current)
-    return layers
 
 
 def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) -> ChordAssignment | None:
@@ -132,147 +104,12 @@ def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) ->
     return memo[key]
 
 
-# ---------------------------------------------------------------------------
-# joining the two flattened triangles
-# ---------------------------------------------------------------------------
-
-
-def _centroid(pts) -> Point2:
-    n = len(pts)
-    return Point2(
-        Fraction(sum(p.x for p in pts), n), Fraction(sum(p.y for p in pts), n)
-    )
-
-
 def _rotated(pts, center: Point2, c: Fraction, s: Fraction):
     out = []
     for p in pts:
         dx, dy = p.x - center.x, p.y - center.y
         out.append(Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy))
     return tuple(out)
-
-
-def _pythagorean_rotation(angle: float) -> tuple[Fraction, Fraction]:
-    """A rational unit rotation close to the given angle (radians)."""
-    half = math.tan(angle / 2)
-    frac = Fraction(half).limit_denominator(64)
-    m, k = frac.numerator, frac.denominator
-    den = k * k + m * m
-    return Fraction(k * k - m * m, den), Fraction(2 * k * m, den)
-
-
-def _rotation_steps(total_angle: float, max_step: float = 1.2) -> list[tuple[Fraction, Fraction]]:
-    """Rational unit rotations, each under ~pi/2, composing to roughly the
-    requested angle.  Only used as a search direction; every produced gap is
-    verified exactly by the chord solver."""
-    steps = []
-    remaining = total_angle
-    while abs(remaining) > max_step:
-        steps.append(_pythagorean_rotation(math.copysign(max_step, remaining)))
-        remaining -= math.copysign(max_step, remaining)
-    if abs(remaining) > 1e-9:
-        steps.append(_pythagorean_rotation(remaining))
-    return steps
-
-
-def _triangle_orientation_angle(pts) -> float:
-    """Float direction of the longest edge of the corner triangle (heuristic)."""
-    corners = [p for i, p in enumerate(pts) if _is_corner(pts, i)]
-    if len(corners) < 2:
-        return 0.0
-    best, angle = -1.0, 0.0
-    m = len(corners)
-    for i in range(m):
-        a, b = corners[i], corners[(i + 1) % m]
-        dx, dy = float(b.x - a.x), float(b.y - a.y)
-        l2 = dx * dx + dy * dy
-        if l2 > best:
-            best, angle = l2, math.atan2(dy, dx)
-    return angle
-
-
-def _bisect_join(lower, upper, memo: dict, depth: int = 0, max_depth: int = 8):
-    """Try to connect two same-height polygons by straight per-vertex motion,
-    splitting at vertex-wise midpoints while gaps stay unsolvable.  Returns
-    the list of intermediate polygons, or None."""
-    if _gap_assignment(lower, upper, memo) is not None:
-        return []
-    if depth >= max_depth:
-        return None
-    mid_pts = tuple(
-        Point2(Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2))
-        for p, q in zip(lower.vertices, upper.vertices)
-    )
-    if not polygon_is_simple(mid_pts):
-        return None
-    mid = LabeledPolygon(mid_pts, lower.z_level)
-    left = _bisect_join(lower, mid, memo, depth + 1, max_depth)
-    if left is None:
-        return None
-    right = _bisect_join(mid, upper, memo, depth + 1, max_depth)
-    if right is None:
-        return None
-    return left + [mid] + right
-
-
-def join_triangles(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) -> list[LabeledPolygon]:
-    """Intermediate polygons joining the two flattened layers; empty when the
-    direct gap is already solvable.
-
-    The fallback route recentres the lower layer onto the upper centroid
-    (pure-translation gaps are always solvable: the sheared prism over a
-    simple polygon with one chord direction never self-intersects), aligns
-    orientations by rigid rational rotations about the common centroid (each
-    step well under a half turn), and bridges the rest by bisected straight
-    motion; every gap is certified by the chord solver before being accepted.
-    """
-    if _gap_assignment(lower, upper, memo) is not None:
-        return []
-    inters: list[LabeledPolygon] = []
-    current = lower
-
-    c_lo, c_up = _centroid(current.vertices), _centroid(upper.vertices)
-    if c_lo != c_up:
-        shifted = current.translated(c_up.x - c_lo.x, c_up.y - c_lo.y)
-        if _gap_assignment(current, shifted, memo) is None:
-            raise InternalConsistencyError("translation gap came out unsolvable")
-        inters.append(shifted)
-        current = shifted
-        direct = _bisect_join(current, upper, memo, max_depth=1)
-        if direct is not None:
-            return inters + direct
-
-    # rotate stepwise toward the upper layer's orientation
-    target_angle = _triangle_orientation_angle(upper.vertices)
-    center = _centroid(current.vertices)
-    best_tail: list[LabeledPolygon] | None = None
-    for attempt in range(3):
-        delta = target_angle - _triangle_orientation_angle(current.vertices)
-        while delta > math.pi:
-            delta -= 2 * math.pi
-        while delta < -math.pi:
-            delta += 2 * math.pi
-        if attempt == 1:
-            delta += math.pi if delta <= 0 else -math.pi  # try the flipped alignment
-        for c, s in _rotation_steps(delta):
-            rotated = LabeledPolygon(
-                _rotated(current.vertices, center, c, s), current.z_level
-            )
-            if _gap_assignment(current, rotated, memo) is None:
-                break
-            inters.append(rotated)
-            current = rotated
-        best_tail = _bisect_join(current, upper, memo)
-        if best_tail is not None:
-            break
-    if best_tail is None:
-        raise InternalConsistencyError("failed to join the two flattened layers")
-    return inters + best_tail
-
-
-# ---------------------------------------------------------------------------
-# the full construction
-# ---------------------------------------------------------------------------
 
 
 def _finish_stack(
@@ -292,48 +129,6 @@ def _finish_stack(
             raise InternalConsistencyError("a certified gap failed to re-solve")
         assignments.append(assignment)
     return polys, assignments
-
-
-def build_stack(inst: SliceInstance, memo: dict) -> list[LabeledPolygon]:
-    """Interior layers of the full collapse stack, with middle layers joining
-    the two flattened ends; the last resort when no cheaper plan exists."""
-    bottom = _relaxed_chain(LabeledPolygon(inst.source.vertices, 0), _layer_budget(inst.n))
-    top = _relaxed_chain(LabeledPolygon(inst.target.vertices, 0), _layer_budget(inst.n))
-    middle = join_triangles(
-        LabeledPolygon(bottom[-1].vertices, 0), LabeledPolygon(top[-1].vertices, 0), memo
-    )
-    return bottom[1:] + middle + list(reversed(top[1:]))
-
-
-def _relaxed_chain(poly: LabeledPolygon, cap: int) -> list[LabeledPolygon]:
-    """Flattening chain starting at the polygon itself.  Each step moves one
-    strictly convex vertex onto its neighbours' midpoint, preferring steps
-    that lower the geometric corner count but accepting neutral ones (a
-    flattened neighbour may pop back out); a visited set and the cap bound
-    the walk, so it cannot cycle."""
-    layers = [poly]
-    seen = {poly.vertices}
-    current = poly
-    while len(layers) - 1 < cap and _corner_count(current.vertices) > 3:
-        pts = current.vertices
-        n = len(pts)
-        best = None
-        for i in range(n):
-            if not _is_ear(pts, i):
-                continue
-            new_pts = _flattened(pts, i)
-            if new_pts in seen or not polygon_is_simple(new_pts):
-                continue
-            decreases = _corner_count(new_pts) < _corner_count(pts)
-            candidate = (0 if decreases else 1, i, new_pts)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-        if best is None:
-            break
-        seen.add(best[2])
-        current = LabeledPolygon(best[2], poly.z_level)
-        layers.append(current)
-    return layers
 
 
 def _layer_budget(n: int) -> int:
@@ -442,65 +237,119 @@ def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[Lab
     return None
 
 
-def _ladder_plan(inst: SliceInstance, memo: dict, max_attempts: int = 400) -> list[LabeledPolygon] | None:
-    """Pair a prefix approaching the source against a suffix approaching the
-    target, cheapest total first.  Prefixes/suffixes come from the relaxed
-    flattening chain, from strict chains started at other ears (different
-    orders flatten to different shapes), and from single morph snapshots; a
-    plan is accepted as soon as the two chosen ends admit a chord surface."""
-    from .morph import morph_position
+def _squash_chain(pts, triple) -> list[tuple[Point2, ...]]:
+    """The layers, as vertex tuples, that squash the polygon `pts` ear by
+    ear down to the corner triple.  Each takes the lowest ear a-v-c of the
+    corner polygon with v outside the triple and puts the r-th of the k
+    vertices after a (v and the squashed vertices on a-v and v-c) at
+    a + r/(k + 1) (c - a)."""
+    n = len(pts)
+    corners = list(range(n))
+    layer, chain = tuple(pts), []
+    while len(corners) > 3:
+        m = len(corners)
+        ring = [pts[c] for c in corners]
+        ears = (s for s in range(m) if corners[s] not in triple and _is_ear(ring, (s - 1) % m, s, (s + 1) % m))
+        s = next(ears, None)
+        if s is None:
+            raise InternalConsistencyError("no ear outside the corner triple")
+        a, c = corners[s - 1], corners[(s + 1) % m]
+        moved = [(a + r) % n for r in range(1, (c - a) % n)]
+        pa, pc, new = pts[a], pts[c], list(layer)
+        for r, v in enumerate(moved, start=1):
+            f = Fraction(r, len(moved) + 1)
+            new[v] = Point2(pa.x + f * (pc.x - pa.x), pa.y + f * (pc.y - pa.y))
+        layer = tuple(new)
+        chain.append(layer)
+        del corners[s]
+    return chain
 
-    n = inst.n
-    budget = _layer_budget(n)
-    src = LabeledPolygon(inst.source.vertices, 0)
-    tgt = LabeledPolygon(inst.target.vertices, 0)
 
-    def candidates(poly: LabeledPolygon, reverse: bool):
-        out = []
-        ends = {}
+def _planar_end_map(src, tgt, triple) -> bool:
+    """The matrix A of the affine map taking the source triple onto the
+    target triple has no eigenvalue in (-inf, 0], so (1 - t) I + tA keeps a
+    positive determinant for every t in [0, 1]: det A > 0 and not
+    (tr A <= 0 and tr A^2 >= 4 det A).  With P and Q the edge vectors from
+    vertex i to j and k, A = Q adj(P) / d for d = det P, and the test runs
+    on Q adj(P), whose trace is d tr A and whose determinant is d^2 det A."""
+    i, j, k = triple
+    p, q = src[i], tgt[i]
+    ux, uy, wx, wy = src[j].x - p.x, src[j].y - p.y, src[k].x - p.x, src[k].y - p.y
+    vx, vy, zx, zy = tgt[j].x - q.x, tgt[j].y - q.y, tgt[k].x - q.x, tgt[k].y - q.y
+    d = ux * wy - uy * wx
+    tr = vx * wy - zx * uy + zy * ux - vy * wx
+    det = (vx * zy - vy * zx) * d
+    return det > 0 and not (tr * d <= 0 and tr * tr >= 4 * det)
 
-        def add(cost, layers):
-            end = layers[-1] if layers else poly
-            if cost <= budget and ends.get(end.vertices, cost + 1) > cost:
-                ends[end.vertices] = cost
-                out.append((cost, list(reversed(layers)) if reverse else layers, end))
 
-        chain = _relaxed_chain(poly, budget)
-        for i in range(len(chain)):
-            add(i, chain[1 : i + 1])
-        for start in range(1, min(n, 6)):
-            strict = _collapse_sequence(poly, start)
-            add(len(strict), strict)
-        return out
+def _prefixes(pts, triples) -> list[tuple]:
+    """The prefixes of the squash chains of `pts` toward each triple, one
+    per end layer, the empty prefix first."""
+    ends = {tuple(pts): ()}
+    for triple in triples:
+        chain = _squash_chain(pts, triple)
+        for d in range(len(chain)):
+            ends.setdefault(chain[d], tuple(chain[: d + 1]))
+    return list(ends.values())
 
-    bottom_cands = candidates(src, reverse=False)
-    top_cands = candidates(tgt, reverse=True)
-    for t8 in (4, 2, 6, 3, 5, 1, 7):
-        t = Fraction(t8, 8)
-        poly = morph_position(inst, t).polygon
-        pts = poly.vertices
-        if not polygon_is_simple(pts):
-            continue
-        snap = LabeledPolygon(pts, 0)
-        if _gap_assignment(src, snap, memo) is not None:
-            bottom_cands.append((1, [snap], snap))
-        if _gap_assignment(snap, tgt, memo) is not None:
-            top_cands.append((1, [snap], snap))
+
+def _ladder(src, tgt, bottoms, tops, memo: dict, max_cost: int) -> list | None:
+    """The interior layers of the cheapest stack (src, *bottom, *reversed
+    top, tgt) whose every gap certifies, over prefixes from the source
+    and the target side, or None; ties go to the earlier prefixes."""
+
+    def certified(lo, hi) -> bool:
+        return _gap_assignment(LabeledPolygon(lo, 0), LabeledPolygon(hi, 0), memo) is not None
 
     pairs = sorted(
-        (
-            (cb + ct, kb, kt)
-            for kb, (cb, _, _) in enumerate(bottom_cands)
-            for kt, (ct, _, _) in enumerate(top_cands)
-            if 0 < cb + ct <= budget
-        ),
+        (len(bot) + len(top), x, y)
+        for x, bot in enumerate(bottoms)
+        for y, top in enumerate(tops)
+        if len(bot) + len(top) <= max_cost
     )
-    for _cost, kb, kt in pairs[:max_attempts]:
-        prefix, lo = bottom_cands[kb][1], bottom_cands[kb][2]
-        suffix, hi = top_cands[kt][1], top_cands[kt][2]
-        if _gap_assignment(lo, hi, memo) is not None:
-            return prefix + suffix
+    for _cost, x, y in pairs:
+        stack = [src, *bottoms[x], *reversed(tops[y]), tgt]
+        split = len(bottoms[x])
+        if certified(stack[split], stack[split + 1]) and all(map(certified, stack, stack[1:])):
+            return stack[1:-1]
     return None
+
+
+def _squash_plan(inst: SliceInstance, memo: dict) -> list[LabeledPolygon]:
+    """Interior layers from the ear-squash chains of both sides toward the
+    first common corner triple that passes the eigenvalue test: prefix
+    pairs cheapest first, the full pair last.  The module docstring gives
+    the quarter-turn bridge for common triples that all fail the test and
+    the pairing over every triple when none is common."""
+    src, tgt = inst.source.vertices, inst.target.vertices
+    n = inst.n
+    triples = list(combinations(range(n), 3))
+    passing = next(
+        (t for t in triples if _planar_end_map(src, tgt, t) and _is_ear(src, *t) and _is_ear(tgt, *t)), None
+    )
+    bridged = None  # a shared triple whose two ends a quarter turn joins
+    if passing is not None:
+        below = above = [passing]
+    else:
+        below = [t for t in triples if _is_ear(src, *t)]
+        above = [t for t in triples if _is_ear(tgt, *t)]
+        shared = sorted(set(below).intersection(above))
+        if shared:
+            bridged = shared[0]
+            below = above = [bridged]
+    plan = _ladder(src, tgt, _prefixes(src, below), _prefixes(tgt, above), memo, 2 * (n - 3))
+    if plan is None and bridged is not None:
+        lo, hi = _squash_chain(src, bridged), _squash_chain(tgt, bridged)
+        end, top = (lo[-1] if lo else src), (hi[-1] if hi else tgt)
+        # a quarter turn R about a triple corner; A R^-1 passes for at least
+        # one of the two turns, as its trace is c - b for one, b - c for the other
+        turned = (_rotated(end, src[bridged[0]], 0, turn) for turn in (1, -1))
+        mids = [mid for mid in turned if _planar_end_map(mid, top, bridged)]
+        bottoms = [(*lo[:-1], mid) for mid in mids] + [(*lo, mid) for mid in mids]
+        plan = _ladder(src, tgt, bottoms, [tuple(hi)], memo, 2 * (n - 3) + 1)
+    if plan is None:
+        raise InternalConsistencyError("no ear-squash plan certifies")
+    return [LabeledPolygon(layer, 0) for layer in plan]
 
 
 def build_layered_surface(inst: SliceInstance) -> BandedSurface:
@@ -509,9 +358,13 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
     Strategy ladder, cheapest first, every gap certified by the chord solver:
     the direct chord solution (zero added vertices); interior layers sampled
     from the morph itself (bisected until gaps solve); exact sub-rotations
-    when the target is a rotated copy of the source; ear-collapse plans
-    whose flattened ends join without middle layers; and finally the full
-    collapse stack with rotation/bisection middle layers.
+    when the target is a rotated copy of the source; and the ear-squash
+    route (`_squash_plan`).  When the two polygons share a corner triple
+    whose end map passes the eigenvalue test, that route adds at most
+    2n(n-3) vertices, proven but for the certification of each squash gap;
+    with shared triples that all fail it, it adds at most n more, and so
+    stays within 2n(n-3)+12 for n <= 12.  See the module docstring for what
+    is observed rather than proven.
     """
     inst.validate()
     direct = solve_no_steiner(inst, validate=False)
@@ -525,7 +378,5 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
     if plan is None:
         plan = _rotation_plan(inst, budget, memo)
     if plan is None:
-        plan = _ladder_plan(inst, memo)
-    if plan is None:
-        plan = build_stack(inst, memo)
+        plan = _squash_plan(inst, memo)
     return layers_to_surface(*_finish_stack(inst, plan, memo))

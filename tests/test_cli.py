@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from banded.cli import main
 from banded.errors import InternalConsistencyError
 from banded.fileio import save_instance
 from banded.figures import reference_instances
+from banded.generators import random_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGDIR = ROOT / "figures"
@@ -82,12 +84,12 @@ class TestExitCodes:
 
     def test_internal_error_is_4(self, monkeypatch, capsys):
         def broken(inst):
-            raise InternalConsistencyError("failed to join the two flattened layers")
+            raise InternalConsistencyError("no ear-squash plan certifies")
 
         monkeypatch.setattr(cli, "build_layered_surface", broken)
         assert run("steiner", fig("fig1_twisted_prism")) == 4
         err = capsys.readouterr().err.strip()
-        assert err == "banded: internal error: failed to join the two flattened layers"
+        assert err == "banded: internal error: no ear-squash plan certifies"
 
     def test_oracle_disagreement_is_internal_error(self, monkeypatch, capsys):
         # fig1 is SAT, so an oracle that finds no surface disagrees
@@ -159,6 +161,16 @@ class TestPipelines:
         out = capsys.readouterr().out
         assert "steiner points:" in out
         assert run("verify", str(mesh), "--bands", str(mesh) + ".bands.json") == 0
+
+    def test_steiner_builds_seed_505_star_2(self, tmp_path, capsys):
+        # star #2 of the seed-505 stream (n = 11) once ended in an internal error
+        rng = random.Random(505)
+        for _ in range(2):
+            random_instance(rng, rng.randint(3, 12), "star")
+        path = tmp_path / "star_505_2.json"
+        save_instance(random_instance(rng, rng.randint(3, 12), "star"), path)
+        assert run("steiner", str(path)) == 0
+        assert capsys.readouterr().out.startswith("steiner points:")
 
     def test_verify_detects_tampering(self, tmp_path, capsys):
         mesh = tmp_path / "prism.off"

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banded.errors import DegenerateTriangleError, ZeroVectorError
 from banded.geometry import (
     AngleClass,
+    _clip_triangle_2d,
     Point2,
     Point3,
     Triangle3,
@@ -542,3 +543,91 @@ class TestOpenTrianglesIntersect:
                 conclusive += 1
                 assert open_triangles_intersect_3d(t1, t2)
         assert checked == 500 and conclusive > 30
+
+
+def cross2(o, a, b):
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def hull_vertices(points) -> set:
+    """The extreme points of a finite set (Andrew's monotone chain, with
+    collinear boundary points dropped)."""
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    if len(pts) <= 2:
+        return set(pts)
+    chain = []
+    for seq in (pts, pts[::-1]):
+        half = []
+        for p in seq:
+            while len(half) >= 2 and cross2(half[-2], half[-1], p) <= 0:
+                half.pop()
+            half.append(p)
+        chain += half[:-1]
+    return set(chain)
+
+
+def reference_region(s, c) -> set:
+    """Extreme points of the intersection of two closed 2D triangles, built
+    from the vertices of each inside the other and the exact crossings of
+    their edges."""
+
+    def inside(p, t):
+        ref = cross2(*t)
+        return all(cross2(t[i], t[(i + 1) % 3], p) * ref >= 0 for i in range(3))
+
+    points = [p for p in s if inside(p, c)] + [p for p in c if inside(p, s)]
+    for i in range(3):
+        p, q = s[i], s[(i + 1) % 3]
+        for j in range(3):
+            u, v = c[j], c[(j + 1) % 3]
+            d = (q.x - p.x) * (v.y - u.y) - (q.y - p.y) * (v.x - u.x)
+            if d == 0:
+                continue  # parallel: any overlap ends at vertices inside
+            t = Fraction((u.x - p.x) * (v.y - u.y) - (u.y - p.y) * (v.x - u.x), d)
+            w = Fraction((u.x - p.x) * (q.y - p.y) - (u.y - p.y) * (q.x - p.x), d)
+            if 0 <= t <= 1 and 0 <= w <= 1:
+                points.append(P(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
+    return hull_vertices(points)
+
+
+class TestCoplanarClip:
+    def test_vertex_inside_the_other_triangle(self):
+        # (3, 1) lies inside the second triangle; midpoint cuts missed it
+        t1 = tri((5, 7, 0), (3, 1, 0), (3, 8, 0))
+        t2 = tri((2, 0, 0), (6, 0, 0), (2, 4, 0))
+        assert open_triangles_intersect_3d(t1, t2)
+        assert open_triangles_intersect_3d(t2, t1)
+
+    def test_apart_in_a_vertical_plane(self):
+        t1 = tri((10, 8, Fraction(6, 7)), (8, 4, 1), (6, 0, 1))
+        t2 = tri((10, 8, Fraction(5, 7)), (18, 24, Fraction(5, 7)), (18, 24, Fraction(6, 7)))
+        assert not open_triangles_intersect_3d(t1, t2)
+        assert not open_triangles_intersect_3d(t2, t1)
+
+    grid = st.integers(min_value=-4, max_value=4)
+    triangle = st.tuples(*(st.tuples(grid, grid),) * 3)
+
+    @given(triangle, triangle)
+    @settings(max_examples=500, derandomize=True)
+    def test_clip_matches_edge_crossing_reference(self, a, b):
+        s, c = [P(*xy) for xy in a], [P(*xy) for xy in b]
+        assume(orient2d(*s) != 0 and orient2d(*c) != 0)
+        assert hull_vertices(_clip_triangle_2d(s, c)) == reference_region(s, c)
+
+    @given(triangle, triangle, st.sampled_from([(0, 0), (1, 2), (-3, 1)]))
+    @settings(max_examples=500, derandomize=True)
+    def test_coplanar_verdict_is_symmetric(self, a, b, slope):
+        # both triangles on the plane z = sx x + sy y
+        s, c = [P(*xy) for xy in a], [P(*xy) for xy in b]
+        assume(orient2d(*s) != 0 and orient2d(*c) != 0)
+
+        def lift(t):
+            return tri(*((p.x, p.y, slope[0] * p.x + slope[1] * p.y) for p in t))
+
+        verdict = open_triangles_intersect_3d(lift(s), lift(c))
+        assert verdict == open_triangles_intersect_3d(lift(c), lift(s))
+        region = reference_region(s, c)
+        if not region:
+            assert not verdict
+        elif len(region) >= 3:
+            assert verdict  # a positive-area overlap is never legal

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from banded.errors import (
     BandedError,
     InputError,
-    InternalConsistencyError,
     PreconditionError,
     SectionError,
 )
@@ -452,13 +451,6 @@ def mixed_denominators(s: BandedSurface) -> BandedSurface:
     return mesh(points, s.faces)
 
 
-# Builds of the seed-505 streams that ROADMAP item 1 is about: star #2
-# raises and star #10 (n = 10) adds 350 vertices against a bound of 152.
-# Both are pinned as reproducers in tests/test_steiner.py.
-BUILD_FAILURES = {"star #2"}
-OVER_BOUND = {"star #10"}
-
-
 @functools.cache
 def layered_builds() -> tuple[tuple[str, BandedSurface], ...]:
     """Named `build_layered_surface` outputs for `fig3a_no_surface` and
@@ -468,12 +460,7 @@ def layered_builds() -> tuple[tuple[str, BandedSurface], ...]:
         rng = random.Random(505)
         for k in range(40):
             inst = random_instance(rng, rng.randint(3, 12), kind)
-            name = f"{kind} #{k}"
-            try:
-                builds.append((name, build_layered_surface(inst)))
-            except InternalConsistencyError:
-                if name not in BUILD_FAILURES:
-                    raise
+            builds.append((f"{kind} #{k}", build_layered_surface(inst)))
     return tuple(builds)
 
 
@@ -485,8 +472,7 @@ def layered_surfaces() -> tuple[BandedSurface, ...]:
 def test_layered_surfaces_within_bound():
     for name, s in layered_builds():
         n = s.n
-        if name not in OVER_BOUND:
-            assert s.steiner_count() <= 2 * n * (n - 3) + 12, name
+        assert s.steiner_count() <= 2 * n * (n - 3) + 12, name
 
 
 def edge_case_meshes() -> list[BandedSurface]:

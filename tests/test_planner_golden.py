@@ -1,15 +1,16 @@
 """Golden output of the layered planner, at least one instance per route.
 
 `build_layered_surface` tries the direct chord solve, then snapshots of the
-linear morph (`_morph_plan`), exact sub-rotations (`_rotation_plan`), paired
-flattening chains (`_ladder_plan`) and finally the full collapse stack
-(`build_stack`).  Each instance below is pinned by its route and by the
+linear morph (`_morph_plan`), exact sub-rotations (`_rotation_plan`) and
+finally the ear-squash chains toward a common corner triple
+(`_squash_plan`).  Each instance below is pinned by its route and by the
 sha256 of its surface (vertices with labels, faces, bands and paths), so a
 refactor of the planner that changes any surface, or the route that built
 it, fails here.  The instances come from recipes the other tests use: the
 criterion-7 draw (seed 70707) of test_acceptance, the seed-505 star stream
-of test_model, and `fig3a_no_surface`.  Ladder win c7_11 pairs a strict
-collapse chain against the relaxed one.
+of test_model, and `fig3a_no_surface`.  Squash win star_505_3 (n = 3) has
+no triple that passes the eigenvalue test and takes the quarter-turn
+bridge.
 """
 
 import functools
@@ -26,7 +27,7 @@ from banded.geometry import Point2
 from banded.morph import rotate_copy_instance
 
 KINDS = ("convex", "star", "spiral")
-PLANS = ("_morph_plan", "_rotation_plan", "_ladder_plan", "build_stack")
+PLANS = ("_morph_plan", "_rotation_plan", "_squash_plan")
 
 
 @functools.cache
@@ -69,6 +70,8 @@ INSTANCES = {
     "c7_21": lambda: criterion_7_cases()[21],
     "c7_83": lambda: criterion_7_cases()[83],
     "star_505_3": lambda: seed_505_star(3),
+    "star_505_2": lambda: seed_505_star(2),
+    "star_505_10": lambda: seed_505_star(10),
 }
 
 # name -> (route, sha256 of the surface)
@@ -78,12 +81,14 @@ GOLDEN = {
     "c7_4": ("_morph_plan", "390bf6a73b6e0c22d8b671e963a6fe60afd2a52f1dad50ade3995ca3a934d037"),
     "rotated_star_77": ("_morph_plan", "ba5ddfc81f4c4bcc622019c2694e4d20df33aa95a4f25008d2c38f411322837a"),
     "fig3a": ("_rotation_plan", "f25dacbf113d5c8e789870c5291aa8de46a132aadd91e98488d4ee95d84dd4cf"),
-    "c7_10": ("_ladder_plan", "b26e0378ae495658adcf8b071e09c126fbb2ff207fe6b7fb0ea1f5258885ba4a"),
-    "c7_11": ("_ladder_plan", "43759a6d07e0d9061bdd0f66bff9a43702cc2854a1e8ec86918a38862e1992ae"),
-    "c7_14": ("_ladder_plan", "4f01eaea818681c47d50df19a378809a5fea27c4f101cb4bec770b31e4a8581c"),
-    "c7_21": ("_ladder_plan", "5cbbb7ae0baf67ef3ab0064eb4dc4697908223d33c456c7a80501a27f8fc7ca7"),
-    "c7_83": ("_ladder_plan", "c53252b1f6d09f4a2ce1012bbe811d35a16f70ef1ec7b7a2c690e1ab197ce5dd"),
-    "star_505_3": ("build_stack", "28fee2d586a0a9f265cc9ca613e7c6aeb9f7086dadab42a38de93ea76d1d8e94"),
+    "c7_10": ("_squash_plan", "03f90a1299046f7f5b8d4d2250b51e3a9a3e8a022c4902b6ea21f42928b11b33"),
+    "c7_11": ("_squash_plan", "56026c2638b88d34be8ddb20b09de0dfafdde162ed373fab9062f896f9052a20"),
+    "c7_14": ("_squash_plan", "f50b97ca391f4d5ec51edc86d0afa1cf4fa597ad8d8e3b7dc53e3341c1c8afce"),
+    "c7_21": ("_squash_plan", "dd5872f4d75f5535eb6c3f13a8d3dba42d83b0252a1b7a04ba12655a1735afa9"),
+    "c7_83": ("_squash_plan", "160802a4dab03c0e9f3f9999010226ea24232beda268e66374b2677b20957482"),
+    "star_505_3": ("_squash_plan", "f58a1c2dff38e95d8349149c74764e94fd4b413e087cd4ed32a802b96b9328a2"),
+    "star_505_2": ("_squash_plan", "7c54617048f630770e65d3da4040019bb1061819d3a3dbac579d661a14c9f052"),
+    "star_505_10": ("_squash_plan", "e111cc4faf1f8a126d9bf75235e0dc9c70834a4b93ed609a26a84f4ac43f7e21"),
 }
 
 

@@ -1,97 +1,200 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banded.solver as solver
 import banded.steiner as steiner
-from banded.errors import InternalConsistencyError, PreconditionError
 from banded.figures import fig3a_no_surface, fig7_star
-from banded.generators import random_instance, random_star_polygon
-from banded.geometry import Point2
+from banded.generators import random_instance, random_polygon, random_star_polygon
+from banded.geometry import Point2, orient2d, polygon_is_simple
 from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface
-from banded.morph import rotate_copy_instance
+from banded.morph import convex_chord_rule, planarity_preserving, rotate_copy_instance
 from banded.solver import solve_no_steiner
 from banded.steiner import (
     build_layered_surface,
-    collapse_ear,
-    join_triangles,
-    _corner_count,
     _gap_assignment,
+    _is_ear,
+    _ladder,
+    _planar_end_map,
+    _squash_chain,
+    _squash_plan,
 )
+
+QUAD = (Point2(0, 0), Point2(4, 0), Point2(5, 3), Point2(1, 4))
+L_HEXAGON = tuple(Point2(*xy) for xy in ((0, 0), (6, 0), (6, 2), (2, 2), (2, 6), (0, 6)))
+KINDS = ("convex", "star", "spiral")
+
+
+def as_instance(src, tgt) -> SliceInstance:
+    return SliceInstance(LabeledPolygon(src, 0), LabeledPolygon(tgt, 1))
+
+
+def independent_pair(seed: int, n: int, kind: str) -> SliceInstance:
+    """A source polygon and an unrelated target drawn from one stream."""
+    rng = random.Random(seed)
+    source, target = random_polygon(rng, n, kind), random_polygon(rng, n, kind)
+    return as_instance(source.vertices, target.vertices)
+
+
+def triples(pts):
+    """The corner triples that span a triangle of some triangulation."""
+    return [t for t in combinations(range(len(pts)), 3) if _is_ear(pts, *t)]
+
+
+def orient_area(a, b, c):
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def barycentric(p, a, b, c):
+    d = orient_area(a, b, c)
+    return (Fraction(orient_area(p, b, c), d), Fraction(orient_area(a, p, c), d))
 
 
 class TestCollapseEar:
-    def test_convex_quadrilateral(self):
-        poly = LabeledPolygon(
-            (Point2(0, 0), Point2(4, 0), Point2(5, 3), Point2(1, 4)), 0
-        )
-        out, moved = collapse_ear(poly)
-        assert out.n == 4
-        assert _corner_count(out.vertices) == 3
-        assert out.is_simple()
-        a, c = poly.vertices[(moved - 1) % 4], poly.vertices[(moved + 1) % 4]
-        assert out.vertices[moved] == Point2(Fraction(a.x + c.x, 2), Fraction(a.y + c.y, 2))
+    """Ear squashing toward a corner triple (`_squash_chain`)."""
 
-    def test_triangle_refuses(self):
-        tri = LabeledPolygon((Point2(0, 0), Point2(3, 0), Point2(0, 3)), 0)
-        with pytest.raises(PreconditionError):
-            collapse_ear(tri)
+    def test_convex_quadrilateral(self):
+        (layer,) = _squash_chain(QUAD, (0, 1, 2))
+        assert polygon_is_simple(layer)
+        assert layer[:3] == QUAD[:3]
+        # the one moved vertex goes to the midpoint of its neighbours
+        assert layer[3] == Point2(Fraction(0 + 5, 2), Fraction(0 + 3, 2))
+
+    def test_triangle_has_no_layers(self):
+        tri = (Point2(0, 0), Point2(3, 0), Point2(0, 3))
+        assert _squash_chain(tri, (0, 1, 2)) == []
 
     def test_l_shaped_hexagon(self):
-        poly = LabeledPolygon(
-            (
-                Point2(0, 0),
-                Point2(6, 0),
-                Point2(6, 2),
-                Point2(2, 2),
-                Point2(2, 6),
-                Point2(0, 6),
-            ),
-            0,
-        )
-        out, moved = collapse_ear(poly)
-        assert out.is_simple()
-        assert _corner_count(out.vertices) == 5
+        for triple in triples(L_HEXAGON):
+            chain = _squash_chain(L_HEXAGON, triple)
+            assert len(chain) == 3
+            assert all(polygon_is_simple(layer) for layer in chain)
 
-    def test_start_offset_changes_choice(self):
-        poly = LabeledPolygon(
-            (Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)), 0
-        )
-        _, m0 = collapse_ear(poly, start=0)
-        _, m2 = collapse_ear(poly, start=2)
-        assert m0 != m2
+    def test_triple_steers_the_ear_choice(self):
+        square = (Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4))
+        first = _squash_chain(square, (1, 2, 3))[0]
+        other = _squash_chain(square, (0, 1, 2))[0]
+        assert first[0] != square[0] and other[3] != square[3]
+
+    def test_corners_stay_one_goes_per_layer_and_the_triple_survives(self):
+        for seed in range(12):
+            inst = independent_pair(seed, 5 + seed % 6, KINDS[seed % 3])
+            pts = inst.source.vertices
+            for triple in triples(pts)[::7]:
+                chain = _squash_chain(pts, triple)
+                assert len(chain) == len(pts) - 3
+                unmoved = set(range(len(pts)))
+                for layer in chain:
+                    assert polygon_is_simple(layer)
+                    now = {i for i in range(len(pts)) if layer[i] == pts[i]}
+                    assert now < unmoved and len(unmoved - now) == 1
+                    unmoved = now
+                assert unmoved == set(triple)
+
+    def test_common_triple_ends_are_affine_images(self):
+        # every vertex ends at the same barycentric position on both sides
+        for seed in range(12):
+            inst = independent_pair(seed, 5 + seed % 6, KINDS[seed % 3])
+            src, tgt = inst.source.vertices, inst.target.vertices
+            common = [t for t in triples(src) if _is_ear(tgt, *t)]
+            for triple in common[:3]:
+                lo, hi = _squash_chain(src, triple)[-1], _squash_chain(tgt, triple)[-1]
+                corners = [lo[i] for i in triple], [hi[i] for i in triple]
+                for p, q in zip(lo, hi):
+                    assert barycentric(p, *corners[0]) == barycentric(q, *corners[1])
 
 
 class TestJoins:
     def test_identical_layers_join(self):
         poly = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        lower = LabeledPolygon(poly.vertices, 0)
-        upper = LabeledPolygon(poly.vertices, Fraction(1, 4))
-        assignment = _gap_assignment(lower, upper, {})
+        assignment = _gap_assignment(poly, LabeledPolygon(poly.vertices, Fraction(1, 4)), {})
         assert len(assignment) == 3
 
     def test_collapse_gap_joins(self):
-        # a gap that moves one vertex across an empty ear is always solvable
-        poly = LabeledPolygon(
-            (Point2(0, 0), Point2(4, 0), Point2(5, 3), Point2(1, 4)), 0
-        )
-        collapsed, _ = collapse_ear(poly)
-        assignment = _gap_assignment(poly, LabeledPolygon(collapsed.vertices, Fraction(1, 2)), {})
+        # a gap that moves one vertex across an empty ear is solvable
+        (layer,) = _squash_chain(QUAD, (0, 1, 2))
+        assignment = _gap_assignment(LabeledPolygon(QUAD, 0), LabeledPolygon(layer, 0), {})
         assert len(assignment) == 4
 
     def test_congruent_triangles_direct(self):
-        tri = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        assert join_triangles(tri, tri, {}) == []
+        tri = (Point2(0, 0), Point2(4, 0), Point2(0, 4))
+        assert _ladder(tri, tri, [()], [()], {}, 0) == []
 
     def test_half_turn_triangles_need_layers(self):
         inst = fig3a_no_surface().instance
-        mids = join_triangles(
-            LabeledPolygon(inst.source.vertices, 0),
-            LabeledPolygon(inst.target.vertices, 0),
-            {},
-        )
-        assert len(mids) >= 1
+        src, tgt = inst.source.vertices, inst.target.vertices
+        assert not _planar_end_map(src, tgt, (0, 1, 2))  # A = -I
+        (mid,) = _squash_plan(inst, {})
+        # one quarter turn about vertex 0, either way round
+        o = src[0]
+        turns = [tuple(Point2(o.x - s * (p.y - o.y), o.y + s * (p.x - o.x)) for p in src) for s in (1, -1)]
+        assert mid.vertices in turns
+
+    def test_scaled_half_turn_turns_in_place_of_the_last_squash(self):
+        # A = -2I for every triple: the turned end replaces a squash layer
+        src = random_polygon(random.Random(8), 8, "convex").vertices
+        tgt = tuple(Point2(5 - 2 * p.x, -3 - 2 * p.y) for p in src)
+        plan = _squash_plan(as_instance(src, tgt), {})
+        assert len(plan) == 2 * (8 - 3)
+        s = build_layered_surface(as_instance(src, tgt))
+        assert s.steiner_count() == 8 * len(plan)
+        assert verify_banded_surface(s, force_sections=True).passed
+
+    def test_quarter_turn_bridge_builds_seed_505_star_3(self):
+        inst = seed_505_star(3)
+        assert inst.n == 3
+        assert not _planar_end_map(inst.source.vertices, inst.target.vertices, (0, 1, 2))
+        s = build_layered_surface(inst)
+        assert s.steiner_count() == 3
+        assert verify_banded_surface(s, force_sections=True).passed
+
+
+def affine_pair(matrix):
+    """A star polygon and its image under the 2x2 matrix (row by row)."""
+    a, b, c, d = matrix
+    source = random_star_polygon(random.Random(31), 7).vertices
+    target = tuple(Point2(a * p.x + b * p.y + 3, c * p.x + d * p.y - 2) for p in source)
+    return source, target
+
+
+class TestEigenvalueTest:
+    def test_agrees_with_planarity_preserving_on_the_end_pair(self):
+        verdicts = set()
+        for seed in range(30):
+            inst = independent_pair(100 + seed, 4 + seed % 7, KINDS[seed % 3])
+            src, tgt = inst.source.vertices, inst.target.vertices
+            for triple in [t for t in triples(src) if _is_ear(tgt, *t)][:4]:
+                lo, hi = _squash_chain(src, triple), _squash_chain(tgt, triple)
+                lo, hi = (lo[-1] if lo else src), (hi[-1] if hi else tgt)
+                ends = SliceInstance(LabeledPolygon(lo, 0), LabeledPolygon(hi, 1))
+                verdict = _planar_end_map(src, tgt, triple)
+                assert verdict == planarity_preserving(ends).preserved, (seed, triple)
+                if verdict:  # the convex turn rule covers the end gap
+                    assert len(convex_chord_rule(ends)) == inst.n
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_exact_half_turn_fails(self):
+        src, tgt = affine_pair((-1, 0, 0, -1))
+        for triple in triples(src):
+            assert not _planar_end_map(src, tgt, triple)
+        assert not planarity_preserving(as_instance(src, tgt)).preserved
+
+    def test_two_negative_eigenvalues_fail(self):
+        src, tgt = affine_pair((-1, 1, 0, -2))  # eigenvalues -1 and -2
+        assert all(orient2d(*(tgt[i] for i in t)) > 0 for t in triples(src))
+        for triple in triples(src):
+            assert not _planar_end_map(src, tgt, triple)
+        assert not planarity_preserving(as_instance(src, tgt)).preserved
+
+    def test_complex_eigenvalues_pass_with_negative_trace(self):
+        src, tgt = affine_pair((-2, -3, 3, -2))  # eigenvalues -2 +- 3i
+        for triple in triples(src):
+            assert _planar_end_map(src, tgt, triple)
+        assert planarity_preserving(as_instance(src, tgt)).preserved
 
 
 class TestBuildLayeredSurface:
@@ -174,18 +277,26 @@ def seed_505_star(index):
     return random_instance(rng, rng.randint(3, 12), "star")
 
 
-# Reproducers of ROADMAP item 1: both instances reach `build_stack`.
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="build_stack adds 350 vertices, bound 152")
 def test_seed_505_star_10_within_bound():
     inst = seed_505_star(10)
     n = inst.n
     assert build_layered_surface(inst).steiner_count() <= 2 * n * (n - 3) + 12
 
 
-@pytest.mark.xfail(strict=True, raises=InternalConsistencyError, reason="build_stack fails to join its layers")
 def test_seed_505_star_2_builds():
     inst = seed_505_star(2)
     s = build_layered_surface(inst)
     n = inst.n
     assert s.steiner_count() <= 2 * n * (n - 3) + 12
-    assert verify_banded_surface(s).passed
+    assert verify_banded_surface(s, force_sections=True).passed
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(range(3, 11)), st.sampled_from(KINDS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_independent_targets_build_within_bound(seed, n, kind):
+    inst = independent_pair(seed, n, kind)
+    s = build_layered_surface(inst)
+    n = inst.n
+    assert s.steiner_count() <= 2 * n * (n - 3) + 12
+    report = verify_banded_surface(s, force_sections=True)
+    assert report.passed, report.summary()
