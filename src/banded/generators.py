@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import GenerationError
+from .errors import GenerationError, PreconditionError
 from .geometry import Point2, polygon_is_ccw, polygon_is_convex, polygon_is_simple
 from .model import LabeledPolygon, SliceInstance
 from .morph import rotate_copy_instance
@@ -205,7 +205,7 @@ def random_polygon(rng: random.Random, n: int, kind: str) -> LabeledPolygon:
         return random_star_polygon(rng, n)
     if kind == "spiral":
         return random_spiral_polygon(rng, max(n, 6))
-    raise ValueError(f"unknown polygon kind {kind!r}")
+    raise PreconditionError(f"unknown polygon kind {kind!r}")
 
 
 def random_instance(rng: random.Random, n: int, kind: str) -> SliceInstance:

@@ -15,9 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DegenerateTriangleError, ZeroVectorError
+from .errors import DegenerateTriangleError, InputError, PreconditionError, ZeroVectorError
 
 Rational = int | Fraction
 
@@ -221,11 +221,15 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
     where it lies on it.
     """
     if mode not in ("any", "proper"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise PreconditionError(f"unknown mode {mode!r}")
     o1 = orient2d(p1, p2, p3)
     o2 = orient2d(p1, p2, p4)
+    if o1 == o2 != 0:
+        return False  # p3 and p4 strictly on one side of p1p2
     o3 = orient2d(p3, p4, p1)
     o4 = orient2d(p3, p4, p2)
+    if o3 == o4 != 0:
+        return False  # p1 and p2 strictly on one side of p3p4
 
     if o1 == 0 and o2 == 0 and p1 != p2 and p3 != p4:
         # collinear: compare parameter intervals along p1->p2
@@ -241,8 +245,8 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
             return True
         return mode == "any"  # single-point overlap is an endpoint of both
 
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True  # strict interior crossing
+    if o1 and o2 and o3 and o4:
+        return True  # strict interior crossing: the signs differ on both lines
 
     contacts = []
     if o1 == 0 and _between_collinear(p3, p1, p2):
@@ -264,13 +268,24 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
 # ---------------------------------------------------------------------------
 
 
-def denominator_lcm(values: Iterable[Rational]) -> int:
-    """The least positive k with k * v an integer for every int or Fraction v.
+def _integer_axis(values: list) -> tuple[int, list[int]]:
+    """The least positive k with k * v an integer for every int or Fraction
+    v in `values`, and those integers k * v, in order, built without
+    `Fraction` arithmetic.
 
     Multiplying coordinates by one positive factor is a similarity, so exact
     predicates give the same verdicts on the integer copy, and far faster.
     """
-    return math.lcm(*{v.denominator for v in values})
+    k = math.lcm(*{v.denominator for v in values})
+    return k, [v.numerator * (k // v.denominator) for v in values]
+
+
+def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
+    """The polygon scaled onto integers by one positive factor: a similarity,
+    so simplicity and orientation are unchanged."""
+    n = len(pts)
+    _, cs = _integer_axis([p.x for p in pts] + [p.y for p in pts])
+    return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
 
 
 def polygon_signed_area2(pts: Sequence[Point2]):
@@ -295,9 +310,8 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     """
     n = len(pts)
     if n < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    k = denominator_lcm(c for p in pts for c in (p.x, p.y))
-    q = [Point2(int(p.x * k), int(p.y * k)) for p in pts]
+        raise InputError("polygon needs at least 3 vertices")
+    q = _integer_polygon(pts)
     if len(set(q)) != n:
         return False
     edges = []
@@ -325,8 +339,9 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
 
 
 def polygon_is_ccw(pts: Sequence[Point2]) -> bool:
-    """Orientation test by signed area; meaningful for simple polygons."""
-    return polygon_signed_area2(pts) > 0
+    """Orientation test by signed area, taken on the integer copy of the
+    polygon; meaningful for simple polygons."""
+    return polygon_signed_area2(_integer_polygon(pts)) > 0
 
 
 def polygon_is_convex(pts: Sequence[Point2]) -> bool:
@@ -334,7 +349,7 @@ def polygon_is_convex(pts: Sequence[Point2]) -> bool:
     three strict turns.  Flat vertices are tolerated."""
     n = len(pts)
     if n < 3:
-        raise ValueError("polygon needs at least 3 vertices")
+        raise InputError("polygon needs at least 3 vertices")
     pos = neg = 0
     for i in range(n):
         o = orient2d(pts[i], pts[(i + 1) % n], pts[(i + 2) % n])

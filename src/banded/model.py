@@ -19,9 +19,9 @@ from .geometry import (
     Point2,
     Point3,
     Triangle3,
+    _integer_axis,
     _plane,
     _triangles_meet,
-    denominator_lcm,
     open_triangles_intersect_3d,
     polygon_is_ccw,
     polygon_is_convex,
@@ -224,22 +224,13 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     `Fraction` values cost as much in arithmetic as any other `Fraction`.
     """
     polys = (inst.source, inst.target)
-    k = denominator_lcm(c for poly in polys for p in poly.vertices for c in (p.x, p.y))
-
-    def scale(poly: LabeledPolygon) -> LabeledPolygon:
-        return LabeledPolygon(
-            tuple(Point2(int(p.x * k), int(p.y * k)) for p in poly.vertices),
-            poly.z_level,
-        )
-
-    return SliceInstance(scale(inst.source), scale(inst.target))
-
-
-def _integer_axis(values: list) -> tuple[int, list[int]]:
-    """The lcm k of the denominators of `values` (ints or Fractions) and
-    the integers k * v, in order."""
-    k = denominator_lcm(values)
-    return k, [v.numerator * (k // v.denominator) for v in values]
+    _, cs = _integer_axis([c for poly in polys for p in poly.vertices for c in (p.x, p.y)])
+    points = [Point2(x, y) for x, y in zip(cs[::2], cs[1::2])]
+    n = inst.n
+    return SliceInstance(
+        LabeledPolygon(tuple(points[:n]), inst.source.z_level),
+        LabeledPolygon(tuple(points[n:]), inst.target.z_level),
+    )
 
 
 def _integer_points(s: "BandedSurface") -> list[tuple[int, int, int]]:

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, ccw_angle, denominator_lcm
+from .geometry import AngleClass, Point2, _integer_axis, ccw_angle
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
 from .quadfield import ExactTime, midpoint, rational_between
 
@@ -86,14 +86,14 @@ def _quad_sub(p, q):
 
 
 class _MovingPoint:
-    """A vertex moving from p to q, scaled by k: (x0 + x1 t, y0 + y1 t)."""
+    """A vertex moving from the scaled source (px, py) to the scaled target
+    (qx, qy), all ints: (x0 + x1 t, y0 + y1 t)."""
 
     __slots__ = ("x", "y")
 
-    def __init__(self, p: Point2, q: Point2, k: int):
-        x0, y0 = int(p.x * k), int(p.y * k)
-        self.x = (x0, int(q.x * k) - x0)
-        self.y = (y0, int(q.y * k) - y0)
+    def __init__(self, px: int, py: int, qx: int, qy: int):
+        self.x = (px, qx - px)
+        self.y = (py, qy - py)
 
 
 def _orient_quad(a: _MovingPoint, b: _MovingPoint, c: _MovingPoint):
@@ -113,19 +113,16 @@ def _quad_is_zero(q):
     return q[0] == 0 and q[1] == 0 and q[2] == 0
 
 
-def _certified_sign(q) -> int:
-    """+1 (or -1) when q's Bernstein coefficients over [0, 1] prove q > 0
-    (or q < 0) on all of (0, 1), else 0.
+def _constant_sign(q) -> int:
+    """+1 (or -1) when q > 0 (or q < 0) on all of (0, 1), else 0.
 
-    With b0 = q(0), b2 = q(1) and 2 b1 = 4 q(1/2) - b0 - b2 = 2 c0 + c1,
-    q = b0 (1-t)^2 + 2 b1 t (1-t) + b2 t^2, so b0, b2 >= 0 and b1 > 0 make
-    every term non-negative and the middle one positive inside (0, 1)."""
-    b0, b2, b1x2 = q[0], q[0] + q[1] + q[2], 2 * q[0] + q[1]
-    if b0 >= 0 and b2 >= 0 and b1x2 > 0:
-        return 1
-    if b0 <= 0 and b2 <= 0 and b1x2 < 0:
-        return -1
-    return 0
+    q keeps one strict sign on (0, 1) exactly when it has no root inside
+    and is not 0 at t = 1/2, and that sign is the one of 4 q(1/2) =
+    4 c0 + 2 c1 + c2.  Integer arithmetic only."""
+    if _has_root01(q):
+        return 0
+    half = 4 * q[0] + 2 * q[1] + q[2]
+    return (half > 0) - (half < 0)
 
 
 def _has_root01(q) -> bool:
@@ -350,17 +347,21 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     ones bring their edges into contact, which the scans already find.
 
     The polygons are scaled onto integers once.  Only non-adjacent edges
-    whose swept boxes meet are examined, and a pair, or a vertex's angle,
-    whose orientation signs are certified constant over (0, 1) from integer
-    Bernstein coefficients is dismissed before any root is isolated.
+    whose swept boxes meet are examined.  A vertex's angle whose cross
+    product keeps one strict sign over (0, 1) never closes, and an edge pair
+    one of whose edges stays strictly on one side of the other's line never
+    touches; both are dismissed before any root is isolated.  The
+    constant-sign test is exact (no root inside (0, 1) and nonzero at 1/2),
+    so a dismissed candidate never had a violating run, and every verdict and
+    witness interval is the one a scan of every candidate gives.
     """
     if validate:
         inst.validate()
     n = inst.n
-    ends = list(zip(inst.source.vertices, inst.target.vertices))
-    k = denominator_lcm(c for p, q in ends for c in (p.x, p.y, q.x, q.y))
+    ends = zip(inst.source.vertices, inst.target.vertices)
+    k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
     kk = k * k
-    moving = [_MovingPoint(p, q, k) for p, q in ends]
+    moving = [_MovingPoint(*cs[i : i + 4]) for i in range(0, 4 * n, 4)]
     candidates: list[tuple[_Run, str, tuple[int, ...], Callable]] = []
 
     def scan(kind, subjects, points, polys, events):
@@ -372,7 +373,7 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     for i in range(n):
         a, b, c = moving[(i - 1) % n], moving[i], moving[(i + 1) % n]
         cross = _orient_quad(a, b, c)
-        if _certified_sign(cross):
+        if _constant_sign(cross):
             continue  # never collinear inside (0, 1)
         dot = _dot_quad(a, b, c)
         events = _roots01(dot if _quad_is_zero(cross) else cross, kk)
@@ -383,12 +384,12 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     for i, j in _box_pairs(moving):
         e0, e1, f0, f1 = moving[i], moving[(i + 1) % n], moving[j], moving[(j + 1) % n]
         o1, o2 = _orient_quad(e0, e1, f0), _orient_quad(e0, e1, f1)
-        s = _certified_sign(o1)
-        if s and s == _certified_sign(o2):
+        s = _constant_sign(o1)
+        if s and s == _constant_sign(o2):
             continue  # f stays strictly on one side of e's line
         o3, o4 = _orient_quad(f0, f1, e0), _orient_quad(f0, f1, e1)
-        s = _certified_sign(o3)
-        if s and s == _certified_sign(o4):
+        s = _constant_sign(o3)
+        if s and s == _constant_sign(o4):
             continue  # e stays strictly on one side of f's line
         quads = (o1, o2, o3, o4)
         events = [r for q in quads for r in _roots01(q, kk)]

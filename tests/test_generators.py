@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from banded import generators
-from banded.errors import GenerationError
+from banded.errors import GenerationError, PreconditionError
 from banded.geometry import Point2, polygon_is_ccw, polygon_is_simple
 from banded.generators import jiggled_instance, random_polygon, random_star_polygon
 
@@ -15,6 +15,11 @@ def test_jiggle_that_never_finds_a_simple_target_raises_generation_error(monkeyp
     monkeypatch.setattr(generators, "polygon_is_simple", lambda pts: False)
     with pytest.raises(GenerationError):
         jiggled_instance(rng, poly)
+
+
+def test_unknown_polygon_kind_is_a_precondition_error():
+    with pytest.raises(PreconditionError):
+        random_polygon(random.Random(0), 5, "hexagon")
 
 
 def full_range_jiggle(rng, polygon, amount=2):

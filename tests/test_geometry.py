@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from banded.errors import DegenerateTriangleError, ZeroVectorError
+from banded.errors import DegenerateTriangleError, InputError, PreconditionError, ZeroVectorError
 from banded.geometry import (
     AngleClass,
     _clip_triangle_2d,
@@ -79,7 +79,69 @@ class TestCcwAngle:
         assert witnesses == sorted(witnesses)
 
 
+def _common_points(a, b, c, d):
+    """Common points of the closed segments ab and cd, each of positive
+    length, from a + s (b - a) = c + u (d - c) solved in Fractions; a
+    collinear overlap gives its two ends and its midpoint.  An oracle that
+    shares no code with `segments_intersect_2d`."""
+    rx, ry = b.x - a.x, b.y - a.y
+    sx, sy = d.x - c.x, d.y - c.y
+    qx, qy = c.x - a.x, c.y - a.y
+    den = rx * sy - ry * sx
+    if den:
+        s = Fraction(qx * sy - qy * sx, den)
+        u = Fraction(qx * ry - qy * rx, den)
+        return [P(a.x + s * rx, a.y + s * ry)] if 0 <= s <= 1 and 0 <= u <= 1 else []
+    if qx * ry - qy * rx:
+        return []  # parallel, on two lines
+    rr = rx * rx + ry * ry
+    sc = Fraction(qx * rx + qy * ry, rr)
+    sd = Fraction((d.x - a.x) * rx + (d.y - a.y) * ry, rr)
+    lo, hi = max(0, min(sc, sd)), min(1, max(sc, sd))
+    if lo > hi:
+        return []
+    return [P(a.x + t * rx, a.y + t * ry) for t in {lo, hi, (lo + hi) / 2}]
+
+
+def _oracle_meets(a, b, c, d, mode):
+    """`segments_intersect_2d` by `_common_points`: "proper" asks for a
+    common point that is not an endpoint shared by both segments."""
+    shared = [u for u in (a, b) if u == c or u == d]
+    common = _common_points(a, b, c, d)
+    return bool(common) if mode == "any" else any(p not in shared for p in common)
+
+
 class TestSegments:
+    # (segment, segment, verdict in mode "any", verdict in mode "proper"),
+    # each against the segment (0, 0)-(4, 0)
+    EARLY_EXITS = (
+        # strictly on one side of the other's line: the first test exits in
+        # one argument order, the second in the other
+        ((1, 1), (3, 2), False, False),
+        ((6, -1), (6, 1), False, False),
+        # one endpoint on the other's line
+        ((6, 0), (7, 3), False, False),
+        ((2, 0), (3, 3), True, True),
+        ((4, 0), (5, 3), True, False),
+        # collinear
+        ((2, 0), (6, 0), True, True),
+        ((5, 0), (6, 0), False, False),
+        ((4, 0), (6, 0), True, False),
+    )
+
+    @pytest.mark.parametrize("c, d, any_, proper", EARLY_EXITS)
+    def test_early_exits_in_both_modes_and_orders(self, c, d, any_, proper):
+        a, b, c, d = P(0, 0), P(4, 0), P(*c), P(*d)
+        orders = [(a, b, c, d), (c, d, a, b), (b, a, d, c), (d, c, b, a)]
+        for mode, expected in (("any", any_), ("proper", proper)):
+            for args in orders:
+                assert segments_intersect_2d(*args, mode=mode) == expected, (args, mode)
+                assert _oracle_meets(*args, mode) == expected, (args, mode)
+
+    def test_unknown_mode_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError):
+            segments_intersect_2d(P(0, 0), P(1, 0), P(0, 1), P(1, 1), mode="open")
+
     def test_crossing_diagonals(self):
         assert segments_intersect_2d(P(0, 0), P(2, 2), P(0, 2), P(2, 0), mode="proper")
 
@@ -161,8 +223,24 @@ class TestPolygons:
     def test_repeated_vertex_rejected(self):
         assert not polygon_is_simple((P(0, 0), P(1, 0), P(1, 1), P(1, 0)))
 
+    def test_fewer_than_three_vertices_is_an_input_error(self):
+        for pts in ((), (P(0, 0),), (P(0, 0), P(1, 0))):
+            with pytest.raises(InputError):
+                polygon_is_simple(pts)
+            with pytest.raises(InputError):
+                polygon_is_convex(pts)
+
+    def test_orientation_of_fractional_polygons(self):
+        # the signed area is taken on the integer copy: a tiny triangle
+        # with mixed denominators keeps its orientation either way round
+        f = Fraction
+        tiny = (P(f(1, 3), f(1, 7)), P(f(2, 5), f(1, 7)), P(f(1, 3), f(2, 11)))
+        assert polygon_is_ccw(tiny)
+        assert not polygon_is_ccw(tiny[::-1])
+
     def test_matches_independent_pairwise_check(self):
-        # oracle: literal quadratic-time re-derivation with its own primitives
+        # oracle: literal quadratic-time re-derivation with its own segment
+        # test: no two edges may share a point other than a common vertex
         def oracle(pts):
             n = len(pts)
             if len({(q.x, q.y) for q in pts}) != n:
@@ -171,12 +249,8 @@ class TestPolygons:
                 for j in range(i + 1, n):
                     a, b = pts[i], pts[(i + 1) % n]
                     c, d = pts[j], pts[(j + 1) % n]
-                    shared = [u for u in (a, b) if u == c or u == d]
-                    if segments_intersect_2d(a, b, c, d, mode="any"):
-                        if not shared:
-                            return False
-                        if segments_intersect_2d(a, b, c, d, mode="proper"):
-                            return False
+                    if _oracle_meets(a, b, c, d, "proper"):
+                        return False
             return True
 
         def coord(rng, r):
