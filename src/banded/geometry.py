@@ -282,7 +282,10 @@ def _integer_axis(values: list) -> tuple[int, list[int]]:
 
 def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
     """The polygon scaled onto integers by one positive factor: a similarity,
-    so simplicity and orientation are unchanged."""
+    so simplicity and orientation are unchanged.  A polygon already on
+    integers is returned as it is."""
+    if all(type(p.x) is int and type(p.y) is int for p in pts):
+        return pts
     n = len(pts)
     _, cs = _integer_axis([p.x for p in pts] + [p.y for p in pts])
     return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
@@ -382,47 +385,6 @@ def _project(p: Point3, axis: int) -> Point2:
     return Point2(p.x, p.y)
 
 
-def _shared_structure(t1: Triangle3, t2: Triangle3):
-    v1, v2 = t1.vertices, t2.vertices
-    shared_vertices = [p for p in v1 if p in v2]
-    edges1 = [(v1[i], v1[(i + 1) % 3]) for i in range(3)]
-    edges2 = [frozenset(((v2[i].x, v2[i].y, v2[i].z), (v2[(i + 1) % 3].x, v2[(i + 1) % 3].y, v2[(i + 1) % 3].z))) for i in range(3)]
-    shared_edges = []
-    for a, b in edges1:
-        key = frozenset(((a.x, a.y, a.z), (b.x, b.y, b.z)))
-        if key in edges2:
-            shared_edges.append((a, b))
-    return shared_vertices, shared_edges
-
-
-def _clip_triangle_2d(subject, clip):
-    """Intersection of two triangles in 2D (lists of Point2) via half-plane
-    clipping; returns the convex intersection's points, possibly duplicated.
-    An edge is cut where the signed areas `oc` and `op` of its ends against
-    the clip line interpolate to zero."""
-    if orient2d(*clip) < 0:
-        clip = [clip[0], clip[2], clip[1]]
-    out = list(subject)
-    for i in range(3):
-        a, b = clip[i], clip[(i + 1) % 3]
-        dx, dy = b.x - a.x, b.y - a.y
-        inp, out = out, []
-        if not inp:
-            return []
-        for j, cur in enumerate(inp):
-            prev = inp[j - 1]
-            oc = dx * (cur.y - a.y) - dy * (cur.x - a.x)
-            op = dx * (prev.y - a.y) - dy * (prev.x - a.x)
-            if op * oc < 0:
-                t = Fraction(op, op - oc)
-                out.append(
-                    Point2(prev.x + t * (cur.x - prev.x), prev.y + t * (cur.y - prev.y))
-                )
-            if oc >= 0:
-                out.append(cur)
-    return out
-
-
 def _plane(a, b, c):
     """The plane through the (x, y, z) tuples a, b, c as (nx, ny, nz,
     offset), with the normal (b - a) x (c - a) and the offset normal . a,
@@ -473,21 +435,21 @@ _LONE_VERTEX = {
 }
 
 
-def _triangles_meet(v1, s1, v2, s2):
-    """The verdict of `open_triangles_intersect_3d` on two proper triangles,
-    or None when they are coplanar, which the caller decides.
+def _triangles_meet(v1, s1, v2, s2) -> bool:
+    """The verdict of `open_triangles_intersect_3d` on two proper triangles.
 
     v1 and v2 are the vertex triples, (x, y, z) tuples or `Point3`s; s1
     holds v1's vertex sides of v2's plane and s2 the converse, as tuples
-    from `_plane_sides`.  A triangle strictly on one side of the other's
-    plane misses it.  Otherwise the planes cross, and a vertex the two
-    share (equal by value) lies on both: with none,
+    from `_plane_sides`.  Coplanar triangles go to
+    `_coplanar_triangles_meet`.  A triangle strictly on one side of the
+    other's plane misses it.  Otherwise the planes cross, and a vertex the
+    two share (equal by value) lies on both: with none,
     `_crossing_triangles_meet` decides; with two, the planes cross in the
     shared edge's line, which each triangle meets in exactly that edge, so
     the contact is the shared edge; with one, `_shared_vertex_triangles_meet`
     decides.  No point is constructed."""
     if s2 == _ON_PLANE:
-        return None
+        return _coplanar_triangles_meet(v1, v2)
     if _LONE_VERTEX[s1] is None or _LONE_VERTEX[s2] is None:
         return False
     if 0 in s1:
@@ -549,6 +511,66 @@ def _shared_vertex_triangles_meet(v1, s1, v2, s2, i: int) -> bool:
     return o == 0 or o == (sc or -sd) or o == (sa or -sb)
 
 
+def _turn(a, b, c) -> int:
+    """orient2d on (x, y) tuples."""
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > 0) - (d < 0)
+
+
+def _coplanar_triangles_meet(v1, v2) -> bool:
+    """Whether two proper coplanar triangles have a common point outside a
+    vertex or edge they share, from 2D orientation signs alone; v1 and v2
+    are as in `_triangles_meet`.
+
+    The triangles are projected along the first of xy, yz and zx in which
+    v1 does not collapse.  That projection is one to one on their plane, so
+    it keeps every contact and every vertex equality, and both triangles
+    are turned left in it.  With three shared vertices the triangles are
+    equal.  With two, the contact is the shared edge alone iff the third
+    vertices lie on opposite sides of its line.  With one, v, each triangle
+    fills its cone at v near v, so the contact is more than v iff the cones
+    share a ray, that is iff a far vertex of one lies in the other's closed
+    cone.  With none, any common point conflicts, and two closed triangles
+    meet iff a vertex of one lies in the other or two edges cross
+    strictly."""
+    points = [tuple(p) for p in (*v1, *v2)]
+    for x, y in ((0, 1), (1, 2), (2, 0)):
+        flat = [(p[x], p[y]) for p in points]
+        turn = _turn(*flat[:3])
+        if turn:
+            break
+    a1, b1, c1, a2, b2, c2 = flat
+    t1 = (a1, b1, c1) if turn > 0 else (a1, c1, b1)
+    t2 = (a2, b2, c2) if _turn(a2, b2, c2) > 0 else (a2, c2, b2)
+    shared = [p for p in t1 if p in t2]
+    if len(shared) == 3:
+        return True
+    if len(shared) == 2:
+        u, w = shared
+        (p,) = (p for p in t1 if p not in shared)
+        (q,) = (q for q in t2 if q not in shared)
+        return _turn(u, w, p) == _turn(u, w, q)
+    if shared:
+        v = shared[0]
+        i, j = t1.index(v), t2.index(v)
+        a, b = t1[(i + 1) % 3], t1[(i + 2) % 3]
+        c, d = t2[(j + 1) % 3], t2[(j + 2) % 3]
+        return any(_turn(v, c, p) >= 0 and _turn(d, v, p) >= 0 for p in (a, b)) or any(
+            _turn(v, a, p) >= 0 and _turn(b, v, p) >= 0 for p in (c, d)
+        )
+    for s, t in ((t1, t2), (t2, t1)):
+        a, b, c = t
+        if any(_turn(a, b, p) >= 0 and _turn(b, c, p) >= 0 and _turn(c, a, p) >= 0 for p in s):
+            return True
+    for k in range(3):
+        p, q = t1[k - 1], t1[k]
+        for m in range(3):
+            u, w = t2[m - 1], t2[m]
+            if _turn(p, q, u) * _turn(p, q, w) < 0 and _turn(u, w, p) * _turn(u, w, q) < 0:
+                return True
+    return False
+
+
 def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     """Exact conflict test between two closed triangles.
 
@@ -560,9 +582,8 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     two faces cannot coexist on an embedded surface.
 
     After a bounding-box test, the plane-side signs of each triangle's
-    vertices go through `_triangles_meet`, which decides every pair in
-    crossing planes from orientation signs.  Coplanar triangles are
-    clipped against each other in 2D.
+    vertices go through `_triangles_meet`, which decides every pair, in
+    crossing planes or coplanar, from orientation signs.
     """
     if t1.is_degenerate() or t2.is_degenerate():
         raise DegenerateTriangleError("open_triangles_intersect_3d needs proper triangles")
@@ -574,48 +595,7 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     v1, v2 = t1.vertices, t2.vertices
     s2 = _plane_sides((*t1.normal, t1.offset), v2)
     s1 = _plane_sides((*t2.normal, t2.offset), v1)
-    hit = _triangles_meet(v1, s1, v2, s2)
-    if hit is not None:
-        return hit
-
-    # coplanar: intersect in 2D
-    shared_vertices, shared_edges = _shared_structure(t1, t2)
-    axis = _proj_axis(t1.normal)
-    sub = [_project(p, axis) for p in v2]
-    clip = [_project(p, axis) for p in v1]
-    region = _clip_triangle_2d(sub, clip)
-    distinct = []
-    for p in region:
-        if p not in distinct:
-            distinct.append(p)
-    if not distinct:
-        return False
-    if len(distinct) == 1:
-        pts2 = distinct
-    else:
-        base = distinct[0]
-        rest = [p for p in distinct[1:] if p != base]
-        if any(orient2d(base, rest[0], p) != 0 for p in rest[1:]):
-            return True  # positive-area overlap can never be legal
-        # collinear: take extremes along the segment direction
-        dx, dy = rest[0].x - base.x, rest[0].y - base.y
-        keyed = sorted(distinct, key=lambda p: (p.x - base.x) * dx + (p.y - base.y) * dy)
-        pts2 = [keyed[0], keyed[-1]]
-    sv2 = [_project(p, axis) for p in shared_vertices]
-    se2 = [(_project(a, axis), _project(b, axis)) for a, b in shared_edges]
-    return not _contact_allowed_2d(pts2, sv2, se2)
-
-
-def _contact_allowed_2d(points, shared_vertices, shared_edges) -> bool:
-    if len(points) == 1:
-        p = points[0]
-        if any(p == v for v in shared_vertices):
-            return True
-        return any(point_on_segment_2d(p, a, b) for a, b in shared_edges)
-    return any(
-        point_on_segment_2d(points[0], a, b) and point_on_segment_2d(points[1], a, b)
-        for a, b in shared_edges
-    )
+    return _triangles_meet(v1, s1, v2, s2)
 
 
 def segment_triangle_contact_3d(p: Point3, q: Point3, tri: Triangle3) -> bool:

@@ -20,9 +20,10 @@ from .geometry import (
     Point3,
     Triangle3,
     _integer_axis,
+    _integer_polygon,
     _plane,
     _triangles_meet,
-    open_triangles_intersect_3d,
+    open_triangles_intersect_3d,  # unused; benchmarks/spans.py wraps this binding
     polygon_is_ccw,
     polygon_is_convex,
     polygon_is_simple,
@@ -64,9 +65,12 @@ class LabeledPolygon:
         return polygon_is_convex(self.vertices)
 
     def validate(self) -> None:
-        if not self.is_simple():
+        # one integer copy serves both tests: polygon_is_simple takes an
+        # integer polygon as it is
+        q = _integer_polygon(self.vertices)
+        if not polygon_is_simple(q):
             raise InputError("polygon is not simple")
-        if not self.is_ccw():
+        if polygon_signed_area2(q) <= 0:
             raise InputError("polygon is not counterclockwise")
 
     def translated(self, dx, dy) -> "LabeledPolygon":
@@ -468,9 +472,10 @@ def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
 
     The boxes are sorted by min-x and swept with an active list; each pair
     that also meets in y and z gets its six plane-side signs here and goes
-    through `geometry._triangles_meet`, and only a coplanar pair through
-    `open_triangles_intersect_3d`.  With `pair_memo`, verdicts are memoised
-    under the ids of the `memo_keys` objects, one per face in face order."""
+    through `geometry._triangles_meet`, which decides coplanar pairs too, so
+    no point or triangle object is built.  With `pair_memo`, verdicts are
+    memoised under the ids of the `memo_keys` objects, one per face in face
+    order."""
     boxes = []
     for verts, _ in faces:
         xs, ys, zs = zip(*verts)
@@ -495,10 +500,6 @@ def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
             sj = tuple([(d > 0) - (d < 0) for d in [nx * x + ny * y + nz * z - off for x, y, z in vj]])
             sk = tuple([(d > 0) - (d < 0) for d in [mx * x + my * y + mz * z - moff for x, y, z in vk]])
             hit = _triangles_meet(vj, sj, vk, sk)
-            if hit is None:
-                hit = open_triangles_intersect_3d(
-                    Triangle3(*(Point3(*p) for p in vj)), Triangle3(*(Point3(*p) for p in vk))
-                )
             if pair_memo is not None:
                 pair_memo[key] = hit
             yield j, k, hit

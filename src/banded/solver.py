@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
-    Point3,
+    _ON_PLANE,
     Triangle3,
     _plane,
     _plane_sides,
@@ -196,8 +196,7 @@ def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
     conflict.  Otherwise a sign matrix holds b's four points against a's
     four planes and the converse, 32 signs, and each of the 16 triangle
     pairs goes through `geometry._triangles_meet` with its side triples read
-    from the matrix, and a coplanar pair through
-    `open_triangles_intersect_3d`.
+    from the matrix; a coplanar pair is decided there too.
     """
     if _sections_apart(a.points, b.points):
         return _NO_CONFLICT
@@ -212,17 +211,10 @@ def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
     return _NO_CONFLICT if mat == _NO_CONFLICT else mat
 
 
-def _triangle(vertices) -> Triangle3:
-    return Triangle3(*(Point3(*p) for p in vertices))
-
-
 def _choices_meet(a: _BandPlanes, a_sides, b: _BandPlanes, b_sides, tests) -> bool:
     """Whether any triangle test (k, m) of one choice pair finds contact."""
     for k, m in tests:
-        hit = _triangles_meet(a.vertices[k], a_sides[m][k], b.vertices[m], b_sides[k][m])
-        if hit is None:
-            hit = open_triangles_intersect_3d(_triangle(a.vertices[k]), _triangle(b.vertices[m]))
-        if hit:
+        if _triangles_meet(a.vertices[k], a_sides[m][k], b.vertices[m], b_sides[k][m]):
             return True
     return False
 
@@ -239,7 +231,8 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
 
     A band's two chord triangles share the chord.  When the quad is not
     coplanar they lie in crossing planes, so they meet only on the chord,
-    and the choice has no self-conflict; only coplanar quads are tested.
+    and the choice has no self-conflict; only coplanar quads are tested,
+    through `geometry._triangles_meet` on the quad's own vertex triples.
     """
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
@@ -250,9 +243,9 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     boxes = []
     for i, band in enumerate(bands):
         coplanar = orient3d(*band.points) == 0
-        for c in (Chord.RIGHT, Chord.LEFT):
-            self_conflicts[(i, c)] = coplanar and open_triangles_intersect_3d(
-                *chord_triangles(scaled, i, c).triangles
+        for c, k in ((Chord.RIGHT, 0), (Chord.LEFT, 2)):
+            self_conflicts[(i, c)] = coplanar and _triangles_meet(
+                band.vertices[k], _ON_PLANE, band.vertices[k + 1], _ON_PLANE
             )
         xs = [p[0] for p in band.points]
         ys = [p[1] for p in band.points]

@@ -200,7 +200,7 @@ def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[Lab
     sim = similarity_witness(
         LabeledPolygon(inst.source.vertices, 0), LabeledPolygon(inst.target.vertices, 0)
     )
-    if sim is None or sim.scale_squared != 1 or (sim.wy == 0 and sim.wx > 0):
+    if sim is None or sim.scale_squared != 1 or sim.is_identity_rotation:
         return None
     wx, wy = sim.wx, sim.wy
     # fixed point X of x -> Wx + v

@@ -13,6 +13,7 @@ from banded.errors import (
     PreconditionError,
     SectionError,
 )
+import banded.geometry as geometry
 import banded.model as model
 from banded.figures import fig1_twisted_prism, fig3a_no_surface
 from banded.generators import random_instance
@@ -630,7 +631,7 @@ def face_pair_branch(t1, t2) -> str:
     if any(s[0] == s[1] == s[2] != 0 for s in (s1, s2)):
         return "strict dismissal"
     if s2 == [0, 0, 0]:
-        return "coplanar fallback"
+        return "coplanar"
     shared = sum(p in t2.vertices for p in t1.vertices)
     return ("crossing", "one shared vertex", "shared edge")[shared]
 
@@ -657,14 +658,15 @@ def face_pass_meshes():
 class TestFacePass:
     def test_every_box_pair_matches_the_general_predicate(self, monkeypatch):
         # the x-swept pass visits exactly the pairs whose closed boxes meet,
-        # decides each as `open_triangles_intersect_3d` does, and calls that
-        # binding for the coplanar pairs alone; every pair is checked, not
-        # only those up to a first hit
-        fallbacks = []
+        # decides each as `open_triangles_intersect_3d` does, and reaches the
+        # kernel's coplanar branch for the coplanar pairs alone; every pair
+        # is checked, not only those up to a first hit
+        coplanar_calls = []
+        coplanar = geometry._coplanar_triangles_meet
 
-        def counted(t1, t2):
-            fallbacks.append(1)
-            return open_triangles_intersect_3d(t1, t2)
+        def counted(v1, v2):
+            coplanar_calls.append(1)
+            return coplanar(v1, v2)
 
         branches = Counter()
         for s in face_pass_meshes():
@@ -678,7 +680,7 @@ class TestFacePass:
             }
             seen = {}
             with monkeypatch.context() as patched:
-                patched.setattr(model, "open_triangles_intersect_3d", counted)
+                patched.setattr(geometry, "_coplanar_triangles_meet", counted)
                 for j, k, hit in model._face_pair_verdicts(faces):
                     key = (min(j, k), max(j, k))
                     assert key not in seen
@@ -694,14 +696,14 @@ class TestFacePass:
                     branches["crossing, meet" if hit else "crossing, disjoint"] += 1
         for branch in (
             "strict dismissal",
-            "coplanar fallback",
+            "coplanar",
             "shared edge",
             "one shared vertex",
             "crossing, meet",
             "crossing, disjoint",
         ):
             assert branches[branch] > 0, branch
-        assert len(fallbacks) == branches["coplanar fallback"]
+        assert len(coplanar_calls) == branches["coplanar"]
 
 
 def _metamorphic_surfaces():

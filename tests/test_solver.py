@@ -98,7 +98,7 @@ def _triangle_branch(t1, t2) -> str:
     if any(s[0] == s[1] == s[2] != 0 for s in (s1, s2)):
         return "strict dismissal"
     if s2 == [0, 0, 0]:
-        return "coplanar fallback"
+        return "coplanar"
     shared = sum(p in t2.vertices for p in t1.vertices)
     return ("crossing", "one shared vertex", "shared edge")[shared]
 
@@ -140,8 +140,8 @@ def kernel_branches(inst, label: str) -> Counter:
                         branch = _triangle_branch(t1, t2)
                         hit = open_triangles_intersect_3d(t1, t2)
                         counts[branch] += 1
-                        if branch == "coplanar fallback":
-                            counts[f"coplanar fallback, {label}"] += 1
+                        if branch == "coplanar":
+                            counts[f"coplanar, {label}"] += 1
                         if branch == "shared edge" and n == 3:
                             counts["shared edge, n = 3"] += 1
                         if branch == "shared edge" and (i, j) == (0, n - 1) and n > 3:
@@ -261,14 +261,14 @@ class TestConflicts:
             return wrapped
 
         # the tails are looked up in `geometry`, where the shared sign
-        # cascade calls them; the fallback on the solver's own binding
+        # cascade calls them
         with monkeypatch.context() as patched:
-            for module, name, fn in (
-                (geometry, "crossing", geometry._crossing_triangles_meet),
-                (geometry, "one shared vertex", geometry._shared_vertex_triangles_meet),
-                (solver, "coplanar fallback", solver.open_triangles_intersect_3d),
+            for name, fn in (
+                ("crossing", geometry._crossing_triangles_meet),
+                ("one shared vertex", geometry._shared_vertex_triangles_meet),
+                ("coplanar", geometry._coplanar_triangles_meet),
             ):
-                patched.setattr(module, fn.__name__, counted(name, fn))
+                patched.setattr(geometry, fn.__name__, counted(name, fn))
             tables = [build_conflict_table(inst) for _, inst in instances]
 
         branches = Counter()
@@ -290,13 +290,13 @@ class TestConflicts:
 
         # every branch of the kernel is reached, and each one that calls out
         # is called exactly as often as the independent tally says (the
-        # fallback binding also serves the two self-conflict tests of each
+        # coplanar branch also serves the two self-conflict tests of each
         # coplanar quad)
         for branch in (
             "sections apart",
             "strict dismissal",
-            "coplanar fallback, identity",
-            "coplanar fallback, wall",
+            "coplanar, identity",
+            "coplanar, wall",
             "shared edge, wrap pair",
             "shared edge, n = 3",
             "one shared vertex",
@@ -308,7 +308,7 @@ class TestConflicts:
             assert branches[branch] > 0, branch
         assert calls["crossing"] == branches["crossing"]
         assert calls["one shared vertex"] == branches["one shared vertex"]
-        assert calls["coplanar fallback"] == branches["coplanar fallback"] + 2 * branches["coplanar quad"]
+        assert calls["coplanar"] == branches["coplanar"] + 2 * branches["coplanar quad"]
 
     def test_equal_levels_are_rejected(self):
         # the sections-apart test needs two distinct levels
@@ -517,3 +517,32 @@ def test_verdicts_under_mirror_and_reversal(seed, n, kind):
     }
     assert solve_no_steiner(image).satisfiable == solve_no_steiner(inst).satisfiable
     assert planarity_preserving(image).preserved == planarity_preserving(inst).preserved
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 7),
+    st.sampled_from(["convex", "star"]),
+    st.sampled_from([None, -2, -1, Fraction(1, 2), 2]),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+)
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_coplanar_bands_agree_with_brute_force(seed, n, kind, factor, dx, dy):
+    # every band quad is coplanar: the target is the source itself, so that
+    # each band is a vertical wall, or a homothety of it, whose edges are
+    # parallel to the source's; every band's two chord triangles then go
+    # through the kernel's coplanar branch, in the table's self-conflict
+    # tests and in the verifier's face pass
+    source = random_polygon(random.Random(seed), n, kind).vertices
+    if factor is None:
+        target = source
+    else:
+        target = tuple(Point2(factor * p.x + dx, factor * p.y + dy) for p in source)
+    inst = SliceInstance(LabeledPolygon(source, 0), LabeledPolygon(target, 1))
+    assert all(orient3d(*inst.band_quad(i)) == 0 for i in range(n))
+    outcome = solve_no_steiner(inst)
+    oracle = brute_force_assignments(inst)
+    assert outcome.satisfiable == bool(oracle)
+    if outcome.satisfiable:
+        assert outcome.assignment in oracle
