@@ -317,11 +317,70 @@ def _face_edges(face):
     return ((a, b), (b, c), (c, a))
 
 
-def _check_topology(s: BandedSurface, points: list, faces: list) -> CheckResult:
+def _face_record(verts, plane) -> tuple:
+    """A face's entry in the face pass: (x0, x1, y0, y1, z0, z1, bottom, top,
+    two_level, verts, plane).  The first six bound the face's closed box;
+    bottom and top are the xy boxes (x0, x1, y0, y1) of its vertices at z0
+    and at z1 (a horizontal face is its own bottom and top), and two_level
+    says that z0 < z1 and no vertex lies strictly between them."""
+    p, q, r = verts
+    if p[2] == q[2]:
+        lone, u, w = r, p, q
+    elif q[2] == r[2]:
+        lone, u, w = p, q, r
+    elif r[2] == p[2]:
+        lone, u, w = q, r, p
+    else:  # three levels: the bottom and the top are single vertices
+        lo, _, hi = sorted(verts, key=lambda v: v[2])
+        xs, ys = (p[0], q[0], r[0]), (p[1], q[1], r[1])
+        bottom, top = (lo[0], lo[0], lo[1], lo[1]), (hi[0], hi[0], hi[1], hi[1])
+        return (min(xs), max(xs), min(ys), max(ys), lo[2], hi[2], bottom, top, False, verts, plane)
+    lx, ly, lz = lone
+    x0, x1 = (u[0], w[0]) if u[0] <= w[0] else (w[0], u[0])
+    y0, y1 = (u[1], w[1]) if u[1] <= w[1] else (w[1], u[1])
+    pair, point = (x0, x1, y0, y1), (lx, lx, ly, ly)
+    box = (min(x0, lx), max(x1, lx), min(y0, ly), max(y1, ly))
+    if lz > u[2]:
+        return (*box, u[2], lz, pair, point, True, verts, plane)
+    if lz < u[2]:
+        return (*box, lz, u[2], point, pair, True, verts, plane)
+    return (*box, lz, lz, box, box, False, verts, plane)
+
+
+def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict) -> CheckResult:
     """The annulus checks on the mesh, with `points` its `_integer_points`.
-    Each face's integer vertex triple and plane (as `geometry._plane` gives
-    it) are appended to `faces` once the face has passed its own checks, so
-    a pass leaves one entry per face."""
+    Each face's `_face_record` is appended to `faces` once the face has
+    passed its own checks, and edges[(a, b)] = k is entered for each
+    directed edge (a, b) of face k, so a pass leaves one record per face
+    and the mesh's complete edge map.
+
+    The checks are: every directed edge is used once (the winding is
+    consistent, and an edge borders at most two faces, one per direction);
+    every vertex is used; there are at least 3 paths, with 2n distinct end
+    vertices; the boundary edges, those that border one face, are exactly
+    the two cycles through the paths' first and through their last
+    vertices, which are then disjoint and simple; the Euler characteristic
+    V - E + F is 0; and the faces are connected through shared edges.
+    They make the mesh K an annulus, so no per-vertex fan walk is needed:
+
+    - The link of a vertex v (the edge bc of each face vbc) has degree at
+      most 2, because an edge vb borders at most two faces.  So each link
+      component is a path or a cycle; a path ends in the far ends of two
+      boundary edges at v.  (A cycle of two link edges is two faces on the
+      same three vertices, which share all their edges, so they would be
+      a whole component with no boundary.)
+    - Split every vertex into one copy per link component.  The result K'
+      has the same edges and faces, each vertex link is one path or one
+      cycle, and the winding is consistent, so K' is a connected
+      orientable surface.  A boundary vertex of K has exactly two
+      boundary edges, so it has one path component, and the boundary of
+      K' is still the two cycles.  So chi(K') = 2 - 2g - 2 = -2g, where g
+      is the genus of K'.
+    - The split adds p >= 0 vertices, one per extra link component, and
+      no edge or face, so chi(K) = chi(K') - p = -2g - p.  chi(K) = 0
+      forces g = 0 and p = 0: no vertex is a pinch point, and K is an
+      annulus.
+    """
     nv = len(s.vertices)
     if len(s.bands) != len(s.paths):
         return CheckResult(False, "band count differs from path count")
@@ -344,37 +403,34 @@ def _check_topology(s: BandedSurface, points: list, faces: list) -> CheckResult:
         missing = next(f for f in range(len(s.faces)) if f not in face_band)
         return CheckResult(False, f"face {missing} belongs to no band")
 
-    directed = set()
-    undirected: dict[tuple[int, int], list[int]] = {}
     referenced = set()
     for k, face in enumerate(s.faces):
-        if len(set(face)) != 3 or any(not 0 <= v < nv for v in face):
+        if len(set(face)) != 3:
             return CheckResult(False, f"face {k} is malformed: {face}")
-        verts = tuple(points[v] for v in face)
+        a, b, c = face
+        if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
+            return CheckResult(False, f"face {k} is malformed: {face}")
+        verts = (points[a], points[b], points[c])
         plane = _plane(*verts)
         if plane[:3] == (0, 0, 0):
             return CheckResult(False, f"face {k} is degenerate")
-        faces.append((verts, plane))
-        referenced.update(face)
-        for e in _face_edges(face):
-            if e in directed:
+        for e in ((a, b), (b, c), (c, a)):
+            if e in edges:
                 return CheckResult(False, f"directed edge {e} used twice: winding is inconsistent")
-            directed.add(e)
-            key = (min(e), max(e))
-            undirected.setdefault(key, []).append(k)
-    if referenced != set(range(nv)):
+            edges[e] = k
+        referenced.update(face)
+        faces.append(_face_record(verts, plane))
+    if len(referenced) != nv:
         return CheckResult(False, "mesh has vertices not used by any face")
 
-    boundary = set()
-    for key, fs in undirected.items():
-        if len(fs) > 2:
-            return CheckResult(False, f"edge {key} borders {len(fs)} faces")
-        if len(fs) == 1:
-            boundary.add(key)
-
-    n = s.n
+    n = len(s.paths)
+    if n < 3:
+        return CheckResult(False, f"{n} paths: an annulus needs at least 3")
     starts = [path[0] for path in s.paths]
     ends = [path[-1] for path in s.paths]
+    if len(set(starts + ends)) != 2 * n:
+        return CheckResult(False, "the paths' first and last vertices are not 2n distinct vertices")
+    boundary = {(a, b) if a < b else (b, a) for a, b in edges if (b, a) not in edges}
     expected_boundary = set()
     for i in range(n):
         j = (i + 1) % n
@@ -383,49 +439,23 @@ def _check_topology(s: BandedSurface, points: list, faces: list) -> CheckResult:
     if boundary != expected_boundary:
         return CheckResult(False, "boundary edges are not exactly the two polygon cycles")
 
-    euler = nv - len(undirected) + len(s.faces)
+    # an inner edge is used in both directions, a boundary edge in one
+    euler = nv - (len(edges) + len(boundary)) // 2 + len(s.faces)
     if euler != 0:
         return CheckResult(False, f"Euler characteristic is {euler}, expected 0 for an annulus")
 
-    # face connectivity through shared edges
-    adj: list[list[int]] = [[] for _ in range(len(s.faces))]
-    for fs in undirected.values():
-        if len(fs) == 2:
-            adj[fs[0]].append(fs[1])
-            adj[fs[1]].append(fs[0])
+    # face connectivity through shared edges: face g across edge (a, b) of
+    # face f is the one that uses (b, a)
     stack, seen = [0], {0}
     while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if g not in seen:
+        a, b, c = s.faces[stack.pop()]
+        for e in ((b, a), (c, b), (a, c)):
+            g = edges.get(e)
+            if g is not None and g not in seen:
                 seen.add(g)
                 stack.append(g)
     if len(seen) != len(s.faces):
         return CheckResult(False, "surface is not connected")
-
-    # every vertex link must be a single fan of faces
-    incident: dict[int, list[int]] = {}
-    for k, face in enumerate(s.faces):
-        for v in face:
-            incident.setdefault(v, []).append(k)
-    for v, fs in incident.items():
-        if len(fs) == 1:
-            continue
-        comp = {fs[0]}
-        stack = [fs[0]]
-        fset = set(fs)
-        while stack:
-            f = stack.pop()
-            for e in _face_edges(s.faces[f]):
-                if v not in e:
-                    continue
-                key = (min(e), max(e))
-                for g in undirected[key]:
-                    if g in fset and g not in comp:
-                        comp.add(g)
-                        stack.append(g)
-        if comp != fset:
-            return CheckResult(False, f"vertex {v} is a pinch point (split face fan)")
 
     # band faces must stay between their two paths
     for b, members in enumerate(s.bands):
@@ -436,11 +466,9 @@ def _check_topology(s: BandedSurface, points: list, faces: list) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_paths(s: BandedSurface) -> CheckResult:
-    mesh_edges = set()
-    for face in s.faces:
-        for a, b in _face_edges(face):
-            mesh_edges.add((min(a, b), max(a, b)))
+def _check_paths(s: BandedSurface, edges) -> CheckResult:
+    """The path checks; `edges` holds every directed edge of every face, so
+    a mesh edge is in it in at least one direction."""
     used: dict[int, int] = {}
     for i, path in enumerate(s.paths):
         if len(path) < 2:
@@ -459,35 +487,67 @@ def _check_paths(s: BandedSurface) -> CheckResult:
             if not a.z < b.z:
                 return CheckResult(False, f"path {i} is not strictly z-increasing")
         for a, b in zip(path, path[1:]):
-            if (min(a, b), max(a, b)) not in mesh_edges:
+            if (a, b) not in edges and (b, a) not in edges:
                 return CheckResult(False, f"path {i} uses ({a},{b}) which is not a mesh edge")
     return CheckResult(True)
 
 
-def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
-    """Yield (j, k, hit) for every pair of faces j, k whose closed bounding
-    boxes meet, hit being the verdict of `open_triangles_intersect_3d`;
-    `faces` holds each face's vertex triple and plane as `_check_topology`
-    leaves them.
+_STRICT_SIDES = ((1, 1, 1), (-1, -1, -1))
 
-    The boxes are sorted by min-x and swept with an active list; each pair
-    that also meets in y and z gets its six plane-side signs here and goes
-    through `geometry._triangles_meet`, which decides coplanar pairs too, so
-    no point or triangle object is built.  With `pair_memo`, verdicts are
-    memoised under the ids of the `memo_keys` objects, one per face in face
+
+def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
+    """Yield (j, k, hit) for every pair of faces j, k whose closed boxes
+    meet, hit being the verdict of `open_triangles_intersect_3d`; `faces`
+    holds the `_face_record`s that `_check_topology` leaves.
+
+    The boxes are sorted by min-x and swept with an active list.  A pair
+    whose boxes also meet in y and z is decided by the first that applies
+    of these exact tests, with no point or triangle object built:
+
+    - Level touch.  When the z-ranges meet in one level, the faces can
+      meet only at that level, in their parts there (a vertex, an edge or
+      a horizontal face); parts with disjoint xy boxes never meet.
+    - End boxes.  A face with vertices at exactly two levels z0 < z1 cuts
+      the level z0 + s (z1 - z0), 0 <= s <= 1, in points (1 - s) b + s u
+      with b in the hull of its bottom vertices and u in that of its top
+      ones.  So when two such faces share z0 and z1, and on one axis both
+      the bottom and the top box of one lie strictly below those of the
+      other, every level cuts them apart.
+    - j's vertex sides of k's plane.  All strictly on one side: j misses
+      k.  Exactly two on the plane, and both vertices of k: the faces
+      share an edge in crossing planes, and meet in exactly that edge.
+    - Otherwise k's sides of j's plane, and `geometry._triangles_meet`,
+      which decides coplanar pairs too.
+
+    With `pair_memo`, the verdicts of the last two tests are memoised
+    under the ids of the `memo_keys` objects, one per face in face
     order."""
-    boxes = []
-    for verts, _ in faces:
-        xs, ys, zs = zip(*verts)
-        boxes.append((min(xs), max(xs), min(ys), max(ys), min(zs), max(zs)))
     active: list[int] = []
-    for k in sorted(range(len(faces)), key=lambda k: boxes[k][0]):
-        x0, _, y0, y1, z0, z1 = boxes[k]
-        active = [j for j in active if boxes[j][1] >= x0]
-        vk, (nx, ny, nz, off) = faces[k]
+    for k in sorted(range(len(faces)), key=lambda k: faces[k][0]):
+        x0, _, y0, y1, z0, z1, kb, kt, k2, vk, (nx, ny, nz, off) = faces[k]
+        active = [j for j in active if faces[j][1] >= x0]
         for j in active:
-            _, _, v0, v1, w0, w1 = boxes[j]
+            _, _, v0, v1, w0, w1, jb, jt, j2, vj, plane = faces[j]
             if v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
+                continue
+            if w1 == z0 or z1 == w0:
+                a, b = (jt, kb) if w1 == z0 else (kt, jb)
+                if a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]:
+                    yield j, k, False
+                    continue
+            elif (
+                j2
+                and k2
+                and w0 == z0
+                and w1 == z1
+                and (
+                    jb[1] < kb[0] and jt[1] < kt[0]
+                    or kb[1] < jb[0] and kt[1] < jt[0]
+                    or jb[3] < kb[2] and jt[3] < kt[2]
+                    or kb[3] < jb[2] and kt[3] < jt[2]
+                )
+            ):
+                yield j, k, False
                 continue
             if pair_memo is not None:
                 ij = (id(memo_keys[j]), id(memo_keys[k]))
@@ -496,10 +556,13 @@ def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
                 if hit is not None:
                     yield j, k, hit
                     continue
-            vj, (mx, my, mz, moff) = faces[j]
             sj = tuple([(d > 0) - (d < 0) for d in [nx * x + ny * y + nz * z - off for x, y, z in vj]])
-            sk = tuple([(d > 0) - (d < 0) for d in [mx * x + my * y + mz * z - moff for x, y, z in vk]])
-            hit = _triangles_meet(vj, sj, vk, sk)
+            if sj in _STRICT_SIDES or sj.count(0) == 2 and (vj[0] in vk) + (vj[1] in vk) + (vj[2] in vk) == 2:
+                hit = False
+            else:
+                mx, my, mz, moff = plane
+                sk = tuple([(d > 0) - (d < 0) for d in [mx * x + my * y + mz * z - moff for x, y, z in vk]])
+                hit = _triangles_meet(vj, sj, vk, sk)
             if pair_memo is not None:
                 pair_memo[key] = hit
             yield j, k, hit
@@ -631,16 +694,86 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     return CrossSection(t, LabeledPolygon(tuple(Point2(*rational(pt)) for pt in cycle), t))
 
 
-def _check_sections(s: BandedSurface, levels) -> CheckResult:
-    """One `cross_section` per open slab between consecutive `levels`, at
-    its midpoint; see `verify_banded_surface` for why that is complete."""
-    slabs = list(zip(levels, levels[1:]))
-    for lo, hi in slabs:
-        try:
-            cross_section(s, Fraction(lo + hi, 2))
-        except SectionError as exc:
-            return CheckResult(False, str(exc))
-    return CheckResult(True, f"sectioned {len(slabs)} slab{'s' if len(slabs) != 1 else ''}")
+def _slab_section(points, zs, crossing, level) -> str:
+    """The section at the integer `level` of the doubled z coordinates `zs`
+    through the faces in `crossing`, (top, face) pairs whose vertices lie
+    on both sides of it: "" if it is one simple closed polygon, else
+    what is wrong with it.
+
+    The segments are chained through their crossing edges: the face pass
+    has passed, so two different edges never cross the level at one point.
+    Only then are the points computed, over one common denominator, for
+    `polygon_is_simple`."""
+    if not crossing:
+        return "no face crosses the level"
+    face_edges = []  # the two crossing edges of each crossing face
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for i, (_, (a, b, c)) in enumerate(crossing):
+        above = zs[a] > level
+        if (zs[b] > level) == above:
+            lone, u, w = c, a, b
+        elif (zs[c] > level) == above:
+            lone, u, w = b, c, a
+        else:
+            lone, u, w = a, b, c
+        pair = ((lone, u) if lone < u else (u, lone), (lone, w) if lone < w else (w, lone))
+        face_edges.append(pair)
+        for e in pair:
+            edge_faces.setdefault(e, []).append(i)
+    for e, fs in edge_faces.items():
+        if len(fs) != 2:
+            return f"the crossing point of edge {e} touches {len(fs)} segments; cannot chain"
+    first, e = face_edges[0]
+    cycle, i = [first], 0
+    while e != first:
+        cycle.append(e)
+        f, g = edge_faces[e]
+        i = g if f == i else f
+        f, g = face_edges[i]
+        e = g if f == e else f
+    if len(cycle) != len(crossing):
+        return "the section chains into more than one cycle; the surface is not monotone here"
+    if len(cycle) < 3:
+        return f"the section closes after {len(cycle)} points; not a polygon"
+    # edge (u, w) from below the level to above it crosses at x/d, y/d
+    homogeneous = []
+    for u, w in cycle:
+        if zs[u] > zs[w]:
+            u, w = w, u
+        (xu, yu, _), (xw, yw, _) = points[u], points[w]
+        below, above = level - zs[u], zs[w] - level
+        homogeneous.append((xu * above + xw * below, yu * above + yw * below, above + below))
+    d = math.lcm(*{hd for _, _, hd in homogeneous})
+    if not polygon_is_simple([Point2(x * (d // hd), y * (d // hd)) for x, y, hd in homogeneous]):
+        return "the section is not a simple polygon"
+    return ""
+
+
+def _check_sections(s: BandedSurface, points) -> CheckResult:
+    """One section per open slab between consecutive vertex z-levels, at
+    its midpoint, by `_slab_section`; see `verify_banded_surface` for why
+    that is complete.
+
+    The integer z coordinates of `points` are doubled, so that each slab
+    midpoint is an integer level, and the faces are swept upward: a face
+    crosses every slab from its lowest vertex level to its highest."""
+    zs = [2 * p[2] for p in points]
+    levels = sorted(set(zs))
+    rising: dict[int, list] = {}  # lowest level -> faces that rise from it
+    for face in s.faces:
+        a, b, c = face
+        bottom, top = min(zs[a], zs[b], zs[c]), max(zs[a], zs[b], zs[c])
+        if bottom < top:
+            rising.setdefault(bottom, []).append((top, face))
+    crossing: list = []
+    for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        crossing = [f for f in crossing if f[0] > lo] + rising.get(lo, [])
+        error = _slab_section(points, zs, crossing, (lo + hi) // 2)
+        if error:
+            z = _z_levels(s)
+            return CheckResult(False, f"section at t={(z[i] + z[i + 1]) / 2}: {error}")
+    slabs = len(levels) - 1
+    return CheckResult(True, f"sectioned {slabs} slab{'s' if slabs != 1 else ''}")
 
 
 def verify_banded_surface(
@@ -653,11 +786,14 @@ def verify_banded_surface(
     """Run the four certification checks and report per-check verdicts.
 
     The vertices are scaled onto integers once, one positive factor per
-    axis, which keeps every verdict; topology's degeneracy test and the
-    face-pair check share the resulting vertex triples and face planes.
-    Later checks assume structurally sound input, so they are skipped
-    (marked failed with a note) when the topology check already failed
-    hard.
+    axis, which keeps every verdict.  The topology check proves the mesh an
+    annulus from counts and edge incidences alone (the argument is in
+    `_check_topology`); its one pass over the faces also leaves the edge
+    map that the path check reads, and each face's integer vertices, plane,
+    box and end boxes for the face-pair check (`_face_pair_verdicts`
+    gives its exact filters).  Later checks assume structurally sound
+    input, so they are skipped (marked failed with a note) when the
+    topology check already failed hard.
 
     Sections.  `monotone_sections` runs only once topology, paths and the
     face-pair check have passed, and then one plane section per open slab
@@ -684,6 +820,11 @@ def verify_banded_surface(
       (0, 1) that no vertex sits on, including every level a sampler of
       fixed levels would test.
 
+    The sections are taken on the same integer points, with z doubled so
+    that every slab midpoint is an integer level, in one upward sweep over
+    the faces (`_check_sections`); `cross_section` gives the same verdict
+    at each of those levels.
+
     A surface whose only slab is (0, 1), every face spanning the full
     height, is certified structurally unless force_sections=True: each
     band's faces cross every level in one arc between its two paths, the
@@ -695,23 +836,25 @@ def verify_banded_surface(
     to verdicts.
     """
     faces: list = []
+    edges: dict = {}
     try:
         points = _integer_points(s)
-        topo = _check_topology(s, points, faces)
-        paths = _check_paths(s)
-    except (IndexError, KeyError, TypeError) as exc:
+        topo = _check_topology(s, points, faces, edges)
+        if not topo.passed:
+            edges = {e for face in s.faces for e in _face_edges(face)}
+        paths = _check_paths(s, edges)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise MeshStructureError(f"malformed mesh: {exc}") from exc
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
     inter = _check_face_intersections(faces, _triangles, _pair_memo)
-    levels = _z_levels(s)
     if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
     elif not paths.passed:
         sections = CheckResult(False, "skipped: path check failed")
-    elif len(levels) == 2 and not force_sections:
+    elif len({p[2] for p in points}) == 2 and not force_sections:
         sections = CheckResult(True, "structural: every face spans the full height")
     else:
-        sections = _check_sections(s, levels)
+        sections = _check_sections(s, points)
     return VerificationReport(topo, paths, inter, sections)

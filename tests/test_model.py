@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from banded.errors import (
     BandedError,
     InputError,
+    MeshStructureError,
     PreconditionError,
     SectionError,
 )
@@ -185,6 +186,16 @@ class TestVerifier:
         bands = s.bands[:-1] + (s.bands[-1] | {len(faces) - 1},)
         bad = BandedSurface(s.vertices, faces, bands, s.paths)
         assert not verify_banded_surface(bad).topology.passed
+
+    def test_face_of_four_indices_is_a_structure_error(self):
+        # three distinct indices pass the malformed-face test, and a face
+        # with four distinct ones fails it; either way a face of four
+        # indices is a MeshStructureError, never a bare ValueError
+        s = assignment_to_surface(identity_square(), ChordAssignment.from_string("RRRR"))
+        for face in ((0, 1, 5, 5), (0, 1, 5, 4)):
+            bad = BandedSurface(s.vertices, (face,) + s.faces[1:], s.bands, s.paths)
+            with pytest.raises(MeshStructureError):
+                verify_banded_surface(bad)
 
     def test_missing_face_breaks_boundary(self):
         inst = identity_square()
@@ -539,15 +550,18 @@ def sections_pass(s: BandedSurface, levels) -> bool:
 
 
 def forced_sections(monkeypatch, s: BandedSurface):
-    """The forced verification report and the levels it sectioned at."""
+    """The forced verification report and the levels it sectioned at,
+    mapped back from the verifier's doubled integer z coordinates."""
     levels = []
+    kz, _ = geometry._integer_axis([p.z for p, _ in s.vertices])
+    section = model._slab_section
 
-    def counted(surface, t):
-        levels.append(Fraction(t))
-        return cross_section(surface, t)
+    def counted(points, zs, crossing, level):
+        levels.append(Fraction(level, 2 * kz))
+        return section(points, zs, crossing, level)
 
     with monkeypatch.context() as patch:
-        patch.setattr(model, "cross_section", counted)
+        patch.setattr(model, "_slab_section", counted)
         report = verify_banded_surface(s, force_sections=True)
     return report, levels
 
@@ -620,7 +634,11 @@ def face_pass_faces(s: BandedSurface):
     """The face pass's input, built as `_check_topology` builds it but for
     every face, so that meshes failing topology can be checked too."""
     points = model._integer_points(s)
-    return points, [(verts, _plane(*verts)) for verts in (tuple(points[v] for v in f) for f in s.faces)]
+    faces = []
+    for f in s.faces:
+        verts = tuple(points[v] for v in f)
+        faces.append(model._face_record(verts, _plane(*verts)))
+    return points, faces
 
 
 def face_pair_branch(t1, t2) -> str:
@@ -636,10 +654,111 @@ def face_pair_branch(t1, t2) -> str:
     return ("crossing", "one shared vertex", "shared edge")[shared]
 
 
+def _xy_box(points):
+    return min(p.x for p in points), max(p.x for p in points), min(p.y for p in points), max(p.y for p in points)
+
+
+def _boxes_apart(a, b) -> bool:
+    return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
+
+
+def slab_filter(t1, t2) -> str:
+    """The slab filter that dismisses a pair before any plane side, from
+    vertex values alone: "level touch" when the z-ranges meet in one level
+    and the parts of the faces at that level have disjoint xy boxes; "end
+    boxes" when both faces have vertices at the same two levels and no
+    other, and on one axis the bottom and top boxes of one lie strictly
+    below those of the other; else ""."""
+    z1, z2 = [p.z for p in t1.vertices], [p.z for p in t2.vertices]
+    (lo1, hi1), (lo2, hi2) = (min(z1), max(z1)), (min(z2), max(z2))
+    if hi1 == lo2 or hi2 == lo1:
+        level = lo2 if hi1 == lo2 else lo1
+        a = _xy_box([p for p in t1.vertices if p.z == level])
+        b = _xy_box([p for p in t2.vertices if p.z == level])
+        return "level touch" if _boxes_apart(a, b) else ""
+    if (lo1, hi1) != (lo2, hi2) or len(set(z1)) != 2 or len(set(z2)) != 2:
+        return ""
+    ends = [[_xy_box([p for p in t.vertices if p.z == z]) for z in (lo1, hi1)] for t in (t1, t2)]
+    for u, w in (ends, ends[::-1]):
+        for axis in (0, 2):  # x, then y
+            if all(u[e][axis + 1] < w[e][axis] for e in (0, 1)):
+                return "end boxes"
+    return ""
+
+
+def touching_pair_meshes() -> list[BandedSurface]:
+    """Bare two-face meshes whose z-ranges touch at exactly one level,
+    z = 1/2: a lower face's top vertex inside, at an end of, beside and
+    beyond an upper face's bottom edge."""
+    edge = [(0, 0, Fraction(1, 2)), (2, 2, Fraction(1, 2)), (0, 2, 1)]
+    out = []
+    for tip in ((1, 1), (2, 2), (2, 0), (3, 3)):
+        lower = [(0, -3, 0), (2, -3, 0), (*tip, Fraction(1, 2))]
+        out.append(mesh(lower + edge, [(0, 1, 2), (3, 4, 5)]))
+    return out
+
+
+def split_path_edge(s: BandedSurface, i: int, offset=(0, 0)) -> BandedSurface:
+    """s with path i's first edge (a, b) split at a new vertex halfway up,
+    moved by `offset` in xy from the edge's midpoint; each face on the edge
+    is split in two within its band, so every other face of a one-gap
+    surface spans both of the new slabs."""
+    a, b = s.paths[i][:2]
+    pa, pb = s.point(a), s.point(b)
+    m = len(s.vertices)
+    half = Fraction(1, 2)
+    middle = Point3((pa.x + pb.x) * half + offset[0], (pa.y + pb.y) * half + offset[1], (pa.z + pb.z) * half)
+    faces, bands = list(s.faces), [set(members) for members in s.bands]
+    for k, face in enumerate(s.faces):
+        for r in range(3):
+            u, v, w = face[r:] + face[:r]
+            if {u, v} == {a, b}:
+                faces[k] = (u, m, w)
+                bands[next(band for band, members in enumerate(bands) if k in members)].add(len(faces))
+                faces.append((m, v, w))
+    paths = list(s.paths)
+    paths[i] = (a, m) + s.paths[i][1:]
+    return BandedSurface(
+        s.vertices + ((middle, SteinerLabel(0)),), tuple(faces), tuple(frozenset(b) for b in bands), tuple(paths)
+    )
+
+
+def self_touching_layer_meshes() -> list[BandedSurface]:
+    """Two-gap surfaces over a pentagon whose middle layer pulls vertex 3
+    down to y = 0 (onto the layer's edge 0-1, so the layer polygon touches
+    itself) or to y = 1 (a simple layer)."""
+    pentagon = [(0, 0), (4, 0), (4, 4), (2, 5), (0, 4)]
+    out = []
+    for tip in ((2, 0), (2, 1)):
+        middle = pentagon[:3] + [tip] + pentagon[4:]
+        polys = [
+            LabeledPolygon(tuple(Point2(*p) for p in pts), z)
+            for pts, z in ((pentagon, 0), (middle, Fraction(1, 2)), (pentagon, 1))
+        ]
+        for text in ("RRRRR", "LRLRL"):
+            out.append(model.layers_to_surface(polys, [ChordAssignment.from_string(text)] * 2))
+    return out
+
+
+def two_slab_meshes() -> list[BandedSurface]:
+    """One-gap surfaces with one path edge split halfway up, on it or off
+    it, so that most faces span both slabs."""
+    prism = assignment_to_surface(fig1_twisted_prism().instance, ChordAssignment.from_string("RRR"))
+    square = assignment_to_surface(identity_square(), ChordAssignment.from_string("RLRL"))
+    return [split_path_edge(prism, 0), split_path_edge(square, 1), split_path_edge(square, 2, (Fraction(1, 4), 1))]
+
+
+def slab_filter_meshes() -> list[BandedSurface]:
+    """Meshes for the slab filters: faces touching at exactly one level, a
+    face that spans two slabs, and a layer polygon that touches itself."""
+    return touching_pair_meshes() + two_slab_meshes() + self_touching_layer_meshes()
+
+
 def face_pass_meshes():
     """Every layered-corpus surface, and meshes whose faces intersect: a
     vertex of every fifth surface pushed through the far side of the
-    annulus (skipped where a face degenerates), and a duplicated face."""
+    annulus (skipped where a face degenerates), and a duplicated face; and
+    the `slab_filter_meshes`."""
     out = list(layered_surfaces())
     for s in layered_surfaces()[::5]:
         pts = [p for p, _ in s.vertices]
@@ -652,26 +771,34 @@ def face_pass_meshes():
             if not any(image.face_triangle(k).is_degenerate() for k in range(len(s.faces))):
                 out.append(image)
         out.append(mesh(pts, s.faces + s.faces[:1]))
-    return out
+    return out + slab_filter_meshes()
 
 
 class TestFacePass:
     def test_every_box_pair_matches_the_general_predicate(self, monkeypatch):
-        # the x-swept pass visits exactly the pairs whose closed boxes meet,
-        # decides each as `open_triangles_intersect_3d` does, and reaches the
-        # kernel's coplanar branch for the coplanar pairs alone; every pair
-        # is checked, not only those up to a first hit
+        # the x-swept pass visits exactly the pairs whose closed boxes meet
+        # and decides each as `open_triangles_intersect_3d` does; the pairs
+        # that the slab filters dismiss, or that the first face's plane
+        # sides settle, never reach the kernel, and its coplanar branch is
+        # reached by the coplanar pairs that do; every pair is checked, not
+        # only those up to a first hit
+        kernel_pairs = []
         coplanar_calls = []
+        kernel = model._triangles_meet
         coplanar = geometry._coplanar_triangles_meet
 
-        def counted(v1, v2):
+        def counted_kernel(v1, s1, v2, s2):
+            kernel_pairs.append((v1, v2))
+            return kernel(v1, s1, v2, s2)
+
+        def counted_coplanar(v1, v2):
             coplanar_calls.append(1)
             return coplanar(v1, v2)
 
         branches = Counter()
         for s in face_pass_meshes():
             points, faces = face_pass_faces(s)
-            boxes = [[(min(c), max(c)) for c in zip(*verts)] for verts, _ in faces]
+            boxes = [[(min(c), max(c)) for c in zip(*f[9])] for f in faces]
             expected = {
                 (j, k)
                 for k in range(len(faces))
@@ -679,22 +806,43 @@ class TestFacePass:
                 if all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
             }
             seen = {}
+            kernel_pairs.clear()
             with monkeypatch.context() as patched:
-                patched.setattr(geometry, "_coplanar_triangles_meet", counted)
+                patched.setattr(model, "_triangles_meet", counted_kernel)
+                patched.setattr(geometry, "_coplanar_triangles_meet", counted_coplanar)
                 for j, k, hit in model._face_pair_verdicts(faces):
                     key = (min(j, k), max(j, k))
                     assert key not in seen
-                    seen[key] = hit
+                    seen[key] = (j, k, hit)
             assert set(seen) == expected
-            triangles = [Triangle3(*(Point3(*p) for p in verts)) for verts, _ in faces]
-            for (j, k), hit in seen.items():
+            triangles = [Triangle3(*(Point3(*p) for p in f[9])) for f in faces]
+            reached = []
+            for j, k, hit in seen.values():
                 t1, t2 = triangles[j], triangles[k]
                 assert hit == open_triangles_intersect_3d(t1, t2), (j, k)
-                branch = face_pair_branch(t1, t2)
+                cascade = face_pair_branch(t1, t2)
+                branch = slab_filter(t1, t2) or cascade
                 branches[branch] += 1
+                branches["coplanar, all"] += cascade == "coplanar"
                 if branch == "crossing":
                     branches["crossing, meet" if hit else "crossing, disjoint"] += 1
+                if branch in ("level touch", "end boxes"):
+                    continue
+                # the first face's sides of the second's plane
+                sides = [orient3d(t2.a, t2.b, t2.c, p) for p in t1.vertices]
+                if sides[0] == sides[1] == sides[2] != 0:
+                    branches["first sides strict"] += 1
+                elif sides.count(0) == 2 and sum(p in t2.vertices for p in t1.vertices) == 2:
+                    branches["first sides shared edge"] += 1
+                else:
+                    reached.append((faces[j][9], faces[k][9]))
+                    branches["kernel, coplanar"] += branch == "coplanar"
+            assert sorted(kernel_pairs) == sorted(reached)
         for branch in (
+            "level touch",
+            "end boxes",
+            "first sides strict",
+            "first sides shared edge",
             "strict dismissal",
             "coplanar",
             "shared edge",
@@ -703,7 +851,195 @@ class TestFacePass:
             "crossing, disjoint",
         ):
             assert branches[branch] > 0, branch
-        assert len(coplanar_calls) == branches["coplanar"]
+        assert len(coplanar_calls) == branches["kernel, coplanar"] > 0
+        assert branches["coplanar, all"] > branches["kernel, coplanar"]
+
+
+def reference_topology(s: BandedSurface) -> str:
+    """The annulus checks as first written, with a walk around every
+    vertex's fan and no endpoint premise: "" if they pass, else the name of
+    the first that fails."""
+    nv, nf = len(s.vertices), len(s.faces)
+    if len(s.bands) != len(s.paths) or len({p for p, _ in s.vertices}) != nv:
+        return "counts or coincident vertices"
+    if sorted(f for members in s.bands for f in members) != list(range(nf)):
+        return "band partition"
+    directed = Counter()
+    undirected: dict[frozenset, list[int]] = {}
+    for k, face in enumerate(s.faces):
+        if len(set(face)) != 3 or not all(0 <= v < nv for v in face) or s.face_triangle(k).is_degenerate():
+            return "face"
+        directed.update(model._face_edges(face))
+        for e in model._face_edges(face):
+            undirected.setdefault(frozenset(e), []).append(k)
+    if max(directed.values()) > 1 or {v for f in s.faces for v in f} != set(range(nv)):
+        return "winding or unused vertex"
+    if any(len(fs) > 2 for fs in undirected.values()):
+        return "edge on three faces"
+    n = len(s.paths)
+    cycles = {frozenset((path[end], s.paths[(i + 1) % n][end])) for i, path in enumerate(s.paths) for end in (0, -1)}
+    if {e for e, fs in undirected.items() if len(fs) == 1} != cycles:
+        return "boundary"
+    if nv - len(undirected) + nf != 0:
+        return "euler"
+    component, stack = {0}, [0]
+    while stack:
+        f = stack.pop()
+        for e in model._face_edges(s.faces[f]):
+            for g in undirected[frozenset(e)]:
+                if g not in component:
+                    component.add(g)
+                    stack.append(g)
+    if len(component) != nf:
+        return "connected"
+    for v in range(nv):
+        fan = {k for k, face in enumerate(s.faces) if v in face}
+        component, stack = set(), [min(fan)]
+        while stack:
+            f = stack.pop()
+            component.add(f)
+            for e in model._face_edges(s.faces[f]):
+                if v in e:
+                    stack.extend(g for g in undirected[frozenset(e)] if g not in component)
+        if component != fan:
+            return "pinch"
+    for b, members in enumerate(s.bands):
+        allowed = set(s.paths[b]) | set(s.paths[(b + 1) % n])
+        if any(not set(s.faces[f]) <= allowed for f in members):
+            return "band off its paths"
+    return ""
+
+
+def reference_paths(s: BandedSurface) -> bool:
+    edges = {frozenset(e) for face in s.faces for e in model._face_edges(face)}
+    used = set()
+    for i, path in enumerate(s.paths):
+        if len(path) < 2 or len(set(path)) != len(path) or used & set(path):
+            return False
+        used |= set(path)
+        zs = [s.point(v).z for v in path]
+        if zs[0] != 0 or zs[-1] != 1 or any(a >= b for a, b in zip(zs, zs[1:])):
+            return False
+        if (s.vertices[path[0]][1], s.vertices[path[-1]][1]) != (OriginalLabel(0, i), OriginalLabel(1, i)):
+            return False
+        if any(frozenset(e) not in edges for e in zip(path, path[1:])):
+            return False
+    return True
+
+
+def reference_verdicts(s: BandedSurface, force_sections: bool) -> tuple[bool, bool, bool, bool]:
+    """The per-check verdicts of a reference verifier: `reference_topology`,
+    `reference_paths`, every face pair through `open_triangles_intersect_3d`
+    with no filter, and one `cross_section` at each slab's midpoint, with
+    the verifier's skip rules."""
+    topology, paths = not reference_topology(s), reference_paths(s)
+    if not topology:
+        return False, paths, False, False
+    triangles = [s.face_triangle(k) for k in range(len(s.faces))]
+    faces = not any(
+        open_triangles_intersect_3d(triangles[j], triangles[k]) for k in range(len(triangles)) for j in range(k)
+    )
+    if not (faces and paths):
+        return topology, paths, faces, False
+    if len(slabs(s)) == 1 and not force_sections:
+        return topology, paths, faces, True
+    return topology, paths, faces, sections_pass(s, slab_midpoints(s))
+
+
+class TestReferenceVerifier:
+    def test_every_check_matches_the_reference(self):
+        outcomes = Counter()
+        for s in face_pass_meshes() + edge_case_meshes() + [missing_path_mesh()]:
+            for force in (False, True):
+                report = verify_banded_surface(s, force_sections=force)
+                got = tuple(
+                    check.passed
+                    for check in (
+                        report.topology,
+                        report.path_disjointness,
+                        report.face_intersections,
+                        report.monotone_sections,
+                    )
+                )
+                assert got == reference_verdicts(s, force), (report.summary(), force)
+                outcomes[got] += 1
+        assert outcomes[(True, True, True, True)] > 0
+        assert outcomes[(True, True, False, False)] > 0
+        assert outcomes[(True, False, True, False)] > 0
+        assert outcomes[(False, False, False, False)] > 0
+
+    def test_slab_filter_meshes(self):
+        # a face spanning two slabs sections at both midpoints; a layer
+        # polygon that touches itself fails the face pass at that level
+        for s in two_slab_meshes():
+            report = verify_banded_surface(s, force_sections=True)
+            assert report.passed, report.summary()
+            assert report.monotone_sections.detail == "sectioned 2 slabs"
+            assert verify_banded_surface(s).monotone_sections.detail == "sectioned 2 slabs"
+        touching, simple = self_touching_layer_meshes()[:2], self_touching_layer_meshes()[2:]
+        for s in touching:
+            report = verify_banded_surface(s, force_sections=True)
+            assert report.topology.passed and report.path_disjointness.passed
+            assert not report.face_intersections.passed
+        assert any(verify_banded_surface(s, force_sections=True).passed for s in simple)
+
+
+def merged_vertices(s: BandedSurface, u: int, v: int) -> BandedSurface:
+    """s with vertex u merged into vertex v: faces and paths name v for u,
+    and u is dropped."""
+    index = {old: new for new, old in enumerate(w for w in range(len(s.vertices)) if w != u)}
+    index[u] = index[v]
+    return BandedSurface(
+        tuple(vertex for w, vertex in enumerate(s.vertices) if w != u),
+        tuple(tuple(index[w] for w in face) for face in s.faces),
+        s.bands,
+        tuple(tuple(index[w] for w in path) for path in s.paths),
+    )
+
+
+def chord_surfaces() -> list[BandedSurface]:
+    rng = random.Random(41)
+    out = []
+    for k in range(30):
+        inst = random_instance(rng, rng.randint(3, 9), ("convex", "star", "spiral")[k % 3])
+        out.append(assignment_to_surface(inst, ChordAssignment.from_bools(rng.random() < 0.5 for _ in range(inst.n))))
+    return out
+
+
+class TestTopologyPremises:
+    def test_merging_two_vertices_never_passes_topology(self):
+        # pins the argument in `_check_topology` that its premises make a
+        # per-vertex fan walk redundant: no merge of two vertices of an
+        # annulus passes topology, and the reference's fan walk is never the
+        # first of its checks to reject one
+        rng = random.Random(1515)
+        surfaces = list(layered_surfaces()) + chord_surfaces()
+        first = Counter()
+        for _ in range(1200):
+            s = rng.choice(surfaces)
+            u, v = rng.sample(range(len(s.vertices)), 2)
+            merged = merged_vertices(s, u, v)
+            report = verify_banded_surface(merged)
+            assert not report.topology.passed and not report.passed
+            first[reference_topology(merged)] += 1
+        assert first[""] == first["pinch"] == 0
+        assert len(first) >= 4
+
+    def test_at_least_three_paths(self):
+        square = assignment_to_surface(identity_square(), ChordAssignment.from_string("RLRL"))
+        b = square.bands
+        two = BandedSurface(square.vertices, square.faces, (b[0] | b[1], b[2] | b[3]), square.paths[::2])
+        report = verify_banded_surface(two)
+        assert not report.topology.passed
+        assert report.topology.detail == "2 paths: an annulus needs at least 3"
+
+    def test_path_endpoints_are_distinct(self):
+        square = assignment_to_surface(identity_square(), ChordAssignment.from_string("RLRL"))
+        for path in ((0, 7), (4, 7), (3, 4)):
+            repeated = BandedSurface(square.vertices, square.faces, square.bands, square.paths[:3] + (path,))
+            report = verify_banded_surface(repeated)
+            assert not report.topology.passed
+            assert "not 2n distinct" in report.topology.detail
 
 
 def _metamorphic_surfaces():

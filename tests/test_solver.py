@@ -21,6 +21,8 @@ from banded.geometry import (
     Triangle3,
     open_triangles_intersect_3d,
     orient3d,
+    polygon_is_ccw,
+    polygon_is_simple,
     segment_triangle_contact_3d,
 )
 from banded.model import (
@@ -546,3 +548,75 @@ def test_coplanar_bands_agree_with_brute_force(seed, n, kind, factor, dx, dy):
     assert outcome.satisfiable == bool(oracle)
     if outcome.satisfiable:
         assert outcome.assignment in oracle
+
+
+def _with_flat_vertices(polygon, flats: int):
+    """The polygon with its coordinates doubled and the midpoints of its
+    first `flats` edges inserted as collinear vertices."""
+    doubled = [Point2(2 * p.x, 2 * p.y) for p in polygon]
+    out = []
+    for i, p in enumerate(doubled):
+        out.append(p)
+        if i < flats:
+            q = doubled[(i + 1) % len(doubled)]
+            out.append(Point2(Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2)))
+    return tuple(out)
+
+
+def _shared_xy_target(rng, source, keep, style):
+    """A target that keeps the xy of the source vertices in `keep`.  "turn":
+    the source turned by a rational rotation and scaled about its first
+    kept vertex.  "offsets": every other vertex moved by random integer
+    offsets, up to half the source's extent and shrinking until the target
+    is simple and counterclockwise (at offset 0 it is the source itself)."""
+    if style == "turn":
+        c = source[min(keep)]
+        cos, sin = rng.choice([(Fraction(3, 5), Fraction(4, 5)), (0, 1), (Fraction(-3, 5), Fraction(4, 5))])
+        f = Fraction(rng.choice([1, 2, 3]), 2)
+        return tuple(
+            Point2(c.x + f * (cos * (p.x - c.x) - sin * (p.y - c.y)), c.y + f * (sin * (p.x - c.x) + cos * (p.y - c.y)))
+            for p in source
+        )
+    span = max(max(p.x for p in source) - min(p.x for p in source), max(p.y for p in source) - min(p.y for p in source))
+    while True:
+        span //= 2
+        for _ in range(20):
+            pts = tuple(
+                p if i in keep else Point2(p.x + rng.randint(-span, span), p.y + rng.randint(-span, span))
+                for i, p in enumerate(source)
+            )
+            if polygon_is_simple(pts) and polygon_is_ccw(pts):
+                return pts
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(3, 6),
+    st.integers(1, 4),
+    st.sampled_from(["convex", "star"]),
+    st.sampled_from(["turn", "offsets"]),
+)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_flat_sources_and_shared_xy_agree_with_brute_force(seed, m, flats, kind, style):
+    # sources with collinear (flat) vertices; targets that reuse the xy of
+    # some source vertices, so that those paths are vertical, and with
+    # offsets two adjacent ones, so that the band between them is a wall:
+    # the solver, the brute-force oracle and the forced verifier agree
+    # (n <= 7)
+    rng = random.Random(seed)
+    source = _with_flat_vertices(random_polygon(rng, m, kind).vertices, min(flats, 7 - m))
+    n = len(source)
+    i = rng.randrange(n)
+    keep = {i, (i + 1) % n} | set(rng.sample(range(n), rng.randint(0, n - 2)))
+    inst = SliceInstance(LabeledPolygon(source, 0), LabeledPolygon(_shared_xy_target(rng, source, keep, style), 1))
+    inst.validate()
+    assert style == "turn" or orient3d(*inst.band_quad(i)) == 0
+    outcome = solve_no_steiner(inst)
+    oracle = brute_force_assignments(inst)
+    assert outcome.satisfiable == bool(oracle)
+    if outcome.satisfiable:
+        assert outcome.assignment in oracle
+    for mask in rng.sample(range(1 << n), 12):
+        assignment = ChordAssignment.from_bools((mask >> i) & 1 for i in range(n))
+        report = verify_banded_surface(assignment_to_surface(inst, assignment), force_sections=True)
+        assert report.passed == (assignment in oracle), (str(assignment), report.summary())
