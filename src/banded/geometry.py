@@ -204,11 +204,6 @@ def _between_collinear(p, a, b) -> bool:
     return p.x == a.x and (a.y <= p.y <= b.y or b.y <= p.y <= a.y)
 
 
-def point_on_segment_2d(p, a, b) -> bool:
-    """True iff p lies on the closed segment [a, b]."""
-    return orient2d(a, b, p) == 0 and _between_collinear(p, a, b)
-
-
 def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
     """Exact closed-segment intersection test.
 
@@ -368,21 +363,6 @@ def polygon_is_convex(pts: Sequence[Point2]) -> bool:
 # ---------------------------------------------------------------------------
 # triangle-triangle contact in 3D
 # ---------------------------------------------------------------------------
-
-
-def _proj_axis(normal) -> int:
-    ax, ay, az = abs(normal[0]), abs(normal[1]), abs(normal[2])
-    if ax >= ay and ax >= az:
-        return 0
-    return 1 if ay >= az else 2
-
-
-def _project(p: Point3, axis: int) -> Point2:
-    if axis == 0:
-        return Point2(p.y, p.z)
-    if axis == 1:
-        return Point2(p.z, p.x)
-    return Point2(p.x, p.y)
 
 
 def _plane(a, b, c):
@@ -596,41 +576,3 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     s2 = _plane_sides((*t1.normal, t1.offset), v2)
     s1 = _plane_sides((*t2.normal, t2.offset), v1)
     return _triangles_meet(v1, s1, v2, s2)
-
-
-def segment_triangle_contact_3d(p: Point3, q: Point3, tri: Triangle3) -> bool:
-    """True iff closed segment [p, q] meets the closed triangle anywhere."""
-    if tri.is_degenerate():
-        raise DegenerateTriangleError("segment_triangle_contact_3d needs a proper triangle")
-    n = tri.normal
-    sp = _sign(_dot3(n, _sub3(p, tri.a)))
-    sq = _sign(_dot3(n, _sub3(q, tri.a)))
-    if sp == sq and sp != 0:
-        return False
-    axis = _proj_axis(n)
-    verts = [_project(v, axis) for v in tri.vertices]
-
-    def inside(pt2) -> bool:
-        signs = [orient2d(verts[i], verts[(i + 1) % 3], pt2) for i in range(3)]
-        ref = orient2d(*verts)
-        return all(s * ref >= 0 for s in signs)
-
-    if sp == 0 and sq == 0:
-        # segment in the triangle's plane
-        a2, b2 = _project(p, axis), _project(q, axis)
-        if inside(a2) or inside(b2):
-            return True
-        return any(
-            segments_intersect_2d(a2, b2, verts[i], verts[(i + 1) % 3], mode="any")
-            for i in range(3)
-        )
-    if sp == 0:
-        return inside(_project(p, axis))
-    if sq == 0:
-        return inside(_project(q, axis))
-    # strict crossing: intersection point at parameter sp/(sp - sq) in exact form
-    d = _sub3(q, p)
-    denom = _dot3(n, d)
-    t = Fraction(_dot3(n, _sub3(tri.a, p)), denom)
-    x = Point3(p.x + t * d[0], p.y + t * d[1], p.z + t * d[2])
-    return inside(_project(x, axis))

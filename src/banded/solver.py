@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
@@ -119,56 +120,21 @@ _CHOICE_TESTS = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _BandPlanes:
-    """A band's quad points as int tuples, its four chord triangles in
-    `_QUAD_TRIPLES` order as vertex triples of those tuples, and their
-    planes as `geometry._plane` gives them."""
-
-    points: tuple
-    vertices: tuple
-    planes: tuple
-
-    @classmethod
-    def of(cls, quad):
-        points = tuple((p.x, p.y, p.z) for p in quad)
-        vertices = tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
-        return cls(points, vertices, tuple(_plane(*v) for v in vertices))
+def _quad_triangles(points) -> tuple:
+    """The four chord triangles of a band quad, in `_QUAD_TRIPLES` order, as
+    vertex triples of its points."""
+    return tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
 
 
-def _sections_apart(a, b) -> bool:
-    """Whether the closed tetrahedra on two band quads are disjoint, from the
-    quads' points (p0, p1, q1, q0) as (x, y, z) tuples, with the p's on one
-    level and the q's on another.
-
-    Lemma.  Let D hold the 8 xy differences u - w, with u and w the bottom
-    points of a and b, or their top points.  The closed tetrahedra meet iff
-    the origin lies in the convex hull of D.
-
-    Proof.  Let the levels be z0 != z1 and write z = (1 - t) z0 + t z1.  The
-    tetrahedron on a is the hull of a bottom segment A0 and a top segment
-    A1, so its section at t is (1 - t) A0 + t A1, and the same holds for b.
-    Two sections meet iff the origin lies in their Minkowski difference
-    (1 - t) (A0 - B0) + t (A1 - B1), where A0 - B0 is the hull of the four
-    bottom differences and A1 - B1 of the four top ones.  For convex X and
-    Y, the union of (1 - t) X + t Y over t in [0, 1] is the hull of X and
-    Y.  So some section pair meets iff the origin lies in the hull of D.
-
-    The origin is outside that hull iff all of D lies in an open half-plane
-    through it.  That holds iff some v in D has every w in D with
-    cross(v, w) > 0, or cross(v, w) = 0 and dot(v, w) > 0; then v is the
-    clockwise-most vector of D.  A zero vector, a vertex shared by value,
-    fails the test for every v.  Within an open half-plane, "w is strictly
-    clockwise of v" orders D, so one pass keeps the clockwise-most vector as
-    the only candidate, and a second pass checks it.  Disjoint closed
-    tetrahedra hold no common point of any chord triangles, so the pair
-    cannot conflict.  A face plane that strictly separates the tetrahedra
-    makes them disjoint, so this test ends every pair that such a plane
-    would end.
-    """
+def _xy_differences(a, b) -> tuple:
+    """The 8 xy differences u - w of two band quads, given as (p0, p1, q1,
+    q0) tuples of (x, y, z) points with the p's on one level and the q's on
+    the other: the bottom points of a against those of b, then the top
+    points against the top points.  A band's point k against the other's
+    point m sits at index 2 k + m, less 2 at the top."""
     (a0x, a0y, _), (a1x, a1y, _), (a2x, a2y, _), (a3x, a3y, _) = a
     (b0x, b0y, _), (b1x, b1y, _), (b2x, b2y, _), (b3x, b3y, _) = b
-    vectors = (
+    return (
         (a0x - b0x, a0y - b0y),
         (a0x - b1x, a0y - b1y),
         (a1x - b0x, a1y - b0y),
@@ -178,6 +144,38 @@ def _sections_apart(a, b) -> bool:
         (a3x - b2x, a3y - b2y),
         (a3x - b3x, a3y - b3y),
     )
+
+
+def _sections_apart(vectors) -> bool:
+    """Whether two closed convex bodies that span the same two levels are
+    disjoint, from `vectors`: the xy differences u - w of their points, u
+    of the one and w of the other, taken at the bottom level and at the top
+    level.
+
+    Lemma.  Let X = hull(X0 u X1) and Y = hull(Y0 u Y1), with X0 and Y0
+    finite and nonempty on a level z0, and X1 and Y1 on a level z1 != z0.
+    Let D hold the differences X0 - Y0 and X1 - Y1.  Then X and Y meet iff
+    the origin lies in the convex hull of D.
+
+    Proof.  Write z = (1 - t) z0 + t z1.  The section of X at t is
+    (1 - t) hull(X0) + t hull(X1), and the same holds for Y.  Two sections
+    meet iff the origin lies in their Minkowski difference
+    (1 - t) hull(X0 - Y0) + t hull(X1 - Y1).  For convex A and B, the union
+    of (1 - t) A + t B over t in [0, 1] is the hull of A and B.  So some
+    section pair meets iff the origin lies in the hull of D.  The bodies
+    here are the tetrahedron on a band quad, from its bottom and top edges
+    (8 differences; the Minkowski-difference criterion of Gilbert, Johnson
+    and Keerthi 1988), and a chord triangle, from its one or two vertices
+    on each level (4 or 5 differences of a triangle pair).
+
+    The origin is outside that hull iff all of D lies in an open half-plane
+    through it.  That holds iff some v in D has every w in D with
+    cross(v, w) > 0, or cross(v, w) = 0 and dot(v, w) > 0; then v is the
+    clockwise-most vector of D.  A zero vector, a vertex shared by value,
+    fails the test for every v.  Within an open half-plane, "w is strictly
+    clockwise of v" orders D, so one pass keeps the clockwise-most vector as
+    the only candidate, and a second pass checks it.
+    """
     vx, vy = vectors[0]
     for wx, wy in vectors:
         if vx * wy < vy * wx:
@@ -189,32 +187,109 @@ def _sections_apart(a, b) -> bool:
     return True
 
 
-def _band_pair_conflicts(a: _BandPlanes, b: _BandPlanes):
-    """The conflict matrix of bands a < b, with the verdicts of `conflicts`.
+def _level_pairs(k: int, m: int):
+    """The `_xy_differences` indices of triangle k of the lower band against
+    triangle m of the upper one (`_QUAD_TRIPLES` order): their bottom
+    vertices against each other, then their top vertices."""
+    tk, tm = _QUAD_TRIPLES[k], _QUAD_TRIPLES[m]
+    bottom = [2 * u + w for u in tk if u < 2 for w in tm if w < 2]
+    top = [2 * u + w - 2 for u in tk if u >= 2 for w in tm if w >= 2]
+    return bottom + top
 
-    A pair whose closed tetrahedra are disjoint (`_sections_apart`) cannot
-    conflict.  Otherwise a sign matrix holds b's four points against a's
-    four planes and the converse, 32 signs, and each of the 16 triangle
-    pairs goes through `geometry._triangles_meet` with its side triples read
-    from the matrix; a coplanar pair is decided there too.
+
+# per choice pair, as in `_CHOICE_TESTS`, a getter per triangle test that
+# picks its 4 or 5 differences out of the 8
+_PLANAR_TESTS = tuple(
+    tuple(tuple(itemgetter(*_level_pairs(k, m)) for k, m in tests) for tests in row)
+    for row in _CHOICE_TESTS
+)
+
+# the differences that hold a band's other two points against a path edge
+# it shares with the other band: a's p1 q1 as b's p0 q0 (zero differences
+# 2 and 5) or a's p0 q0 as b's p1 q1 (1 and 6)
+_AROUND_EDGE = itemgetter(0, 3, 4, 7)
+
+
+def _pair_conflicts(a, b):
+    """The conflict matrix of band quads a < b, given as in `_xy_differences`,
+    with the verdicts of `conflicts`.
+
+    No shared vertex.  The pair cannot conflict when its closed tetrahedra
+    are disjoint (`_sections_apart` on all 8 differences).  Otherwise a
+    choice pair conflicts iff one of its four triangle pairs has the origin
+    in the hull of its own 4 or 5 differences.  With no vertex shared,
+    `geometry._triangles_meet` reports any common point of the closed
+    triangles (its "none shared" coplanar branch and
+    `_crossing_triangles_meet`), and by the lemma of `_sections_apart` two
+    closed chord triangles have one iff their differences hold the origin in
+    their hull; so the verdicts are equal, with no plane and no `orient3d`.
+
+    A shared vertex.  A zero difference is a vertex the quads share by
+    value: on a valid instance, adjacent bands, the wrap pair and every
+    pair at n = 3; the route is chosen on values, not on indices.  When the
+    shared vertices include a path edge s t, let P be a plane through the
+    line s t with a's other two points strictly on one side and b's on the
+    other.  Each chord triangle meets P only in the hull of its vertices
+    among s and t, so a triangle of a and one of b meet at most in the
+    vertex or edge they share, and the pair cannot conflict.  Projecting
+    along s t onto the xy plane maps that line to a point and P to a line
+    through it, and sends a bottom point x to x - s and a top point to
+    x - t, up to the factor z(t) - z(s).  So P exists iff a's other points
+    minus the shared ones and the shared ones minus b's other points lie in
+    an open half-plane; those four vectors are the differences that
+    `_AROUND_EDGE` picks.  Every other pair takes the sign matrix of
+    `_band_pair_conflicts`.
     """
-    if _sections_apart(a.points, b.points):
+    d = _xy_differences(a, b)
+    if (0, 0) in d:
+        if (d[2] == d[5] == (0, 0) or d[1] == d[6] == (0, 0)) and _sections_apart(_AROUND_EDGE(d)):
+            return _NO_CONFLICT
+        return _band_pair_conflicts(a, b)
+    if _sections_apart(d):
         return _NO_CONFLICT
-    # b_sides[k][m]: b's triangle m against a's plane k, and the converse
-    b_sides = [_TRIANGLE_SIDES[_plane_sides(plane, b.points)] for plane in a.planes]
-    a_sides = [_TRIANGLE_SIDES[_plane_sides(plane, a.points)] for plane in b.planes]
-    mat = tuple(
-        tuple(_choices_meet(a, a_sides, b, b_sides, tests) for tests in row)
-        for row in _CHOICE_TESTS
+    (rr, rl), (lr, ll) = _PLANAR_TESTS
+    mat = (
+        (_planar_choices_meet(d, rr), _planar_choices_meet(d, rl)),
+        (_planar_choices_meet(d, lr), _planar_choices_meet(d, ll)),
     )
     # the shared all-False matrix lets `build_clauses` skip the pair
     return _NO_CONFLICT if mat == _NO_CONFLICT else mat
 
 
-def _choices_meet(a: _BandPlanes, a_sides, b: _BandPlanes, b_sides, tests) -> bool:
+def _planar_choices_meet(d, tests) -> bool:
+    """Whether the differences of any triangle test of one choice pair hold
+    the origin in their hull."""
+    for pick in tests:
+        if not _sections_apart(pick(d)):
+            return True
+    return False
+
+
+def _band_pair_conflicts(a, b):
+    """The conflict matrix of band quads a < b that share a vertex by value.
+
+    A sign matrix holds b's four points against the planes of a's four
+    chord triangles and the converse, 32 signs, and each of the 16 triangle
+    pairs goes through `geometry._triangles_meet` with its side triples read
+    from the matrix; a coplanar pair is decided there too.  The closed
+    tetrahedra of such a pair always meet, so no sections test precedes the
+    matrix.
+    """
+    ta, tb = _quad_triangles(a), _quad_triangles(b)
+    # b_sides[k][m]: b's triangle m against a's plane k, and the converse
+    b_sides = [_TRIANGLE_SIDES[_plane_sides(_plane(*t), b)] for t in ta]
+    a_sides = [_TRIANGLE_SIDES[_plane_sides(_plane(*t), a)] for t in tb]
+    mat = tuple(
+        tuple(_choices_meet(ta, a_sides, tb, b_sides, tests) for tests in row)
+        for row in _CHOICE_TESTS
+    )
+    return _NO_CONFLICT if mat == _NO_CONFLICT else mat
+
+
+def _choices_meet(ta, a_sides, tb, b_sides, tests) -> bool:
     """Whether any triangle test (k, m) of one choice pair finds contact."""
     for k, m in tests:
-        if _triangles_meet(a.vertices[k], a_sides[m][k], b.vertices[m], b_sides[k][m]):
+        if _triangles_meet(ta[k], a_sides[m][k], tb[m], b_sides[k][m]):
             return True
     return False
 
@@ -225,9 +300,14 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
     separate them: every quad spans the full height).  The boxes are sorted
-    by min-x and swept with an active list, and `_band_pair_conflicts` runs
-    only on pairs whose boxes meet; every other pair is recorded
-    conflict-free.
+    by min-x and swept with an active list, and `_pair_conflicts` runs only
+    on pairs whose boxes meet; every other pair is recorded conflict-free.
+    It routes each pair on its 8 xy differences: a pair with no vertex
+    shared by value is decided in the plane, from subsets of those
+    differences; a pair that shares a path edge, with a plane through the
+    edge between the two bands' other points, is dismissed; only the rest
+    (on a valid instance, adjacent pairs whose bands fold over each other
+    at the shared edge) take the sign matrix of `_band_pair_conflicts`.
 
     A band's two chord triangles share the chord.  When the quad is not
     coplanar they lie in crossing planes, so they meet only on the chord,
@@ -238,17 +318,17 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
     scaled = scaled_to_integers(inst)
-    bands = [_BandPlanes.of(scaled.band_quad(i)) for i in range(n)]
+    bands = [tuple(map(tuple, scaled.band_quad(i))) for i in range(n)]
     self_conflicts = {}
     boxes = []
     for i, band in enumerate(bands):
-        coplanar = orient3d(*band.points) == 0
+        tris = _quad_triangles(band) if orient3d(*band) == 0 else None
         for c, k in ((Chord.RIGHT, 0), (Chord.LEFT, 2)):
-            self_conflicts[(i, c)] = coplanar and _triangles_meet(
-                band.vertices[k], _ON_PLANE, band.vertices[k + 1], _ON_PLANE
+            self_conflicts[(i, c)] = tris is not None and _triangles_meet(
+                tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE
             )
-        xs = [p[0] for p in band.points]
-        ys = [p[1] for p in band.points]
+        xs = [p[0] for p in band]
+        ys = [p[1] for p in band]
         boxes.append((min(xs), max(xs), min(ys), max(ys), i))
     boxes.sort()
     pairs = dict.fromkeys(((i, j) for i in range(n) for j in range(i + 1, n)), _NO_CONFLICT)
@@ -258,34 +338,38 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
         for _, _, v0, v1, j in active:
             if v0 <= y1 and y0 <= v1:
                 a, b = (i, j) if i < j else (j, i)
-                pairs[(a, b)] = _band_pair_conflicts(bands[a], bands[b])
+                pairs[(a, b)] = _pair_conflicts(bands[a], bands[b])
         active.append((x0, x1, y0, y1, i))
     return ConflictTable(n, self_conflicts, pairs)
 
 
-def _choice_literal(i: int, c: Chord) -> Literal:
-    # variable i is True iff band i takes the right chord
-    return Literal(i, negated=(c is Chord.LEFT))
-
-
 def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
-    """Clauses whose satisfying assignments are exactly the valid surfaces."""
+    """Clauses whose satisfying assignments are exactly the valid surfaces.
+
+    Variable i is True iff band i takes the right chord, so each conflict
+    (i, ci), (j, cj) gives the clause "not ci on i or not cj on j".  The
+    self-conflicts come first, per band left before right (the order of the
+    chords' values), then the pairs in key order, which `dict.fromkeys` in
+    `build_conflict_table` already builds sorted.
+    """
     if table is None:
         table = build_conflict_table(inst)
+    # per band, its "not right" and "not left" literals, by `_cidx`
+    nots = [(Literal(i, True), Literal(i, False)) for i in range(table.n)]
     clauses = []
-    for (i, c), bad in sorted(table.self_conflicts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        if bad:
-            lit = ~_choice_literal(i, c)
-            clauses.append(Clause2(lit, lit))
-    for (i, j), mat in sorted(table.pairs.items()):
+    for i, (not_right, not_left) in enumerate(nots):
+        for c, lit in ((Chord.LEFT, not_left), (Chord.RIGHT, not_right)):
+            if table.self_conflicts[(i, c)]:
+                clauses.append(Clause2(lit, lit))
+    for (i, j), mat in table.pairs.items():
         if mat is _NO_CONFLICT:
             continue
-        for ci, row in zip(Chord, mat):
-            for cj, bad in zip(Chord, row):
-                if bad:
-                    clauses.append(
-                        Clause2(~_choice_literal(i, ci), ~_choice_literal(j, cj))
-                    )
+        not_i, not_j = nots[i], nots[j]
+        for lit, (right, left) in zip(not_i, mat):
+            if right:
+                clauses.append(Clause2(lit, not_j[0]))
+            if left:
+                clauses.append(Clause2(lit, not_j[1]))
     return inst.n, clauses
 
 

@@ -19,9 +19,6 @@ class Literal:
     def __invert__(self) -> "Literal":
         return Literal(self.var, not self.negated)
 
-    def node(self) -> int:
-        return 2 * self.var + (1 if self.negated else 0)
-
     def __str__(self):
         return f"~x{self.var}" if self.negated else f"x{self.var}"
 
@@ -140,10 +137,12 @@ def solve_2sat(n_vars: int, clauses) -> TwoSatResult:
                 raise IndexError(f"literal variable {lit.var} out of range [0, {n_vars})")
     n_nodes = 2 * n_vars
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
+    # a literal's node is 2 var + negated, so its negation's is node ^ 1
     for cl in clauses:
         a, b = cl.first, cl.second
-        adj[(~a).node()].append(b.node())
-        adj[(~b).node()].append(a.node())
+        na, nb = 2 * a.var + a.negated, 2 * b.var + b.negated
+        adj[na ^ 1].append(nb)
+        adj[nb ^ 1].append(na)
 
     comp = _tarjan_scc(n_nodes, adj)
     for v in range(n_vars):

@@ -1,0 +1,83 @@
+"""Reference predicates for the tests of `banded.geometry`: a point on a
+closed segment in 2D, and a closed segment against a closed triangle in 3D.
+
+Both are exact.  The segment-triangle test projects the triangle along its
+dominant normal axis and builds the crossing point as `Fraction`s, a route
+independent of the sign kernel in `banded.geometry`, so the tests use it as
+an oracle for triangle contact.  Test-only: nothing in `banded` imports it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from banded.errors import DegenerateTriangleError
+from banded.geometry import (
+    Point2,
+    Point3,
+    Triangle3,
+    _between_collinear,
+    _dot3,
+    _sign,
+    _sub3,
+    orient2d,
+    segments_intersect_2d,
+)
+
+
+def point_on_segment_2d(p, a, b) -> bool:
+    """True iff p lies on the closed segment [a, b]."""
+    return orient2d(a, b, p) == 0 and _between_collinear(p, a, b)
+
+
+def _proj_axis(normal) -> int:
+    ax, ay, az = abs(normal[0]), abs(normal[1]), abs(normal[2])
+    if ax >= ay and ax >= az:
+        return 0
+    return 1 if ay >= az else 2
+
+
+def _project(p: Point3, axis: int) -> Point2:
+    if axis == 0:
+        return Point2(p.y, p.z)
+    if axis == 1:
+        return Point2(p.z, p.x)
+    return Point2(p.x, p.y)
+
+
+def segment_triangle_contact_3d(p: Point3, q: Point3, tri: Triangle3) -> bool:
+    """True iff closed segment [p, q] meets the closed triangle anywhere."""
+    if tri.is_degenerate():
+        raise DegenerateTriangleError("segment_triangle_contact_3d needs a proper triangle")
+    n = tri.normal
+    sp = _sign(_dot3(n, _sub3(p, tri.a)))
+    sq = _sign(_dot3(n, _sub3(q, tri.a)))
+    if sp == sq and sp != 0:
+        return False
+    axis = _proj_axis(n)
+    verts = [_project(v, axis) for v in tri.vertices]
+
+    def inside(pt2) -> bool:
+        signs = [orient2d(verts[i], verts[(i + 1) % 3], pt2) for i in range(3)]
+        ref = orient2d(*verts)
+        return all(s * ref >= 0 for s in signs)
+
+    if sp == 0 and sq == 0:
+        # segment in the triangle's plane
+        a2, b2 = _project(p, axis), _project(q, axis)
+        if inside(a2) or inside(b2):
+            return True
+        return any(
+            segments_intersect_2d(a2, b2, verts[i], verts[(i + 1) % 3], mode="any")
+            for i in range(3)
+        )
+    if sp == 0:
+        return inside(_project(p, axis))
+    if sq == 0:
+        return inside(_project(q, axis))
+    # strict crossing: intersection point at parameter sp/(sp - sq) in exact form
+    d = _sub3(q, p)
+    denom = _dot3(n, d)
+    t = Fraction(_dot3(n, _sub3(tri.a, p)), denom)
+    x = Point3(p.x + t * d[0], p.y + t * d[1], p.z + t * d[2])
+    return inside(_project(x, axis))

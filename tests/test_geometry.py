@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from geometry_reference import point_on_segment_2d, segment_triangle_contact_3d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,9 @@ from banded.geometry import (
     open_triangles_intersect_3d,
     orient2d,
     orient3d,
-    point_on_segment_2d,
     polygon_is_ccw,
     polygon_is_convex,
     polygon_is_simple,
-    segment_triangle_contact_3d,
     segments_intersect_2d,
 )
 

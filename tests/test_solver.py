@@ -1,12 +1,14 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from geometry_reference import segment_triangle_contact_3d
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from banded import geometry, solver
+from banded import geometry, solver, twosat
 from banded.errors import PreconditionError
 from banded.figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
 from banded.generators import (
@@ -23,7 +25,6 @@ from banded.geometry import (
     orient3d,
     polygon_is_ccw,
     polygon_is_simple,
-    segment_triangle_contact_3d,
 )
 from banded.model import (
     Chord,
@@ -43,6 +44,7 @@ from banded.solver import (
     conflicts,
     solve_no_steiner,
 )
+from banded.twosat import Clause2, Literal, TwoSatResult, solve_2sat
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
 
@@ -105,14 +107,54 @@ def _triangle_branch(t1, t2) -> str:
     return ("crossing", "one shared vertex", "shared edge")[shared]
 
 
+def _shared_path_edge(a, b):
+    """For quads a < b as (x, y, z) tuples: the path edge they share, as
+    a's p1 q1 and b's p0 q0 (adjacent bands) or as a's p0 q0 and b's p1 q1
+    (the wrap pair), with a's other two points and b's, or None."""
+    if a[1] == b[0] and a[2] == b[3]:
+        return (a[1], a[2]), (a[0], a[3]), (b[1], b[2])
+    if a[0] == b[1] and a[3] == b[2]:
+        return (a[0], a[3]), (a[1], a[2]), (b[0], b[3])
+    return None
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def wedges_apart(edge, mine, theirs) -> bool:
+    """Whether a plane through the line of `edge` has the points `mine`
+    strictly on one side and `theirs` strictly on the other, by a search
+    for a certificate in 3D.  With e the edge vector, each point p gives
+    u = e x (p - s), or e x (s - p) for `theirs`: the component of p - s
+    normal to e, turned a quarter about e, so that a plane normal n
+    separates as asked iff m = e x n has m . u > 0 for every u.  If such an
+    m exists, the u span a cone of angle below pi, and with u1 and u2 its
+    two boundary vectors, e x u1 + u2 x e is one (or u1 itself, when the
+    cone is a ray)."""
+    s, t = edge
+    e = _sub(t, s)
+    us = [_cross(e, _sub(p, s)) for p in mine] + [_cross(e, _sub(s, p)) for p in theirs]
+    candidates = us + [
+        tuple(x + y for x, y in zip(_cross(e, u1), _cross(u2, e))) for u1 in us for u2 in us
+    ]
+    return any(all(_dot(m, u) > 0 for u in us) for m in candidates)
+
+
 def kernel_branches(inst, label: str) -> Counter:
-    """Which branch of the band-pair kernel decides each test of the
-    conflict table, found in 3D from `orient3d`, vertex values and
-    `tetrahedra_disjoint`: per pair whose closed xy boxes meet, disjoint
-    closed tetrahedra ("sections apart"), else one branch per triangle
-    test, in the order of `open_triangles_intersect_3d` and stopping a
-    choice pair at its first conflict.  Some branches also count under
-    `label` or the pair, and each coplanar quad under "coplanar quad"."""
+    """Which branch of the band-pair kernel decides each pair of the
+    conflict table, found in 3D from `orient3d`, vertex values,
+    `tetrahedra_disjoint` and `wedges_apart`, per pair whose closed xy
+    boxes meet.  A pair that shares no vertex by value takes the planar
+    route: disjoint closed tetrahedra ("planar apart"), else the planar
+    triangle tests ("planar meet").  A pair that shares a path edge, with a
+    plane through it strictly between the two bands' other points, is
+    dismissed ("edge apart"; two walls in one plane count again under
+    `label`).  Every other pair takes the sign matrix
+    ("sign matrix"), with one branch per triangle test, in the order of
+    `open_triangles_intersect_3d` and stopping a choice pair at its first
+    conflict.  Some branches also count under `label` or the pair, and each
+    coplanar quad under "coplanar quad"."""
     scaled = scaled_to_integers(inst)
     n = inst.n
     quads = [scaled.band_quad(i) for i in range(n)]
@@ -124,13 +166,22 @@ def kernel_branches(inst, label: str) -> Counter:
     counts["coplanar quad"] = sum(orient3d(*quad) == 0 for quad in quads)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = quads[i], quads[j]
+            a, b = (tuple(map(tuple, quads[k])) for k in (i, j))
             (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[i], boxes[j]
             if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                 continue
-            if tetrahedra_disjoint(a, b):
-                counts["sections apart"] += 1
+            if not set(a) & set(b):
+                counts["planar apart" if tetrahedra_disjoint(a, b) else "planar meet"] += 1
                 continue
+            edge = _shared_path_edge(a, b)
+            if edge and wedges_apart(*edge):
+                counts["edge apart"] += 1
+                if all(orient3d(*a[:3], p) == 0 for p in a[3:] + b):
+                    counts[f"edge apart, coplanar, {label}"] += 1
+                continue
+            counts["sign matrix"] += 1
+            if j - i not in (1, n - 1):
+                counts["sign matrix, shared by value"] += 1
             for ci in Chord:
                 for cj in Chord:
                     tests = [
@@ -171,6 +222,43 @@ def unvalidated_instances(rng, count):
         ):
             out.append(inst)
     return out
+
+
+@functools.cache
+def conflict_table_corpus():
+    """(label, instance) pairs: figures, coplanar walls, every target style
+    at n = 3..12, and unvalidated inputs.  The two "pinned" instances have
+    bands 0 and 3 conflicting while their boxes meet only along the line
+    x = 5; the second is the first turned a quarter, which puts that line
+    on a y boundary, so an open-box sweep misses both."""
+    rng = random.Random(17)
+    source = ((5, 0), (5, 4), (6, 7), (5, 6), (4, 5), (2, 6))
+    target = ((5, 6), (7, 6), (1, 9), (5, 2), (4, 5), (3, 7))
+    pinned = _instance(source, target)
+    turned = _instance(*(tuple((-y, x) for x, y in p) for p in (source, target)))
+    # a flat vertex at (2, 0) makes bands 0 and 1 coplanar walls
+    flat = ((0, 0), (2, 0), (4, 0), (4, 4), (0, 4))
+    instances = [
+        ("figure", fig7_star().instance),
+        ("figure", fig1_twisted_prism().instance),
+        ("pinned", pinned),
+        ("pinned", turned),
+        ("identity", _instance(flat, flat)),
+        ("wall", _instance(flat, flat[:3] + ((3, 3), (0, 4)))),
+    ]
+    for n in range(3, 13):
+        for kind in ("convex", "star"):
+            poly = random_polygon(rng, n, kind)
+            other = random_polygon(rng, n, kind)
+            instances += [
+                ("random", similar_copy_instance(rng, poly)),
+                ("random", jiggled_instance(rng, poly)),
+                ("random", rotated_instance(rng, poly)),
+                ("random", SliceInstance(poly, LabeledPolygon(other.vertices, 1))),
+            ]
+    for _, inst in instances:
+        inst.validate()
+    return tuple(instances + [("unvalidated", inst) for inst in unvalidated_instances(rng, 40)])
 
 
 class TestChordTriangles:
@@ -220,38 +308,9 @@ class TestConflicts:
 
     def test_conflict_table_matches_conflicts(self, monkeypatch):
         # the swept band-pair kernel against the unpruned pairwise reference,
-        # on every target style and on unvalidated inputs; the pinned pair has
-        # bands 0 and 3 conflicting while their boxes meet only along the
-        # line x = 5, and its quarter turn puts that line on a y boundary, so
-        # an open-box sweep misses both
-        rng = random.Random(17)
-        source = ((5, 0), (5, 4), (6, 7), (5, 6), (4, 5), (2, 6))
-        target = ((5, 6), (7, 6), (1, 9), (5, 2), (4, 5), (3, 7))
-        pinned = _instance(source, target)
-        turned = _instance(*(tuple((-y, x) for x, y in p) for p in (source, target)))
-        # a flat vertex at (2, 0) makes bands 0 and 1 coplanar walls
-        flat = ((0, 0), (2, 0), (4, 0), (4, 4), (0, 4))
-        instances = [
-            ("figure", fig7_star().instance),
-            ("figure", fig1_twisted_prism().instance),
-            ("figure", pinned),
-            ("figure", turned),
-            ("identity", _instance(flat, flat)),
-            ("wall", _instance(flat, flat[:3] + ((3, 3), (0, 4)))),
-        ]
-        for n in range(3, 13):
-            for kind in ("convex", "star"):
-                poly = random_polygon(rng, n, kind)
-                other = random_polygon(rng, n, kind)
-                instances += [
-                    ("random", similar_copy_instance(rng, poly)),
-                    ("random", jiggled_instance(rng, poly)),
-                    ("random", rotated_instance(rng, poly)),
-                    ("random", SliceInstance(poly, LabeledPolygon(other.vertices, 1))),
-                ]
-        for _, inst in instances:
-            inst.validate()
-        instances += [("unvalidated", inst) for inst in unvalidated_instances(rng, 40)]
+        # on every target style and on unvalidated inputs
+        instances = conflict_table_corpus()
+        pinned, turned = (inst for label, inst in instances if label == "pinned")
 
         calls = Counter()
 
@@ -263,14 +322,15 @@ class TestConflicts:
             return wrapped
 
         # the tails are looked up in `geometry`, where the shared sign
-        # cascade calls them
+        # cascade calls them; the sign matrix in `solver`
         with monkeypatch.context() as patched:
-            for name, fn in (
-                ("crossing", geometry._crossing_triangles_meet),
-                ("one shared vertex", geometry._shared_vertex_triangles_meet),
-                ("coplanar", geometry._coplanar_triangles_meet),
+            for module, name, fn in (
+                (geometry, "crossing", geometry._crossing_triangles_meet),
+                (geometry, "one shared vertex", geometry._shared_vertex_triangles_meet),
+                (geometry, "coplanar", geometry._coplanar_triangles_meet),
+                (solver, "sign matrix", solver._band_pair_conflicts),
             ):
-                patched.setattr(geometry, fn.__name__, counted(name, fn))
+                patched.setattr(module, fn.__name__, counted(name, fn))
             tables = [build_conflict_table(inst) for _, inst in instances]
 
         branches = Counter()
@@ -291,14 +351,20 @@ class TestConflicts:
             assert build_conflict_table(inst).pairs[(0, 3)] == ((True, True), (True, True))
 
         # every branch of the kernel is reached, and each one that calls out
-        # is called exactly as often as the independent tally says (the
-        # coplanar branch also serves the two self-conflict tests of each
-        # coplanar quad)
+        # is called exactly as often as the independent tally says: the 3D
+        # tails run only inside the sign matrix, on pairs that share a
+        # vertex, and the coplanar one also serves the two self-conflict
+        # tests of each coplanar quad
         for branch in (
-            "sections apart",
+            "planar apart",
+            "planar meet",
+            "edge apart",
+            "sign matrix",
+            "sign matrix, shared by value",
             "strict dismissal",
-            "coplanar, identity",
-            "coplanar, wall",
+            "edge apart, coplanar, identity",
+            "edge apart, coplanar, wall",
+            "coplanar",
             "shared edge, wrap pair",
             "shared edge, n = 3",
             "one shared vertex",
@@ -308,6 +374,7 @@ class TestConflicts:
             "folded quad",
         ):
             assert branches[branch] > 0, branch
+        assert calls["sign matrix"] == branches["sign matrix"]
         assert calls["crossing"] == branches["crossing"]
         assert calls["one shared vertex"] == branches["one shared vertex"]
         assert calls["coplanar"] == branches["coplanar"] + 2 * branches["coplanar quad"]
@@ -431,9 +498,181 @@ def test_sections_apart_is_closed_tetrahedron_disjointness(bottom_a, top_a, bott
     assume(len(set(bottom_a)) == 2 or len(set(top_a)) == 2)
     assume(len(set(bottom_b)) == 2 or len(set(top_b)) == 2)
     a, b = _quad(bottom_a, top_a, levels), _quad(bottom_b, top_b, levels)
-    assert solver._sections_apart(a, b) == tetrahedra_disjoint(a, b)
-    assert solver._sections_apart(b, a) == solver._sections_apart(a, b)
+    apart = solver._sections_apart(solver._xy_differences(a, b))
+    assert apart == tetrahedra_disjoint(a, b)
+    assert solver._sections_apart(solver._xy_differences(b, a)) == apart
 
+
+
+PLANAR_GRID = range(-2, 3)
+# the steps of the grid lines on which coplanar draws put both quads
+LINE_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))
+
+
+GRID_POINTS = [(x, y) for x in PLANAR_GRID for y in PLANAR_GRID]
+
+
+def _grid_point(rng):
+    return rng.choice(GRID_POINTS)
+
+
+def _grid_levels(rng, coplanar: bool, count: int, ordered: bool = False):
+    """`count` bottom points and as many top points on the grid: anywhere
+    (twisted quads), or all in one plane, with the bottom points on one
+    grid line and the top points on that line moved by one offset, so that
+    every quad over them is a vertical wall or a slanted flat quad.  With
+    `ordered`, the points of each level are distinct and in order along
+    the line."""
+    if not coplanar:
+        return [_grid_point(rng) for _ in range(count)], [_grid_point(rng) for _ in range(count)]
+    (dx, dy), (cx, cy) = rng.choice(LINE_STEPS), _grid_point(rng)
+    sx, sy = rng.choice((0, 0, 1, -1)), rng.choice((0, 0, 1, -1))
+    levels = []
+    for top in (0, 1):
+        steps = sorted(rng.sample(PLANAR_GRID, count)) if ordered else [rng.choice(PLANAR_GRID) for _ in range(count)]
+        levels.append([(cx + k * dx + top * sx, cy + k * dy + top * sy) for k in steps])
+    return levels
+
+
+def _choice_matrix(inst, i, j):
+    """The conflict matrix of bands i and j from `open_triangles_intersect_3d`
+    on their `chord_triangles`, indexed as in the table."""
+    tris = {(k, c): chord_triangles(inst, k, c).triangles for k in (i, j) for c in Chord}
+    return tuple(
+        tuple(
+            any(open_triangles_intersect_3d(t1, t2) for t1 in tris[(i, ci)] for t2 in tris[(j, cj)])
+            for cj in Chord
+        )
+        for ci in Chord
+    )
+
+
+def _forbidden(*args):
+    raise AssertionError("the sign matrix is for pairs that share a vertex")
+
+
+def test_planar_route_matches_the_3d_kernel(monkeypatch):
+    # 20,000 pairs of quads on levels 0 and 1 that share no vertex, twisted
+    # or both in one plane, put as bands 0 and 2 of an unvalidated 4-gon
+    # instance: the planar route decides each without the sign matrix, and
+    # its matrix is that of the 3D predicate on the chord triangles
+    monkeypatch.setattr(solver, "_band_pair_conflicts", _forbidden)
+    rng = random.Random(41)
+    tally = Counter()
+    while tally["pairs"] < 20000:
+        coplanar = rng.random() < 0.5
+        bottom, top = _grid_levels(rng, coplanar, 4)
+        if any(len(set(level[k : k + 2])) < 2 for level in (bottom, top) for k in (0, 2)):
+            continue  # a quad edge of length 0 has no chord triangles
+        if set(bottom[:2]) & set(bottom[2:]) or set(top[:2]) & set(top[2:]):
+            continue  # a shared vertex
+        inst = _instance(bottom, top)
+        a, b = (tuple(map(tuple, inst.band_quad(k))) for k in (0, 2))
+        mat = solver._pair_conflicts(a, b)
+        assert mat == _choice_matrix(inst, 0, 2), (bottom, top)
+        tally["pairs"] += 1
+        if solver._sections_apart(solver._xy_differences(a, b)):
+            tally["apart"] += 1
+            continue
+        tally["meet"] += any(map(any, mat))
+        tally["partial"] += any(map(any, mat)) and not all(map(all, mat))
+        tally["coplanar"] += all(orient3d(*a[:3], p) == 0 for p in a[3:] + b)
+    assert min(tally[key] for key in ("apart", "meet", "partial", "coplanar")) > 1000, tally
+
+
+def test_shared_path_edge_route_matches_the_3d_kernel(monkeypatch):
+    # unvalidated 4-gon instances on the grid: bands 0 and 1 share the path
+    # edge at vertex 1, and bands 0 and 3 the one at vertex 0 (the wrap
+    # pair); each is dismissed by the plane through that edge, or goes
+    # through the sign matrix, and either way its matrix is that of the 3D
+    # predicate
+    rng = random.Random(43)
+    tally = Counter()
+    original = solver._band_pair_conflicts
+
+    def sign_matrix(a, b):
+        tally["sign matrix"] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(solver, "_band_pair_conflicts", sign_matrix)
+    while tally["pairs"] < 3000:
+        coplanar = rng.random() < 0.3
+        bottom, top = _grid_levels(rng, coplanar, 4, ordered=rng.random() < 0.5)
+        if any(level[k] == level[k - 1] for level in (bottom, top) for k in range(4)):
+            continue  # a quad edge of length 0 has no chord triangles
+        inst = _instance(bottom, top)
+        bands = [tuple(map(tuple, inst.band_quad(k))) for k in range(4)]
+        for j in (1, 3):
+            before = tally["sign matrix"]
+            mat = solver._pair_conflicts(bands[0], bands[j])
+            assert mat == _choice_matrix(inst, 0, j), (bottom, top, j)
+            tally["pairs"] += 1
+            if tally["sign matrix"] == before:
+                tally["edge apart"] += 1
+                tally["edge apart, coplanar"] += coplanar
+            else:
+                tally["sign matrix, partial"] += not all(map(all, mat))
+    keys = ("edge apart", "edge apart, coplanar", "sign matrix", "sign matrix, partial")
+    assert min(tally[key] for key in keys) > 200, tally
+
+
+def reference_clauses(table):
+    """`build_clauses` the old way: fresh `~Literal`s of the chosen chords
+    over the sorted items of the table."""
+
+    def chosen(i, c):
+        return Literal(i, negated=c is Chord.LEFT)
+
+    clauses = []
+    for (i, c), bad in sorted(table.self_conflicts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+        if bad:
+            clauses.append(Clause2(~chosen(i, c), ~chosen(i, c)))
+    for (i, j), mat in sorted(table.pairs.items()):
+        for ci, row in zip(Chord, mat):
+            for cj, bad in zip(Chord, row):
+                if bad:
+                    clauses.append(Clause2(~chosen(i, ci), ~chosen(j, cj)))
+    return clauses
+
+
+def reference_solve_2sat(n, clauses):
+    """`solve_2sat` with the implication graph built from `~lit` nodes."""
+
+    def node(lit):
+        return 2 * lit.var + (1 if lit.negated else 0)
+
+    adj = [[] for _ in range(2 * n)]
+    for cl in clauses:
+        adj[node(~cl.first)].append(node(cl.second))
+        adj[node(~cl.second)].append(node(cl.first))
+    comp = twosat._tarjan_scc(2 * n, adj)
+    for v in range(n):
+        if comp[2 * v] == comp[2 * v + 1]:
+            return TwoSatResult(
+                satisfiable=False,
+                witness_var=v,
+                chain_pos_to_neg=twosat._implication_path(adj, 2 * v, 2 * v + 1),
+                chain_neg_to_pos=twosat._implication_path(adj, 2 * v + 1, 2 * v),
+            )
+    return TwoSatResult(satisfiable=True, assignment=tuple(comp[2 * v] < comp[2 * v + 1] for v in range(n)))
+
+
+def test_clause_path_matches_the_literal_reference():
+    # on the conflict-table corpus, the clauses come out equal and in the
+    # same order as the reference builds them, and the solver returns the
+    # reference's result, UNSAT chains included
+    outcomes = Counter()
+    for _, inst in conflict_table_corpus():
+        table = build_conflict_table(inst)
+        n, clauses = build_clauses(inst, table)
+        expected = reference_clauses(table)
+        assert [str(cl) for cl in clauses] == [str(cl) for cl in expected]
+        assert clauses == expected
+        result = solve_2sat(n, clauses)
+        assert result == reference_solve_2sat(n, expected)
+        outcomes["sat" if result.satisfiable else "unsat"] += 1
+        outcomes["self-conflict"] += any(cl.first == cl.second for cl in clauses)
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
 
 def _relabelled(inst, k):
     """The instance with vertex i renamed i - k, so that its band i is band

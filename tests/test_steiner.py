@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banded.solver as solver
 import banded.steiner as steiner
+from banded.errors import InternalConsistencyError
 from banded.figures import fig3a_no_surface, fig7_star
 from banded.generators import random_instance, random_polygon, random_star_polygon
 from banded.geometry import Point2, orient2d, polygon_is_simple
@@ -288,6 +290,26 @@ def test_seed_505_star_2_builds():
     s = build_layered_surface(inst)
     n = inst.n
     assert s.steiner_count() <= 2 * n * (n - 3) + 12
+    assert verify_banded_surface(s, force_sections=True).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalConsistencyError,
+    reason="no ear-squash plan certifies a dart pair with no common corner triple",
+)
+def test_dart_pair_without_common_triple_builds():
+    # a known builder defect: both polygons are darts, the source's only
+    # triangles are (0, 1, 2) and (0, 2, 3) and the target's (0, 1, 3) and
+    # (1, 2, 3), so `_squash_plan` takes its unproven last branch, and none
+    # of its four prefix pairs certifies
+    source = tuple(Point2(*xy) for xy in ((-11, 6), (-9, -15), (-3, -6), (55, -30)))
+    target = tuple(Point2(*xy) for xy in ((15, 3), (45, 50), (-10, -18), (6, -1)))
+    inst = as_instance(source, target)
+    inst.validate()
+    assert not set(triples(source)) & set(triples(target))
+    s = build_layered_surface(inst)
+    assert s.steiner_count() <= 2 * 4 * (4 - 3) + 12
     assert verify_banded_surface(s, force_sections=True).passed
 
 
