@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, ParseError
+from .geometry import Point3, _is_ear
 from .model import (
     BandedSurface,
     CrossSection,
@@ -137,71 +138,24 @@ def save_instance(inst: SliceInstance, path, name=None, metadata=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_cycle(surface: BandedSurface, which: int) -> list[int]:
-    idx = [path[0 if which == 0 else -1] for path in surface.paths]
-    return idx
-
-
-def _ear_clip_indices(points: list[Point2]) -> list[tuple[int, int, int]]:
-    """Triangulate a simple CCW polygon given by points; returns local index
-    triples.  Plain quadratic ear clipping with exact tests."""
-    from .geometry import orient2d, segments_intersect_2d
-
-    idx = list(range(len(points)))
-    tris = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * len(points) ** 2:
-            raise InputError("cap triangulation failed; polygon may be degenerate")
-        n = len(idx)
-        clipped = False
-        for k in range(n):
-            a, v, c = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
-            pa, pv, pc = points[a], points[v], points[c]
-            if orient2d(pa, pv, pc) <= 0:
-                continue
-            ok = True
-            for other in idx:
-                if other in (a, v, c):
-                    continue
-                po = points[other]
-                if (
-                    orient2d(pa, pv, po) >= 0
-                    and orient2d(pv, pc, po) >= 0
-                    and orient2d(pc, pa, po) >= 0
-                ):
-                    ok = False
-                    break
-            if ok:
-                for m in range(n):
-                    e0, e1 = idx[m], idx[(m + 1) % n]
-                    if {e0, e1} & {a, v, c}:
-                        continue
-                    if segments_intersect_2d(points[e0], points[e1], pa, pc, mode="any"):
-                        ok = False
-                        break
-            if ok:
-                tris.append((a, v, c))
-                idx.pop(k)
-                clipped = True
-                break
-        if not clipped:
-            raise InputError("cap triangulation found no ear; polygon may be non-simple")
-    tris.append((idx[0], idx[1], idx[2]))
-    return tris
-
-
 def _cap_faces(surface: BandedSurface) -> list[tuple[int, int, int]]:
+    """The two caps' triangles, by ear clipping each end polygon of the
+    paths: the first vertex that is an ear (`_is_ear`) is clipped until a
+    triangle is left.  The bottom cap's triangles face downward."""
     faces = []
-    for which in (0, 1):
-        ring = _boundary_cycle(surface, which)
-        pts = [surface.point(i).xy for i in ring]
-        for a, v, c in _ear_clip_indices(pts):
-            tri = (ring[a], ring[v], ring[c])
-            if which == 0:
-                tri = (tri[2], tri[1], tri[0])  # bottom cap faces downward
-            faces.append(tri)
+    for end in (0, -1):
+        ring = [path[end] for path in surface.paths]
+        pts = [surface.point(v).xy for v in ring]
+        cap = []
+        while len(ring) > 3:
+            n = len(ring)
+            k = next((k for k in range(n) if _is_ear(pts, (k - 1) % n, k, (k + 1) % n)), None)
+            if k is None:
+                raise InputError("cap triangulation found no ear; polygon may be non-simple")
+            cap.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
+            del ring[k], pts[k]
+        cap.append(tuple(ring))
+        faces += [(c, v, a) for a, v, c in cap] if end == 0 else cap
     return faces
 
 
@@ -273,8 +227,6 @@ def save_bands(surface: BandedSurface, path) -> None:
 
 def read_off(path) -> tuple[list, list]:
     """Vertices (Point3 triples as rationals) and faces from an OFF file."""
-    from .geometry import Point3
-
     try:
         raw = Path(path).read_text()
     except OSError as exc:

@@ -2,9 +2,8 @@
 
 Every routine in this module is decision-exact: coordinates are Python ints or
 `fractions.Fraction` values (mixing is fine) and no floating point is ever
-consulted.  Most predicates are division-free, so they also accept any scalar
-type implementing ring operations and comparisons against 0 (this is used by
-the morph analysis, which evaluates them over quadratic field extensions).
+consulted.  Most predicates are division-free, and the simplicity and
+orientation tests of a polygon scale it onto integers first.
 """
 
 from __future__ import annotations
@@ -358,6 +357,32 @@ def polygon_is_convex(pts: Sequence[Point2]) -> bool:
         if pos and neg:
             return False
     return max(pos, neg) >= 3
+
+
+def _is_ear(pts, i: int, j: int, k: int) -> bool:
+    """Vertices i, j, k, in the cyclic order of the counterclockwise simple
+    polygon `pts`, span a triangle of some triangulation of it: the triangle
+    turns left, its closed area holds no other vertex and no polygon edge
+    crosses a side.  The indices lie in range(len(pts)); with j = i + 1 and
+    k = j + 1, mod len(pts), this is an ear at j."""
+    a, b, c = pts[i], pts[j], pts[k]
+    if orient2d(a, b, c) <= 0:
+        return False
+    triple = (i, j, k)
+    n = len(pts)
+    for m, p in enumerate(pts):
+        if m in triple:
+            continue
+        if orient2d(a, b, p) >= 0 and orient2d(b, c, p) >= 0 and orient2d(c, a, p) >= 0:
+            return False  # p lies in the closed triangle
+    sides = ((a, b), (b, c), (c, a))
+    for m in range(n):
+        if m in triple and (m + 1) % n in triple:
+            continue  # the edge is a side of the triangle
+        e0, e1 = pts[m], pts[(m + 1) % n]
+        if any(segments_intersect_2d(e0, e1, s0, s1, mode="proper") for s0, s1 in sides):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

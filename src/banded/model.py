@@ -78,10 +78,6 @@ class LabeledPolygon:
             tuple(Point2(p.x + dx, p.y + dy) for p in self.vertices), self.z_level
         )
 
-    def reversed(self) -> "LabeledPolygon":
-        return LabeledPolygon(tuple(reversed(self.vertices)), self.z_level)
-
-
 @dataclass(frozen=True, slots=True)
 class SliceInstance:
     """The reconstruction input: source polygon at z=0, target at z=1, with
@@ -599,11 +595,11 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     simple closed polygon; any other outcome raises SectionError.
 
     The work is done in integers: x, y and z (with t) are scaled by one
-    positive factor per axis, and each crossing edge's point is computed
-    once over one common denominator.  Such a scaling keeps the
-    lexicographic order of points, simplicity and orientation, so the chain
-    and the verdicts are those of the rational points; only the returned
-    polygon is built in Fractions.
+    positive factor per axis, and `_section_cycle` computes each crossing
+    edge's point once over one common denominator.  Such a scaling keeps
+    the lexicographic order of points, simplicity and orientation, so the
+    chain and the verdicts are those of the rational points; only the
+    returned polygon is built in Fractions.
     """
     t = Fraction(t)
     if not 0 < t < 1:
@@ -611,19 +607,42 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     pts3 = [p for p, _ in s.vertices]
     kx, xs = _integer_axis([p.x for p in pts3])
     ky, ys = _integer_axis([p.y for p in pts3])
-    _, zs = _integer_axis([p.z for p in pts3] + [t])
+    kz, zs = _integer_axis([p.z for p in pts3] + [t])
     level = zs.pop()
     if level in set(zs):
         raise PreconditionError(f"section level {t} hits a vertex; retry slightly off")
+    crossing = [k for k, f in enumerate(s.faces) if min(zs[v] for v in f) < level < max(zs[v] for v in f)]
+    cycle, w = _section_cycle(list(zip(xs, ys)), zs, s.faces, crossing, level, (kx, ky, kz))
+    if polygon_signed_area2(cycle) < 0:
+        cycle.reverse()
+    polygon = tuple(Point2(Fraction(x, kx * w), Fraction(y, ky * w)) for x, y in cycle)
+    return CrossSection(t, LabeledPolygon(polygon, t))
 
+
+def _section_cycle(points, zs, faces, crossing, level, scale) -> tuple[list[Point2], int]:
+    """The section at the integer `level` through the faces numbered in
+    `crossing`, those with vertices on both sides of it, chained into one
+    cycle.  `points` and `zs` hold each vertex's integer x, y and z, and no
+    vertex lies on the level.  Returns the cycle as integer `Point2`s (x, y)
+    and their common denominator w > 0: x/w and y/w are the crossing
+    points' scaled coordinates.  Raises SectionError unless the section is
+    one simple closed polygon; `scale`, the factors (kx, ky, kz) that took
+    the rational coordinates to the integer ones, only serves its messages.
+
+    The segments are chained by point.  Once topology and the face pass
+    have passed, chaining by crossing edge would agree: two different
+    edges never cross a level that holds no vertex at one point, since that
+    point would be a common point of their faces outside a vertex or edge
+    they share."""
+    kx, ky, kz = scale
+    if not crossing:
+        raise SectionError(f"no face crosses the plane z={Fraction(level, kz)}")
     # each crossing edge, keyed by its sorted vertex pair, maps to its point
     # at the level as (x, y, w) with x/w, y/w the scaled coordinates, w > 0
     edge_points: dict[tuple[int, int], tuple[int, int, int]] = {}
     face_edges = []
-    for k, (a, b, c) in enumerate(s.faces):
-        za, zb, zc = zs[a], zs[b], zs[c]
-        if not min(za, zb, zc) < level < max(za, zb, zc):
-            continue
+    for k in crossing:
+        a, b, c = faces[k]
         keys = []
         for u, v in ((a, b), (b, c), (c, a)):
             if (zs[u] < level) == (zs[v] < level):
@@ -634,144 +653,74 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
                 lo, hi = (u, v) if zs[u] < zs[v] else (v, u)
                 below, above = level - zs[lo], zs[hi] - level
                 edge_points[key] = (
-                    xs[lo] * above + xs[hi] * below,
-                    ys[lo] * above + ys[hi] * below,
+                    points[lo][0] * above + points[hi][0] * below,
+                    points[lo][1] * above + points[hi][1] * below,
                     above + below,
                 )
         face_edges.append((k, keys))
     w = math.lcm(*(pw for _, _, pw in edge_points.values()))
-    points = {key: (px * (w // pw), py * (w // pw)) for key, (px, py, pw) in edge_points.items()}
-
-    def rational(pt):
-        return Fraction(pt[0], kx * w), Fraction(pt[1], ky * w)
+    scaled = {key: (px * (w // pw), py * (w // pw)) for key, (px, py, pw) in edge_points.items()}
 
     segments = []
     for k, (e, f) in face_edges:
-        if points[e] == points[f]:
-            raise SectionError(f"face {k} has an unexpected section at t={t}")
-        segments.append((points[e], points[f]))
-    if not segments:
-        raise SectionError(f"no face crosses the plane z={t}")
-
+        if scaled[e] == scaled[f]:
+            raise SectionError(f"face {k} has an unexpected section at t={Fraction(level, kz)}")
+        segments.append((scaled[e], scaled[f]))
     incidence: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segments):
-        incidence.setdefault(a, []).append(idx)
-        incidence.setdefault(b, []).append(idx)
-    for pt, ids in incidence.items():
+    for idx, (p, q) in enumerate(segments):
+        incidence.setdefault(p, []).append(idx)
+        incidence.setdefault(q, []).append(idx)
+    for (x, y), ids in incidence.items():
         if len(ids) != 2:
-            raise SectionError(
-                f"section point {rational(pt)} touches {len(ids)} segments; cannot chain"
-            )
+            where = Fraction(x, kx * w), Fraction(y, ky * w)
+            raise SectionError(f"section point {where} touches {len(ids)} segments; cannot chain")
 
     start = min(incidence)
-    cycle = [start]
-    used = set()
-    current = start
+    cycle, current, idx = [start], start, incidence[start][0]
     while True:
-        nxt_seg = None
-        for idx in incidence[current]:
-            if idx not in used:
-                nxt_seg = idx
-                break
-        if nxt_seg is None:
-            break
-        used.add(nxt_seg)
-        a, b = segments[nxt_seg]
-        current = b if a == current else a
+        p, q = segments[idx]
+        current = q if p == current else p
         if current == start:
             break
         cycle.append(current)
-    if len(used) != len(segments):
+        f, g = incidence[current]
+        idx = g if f == idx else f
+    if len(cycle) != len(segments):
         raise SectionError("section chains into more than one cycle; surface is not monotone here")
+    t = Fraction(level, kz)
     if len(cycle) < 3:
         raise SectionError(f"section at t={t} closes after {len(cycle)} points; not a polygon")
-
-    scaled = [Point2(x, y) for x, y in cycle]
-    if not polygon_is_simple(scaled):
+    cycle = [Point2(x, y) for x, y in cycle]
+    if not polygon_is_simple(cycle):
         raise SectionError(f"section at t={t} is not a simple polygon")
-    if polygon_signed_area2(scaled) < 0:
-        cycle.reverse()
-    return CrossSection(t, LabeledPolygon(tuple(Point2(*rational(pt)) for pt in cycle), t))
-
-
-def _slab_section(points, zs, crossing, level) -> str:
-    """The section at the integer `level` of the doubled z coordinates `zs`
-    through the faces in `crossing`, (top, face) pairs whose vertices lie
-    on both sides of it: "" if it is one simple closed polygon, else
-    what is wrong with it.
-
-    The segments are chained through their crossing edges: the face pass
-    has passed, so two different edges never cross the level at one point.
-    Only then are the points computed, over one common denominator, for
-    `polygon_is_simple`."""
-    if not crossing:
-        return "no face crosses the level"
-    face_edges = []  # the two crossing edges of each crossing face
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for i, (_, (a, b, c)) in enumerate(crossing):
-        above = zs[a] > level
-        if (zs[b] > level) == above:
-            lone, u, w = c, a, b
-        elif (zs[c] > level) == above:
-            lone, u, w = b, c, a
-        else:
-            lone, u, w = a, b, c
-        pair = ((lone, u) if lone < u else (u, lone), (lone, w) if lone < w else (w, lone))
-        face_edges.append(pair)
-        for e in pair:
-            edge_faces.setdefault(e, []).append(i)
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            return f"the crossing point of edge {e} touches {len(fs)} segments; cannot chain"
-    first, e = face_edges[0]
-    cycle, i = [first], 0
-    while e != first:
-        cycle.append(e)
-        f, g = edge_faces[e]
-        i = g if f == i else f
-        f, g = face_edges[i]
-        e = g if f == e else f
-    if len(cycle) != len(crossing):
-        return "the section chains into more than one cycle; the surface is not monotone here"
-    if len(cycle) < 3:
-        return f"the section closes after {len(cycle)} points; not a polygon"
-    # edge (u, w) from below the level to above it crosses at x/d, y/d
-    homogeneous = []
-    for u, w in cycle:
-        if zs[u] > zs[w]:
-            u, w = w, u
-        (xu, yu, _), (xw, yw, _) = points[u], points[w]
-        below, above = level - zs[u], zs[w] - level
-        homogeneous.append((xu * above + xw * below, yu * above + yw * below, above + below))
-    d = math.lcm(*{hd for _, _, hd in homogeneous})
-    if not polygon_is_simple([Point2(x * (d // hd), y * (d // hd)) for x, y, hd in homogeneous]):
-        return "the section is not a simple polygon"
-    return ""
+    return cycle, w
 
 
 def _check_sections(s: BandedSurface, points) -> CheckResult:
     """One section per open slab between consecutive vertex z-levels, at
-    its midpoint, by `_slab_section`; see `verify_banded_surface` for why
+    its midpoint, by `_section_cycle`; see `verify_banded_surface` for why
     that is complete.
 
     The integer z coordinates of `points` are doubled, so that each slab
     midpoint is an integer level, and the faces are swept upward: a face
     crosses every slab from its lowest vertex level to its highest."""
     zs = [2 * p[2] for p in points]
+    kx, ky, kz = (math.lcm(*{c.denominator for c in axis}) for axis in zip(*(p for p, _ in s.vertices)))
     levels = sorted(set(zs))
-    rising: dict[int, list] = {}  # lowest level -> faces that rise from it
-    for face in s.faces:
-        a, b, c = face
+    tops = []
+    rising: dict[int, list[int]] = {}  # lowest level -> faces that rise from it
+    for k, (a, b, c) in enumerate(s.faces):
         bottom, top = min(zs[a], zs[b], zs[c]), max(zs[a], zs[b], zs[c])
+        tops.append(top)
         if bottom < top:
-            rising.setdefault(bottom, []).append((top, face))
-    crossing: list = []
-    for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
-        crossing = [f for f in crossing if f[0] > lo] + rising.get(lo, [])
-        error = _slab_section(points, zs, crossing, (lo + hi) // 2)
-        if error:
-            z = _z_levels(s)
-            return CheckResult(False, f"section at t={(z[i] + z[i + 1]) / 2}: {error}")
+            rising.setdefault(bottom, []).append(k)
+    crossing: list[int] = []
+    for lo, hi in zip(levels, levels[1:]):
+        crossing = [k for k in crossing if tops[k] > lo] + rising.get(lo, [])
+        try:
+            _section_cycle(points, zs, s.faces, crossing, (lo + hi) // 2, (kx, ky, 2 * kz))
+        except SectionError as exc:
+            return CheckResult(False, str(exc))
     slabs = len(levels) - 1
     return CheckResult(True, f"sectioned {slabs} slab{'s' if slabs != 1 else ''}")
 
@@ -822,7 +771,8 @@ def verify_banded_surface(
 
     The sections are taken on the same integer points, with z doubled so
     that every slab midpoint is an integer level, in one upward sweep over
-    the faces (`_check_sections`); `cross_section` gives the same verdict
+    the faces (`_check_sections`).  `cross_section` and this check share
+    one section routine, `_section_cycle`, so they give the same verdict
     at each of those levels.
 
     A surface whose only slab is (0, 1), every face spanning the full

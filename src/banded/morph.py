@@ -482,12 +482,19 @@ def rotate_copy_instance(polygon: LabeledPolygon, center: Point2, cos_sin) -> Sl
     c, s = Fraction(cos_sin[0]), Fraction(cos_sin[1])
     if c * c + s * s != 1:
         raise PreconditionError("rotation pair must lie exactly on the unit circle")
-    src = LabeledPolygon(polygon.vertices, 0)
-    rotated = []
-    for p in polygon.vertices:
+    target = _rotated(polygon.vertices, center, c, s)
+    return SliceInstance(LabeledPolygon(polygon.vertices, 0), LabeledPolygon(target, 1))
+
+
+def _rotated(pts, center: Point2, c, s) -> tuple[Point2, ...]:
+    """The points turned about `center` by the rotation (c, s) = (cos, sin);
+    int coordinates with an int pair, such as a quarter turn (0, 1), stay
+    ints."""
+    out = []
+    for p in pts:
         dx, dy = p.x - center.x, p.y - center.y
-        rotated.append(Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy))
-    return SliceInstance(src, LabeledPolygon(tuple(rotated), 1))
+        out.append(Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

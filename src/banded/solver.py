@@ -88,15 +88,6 @@ class ConflictTable:
     self_conflicts: dict
     pairs: dict
 
-    def choice_conflicts(self, i: int, c_i: Chord, j: int, c_j: Chord) -> bool:
-        if i > j:
-            i, j, c_i, c_j = j, i, c_j, c_i
-        return self.pairs[(i, j)][_cidx(c_i)][_cidx(c_j)]
-
-
-def _cidx(c: Chord) -> int:
-    return 0 if c is Chord.RIGHT else 1
-
 
 _NO_CONFLICT = ((False, False), (False, False))
 
@@ -354,7 +345,8 @@ def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
     """
     if table is None:
         table = build_conflict_table(inst)
-    # per band, its "not right" and "not left" literals, by `_cidx`
+    # per band, its "not right" and "not left" literals, in the order of
+    # the conflict matrices' indices (0 = Right, 1 = Left)
     nots = [(Literal(i, True), Literal(i, False)) for i in range(table.n)]
     clauses = []
     for i, (not_right, not_left) in enumerate(nots):

@@ -52,43 +52,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalConsistencyError
-from .geometry import Point2, orient2d, polygon_is_simple, segments_intersect_2d
+from .geometry import Point2, _is_ear, polygon_is_simple
 from .model import BandedSurface, ChordAssignment, LabeledPolygon, SliceInstance, layers_to_surface
+from .morph import _rotated
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
 
-
-def _point_in_closed_triangle(p, a, b, c) -> bool:
-    ref = orient2d(a, b, c)
-    s1 = orient2d(a, b, p)
-    s2 = orient2d(b, c, p)
-    s3 = orient2d(c, a, p)
-    if ref > 0:
-        return s1 >= 0 and s2 >= 0 and s3 >= 0
-    return s1 <= 0 and s2 <= 0 and s3 <= 0
-
-
-def _is_ear(pts, i: int, j: int, k: int) -> bool:
-    """Vertices i, j, k, in the cyclic order of the counterclockwise simple
-    polygon `pts`, span a triangle of some triangulation of it: the triangle
-    turns left, its closed area holds no other vertex and no polygon edge
-    crosses a side.  With j = i + 1 and k = j + 1 this is an ear at j."""
-    a, b, c = pts[i], pts[j], pts[k]
-    if orient2d(a, b, c) <= 0:
-        return False
-    triple = (i, j, k)
-    n = len(pts)
-    for m, p in enumerate(pts):
-        if m not in triple and _point_in_closed_triangle(p, a, b, c):
-            return False
-    sides = ((a, b), (b, c), (c, a))
-    for m in range(n):
-        if m in triple and (m + 1) % n in triple:
-            continue  # the edge is a side of the triangle
-        e0, e1 = pts[m], pts[(m + 1) % n]
-        if any(segments_intersect_2d(e0, e1, s0, s1, mode="proper") for s0, s1 in sides):
-            return False
-    return True
+_UNSOLVED = object()  # `_gap_assignment`'s memo miss
 
 
 def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) -> ChordAssignment | None:
@@ -96,20 +66,13 @@ def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) ->
     and 1, or None.  `memo` holds the verdicts of one build, keyed by the
     two layers' vertices (so an int and the equal `Fraction` share a key)."""
     key = (lower.vertices, upper.vertices)
-    if key not in memo:
+    verdict = memo.get(key, _UNSOLVED)  # None is a stored UNSAT verdict
+    if verdict is _UNSOLVED:
         inst = SliceInstance(LabeledPolygon(lower.vertices, 0), LabeledPolygon(upper.vertices, 1))
         n, clauses = build_clauses(inst, build_conflict_table(inst))
         result = solve_2sat(n, clauses)
-        memo[key] = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
-    return memo[key]
-
-
-def _rotated(pts, center: Point2, c: Fraction, s: Fraction):
-    out = []
-    for p in pts:
-        dx, dy = p.x - center.x, p.y - center.y
-        out.append(Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy))
-    return tuple(out)
+        verdict = memo[key] = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
+    return verdict
 
 
 def _finish_stack(

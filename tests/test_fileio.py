@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from banded.errors import InputError, ParseError
-from banded.figures import fig1_twisted_prism
+from banded.figures import fig1_twisted_prism, fig7_star
 from banded.fileio import (
     export_mesh,
     export_section,
@@ -17,12 +17,14 @@ from banded.fileio import (
     read_off,
     save_instance,
 )
+from banded.geometry import polygon_is_convex, polygon_signed_area2
 from banded.model import (
     ChordAssignment,
     assignment_to_surface,
     cross_section,
     verify_banded_surface,
 )
+from banded.steiner import build_layered_surface
 
 
 class TestRationals:
@@ -117,6 +119,26 @@ class TestMeshFiles:
         export_mesh(s, "off", path, include_caps=True)
         nv, nf, _ = map(int, path.read_text().splitlines()[1].split())
         assert (nv, nf) == (6, 8)
+
+    def test_caps_of_a_non_convex_surface_tile_its_end_polygons(self, tmp_path):
+        # a star's caps need ear clipping: each end polygon of n vertices
+        # becomes n - 2 triangles on its own vertices, whose areas add up
+        # to the polygon's
+        inst = fig7_star().instance
+        assert not polygon_is_convex(inst.source.vertices)
+        s = build_layered_surface(inst)
+        path = tmp_path / "capped.off"
+        export_mesh(s, "off", path, include_caps=True, sidecar=False)
+        vertices, faces = read_off(path)
+        assert faces[: len(s.faces)] == list(s.faces)
+        caps = faces[len(s.faces) :]
+        for z, poly in ((0, inst.source), (1, inst.target)):
+            cap = [f for f in caps if vertices[f[0]].z == z]
+            assert len(cap) == poly.n - 2
+            assert all(vertices[v].z == z and vertices[v].xy in poly.vertices for f in cap for v in f)
+            area2 = sum(abs(polygon_signed_area2([vertices[v].xy for v in f])) for f in cap)
+            assert area2 == polygon_signed_area2(poly.vertices)
+        assert len(caps) == 2 * (inst.n - 2)
 
     def test_off_round_trip_preserves_verdict(self, tmp_path):
         s = schonhardt_surface()

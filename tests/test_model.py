@@ -538,12 +538,12 @@ class TestCrossSectionMatchesFractionReference:
             cross_section(s, Fraction(1, 4))
 
 
-def sections_pass(s: BandedSurface, levels) -> bool:
+def sections_pass(s: BandedSurface, levels, section=cross_section) -> bool:
     """Whether the section at each level, moved off vertex levels by
     `perturbed_level`, is one simple polygon."""
     try:
         for t in levels:
-            cross_section(s, perturbed_level(s, t))
+            section(s, perturbed_level(s, t))
     except SectionError:
         return False
     return True
@@ -554,14 +554,14 @@ def forced_sections(monkeypatch, s: BandedSurface):
     mapped back from the verifier's doubled integer z coordinates."""
     levels = []
     kz, _ = geometry._integer_axis([p.z for p, _ in s.vertices])
-    section = model._slab_section
+    section = model._section_cycle
 
-    def counted(points, zs, crossing, level):
+    def counted(points, zs, faces, crossing, level, scale):
         levels.append(Fraction(level, 2 * kz))
-        return section(points, zs, crossing, level)
+        return section(points, zs, faces, crossing, level, scale)
 
     with monkeypatch.context() as patch:
-        patch.setattr(model, "_slab_section", counted)
+        patch.setattr(model, "_section_cycle", counted)
         report = verify_banded_surface(s, force_sections=True)
     return report, levels
 
@@ -930,8 +930,8 @@ def reference_paths(s: BandedSurface) -> bool:
 def reference_verdicts(s: BandedSurface, force_sections: bool) -> tuple[bool, bool, bool, bool]:
     """The per-check verdicts of a reference verifier: `reference_topology`,
     `reference_paths`, every face pair through `open_triangles_intersect_3d`
-    with no filter, and one `cross_section` at each slab's midpoint, with
-    the verifier's skip rules."""
+    with no filter, and one `fraction_cross_section` at each slab's
+    midpoint, with the verifier's skip rules."""
     topology, paths = not reference_topology(s), reference_paths(s)
     if not topology:
         return False, paths, False, False
@@ -943,7 +943,7 @@ def reference_verdicts(s: BandedSurface, force_sections: bool) -> tuple[bool, bo
         return topology, paths, faces, False
     if len(slabs(s)) == 1 and not force_sections:
         return topology, paths, faces, True
-    return topology, paths, faces, sections_pass(s, slab_midpoints(s))
+    return topology, paths, faces, sections_pass(s, slab_midpoints(s), fraction_cross_section)
 
 
 class TestReferenceVerifier:

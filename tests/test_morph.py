@@ -40,6 +40,7 @@ from banded.model import (
     verify_banded_surface,
 )
 from banded.morph import (
+    _rotated,
     band_angle_classes,
     convex_chord_rule,
     morph_position,
@@ -562,6 +563,15 @@ class TestRotateCopy:
     def test_non_unit_pair_rejected(self):
         with pytest.raises(PreconditionError):
             rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(0, 0), (Fraction(1, 2), Fraction(1, 2)))
+
+    def test_int_quarter_turns_keep_int_coordinates(self):
+        # the planner's quarter-turn bridge turns int points by (0, +-1)
+        center = Point2(1, 2)
+        for s in (1, -1):
+            turned = _rotated(SQUARE, center, 0, s)
+            assert all(type(c) is int for p in turned for c in p)
+            assert _rotated(turned, center, 0, -s) == SQUARE
+        assert _rotated(SQUARE, center, 0, 1)[0] == Point2(3, 1)
 
 
 class TestSimilarity:

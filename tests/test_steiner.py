@@ -11,14 +11,13 @@ import banded.steiner as steiner
 from banded.errors import InternalConsistencyError
 from banded.figures import fig3a_no_surface, fig7_star
 from banded.generators import random_instance, random_polygon, random_star_polygon
-from banded.geometry import Point2, orient2d, polygon_is_simple
+from banded.geometry import Point2, _is_ear, orient2d, polygon_is_simple
 from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface
 from banded.morph import convex_chord_rule, planarity_preserving, rotate_copy_instance
 from banded.solver import solve_no_steiner
 from banded.steiner import (
     build_layered_surface,
     _gap_assignment,
-    _is_ear,
     _ladder,
     _planar_end_map,
     _squash_chain,

@@ -1,0 +1,55 @@
+"""The benchmark's span tracer against the library it wraps.
+
+`benchmarks/spans.py` replaces module attributes by name (`model.cross_section`,
+`model.open_triangles_intersect_3d`, `steiner.polygon_is_simple`, ...).  A
+refactor that drops or rebinds one of them breaks the traced benchmark run;
+this test makes it break the suite as well.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks']
+import spans
+from fractions import Fraction
+import banded.model as model
+import banded.steiner as steiner
+from banded.figures import fig3a_no_surface, fig7_star
+tracer = spans.Tracer()
+spans.install(tracer)
+span = tracer.open(spans.OP)
+for figure in (fig7_star, fig3a_no_surface):
+    s = steiner.build_layered_surface(figure().instance)
+    model.verify_banded_surface(s, force_sections=True)
+    model.cross_section(s, Fraction(1, 3))
+tracer.close(span)
+metrics = spans.layer_metrics(tracer.aggregate(), tracer.counts, 1.0)
+print(json.dumps({name: value for name, (value, _unit) in metrics.items()}))
+"""
+
+
+def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["model.verify_banded_surface.calls"] == 2
+    assert metrics["model.cross_section.calls"] == 2
+    # the planner's counters read `morph_position` and `similarity_witness`
+    # through the function-body imports in `steiner`
+    for name in (
+        "steiner.gap_solves",
+        "steiner.morph_snapshots",
+        "steiner.rotation_probes",
+        "steiner.polygon_is_simple.calls",
+        "solver.solve_no_steiner.calls",
+        "twosat.solve_2sat.calls",
+    ):
+        assert metrics[name] > 0, name
