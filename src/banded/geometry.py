@@ -14,33 +14,25 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateTriangleError, InputError, PreconditionError, ZeroVectorError
 
 Rational = int | Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
+class Point2(NamedTuple):
     x: Rational
     y: Rational
-
-    def __iter__(self):
-        return iter((self.x, self.y))
 
     def translated(self, dx, dy):
         return Point2(self.x + dx, self.y + dy)
 
 
-@dataclass(frozen=True, slots=True)
-class Point3:
+class Point3(NamedTuple):
     x: Rational
     y: Rational
     z: Rational
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
 
     @property
     def xy(self) -> Point2:
@@ -60,13 +52,12 @@ class Triangle3:
         return (self.a, self.b, self.c)
 
     @functools.cached_property
-    def normal(self):
-        return _cross3(_sub3(self.b, self.a), _sub3(self.c, self.a))
+    def plane(self):
+        return _plane(self.a, self.b, self.c)
 
     @functools.cached_property
-    def offset(self):
-        """normal . a, so that the plane is {p : normal . p == offset}."""
-        return _dot3(self.normal, (self.a.x, self.a.y, self.a.z))
+    def normal(self):
+        return self.plane[:3]
 
     def is_degenerate(self) -> bool:
         return self.normal == (0, 0, 0)
@@ -82,40 +73,18 @@ class Triangle3:
         return self._bounds
 
 
-def _sign(v) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
-
-
 def orient2d(a, b, c) -> int:
-    """Sign of the turn a->b->c: +1 left, -1 right, 0 collinear."""
-    return _sign((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x))
-
-
-def _sub3(p: Point3, q: Point3):
-    return (p.x - q.x, p.y - q.y, p.z - q.z)
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    """Sign of the turn a->b->c: +1 left, -1 right, 0 collinear; the points
+    are any (x, y) pairs, `Point2`s among them."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (d > 0) - (d < 0)
 
 
 def orient3d(a, b, c, d) -> int:
     """Sign of det(b-a, c-a, d-a); 0 iff the four points are coplanar.
 
-    The points are `Point3`s or (x, y, z) tuples; on tuples no intermediate
-    object is built."""
+    The points are any (x, y, z) triples, `Point3`s among them."""
     ax, ay, az = a
     bx, by, bz = b
     cx, cy, cz = c
@@ -133,66 +102,20 @@ class AngleClass(enum.Enum):
     GREATER_PI = "greater_pi"
 
 
-@dataclass(frozen=True, slots=True)
-class AngleWitness:
-    """Exact stand-in for the CCW angle from u to v, totally ordered in [0, 2*pi).
-
-    `half` is 0 on [0, pi), 1 at exactly pi, 2 on (pi, 2*pi); within a half the
-    order is decided by the exact cross/dot pair without evaluating the angle.
-    """
-
-    half: int
-    cross: Rational
-    dot: Rational
-
-    def _cmp(self, other: "AngleWitness") -> int:
-        if self.half != other.half:
-            return -1 if self.half < other.half else 1
-        if self.half == 1:
-            return 0
-        lhs = self.dot * other.cross
-        rhs = other.dot * self.cross
-        if lhs == rhs:
-            return 0
-        # larger dot/cross ratio means smaller CCW angle within one half
-        return -1 if lhs > rhs else 1
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-
-def ccw_angle(u: Point2, v: Point2) -> tuple[AngleClass, AngleWitness]:
-    """Classify the CCW angle from vector u to vector v against pi.
-
-    Returns the trichotomy (below / exactly / above pi) together with an exact
-    comparable witness.  Zero angle classifies as LESS_PI.
+def ccw_angle(u: Point2, v: Point2) -> AngleClass:
+    """Classify the CCW angle from vector u to vector v against pi: below,
+    exactly or above.  Zero angle classifies as LESS_PI.
     """
     if (u.x == 0 and u.y == 0) or (v.x == 0 and v.y == 0):
         raise ZeroVectorError("ccw_angle requires nonzero vectors")
     cross = u.x * v.y - u.y * v.x
-    dot = u.x * v.x + u.y * v.y
     if cross > 0:
-        cls = AngleClass.LESS_PI
-        half = 0
-    elif cross < 0:
-        cls = AngleClass.GREATER_PI
-        half = 2
-    elif dot > 0:
-        cls = AngleClass.LESS_PI
-        half = 0
-    else:
-        cls = AngleClass.EQUAL_PI
-        half = 1
-    return cls, AngleWitness(half, cross, dot)
+        return AngleClass.LESS_PI
+    if cross < 0:
+        return AngleClass.GREATER_PI
+    if u.x * v.x + u.y * v.y > 0:
+        return AngleClass.LESS_PI
+    return AngleClass.EQUAL_PI
 
 
 def _between_collinear(p, a, b) -> bool:
@@ -391,9 +314,9 @@ def _is_ear(pts, i: int, j: int, k: int) -> bool:
 
 
 def _plane(a, b, c):
-    """The plane through the (x, y, z) tuples a, b, c as (nx, ny, nz,
+    """The plane through the (x, y, z) points a, b, c as (nx, ny, nz,
     offset), with the normal (b - a) x (c - a) and the offset normal . a,
-    as `Triangle3` has them; the normal is zero iff the points are
+    as `Triangle3.plane` caches it; the normal is zero iff the points are
     collinear."""
     ax, ay, az = a
     ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
@@ -443,7 +366,7 @@ _LONE_VERTEX = {
 def _triangles_meet(v1, s1, v2, s2) -> bool:
     """The verdict of `open_triangles_intersect_3d` on two proper triangles.
 
-    v1 and v2 are the vertex triples, (x, y, z) tuples or `Point3`s; s1
+    v1 and v2 are the vertex triples of (x, y, z) points; s1
     holds v1's vertex sides of v2's plane and s2 the converse, as tuples
     from `_plane_sides`.  Coplanar triangles go to
     `_coplanar_triangles_meet`.  A triangle strictly on one side of the
@@ -516,12 +439,6 @@ def _shared_vertex_triangles_meet(v1, s1, v2, s2, i: int) -> bool:
     return o == 0 or o == (sc or -sd) or o == (sa or -sb)
 
 
-def _turn(a, b, c) -> int:
-    """orient2d on (x, y) tuples."""
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (d > 0) - (d < 0)
-
-
 def _coplanar_triangles_meet(v1, v2) -> bool:
     """Whether two proper coplanar triangles have a common point outside a
     vertex or edge they share, from 2D orientation signs alone; v1 and v2
@@ -538,15 +455,14 @@ def _coplanar_triangles_meet(v1, v2) -> bool:
     cone.  With none, any common point conflicts, and two closed triangles
     meet iff a vertex of one lies in the other or two edges cross
     strictly."""
-    points = [tuple(p) for p in (*v1, *v2)]
     for x, y in ((0, 1), (1, 2), (2, 0)):
-        flat = [(p[x], p[y]) for p in points]
-        turn = _turn(*flat[:3])
+        flat = [(p[x], p[y]) for p in (*v1, *v2)]
+        turn = orient2d(*flat[:3])
         if turn:
             break
     a1, b1, c1, a2, b2, c2 = flat
     t1 = (a1, b1, c1) if turn > 0 else (a1, c1, b1)
-    t2 = (a2, b2, c2) if _turn(a2, b2, c2) > 0 else (a2, c2, b2)
+    t2 = (a2, b2, c2) if orient2d(a2, b2, c2) > 0 else (a2, c2, b2)
     shared = [p for p in t1 if p in t2]
     if len(shared) == 3:
         return True
@@ -554,24 +470,24 @@ def _coplanar_triangles_meet(v1, v2) -> bool:
         u, w = shared
         (p,) = (p for p in t1 if p not in shared)
         (q,) = (q for q in t2 if q not in shared)
-        return _turn(u, w, p) == _turn(u, w, q)
+        return orient2d(u, w, p) == orient2d(u, w, q)
     if shared:
         v = shared[0]
         i, j = t1.index(v), t2.index(v)
         a, b = t1[(i + 1) % 3], t1[(i + 2) % 3]
         c, d = t2[(j + 1) % 3], t2[(j + 2) % 3]
-        return any(_turn(v, c, p) >= 0 and _turn(d, v, p) >= 0 for p in (a, b)) or any(
-            _turn(v, a, p) >= 0 and _turn(b, v, p) >= 0 for p in (c, d)
+        return any(orient2d(v, c, p) >= 0 and orient2d(d, v, p) >= 0 for p in (a, b)) or any(
+            orient2d(v, a, p) >= 0 and orient2d(b, v, p) >= 0 for p in (c, d)
         )
     for s, t in ((t1, t2), (t2, t1)):
         a, b, c = t
-        if any(_turn(a, b, p) >= 0 and _turn(b, c, p) >= 0 and _turn(c, a, p) >= 0 for p in s):
+        if any(orient2d(a, b, p) >= 0 and orient2d(b, c, p) >= 0 and orient2d(c, a, p) >= 0 for p in s):
             return True
     for k in range(3):
         p, q = t1[k - 1], t1[k]
         for m in range(3):
             u, w = t2[m - 1], t2[m]
-            if _turn(p, q, u) * _turn(p, q, w) < 0 and _turn(u, w, p) * _turn(u, w, q) < 0:
+            if orient2d(p, q, u) * orient2d(p, q, w) < 0 and orient2d(u, w, p) * orient2d(u, w, q) < 0:
                 return True
     return False
 
@@ -598,6 +514,6 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
         return False
 
     v1, v2 = t1.vertices, t2.vertices
-    s2 = _plane_sides((*t1.normal, t1.offset), v2)
-    s1 = _plane_sides((*t2.normal, t2.offset), v1)
+    s2 = _plane_sides(t1.plane, v2)
+    s1 = _plane_sides(t2.plane, v1)
     return _triangles_meet(v1, s1, v2, s2)

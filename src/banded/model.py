@@ -233,17 +233,18 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     )
 
 
-def _integer_points(s: "BandedSurface") -> list[tuple[int, int, int]]:
+def _integer_points(s: "BandedSurface") -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
     """The mesh's vertices scaled onto integers, one positive factor per
-    axis, as (x, y, z) tuples.  Such a scaling keeps coincidence,
-    degeneracy and every intersection verdict, and int arithmetic is far
-    faster than `Fraction` arithmetic; as in `scaled_to_integers`, the
-    coordinates come back as ints even when a factor is 1."""
+    axis, as (x, y, z) tuples, and the factors (kx, ky, kz).  Such a
+    scaling keeps coincidence, degeneracy and every intersection verdict,
+    and int arithmetic is far faster than `Fraction` arithmetic; as in
+    `scaled_to_integers`, the coordinates come back as ints even when a
+    factor is 1."""
     pts = [p for p, _ in s.vertices]
-    _, xs = _integer_axis([p.x for p in pts])
-    _, ys = _integer_axis([p.y for p in pts])
-    _, zs = _integer_axis([p.z for p in pts])
-    return list(zip(xs, ys, zs))
+    kx, xs = _integer_axis([p.x for p in pts])
+    ky, ys = _integer_axis([p.y for p in pts])
+    kz, zs = _integer_axis([p.z for p in pts])
+    return list(zip(xs, ys, zs)), (kx, ky, kz)
 
 
 def assignment_to_surface(inst: SliceInstance, assignment: ChordAssignment) -> BandedSurface:
@@ -491,7 +492,7 @@ def _check_paths(s: BandedSurface, edges) -> CheckResult:
 _STRICT_SIDES = ((1, 1, 1), (-1, -1, -1))
 
 
-def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
+def _face_pair_verdicts(faces, pair_memo=None):
     """Yield (j, k, hit) for every pair of faces j, k whose closed boxes
     meet, hit being the verdict of `open_triangles_intersect_3d`; `faces`
     holds the `_face_record`s that `_check_topology` leaves.
@@ -516,8 +517,7 @@ def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
       which decides coplanar pairs too.
 
     With `pair_memo`, the verdicts of the last two tests are memoised
-    under the ids of the `memo_keys` objects, one per face in face
-    order."""
+    under the sorted pair of the two faces' integer vertex triples."""
     active: list[int] = []
     for k in sorted(range(len(faces)), key=lambda k: faces[k][0]):
         x0, _, y0, y1, z0, z1, kb, kt, k2, vk, (nx, ny, nz, off) = faces[k]
@@ -546,8 +546,7 @@ def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
                 yield j, k, False
                 continue
             if pair_memo is not None:
-                ij = (id(memo_keys[j]), id(memo_keys[k]))
-                key = ij if ij[0] < ij[1] else (ij[1], ij[0])
+                key = (vj, vk) if vj < vk else (vk, vj)
                 hit = pair_memo.get(key)
                 if hit is not None:
                     yield j, k, hit
@@ -565,9 +564,9 @@ def _face_pair_verdicts(faces, memo_keys=None, pair_memo=None):
         active.append(k)
 
 
-def _check_face_intersections(faces, memo_keys, pair_memo) -> CheckResult:
+def _check_face_intersections(faces, pair_memo) -> CheckResult:
     """No two faces meet outside a vertex or edge they share."""
-    for j, k, hit in _face_pair_verdicts(faces, memo_keys, pair_memo):
+    for j, k, hit in _face_pair_verdicts(faces, pair_memo):
         if hit:
             return CheckResult(False, f"faces {j} and {k} intersect improperly")
     return CheckResult(True)
@@ -672,7 +671,7 @@ def _section_cycle(points, zs, faces, crossing, level, scale) -> tuple[list[Poin
         incidence.setdefault(q, []).append(idx)
     for (x, y), ids in incidence.items():
         if len(ids) != 2:
-            where = Fraction(x, kx * w), Fraction(y, ky * w)
+            where = f"({Fraction(x, kx * w)}, {Fraction(y, ky * w)})"
             raise SectionError(f"section point {where} touches {len(ids)} segments; cannot chain")
 
     start = min(incidence)
@@ -696,16 +695,17 @@ def _section_cycle(points, zs, faces, crossing, level, scale) -> tuple[list[Poin
     return cycle, w
 
 
-def _check_sections(s: BandedSurface, points) -> CheckResult:
+def _check_sections(s: BandedSurface, points, scale) -> CheckResult:
     """One section per open slab between consecutive vertex z-levels, at
     its midpoint, by `_section_cycle`; see `verify_banded_surface` for why
-    that is complete.
+    that is complete.  `points` and `scale` are as `_integer_points` gives
+    them.
 
     The integer z coordinates of `points` are doubled, so that each slab
     midpoint is an integer level, and the faces are swept upward: a face
     crosses every slab from its lowest vertex level to its highest."""
     zs = [2 * p[2] for p in points]
-    kx, ky, kz = (math.lcm(*{c.denominator for c in axis}) for axis in zip(*(p for p, _ in s.vertices)))
+    kx, ky, kz = scale
     levels = sorted(set(zs))
     tops = []
     rising: dict[int, list[int]] = {}  # lowest level -> faces that rise from it
@@ -729,7 +729,6 @@ def verify_banded_surface(
     s: BandedSurface,
     *,
     force_sections: bool = False,
-    _triangles=None,
     _pair_memo=None,
 ) -> VerificationReport:
     """Run the four certification checks and report per-check verdicts.
@@ -780,15 +779,14 @@ def verify_banded_surface(
     band's faces cross every level in one arc between its two paths, the
     arcs chain into one cycle, and the face-pair check keeps it simple.
 
-    `_triangles` and `_pair_memo` let a caller that verifies many meshes
-    over one set of faces memoise face-pair verdicts: `_pair_memo` maps
-    pairs of ids of the `_triangles` objects, one per face in face order,
-    to verdicts.
+    `_pair_memo` lets a caller that verifies many meshes over one set of
+    faces memoise face-pair verdicts: it maps sorted pairs of faces'
+    integer vertex triples to verdicts.
     """
     faces: list = []
     edges: dict = {}
     try:
-        points = _integer_points(s)
+        points, scale = _integer_points(s)
         topo = _check_topology(s, points, faces, edges)
         if not topo.passed:
             edges = {e for face in s.faces for e in _face_edges(face)}
@@ -798,7 +796,7 @@ def verify_banded_surface(
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
-    inter = _check_face_intersections(faces, _triangles, _pair_memo)
+    inter = _check_face_intersections(faces, _pair_memo)
     if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
     elif not paths.passed:
@@ -806,5 +804,5 @@ def verify_banded_surface(
     elif len({p[2] for p in points}) == 2 and not force_sections:
         sections = CheckResult(True, "structural: every face spans the full height")
     else:
-        sections = _check_sections(s, points)
+        sections = _check_sections(s, points, scale)
     return VerificationReport(topo, paths, inter, sections)

@@ -444,7 +444,7 @@ def band_angle_classes(inst: SliceInstance) -> list[AngleClass]:
         q0, q1 = inst.target.vertices[i], inst.target.vertices[(i + 1) % n]
         v0 = Point2(p1.x - p0.x, p1.y - p0.y)
         v1 = Point2(q1.x - q0.x, q1.y - q0.y)
-        classes.append(ccw_angle(v0, v1)[0])
+        classes.append(ccw_angle(v0, v1))
     return classes
 
 

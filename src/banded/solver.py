@@ -309,7 +309,7 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
     scaled = scaled_to_integers(inst)
-    bands = [tuple(map(tuple, scaled.band_quad(i))) for i in range(n)]
+    bands = [scaled.band_quad(i) for i in range(n)]
     self_conflicts = {}
     boxes = []
     for i, band in enumerate(bands):
@@ -418,7 +418,6 @@ def brute_force_assignments(inst: SliceInstance, limit: int = 16) -> list[ChordA
     if n > limit:
         raise PreconditionError(f"brute force limited to n <= {limit}, got {n}")
     scaled = scaled_to_integers(inst)
-    choices = {(i, c): chord_triangles(scaled, i, c) for i in range(n) for c in Chord}
     memo: dict = {}
     valid = []
     for mask in range(1 << n):
@@ -426,10 +425,7 @@ def brute_force_assignments(inst: SliceInstance, limit: int = 16) -> list[ChordA
             tuple(Chord.RIGHT if (mask >> i) & 1 else Chord.LEFT for i in range(n))
         )
         surface = assignment_to_surface(scaled, assignment)
-        triangles = []
-        for i, c in enumerate(assignment.choices):
-            triangles.extend(choices[(i, c)].triangles)
-        report = verify_banded_surface(surface, _triangles=triangles, _pair_memo=memo)
+        report = verify_banded_surface(surface, _pair_memo=memo)
         if report.passed:
             valid.append(assignment)
     return valid

@@ -17,12 +17,25 @@ from banded.geometry import (
     Point3,
     Triangle3,
     _between_collinear,
-    _dot3,
-    _sign,
-    _sub3,
     orient2d,
     segments_intersect_2d,
 )
+
+
+def _sign(v) -> int:
+    if v > 0:
+        return 1
+    if v < 0:
+        return -1
+    return 0
+
+
+def _sub3(p: Point3, q: Point3):
+    return (p.x - q.x, p.y - q.y, p.z - q.z)
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def point_on_segment_2d(p, a, b) -> bool:

@@ -355,9 +355,9 @@ def fraction_cross_section(s: BandedSurface, t) -> CrossSection:
     for idx, (a, b) in enumerate(segments):
         incidence.setdefault(a, []).append(idx)
         incidence.setdefault(b, []).append(idx)
-    for pt, ids in incidence.items():
+    for (x, y), ids in incidence.items():
         if len(ids) != 2:
-            raise SectionError(f"section point {pt} touches {len(ids)} segments; cannot chain")
+            raise SectionError(f"section point ({x}, {y}) touches {len(ids)} segments; cannot chain")
 
     start = min(incidence)
     cycle = [start]
@@ -530,6 +530,12 @@ class TestCrossSectionMatchesFractionReference:
         ):
             assert any(expected in m for m in messages), expected
 
+    def test_touch_message_prints_the_point_as_rationals(self):
+        holey = edge_case_meshes()[1]
+        with pytest.raises(SectionError) as exc:
+            cross_section(holey, Fraction(1, 3))
+        assert str(exc.value) == "section point (0, 4) touches 1 segments; cannot chain"
+
     def test_slit_closes_only_where_the_seams_meet(self):
         s = slit_mesh()
         section = cross_section(s, Fraction(1, 2))
@@ -633,7 +639,7 @@ class TestSlabSections:
 def face_pass_faces(s: BandedSurface):
     """The face pass's input, built as `_check_topology` builds it but for
     every face, so that meshes failing topology can be checked too."""
-    points = model._integer_points(s)
+    points, _ = model._integer_points(s)
     faces = []
     for f in s.faces:
         verts = tuple(points[v] for v in f)

@@ -19,6 +19,7 @@ sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks']
 import spans
 from fractions import Fraction
 import banded.model as model
+import banded.morph as morph
 import banded.steiner as steiner
 from banded.figures import fig3a_no_surface, fig7_star
 tracer = spans.Tracer()
@@ -28,6 +29,7 @@ for figure in (fig7_star, fig3a_no_surface):
     s = steiner.build_layered_surface(figure().instance)
     model.verify_banded_surface(s, force_sections=True)
     model.cross_section(s, Fraction(1, 3))
+morph.planarity_preserving(fig3a_no_surface().instance)
 tracer.close(span)
 metrics = spans.layer_metrics(tracer.aggregate(), tracer.counts, 1.0)
 print(json.dumps({name: value for name, (value, _unit) in metrics.items()}))
@@ -51,5 +53,8 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
         "steiner.polygon_is_simple.calls",
         "solver.solve_no_steiner.calls",
         "twosat.solve_2sat.calls",
+        "morph.planarity_preserving.total_s",
+        "quadfield.roots_in_open_interval.calls",
+        "quadfield.rational_between.calls",
     ):
         assert metrics[name] > 0, name
