@@ -227,6 +227,13 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     positive factor (a similarity, so the verdict is unchanged), then a sweep
     over the edges sorted by min-x runs the exact segment test only on pairs
     whose bounding boxes meet.
+
+    Adjacent edges ab and bc, with a, b, c distinct, share more than b iff
+    the path folds back at b: a, b, c are collinear and (b - a) . (c - b) <
+    0.  That is `segments_intersect_2d(a, b, b, c, mode="proper")` in
+    closed form: off a line the two segments meet only in b, and on one,
+    c - a projects onto b - a at less than |b - a|^2 iff the dot product
+    is negative, which makes the overlap a segment rather than b alone.
     """
     n = len(pts)
     if n < 3:
@@ -237,10 +244,12 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     edges = []
     for i in range(n):
         a, b = q[i], q[(i + 1) % n]
-        if segments_intersect_2d(a, b, b, q[(i + 2) % n], mode="proper"):
+        (ax, ay), (bx, by), (cx, cy) = a, b, q[(i + 2) % n]
+        ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
+        if ux * vy == uy * vx and ux * vx + uy * vy < 0:
             return False  # edge i+1 folds back onto edge i
-        x0, x1 = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-        y0, y1 = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
+        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+        y0, y1 = (ay, by) if ay <= by else (by, ay)
         edges.append((x0, x1, y0, y1, i, a, b))
     edges.sort(key=lambda e: e[0])
     active = []
@@ -517,3 +526,72 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     s2 = _plane_sides(t1.plane, v2)
     s1 = _plane_sides(t2.plane, v1)
     return _triangles_meet(v1, s1, v2, s2)
+
+
+# ---------------------------------------------------------------------------
+# convex bodies between two levels
+# ---------------------------------------------------------------------------
+
+
+def _xy_differences(a, b) -> tuple:
+    """The 8 xy differences u - w of two band quads, given as (p0, p1, q1,
+    q0) tuples of (x, y, z) points with the p's on one level and the q's on
+    the other: the bottom points of a against those of b, then the top
+    points against the top points.  A band's point k against the other's
+    point m sits at index 2 k + m, less 2 at the top."""
+    (a0x, a0y, _), (a1x, a1y, _), (a2x, a2y, _), (a3x, a3y, _) = a
+    (b0x, b0y, _), (b1x, b1y, _), (b2x, b2y, _), (b3x, b3y, _) = b
+    return (
+        (a0x - b0x, a0y - b0y),
+        (a0x - b1x, a0y - b1y),
+        (a1x - b0x, a1y - b0y),
+        (a1x - b1x, a1y - b1y),
+        (a2x - b2x, a2y - b2y),
+        (a2x - b3x, a2y - b3y),
+        (a3x - b2x, a3y - b2y),
+        (a3x - b3x, a3y - b3y),
+    )
+
+
+def _sections_apart(vectors) -> bool:
+    """Whether two closed convex bodies that span the same two levels are
+    disjoint, from `vectors`: the xy differences u - w of their points, u
+    of the one and w of the other, taken at the bottom level and at the top
+    level.
+
+    Lemma.  Let X = hull(X0 u X1) and Y = hull(Y0 u Y1), with X0 and Y0
+    finite and nonempty on a level z0, and X1 and Y1 on a level z1 != z0.
+    Let D hold the differences X0 - Y0 and X1 - Y1.  Then X and Y meet iff
+    the origin lies in the convex hull of D.
+
+    Proof.  Write z = (1 - t) z0 + t z1.  The section of X at t is
+    (1 - t) hull(X0) + t hull(X1), and the same holds for Y.  Two sections
+    meet iff the origin lies in their Minkowski difference
+    (1 - t) hull(X0 - Y0) + t hull(X1 - Y1).  For convex A and B, the union
+    of (1 - t) A + t B over t in [0, 1] is the hull of A and B.  So some
+    section pair meets iff the origin lies in the hull of D.  The bodies
+    here are the tetrahedron on a band quad, from its bottom and top edges
+    (8 differences; the Minkowski-difference criterion of Gilbert, Johnson
+    and Keerthi 1988), and a chord triangle, from its one or two vertices
+    on each level (4 or 5 differences of a triangle pair).  The conflict
+    table (`solver._pair_conflicts`) tests both; the morph decision
+    (`morph.planarity_preserving`) tests the tetrahedra of two edges' bands
+    with morph time as z, whose sections at t hold the edges at time t.
+
+    The origin is outside that hull iff all of D lies in an open half-plane
+    through it.  That holds iff some v in D has every w in D with
+    cross(v, w) > 0, or cross(v, w) = 0 and dot(v, w) > 0; then v is the
+    clockwise-most vector of D.  A zero vector, a vertex shared by value,
+    fails the test for every v.  Within an open half-plane, "w is strictly
+    clockwise of v" orders D, so one pass keeps the clockwise-most vector as
+    the only candidate, and a second pass checks it.
+    """
+    vx, vy = vectors[0]
+    for wx, wy in vectors:
+        if vx * wy < vy * wx:
+            vx, vy = wx, wy
+    for wx, wy in vectors:
+        cross = vx * wy - vy * wx
+        if cross < 0 or (cross == 0 and vx * wx + vy * wy <= 0):
+            return False
+    return True

@@ -344,12 +344,13 @@ def _face_record(verts, plane) -> tuple:
     return (*box, lz, lz, box, box, False, verts, plane)
 
 
-def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict) -> CheckResult:
+def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, face_memo=None) -> CheckResult:
     """The annulus checks on the mesh, with `points` its `_integer_points`.
     Each face's `_face_record` is appended to `faces` once the face has
     passed its own checks, and edges[(a, b)] = k is entered for each
     directed edge (a, b) of face k, so a pass leaves one record per face
-    and the mesh's complete edge map.
+    and the mesh's complete edge map.  With `face_memo`, the records are
+    memoised under the faces' integer vertex triples.
 
     The checks are: every directed edge is used once (the winding is
     consistent, and an edge borders at most two faces, one per direction);
@@ -408,15 +409,19 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict) ->
         if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
             return CheckResult(False, f"face {k} is malformed: {face}")
         verts = (points[a], points[b], points[c])
-        plane = _plane(*verts)
-        if plane[:3] == (0, 0, 0):
+        record = None if face_memo is None else face_memo.get(verts)
+        if record is None:
+            record = _face_record(verts, _plane(*verts))
+            if face_memo is not None:
+                face_memo[verts] = record
+        if record[-1][:3] == (0, 0, 0):
             return CheckResult(False, f"face {k} is degenerate")
         for e in ((a, b), (b, c), (c, a)):
             if e in edges:
                 return CheckResult(False, f"directed edge {e} used twice: winding is inconsistent")
             edges[e] = k
         referenced.update(face)
-        faces.append(_face_record(verts, plane))
+        faces.append(record)
     if len(referenced) != nv:
         return CheckResult(False, "mesh has vertices not used by any face")
 
@@ -730,6 +735,7 @@ def verify_banded_surface(
     *,
     force_sections: bool = False,
     _pair_memo=None,
+    _face_memo=None,
 ) -> VerificationReport:
     """Run the four certification checks and report per-check verdicts.
 
@@ -779,15 +785,16 @@ def verify_banded_surface(
     band's faces cross every level in one arc between its two paths, the
     arcs chain into one cycle, and the face-pair check keeps it simple.
 
-    `_pair_memo` lets a caller that verifies many meshes over one set of
-    faces memoise face-pair verdicts: it maps sorted pairs of faces'
-    integer vertex triples to verdicts.
+    `_pair_memo` and `_face_memo` let a caller that verifies many meshes
+    over one set of faces memoise face-pair verdicts and face records: the
+    first maps sorted pairs of faces' integer vertex triples to verdicts,
+    the second a face's integer vertex triple to its `_face_record`.
     """
     faces: list = []
     edges: dict = {}
     try:
         points, scale = _integer_points(s)
-        topo = _check_topology(s, points, faces, edges)
+        topo = _check_topology(s, points, faces, edges, _face_memo)
         if not topo.passed:
             edges = {e for face in s.faces for e in _face_edges(face)}
         paths = _check_paths(s, edges)

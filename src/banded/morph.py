@@ -6,6 +6,14 @@ time parameter.  The planarity decision isolates the real roots of those
 quadratics and evaluates exact sign predicates on each resulting piece, at
 rational sample points inside pieces and in Q(sqrt(d)) at the roots
 themselves; no sampling heuristics and no floating point are involved.
+
+With morph time as the z axis, the morph sweeps edge i through the
+tetrahedron on band i, hull(p_i, p_{i+1}, q_{i+1}, q_i) for source vertices p
+at z = 0 and target vertices q at z = 1: its section at z = t holds the edge
+at time t.  Two edges whose tetrahedra are disjoint never meet on [0, 1], and
+`geometry._sections_apart` decides that from the 8 xy differences of the two
+bands, as it does for the conflict table, so such pairs are dismissed before
+any polynomial is built.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Callable
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, _integer_axis, ccw_angle
+from .geometry import AngleClass, Point2, _integer_axis, _sections_apart, _xy_differences, ccw_angle
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
 from .quadfield import ExactTime, midpoint, rational_between
 
@@ -347,13 +355,21 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     ones bring their edges into contact, which the scans already find.
 
     The polygons are scaled onto integers once.  Only non-adjacent edges
-    whose swept boxes meet are examined.  A vertex's angle whose cross
-    product keeps one strict sign over (0, 1) never closes, and an edge pair
-    one of whose edges stays strictly on one side of the other's line never
-    touches; both are dismissed before any root is isolated.  The
-    constant-sign test is exact (no root inside (0, 1) and nonzero at 1/2),
-    so a dismissed candidate never had a violating run, and every verdict and
-    witness interval is the one a scan of every candidate gives.
+    whose swept boxes meet are examined, and of those only the pairs whose
+    band tetrahedra meet.  With time as z, edge i at time t is the segment
+    from (1 - t) p_i + t q_i to (1 - t) p_{i+1} + t q_{i+1}, which lies in
+    (1 - t) [p_i, p_{i+1}] + t [q_i, q_{i+1}], the section at z = t of the
+    tetrahedron hull(p_i, p_{i+1}, q_{i+1}, q_i).  When two such closed
+    tetrahedra are disjoint (`_sections_apart` on the bands' 8 xy
+    differences, by its lemma), so is every pair of their sections, and
+    the two edges have no common point at any t in [0, 1].  A vertex's
+    angle whose cross product keeps one strict sign over (0, 1) never
+    closes, and an edge pair one of whose edges stays strictly on one side
+    of the other's line never touches.  All three are dismissed before any
+    root is isolated.  The tetrahedron test and the constant-sign test
+    (no root inside (0, 1) and nonzero at 1/2) are exact, so a dismissed
+    candidate never had a violating run, and every verdict and witness
+    interval is the one a scan of every candidate gives.
     """
     if validate:
         inst.validate()
@@ -362,6 +378,10 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
     kk = k * k
     moving = [_MovingPoint(*cs[i : i + 4]) for i in range(0, 4 * n, 4)]
+    # each vertex's source at z = 0 and target at z = 1, and edge i's band
+    # quad (p0, p1, q1, q0) over them, as `_xy_differences` takes it
+    tracks = [((cs[m], cs[m + 1], 0), (cs[m + 2], cs[m + 3], 1)) for m in range(0, 4 * n, 4)]
+    bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
     candidates: list[tuple[_Run, str, tuple[int, ...], Callable]] = []
 
     def scan(kind, subjects, points, polys, events):
@@ -382,6 +402,8 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
 
     # non-adjacent edge pairs
     for i, j in _box_pairs(moving):
+        if _sections_apart(_xy_differences(bands[i], bands[j])):
+            continue  # the bands' tetrahedra, and so the edges, never meet
         e0, e1, f0, f1 = moving[i], moving[(i + 1) % n], moving[j], moving[(j + 1) % n]
         o1, o2 = _orient_quad(e0, e1, f0), _orient_quad(e0, e1, f1)
         s = _constant_sign(o1)

@@ -19,7 +19,9 @@ from .geometry import (
     Triangle3,
     _plane,
     _plane_sides,
+    _sections_apart,
     _triangles_meet,
+    _xy_differences,
     open_triangles_intersect_3d,
     orient3d,
 )
@@ -115,67 +117,6 @@ def _quad_triangles(points) -> tuple:
     """The four chord triangles of a band quad, in `_QUAD_TRIPLES` order, as
     vertex triples of its points."""
     return tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
-
-
-def _xy_differences(a, b) -> tuple:
-    """The 8 xy differences u - w of two band quads, given as (p0, p1, q1,
-    q0) tuples of (x, y, z) points with the p's on one level and the q's on
-    the other: the bottom points of a against those of b, then the top
-    points against the top points.  A band's point k against the other's
-    point m sits at index 2 k + m, less 2 at the top."""
-    (a0x, a0y, _), (a1x, a1y, _), (a2x, a2y, _), (a3x, a3y, _) = a
-    (b0x, b0y, _), (b1x, b1y, _), (b2x, b2y, _), (b3x, b3y, _) = b
-    return (
-        (a0x - b0x, a0y - b0y),
-        (a0x - b1x, a0y - b1y),
-        (a1x - b0x, a1y - b0y),
-        (a1x - b1x, a1y - b1y),
-        (a2x - b2x, a2y - b2y),
-        (a2x - b3x, a2y - b3y),
-        (a3x - b2x, a3y - b2y),
-        (a3x - b3x, a3y - b3y),
-    )
-
-
-def _sections_apart(vectors) -> bool:
-    """Whether two closed convex bodies that span the same two levels are
-    disjoint, from `vectors`: the xy differences u - w of their points, u
-    of the one and w of the other, taken at the bottom level and at the top
-    level.
-
-    Lemma.  Let X = hull(X0 u X1) and Y = hull(Y0 u Y1), with X0 and Y0
-    finite and nonempty on a level z0, and X1 and Y1 on a level z1 != z0.
-    Let D hold the differences X0 - Y0 and X1 - Y1.  Then X and Y meet iff
-    the origin lies in the convex hull of D.
-
-    Proof.  Write z = (1 - t) z0 + t z1.  The section of X at t is
-    (1 - t) hull(X0) + t hull(X1), and the same holds for Y.  Two sections
-    meet iff the origin lies in their Minkowski difference
-    (1 - t) hull(X0 - Y0) + t hull(X1 - Y1).  For convex A and B, the union
-    of (1 - t) A + t B over t in [0, 1] is the hull of A and B.  So some
-    section pair meets iff the origin lies in the hull of D.  The bodies
-    here are the tetrahedron on a band quad, from its bottom and top edges
-    (8 differences; the Minkowski-difference criterion of Gilbert, Johnson
-    and Keerthi 1988), and a chord triangle, from its one or two vertices
-    on each level (4 or 5 differences of a triangle pair).
-
-    The origin is outside that hull iff all of D lies in an open half-plane
-    through it.  That holds iff some v in D has every w in D with
-    cross(v, w) > 0, or cross(v, w) = 0 and dot(v, w) > 0; then v is the
-    clockwise-most vector of D.  A zero vector, a vertex shared by value,
-    fails the test for every v.  Within an open half-plane, "w is strictly
-    clockwise of v" orders D, so one pass keeps the clockwise-most vector as
-    the only candidate, and a second pass checks it.
-    """
-    vx, vy = vectors[0]
-    for wx, wy in vectors:
-        if vx * wy < vy * wx:
-            vx, vy = wx, wy
-    for wx, wy in vectors:
-        cross = vx * wy - vy * wx
-        if cross < 0 or (cross == 0 and vx * wx + vy * wy <= 0):
-            return False
-    return True
 
 
 def _level_pairs(k: int, m: int):
@@ -413,19 +354,23 @@ def solve_no_steiner(inst: SliceInstance, *, validate: bool = True) -> SolveOutc
 
 def brute_force_assignments(inst: SliceInstance, limit: int = 16) -> list[ChordAssignment]:
     """Enumerate all 2^n chord assignments and keep those whose surface passes
-    the full verifier.  Independent of the clause/2-SAT machinery."""
+    the full verifier.  Independent of the clause/2-SAT machinery.  Each
+    (band, chord) gives the same two faces on every surface, so the
+    verifier's face records and face-pair verdicts are memoised across the
+    enumeration, keyed by the faces' integer vertices."""
     n = inst.n
     if n > limit:
         raise PreconditionError(f"brute force limited to n <= {limit}, got {n}")
     scaled = scaled_to_integers(inst)
-    memo: dict = {}
+    pair_memo: dict = {}
+    face_memo: dict = {}
     valid = []
     for mask in range(1 << n):
         assignment = ChordAssignment(
             tuple(Chord.RIGHT if (mask >> i) & 1 else Chord.LEFT for i in range(n))
         )
         surface = assignment_to_surface(scaled, assignment)
-        report = verify_banded_surface(surface, _pair_memo=memo)
+        report = verify_banded_surface(surface, _pair_memo=pair_memo, _face_memo=face_memo)
         if report.passed:
             valid.append(assignment)
     return valid

@@ -1,7 +1,8 @@
 """Reference predicates for the tests of `banded.geometry`: a point on a
-closed segment in 2D, and a closed segment against a closed triangle in 3D.
+closed segment in 2D, polygon simplicity edge pair by edge pair, and a
+closed segment against a closed triangle in 3D.
 
-Both are exact.  The segment-triangle test projects the triangle along its
+All are exact.  The segment-triangle test projects the triangle along its
 dominant normal axis and builds the crossing point as `Fraction`s, a route
 independent of the sign kernel in `banded.geometry`, so the tests use it as
 an oracle for triangle contact.  Test-only: nothing in `banded` imports it.
@@ -9,6 +10,7 @@ an oracle for triangle contact.  Test-only: nothing in `banded` imports it.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from banded.errors import DegenerateTriangleError
@@ -41,6 +43,24 @@ def _dot3(u, v):
 def point_on_segment_2d(p, a, b) -> bool:
     """True iff p lies on the closed segment [a, b]."""
     return orient2d(a, b, p) == 0 and _between_collinear(p, a, b)
+
+
+def polygon_is_simple_pairwise(pts) -> bool:
+    """`polygon_is_simple` by the segment test on every edge pair, with no
+    sweep and no scaling: distinct vertices, adjacent edges meeting only in
+    their shared vertex (`segments_intersect_2d(..., mode="proper")`), and
+    non-adjacent edges disjoint."""
+    n = len(pts)
+    if len(set(pts)) != n:
+        return False
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        if segments_intersect_2d(*edges[i], *edges[(i + 1) % n], mode="proper"):
+            return False
+    for i, j in itertools.combinations(range(n), 2):
+        if (j - i) % n not in (1, n - 1) and segments_intersect_2d(*edges[i], *edges[j], mode="any"):
+            return False
+    return True
 
 
 def _proj_axis(normal) -> int:

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from geometry_reference import point_on_segment_2d, segment_triangle_contact_3d
+from geometry_reference import point_on_segment_2d, polygon_is_simple_pairwise, segment_triangle_contact_3d
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +332,47 @@ class TestPolygons:
             verdicts[verdict] += 1
             assert verdict == oracle(pts), pts
         assert min(verdicts.values()) > 100
+
+    def test_fold_test_matches_the_segment_test_on_adjacent_edges(self):
+        # the closed-form fold test against `polygon_is_simple_pairwise`,
+        # which asks `segments_intersect_2d(..., "proper")` of every pair of
+        # adjacent edges: small int and Fraction grids, where collinear
+        # vertices are common, with vertices put straight through or folded
+        # back along the previous edge, and polygons on one line
+        rng = random.Random(19)
+        tally = Counter()
+        for k in range(6000):
+            n = rng.randint(3, 7)
+            d = 1 if k % 2 else rng.choice((2, 3, 6))
+            r = rng.choice((2, 3))
+
+            def grid_point():
+                return P(Fraction(rng.randint(0, r * d), d), Fraction(rng.randint(0, r * d), d))
+
+            if rng.random() < 0.1:  # all vertices on one line
+                a, b = grid_point(), grid_point()
+                pts = [P(a.x + m * (b.x - a.x), a.y + m * (b.y - a.y)) for m in rng.sample(range(-3, 4), n)]
+            else:
+                pts = [grid_point() for _ in range(n)]
+                for _ in range(rng.randint(0, 2)):
+                    # vertex i + 2 continues edge (i, i + 1) forwards or back
+                    i = rng.randrange(n)
+                    a, b = pts[i], pts[(i + 1) % n]
+                    s = Fraction(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1))
+                    pts[(i + 2) % n] = P(b.x + s * (b.x - a.x), b.y + s * (b.y - a.y))
+            for i in range(n):
+                a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+                if orient2d(a, b, c):
+                    tally["turn"] += 1
+                elif a != b != c:
+                    dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
+                    tally["fold-back" if dot < 0 else "straight-through"] += 1
+            if all(orient2d(pts[0], pts[1], p) == 0 for p in pts) and pts[0] != pts[1]:
+                tally["flat"] += 1
+            verdict = polygon_is_simple(pts)
+            tally[verdict] += 1
+            assert verdict == polygon_is_simple_pairwise(pts), pts
+        assert min(tally.values()) > 500, tally
 
     @given(
         st.lists(

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -27,6 +28,8 @@ from banded.generators import (
 from banded.geometry import (
     AngleClass,
     Point2,
+    _sections_apart,
+    _xy_differences,
     orient2d,
     polygon_is_ccw,
     polygon_is_simple,
@@ -457,21 +460,60 @@ def grid_morphs(draw):
     return _instance(src, tgt)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(generated_instances(), grid_morphs()))
-# edge pairs that touch while one edge stays across the other's line, so
-# that the two orientations against that line keep opposite signs: only a
-# same-sign test may dismiss a pair, and random draws rarely give such a one
-# (one example for each of the pair's two lines)
-@example(_instance([(1, 2), (4, 2), (1, 4), (1, 3)], [(2, 2), (1, 4), (0, 0), (1, 3)]))
-@example(_instance([(1, 0), (2, 2), (3, 4), (1, 3)], [(0, 1), (1, 1), (4, 0), (4, 2)]))
-def test_dismissal_keeps_every_verdict(inst):
-    # dismissing the candidates of constant sign changes no verdict and no
-    # bit of a witness interval: compare with a scan of every candidate
-    fast = planarity_preserving(inst)
-    with mock.patch.object(morph, "_constant_sign", lambda q: 0):
-        slow = planarity_preserving(inst)
-    assert _verdict_tuple(fast) == _verdict_tuple(slow)
+def test_dismissal_keeps_every_verdict():
+    # dismissing the candidates of constant sign and the edge pairs whose
+    # band tetrahedra are apart changes no verdict and no bit of a witness
+    # interval: compare with a scan of every candidate of every box pair
+    apart = morph._sections_apart
+    dismissed = Counter()
+
+    def counted(d):
+        verdict = apart(d)
+        dismissed[verdict] += 1
+        return verdict
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(generated_instances(), grid_morphs()))
+    # edge pairs that touch while one edge stays across the other's line, so
+    # that the two orientations against that line keep opposite signs: only
+    # a same-sign test may dismiss a pair, and random draws rarely give such
+    # a one (one example for each of the pair's two lines)
+    @example(_instance([(1, 2), (4, 2), (1, 4), (1, 3)], [(2, 2), (1, 4), (0, 0), (1, 3)]))
+    @example(_instance([(1, 0), (2, 2), (3, 4), (1, 3)], [(0, 1), (1, 1), (4, 0), (4, 2)]))
+    def check(inst):
+        with mock.patch.object(morph, "_sections_apart", counted):
+            fast = planarity_preserving(inst)
+        with mock.patch.object(morph, "_constant_sign", lambda q: 0), mock.patch.object(
+            morph, "_sections_apart", lambda d: False
+        ):
+            slow = planarity_preserving(inst)
+        assert _verdict_tuple(fast) == _verdict_tuple(slow)
+
+    check()
+    # the tetrahedra test dismissed pairs, so the comparison is not vacuous
+    assert dismissed[True] > 100, dismissed
+
+
+def test_dismissed_edge_pairs_never_meet():
+    # an edge pair whose band tetrahedra `_sections_apart` finds disjoint
+    # has no common point at any snapshot t = k/64, ends included
+    tally = Counter()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(generated_instances(), grid_morphs()))
+    def check(inst):
+        n = inst.n
+        bands = [inst.band_quad(i) for i in range(n)]
+        snapshots = [morph_position(inst, Fraction(k, 64)).polygon.vertices for k in range(65)]
+        for i, j in itertools.combinations(range(n), 2):
+            if not _sections_apart(_xy_differences(bands[i], bands[j])):
+                continue
+            tally["apart"] += 1
+            for pts in snapshots:
+                assert not segments_intersect_2d(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])
+
+    check()
+    assert tally["apart"] > 100, tally
 
 
 class TestConvexChordRule:

@@ -498,9 +498,9 @@ def test_sections_apart_is_closed_tetrahedron_disjointness(bottom_a, top_a, bott
     assume(len(set(bottom_a)) == 2 or len(set(top_a)) == 2)
     assume(len(set(bottom_b)) == 2 or len(set(top_b)) == 2)
     a, b = _quad(bottom_a, top_a, levels), _quad(bottom_b, top_b, levels)
-    apart = solver._sections_apart(solver._xy_differences(a, b))
+    apart = geometry._sections_apart(geometry._xy_differences(a, b))
     assert apart == tetrahedra_disjoint(a, b)
-    assert solver._sections_apart(solver._xy_differences(b, a)) == apart
+    assert geometry._sections_apart(geometry._xy_differences(b, a)) == apart
 
 
 
@@ -571,7 +571,7 @@ def test_planar_route_matches_the_3d_kernel(monkeypatch):
         mat = solver._pair_conflicts(a, b)
         assert mat == _choice_matrix(inst, 0, 2), (bottom, top)
         tally["pairs"] += 1
-        if solver._sections_apart(solver._xy_differences(a, b)):
+        if geometry._sections_apart(geometry._xy_differences(a, b)):
             tally["apart"] += 1
             continue
         tally["meet"] += any(map(any, mat))

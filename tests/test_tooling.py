@@ -1,4 +1,5 @@
-"""The benchmark's span tracer against the library it wraps.
+"""The benchmark's span tracer against the library it wraps, and the layout
+of the library's shared predicates.
 
 `benchmarks/spans.py` replaces module attributes by name (`model.cross_section`,
 `model.open_triangles_intersect_3d`, `steiner.polygon_is_simple`, ...).  A
@@ -6,6 +7,7 @@ refactor that drops or rebinds one of them breaks the traced benchmark run;
 this test makes it break the suite as well.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -58,3 +60,20 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
         "quadfield.rational_between.calls",
     ):
         assert metrics[name] > 0, name
+
+
+def test_sections_predicate_is_defined_once_in_geometry():
+    # the conflict table and the morph decision share one copy of the
+    # sections lemma's predicate and of the differences it reads
+    defined = {"_sections_apart": [], "_xy_differences": []}
+    for path in sorted((ROOT / "src" / "banded").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id  # a binding by assignment counts as a copy too
+            else:
+                continue
+            if name in defined:
+                defined[name].append(path.name)
+    assert defined == {"_sections_apart": ["geometry.py"], "_xy_differences": ["geometry.py"]}
