@@ -92,6 +92,8 @@ def instance_from_document(doc: dict) -> SliceInstance:
     for field in ("P", "Pprime"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
+        if not isinstance(doc[field], list):
+            raise ParseError(f"{field} must be a list of pairs [x, y]")
     src = _polygon_from_doc(doc["P"], 0, "P")
     tgt = _polygon_from_doc(doc["Pprime"], 1, "Pprime")
     if "n" in doc and doc["n"] != src.n:
@@ -207,12 +209,18 @@ def _label_to_doc(label):
     raise InputError(f"unknown vertex label {label!r}")
 
 
-def _label_from_doc(doc):
-    if doc.get("kind") == "original":
+_LABEL_FIELDS = {"original": ("slice", "index"), "steiner": ("id",)}
+
+
+def _label_from_doc(doc, path):
+    fields = _LABEL_FIELDS.get(doc.get("kind")) if isinstance(doc, dict) else None
+    if fields is None:
+        raise ParseError(f"{path}: unknown label document {doc!r}")
+    if not all(type(doc.get(field)) is int for field in fields):
+        raise ParseError(f"{path}: label {doc!r} needs integer fields {', '.join(fields)}")
+    if doc["kind"] == "original":
         return OriginalLabel(doc["slice"], doc["index"])
-    if doc.get("kind") == "steiner":
-        return SteinerLabel(doc["id"])
-    raise ParseError(f"unknown label document {doc!r}")
+    return SteinerLabel(doc["id"])
 
 
 def save_bands(surface: BandedSurface, path) -> None:
@@ -287,7 +295,15 @@ def load_surface(mesh_path, bands_path) -> BandedSurface:
         raise InputError(f"cannot read {bands_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{bands_path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    labels = [_label_from_doc(d) for d in doc["labels"]]
+    if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
+        raise ParseError(f"{bands_path}: expected a JSON object with a 'labels' list")
+    for field in ("bands", "paths"):
+        rows = doc.get(field)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError(f"{bands_path}: {field!r} must be a list of index lists")
+        if not all(type(k) is int for row in rows for k in row):
+            raise ParseError(f"{bands_path}: {field!r} holds a non-integer index")
+    labels = [_label_from_doc(d, bands_path) for d in doc["labels"]]
     if len(labels) != len(vertices):
         raise ParseError(
             f"{bands_path}: {len(labels)} labels for {len(vertices)} mesh vertices"

@@ -130,8 +130,9 @@ def random_spiral_polygon(rng: random.Random, n: int) -> LabeledPolygon:
             return LabeledPolygon(poly, 0)
 
 
-def random_rotation(rng: random.Random, *, allow_obtuse: bool = True):
-    """Exact unit-circle pair (cos, sin) with sin > 0, i.e. an angle in (0, pi)."""
+def random_rotation(rng: random.Random):
+    """Exact unit-circle pair (cos, sin) with sin > 0, i.e. an angle in (0, pi);
+    a coin flip picks the sign of cos."""
     while True:
         m = rng.randint(1, 9)
         k = rng.randint(1, 9)
@@ -141,7 +142,7 @@ def random_rotation(rng: random.Random, *, allow_obtuse: bool = True):
         den = m * m + k * k
         c = Fraction(m * m - k * k, den)
         s = Fraction(2 * m * k, den)
-        if allow_obtuse and rng.random() < 0.5:
+        if rng.random() < 0.5:
             c = -c
         return c, s
 

@@ -325,12 +325,15 @@ def _violating_runs(events, predicate) -> list[_Run]:
     return runs
 
 
-def _tighten_run(run: _Run, predicate, max_rounds=200) -> tuple[Fraction, Fraction]:
+_TIGHTEN_ROUNDS = 200
+
+
+def _tighten_run(run: _Run, predicate) -> tuple[Fraction, Fraction]:
     """Refine the run's boundary brackets until the midpoint of the reported
     rational interval itself violates; the interval always contains the run."""
     if run.instantaneous and run.sample is None:
         return run.outer_bounds()
-    for _ in range(max_rounds):
+    for _ in range(_TIGHTEN_ROUNDS):
         if predicate(midpoint(run.start.lower(), run.end.upper())):
             return run.outer_bounds()
         run.start.refine()

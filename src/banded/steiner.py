@@ -47,7 +47,6 @@ every triple of each side are paired, cheapest first, and the build raises
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,40 +57,19 @@ from .morph import _rotated
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
 
-_UNSOLVED = object()  # `_gap_assignment`'s memo miss
 
-
-def _gap_assignment(lower: LabeledPolygon, upper: LabeledPolygon, memo: dict) -> ChordAssignment | None:
-    """Chord assignment for the gap between two layers stood at heights 0
-    and 1, or None.  `memo` holds the verdicts of one build, keyed by the
-    two layers' vertices (so an int and the equal `Fraction` share a key)."""
-    key = (lower.vertices, upper.vertices)
-    verdict = memo.get(key, _UNSOLVED)  # None is a stored UNSAT verdict
-    if verdict is _UNSOLVED:
-        inst = SliceInstance(LabeledPolygon(lower.vertices, 0), LabeledPolygon(upper.vertices, 1))
+def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
+    """Chord assignment for the gap between two layers, given as vertex
+    tuples and stood at heights 0 and 1, or None.  `memo` holds the verdicts
+    of one build, keyed by the two layers (so an int and the equal
+    `Fraction` share a key); a stored None is an UNSAT verdict."""
+    key = (lower, upper)
+    if key not in memo:
+        inst = SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
         n, clauses = build_clauses(inst, build_conflict_table(inst))
         result = solve_2sat(n, clauses)
-        verdict = memo[key] = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
-    return verdict
-
-
-def _finish_stack(
-    inst: SliceInstance, interior: list[LabeledPolygon], memo: dict
-) -> tuple[list[LabeledPolygon], list[ChordAssignment]]:
-    """Assign heights uniformly; returns the polygons bottom to top, the
-    source and target included, and the solved assignment of every gap."""
-    m = len(interior)
-    polys = [LabeledPolygon(inst.source.vertices, 0)]
-    for k, poly in enumerate(interior, start=1):
-        polys.append(LabeledPolygon(poly.vertices, Fraction(k, m + 1)))
-    polys.append(LabeledPolygon(inst.target.vertices, 1))
-    assignments = []
-    for lower, upper in zip(polys, polys[1:]):
-        assignment = _gap_assignment(lower, upper, memo)
-        if assignment is None:
-            raise InternalConsistencyError("a certified gap failed to re-solve")
-        assignments.append(assignment)
-    return polys, assignments
+        memo[key] = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
+    return memo[key]
 
 
 def _layer_budget(n: int) -> int:
@@ -99,19 +77,16 @@ def _layer_budget(n: int) -> int:
     return 2 * (n - 3) + 12 // n
 
 
-def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[LabeledPolygon] | None:
+def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None:
     """Interior layers taken from the linear morph itself, bisected until all
     gaps are chord-solvable.  Cheap and small when source and target are
     already close or related by a rotation; gives up (None) where a snapshot
     goes non-simple or the layer budget would be exceeded."""
     from .morph import morph_position
 
-    def snapshot(t: Fraction) -> LabeledPolygon | None:
-        poly = morph_position(inst, t).polygon
-        pts = poly.vertices
-        if not polygon_is_simple(pts):
-            return None
-        return LabeledPolygon(pts, 0)
+    def snapshot(t: Fraction):
+        pts = morph_position(inst, t).polygon.vertices
+        return pts if polygon_is_simple(pts) else None
 
     def rec(lo_poly, hi_poly, lo_t, hi_t, depth):
         if _gap_assignment(lo_poly, hi_poly, memo) is not None:
@@ -135,9 +110,7 @@ def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[Labele
             return left + [mid] + right
         return None
 
-    src = LabeledPolygon(inst.source.vertices, 0)
-    tgt = LabeledPolygon(inst.target.vertices, 0)
-    plan = rec(src, tgt, Fraction(0), Fraction(1), 4)
+    plan = rec(inst.source.vertices, inst.target.vertices, Fraction(0), Fraction(1), 4)
     if plan is not None and 0 < len(plan) <= max_layers:
         return plan
     return None
@@ -152,17 +125,21 @@ _ROTATION_PALETTE = (
 )
 
 
-def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[LabeledPolygon] | None:
+def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None:
     """For targets that are an exact rotation (plus translation) of the
     source: stand full-size copies rotated by rational sub-steps between the
     two, refining the step size until every gap solves or the layer budget
     runs out.  Avoids the tiny-scale bottleneck that the straight morph of a
-    near-half-turn rotation dives through."""
+    near-half-turn rotation dives through.
+
+    The steps are counted exactly: with W the target's rotation and C the
+    product of the steps taken, the turn still to make is the unit complex
+    number W conj(C), and another step (cos u, +-sin u) is taken while its
+    real part is below cos u, in the direction of its imaginary part (a half
+    turn steps positively).  The last step therefore never lands on W."""
     from .morph import similarity_witness
 
-    sim = similarity_witness(
-        LabeledPolygon(inst.source.vertices, 0), LabeledPolygon(inst.target.vertices, 0)
-    )
+    sim = similarity_witness(inst.source, inst.target)
     if sim is None or sim.scale_squared != 1 or sim.is_identity_rotation:
         return None
     wx, wy = sim.wx, sim.wy
@@ -171,31 +148,19 @@ def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list[Lab
     cx = ((1 - wx) * sim.tx - wy * sim.ty) / det
     cy = (wy * sim.tx + (1 - wx) * sim.ty) / det
     center = Point2(cx, cy)
-    total = math.atan2(float(wy), float(wx))
 
-    src = LabeledPolygon(inst.source.vertices, 0)
-    tgt = LabeledPolygon(inst.target.vertices, 0)
+    src, tgt = inst.source.vertices, inst.target.vertices
     for uc, us in _ROTATION_PALETTE:
-        unit = math.atan2(float(us), float(uc))
-        needed = int(abs(total) // unit) + 1
-        if needed - 1 > max_layers:
-            break
-        cum = (Fraction(1), Fraction(0))
-        rem_angle = total
+        c, s = Fraction(1), Fraction(0)
         layers = []
-        while abs(rem_angle) > unit:
-            step = (uc, us if rem_angle > 0 else -us)
-            cum = (cum[0] * step[0] - cum[1] * step[1], cum[0] * step[1] + cum[1] * step[0])
-            rem_angle -= math.copysign(unit, rem_angle)
-            layers.append(LabeledPolygon(_rotated(src.vertices, center, *cum), 0))
-        ok = True
-        prev = src
-        for layer in layers + [tgt]:
-            if _gap_assignment(prev, layer, memo) is None:
-                ok = False
-                break
-            prev = layer
-        if ok and len(layers) <= max_layers:
+        while wx * c + wy * s < uc:
+            if len(layers) == max_layers:
+                return None  # a finer step needs at least as many layers
+            step = us if wy * c - wx * s >= 0 else -us
+            c, s = c * uc - s * step, c * step + s * uc
+            layers.append(_rotated(src, center, c, s))
+        stack = [src, *layers, tgt]
+        if all(_gap_assignment(lo, hi, memo) is not None for lo, hi in zip(stack, stack[1:])):
             return layers
     return None
 
@@ -262,7 +227,7 @@ def _ladder(src, tgt, bottoms, tops, memo: dict, max_cost: int) -> list | None:
     and the target side, or None; ties go to the earlier prefixes."""
 
     def certified(lo, hi) -> bool:
-        return _gap_assignment(LabeledPolygon(lo, 0), LabeledPolygon(hi, 0), memo) is not None
+        return _gap_assignment(lo, hi, memo) is not None
 
     pairs = sorted(
         (len(bot) + len(top), x, y)
@@ -278,7 +243,7 @@ def _ladder(src, tgt, bottoms, tops, memo: dict, max_cost: int) -> list | None:
     return None
 
 
-def _squash_plan(inst: SliceInstance, memo: dict) -> list[LabeledPolygon]:
+def _squash_plan(inst: SliceInstance, memo: dict) -> list:
     """Interior layers from the ear-squash chains of both sides toward the
     first common corner triple that passes the eigenvalue test: prefix
     pairs cheapest first, the full pair last.  The module docstring gives
@@ -312,11 +277,13 @@ def _squash_plan(inst: SliceInstance, memo: dict) -> list[LabeledPolygon]:
         plan = _ladder(src, tgt, bottoms, [tuple(hi)], memo, 2 * (n - 3) + 1)
     if plan is None:
         raise InternalConsistencyError("no ear-squash plan certifies")
-    return [LabeledPolygon(layer, 0) for layer in plan]
+    return plan
 
 
 def build_layered_surface(inst: SliceInstance) -> BandedSurface:
-    """Banded surface for any valid instance.
+    """Banded surface for a valid instance, or `InternalConsistencyError`
+    where no plan certifies: the n = 4 dart pair with no common corner
+    triple in tests/test_steiner.py is such a case.
 
     Strategy ladder, cheapest first, every gap certified by the chord solver:
     the direct chord solution (zero added vertices); interior layers sampled
@@ -342,4 +309,10 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
         plan = _rotation_plan(inst, budget, memo)
     if plan is None:
         plan = _squash_plan(inst, memo)
-    return layers_to_surface(*_finish_stack(inst, plan, memo))
+    layers = [inst.source.vertices, *plan, inst.target.vertices]
+    assignments = [memo.get(gap) for gap in zip(layers, layers[1:])]
+    if None in assignments:
+        raise InternalConsistencyError("a planned gap has no certified assignment")
+    m = len(plan) + 1
+    interior = (LabeledPolygon(layer, Fraction(k, m)) for k, layer in enumerate(plan, start=1))
+    return layers_to_surface([inst.source, *interior, inst.target], assignments)

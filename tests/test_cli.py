@@ -107,6 +107,47 @@ class TestExitCodes:
         assert err == [f"banded: parse error: {mesh}: face index {index} outside [0, 3) (line 6)"]
 
 
+def drop_paths(doc):
+    del doc["paths"]
+    return doc
+
+
+def drop_slice(doc):
+    del doc["labels"][0]["slice"]
+    return doc
+
+
+class TestMalformedFiles:
+    """Malformed input ends in one parse-error line and exit 1, not a traceback."""
+
+    def test_polygon_that_is_not_a_list(self, tmp_path, capsys):
+        bad = tmp_path / "numbers.json"
+        bad.write_text(json.dumps({"P": 5, "Pprime": 5}))
+        assert run("check", str(bad)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("banded: parse error:")
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: {**doc, "labels": list(range(len(doc["labels"])))},
+            drop_paths,
+            drop_slice,
+            lambda doc: doc["labels"],
+        ],
+        ids=["int_labels", "no_paths", "label_without_slice", "array"],
+    )
+    def test_malformed_sidecar(self, tmp_path, capsys, tamper):
+        mesh = tmp_path / "prism.off"
+        run("solve", fig("fig1_twisted_prism"), "--export", str(mesh))
+        sidecar = Path(str(mesh) + ".bands.json")
+        sidecar.write_text(json.dumps(tamper(json.loads(sidecar.read_text()))))
+        capsys.readouterr()
+        assert run("verify", str(mesh), "--bands", str(sidecar)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"banded: parse error: {sidecar}: ")
+
+
 class TestPipelines:
     def test_solve_export_verify_section(self, tmp_path, capsys):
         mesh = tmp_path / "prism.off"

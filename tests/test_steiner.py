@@ -13,7 +13,7 @@ from banded.figures import fig3a_no_surface, fig7_star
 from banded.generators import random_instance, random_polygon, random_star_polygon
 from banded.geometry import Point2, _is_ear, orient2d, polygon_is_simple
 from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface
-from banded.morph import convex_chord_rule, planarity_preserving, rotate_copy_instance
+from banded.morph import _rotated, convex_chord_rule, planarity_preserving, rotate_copy_instance
 from banded.solver import solve_no_steiner
 from banded.steiner import (
     build_layered_surface,
@@ -110,14 +110,14 @@ class TestCollapseEar:
 
 class TestJoins:
     def test_identical_layers_join(self):
-        poly = LabeledPolygon((Point2(0, 0), Point2(4, 0), Point2(0, 4)), 0)
-        assignment = _gap_assignment(poly, LabeledPolygon(poly.vertices, Fraction(1, 4)), {})
+        tri = (Point2(0, 0), Point2(4, 0), Point2(0, 4))
+        assignment = _gap_assignment(tri, tri, {})
         assert len(assignment) == 3
 
     def test_collapse_gap_joins(self):
         # a gap that moves one vertex across an empty ear is solvable
         (layer,) = _squash_chain(QUAD, (0, 1, 2))
-        assignment = _gap_assignment(LabeledPolygon(QUAD, 0), LabeledPolygon(layer, 0), {})
+        assignment = _gap_assignment(QUAD, layer, {})
         assert len(assignment) == 4
 
     def test_congruent_triangles_direct(self):
@@ -132,7 +132,7 @@ class TestJoins:
         # one quarter turn about vertex 0, either way round
         o = src[0]
         turns = [tuple(Point2(o.x - s * (p.y - o.y), o.y + s * (p.x - o.x)) for p in src) for s in (1, -1)]
-        assert mid.vertices in turns
+        assert mid in turns
 
     def test_scaled_half_turn_turns_in_place_of_the_last_squash(self):
         # A = -2I for every triple: the turned end replaces a squash layer
@@ -151,6 +151,23 @@ class TestJoins:
         s = build_layered_surface(inst)
         assert s.steiner_count() == 3
         assert verify_banded_surface(s, force_sections=True).passed
+
+
+class TestRotationPlan:
+    @pytest.mark.parametrize("kind", ["star", "convex"])
+    def test_exact_multiple_of_a_step_adds_no_copy_of_the_target(self, kind):
+        # (4/5, 3/5)^3 = (-44/125, 117/125): three palette steps exactly, so
+        # two layers lie between source and target, one and two steps round
+        poly = random_polygon(random.Random(3), 6, kind)
+        inst = rotate_copy_instance(poly, Point2(0, 0), (Fraction(-44, 125), Fraction(117, 125)))
+        plan = steiner._rotation_plan(inst, steiner._layer_budget(inst.n), {})
+        assert len(plan) == 2
+        assert inst.target.vertices not in plan
+        src = inst.source.vertices
+        assert plan == [
+            _rotated(src, Point2(0, 0), Fraction(4, 5), Fraction(3, 5)),
+            _rotated(src, Point2(0, 0), Fraction(7, 25), Fraction(24, 25)),
+        ]
 
 
 def affine_pair(matrix):

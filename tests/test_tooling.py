@@ -1,5 +1,5 @@
-"""The benchmark's span tracer against the library it wraps, and the layout
-of the library's shared predicates.
+"""The benchmark's span tracer against the library it wraps, the layout of
+the library's shared predicates, and the exact modules' freedom from floats.
 
 `benchmarks/spans.py` replaces module attributes by name (`model.cross_section`,
 `model.open_triangles_intersect_3d`, `steiner.polygon_is_simple`, ...).  A
@@ -77,3 +77,31 @@ def test_sections_predicate_is_defined_once_in_geometry():
             if name in defined:
                 defined[name].append(path.name)
     assert defined == {"_sections_apart": ["geometry.py"], "_xy_differences": ["geometry.py"]}
+
+
+# every module on the exact path; `generators` proposes shapes with floats and
+# re-checks them exactly, and `fileio`'s `floats=True` export is lossy output
+EXACT_MODULES = ("geometry", "model", "solver", "morph", "quadfield", "twosat", "steiner")
+EXACT_MATH = {"gcd", "lcm", "isqrt"}
+
+
+def test_exact_modules_use_no_floats():
+    # no epsilons: no `float`, no float literal, and of `math` only the
+    # integer functions
+    found = []
+    for module in EXACT_MODULES:
+        path = ROOT / "src" / "banded" / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "float":
+                found.append((module, node.lineno, "float"))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append((module, node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+                if node.attr not in EXACT_MATH:
+                    found.append((module, node.lineno, f"math.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [(module, node.lineno, f"math.{a.name}") for a in node.names if a.name not in EXACT_MATH]
+            elif isinstance(node, ast.Import):
+                # an alias would hide the attribute check above
+                found += [(module, node.lineno, "aliased math") for a in node.names if a.name == "math" and a.asname]
+    assert found == []
