@@ -21,7 +21,6 @@ from .geometry import (
     AngleClass,
     Point2,
     Point3,
-    Triangle3,
     ccw_angle,
     open_triangles_intersect_3d,
     orient2d,
@@ -61,7 +60,6 @@ from .fileio import (
     save_instance,
 )
 from .solver import (
-    ChordChoiceTriangles,
     ConflictTable,
     SolveOutcome,
     brute_force_assignments,
@@ -72,7 +70,7 @@ from .solver import (
     solve_no_steiner,
 )
 from .steiner import build_layered_surface
-from .twosat import Clause2, Literal, TwoSatResult, evaluate_clauses, solve_2sat
+from .twosat import Clause2, Literal, TwoSatResult, solve_2sat
 
 __version__ = "0.1.0"
 
@@ -83,7 +81,6 @@ __all__ = [
     "BandedSurface",
     "Chord",
     "ChordAssignment",
-    "ChordChoiceTriangles",
     "Clause2",
     "ConflictTable",
     "CrossSection",
@@ -103,7 +100,6 @@ __all__ = [
     "SliceInstance",
     "SolveOutcome",
     "SteinerLabel",
-    "Triangle3",
     "TwoSatResult",
     "VerificationReport",
     "assignment_to_surface",
@@ -116,7 +112,6 @@ __all__ = [
     "conflicts",
     "convex_chord_rule",
     "cross_section",
-    "evaluate_clauses",
     "export_mesh",
     "export_section",
     "load_instance",

@@ -30,8 +30,9 @@ _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
 
 def parse_rational(text) -> Fraction:
-    """Exact rational from a decimal string like '-12.625' or 'p/q'."""
-    if isinstance(text, int):
+    """Exact rational from an int, or from a decimal string like '-12.625'
+    or 'p/q'; a bool is not a number here."""
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected a number string, got {text!r}")

@@ -72,9 +72,14 @@ def _canon_dir(v) -> tuple[int, int]:
 
 def random_star_polygon(rng: random.Random, n: int, spread: int = 12) -> LabeledPolygon:
     """Simple CCW n-gon star-shaped around the origin: distinct ray directions
-    in angular order with random integer radii."""
+    in angular order with random integer radii.  The directions are the
+    primitive integer vectors in [-spread, spread]^2, so n may not exceed
+    their number (368 for spread 12)."""
     import functools
 
+    primitive = sum(math.gcd(x, y) == 1 for x in range(-spread, spread + 1) for y in range(-spread, spread + 1))
+    if n > primitive:
+        raise PreconditionError(f"a star polygon with spread {spread} has at most {primitive} vertices, not {n}")
     while True:
         dirs = set()
         while len(dirs) < n:

@@ -9,10 +9,8 @@ orientation tests of a polygon scale it onto integers first.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -37,40 +35,6 @@ class Point3(NamedTuple):
     @property
     def xy(self) -> Point2:
         return Point2(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Triangle3:
-    """Closed triangle in 3D; `vertices` must be pairwise distinct points."""
-
-    a: Point3
-    b: Point3
-    c: Point3
-
-    @property
-    def vertices(self):
-        return (self.a, self.b, self.c)
-
-    @functools.cached_property
-    def plane(self):
-        return _plane(self.a, self.b, self.c)
-
-    @functools.cached_property
-    def normal(self):
-        return self.plane[:3]
-
-    def is_degenerate(self) -> bool:
-        return self.normal == (0, 0, 0)
-
-    @functools.cached_property
-    def _bounds(self):
-        xs = (self.a.x, self.b.x, self.c.x)
-        ys = (self.a.y, self.b.y, self.c.y)
-        zs = (self.a.z, self.b.z, self.c.z)
-        return (min(xs), min(ys), min(zs)), (max(xs), max(ys), max(zs))
-
-    def bounds(self):
-        return self._bounds
 
 
 def orient2d(a, b, c) -> int:
@@ -208,6 +172,25 @@ def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
     return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
 
 
+def _box_pairs(boxes):
+    """Yield (j, k) for every pair of closed xy boxes (x0, x1, y0, y1) in
+    `boxes` that meet, touching included, as indices into `boxes`.
+
+    The boxes are swept in order of min-x, ties by index, with an active
+    list of the earlier boxes whose max-x reaches the current min-x; j is
+    the earlier of the two in that order, and the pairs come grouped by k
+    in sweep order.  Polygon simplicity, the morph decision, the conflict
+    table and the verifier's face pass all prune their pairs here."""
+    active = []
+    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x0, x1, y0, y1 = boxes[k]
+        active = [box for box in active if box[0] >= x0]
+        for _, v0, v1, j in active:
+            if v0 <= y1 and y0 <= v1:
+                yield j, k
+        active.append((x1, y0, y1, k))
+
+
 def polygon_signed_area2(pts: Sequence[Point2]):
     """Twice the signed area (positive for counterclockwise order)."""
     total = 0
@@ -224,9 +207,9 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     Vertices must be distinct, non-adjacent edges disjoint, and adjacent
     edges may share only their common vertex.  Collinear (flat) vertices are
     allowed.  Exact: the polygon is first scaled onto integers by one
-    positive factor (a similarity, so the verdict is unchanged), then a sweep
-    over the edges sorted by min-x runs the exact segment test only on pairs
-    whose bounding boxes meet.
+    positive factor (a similarity, so the verdict is unchanged), then the
+    exact segment test runs only on the non-adjacent edge pairs whose
+    bounding boxes meet, as `_box_pairs` finds them.
 
     Adjacent edges ab and bc, with a, b, c distinct, share more than b iff
     the path folds back at b: a, b, c are collinear and (b - a) . (c - b) <
@@ -241,29 +224,20 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     q = _integer_polygon(pts)
     if len(set(q)) != n:
         return False
-    edges = []
+    boxes = []
     for i in range(n):
-        a, b = q[i], q[(i + 1) % n]
-        (ax, ay), (bx, by), (cx, cy) = a, b, q[(i + 2) % n]
+        (ax, ay), (bx, by), (cx, cy) = q[i], q[(i + 1) % n], q[(i + 2) % n]
         ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
         if ux * vy == uy * vx and ux * vx + uy * vy < 0:
             return False  # edge i+1 folds back onto edge i
         x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
         y0, y1 = (ay, by) if ay <= by else (by, ay)
-        edges.append((x0, x1, y0, y1, i, a, b))
-    edges.sort(key=lambda e: e[0])
-    active = []
-    for x0, x1, y0, y1, i, a, b in edges:
-        active = [e for e in active if e[1] >= x0]
-        for _, _, v0, v1, j, c, d in active:
-            if (
-                v0 <= y1
-                and y0 <= v1
-                and (i - j) % n not in (1, n - 1)
-                and segments_intersect_2d(a, b, c, d, mode="any")
-            ):
-                return False
-        active.append((x0, x1, y0, y1, i, a, b))
+        boxes.append((x0, x1, y0, y1))
+    for j, k in _box_pairs(boxes):
+        if (k - j) % n not in (1, n - 1) and segments_intersect_2d(
+            q[j], q[(j + 1) % n], q[k], q[(k + 1) % n], mode="any"
+        ):
+            return False
     return True
 
 
@@ -324,9 +298,8 @@ def _is_ear(pts, i: int, j: int, k: int) -> bool:
 
 def _plane(a, b, c):
     """The plane through the (x, y, z) points a, b, c as (nx, ny, nz,
-    offset), with the normal (b - a) x (c - a) and the offset normal . a,
-    as `Triangle3.plane` caches it; the normal is zero iff the points are
-    collinear."""
+    offset), with the normal (b - a) x (c - a) and the offset normal . a;
+    the normal is zero iff the points are collinear."""
     ax, ay, az = a
     ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
     vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
@@ -338,8 +311,11 @@ def _plane_sides(plane, points) -> tuple:
     """The side of `plane` (as `_plane` gives it) that each point lies on:
     +1 where the normal points, -1 opposite, 0 on the plane."""
     nx, ny, nz, off = plane
-    dots = [nx * x + ny * y + nz * z - off for x, y, z in points]
-    return tuple([(d > 0) - (d < 0) for d in dots])
+    sides = []
+    for x, y, z in points:  # a plain loop: before Python 3.12 a comprehension is a call
+        d = nx * x + ny * y + nz * z
+        sides.append((d > off) - (d < off))
+    return tuple(sides)
 
 
 def _lone_vertex(signs):
@@ -501,8 +477,9 @@ def _coplanar_triangles_meet(v1, v2) -> bool:
     return False
 
 
-def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
-    """Exact conflict test between two closed triangles.
+def open_triangles_intersect_3d(t1, t2) -> bool:
+    """Exact conflict test between two closed triangles, each a triple of
+    (x, y, z) points.
 
     Contact confined to structure the triangles genuinely share (an identical
     vertex, or an identical full edge) is legal and returns False.  Any other
@@ -511,21 +488,21 @@ def open_triangles_intersect_3d(t1: Triangle3, t2: Triangle3) -> bool:
     overlap beyond a shared edge.  This is exactly the condition under which
     two faces cannot coexist on an embedded surface.
 
-    After a bounding-box test, the plane-side signs of each triangle's
-    vertices go through `_triangles_meet`, which decides every pair, in
-    crossing planes or coplanar, from orientation signs.
+    A collinear triple raises `DegenerateTriangleError`.  After a
+    bounding-box test, the plane-side signs of each triangle's vertices go
+    through `_triangles_meet`, which decides every pair, in crossing planes
+    or coplanar, from orientation signs.
     """
-    if t1.is_degenerate() or t2.is_degenerate():
+    plane1, plane2 = _plane(*t1), _plane(*t2)
+    if plane1[:3] == (0, 0, 0) or plane2[:3] == (0, 0, 0):
         raise DegenerateTriangleError("open_triangles_intersect_3d needs proper triangles")
 
-    (lo1, hi1), (lo2, hi2) = t1.bounds(), t2.bounds()
-    if any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(3)):
-        return False
+    for axis in range(3):
+        c1, c2 = [p[axis] for p in t1], [p[axis] for p in t2]
+        if max(c1) < min(c2) or max(c2) < min(c1):
+            return False
 
-    v1, v2 = t1.vertices, t2.vertices
-    s2 = _plane_sides(t1.plane, v2)
-    s1 = _plane_sides(t2.plane, v1)
-    return _triangles_meet(v1, s1, v2, s2)
+    return _triangles_meet(t1, _plane_sides(plane2, t1), t2, _plane_sides(plane1, t2))
 
 
 # ---------------------------------------------------------------------------

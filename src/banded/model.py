@@ -18,10 +18,11 @@ from .errors import InputError, MeshStructureError, PreconditionError, SectionEr
 from .geometry import (
     Point2,
     Point3,
-    Triangle3,
+    _box_pairs,
     _integer_axis,
     _integer_polygon,
     _plane,
+    _plane_sides,
     _triangles_meet,
     open_triangles_intersect_3d,  # unused; benchmarks/spans.py wraps this binding
     polygon_is_ccw,
@@ -167,9 +168,10 @@ class BandedSurface:
     def point(self, i: int) -> Point3:
         return self.vertices[i][0]
 
-    def face_triangle(self, k: int) -> Triangle3:
+    def face_triangle(self, k: int) -> tuple[Point3, Point3, Point3]:
+        """Face k as the triple of its vertices' points."""
         i, j, l = self.faces[k]
-        return Triangle3(self.vertices[i][0], self.vertices[j][0], self.vertices[l][0])
+        return self.vertices[i][0], self.vertices[j][0], self.vertices[l][0]
 
     def steiner_count(self) -> int:
         return sum(1 for _, label in self.vertices if isinstance(label, SteinerLabel))
@@ -502,9 +504,9 @@ def _face_pair_verdicts(faces, pair_memo=None):
     meet, hit being the verdict of `open_triangles_intersect_3d`; `faces`
     holds the `_face_record`s that `_check_topology` leaves.
 
-    The boxes are sorted by min-x and swept with an active list.  A pair
-    whose boxes also meet in y and z is decided by the first that applies
-    of these exact tests, with no point or triangle object built:
+    `geometry._box_pairs` finds the pairs whose xy boxes meet.  A pair
+    whose boxes also meet in z is decided by the first that applies of
+    these exact tests, with no point or triangle object built:
 
     - Level touch.  When the z-ranges meet in one level, the faces can
       meet only at that level, in their parts there (a vertex, an edge or
@@ -523,50 +525,44 @@ def _face_pair_verdicts(faces, pair_memo=None):
 
     With `pair_memo`, the verdicts of the last two tests are memoised
     under the sorted pair of the two faces' integer vertex triples."""
-    active: list[int] = []
-    for k in sorted(range(len(faces)), key=lambda k: faces[k][0]):
-        x0, _, y0, y1, z0, z1, kb, kt, k2, vk, (nx, ny, nz, off) = faces[k]
-        active = [j for j in active if faces[j][1] >= x0]
-        for j in active:
-            _, _, v0, v1, w0, w1, jb, jt, j2, vj, plane = faces[j]
-            if v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
-                continue
-            if w1 == z0 or z1 == w0:
-                a, b = (jt, kb) if w1 == z0 else (kt, jb)
-                if a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]:
-                    yield j, k, False
-                    continue
-            elif (
-                j2
-                and k2
-                and w0 == z0
-                and w1 == z1
-                and (
-                    jb[1] < kb[0] and jt[1] < kt[0]
-                    or kb[1] < jb[0] and kt[1] < jt[0]
-                    or jb[3] < kb[2] and jt[3] < kt[2]
-                    or kb[3] < jb[2] and kt[3] < jt[2]
-                )
-            ):
+    for j, k in _box_pairs([face[:4] for face in faces]):
+        _, _, _, _, z0, z1, kb, kt, k2, vk, k_plane = faces[k]
+        _, _, _, _, w0, w1, jb, jt, j2, vj, j_plane = faces[j]
+        if w0 > z1 or z0 > w1:
+            continue
+        if w1 == z0 or z1 == w0:
+            a, b = (jt, kb) if w1 == z0 else (kt, jb)
+            if a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]:
                 yield j, k, False
                 continue
-            if pair_memo is not None:
-                key = (vj, vk) if vj < vk else (vk, vj)
-                hit = pair_memo.get(key)
-                if hit is not None:
-                    yield j, k, hit
-                    continue
-            sj = tuple([(d > 0) - (d < 0) for d in [nx * x + ny * y + nz * z - off for x, y, z in vj]])
-            if sj in _STRICT_SIDES or sj.count(0) == 2 and (vj[0] in vk) + (vj[1] in vk) + (vj[2] in vk) == 2:
-                hit = False
-            else:
-                mx, my, mz, moff = plane
-                sk = tuple([(d > 0) - (d < 0) for d in [mx * x + my * y + mz * z - moff for x, y, z in vk]])
-                hit = _triangles_meet(vj, sj, vk, sk)
-            if pair_memo is not None:
-                pair_memo[key] = hit
-            yield j, k, hit
-        active.append(k)
+        elif (
+            j2
+            and k2
+            and w0 == z0
+            and w1 == z1
+            and (
+                jb[1] < kb[0] and jt[1] < kt[0]
+                or kb[1] < jb[0] and kt[1] < jt[0]
+                or jb[3] < kb[2] and jt[3] < kt[2]
+                or kb[3] < jb[2] and kt[3] < jt[2]
+            )
+        ):
+            yield j, k, False
+            continue
+        if pair_memo is not None:
+            key = (vj, vk) if vj < vk else (vk, vj)
+            hit = pair_memo.get(key)
+            if hit is not None:
+                yield j, k, hit
+                continue
+        sj = _plane_sides(k_plane, vj)
+        if sj in _STRICT_SIDES or sj.count(0) == 2 and (vj[0] in vk) + (vj[1] in vk) + (vj[2] in vk) == 2:
+            hit = False
+        else:
+            hit = _triangles_meet(vj, sj, vk, _plane_sides(j_plane, vk))
+        if pair_memo is not None:
+            pair_memo[key] = hit
+        yield j, k, hit
 
 
 def _check_face_intersections(faces, pair_memo) -> CheckResult:

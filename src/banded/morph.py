@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, _integer_axis, _sections_apart, _xy_differences, ccw_angle
+from .geometry import AngleClass, Point2, _box_pairs, _integer_axis, _sections_apart, _xy_differences, ccw_angle
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
 from .quadfield import ExactTime, midpoint, rational_between
 
@@ -244,31 +244,6 @@ def _predicate(kind: str, points, polys):
     return edges_touch
 
 
-def _box_pairs(moving) -> list[tuple[int, int]]:
-    """The non-adjacent edge pairs (i, j), i < j, ascending, whose boxes over
-    t in [0, 1] meet.  An edge's box is that of its endpoints' source and
-    target positions; the boxes are swept in order of min-x with an active
-    list, and closed comparisons keep pairs whose boxes only touch."""
-    n = len(moving)
-    boxes = []
-    for i in range(n):
-        u, v = moving[i], moving[(i + 1) % n]
-        xs = (u.x[0], u.x[0] + u.x[1], v.x[0], v.x[0] + v.x[1])
-        ys = (u.y[0], u.y[0] + u.y[1], v.y[0], v.y[0] + v.y[1])
-        boxes.append((min(xs), max(xs), min(ys), max(ys), i))
-    boxes.sort(key=lambda b: b[0])
-    pairs = []
-    active = []
-    for x0, x1, y0, y1, i in boxes:
-        active = [b for b in active if b[1] >= x0]
-        for _, _, v0, v1, j in active:
-            if v0 <= y1 and y0 <= v1 and (i - j) % n not in (1, n - 1):
-                pairs.append((j, i) if j < i else (i, j))
-        active.append((x0, x1, y0, y1, i))
-    pairs.sort()
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # piecewise sign analysis
 # ---------------------------------------------------------------------------
@@ -403,8 +378,14 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
         events += _collision_events(((a, b), (b, c), (a, c)))
         scan("angle_collapse", (i,), (a, b, c), (cross, dot), events)
 
-    # non-adjacent edge pairs
-    for i, j in _box_pairs(moving):
+    # non-adjacent edge pairs, ascending, whose swept boxes meet: an edge's
+    # box over t in [0, 1] is that of its band quad
+    boxes = []
+    for (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) in bands:
+        xs, ys = (ax, bx, cx, dx), (ay, by, cy, dy)
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    pairs = [(j, k) if j < k else (k, j) for j, k in _box_pairs(boxes) if (k - j) % n not in (1, n - 1)]
+    for i, j in sorted(pairs):
         if _sections_apart(_xy_differences(bands[i], bands[j])):
             continue  # the bands' tetrahedra, and so the edges, never meet
         e0, e1, f0, f1 = moving[i], moving[(i + 1) % n], moving[j], moving[(j + 1) % n]

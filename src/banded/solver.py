@@ -16,7 +16,7 @@ from operator import itemgetter
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     _ON_PLANE,
-    Triangle3,
+    _box_pairs,
     _plane,
     _plane_sides,
     _sections_apart,
@@ -38,11 +38,23 @@ from .model import (
 from .twosat import Clause2, Literal, TwoSatResult, solve_2sat
 
 
+# The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two
+# triangles, then the left chord's; `chord_triangles` takes its split from
+# here.  They are also the four faces of the tetrahedron on the quad.
+_QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
+
+
+def _quad_triangles(points) -> tuple:
+    """The four chord triangles of a band quad, in `_QUAD_TRIPLES` order, as
+    vertex triples of its points."""
+    return tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
+
+
 @dataclass(frozen=True)
 class ChordChoiceTriangles:
     band: int
     choice: Chord
-    triangles: tuple[Triangle3, Triangle3]
+    triangles: tuple[tuple, tuple]  # two vertex triples of (x, y, z) points
     degenerate: bool  # True iff the band quad is coplanar
 
 
@@ -50,13 +62,10 @@ def chord_triangles(inst: SliceInstance, i: int, choice: Chord) -> ChordChoiceTr
     """The two faces induced on band i by choosing the given chord."""
     if not 0 <= i < inst.n:
         raise PreconditionError(f"band index {i} out of range")
-    p0, p1, q1, q0 = inst.band_quad(i)
-    if choice is Chord.RIGHT:
-        tris = (Triangle3(p0, p1, q1), Triangle3(p0, q1, q0))
-    else:
-        tris = (Triangle3(p0, p1, q0), Triangle3(p1, q1, q0))
-    coplanar = orient3d(p0, p1, q1, q0) == 0
-    return ChordChoiceTriangles(i, choice, tris, coplanar)
+    quad = inst.band_quad(i)
+    k = 0 if choice is Chord.RIGHT else 2
+    coplanar = orient3d(*quad) == 0
+    return ChordChoiceTriangles(i, choice, _quad_triangles(quad)[k : k + 2], coplanar)
 
 
 def _tris_conflict(a: ChordChoiceTriangles, b: ChordChoiceTriangles) -> bool:
@@ -93,11 +102,6 @@ class ConflictTable:
 
 _NO_CONFLICT = ((False, False), (False, False))
 
-# The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two
-# triangles, then the left chord's, each in `chord_triangles` order.  They
-# are also the four faces of the tetrahedron on the quad.
-_QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
-
 # the sides of a quad's four points against a plane, split into the side
 # triples of its four chord triangles, for every row of signs
 _TRIANGLE_SIDES = {
@@ -111,12 +115,6 @@ _CHOICE_TESTS = tuple(
     tuple(tuple((k, m) for k in (2 * ca, 2 * ca + 1) for m in (2 * cb, 2 * cb + 1)) for cb in (0, 1))
     for ca in (0, 1)
 )
-
-
-def _quad_triangles(points) -> tuple:
-    """The four chord triangles of a band quad, in `_QUAD_TRIPLES` order, as
-    vertex triples of its points."""
-    return tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
 
 
 def _level_pairs(k: int, m: int):
@@ -231,9 +229,9 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
 
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
-    separate them: every quad spans the full height).  The boxes are sorted
-    by min-x and swept with an active list, and `_pair_conflicts` runs only
-    on pairs whose boxes meet; every other pair is recorded conflict-free.
+    separate them: every quad spans the full height).  `_pair_conflicts`
+    runs only on the pairs whose boxes meet, as `geometry._box_pairs` finds
+    them; every other pair is recorded conflict-free.
     It routes each pair on its 8 xy differences: a pair with no vertex
     shared by value is decided in the plane, from subsets of those
     differences; a pair that shares a path edge, with a plane through the
@@ -261,17 +259,11 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
             )
         xs = [p[0] for p in band]
         ys = [p[1] for p in band]
-        boxes.append((min(xs), max(xs), min(ys), max(ys), i))
-    boxes.sort()
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
     pairs = dict.fromkeys(((i, j) for i in range(n) for j in range(i + 1, n)), _NO_CONFLICT)
-    active = []
-    for x0, x1, y0, y1, i in boxes:
-        active = [box for box in active if box[1] >= x0]
-        for _, _, v0, v1, j in active:
-            if v0 <= y1 and y0 <= v1:
-                a, b = (i, j) if i < j else (j, i)
-                pairs[(a, b)] = _pair_conflicts(bands[a], bands[b])
-        active.append((x0, x1, y0, y1, i))
+    for j, k in _box_pairs(boxes):
+        a, b = (j, k) if j < k else (k, j)
+        pairs[(a, b)] = _pair_conflicts(bands[a], bands[b])
     return ConflictTable(n, self_conflicts, pairs)
 
 

@@ -1,6 +1,7 @@
 """Reference predicates for the tests of `banded.geometry`: a point on a
-closed segment in 2D, polygon simplicity edge pair by edge pair, and a
-closed segment against a closed triangle in 3D.
+closed segment in 2D, polygon simplicity edge pair by edge pair, a
+triangle's normal, and a closed segment against a closed triangle in 3D.
+A triangle is a triple of `Point3`s.
 
 All are exact.  The segment-triangle test projects the triangle along its
 dominant normal axis and builds the crossing point as `Fraction`s, a route
@@ -17,7 +18,6 @@ from banded.errors import DegenerateTriangleError
 from banded.geometry import (
     Point2,
     Point3,
-    Triangle3,
     _between_collinear,
     orient2d,
     segments_intersect_2d,
@@ -38,6 +38,18 @@ def _sub3(p: Point3, q: Point3):
 
 def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def triangle_normal(tri):
+    """The normal (b - a) x (c - a) of the triangle (a, b, c) of `Point3`s."""
+    a, b, c = tri
+    u, v = _sub3(b, a), _sub3(c, a)
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def is_degenerate(tri) -> bool:
+    """True iff the three points of `tri` are collinear."""
+    return triangle_normal(tri) == (0, 0, 0)
 
 
 def point_on_segment_2d(p, a, b) -> bool:
@@ -78,17 +90,19 @@ def _project(p: Point3, axis: int) -> Point2:
     return Point2(p.x, p.y)
 
 
-def segment_triangle_contact_3d(p: Point3, q: Point3, tri: Triangle3) -> bool:
-    """True iff closed segment [p, q] meets the closed triangle anywhere."""
-    if tri.is_degenerate():
+def segment_triangle_contact_3d(p: Point3, q: Point3, tri) -> bool:
+    """True iff closed segment [p, q] meets the closed triangle `tri`, a
+    triple of `Point3`s, anywhere."""
+    n = triangle_normal(tri)
+    if n == (0, 0, 0):
         raise DegenerateTriangleError("segment_triangle_contact_3d needs a proper triangle")
-    n = tri.normal
-    sp = _sign(_dot3(n, _sub3(p, tri.a)))
-    sq = _sign(_dot3(n, _sub3(q, tri.a)))
+    a = tri[0]
+    sp = _sign(_dot3(n, _sub3(p, a)))
+    sq = _sign(_dot3(n, _sub3(q, a)))
     if sp == sq and sp != 0:
         return False
     axis = _proj_axis(n)
-    verts = [_project(v, axis) for v in tri.vertices]
+    verts = [_project(v, axis) for v in tri]
 
     def inside(pt2) -> bool:
         signs = [orient2d(verts[i], verts[(i + 1) % 3], pt2) for i in range(3)]
@@ -111,6 +125,6 @@ def segment_triangle_contact_3d(p: Point3, q: Point3, tri: Triangle3) -> bool:
     # strict crossing: intersection point at parameter sp/(sp - sq) in exact form
     d = _sub3(q, p)
     denom = _dot3(n, d)
-    t = Fraction(_dot3(n, _sub3(tri.a, p)), denom)
+    t = Fraction(_dot3(n, _sub3(a, p)), denom)
     x = Point3(p.x + t * d[0], p.y + t * d[1], p.z + t * d[2])
     return inside(_project(x, axis))

@@ -127,6 +127,13 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("banded: parse error:")
 
+    def test_bool_coordinate(self, tmp_path, capsys):
+        bad = tmp_path / "flag.json"
+        bad.write_text(json.dumps({"P": [[0, 0], [True, 0], [0, 1]], "Pprime": [[0, 0], [1, 0], [0, 1]]}))
+        assert run("check", str(bad)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("banded: parse error:")
+
     @pytest.mark.parametrize(
         "tamper",
         [

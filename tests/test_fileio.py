@@ -9,6 +9,7 @@ from banded.fileio import (
     export_mesh,
     export_section,
     format_rational,
+    instance_from_document,
     instance_to_document,
     load_instance,
     load_surface,
@@ -46,6 +47,12 @@ class TestRationals:
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_not_a_number(self, flag):
+        # JSON true and false load as Python bools, which are ints
+        with pytest.raises(ParseError):
+            parse_rational(flag)
 
     def test_format_prefers_decimal(self):
         assert format_rational(Fraction(5, 4)) == "1.25"
@@ -90,6 +97,15 @@ class TestInstanceFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="n=5"):
+            load_instance(path)
+
+    def test_bool_coordinate(self, tmp_path):
+        doc = {"P": [[0, 0], [True, 0], [0, 1]], "Pprime": [[0, 0], [1, 0], [0, 1]]}
+        with pytest.raises(ParseError):
+            instance_from_document(doc)
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
             load_instance(path)
 
     def test_unreadable_file(self, tmp_path):

@@ -22,6 +22,13 @@ def test_unknown_polygon_kind_is_a_precondition_error():
         random_polygon(random.Random(0), 5, "hexagon")
 
 
+def test_star_with_more_vertices_than_directions_is_a_precondition_error():
+    # 368 primitive directions lie in [-12, 12]^2; n = 369 used to draw forever
+    assert len(random_star_polygon(random.Random(0), 368).vertices) == 368
+    with pytest.raises(PreconditionError, match="at most 368"):
+        random_star_polygon(random.Random(0), 369)
+
+
 def full_range_jiggle(rng, polygon, amount=2):
     """The first 200 draws of `jiggled_instance`, or None if none is valid."""
     for _ in range(200):

@@ -5,7 +5,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from geometry_reference import point_on_segment_2d, polygon_is_simple_pairwise, segment_triangle_contact_3d
+from geometry_reference import (
+    is_degenerate,
+    point_on_segment_2d,
+    polygon_is_simple_pairwise,
+    segment_triangle_contact_3d,
+    triangle_normal,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +20,6 @@ from banded.geometry import (
     AngleClass,
     Point2,
     Point3,
-    Triangle3,
-    _plane,
     ccw_angle,
     open_triangles_intersect_3d,
     orient2d,
@@ -31,7 +35,7 @@ V = Point3
 
 
 def tri(a, b, c):
-    return Triangle3(V(*a), V(*b), V(*c))
+    return V(*a), V(*b), V(*c)
 
 
 class TestOrient2d:
@@ -74,12 +78,6 @@ class TestPointFormat:
     def test_orient2d_takes_points_and_tuples_alike(self, xs):
         pts = [P(xs[k], xs[k + 1]) for k in (0, 2, 4)]
         assert orient2d(*pts) == orient2d(*((p.x, p.y) for p in pts))
-
-    def test_triangle_caches_the_kernel_plane(self):
-        a, b, c = V(0, 0, 0), V(3, 1, Fraction(1, 2)), V(-1, 4, 2)
-        t = Triangle3(a, b, c)
-        assert t.plane == _plane(a, b, c)
-        assert t.normal == t.plane[:3]
 
 
 class TestCcwAngle:
@@ -450,7 +448,7 @@ class TestOpenTrianglesIntersect:
             t = tri(
                 *(tuple(rng.randint(-spread, spread) for _ in range(3)) for _ in range(3))
             )
-            if not t.is_degenerate():
+            if not is_degenerate(t):
                 return t
 
     def test_symmetry_on_random_pairs(self):
@@ -470,7 +468,7 @@ class TestOpenTrianglesIntersect:
         def on_plane(t, m, k):
             return V(*(
                 a + (m * (b - a) + k * (c - a)) // 2
-                for a, b, c in zip(t.a, t.b, t.c)
+                for a, b, c in zip(*t)
             ))
 
         seen = {}
@@ -485,21 +483,21 @@ class TestOpenTrianglesIntersect:
                     scale * rng.choice(zs),
                 )
 
-            t1 = Triangle3(point(2), point(2), point(2))
-            if t1.is_degenerate():
+            t1 = (point(2), point(2), point(2))
+            if is_degenerate(t1):
                 continue
             verts = [point(), point(), point()]
             for k in rng.sample(range(3), rng.choice((0, 0, 1, 2))):
                 verts[k] = on_plane(t1, rng.randint(-1, 2), rng.randint(-1, 2))
-            t2 = Triangle3(*verts)
-            if t2.is_degenerate() or set(t1.vertices) & set(t2.vertices):
+            t2 = tuple(verts)
+            if is_degenerate(t2) or set(t1) & set(t2):
                 continue
-            sides = [orient3d(t1.a, t1.b, t1.c, v) for v in t2.vertices]
+            sides = [orient3d(*t1, v) for v in t2]
             if sides == [0, 0, 0]:
                 continue
             hit = open_triangles_intersect_3d(t1, t2)
             oracle = any(
-                segment_triangle_contact_3d(u.vertices[i], u.vertices[i - 1], w)
+                segment_triangle_contact_3d(u[i], u[i - 1], w)
                 for u, w in ((t1, t2), (t2, t1))
                 for i in range(3)
             )
@@ -524,8 +522,8 @@ class TestOpenTrianglesIntersect:
                 return V(rng.randint(-spread, spread), rng.randint(-spread, spread), rng.choice(zs))
 
             a, b, c = point(), point(), point()
-            t1 = Triangle3(a, b, c)
-            if t1.is_degenerate():
+            t1 = (a, b, c)
+            if is_degenerate(t1):
                 continue
             m, k = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
             coplanar = rng.random() < 0.3
@@ -535,15 +533,15 @@ class TestOpenTrianglesIntersect:
                 d = point()
             verts = [a, b, d]
             rng.shuffle(verts)
-            t2 = Triangle3(*verts)
-            if t2.is_degenerate() or d in t1.vertices:
+            t2 = tuple(verts)
+            if is_degenerate(t2) or d in t1:
                 continue
             on_plane = orient3d(a, b, c, d) == 0
             hit = open_triangles_intersect_3d(t1, t2)
             assert hit == open_triangles_intersect_3d(t2, t1)
             if on_plane:
                 # d lies on c's side of AB iff (b - a) x (d - a) points along t1's normal
-                above = V(*(p + q for p, q in zip(a, t1.normal)))
+                above = V(*(p + q for p, q in zip(a, triangle_normal(t1))))
                 assert hit == (orient3d(a, b, d, above) > 0), (t1, t2)
                 key = ("coplanar", hit)
             else:
@@ -578,8 +576,8 @@ class TestOpenTrianglesIntersect:
                     V(2 * v.x - p.x + q.x % 2, 2 * v.y - p.y + q.y % 2, 2 * v.z - p.z + q.z % 2)
                     for p, q in ((b, d), (c, e))
                 )
-            t1, t2 = Triangle3(v, b, c), Triangle3(*rng.sample((v, d, e), 3))
-            if t1.is_degenerate() or t2.is_degenerate() or len({b, c, d, e} - {v}) < 4:
+            t1, t2 = (v, b, c), tuple(rng.sample((v, d, e), 3))
+            if is_degenerate(t1) or is_degenerate(t2) or len({b, c, d, e} - {v}) < 4:
                 continue
             if [orient3d(v, b, c, p) for p in (d, e)] == [0, 0]:
                 continue  # coplanar
@@ -587,8 +585,8 @@ class TestOpenTrianglesIntersect:
             assert hit == open_triangles_intersect_3d(t2, t1)
             oracle = segment_triangle_contact_3d(b, c, t2) or segment_triangle_contact_3d(d, e, t1)
             assert hit == oracle, (t1, t2)
-            s1 = [orient3d(*t2.vertices, p) for p in (b, c)]
-            s2 = [orient3d(*t1.vertices, p) for p in (d, e)]
+            s1 = [orient3d(*t2, p) for p in (b, c)]
+            s2 = [orient3d(*t1, p) for p in (d, e)]
             if s1[0] == s1[1] or s2[0] == s2[1]:
                 branch = "one side"
             elif 0 in s1 + s2:
@@ -607,14 +605,14 @@ class TestOpenTrianglesIntersect:
         rng = random.Random(13)
 
         def in_closed(p, t):
-            if orient3d(t.a, t.b, t.c, p) != 0:
+            if orient3d(*t, p) != 0:
                 return False
-            n = t.normal
+            n = triangle_normal(t)
             axis = max(range(3), key=lambda k: abs(n[k]))
             def proj(q):
                 c = (q.x, q.y, q.z)
                 return P(c[(axis + 1) % 3], c[(axis + 2) % 3])
-            a, b, c = proj(t.a), proj(t.b), proj(t.c)
+            a, b, c = (proj(v) for v in t)
             q = proj(p)
             ref = orient2d(a, b, c)
             return all(
@@ -638,14 +636,14 @@ class TestOpenTrianglesIntersect:
         for _ in range(500):
             t1 = self._random_triangle(rng, spread=3)
             t2 = self._random_triangle(rng, spread=3)
-            shared_v = [p for p in t1.vertices if p in t2.vertices]
+            shared_v = [p for p in t1 if p in t2]
             edges2 = {
                 frozenset(((e[0].x, e[0].y, e[0].z), (e[1].x, e[1].y, e[1].z)))
-                for e in ((t2.a, t2.b), (t2.b, t2.c), (t2.c, t2.a))
+                for e in ((t2[0], t2[1]), (t2[1], t2[2]), (t2[2], t2[0]))
             }
             shared_e = [
                 (u, w)
-                for u, w in ((t1.a, t1.b), (t1.b, t1.c), (t1.c, t1.a))
+                for u, w in ((t1[0], t1[1]), (t1[1], t1[2]), (t1[2], t1[0]))
                 if frozenset(((u.x, u.y, u.z), (w.x, w.y, w.z))) in edges2
             ]
 
@@ -663,9 +661,9 @@ class TestOpenTrianglesIntersect:
                             continue
                         w = 1 - u - v
                         p = V(
-                            u * src.a.x + v * src.b.x + w * src.c.x,
-                            u * src.a.y + v * src.b.y + w * src.c.y,
-                            u * src.a.z + v * src.b.z + w * src.c.z,
+                            u * src[0].x + v * src[1].x + w * src[2].x,
+                            u * src[0].y + v * src[1].y + w * src[2].y,
+                            u * src[0].z + v * src[1].z + w * src[2].z,
                         )
                         if in_closed(p, other) and not allowed(p):
                             witness = True

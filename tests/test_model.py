@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from geometry_reference import is_degenerate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from banded.generators import random_instance
 from banded.geometry import (
     Point2,
     Point3,
-    Triangle3,
     _plane,
     open_triangles_intersect_3d,
     orient2d,
@@ -334,12 +334,11 @@ def fraction_cross_section(s: BandedSurface, t) -> CrossSection:
         raise PreconditionError(f"section level {t} hits a vertex; retry slightly off")
     segments = []
     for k in range(len(s.faces)):
-        tri = s.face_triangle(k)
-        zs = [tri.a.z, tri.b.z, tri.c.z]
+        verts = s.face_triangle(k)
+        zs = [p.z for p in verts]
         if t < min(zs) or t > max(zs):
             continue
         pts = []
-        verts = tri.vertices
         for i in range(3):
             u, v = verts[i], verts[(i + 1) % 3]
             if (u.z - t) * (v.z - t) < 0:
@@ -650,13 +649,13 @@ def face_pass_faces(s: BandedSurface):
 def face_pair_branch(t1, t2) -> str:
     """The branch of the sign cascade that decides a pair, from `orient3d`
     and vertex values alone."""
-    s2 = [orient3d(t1.a, t1.b, t1.c, p) for p in t2.vertices]
-    s1 = [orient3d(t2.a, t2.b, t2.c, p) for p in t1.vertices]
+    s2 = [orient3d(*t1, p) for p in t2]
+    s1 = [orient3d(*t2, p) for p in t1]
     if any(s[0] == s[1] == s[2] != 0 for s in (s1, s2)):
         return "strict dismissal"
     if s2 == [0, 0, 0]:
         return "coplanar"
-    shared = sum(p in t2.vertices for p in t1.vertices)
+    shared = sum(p in t2 for p in t1)
     return ("crossing", "one shared vertex", "shared edge")[shared]
 
 
@@ -675,16 +674,16 @@ def slab_filter(t1, t2) -> str:
     boxes" when both faces have vertices at the same two levels and no
     other, and on one axis the bottom and top boxes of one lie strictly
     below those of the other; else ""."""
-    z1, z2 = [p.z for p in t1.vertices], [p.z for p in t2.vertices]
+    z1, z2 = [p.z for p in t1], [p.z for p in t2]
     (lo1, hi1), (lo2, hi2) = (min(z1), max(z1)), (min(z2), max(z2))
     if hi1 == lo2 or hi2 == lo1:
         level = lo2 if hi1 == lo2 else lo1
-        a = _xy_box([p for p in t1.vertices if p.z == level])
-        b = _xy_box([p for p in t2.vertices if p.z == level])
+        a = _xy_box([p for p in t1 if p.z == level])
+        b = _xy_box([p for p in t2 if p.z == level])
         return "level touch" if _boxes_apart(a, b) else ""
     if (lo1, hi1) != (lo2, hi2) or len(set(z1)) != 2 or len(set(z2)) != 2:
         return ""
-    ends = [[_xy_box([p for p in t.vertices if p.z == z]) for z in (lo1, hi1)] for t in (t1, t2)]
+    ends = [[_xy_box([p for p in t if p.z == z]) for z in (lo1, hi1)] for t in (t1, t2)]
     for u, w in (ends, ends[::-1]):
         for axis in (0, 2):  # x, then y
             if all(u[e][axis + 1] < w[e][axis] for e in (0, 1)):
@@ -774,7 +773,7 @@ def face_pass_meshes():
             p = pts[v]
             moved = pts[:v] + [Point3(3 * cx - 2 * p.x, 3 * cy - 2 * p.y, p.z)] + pts[v + 1 :]
             image = mesh(moved, s.faces)
-            if not any(image.face_triangle(k).is_degenerate() for k in range(len(s.faces))):
+            if not any(is_degenerate(image.face_triangle(k)) for k in range(len(s.faces))):
                 out.append(image)
         out.append(mesh(pts, s.faces + s.faces[:1]))
     return out + slab_filter_meshes()
@@ -821,7 +820,7 @@ class TestFacePass:
                     assert key not in seen
                     seen[key] = (j, k, hit)
             assert set(seen) == expected
-            triangles = [Triangle3(*(Point3(*p) for p in f[9])) for f in faces]
+            triangles = [tuple(Point3(*p) for p in f[9]) for f in faces]
             reached = []
             for j, k, hit in seen.values():
                 t1, t2 = triangles[j], triangles[k]
@@ -835,10 +834,10 @@ class TestFacePass:
                 if branch in ("level touch", "end boxes"):
                     continue
                 # the first face's sides of the second's plane
-                sides = [orient3d(t2.a, t2.b, t2.c, p) for p in t1.vertices]
+                sides = [orient3d(*t2, p) for p in t1]
                 if sides[0] == sides[1] == sides[2] != 0:
                     branches["first sides strict"] += 1
-                elif sides.count(0) == 2 and sum(p in t2.vertices for p in t1.vertices) == 2:
+                elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
                     branches["first sides shared edge"] += 1
                 else:
                     reached.append((faces[j][9], faces[k][9]))
@@ -873,7 +872,7 @@ def reference_topology(s: BandedSurface) -> str:
     directed = Counter()
     undirected: dict[frozenset, list[int]] = {}
     for k, face in enumerate(s.faces):
-        if len(set(face)) != 3 or not all(0 <= v < nv for v in face) or s.face_triangle(k).is_degenerate():
+        if len(set(face)) != 3 or not all(0 <= v < nv for v in face) or is_degenerate(s.face_triangle(k)):
             return "face"
         directed.update(model._face_edges(face))
         for e in model._face_edges(face):

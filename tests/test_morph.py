@@ -14,7 +14,7 @@ import quadfield_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banded import morph
+from banded import geometry, morph
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
 from banded.figures import fig3b_sat_nonplanar, fig7_star
 from banded.generators import (
@@ -233,30 +233,33 @@ class TestKernel:
             morph._collision_times(moving((1, 1), (2, 3)), moving((1, 1), (2, 3)))
 
     def test_box_pairs_match_all_pairs(self):
+        # `geometry._box_pairs`, which prunes the morph's edge pairs, yields
+        # every pair of closed boxes that meet exactly once, the earlier box
+        # in its min-x sweep (ties by index) first and grouped by the later
+        # one; boxes that only touch and zero-width boxes count
         rng = random.Random(17)
+        touching = flat = 0
         for _ in range(300):
-            n = rng.randint(3, 9)
+            count = rng.randint(0, 12)
             g = rng.choice((2, 4, 8))
-            moving = [
-                morph._MovingPoint(*(rng.randint(0, g) for _ in range(4)))
-                for _ in range(n)
-            ]
-
-            def box(i):
-                u, v = moving[i], moving[(i + 1) % n]
-                xs = (u.x[0], sum(u.x), v.x[0], sum(v.x))
-                ys = (u.y[0], sum(u.y), v.y[0], sum(v.y))
-                return min(xs), max(xs), min(ys), max(ys)
-
+            boxes = []
+            for _ in range(count):
+                x0, x1 = sorted(rng.randint(0, g) for _ in range(2))
+                y0, y1 = sorted(rng.randint(0, g) for _ in range(2))
+                boxes.append((x0, x1, y0, y1))
+            rank = {k: r for r, k in enumerate(sorted(range(count), key=lambda k: boxes[k][0]))}
+            found = list(geometry._box_pairs(boxes))
+            assert all(rank[j] < rank[k] for j, k in found), boxes
+            assert [rank[k] for _, k in found] == sorted(rank[k] for _, k in found), boxes
             expected = []
-            for i in range(n):
-                for j in range(i + 2, n):
-                    if i == 0 and j == n - 1:
-                        continue
-                    a, b = box(i), box(j)
-                    if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                        expected.append((i, j))
-            assert morph._box_pairs(moving) == expected
+            for j, k in itertools.combinations(range(count), 2):
+                a, b = boxes[j], boxes[k]
+                if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
+                    expected.append((j, k))
+                    touching += a[0] == b[1] or b[0] == a[1] or a[2] == b[3] or b[2] == a[3]
+            assert sorted((min(p), max(p)) for p in found) == expected, boxes
+            flat += sum(x0 == x1 or y0 == y1 for x0, x1, y0, y1 in boxes)
+        assert touching >= 100 and flat >= 100
 
     # a U whose arms carry a spike each, tips on the line x = 5: the left tip
     # moves down past the right one, so the two meet at t = 1/2 where every

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from geometry_reference import segment_triangle_contact_3d
+from geometry_reference import is_degenerate, segment_triangle_contact_3d
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from banded.generators import (
 )
 from banded.geometry import (
     Point2,
-    Triangle3,
     open_triangles_intersect_3d,
     orient3d,
     polygon_is_ccw,
@@ -97,13 +96,13 @@ def tetrahedra_disjoint(a, b) -> bool:
 
 
 def _triangle_branch(t1, t2) -> str:
-    s2 = [orient3d(t1.a, t1.b, t1.c, p) for p in t2.vertices]
-    s1 = [orient3d(t2.a, t2.b, t2.c, p) for p in t1.vertices]
+    s2 = [orient3d(*t1, p) for p in t2]
+    s1 = [orient3d(*t2, p) for p in t1]
     if any(s[0] == s[1] == s[2] != 0 for s in (s1, s2)):
         return "strict dismissal"
     if s2 == [0, 0, 0]:
         return "coplanar"
-    shared = sum(p in t2.vertices for p in t1.vertices)
+    shared = sum(p in t2 for p in t1)
     return ("crossing", "one shared vertex", "shared edge")[shared]
 
 
@@ -215,7 +214,7 @@ def unvalidated_instances(rng, count):
         n = rng.randint(4, 8)
         inst = _instance(*([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)] for _ in range(2)))
         if not any(
-            t.is_degenerate()
+            is_degenerate(t)
             for i in range(n)
             for c in Chord
             for t in chord_triangles(inst, i, c).triangles
@@ -266,14 +265,14 @@ class TestChordTriangles:
         inst = fig1_twisted_prism().instance
         cc = chord_triangles(inst, 0, Chord.RIGHT)
         p0, p1, q1, q0 = inst.band_quad(0)
-        assert cc.triangles == (Triangle3(p0, p1, q1), Triangle3(p0, q1, q0))
+        assert cc.triangles == ((p0, p1, q1), (p0, q1, q0))
         assert not cc.degenerate
 
     def test_left_choice_uses_left_chord(self):
         inst = fig1_twisted_prism().instance
         cc = chord_triangles(inst, 0, Chord.LEFT)
         p0, p1, q1, q0 = inst.band_quad(0)
-        assert cc.triangles == (Triangle3(p0, p1, q0), Triangle3(p1, q1, q0))
+        assert cc.triangles == ((p0, p1, q0), (p1, q1, q0))
 
     def test_identity_band_is_coplanar(self):
         cc = chord_triangles(identity_square(), 0, Chord.RIGHT)
@@ -416,8 +415,8 @@ class TestSolve:
         inst = fig3a_no_surface().instance
         A, B, C = (inst.source.point3(k) for k in range(3))
         Ap, Bp, Cp = (inst.target.point3(k) for k in range(3))
-        assert segment_triangle_contact_3d(C, Cp, Triangle3(A, Bp, Ap))
-        assert segment_triangle_contact_3d(C, Cp, Triangle3(B, Bp, Ap))
+        assert segment_triangle_contact_3d(C, Cp, (A, Bp, Ap))
+        assert segment_triangle_contact_3d(C, Cp, (B, Bp, Ap))
 
     def test_fig7_star_unsat(self):
         assert not solve_no_steiner(fig7_star().instance).satisfiable

@@ -64,8 +64,11 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
 
 def test_sections_predicate_is_defined_once_in_geometry():
     # the conflict table and the morph decision share one copy of the
-    # sections lemma's predicate and of the differences it reads
-    defined = {"_sections_apart": [], "_xy_differences": []}
+    # sections lemma's predicate and of the differences it reads; the four
+    # pair filters share one box sweep, and the kernel and the face pass
+    # one plane-side routine
+    names = ("_sections_apart", "_xy_differences", "_box_pairs", "_plane_sides")
+    defined = {name: [] for name in names}
     for path in sorted((ROOT / "src" / "banded").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -76,7 +79,7 @@ def test_sections_predicate_is_defined_once_in_geometry():
                 continue
             if name in defined:
                 defined[name].append(path.name)
-    assert defined == {"_sections_apart": ["geometry.py"], "_xy_differences": ["geometry.py"]}
+    assert defined == {name: ["geometry.py"] for name in names}
 
 
 # every module on the exact path; `generators` proposes shapes with floats and
