@@ -17,7 +17,6 @@ from .errors import InputError, ParseError
 from .geometry import Point3, _is_ear
 from .model import (
     BandedSurface,
-    CrossSection,
     LabeledPolygon,
     OriginalLabel,
     Point2,
@@ -75,6 +74,24 @@ def _num(value, floats: bool) -> str:
     return repr(float(value)) if floats else format_rational(value)
 
 
+def _read_text(path) -> str:
+    """The file's text; an unreadable file is an InputError, and one that
+    does not decode a ParseError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode: {exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # instance documents
 # ---------------------------------------------------------------------------
@@ -119,11 +136,7 @@ def instance_to_document(inst: SliceInstance, name=None, metadata=None) -> dict:
 
 def load_instance(path) -> SliceInstance:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
@@ -133,7 +146,7 @@ def load_instance(path) -> SliceInstance:
 
 def save_instance(inst: SliceInstance, path, name=None, metadata=None) -> None:
     doc = instance_to_document(inst, name, metadata)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +210,7 @@ def export_mesh(
             lines.append(f"v {_num(p.x, floats)} {_num(p.y, floats)} {_num(p.z, floats)}")
         for face in faces:
             lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
     if sidecar:
         save_bands(surface, str(path) + ".bands.json")
 
@@ -231,15 +244,12 @@ def save_bands(surface: BandedSurface, path) -> None:
         "bands": [sorted(b) for b in surface.bands],
         "paths": [list(p) for p in surface.paths],
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def read_off(path) -> tuple[list, list]:
     """Vertices (Point3 triples as rationals) and faces from an OFF file."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    raw = _read_text(path)
     tokens: list[tuple[str, int]] = []
     for ln, line in enumerate(raw.splitlines(), start=1):
         body = line.split("#", 1)[0]
@@ -291,9 +301,7 @@ def load_surface(mesh_path, bands_path) -> BandedSurface:
     """Rebuild a full banded surface from an OFF file and its band sidecar."""
     vertices, faces = read_off(mesh_path)
     try:
-        doc = json.loads(Path(bands_path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {bands_path}: {exc}") from exc
+        doc = json.loads(_read_text(bands_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{bands_path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
@@ -327,16 +335,14 @@ def mesh_only_surface(mesh_path) -> BandedSurface:
     return BandedSurface(tuple(zip(vertices, labels)), tuple(tuple(f) for f in faces), (), ())
 
 
-def export_section(section: CrossSection, path=None) -> str:
+def export_section(section: LabeledPolygon, path=None) -> str:
+    """The section polygon as a JSON closed polyline, its `z_level` as "t"."""
     doc = {
-        "t": format_rational(section.t),
+        "t": format_rational(section.z_level),
         "closed": True,
-        "points": [
-            [format_rational(p.x), format_rational(p.y)]
-            for p in section.polygon.vertices
-        ],
+        "points": [[format_rational(p.x), format_rational(p.y)] for p in section.vertices],
     }
     text = json.dumps(doc, indent=2) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        _write_text(path, text)
     return text

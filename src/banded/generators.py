@@ -32,10 +32,22 @@ def _dir_cmp(u, v) -> int:
     return 0 if cross == 0 else (-1 if cross > 0 else 1)
 
 
+def _primitive_count(spread: int) -> int:
+    """The number of primitive integer vectors in [-spread, spread]^2, the
+    distinct directions that vectors drawn from that square can take."""
+    return sum(math.gcd(x, y) == 1 for x in range(-spread, spread + 1) for y in range(-spread, spread + 1))
+
+
 def random_convex_polygon(rng: random.Random, n: int, spread: int = 20) -> LabeledPolygon:
-    """Convex CCW n-gon with integer coordinates (edge-vector construction)."""
+    """Convex CCW n-gon with integer coordinates (edge-vector construction).
+    Its n edges take distinct directions: n - 1 drawn from [-spread,
+    spread]^2 and the closing edge, so n may not exceed one more than the
+    number of primitive vectors there (1025 for spread 20)."""
     import functools
 
+    most = _primitive_count(spread) + 1
+    if n > most:
+        raise PreconditionError(f"a convex polygon with spread {spread} has at most {most} vertices, not {n}")
     while True:
         vecs = []
         for _ in range(n - 1):
@@ -77,7 +89,7 @@ def random_star_polygon(rng: random.Random, n: int, spread: int = 12) -> Labeled
     their number (368 for spread 12)."""
     import functools
 
-    primitive = sum(math.gcd(x, y) == 1 for x in range(-spread, spread + 1) for y in range(-spread, spread + 1))
+    primitive = _primitive_count(spread)
     if n > primitive:
         raise PreconditionError(f"a star polygon with spread {spread} has at most {primitive} vertices, not {n}")
     while True:

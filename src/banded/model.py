@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InputError, MeshStructureError, PreconditionError, SectionError
 from .geometry import (
@@ -100,13 +101,20 @@ class SliceInstance:
         self.target.validate()
 
     def band_quad(self, i: int) -> tuple[Point3, Point3, Point3, Point3]:
-        """Quad (p_i, p_{i+1}, q_{i+1}, q_i) of band i, bottom pair then top."""
+        """Quad (p_i, p_{i+1}, q_{i+1}, q_i) of band i, bottom pair then top;
+        `_QUAD_TRIPLES` splits it by either chord."""
         return (
             self.source.point3(i),
             self.source.point3(i + 1),
             self.target.point3(i + 1),
             self.target.point3(i),
         )
+
+
+# The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two
+# triangles, then the left chord's.  They are also the four faces of the
+# tetrahedron on the quad.
+_QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
 
 
 class Chord(enum.Enum):
@@ -175,12 +183,6 @@ class BandedSurface:
 
     def steiner_count(self) -> int:
         return sum(1 for _, label in self.vertices if isinstance(label, SteinerLabel))
-
-
-@dataclass(frozen=True)
-class CrossSection:
-    t: Fraction
-    polygon: LabeledPolygon
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def assignment_to_surface(inst: SliceInstance, assignment: ChordAssignment) -> B
     Band i spans quad (p_i, p_{i+1}, q_{i+1}, q_i); the right chord (p_i,
     q_{i+1}) splits it into (p_i, p_{i+1}, q_{i+1}) and (p_i, q_{i+1}, q_i),
     the left chord (p_{i+1}, q_i) into (p_i, p_{i+1}, q_i) and
-    (p_{i+1}, q_{i+1}, q_i).
+    (p_{i+1}, q_{i+1}, q_i), as `_QUAD_TRIPLES` lists them.
     """
     n = inst.n
     if len(assignment) != n:
@@ -285,18 +287,21 @@ def layers_to_surface(polys, assignments) -> BandedSurface:
                 label = SteinerLabel(steiner_id)
                 steiner_id += 1
             vertices.append((poly.point3(i), label))
+    # per chord, the getters that take its two faces from a quad's indices
+    split = {
+        Chord.RIGHT: [itemgetter(*triple) for triple in _QUAD_TRIPLES[:2]],
+        Chord.LEFT: [itemgetter(*triple) for triple in _QUAD_TRIPLES[2:]],
+    }
     faces: list[tuple[int, int, int]] = []
     band_faces: list[list[int]] = [[] for _ in range(n)]
     for g, assignment in enumerate(assignments):
         lo, hi = g * n, (g + 1) * n
         for i, choice in enumerate(assignment.choices):
             j = (i + 1) % n
-            if choice is Chord.RIGHT:
-                new = [(lo + i, lo + j, hi + j), (lo + i, hi + j, hi + i)]
-            else:
-                new = [(lo + i, lo + j, hi + i), (lo + j, hi + j, hi + i)]
+            quad = (lo + i, lo + j, hi + j, hi + i)
+            first, second = split[choice]
             band_faces[i].extend(range(len(faces), len(faces) + 2))
-            faces.extend(new)
+            faces += (first(quad), second(quad))
     paths = tuple(tuple(g * n + i for g in range(m)) for i in range(n))
     return BandedSurface(
         tuple(vertices),
@@ -346,12 +351,12 @@ def _face_record(verts, plane) -> tuple:
     return (*box, lz, lz, box, box, False, verts, plane)
 
 
-def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, face_memo=None) -> CheckResult:
+def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, memo=None) -> CheckResult:
     """The annulus checks on the mesh, with `points` its `_integer_points`.
     Each face's `_face_record` is appended to `faces` once the face has
     passed its own checks, and edges[(a, b)] = k is entered for each
     directed edge (a, b) of face k, so a pass leaves one record per face
-    and the mesh's complete edge map.  With `face_memo`, the records are
+    and the mesh's complete edge map.  With `memo`, the records are
     memoised under the faces' integer vertex triples.
 
     The checks are: every directed edge is used once (the winding is
@@ -411,11 +416,11 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, fa
         if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
             return CheckResult(False, f"face {k} is malformed: {face}")
         verts = (points[a], points[b], points[c])
-        record = None if face_memo is None else face_memo.get(verts)
+        record = None if memo is None else memo.get(verts)
         if record is None:
             record = _face_record(verts, _plane(*verts))
-            if face_memo is not None:
-                face_memo[verts] = record
+            if memo is not None:
+                memo[verts] = record
         if record[-1][:3] == (0, 0, 0):
             return CheckResult(False, f"face {k} is degenerate")
         for e in ((a, b), (b, c), (c, a)):
@@ -499,7 +504,7 @@ def _check_paths(s: BandedSurface, edges) -> CheckResult:
 _STRICT_SIDES = ((1, 1, 1), (-1, -1, -1))
 
 
-def _face_pair_verdicts(faces, pair_memo=None):
+def _face_pair_verdicts(faces, memo=None):
     """Yield (j, k, hit) for every pair of faces j, k whose closed boxes
     meet, hit being the verdict of `open_triangles_intersect_3d`; `faces`
     holds the `_face_record`s that `_check_topology` leaves.
@@ -523,8 +528,8 @@ def _face_pair_verdicts(faces, pair_memo=None):
     - Otherwise k's sides of j's plane, and `geometry._triangles_meet`,
       which decides coplanar pairs too.
 
-    With `pair_memo`, the verdicts of the last two tests are memoised
-    under the sorted pair of the two faces' integer vertex triples."""
+    With `memo`, the verdicts of the last two tests are memoised under the
+    sorted pair of the two faces' integer vertex triples."""
     for j, k in _box_pairs([face[:4] for face in faces]):
         _, _, _, _, z0, z1, kb, kt, k2, vk, k_plane = faces[k]
         _, _, _, _, w0, w1, jb, jt, j2, vj, j_plane = faces[j]
@@ -549,9 +554,9 @@ def _face_pair_verdicts(faces, pair_memo=None):
         ):
             yield j, k, False
             continue
-        if pair_memo is not None:
+        if memo is not None:
             key = (vj, vk) if vj < vk else (vk, vj)
-            hit = pair_memo.get(key)
+            hit = memo.get(key)
             if hit is not None:
                 yield j, k, hit
                 continue
@@ -560,14 +565,14 @@ def _face_pair_verdicts(faces, pair_memo=None):
             hit = False
         else:
             hit = _triangles_meet(vj, sj, vk, _plane_sides(j_plane, vk))
-        if pair_memo is not None:
-            pair_memo[key] = hit
+        if memo is not None:
+            memo[key] = hit
         yield j, k, hit
 
 
-def _check_face_intersections(faces, pair_memo) -> CheckResult:
+def _check_face_intersections(faces, memo) -> CheckResult:
     """No two faces meet outside a vertex or edge they share."""
-    for j, k, hit in _face_pair_verdicts(faces, pair_memo):
+    for j, k, hit in _face_pair_verdicts(faces, memo):
         if hit:
             return CheckResult(False, f"faces {j} and {k} intersect improperly")
     return CheckResult(True)
@@ -590,9 +595,10 @@ def perturbed_level(s: BandedSurface, t: Fraction) -> Fraction:
     return (t + above) / 2
 
 
-def cross_section(s: BandedSurface, t) -> CrossSection:
+def cross_section(s: BandedSurface, t) -> LabeledPolygon:
     """Intersect the surface with the plane z=t and chain the result into one
-    simple closed polygon; any other outcome raises SectionError.
+    simple closed polygon, returned at `z_level` t; any other outcome raises
+    SectionError.
 
     The work is done in integers: x, y and z (with t) are scaled by one
     positive factor per axis, and `_section_cycle` computes each crossing
@@ -616,7 +622,7 @@ def cross_section(s: BandedSurface, t) -> CrossSection:
     if polygon_signed_area2(cycle) < 0:
         cycle.reverse()
     polygon = tuple(Point2(Fraction(x, kx * w), Fraction(y, ky * w)) for x, y in cycle)
-    return CrossSection(t, LabeledPolygon(polygon, t))
+    return LabeledPolygon(polygon, t)
 
 
 def _section_cycle(points, zs, faces, crossing, level, scale) -> tuple[list[Point2], int]:
@@ -730,8 +736,7 @@ def verify_banded_surface(
     s: BandedSurface,
     *,
     force_sections: bool = False,
-    _pair_memo=None,
-    _face_memo=None,
+    _memo=None,
 ) -> VerificationReport:
     """Run the four certification checks and report per-check verdicts.
 
@@ -781,16 +786,17 @@ def verify_banded_surface(
     band's faces cross every level in one arc between its two paths, the
     arcs chain into one cycle, and the face-pair check keeps it simple.
 
-    `_pair_memo` and `_face_memo` let a caller that verifies many meshes
-    over one set of faces memoise face-pair verdicts and face records: the
-    first maps sorted pairs of faces' integer vertex triples to verdicts,
-    the second a face's integer vertex triple to its `_face_record`.
+    `_memo` lets a caller that verifies many meshes over one set of faces
+    memoise face records and face-pair verdicts in one dict: a face's
+    integer vertex triple maps to its `_face_record`, and a sorted pair of
+    such triples to the pair's verdict.  A key of three points and a key
+    of two triples never collide.
     """
     faces: list = []
     edges: dict = {}
     try:
         points, scale = _integer_points(s)
-        topo = _check_topology(s, points, faces, edges, _face_memo)
+        topo = _check_topology(s, points, faces, edges, _memo)
         if not topo.passed:
             edges = {e for face in s.faces for e in _face_edges(face)}
         paths = _check_paths(s, edges)
@@ -799,7 +805,7 @@ def verify_banded_surface(
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
-    inter = _check_face_intersections(faces, _pair_memo)
+    inter = _check_face_intersections(faces, _memo)
     if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
     elif not paths.passed:

@@ -31,12 +31,6 @@ from .quadfield import ExactTime, midpoint, rational_between
 
 
 @dataclass(frozen=True)
-class MorphSnapshot:
-    t: Fraction
-    polygon: LabeledPolygon
-
-
-@dataclass(frozen=True)
 class PlanarityVerdict:
     """Outcome of the exact planarity decision.
 
@@ -56,15 +50,16 @@ class PlanarityVerdict:
     instantaneous: bool = False
 
 
-def morph_position(inst: SliceInstance, t) -> MorphSnapshot:
-    """The intermediate polygon at time t, exactly interpolated."""
+def morph_position(inst: SliceInstance, t) -> LabeledPolygon:
+    """The intermediate polygon at time t, exactly interpolated, at
+    `z_level` t: with morph time as z, the level-t polygon of the morph."""
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise PreconditionError("morph time must lie in [0, 1]")
     pts = []
     for p, q in zip(inst.source.vertices, inst.target.vertices):
         pts.append(Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
-    return MorphSnapshot(t, LabeledPolygon(tuple(pts), t))
+    return LabeledPolygon(tuple(pts), t)
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,12 @@ from .model import (
     ChordAssignment,
     SliceInstance,
     VerificationReport,
+    _QUAD_TRIPLES,
     assignment_to_surface,
     scaled_to_integers,
     verify_banded_surface,
 )
 from .twosat import Clause2, Literal, TwoSatResult, solve_2sat
-
-
-# The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two
-# triangles, then the left chord's; `chord_triangles` takes its split from
-# here.  They are also the four faces of the tetrahedron on the quad.
-_QUAD_TRIPLES = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
 
 
 def _quad_triangles(points) -> tuple:
@@ -354,15 +349,14 @@ def brute_force_assignments(inst: SliceInstance, limit: int = 16) -> list[ChordA
     if n > limit:
         raise PreconditionError(f"brute force limited to n <= {limit}, got {n}")
     scaled = scaled_to_integers(inst)
-    pair_memo: dict = {}
-    face_memo: dict = {}
+    memo: dict = {}
     valid = []
     for mask in range(1 << n):
         assignment = ChordAssignment(
             tuple(Chord.RIGHT if (mask >> i) & 1 else Chord.LEFT for i in range(n))
         )
         surface = assignment_to_surface(scaled, assignment)
-        report = verify_banded_surface(surface, _pair_memo=pair_memo, _face_memo=face_memo)
+        report = verify_banded_surface(surface, _memo=memo)
         if report.passed:
             valid.append(assignment)
     return valid

@@ -85,7 +85,7 @@ def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None
     from .morph import morph_position
 
     def snapshot(t: Fraction):
-        pts = morph_position(inst, t).polygon.vertices
+        pts = morph_position(inst, t).vertices
         return pts if polygon_is_simple(pts) else None
 
     def rec(lo_poly, hi_poly, lo_t, hi_t, depth):

@@ -172,7 +172,7 @@ def test_criterion_5_rotation_similarity():
         pair = (-1, 0) if half_turn else random_rotation(rng)
         inst = rotate_copy_instance(poly, center, pair)
         for t in times:
-            snap = morph_position(inst, t).polygon
+            snap = morph_position(inst, t)
             flat = LabeledPolygon(snap.vertices, 0)
             if half_turn and t == Fraction(1, 2):
                 try:
@@ -273,14 +273,14 @@ def test_criterion_8_cross_sections(steiner_results):
         s = assignment_to_surface(fig1.instance, ChordAssignment.from_string(text))
         for j in range(1, 16):
             section = cross_section(s, Fraction(j, 16))
-            if not section.polygon.is_simple():
+            if not section.is_simple():
                 failures.append(f"fig1 {text} section at {j}/16 not simple")
 
     # the twisted-prism hexagon: 6 edges, each parallel to a distinct polygon
     # edge, split 3 bottom / 3 top
     s = assignment_to_surface(fig1.instance, ChordAssignment.from_string("RRR"))
     section = cross_section(s, Fraction(1, 3))
-    pts = section.polygon.vertices
+    pts = section.vertices
     if len(pts) != 6:
         failures.append(f"hexagon has {len(pts)} edges")
     else:

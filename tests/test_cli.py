@@ -155,6 +155,46 @@ class TestMalformedFiles:
         assert len(err) == 1 and err[0].startswith(f"banded: parse error: {sidecar}: ")
 
 
+class TestFileErrors:
+    """A path that cannot be written, or a file that does not decode, ends
+    in one input-error line and exit 1, not a traceback."""
+
+    def test_unwritable_mesh(self, tmp_path, capsys):
+        assert run("solve", fig("fig1_twisted_prism"), "--export", str(tmp_path / "missing" / "x.off")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("banded: invalid input: cannot write")
+
+    def test_unwritable_sidecar(self, tmp_path, capsys):
+        mesh = tmp_path / "x.off"
+        Path(str(mesh) + ".bands.json").mkdir()
+        assert run("solve", fig("fig1_twisted_prism"), "--export", str(mesh)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("banded: invalid input: cannot write")
+
+    def test_unwritable_section(self, tmp_path, capsys):
+        mesh = tmp_path / "prism.off"
+        run("solve", fig("fig1_twisted_prism"), "--export", str(mesh))
+        capsys.readouterr()
+        assert run("section", str(mesh), "--t", "1/3", "--out", str(tmp_path / "missing" / "y.json")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("banded: invalid input: cannot write")
+
+    @pytest.mark.parametrize("target", ["instance", "mesh", "sidecar"])
+    def test_undecodable_file(self, tmp_path, capsys, target):
+        mesh = tmp_path / "prism.off"
+        run("solve", fig("fig1_twisted_prism"), "--export", str(mesh))
+        capsys.readouterr()
+        paths = {"instance": tmp_path / "i.json", "mesh": mesh, "sidecar": Path(str(mesh) + ".bands.json")}
+        paths[target].write_bytes(b"\xff\xfe{}")
+        if target == "instance":
+            code = run("check", str(paths[target]))
+        else:
+            code = run("verify", str(mesh), "--bands", str(mesh) + ".bands.json")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"banded: parse error: {paths[target]}: cannot decode")
+
+
 class TestPipelines:
     def test_solve_export_verify_section(self, tmp_path, capsys):
         mesh = tmp_path / "prism.off"

@@ -112,6 +112,10 @@ class TestInstanceFiles:
         with pytest.raises(InputError):
             load_instance(tmp_path / "missing.json")
 
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(InputError, match="cannot write"):
+            save_instance(fig1_twisted_prism().instance, tmp_path / "missing" / "i.json")
+
 
 def schonhardt_surface():
     inst = fig1_twisted_prism().instance
@@ -195,7 +199,7 @@ class TestMeshFiles:
         export_mesh(s, "off", path)
         raw = mesh_only_surface(path)
         section = cross_section(raw, Fraction(1, 3))
-        assert len(section.polygon.vertices) == 6
+        assert len(section.vertices) == 6
 
     def test_export_section(self, tmp_path):
         s = schonhardt_surface()

@@ -6,7 +6,7 @@ import pytest
 from banded import generators
 from banded.errors import GenerationError, PreconditionError
 from banded.geometry import Point2, polygon_is_ccw, polygon_is_simple
-from banded.generators import jiggled_instance, random_polygon, random_star_polygon
+from banded.generators import jiggled_instance, random_convex_polygon, random_polygon, random_star_polygon
 
 
 def test_jiggle_that_never_finds_a_simple_target_raises_generation_error(monkeypatch):
@@ -27,6 +27,16 @@ def test_star_with_more_vertices_than_directions_is_a_precondition_error():
     assert len(random_star_polygon(random.Random(0), 368).vertices) == 368
     with pytest.raises(PreconditionError, match="at most 368"):
         random_star_polygon(random.Random(0), 369)
+
+
+def test_convex_with_more_vertices_than_directions_is_a_precondition_error():
+    # 1024 primitive directions lie in [-20, 20]^2, and the closing edge
+    # adds one; n = 1026 used to draw forever.  The check draws nothing.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(PreconditionError, match="at most 1025"):
+        random_convex_polygon(rng, 1026)
+    assert rng.getstate() == state
 
 
 def full_range_jiggle(rng, polygon, amount=2):

@@ -33,7 +33,6 @@ from banded.model import (
     BandedSurface,
     Chord,
     ChordAssignment,
-    CrossSection,
     LabeledPolygon,
     OriginalLabel,
     SliceInstance,
@@ -212,19 +211,19 @@ class TestCrossSection:
         inst = identity_square()
         s = assignment_to_surface(inst, ChordAssignment.from_string("RRRR"))
         section = cross_section(s, Fraction(1, 2))
-        assert {(p.x, p.y) for p in section.polygon.vertices} >= {
+        assert {(p.x, p.y) for p in section.vertices} >= {
             (0, 0),
             (4, 0),
             (4, 4),
             (0, 4),
         }
-        assert section.polygon.is_simple() and section.polygon.is_ccw()
+        assert section.is_simple() and section.is_ccw()
 
     def test_schonhardt_hexagon_directions(self):
         inst = fig1_twisted_prism().instance
         s = assignment_to_surface(inst, ChordAssignment.from_string("RRR"))
         section = cross_section(s, Fraction(1, 3))
-        pts = section.polygon.vertices
+        pts = section.vertices
         assert len(pts) == 6
         # each hexagon edge is parallel to a bottom or top polygon edge
         expected = []
@@ -247,7 +246,7 @@ class TestCrossSection:
         inst = identity_square()
         s = assignment_to_surface(inst, ChordAssignment.from_string("RRRR"))
         section = cross_section(s, Fraction(1, 2))
-        pts = section.polygon.vertices
+        pts = section.vertices
         corners = sum(
             1
             for i in range(len(pts))
@@ -263,8 +262,8 @@ class TestCrossSection:
         inst = fig3b_sat_nonplanar().instance
         s = assignment_to_surface(inst, ChordAssignment.from_string("LLL"))
         section = cross_section(s, Fraction(1, 2))
-        assert len(section.polygon.vertices) == 6
-        assert section.polygon.is_simple()
+        assert len(section.vertices) == 6
+        assert section.is_simple()
 
     def test_level_preconditions(self):
         inst = identity_square()
@@ -324,7 +323,7 @@ def test_combinatorial_checks_never_fail_for_assignment_surfaces():
         assert report.path_disjointness.passed, report.summary()
 
 
-def fraction_cross_section(s: BandedSurface, t) -> CrossSection:
+def fraction_cross_section(s: BandedSurface, t) -> LabeledPolygon:
     """Reference: the per-face `Fraction` section that `cross_section`
     must match value for value, or raise the same exception as."""
     t = Fraction(t)
@@ -384,7 +383,7 @@ def fraction_cross_section(s: BandedSurface, t) -> CrossSection:
         raise SectionError(f"section at t={t} is not a simple polygon")
     if polygon_signed_area2(pts2) < 0:
         pts2.reverse()
-    return CrossSection(t, LabeledPolygon(tuple(pts2), t))
+    return LabeledPolygon(tuple(pts2), t)
 
 
 def slabs(s: BandedSurface) -> list[tuple[Fraction, Fraction]]:
@@ -403,7 +402,7 @@ def section_outcome(section, s, t):
         result = section(s, t)
     except BandedError as exc:
         return type(exc), str(exc)
-    types = {type(c) for p in result.polygon.vertices for c in p}
+    types = {type(c) for p in result.vertices for c in p}
     return result, types
 
 
@@ -538,7 +537,7 @@ class TestCrossSectionMatchesFractionReference:
     def test_slit_closes_only_where_the_seams_meet(self):
         s = slit_mesh()
         section = cross_section(s, Fraction(1, 2))
-        assert Point2(0, 1) in section.polygon.vertices
+        assert Point2(0, 1) in section.vertices
         with pytest.raises(SectionError):
             cross_section(s, Fraction(1, 4))
 
@@ -1071,5 +1070,5 @@ def test_section_commutes_with_positive_xy_scaling_and_translation(pick, kx, ky,
         with pytest.raises(type(exc)):
             cross_section(image, t)
         return
-    mapped = tuple(Point2(kx * p.x + dx, ky * p.y + dy) for p in section.polygon.vertices)
-    assert cross_section(image, t).polygon.vertices == mapped
+    mapped = tuple(Point2(kx * p.x + dx, ky * p.y + dy) for p in section.vertices)
+    assert cross_section(image, t).vertices == mapped

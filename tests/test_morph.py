@@ -62,8 +62,8 @@ class TestMorphPosition:
     def test_endpoints_exact(self):
         rng = random.Random(0)
         inst = similar_copy_instance(rng, random_convex_polygon(rng, 6))
-        assert morph_position(inst, 0).polygon.vertices == inst.source.vertices
-        assert morph_position(inst, 1).polygon.vertices == inst.target.vertices
+        assert morph_position(inst, 0).vertices == inst.source.vertices
+        assert morph_position(inst, 1).vertices == inst.target.vertices
 
     def test_translation_commutes(self):
         # moving the target polygon by s moves the time-t snapshot by t*s
@@ -74,8 +74,8 @@ class TestMorphPosition:
             s = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
             shifted = SliceInstance(inst.source, inst.target.translated(*s))
             for t in (Fraction(1, 3), Fraction(2, 5), Fraction(7, 8)):
-                base = morph_position(inst, t).polygon.vertices
-                moved = morph_position(shifted, t).polygon.vertices
+                base = morph_position(inst, t).vertices
+                moved = morph_position(shifted, t).vertices
                 assert all(
                     q == Point2(p.x + t * s[0], p.y + t * s[1])
                     for p, q in zip(base, moved)
@@ -84,7 +84,7 @@ class TestMorphPosition:
     def test_half_turn_collapses_to_center(self):
         tri = LabeledPolygon((Point2(4, 0), Point2(-2, 3), Point2(-2, -3)), 0)
         inst = rotate_copy_instance(tri, Point2(0, 0), (-1, 0))
-        snap = morph_position(inst, Fraction(1, 2)).polygon
+        snap = morph_position(inst, Fraction(1, 2))
         assert all(p == Point2(0, 0) for p in snap.vertices)
 
     def test_time_range(self):
@@ -110,7 +110,7 @@ class TestPlanarity:
         assert verdict.kind == "orientation_flip"
         # the witness interval midpoint itself violates: the snapshot there is inverted
         mid = (lo + hi) / 2
-        snap = morph_position(fig3b_sat_nonplanar().instance, mid).polygon
+        snap = morph_position(fig3b_sat_nonplanar().instance, mid)
         assert orient2d(*snap.vertices) < 0
 
     def test_fig7_star_preserved(self):
@@ -127,7 +127,7 @@ class TestPlanarity:
         # midpoint of the reported interval shows the two edges in contact
         i, j = verdict.subjects
         mid = sum(verdict.interval, Fraction(0)) / 2
-        snap = morph_position(inst, mid).polygon.vertices
+        snap = morph_position(inst, mid).vertices
         from banded.geometry import segments_intersect_2d
 
         assert segments_intersect_2d(
@@ -296,8 +296,8 @@ class TestKernel:
             # the linear morph restricted to [a, b] is the linear morph
             # between the snapshots at a and b
             return SliceInstance(
-                LabeledPolygon(morph_position(inst, a).polygon.vertices, 0),
-                LabeledPolygon(morph_position(inst, b).polygon.vertices, 1),
+                LabeledPolygon(morph_position(inst, a).vertices, 0),
+                LabeledPolygon(morph_position(inst, b).vertices, 1),
             )
 
         half = Fraction(1, 2)
@@ -414,7 +414,7 @@ def generated_instances(draw):
 
 
 def _valid_at(inst, t) -> bool:
-    pts = morph_position(inst, t).polygon.vertices
+    pts = morph_position(inst, t).vertices
     return polygon_is_simple(pts) and polygon_is_ccw(pts)
 
 
@@ -507,7 +507,7 @@ def test_dismissed_edge_pairs_never_meet():
     def check(inst):
         n = inst.n
         bands = [inst.band_quad(i) for i in range(n)]
-        snapshots = [morph_position(inst, Fraction(k, 64)).polygon.vertices for k in range(65)]
+        snapshots = [morph_position(inst, Fraction(k, 64)).vertices for k in range(65)]
         for i, j in itertools.combinations(range(n), 2):
             if not _sections_apart(_xy_differences(bands[i], bands[j])):
                 continue
@@ -579,7 +579,7 @@ class TestConvexChordRule:
                 if prev_cls is AngleClass.GREATER_PI and classes[i] is AngleClass.LESS_PI:
                     alternations += 1
                     for t in [Fraction(k, 8) for k in range(1, 8)]:
-                        snap = morph_position(inst, t).polygon.vertices
+                        snap = morph_position(inst, t).vertices
                         assert (
                             orient2d(snap[(i - 1) % n], snap[i], snap[(i + 1) % n]) >= 0
                         )
@@ -637,7 +637,7 @@ class TestSimilarity:
         poly = random_star_polygon(rng, 8)
         inst = rotate_copy_instance(poly, Point2(2, -1), (Fraction(5, 13), Fraction(12, 13)))
         for t in [Fraction(k, 8) for k in range(1, 8)]:
-            snap = morph_position(inst, t).polygon
+            snap = morph_position(inst, t)
             sim = similarity_witness(inst.source, LabeledPolygon(snap.vertices, 0))
             assert sim is not None
             assert all(sim.apply(p) == q for p, q in zip(poly.vertices, snap.vertices))
@@ -645,12 +645,12 @@ class TestSimilarity:
     def test_collapse_signal(self):
         tri = LabeledPolygon((Point2(4, 0), Point2(-2, 3), Point2(-2, -3)), 0)
         inst = rotate_copy_instance(tri, Point2(0, 0), (-1, 0))
-        snap = morph_position(inst, Fraction(1, 2)).polygon
+        snap = morph_position(inst, Fraction(1, 2))
         with pytest.raises(AllPointsEqualError):
             similarity_witness(inst.source, LabeledPolygon(snap.vertices, 0))
 
     def test_half_turn_other_times_still_similar(self):
         tri = LabeledPolygon((Point2(4, 0), Point2(-2, 3), Point2(-2, -3)), 0)
         inst = rotate_copy_instance(tri, Point2(0, 0), (-1, 0))
-        snap = morph_position(inst, Fraction(1, 4)).polygon
+        snap = morph_position(inst, Fraction(1, 4))
         assert similarity_witness(inst.source, LabeledPolygon(snap.vertices, 0)) is not None

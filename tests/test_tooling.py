@@ -1,5 +1,6 @@
 """The benchmark's span tracer against the library it wraps, the layout of
-the library's shared predicates, and the exact modules' freedom from floats.
+the library's shared predicates and of its package root, and the exact
+modules' freedom from floats.
 
 `benchmarks/spans.py` replaces module attributes by name (`model.cross_section`,
 `model.open_triangles_intersect_3d`, `steiner.polygon_is_simple`, ...).  A
@@ -62,13 +63,24 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
         assert metrics[name] > 0, name
 
 
-def test_sections_predicate_is_defined_once_in_geometry():
+# shared predicates and tables, each with the one module that binds it
+SHARED = {
     # the conflict table and the morph decision share one copy of the
     # sections lemma's predicate and of the differences it reads; the four
     # pair filters share one box sweep, and the kernel and the face pass
     # one plane-side routine
-    names = ("_sections_apart", "_xy_differences", "_box_pairs", "_plane_sides")
-    defined = {name: [] for name in names}
+    "_sections_apart": "geometry.py",
+    "_xy_differences": "geometry.py",
+    "_box_pairs": "geometry.py",
+    "_plane_sides": "geometry.py",
+    # the chord split of a band quad, for the surface builder and the
+    # conflict table alike
+    "_QUAD_TRIPLES": "model.py",
+}
+
+
+def test_shared_predicates_and_tables_are_defined_once():
+    defined = {name: [] for name in SHARED}
     for path in sorted((ROOT / "src" / "banded").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -79,7 +91,29 @@ def test_sections_predicate_is_defined_once_in_geometry():
                 continue
             if name in defined:
                 defined[name].append(path.name)
-    assert defined == {name: ["geometry.py"] for name in names}
+    assert defined == {name: [module] for name, module in SHARED.items()}
+
+
+def test_package_root_exports_only_documented_names():
+    # the root holds the entry points and types the README names, and the
+    # error classes a caller catches; the kernels stay in their modules
+    import banded
+    from banded.errors import BandedError
+
+    readme = (ROOT / "README.md").read_text()
+    exported = {name: getattr(banded, name) for name in banded.__all__}
+    errors = {name for name, obj in exported.items() if isinstance(obj, type) and issubclass(obj, BandedError)}
+    assert [name for name in exported if f"`{name}`" not in readme and name not in errors] == []
+
+
+def test_package_import_loads_the_timed_modules():
+    # the benchmark's timed operations import these modules; a module that
+    # first loads there would add its import time to the measurement
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import banded; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"banded.model", "banded.morph", "banded.solver", "banded.steiner"} <= loaded
 
 
 # every module on the exact path; `generators` proposes shapes with floats and
