@@ -8,6 +8,7 @@ be served with `floats=True` (lossy, for inspection only).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from fractions import Fraction
@@ -185,7 +186,8 @@ def export_mesh(
     sidecar: bool = True,
 ) -> None:
     """Write the mesh as OFF or OBJ, plus a `.bands.json` sidecar holding the
-    band/path/label structure needed to re-verify after re-import."""
+    band/path/label structure needed to re-verify after re-import.  When the
+    sidecar cannot be written, the mesh just written is removed again."""
     fmt = fmt.lower()
     if fmt not in ("off", "obj"):
         raise InputError(f"unknown mesh format {fmt!r}")
@@ -212,7 +214,14 @@ def export_mesh(
             lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
     _write_text(path, "\n".join(lines) + "\n")
     if sidecar:
-        save_bands(surface, str(path) + ".bands.json")
+        try:
+            save_bands(surface, str(path) + ".bands.json")
+        except InputError:
+            # a mesh without its sidecar cannot be re-verified: leave neither,
+            # and report the sidecar even when the mesh cannot be removed
+            with contextlib.suppress(OSError):
+                Path(path).unlink()
+            raise
 
 
 def _label_to_doc(label):

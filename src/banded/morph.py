@@ -14,6 +14,15 @@ at time t.  Two edges whose tetrahedra are disjoint never meet on [0, 1], and
 `geometry._sections_apart` decides that from the 8 xy differences of the two
 bands, as it does for the conflict table, so such pairs are dismissed before
 any polynomial is built.
+
+A target that is A p + v of the source points p, as rotated, similar and
+translated copies are, needs no scan: the snapshot at time t is the source
+mapped by (1 - t) I + tA and then translated, and that map keeps a positive
+determinant on [0, 1] exactly when A has no eigenvalue in (-inf, 0].  An
+orientation-preserving affine map takes a simple, counterclockwise polygon
+to one, so every snapshot is valid and the morph preserves planarity; the
+check is O(n) int arithmetic.  The ear-squash planner in `steiner` applies
+the same eigenvalue test (`_planar_linear_part`) to its end gap.
 """
 
 from __future__ import annotations
@@ -327,9 +336,18 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     that instant adjacent vertices collapse their angle, and non-adjacent
     ones bring their edges into contact, which the scans already find.
 
-    The polygons are scaled onto integers once.  Only non-adjacent edges
-    whose swept boxes meet are examined, and of those only the pairs whose
-    band tetrahedra meet.  With time as z, edge i at time t is the segment
+    The polygons are scaled onto integers once.  A target that is A p + v
+    of the source points p, with A free of eigenvalues in (-inf, 0], is
+    decided in O(n) without a scan (`_affine_planar`): the snapshot at t is
+    the source mapped by (1 - t) I + tA, whose determinant stays positive on
+    [0, 1], and then translated, so it is simple and counterclockwise like
+    the source.  That proof needs a simple, counterclockwise source:
+    `validate=False` means the caller vouches for a valid instance, as the
+    CLI and `convex_chord_rule` do by validating first.
+
+    Every other instance is scanned.  Only non-adjacent edges whose swept
+    boxes meet are examined, and of those only the pairs whose band
+    tetrahedra meet.  With time as z, edge i at time t is the segment
     from (1 - t) p_i + t q_i to (1 - t) p_{i+1} + t q_{i+1}, which lies in
     (1 - t) [p_i, p_{i+1}] + t [q_i, q_{i+1}], the section at z = t of the
     tetrahedron hull(p_i, p_{i+1}, q_{i+1}, q_i).  When two such closed
@@ -346,9 +364,73 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     """
     if validate:
         inst.validate()
-    n = inst.n
+    k, cs = _integer_ends(inst)
+    if _affine_planar(cs):
+        return PlanarityVerdict(preserved=True)
+    return _scan_verdict(k, cs)
+
+
+def _integer_ends(inst: SliceInstance) -> tuple[int, list[int]]:
+    """The factor k and the scaled coordinates px, py, qx, qy of every
+    vertex's source p and target q in turn, as `_integer_axis` gives them."""
     ends = zip(inst.source.vertices, inst.target.vertices)
-    k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
+    return _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
+
+
+def _affine_planar(cs: list[int]) -> bool:
+    """Whether the target is A p + v of the source points p for an A with no
+    eigenvalue in (-inf, 0], on the scaled coordinates `cs`.
+
+    A is fixed by vertices 0 and 1 and the first vertex k that is not on
+    their line, as A = M / d (`_end_map`); every vertex m must then satisfy
+    d (q_m - q_0) = M (p_m - p_0).  Int arithmetic only."""
+    px, py, qx, qy = cs[0::4], cs[1::4], cs[2::4], cs[3::4]
+    x0, y0, s0, t0 = cs[:4]
+    ux, uy = px[1] - x0, py[1] - y0
+    k = next((j for j in range(2, len(px)) if ux * (py[j] - y0) != uy * (px[j] - x0)), None)
+    if k is None:
+        return False
+    m, d = _end_map((ux, uy), (px[k] - x0, py[k] - y0), (qx[1] - s0, qy[1] - t0), (qx[k] - s0, qy[k] - t0))
+    if not _planar_linear_part(m, d):
+        return False
+    a, b, c, e = m
+    return all(
+        d * (s - s0) == a * (x - x0) + b * (y - y0) and d * (t - t0) == c * (x - x0) + e * (y - y0)
+        for x, y, s, t in zip(px, py, qx, qy)
+    )
+
+
+def _end_map(u, w, v, z) -> tuple:
+    """M = Q adj(P) and d = det P, for P with the columns u and w and Q with
+    the columns v and z: the linear map taking u to v and w to z is
+    A = M / d when d is not 0.  M is returned row by row."""
+    d = u[0] * w[1] - u[1] * w[0]
+    m = (
+        v[0] * w[1] - z[0] * u[1],
+        z[0] * u[0] - v[0] * w[0],
+        v[1] * w[1] - z[1] * u[1],
+        z[1] * u[0] - v[1] * w[0],
+    )
+    return m, d
+
+
+def _planar_linear_part(m, d) -> bool:
+    """Whether A = M / d has no eigenvalue in (-inf, 0], so that (1 - t) I +
+    tA keeps a positive determinant for every t in [0, 1]: that determinant
+    is the product of 1 - t + t lambda over A's eigenvalues lambda, a real
+    lambda zeroes it at t = 1 / (1 - lambda), which is in (0, 1] iff
+    lambda <= 0, and a complex pair gives |1 - t + t lambda|^2 > 0.  The
+    test is det A > 0 and not (tr A <= 0 and tr A^2 >= 4 det A), run on M,
+    whose trace is d tr A and whose determinant is d^2 det A."""
+    a, b, c, e = m
+    tr, det = a + e, a * e - b * c
+    return det > 0 and not (tr * d <= 0 and tr * tr >= 4 * det)
+
+
+def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
+    """The decision by scanning every candidate that the filters keep, on
+    the coordinates that `_integer_ends` scaled by k."""
+    n = len(cs) // 4
     kk = k * k
     moving = [_MovingPoint(*cs[i : i + 4]) for i in range(0, 4 * n, 4)]
     # each vertex's source at z = 0 and target at z = 1, and edge i's band

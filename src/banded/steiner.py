@@ -53,7 +53,7 @@ from itertools import combinations
 from .errors import InternalConsistencyError
 from .geometry import Point2, _is_ear, polygon_is_simple
 from .model import BandedSurface, ChordAssignment, LabeledPolygon, SliceInstance, layers_to_surface
-from .morph import _rotated
+from .morph import _end_map, _planar_linear_part, _rotated
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
 
@@ -196,18 +196,17 @@ def _squash_chain(pts, triple) -> list[tuple[Point2, ...]]:
 def _planar_end_map(src, tgt, triple) -> bool:
     """The matrix A of the affine map taking the source triple onto the
     target triple has no eigenvalue in (-inf, 0], so (1 - t) I + tA keeps a
-    positive determinant for every t in [0, 1]: det A > 0 and not
-    (tr A <= 0 and tr A^2 >= 4 det A).  With P and Q the edge vectors from
-    vertex i to j and k, A = Q adj(P) / d for d = det P, and the test runs
-    on Q adj(P), whose trace is d tr A and whose determinant is d^2 det A."""
+    positive determinant for every t in [0, 1] (`morph._planar_linear_part`
+    on the edge vectors from vertex i to j and k)."""
     i, j, k = triple
     p, q = src[i], tgt[i]
-    ux, uy, wx, wy = src[j].x - p.x, src[j].y - p.y, src[k].x - p.x, src[k].y - p.y
-    vx, vy, zx, zy = tgt[j].x - q.x, tgt[j].y - q.y, tgt[k].x - q.x, tgt[k].y - q.y
-    d = ux * wy - uy * wx
-    tr = vx * wy - zx * uy + zy * ux - vy * wx
-    det = (vx * zy - vy * zx) * d
-    return det > 0 and not (tr * d <= 0 and tr * tr >= 4 * det)
+    m, d = _end_map(
+        (src[j].x - p.x, src[j].y - p.y),
+        (src[k].x - p.x, src[k].y - p.y),
+        (tgt[j].x - q.x, tgt[j].y - q.y),
+        (tgt[k].x - q.x, tgt[k].y - q.y),
+    )
+    return _planar_linear_part(m, d)
 
 
 def _prefixes(pts, triples) -> list[tuple]:

@@ -170,6 +170,8 @@ class TestFileErrors:
         assert run("solve", fig("fig1_twisted_prism"), "--export", str(mesh)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("banded: invalid input: cannot write")
+        # a mesh without its sidecar cannot be re-verified, so none is left
+        assert not mesh.exists()
 
     def test_unwritable_section(self, tmp_path, capsys):
         mesh = tmp_path / "prism.off"

@@ -355,6 +355,132 @@ class TestContactFallback:
         assert all(cases.values()), cases
 
 
+def _scan(inst):
+    """The verdict of the full scan, without the affine shortcut."""
+    return morph._scan_verdict(*morph._integer_ends(inst))
+
+
+def _decide(inst):
+    """`planarity_preserving`'s verdict, and whether it took the affine
+    shortcut, that is, never reached the scan."""
+    scanned = []
+    original = morph._scan_verdict
+
+    def counted(k, cs):
+        scanned.append(k)
+        return original(k, cs)
+
+    with mock.patch.object(morph, "_scan_verdict", counted):
+        verdict = planarity_preserving(inst)
+    return verdict, not scanned
+
+
+def _no_eigenvalue_at_most_zero(a) -> bool:
+    """Reference: the 2 x 2 matrix a has no real eigenvalue in (-inf, 0].
+    Its eigenvalues are complex when tr^2 < 4 det; otherwise both are real,
+    and both positive exactly when det > 0 and tr > 0."""
+    (a00, a01), (a10, a11) = a
+    tr, det = a00 + a11, a00 * a11 - a01 * a10
+    return det > 0 and (tr * tr < 4 * det or tr > 0)
+
+
+def _affine_image(polygon, a, v):
+    (a00, a01), (a10, a11) = a
+    pts = tuple(Point2(a00 * p.x + a01 * p.y + v[0], a10 * p.x + a11 * p.y + v[1]) for p in polygon.vertices)
+    return SliceInstance(LabeledPolygon(polygon.vertices, 0), LabeledPolygon(pts, 1))
+
+
+def _rational(rng, span=6):
+    return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+
+
+def _positive(rng):
+    return Fraction(rng.randint(1, 8), rng.randint(1, 4))
+
+
+AFFINE_STYLES = ("similarity", "shear", "identity", "minus_identity", "minus_two", "negative_pair", "general")
+
+
+def _linear_part(rng, style):
+    """A 2 x 2 rational matrix with det A > 0 of the given style."""
+    if style == "similarity":
+        c, s = _positive(rng), _rational(rng)
+        return (c, -s), (s, c)
+    if style == "shear":
+        s = _rational(rng)
+        return ((1, s), (0, 1)) if rng.random() < 0.5 else ((1, 0), (s, 1))
+    if style == "identity":
+        return (1, 0), (0, 1)
+    if style == "minus_identity":
+        return (-1, 0), (0, -1)
+    if style == "minus_two":
+        return (-2, 0), (0, -2)
+    if style == "negative_pair":  # eigenvalues -a and -d
+        return (-_positive(rng), _rational(rng)), (0, -_positive(rng))
+    while True:
+        a = (_rational(rng), _rational(rng)), (_rational(rng), _rational(rng))
+        if a[0][0] * a[1][1] > a[0][1] * a[1][0]:
+            return a
+
+
+def test_affine_shortcut_matches_the_scan():
+    # a target A p + v of a star, convex or spiral source: the verdict is the
+    # scan's, field for field, the shortcut is taken exactly when A passes
+    # the eigenvalue test, and every other such morph is violated (its
+    # snapshot at t = 1 / (1 - lambda) is degenerate)
+    tally = Counter()
+    for seed in range(140):
+        rng = random.Random(seed)
+        style = AFFINE_STYLES[seed % len(AFFINE_STYLES)]
+        kind = ("star", "convex", "spiral")[seed // len(AFFINE_STYLES) % 3]
+        polygon = random_polygon(rng, rng.randint(3, 20), kind)
+        a = _linear_part(rng, style)
+        inst = _affine_image(polygon, a, (_rational(rng, 20), _rational(rng, 20)))
+        verdict, shortcut = _decide(inst)
+        assert _verdict_tuple(verdict) == _verdict_tuple(_scan(inst)), (seed, style)
+        assert shortcut == _no_eigenvalue_at_most_zero(a), (seed, style)
+        assert verdict.preserved == shortcut, (seed, style)
+        tally[style, shortcut] += 1
+    assert all(tally[style, True] for style in ("similarity", "shear", "identity", "general")), tally
+    assert all(tally[style, False] for style in ("minus_identity", "minus_two", "negative_pair", "general")), tally
+
+
+class TestAffineShortcut:
+    TURN = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+    def test_collinear_leading_vertices(self):
+        # vertices 0, 1 and 2 lie on one line, so A is read from vertex 3
+        src = LabeledPolygon(tuple(Point2(*p) for p in ((0, 0), (2, 0), (4, 0), (4, 3), (0, 3))), 0)
+        inst = _affine_image(src, self.TURN, (5, -1))
+        inst.validate()
+        verdict, shortcut = _decide(inst)
+        assert shortcut and verdict.preserved
+        assert _verdict_tuple(_scan(inst)) == _verdict_tuple(verdict)
+
+    def test_fraction_coordinates(self):
+        pts = ((0, 0), (Fraction(7, 3), Fraction(1, 5)), (Fraction(5, 2), Fraction(9, 4)), (Fraction(-1, 7), 2))
+        src = LabeledPolygon(tuple(Point2(*p) for p in pts), 0)
+        a = (Fraction(1, 2), Fraction(-3, 4)), (Fraction(2, 3), 1)
+        inst = _affine_image(src, a, (Fraction(-5, 6), Fraction(1, 9)))
+        inst.validate()
+        verdict, shortcut = _decide(inst)
+        assert shortcut and verdict.preserved
+        assert _verdict_tuple(_scan(inst)) == _verdict_tuple(verdict)
+
+    @pytest.mark.parametrize("moved", [1, 4])
+    def test_one_vertex_off_the_map_falls_through(self, moved):
+        # affine at every vertex but one: the scan decides
+        rng = random.Random(5)
+        inst = _affine_image(random_convex_polygon(rng, 7), self.TURN, (2, 3))
+        pts = list(inst.target.vertices)
+        pts[moved] = Point2(pts[moved].x + Fraction(1, 100), pts[moved].y)
+        inst = SliceInstance(inst.source, LabeledPolygon(tuple(pts), 1))
+        inst.validate()
+        verdict, shortcut = _decide(inst)
+        assert not shortcut
+        assert _verdict_tuple(verdict) == _verdict_tuple(_scan(inst))
+
+
 class TestTraceBindings:
     def test_traced_run_sees_root_isolation_and_samples(self):
         # the benchmark's tracer wraps `quadfield.roots_in_open_interval`,
@@ -465,8 +591,9 @@ def grid_morphs(draw):
 
 def test_dismissal_keeps_every_verdict():
     # dismissing the candidates of constant sign and the edge pairs whose
-    # band tetrahedra are apart changes no verdict and no bit of a witness
-    # interval: compare with a scan of every candidate of every box pair
+    # band tetrahedra are apart, and deciding planar affine targets without
+    # a scan, changes no verdict and no bit of a witness interval: compare
+    # with a scan of every candidate of every box pair
     apart = morph._sections_apart
     dismissed = Counter()
 
@@ -489,7 +616,7 @@ def test_dismissal_keeps_every_verdict():
         with mock.patch.object(morph, "_constant_sign", lambda q: 0), mock.patch.object(
             morph, "_sections_apart", lambda d: False
         ):
-            slow = planarity_preserving(inst)
+            slow = _scan(inst)
         assert _verdict_tuple(fast) == _verdict_tuple(slow)
 
     check()

@@ -76,6 +76,10 @@ SHARED = {
     # the chord split of a band quad, for the surface builder and the
     # conflict table alike
     "_QUAD_TRIPLES": "model.py",
+    # the affine end map and its eigenvalue test, for the morph decision's
+    # affine shortcut and the ear-squash end gap alike
+    "_end_map": "morph.py",
+    "_planar_linear_part": "morph.py",
 }
 
 
