@@ -129,8 +129,8 @@ def _cmd_steiner(args) -> int:
 
 
 def _cmd_morph_check(args) -> int:
-    inst = _load_instance(args.instance)
-    verdict = planarity_preserving(inst, validate=False)
+    # the decision validates, on the integer frame and affine fit it reuses
+    verdict = planarity_preserving(fileio.load_instance(args.instance))
     if verdict.preserved:
         print("preserved")
         return EXIT_OK

@@ -38,6 +38,13 @@ def _primitive_count(spread: int) -> int:
     return sum(math.gcd(x, y) == 1 for x in range(-spread, spread + 1) for y in range(-spread, spread + 1))
 
 
+# Up to this n the n - 1 drawn edges are redrawn together until all n
+# directions differ, the stream that seeded corpora were drawn from; above
+# it a joint redraw almost never succeeds (the draw took seconds at
+# n = 100), so one edge at a time is redrawn instead.
+_JOINT_DRAW_MAX_N = 80
+
+
 def random_convex_polygon(rng: random.Random, n: int, spread: int = 20) -> LabeledPolygon:
     """Convex CCW n-gon with integer coordinates (edge-vector construction).
     Its n edges take distinct directions: n - 1 drawn from [-spread,
@@ -48,22 +55,10 @@ def random_convex_polygon(rng: random.Random, n: int, spread: int = 20) -> Label
     most = _primitive_count(spread) + 1
     if n > most:
         raise PreconditionError(f"a convex polygon with spread {spread} has at most {most} vertices, not {n}")
+    draw = _joint_edges if n <= _JOINT_DRAW_MAX_N else _one_by_one_edges
     while True:
-        vecs = []
-        for _ in range(n - 1):
-            while True:
-                v = (rng.randint(-spread, spread), rng.randint(-spread, spread))
-                if v != (0, 0):
-                    vecs.append(v)
-                    break
-        closing = (-sum(v[0] for v in vecs), -sum(v[1] for v in vecs))
-        if closing == (0, 0):
-            continue
-        vecs.append(closing)
-        dirs = {}
-        for v in vecs:
-            dirs.setdefault(_canon_dir(v), []).append(v)
-        if len(dirs) != n:
+        vecs = draw(rng, n, spread)
+        if vecs is None:
             continue
         vecs.sort(key=functools.cmp_to_key(_dir_cmp))
         pts = []
@@ -75,6 +70,40 @@ def random_convex_polygon(rng: random.Random, n: int, spread: int = 20) -> Label
         poly = tuple(pts)
         if polygon_is_simple(poly) and polygon_is_ccw(poly) and polygon_is_convex(poly):
             return LabeledPolygon(poly, 0)
+
+
+def _joint_edges(rng: random.Random, n: int, spread: int) -> list | None:
+    """n - 1 nonzero vectors from [-spread, spread]^2 and the closing edge,
+    or None when the closing edge is zero or two of the n share a
+    direction."""
+    vecs = []
+    for _ in range(n - 1):
+        while True:
+            v = (rng.randint(-spread, spread), rng.randint(-spread, spread))
+            if v != (0, 0):
+                vecs.append(v)
+                break
+    closing = (-sum(v[0] for v in vecs), -sum(v[1] for v in vecs))
+    if closing == (0, 0):
+        return None
+    vecs.append(closing)
+    return vecs if len({_canon_dir(v) for v in vecs}) == n else None
+
+
+def _one_by_one_edges(rng: random.Random, n: int, spread: int) -> list:
+    """n - 1 vectors from [-spread, spread]^2, each redrawn alone until its
+    direction is new, and the closing edge.  While the closing edge is zero
+    or repeats a direction, a random one of the n - 1 is drawn afresh."""
+    edges = {}  # direction -> vector
+    while True:
+        while len(edges) < n - 1:
+            v = (rng.randint(-spread, spread), rng.randint(-spread, spread))
+            if v != (0, 0):
+                edges.setdefault(_canon_dir(v), v)
+        closing = (-sum(v[0] for v in edges.values()), -sum(v[1] for v in edges.values()))
+        if closing != (0, 0) and _canon_dir(closing) not in edges:
+            return [*edges.values(), closing]
+        del edges[rng.choice(list(edges))]
 
 
 def _canon_dir(v) -> tuple[int, int]:

@@ -172,6 +172,20 @@ def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
     return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
 
 
+def _end_map(u, w, v, z) -> tuple:
+    """M = Q adj(P) and d = det P, for P with the columns u and w and Q with
+    the columns v and z: the linear map taking u to v and w to z is
+    A = M / d when d is not 0.  M is returned row by row."""
+    d = u[0] * w[1] - u[1] * w[0]
+    m = (
+        v[0] * w[1] - z[0] * u[1],
+        z[0] * u[0] - v[0] * w[0],
+        v[1] * w[1] - z[1] * u[1],
+        z[1] * u[0] - v[1] * w[0],
+    )
+    return m, d
+
+
 def _box_pairs(boxes):
     """Yield (j, k) for every pair of closed xy boxes (x0, x1, y0, y1) in
     `boxes` that meet, touching included, as indices into `boxes`.

@@ -20,6 +20,7 @@ from .geometry import (
     Point2,
     Point3,
     _box_pairs,
+    _end_map,
     _integer_axis,
     _integer_polygon,
     _plane,
@@ -92,13 +93,32 @@ class SliceInstance:
     def n(self) -> int:
         return len(self.source.vertices)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[int, list[int], tuple | None]:
+        """Raise `InputError` unless the z levels are 0 and 1, the vertex
+        counts match and both polygons are simple and counterclockwise, and
+        return the instance's integer frame and affine fit (k, cs, fit), as
+        `_frame` gives them, for the morph decision to reuse.
+
+        The source is swept, the target only when there is no fit.  A fit
+        says that target = A p + v over the source points p with det A > 0:
+        an affine bijection, which maps segments onto segments and distinct
+        points to distinct points, so it takes a simple polygon to a simple
+        one, and which scales the signed area by det A > 0, so it keeps
+        counterclockwise order.  A valid source thus has a valid target,
+        and every instance raises the error that sweeping the source and
+        then the target would raise.  Each sweep runs on its polygon's own
+        integer copy (`LabeledPolygon.validate`), which for a polygon on
+        integers is the polygon itself.
+        """
         if self.source.z_level != 0 or self.target.z_level != 1:
             raise InputError("slice instance requires z levels exactly 0 and 1")
         if len(self.source.vertices) != len(self.target.vertices):
             raise InputError("source and target must have the same vertex count")
+        frame = _frame(self)
         self.source.validate()
-        self.target.validate()
+        if frame[2] is None:
+            self.target.validate()
+        return frame
 
     def band_quad(self, i: int) -> tuple[Point3, Point3, Point3, Point3]:
         """Quad (p_i, p_{i+1}, q_{i+1}, q_i) of band i, bottom pair then top;
@@ -109,6 +129,42 @@ class SliceInstance:
             self.target.point3(i + 1),
             self.target.point3(i),
         )
+
+
+def _frame(inst: SliceInstance) -> tuple[int, list[int], tuple | None]:
+    """The instance's joint integer frame and affine fit: the least factor
+    k that puts every coordinate of both polygons on integers, the scaled
+    coordinates cs, which are px, py, qx, qy of every vertex's source p and
+    target q in turn, and `_affine_fit(cs)`.  One factor for both polygons
+    is a similarity of space, so every morph event time is unchanged."""
+    ends = zip(inst.source.vertices, inst.target.vertices)
+    k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
+    return k, cs, _affine_fit(cs)
+
+
+def _affine_fit(cs: list[int]) -> tuple | None:
+    """(M, d) with target = A p + v over the source points p for A = M / d
+    and det A > 0, on the coordinates cs of `_frame`, or None when the
+    target is no such image of the source.
+
+    A is fixed by vertices 0 and 1 and the first vertex k that is not on
+    their line (`_end_map`); every vertex m must then satisfy d (q_m - q_0)
+    = M (p_m - p_0).  det M = d^2 det A has the sign of det A.  Int
+    arithmetic only."""
+    px, py, qx, qy = cs[0::4], cs[1::4], cs[2::4], cs[3::4]
+    x0, y0, s0, t0 = cs[:4]
+    ux, uy = px[1] - x0, py[1] - y0
+    k = next((j for j in range(2, len(px)) if ux * (py[j] - y0) != uy * (px[j] - x0)), None)
+    if k is None:
+        return None
+    m, d = _end_map((ux, uy), (px[k] - x0, py[k] - y0), (qx[1] - s0, qy[1] - t0), (qx[k] - s0, qy[k] - t0))
+    a, b, c, e = m
+    if a * e - b * c <= 0:
+        return None
+    for x, y, s, t in zip(px, py, qx, qy):
+        if d * (s - s0) != a * (x - x0) + b * (y - y0) or d * (t - t0) != c * (x - x0) + e * (y - y0):
+            return None
+    return m, d
 
 
 # The vertex triples of a band quad (p0, p1, q1, q0): the right chord's two

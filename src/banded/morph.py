@@ -20,9 +20,11 @@ translated copies are, needs no scan: the snapshot at time t is the source
 mapped by (1 - t) I + tA and then translated, and that map keeps a positive
 determinant on [0, 1] exactly when A has no eigenvalue in (-inf, 0].  An
 orientation-preserving affine map takes a simple, counterclockwise polygon
-to one, so every snapshot is valid and the morph preserves planarity; the
-check is O(n) int arithmetic.  The ear-squash planner in `steiner` applies
-the same eigenvalue test (`_planar_linear_part`) to its end gap.
+to one, so every snapshot is valid and the morph preserves planarity.  The
+test reads the fit that `SliceInstance.validate` makes anyway
+(`model._affine_fit`, O(n) int arithmetic).  The ear-squash planner in
+`steiner` applies the same eigenvalue test (`_planar_linear_part`) to its
+end gap.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import Callable
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, _box_pairs, _integer_axis, _sections_apart, _xy_differences, ccw_angle
-from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
+from .geometry import AngleClass, Point2, _box_pairs, _sections_apart, _xy_differences, ccw_angle
+from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame
 from .quadfield import ExactTime, midpoint, rational_between
 
 
@@ -336,14 +338,17 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     that instant adjacent vertices collapse their angle, and non-adjacent
     ones bring their edges into contact, which the scans already find.
 
-    The polygons are scaled onto integers once.  A target that is A p + v
-    of the source points p, with A free of eigenvalues in (-inf, 0], is
-    decided in O(n) without a scan (`_affine_planar`): the snapshot at t is
-    the source mapped by (1 - t) I + tA, whose determinant stays positive on
-    [0, 1], and then translated, so it is simple and counterclockwise like
-    the source.  That proof needs a simple, counterclockwise source:
-    `validate=False` means the caller vouches for a valid instance, as the
-    CLI and `convex_chord_rule` do by validating first.
+    The decision reuses the integer frame and affine fit that
+    `SliceInstance.validate` returns; `validate=False` means the caller
+    vouches for a valid instance, as `convex_chord_rule` does by validating
+    first, and the frame and fit are computed here by the same `_frame`.
+    A target that is A p + v of the source points p, with A free of
+    eigenvalues in (-inf, 0], is decided in O(n) without a scan: the
+    snapshot at t is the source mapped by (1 - t) I + tA, whose determinant
+    stays positive on [0, 1], and then translated, so it is simple and
+    counterclockwise like the source.  The fit that validation needs for
+    the target is the one this test reads, so such a pair costs one source
+    sweep and one O(n) fit.
 
     Every other instance is scanned.  Only non-adjacent edges whose swept
     boxes meet are examined, and of those only the pairs whose band
@@ -362,56 +367,10 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     candidate never had a violating run, and every verdict and witness
     interval is the one a scan of every candidate gives.
     """
-    if validate:
-        inst.validate()
-    k, cs = _integer_ends(inst)
-    if _affine_planar(cs):
+    k, cs, fit = inst.validate() if validate else _frame(inst)
+    if fit is not None and _planar_linear_part(*fit):
         return PlanarityVerdict(preserved=True)
     return _scan_verdict(k, cs)
-
-
-def _integer_ends(inst: SliceInstance) -> tuple[int, list[int]]:
-    """The factor k and the scaled coordinates px, py, qx, qy of every
-    vertex's source p and target q in turn, as `_integer_axis` gives them."""
-    ends = zip(inst.source.vertices, inst.target.vertices)
-    return _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
-
-
-def _affine_planar(cs: list[int]) -> bool:
-    """Whether the target is A p + v of the source points p for an A with no
-    eigenvalue in (-inf, 0], on the scaled coordinates `cs`.
-
-    A is fixed by vertices 0 and 1 and the first vertex k that is not on
-    their line, as A = M / d (`_end_map`); every vertex m must then satisfy
-    d (q_m - q_0) = M (p_m - p_0).  Int arithmetic only."""
-    px, py, qx, qy = cs[0::4], cs[1::4], cs[2::4], cs[3::4]
-    x0, y0, s0, t0 = cs[:4]
-    ux, uy = px[1] - x0, py[1] - y0
-    k = next((j for j in range(2, len(px)) if ux * (py[j] - y0) != uy * (px[j] - x0)), None)
-    if k is None:
-        return False
-    m, d = _end_map((ux, uy), (px[k] - x0, py[k] - y0), (qx[1] - s0, qy[1] - t0), (qx[k] - s0, qy[k] - t0))
-    if not _planar_linear_part(m, d):
-        return False
-    a, b, c, e = m
-    return all(
-        d * (s - s0) == a * (x - x0) + b * (y - y0) and d * (t - t0) == c * (x - x0) + e * (y - y0)
-        for x, y, s, t in zip(px, py, qx, qy)
-    )
-
-
-def _end_map(u, w, v, z) -> tuple:
-    """M = Q adj(P) and d = det P, for P with the columns u and w and Q with
-    the columns v and z: the linear map taking u to v and w to z is
-    A = M / d when d is not 0.  M is returned row by row."""
-    d = u[0] * w[1] - u[1] * w[0]
-    m = (
-        v[0] * w[1] - z[0] * u[1],
-        z[0] * u[0] - v[0] * w[0],
-        v[1] * w[1] - z[1] * u[1],
-        z[1] * u[0] - v[1] * w[0],
-    )
-    return m, d
 
 
 def _planar_linear_part(m, d) -> bool:
@@ -429,7 +388,7 @@ def _planar_linear_part(m, d) -> bool:
 
 def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
     """The decision by scanning every candidate that the filters keep, on
-    the coordinates that `_integer_ends` scaled by k."""
+    the coordinates that `model._frame` scaled by k."""
     n = len(cs) // 4
     kk = k * k
     moving = [_MovingPoint(*cs[i : i + 4]) for i in range(0, 4 * n, 4)]

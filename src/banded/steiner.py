@@ -51,9 +51,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalConsistencyError
-from .geometry import Point2, _is_ear, polygon_is_simple
+from .geometry import Point2, _end_map, _is_ear, polygon_is_simple
 from .model import BandedSurface, ChordAssignment, LabeledPolygon, SliceInstance, layers_to_surface
-from .morph import _end_map, _planar_linear_part, _rotated
+from .morph import _planar_linear_part, _rotated
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
 

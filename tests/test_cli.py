@@ -65,6 +65,25 @@ class TestExitCodes:
         assert run("morph-check", fig("fig3b_sat_nonplanar")) == 2
         assert "violated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ([["0", "0"], ["2", "2"], ["2", "0"], ["0", "2"]], "polygon is not simple"),
+            ([["0", "0"], ["0", "2"], ["2", "2"], ["2", "0"]], "polygon is not counterclockwise"),
+        ],
+    )
+    def test_morph_check_invalid_target(self, tmp_path, capsys, target, message):
+        # the decision validates: a bowtie target and a clockwise one (the
+        # source reflected, an affine map with det A < 0) are invalid input,
+        # reported as `check` reports them
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"P": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]], "Pprime": target}))
+        for command in ("morph-check", "check"):
+            assert run(command, str(bad)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == f"banded: invalid input: {message}"
+
     def test_convex_rule_precondition(self, capsys):
         assert run("convex-rule", fig("fig7_star")) == 3
 

@@ -1,11 +1,13 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from banded import generators
 from banded.errors import GenerationError, PreconditionError
-from banded.geometry import Point2, polygon_is_ccw, polygon_is_simple
+from banded.geometry import Point2, polygon_is_ccw, polygon_is_convex, polygon_is_simple
 from banded.generators import jiggled_instance, random_convex_polygon, random_polygon, random_star_polygon
 
 
@@ -37,6 +39,30 @@ def test_convex_with_more_vertices_than_directions_is_a_precondition_error():
     with pytest.raises(PreconditionError, match="at most 1025"):
         random_convex_polygon(rng, 1026)
     assert rng.getstate() == state
+
+
+def test_convex_streams_up_to_80_vertices_are_pinned():
+    # seeded corpora draw convex polygons with n <= 80 by joint redraws;
+    # their vertices, and the stream left after them, must not change
+    digest = hashlib.sha256()
+    for n in (3, 4, 7, 20, 50, 80):
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            poly = random_convex_polygon(rng, n)
+            digest.update(repr([(p.x, p.y) for p in poly.vertices]).encode())
+            digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest()[:16] == "27521664504864d0"
+
+
+@pytest.mark.parametrize("n", [81, 100, 200, 1025])
+def test_large_convex_polygons_draw_edge_by_edge(n):
+    # joint redraws took 6.65 s at n = 100; one edge at a time reaches the
+    # largest n that [-20, 20]^2 allows
+    start = time.perf_counter()
+    poly = random_convex_polygon(random.Random(0), n)
+    assert time.perf_counter() - start < 1
+    assert poly.n == n
+    assert polygon_is_convex(poly.vertices) and polygon_is_ccw(poly.vertices)
 
 
 def full_range_jiggle(rng, polygon, amount=2):

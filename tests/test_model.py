@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from geometry_reference import is_degenerate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banded.errors import (
@@ -18,7 +18,13 @@ from banded.errors import (
 import banded.geometry as geometry
 import banded.model as model
 from banded.figures import fig1_twisted_prism, fig3a_no_surface
-from banded.generators import random_instance
+from banded.generators import (
+    jiggled_instance,
+    random_instance,
+    random_polygon,
+    rotated_instance,
+    similar_copy_instance,
+)
 from banded.geometry import (
     Point2,
     Point3,
@@ -43,6 +49,7 @@ from banded.model import (
     scaled_to_integers,
     verify_banded_surface,
 )
+from banded.morph import planarity_preserving
 from banded.steiner import build_layered_surface
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -84,6 +91,137 @@ class TestTypes:
             for poly in (scaled.source, scaled.target):
                 for p in poly.vertices:
                     assert type(p.x) is int and type(p.y) is int
+
+
+# ---------------------------------------------------------------------------
+# instance validation on one integer frame
+# ---------------------------------------------------------------------------
+
+
+def reference_validate(inst: SliceInstance) -> None:
+    """Validation by sweeping both polygons: the frame checks, then the
+    source, then the target."""
+    if inst.source.z_level != 0 or inst.target.z_level != 1:
+        raise InputError("slice instance requires z levels exactly 0 and 1")
+    if inst.source.n != inst.target.n:
+        raise InputError("source and target must have the same vertex count")
+    inst.source.validate()
+    inst.target.validate()
+
+
+def validation_error(check) -> str | None:
+    try:
+        check()
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def affine_image(pts, a, v) -> tuple:
+    (a00, a01), (a10, a11) = a
+    return tuple(Point2(a00 * p.x + a01 * p.y + v[0], a10 * p.x + a11 * p.y + v[1]) for p in pts)
+
+
+def broken(pts, how) -> tuple:
+    """pts with two consecutive vertices swapped (a crossing, for most
+    polygons), reversed, or with a vertex repeated; "none" keeps them."""
+    pts = list(pts)
+    if how == "crossing":
+        pts[1], pts[2] = pts[2], pts[1]
+    elif how == "clockwise":
+        pts.reverse()
+    elif how == "repeated":
+        pts[2] = pts[0]
+    return tuple(pts)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def linear_parts(draw, sign: int):
+    """A 2 x 2 rational matrix whose determinant has the sign of `sign`;
+    for 0, both rows are multiples of one row."""
+    if sign == 0:
+        r0, r1, s, u = (draw(RATIONALS) for _ in range(4))
+        return (s * r0, s * r1), (u * r0, u * r1)
+    (a, b), (c, d) = (draw(RATIONALS), draw(RATIONALS)), (draw(RATIONALS), draw(RATIONALS))
+    det = a * d - b * c
+    assume(det != 0)
+    return ((a, b), (c, d)) if (det > 0) == (sign > 0) else ((a, b), (-c, -d))
+
+
+STYLES = {"similar": similar_copy_instance, "jiggle": jiggled_instance, "rotate": rotated_instance}
+
+
+@st.composite
+def validation_cases(draw) -> SliceInstance:
+    """Valid pairs of every kind and style, affine targets A p + v with det
+    A of each sign, affine images of broken sources, and other polygons,
+    valid or broken, as targets; n = 3 (every triangle pair is affine)
+    included."""
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    kind = draw(st.sampled_from(("convex", "star", "spiral")))
+    source = random_polygon(rng, draw(st.sampled_from((3, 4, 5, 7, 10))), kind).vertices
+    case = draw(st.sampled_from(("style", "affine", "broken_source", "other_target")))
+    v = (draw(RATIONALS), draw(RATIONALS))
+    if case == "style":
+        return STYLES[draw(st.sampled_from(sorted(STYLES)))](rng, LabeledPolygon(source, 0))
+    if case == "affine":
+        target = affine_image(source, draw(linear_parts(draw(st.sampled_from((1, -1, 0))))), v)
+    elif case == "broken_source":
+        source = broken(source, draw(st.sampled_from(("crossing", "clockwise", "repeated"))))
+        target = affine_image(source, draw(linear_parts(draw(st.sampled_from((1, -1))))), v)
+    else:
+        other = random_polygon(rng, len(source), kind).vertices
+        target = broken(other, draw(st.sampled_from(("none", "crossing", "clockwise", "repeated"))))
+    return SliceInstance(LabeledPolygon(source, 0), LabeledPolygon(target, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(validation_cases())
+def test_validate_matches_sweeping_both_polygons(inst):
+    # skipping the target sweep where an orientation-preserving affine map
+    # fits must raise exactly what sweeping both polygons raises; on valid
+    # instances, the decision that reuses the returned frame and fit must
+    # agree with the one that computes them itself
+    expected = validation_error(lambda: reference_validate(inst))
+    assert validation_error(inst.validate) == expected
+    if expected is None:
+        assert planarity_preserving(inst) == planarity_preserving(inst, validate=False)
+
+
+class TestValidateByAffineFit:
+    SOURCE = LabeledPolygon(SQUARE, 0)
+
+    def instance(self, target_pts) -> SliceInstance:
+        return SliceInstance(self.SOURCE, LabeledPolygon(tuple(target_pts), 1))
+
+    def test_reflection_is_not_counterclockwise(self):
+        inst = self.instance(affine_image(SQUARE, ((1, 0), (0, -1)), (0, 4)))
+        with pytest.raises(InputError, match="polygon is not counterclockwise"):
+            inst.validate()
+
+    def test_collapse_is_not_simple(self):
+        inst = self.instance(affine_image(SQUARE, ((1, 1), (2, 2)), (0, 0)))
+        with pytest.raises(InputError, match="polygon is not simple"):
+            inst.validate()
+
+    def test_only_a_target_without_fit_is_swept(self, monkeypatch):
+        swept = []
+
+        def counted(q):
+            swept.append(q)
+            return polygon_is_simple(q)
+
+        monkeypatch.setattr(model, "polygon_is_simple", counted)
+        sheared = self.instance(affine_image(SQUARE, ((1, Fraction(1, 2)), (0, 1)), (3, -1)))
+        frame = sheared.validate()
+        assert frame == model._frame(sheared) and frame[2] is not None
+        assert len(swept) == 1
+        kite = self.instance(Point2(*xy) for xy in ((0, 0), (5, 0), (4, 4), (0, 4)))
+        assert kite.validate()[2] is None
+        assert len(swept) == 3
 
 
 class TestAssignmentToSurface:

@@ -14,7 +14,7 @@ import quadfield_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banded import geometry, morph
+from banded import geometry, model, morph
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
 from banded.figures import fig3b_sat_nonplanar, fig7_star
 from banded.generators import (
@@ -357,7 +357,8 @@ class TestContactFallback:
 
 def _scan(inst):
     """The verdict of the full scan, without the affine shortcut."""
-    return morph._scan_verdict(*morph._integer_ends(inst))
+    k, cs, _fit = model._frame(inst)
+    return morph._scan_verdict(k, cs)
 
 
 def _decide(inst):
@@ -482,11 +483,11 @@ class TestAffineShortcut:
 
 
 class TestTraceBindings:
-    def test_traced_run_sees_root_isolation_and_samples(self):
-        # the benchmark's tracer wraps `quadfield.roots_in_open_interval`,
-        # `morph.rational_between`, `SliceInstance.validate` and model's
-        # `polygon_is_simple`; the decision must call each through those
-        # bindings, or a traced run reports no calls for them
+    @staticmethod
+    def traced_decision(name):
+        """Span calls of one traced `planarity_preserving` on fig3b, a
+        triangle pair and so affine, or on a square to kite pair, which no
+        affine map relates."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = "\n".join((
             "import json, sys",
@@ -494,10 +495,16 @@ class TestTraceBindings:
             "import spans",
             "import banded.morph as morph",
             "from banded.figures import fig3b_sat_nonplanar",
+            "from banded.geometry import Point2",
+            "from banded.model import LabeledPolygon, SliceInstance",
+            "square = tuple(Point2(x, y) for x, y in ((0, 0), (4, 0), (4, 4), (0, 4)))",
+            "kite = tuple(Point2(x, y) for x, y in ((0, 0), (5, 0), (4, 4), (0, 4)))",
+            "instances = {'fig3b': fig3b_sat_nonplanar().instance,",
+            "             'kite': SliceInstance(LabeledPolygon(square, 0), LabeledPolygon(kite, 1))}",
             "tracer = spans.Tracer()",
             "spans.install(tracer)",
             "span = tracer.open(spans.OP)",
-            "verdict = morph.planarity_preserving(fig3b_sat_nonplanar().instance)",
+            "verdict = morph.planarity_preserving(instances[sys.argv[2]])",
             "tracer.close(span)",
             "calls = {k: v['calls'] for k, v in tracer.aggregate().items()}",
             "parents = sorted({tracer.names[tracer.name[p]] for i, p in enumerate(tracer.parent)",
@@ -505,15 +512,28 @@ class TestTraceBindings:
             "print(json.dumps({'preserved': verdict.preserved, 'simple_parents': parents, **calls}))",
         ))
         proc = subprocess.run(
-            [sys.executable, "-c", script, root], capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script, root, name], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        calls = json.loads(proc.stdout.strip().splitlines()[-1])
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_traced_run_sees_root_isolation_and_samples(self):
+        # the benchmark's tracer wraps `quadfield.roots_in_open_interval`,
+        # `morph.rational_between`, `SliceInstance.validate` and model's
+        # `polygon_is_simple`; the decision must call each through those
+        # bindings, or a traced run reports no calls for them
+        calls = self.traced_decision("fig3b")
         assert calls["preserved"] is False
         assert calls["quadfield.roots_in_open_interval"] > 0
         assert calls["quadfield.rational_between"] > 0
-        # the traced `SliceInstance.validate` reaches the simplicity test of
-        # both polygons through model's binding
+        # the traced `SliceInstance.validate` reaches the simplicity test
+        # through model's binding; an orientation-preserving affine map
+        # relates fig3b's triangles, so only the source is swept
+        assert calls["model.validate"] == 1
+        assert calls["geometry.polygon_is_simple@model"] == 1
+        assert calls["simple_parents"] == ["model.validate"]
+        # a target that is no affine image of the source is swept too
+        calls = self.traced_decision("kite")
         assert calls["model.validate"] == 1
         assert calls["geometry.polygon_is_simple@model"] == 2
         assert calls["simple_parents"] == ["model.validate"]

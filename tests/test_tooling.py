@@ -77,9 +77,11 @@ SHARED = {
     # conflict table alike
     "_QUAD_TRIPLES": "model.py",
     # the affine end map and its eigenvalue test, for the morph decision's
-    # affine shortcut and the ear-squash end gap alike
-    "_end_map": "morph.py",
+    # affine shortcut and the ear-squash end gap alike, and the one affine
+    # fit that instance validation makes and the morph decision reuses
+    "_end_map": "geometry.py",
     "_planar_linear_part": "morph.py",
+    "_affine_fit": "model.py",
 }
 
 
