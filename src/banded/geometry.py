@@ -567,7 +567,10 @@ def _sections_apart(vectors) -> bool:
     on each level (4 or 5 differences of a triangle pair).  The conflict
     table (`solver._pair_conflicts`) tests both; the morph decision
     (`morph.planarity_preserving`) tests the tetrahedra of two edges' bands
-    with morph time as z, whose sections at t hold the edges at time t.
+    with morph time as z, whose sections at t hold the edges at time t,
+    and, once it knows a violation at B, the tetrahedra of the two edges at
+    levels 0 and a horizon H > B, whose sections at z = t / H hold the
+    edges at times t <= H.
 
     The origin is outside that hull iff all of D lies in an open half-plane
     through it.  That holds iff some v in D has every w in D with

@@ -15,6 +15,17 @@ at time t.  Two edges whose tetrahedra are disjoint never meet on [0, 1], and
 bands, as it does for the conflict table, so such pairs are dismissed before
 any polynomial is built.
 
+Only the earliest violation is reported, so the scan looks for nothing else
+(detecting an intersection costs less than reporting them all, as Shamos
+and Hoey 1976 observed for segments).  Each candidate's later runs start
+after its first, so only first runs compete, and a candidate's walk stops
+at the first piece that starts after the best start B so far.  Once B is
+known, a rational horizon H > B replaces z = 1: edge i at a time t <= H
+lies in the section at z = t / H of the tetrahedron on edge i at times 0
+and H, so an edge pair whose two such tetrahedra are disjoint has no common
+point before H, cannot start a run at or before B, and is dismissed before
+any polynomial is built.
+
 A target that is A p + v of the source points p, as rotated, similar and
 translated copies are, needs no scan: the snapshot at time t is the source
 mapped by (1 - t) I + tA and then translated, and that map keeps a positive
@@ -30,9 +41,9 @@ end gap.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
@@ -266,6 +277,27 @@ def _sorted_unique_events(events):
     return out
 
 
+def _compare_apart(t: ExactTime, u: ExactTime) -> int:
+    """Sign of t - u, decided on copies when both are irrational, so that
+    neither bracket is refined: a time's bracket then depends only on its
+    own candidate's work."""
+    if t.q and u.q:
+        t, u = _copy(t), _copy(u)
+    return t.compare(u)
+
+
+def _copy(t: ExactTime) -> ExactTime:
+    c = ExactTime(t.p, t.r, t.q, t.d, t.lo)
+    c.k = t.k
+    return c
+
+
+def _walked_past(t: ExactTime, bound: ExactTime | None) -> bool:
+    """Whether a piece that starts at t starts strictly after `bound`, so
+    that no run of it or of a later piece can come first."""
+    return bound is not None and _compare_apart(t, bound) > 0
+
+
 @dataclass
 class _Run:
     start: ExactTime  # left boundary of the violating stretch
@@ -277,33 +309,47 @@ class _Run:
         return self.start.bounds()[0], self.end.bounds()[1]
 
 
-def _violating_runs(events, predicate) -> list[_Run]:
-    """Split (0,1) at the events and merge the consecutive violating pieces.
+def _first_run(events, predicate, bound: ExactTime | None) -> _Run | None:
+    """The first violating run of one candidate, or None when it has none
+    that starts at or before `bound` (None: no bound).
 
-    `predicate` receives an `ExactTime` and must be constant on each open
-    piece between events; it is also evaluated exactly at each event.
+    (0, 1) is split at the sorted, distinct `events` into open pieces and
+    the event points between them; `predicate` receives an `ExactTime`,
+    must be constant on each open piece, where it is tested at a rational
+    sample, and is tested exactly at each event.  A run is a maximal stretch
+    of consecutive violating pieces.  The walk goes in time order and,
+    outside a run, stops at the first piece that starts strictly after the
+    bound, or after the candidate's own run start once that run has ended:
+    a later run starts after it.  The open piece just after the run is
+    still sampled, because that sample refines the run's end bracket as it
+    would in a walk over every piece.
     """
     one = ExactTime(1, 1)
-    bounds = [ExactTime(0, 1)] + list(events) + [one]
-    pieces = []  # (left_bound, right_bound, is_point, violating, rational_sample)
+    bounds = [ExactTime(0, 1), *events, one]
+    run = None
+    inside = False
     for a, b in zip(bounds, bounds[1:]):
         m = rational_between(a, b)
-        pieces.append((a, b, False, bool(predicate(m)), m))
-        if b is not one:
-            pieces.append((b, b, True, bool(predicate(b)), None if b.q else b))
-    runs: list[_Run] = []
-    current: list = []
-    for piece in pieces + [None]:
-        if piece is not None and piece[3]:
-            current.append(piece)
-            continue
-        if current:
-            first, last = current[0], current[-1]
-            instant = len(current) == 1 and current[0][2]
-            sample = next((p[4] for p in current if p[4] is not None), None)
-            runs.append(_Run(first[0], last[1], instant, sample))
-            current = []
-    return runs
+        if not predicate(m):
+            inside = False
+        elif run is None:
+            run, inside = _Run(a, b, False, m), True
+        elif inside:
+            run.end, run.instantaneous = b, False
+            run.sample = run.sample or m
+        if b is one:
+            break
+        # the event b, where the pieces that start at b begin
+        if not inside and _walked_past(b, bound if run is None else run.start):
+            break
+        if not predicate(b):
+            inside = False
+        elif run is None:
+            run, inside = _Run(b, b, True, None if b.q else b), True
+        elif inside:
+            run.end, run.instantaneous = b, False
+            run.sample = run.sample or (None if b.q else b)
+    return run
 
 
 _TIGHTEN_ROUNDS = 200
@@ -364,10 +410,32 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     of the other's line never touches.  All three are dismissed before any
     root is isolated.  The tetrahedron test and the constant-sign test
     (no root inside (0, 1) and nonzero at 1/2) are exact, so a dismissed
-    candidate never had a violating run, and every verdict and witness
-    interval is the one a scan of every candidate gives.
+    candidate never had a violating run.
+
+    The scan keeps one best first run: the least start, ties broken by
+    `_tiebreak`.  A candidate's later runs start after its first, so they
+    never win, and its walk over the pieces between its events stops at
+    the first piece, outside a run, that starts strictly after the best
+    start B; a run that starts at B is walked to its end, so that ties see
+    whether it is instantaneous.  With B known, each edge pair is tested
+    against a rational horizon H > B (`_horizon`) in place of [0, 1]: edge
+    i at time t <= H lies in (1 - t/H) e_i(0) + (t/H) e_i(H), the section
+    at z = t/H of the tetrahedron on the edge at times 0 and H, so when two
+    such tetrahedra are disjoint (the xy boxes, then `_sections_apart` with
+    levels 0 and H) the edges have no common point on [0, H].  A run that
+    starts at or before B violates at some time below H, so such a pair
+    never holds one.  Times of different candidates are compared on
+    copies, so every bracket, and so the witness interval, depends on the
+    winning candidate's own events and samples alone, and every verdict
+    and witness interval is the one a scan of every piece of every
+    candidate gives.
     """
-    k, cs, fit = inst.validate() if validate else _frame(inst)
+    return _decide(*(inst.validate() if validate else _frame(inst)))
+
+
+def _decide(k: int, cs: list[int], fit) -> PlanarityVerdict:
+    """The decision on the integer frame (k, cs) and affine fit that
+    `model._frame` gives."""
     if fit is not None and _planar_linear_part(*fit):
         return PlanarityVerdict(preserved=True)
     return _scan_verdict(k, cs)
@@ -387,8 +455,9 @@ def _planar_linear_part(m, d) -> bool:
 
 
 def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
-    """The decision by scanning every candidate that the filters keep, on
-    the coordinates that `model._frame` scaled by k."""
+    """The decision by scanning, for its first violating run, every
+    candidate that the filters keep, on the coordinates that `model._frame`
+    scaled by k."""
     n = len(cs) // 4
     kk = k * k
     moving = [_MovingPoint(*cs[i : i + 4]) for i in range(0, 4 * n, 4)]
@@ -396,12 +465,18 @@ def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
     # quad (p0, p1, q1, q0) over them, as `_xy_differences` takes it
     tracks = [((cs[m], cs[m + 1], 0), (cs[m + 2], cs[m + 3], 1)) for m in range(0, 4 * n, 4)]
     bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
-    candidates: list[tuple[_Run, str, tuple[int, ...], Callable]] = []
+    best = None  # (run, kind, subjects, predicate) of the earliest first run so far
+    horizon, stale = None, False  # `_horizon_bands` for best's start, once an edge pair needs it
 
     def scan(kind, subjects, points, polys, events):
+        nonlocal best, stale
         predicate = _predicate(kind, points, polys)
-        for run in _violating_runs(_sorted_unique_events(events), predicate):
-            candidates.append((run, kind, subjects, predicate))
+        run = _first_run(_sorted_unique_events(events), predicate, best and best[0].start)
+        if run is None:
+            return
+        candidate = (run, kind, subjects, predicate)
+        if best is None or (_compare_apart(run.start, best[0].start) or _tiebreak(candidate, best)) < 0:
+            best, stale = candidate, True
 
     # angle collapse at each vertex (adjacent edge pairs)
     for i in range(n):
@@ -416,14 +491,17 @@ def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
 
     # non-adjacent edge pairs, ascending, whose swept boxes meet: an edge's
     # box over t in [0, 1] is that of its band quad
-    boxes = []
-    for (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) in bands:
-        xs, ys = (ax, bx, cx, dx), (ay, by, cy, dy)
-        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    boxes = [_box(band) for band in bands]
     pairs = [(j, k) if j < k else (k, j) for j, k in _box_pairs(boxes) if (k - j) % n not in (1, n - 1)]
     for i, j in sorted(pairs):
-        if _sections_apart(_xy_differences(bands[i], bands[j])):
-            continue  # the bands' tetrahedra, and so the edges, never meet
+        if stale:
+            h = _horizon(best[0].start)
+            horizon, stale = h and _horizon_bands(cs, h), False
+        if horizon is None:
+            if _sections_apart(_xy_differences(bands[i], bands[j])):
+                continue  # the bands' tetrahedra, and so the edges, never meet
+        elif _apart_before(horizon, i, j):
+            continue  # the edges do not meet before the horizon
         e0, e1, f0, f1 = moving[i], moving[(i + 1) % n], moving[j], moving[(j + 1) % n]
         o1, o2 = _orient_quad(e0, e1, f0), _orient_quad(e0, e1, f1)
         s = _constant_sign(o1)
@@ -445,15 +523,9 @@ def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
         shoelace = _quad_add(shoelace, _quad_sub(_lin_mul(a.x, b.y), _lin_mul(a.y, b.x)))
     scan("orientation_flip", (), (), (shoelace,), _roots01(shoelace, kk))
 
-    if not candidates:
+    if best is None:
         return PlanarityVerdict(preserved=True)
-
-    candidates.sort(
-        key=functools.cmp_to_key(
-            lambda p, q: p[0].start.compare(q[0].start) or _tiebreak(p, q)
-        )
-    )
-    run, kind, subjects, predicate = candidates[0]
+    run, kind, subjects, predicate = best
     lo, hi = _tighten_run(run, predicate)
     return PlanarityVerdict(
         preserved=False,
@@ -470,6 +542,50 @@ def _tiebreak(p, q):
     kp = (p[0].instantaneous, p[1], p[2])
     kq = (q[0].instantaneous, q[1], q[2])
     return -1 if kp < kq else (1 if kp > kq else 0)
+
+
+def _box(band):
+    """The xy box (x0, x1, y0, y1) of a band quad's four points."""
+    (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) = band
+    xs, ys = (ax, bx, cx, dx), (ay, by, cy, dy)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _horizon(start: ExactTime) -> tuple[int, int] | None:
+    """A rational horizon H = num / den > start, as (num, den), or None
+    when H < 1 cannot be had that way: the upper end of the bracket of an
+    irrational start, and start + 1 / (2 r) for a rational start p / r."""
+    num, den = start.upper() if start.q else (2 * start.p + 1, 2 * start.r)
+    g = math.gcd(num, den)
+    return (num // g, den // g) if num < den else None
+
+
+def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
+    """The boxes and the band quads of every edge over [0, H] for the
+    horizon H = num / den, with each vertex's source at z = 0 and its
+    position at time H at z = 1, all scaled by den onto ints."""
+    num, den = horizon
+    tracks = []
+    for m in range(0, len(cs), 4):
+        px, py, qx, qy = cs[m : m + 4]
+        x, y = den * px, den * py
+        tracks.append(((x, y, 0), (x + num * (qx - px), y + num * (qy - py), 1)))
+    bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
+    return [_box(band) for band in bands], bands
+
+
+def _apart_before(horizon, i: int, j: int) -> bool:
+    """Whether edges i and j have no common point at any time t in [0, H],
+    from their boxes and band quads over [0, H] (`_horizon_bands`): edge i
+    at t lies in the section at z = t / H of the tetrahedron on its band
+    quad over [0, H], and `_sections_apart` decides whether two such
+    tetrahedra are disjoint."""
+    boxes, bands = horizon
+    (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[i], boxes[j]
+    if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+        return True
+    return _sections_apart(_xy_differences(bands[i], bands[j]))
+
 
 # ---------------------------------------------------------------------------
 # convex chord rule, rotations, similarity
@@ -495,10 +611,10 @@ def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
     when the edge turns by less than pi, right chord when by more, right by
     convention at exactly pi.  The result is verified before being returned;
     a verification failure here is a bug and raises loudly."""
-    inst.validate()
+    frame = inst.validate()
     if not inst.source.is_convex() or not inst.target.is_convex():
         raise PreconditionError("convex_chord_rule requires convex polygons")
-    verdict = planarity_preserving(inst, validate=False)
+    verdict = _decide(*frame)
     if not verdict.preserved:
         raise PreconditionError(
             f"convex_chord_rule requires a planarity-preserving morph; violated at {verdict.interval}"

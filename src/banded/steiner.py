@@ -64,12 +64,16 @@ def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     of one build, keyed by the two layers (so an int and the equal
     `Fraction` share a key); a stored None is an UNSAT verdict."""
     key = (lower, upper)
-    if key not in memo:
+    # one hash of the key per call, since Fraction coordinates hash slowly;
+    # False marks a gap not solved yet
+    verdict = memo.get(key, False)
+    if verdict is False:
         inst = SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
         n, clauses = build_clauses(inst, build_conflict_table(inst))
         result = solve_2sat(n, clauses)
-        memo[key] = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
-    return memo[key]
+        verdict = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
+        memo[key] = verdict
+    return verdict
 
 
 def _layer_budget(n: int) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ import quadfield_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banded import geometry, model, morph
+from banded import geometry, model, morph, quadfield
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
 from banded.figures import fig3b_sat_nonplanar, fig7_star
 from banded.generators import (
@@ -322,8 +323,10 @@ def _position(m, t) -> Point2:
 
 class TestContactFallback:
     def test_integer_contact_matches_segments_intersect(self, monkeypatch):
-        # every time at which the decision tests an edge pair in the golden
-        # stream: its events, its piece samples and its tightening midpoints
+        # every time at which the exhaustive scan tests an edge pair in the
+        # golden stream: its events, its piece samples and its tightening
+        # midpoints; the first-run scan tests a subset of them, which misses
+        # the collinear disjoint case on this stream
         seen = []
         original = morph._predicate
 
@@ -340,8 +343,11 @@ class TestContactFallback:
             return record
 
         monkeypatch.setattr(morph, "_predicate", recording)
-        for seed in range(200):
-            planarity_preserving(drawn(seed), validate=False)
+        with _exhaustive():
+            for seed in range(200):
+                planarity_preserving(drawn(seed), validate=False)
+        # as many as the scan of every run that the first-run scan replaced
+        assert len(seen) == 16781
         cases = {"zero-length edge": 0, "collinear overlap": 0, "collinear disjoint": 0, "endpoint touch": 0}
         for points, t, got in seen:
             e0, e1, f0, f1 = p = [_position(m, _reference_time(t)) for m in points]
@@ -353,6 +359,16 @@ class TestContactFallback:
             elif got and 0 in (orient2d(e0, e1, f0), orient2d(e0, e1, f1), orient2d(f0, f1, e0), orient2d(f0, f1, e1)):
                 cases["endpoint touch"] += 1
         assert all(cases.values()), cases
+
+
+@contextlib.contextmanager
+def _exhaustive():
+    """Turn off the horizon dismissal and the piece cut-off, so that the
+    scan walks every piece of every candidate that the other filters keep."""
+    with mock.patch.object(morph, "_horizon", lambda start: None), mock.patch.object(
+        morph, "_walked_past", lambda t, bound: False
+    ):
+        yield
 
 
 def _scan(inst):
@@ -610,16 +626,23 @@ def grid_morphs(draw):
 
 
 def test_dismissal_keeps_every_verdict():
-    # dismissing the candidates of constant sign and the edge pairs whose
-    # band tetrahedra are apart, and deciding planar affine targets without
-    # a scan, changes no verdict and no bit of a witness interval: compare
-    # with a scan of every candidate of every box pair
-    apart = morph._sections_apart
-    dismissed = Counter()
+    # dismissing the candidates of constant sign, the edge pairs whose band
+    # tetrahedra are apart and those apart before the horizon, cutting each
+    # candidate's walk off after its first run or past the best start, and
+    # deciding planar affine targets without a scan, changes no verdict and
+    # no bit of a witness interval: compare with a scan of every piece of
+    # every candidate of every box pair
+    apart, before = morph._sections_apart, morph._apart_before
+    dismissed, horizon = Counter(), Counter()
 
     def counted(d):
         verdict = apart(d)
         dismissed[verdict] += 1
+        return verdict
+
+    def counted_before(h, i, j):
+        verdict = before(h, i, j)
+        horizon[verdict] += 1
         return verdict
 
     @settings(max_examples=200, deadline=None)
@@ -631,17 +654,21 @@ def test_dismissal_keeps_every_verdict():
     @example(_instance([(1, 2), (4, 2), (1, 4), (1, 3)], [(2, 2), (1, 4), (0, 0), (1, 3)]))
     @example(_instance([(1, 0), (2, 2), (3, 4), (1, 3)], [(0, 1), (1, 1), (4, 0), (4, 2)]))
     def check(inst):
-        with mock.patch.object(morph, "_sections_apart", counted):
+        with mock.patch.object(morph, "_sections_apart", counted), mock.patch.object(
+            morph, "_apart_before", counted_before
+        ):
             fast = planarity_preserving(inst)
         with mock.patch.object(morph, "_constant_sign", lambda q: 0), mock.patch.object(
             morph, "_sections_apart", lambda d: False
-        ):
+        ), _exhaustive():
             slow = _scan(inst)
         assert _verdict_tuple(fast) == _verdict_tuple(slow)
 
     check()
-    # the tetrahedra test dismissed pairs, so the comparison is not vacuous
+    # both tetrahedra tests dismissed pairs, so the comparison is not vacuous
+    # (the horizon test only runs on violated morphs, after a first run)
     assert dismissed[True] > 100, dismissed
+    assert horizon[True] > 10, horizon
 
 
 def test_dismissed_edge_pairs_never_meet():
@@ -662,6 +689,65 @@ def test_dismissed_edge_pairs_never_meet():
             for pts in snapshots:
                 assert not segments_intersect_2d(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])
 
+    check()
+    assert tally["apart"] > 100, tally
+
+
+def test_first_run_scan_isolates_few_roots():
+    # on a violated morph between independent stars (n = 40), the first-run
+    # scan isolates the roots of well under half the quadratics that the
+    # scan of every piece of every candidate isolates, with the same verdict
+    rng = random.Random(0)
+    source, target = random_polygon(rng, 40, "star"), random_polygon(rng, 40, "star")
+    inst = SliceInstance(LabeledPolygon(source.vertices, 0), LabeledPolygon(target.vertices, 1))
+    calls = []
+    original = quadfield.roots_in_open_interval
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    with mock.patch.object(quadfield, "roots_in_open_interval", counted):
+        first = _scan(inst)
+        first_calls = len(calls)
+        with _exhaustive():
+            every = _scan(inst)
+    every_calls = len(calls) - first_calls
+    assert not first.preserved
+    assert _verdict_tuple(first) == _verdict_tuple(every)
+    assert 4 * first_calls < every_calls, (first_calls, every_calls)
+
+
+# horizons H = `_horizon(start)` for the rational starts 1/4 and 3/4
+# (H = start + 1/32) and for the irrational start 1/sqrt(2) (H = the upper
+# end of its bracket)
+HORIZONS = [morph._horizon(ExactTime(a, 16)) for a in (4, 12)] + [
+    morph._horizon(roots_in_open_interval(-1, 0, 2, 1)[0])
+]
+
+
+def test_horizon_dismissed_edge_pairs_never_meet():
+    # an edge pair that `_apart_before` dismisses for a horizon H has no
+    # common point at any snapshot t = k/64 <= H
+    tally = Counter()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(generated_instances(), grid_morphs()))
+    def check(inst):
+        n = inst.n
+        _k, cs, _fit = model._frame(inst)
+        snapshots = [(Fraction(k, 64), morph_position(inst, Fraction(k, 64)).vertices) for k in range(65)]
+        for num, den in HORIZONS:
+            horizon = morph._horizon_bands(cs, (num, den))
+            for i, j in itertools.combinations(range(n), 2):
+                if not morph._apart_before(horizon, i, j):
+                    continue
+                tally["apart"] += 1
+                for t, pts in snapshots:
+                    if t * den <= num:
+                        assert not segments_intersect_2d(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])
+
+    assert all(num < den for num, den in HORIZONS), HORIZONS
     check()
     assert tally["apart"] > 100, tally
 
@@ -703,6 +789,45 @@ class TestConvexChordRule:
 
     def test_requires_planar_morph(self):
         with pytest.raises(PreconditionError):
+            convex_chord_rule(fig3b_sat_nonplanar().instance)
+
+    @pytest.mark.parametrize("name", ["translation", "kite", "fig3b"])
+    def test_frames_the_instance_once(self, name):
+        # validation's frame and fit serve the decision too: one `_frame`
+        # call per rule call, whether the morph is affine, is scanned, or is
+        # violated and raises
+        kite = tuple(Point2(x, y) for x, y in ((0, 0), (5, 0), (4, 4), (0, 4)))
+        inst = {
+            "translation": SliceInstance(LabeledPolygon(SQUARE, 0), LabeledPolygon(SQUARE, 1).translated(3, 2)),
+            "kite": SliceInstance(LabeledPolygon(SQUARE, 0), LabeledPolygon(kite, 1)),
+            "fig3b": fig3b_sat_nonplanar().instance,
+        }[name]
+        calls = []
+        original = model._frame
+
+        def counted(i):
+            calls.append(i)
+            return original(i)
+
+        with mock.patch.object(model, "_frame", counted), mock.patch.object(morph, "_frame", counted):
+            try:
+                convex_chord_rule(inst)
+            except PreconditionError:
+                assert name == "fig3b"
+        assert len(calls) == 1
+
+    def test_errors_in_order(self):
+        # an invalid instance is reported before a non-convex one, and a
+        # non-convex one before a non-planar morph
+        bowtie = tuple(Point2(x, y) for x, y in ((0, 0), (4, 4), (4, 0), (0, 4)))
+        with pytest.raises(InputError):
+            convex_chord_rule(SliceInstance(LabeledPolygon(SQUARE, 0), LabeledPolygon(bowtie, 1)))
+        dart = tuple(Point2(x, y) for x, y in ((0, 0), (4, 0), (1, 1), (0, 4)))
+        half_turn = SliceInstance(LabeledPolygon(dart, 0), LabeledPolygon(tuple(Point2(-p.x, -p.y) for p in dart), 1))
+        assert not planarity_preserving(half_turn).preserved
+        with pytest.raises(PreconditionError, match="convex polygons"):
+            convex_chord_rule(half_turn)
+        with pytest.raises(PreconditionError, match="planarity-preserving"):
             convex_chord_rule(fig3b_sat_nonplanar().instance)
 
     def test_alternation_vertices_stay_locally_convex(self):
