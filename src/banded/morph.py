@@ -277,7 +277,7 @@ def _sorted_unique_events(events):
     return out
 
 
-def _compare_apart(t: ExactTime, u: ExactTime) -> int:
+def _compare_copies(t: ExactTime, u: ExactTime) -> int:
     """Sign of t - u, decided on copies when both are irrational, so that
     neither bracket is refined: a time's bracket then depends only on its
     own candidate's work."""
@@ -295,7 +295,7 @@ def _copy(t: ExactTime) -> ExactTime:
 def _walked_past(t: ExactTime, bound: ExactTime | None) -> bool:
     """Whether a piece that starts at t starts strictly after `bound`, so
     that no run of it or of a later piece can come first."""
-    return bound is not None and _compare_apart(t, bound) > 0
+    return bound is not None and _compare_copies(t, bound) > 0
 
 
 @dataclass
@@ -475,7 +475,7 @@ def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
         if run is None:
             return
         candidate = (run, kind, subjects, predicate)
-        if best is None or (_compare_apart(run.start, best[0].start) or _tiebreak(candidate, best)) < 0:
+        if best is None or (_compare_copies(run.start, best[0].start) or _tiebreak(candidate, best)) < 0:
             best, stale = candidate, True
 
     # angle collapse at each vertex (adjacent edge pairs)
