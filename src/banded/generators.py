@@ -251,7 +251,7 @@ def random_polygon(rng: random.Random, n: int, kind: str) -> LabeledPolygon:
     if kind == "star":
         return random_star_polygon(rng, n)
     if kind == "spiral":
-        return random_spiral_polygon(rng, max(n, 6))
+        return random_spiral_polygon(rng, n)
     raise PreconditionError(f"unknown polygon kind {kind!r}")
 
 

@@ -282,14 +282,21 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     over unchanged; integer coordinates make the exact predicates much faster.
     The coordinates come back as ints even when the factor is 1: integral
     `Fraction` values cost as much in arithmetic as any other `Fraction`.
+    An instance already on ints is returned as it is.
     """
-    polys = (inst.source, inst.target)
-    _, cs = _integer_axis([c for poly in polys for p in poly.vertices for c in (p.x, p.y)])
-    points = [Point2(x, y) for x, y in zip(cs[::2], cs[1::2])]
-    n = inst.n
+    ends = zip(inst.source.vertices, inst.target.vertices)
+    values = [c for p, q in ends for c in (p.x, p.y, q.x, q.y)]
+    if all(type(c) is int for c in values):
+        return inst
+    return _integer_instance(inst, _integer_axis(values)[1])
+
+
+def _integer_instance(inst: SliceInstance, cs: list[int]) -> SliceInstance:
+    """The instance on the scaled coordinates cs of `_frame` (px, py, qx,
+    qy of every vertex in turn), at its own z levels."""
     return SliceInstance(
-        LabeledPolygon(tuple(points[:n]), inst.source.z_level),
-        LabeledPolygon(tuple(points[n:]), inst.target.z_level),
+        LabeledPolygon(tuple(map(Point2, cs[0::4], cs[1::4])), inst.source.z_level),
+        LabeledPolygon(tuple(map(Point2, cs[2::4], cs[3::4])), inst.target.z_level),
     )
 
 

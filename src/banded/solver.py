@@ -32,6 +32,7 @@ from .model import (
     SliceInstance,
     VerificationReport,
     _QUAD_TRIPLES,
+    _integer_instance,
     assignment_to_surface,
     scaled_to_integers,
     verify_banded_surface,
@@ -83,15 +84,18 @@ def conflicts(inst: SliceInstance, i: int, c_i: Chord, j: int, c_j: Chord) -> bo
 
 @dataclass(frozen=True)
 class ConflictTable:
-    """Precomputed conflict structure of an instance.
+    """The conflicts of an instance, and nothing else.
 
-    self_conflicts[(i, c)] is True when the two triangles of choice (i, c)
-    overlap each other (a folded coplanar quad); pairs[(i, j)][ci][cj] holds
-    the cross-band conflicts for i < j with index 0 = Right, 1 = Left.
+    self_conflicts holds the folded choices (i, c), those whose two
+    triangles overlap each other (a coplanar quad), per band left before
+    right.  pairs[(i, j)][ci][cj] holds the cross-band conflicts for i < j
+    with index 0 = Right, 1 = Left, for the pairs with at least one, in
+    sorted key order; an absent pair is conflict-free.  Both are in the
+    order of the clauses that `build_clauses` emits.
     """
 
     n: int
-    self_conflicts: dict
+    self_conflicts: tuple
     pairs: dict
 
 
@@ -173,12 +177,10 @@ def _pair_conflicts(a, b):
     if _sections_apart(d):
         return _NO_CONFLICT
     (rr, rl), (lr, ll) = _PLANAR_TESTS
-    mat = (
+    return (
         (_planar_choices_meet(d, rr), _planar_choices_meet(d, rl)),
         (_planar_choices_meet(d, lr), _planar_choices_meet(d, ll)),
     )
-    # the shared all-False matrix lets `build_clauses` skip the pair
-    return _NO_CONFLICT if mat == _NO_CONFLICT else mat
 
 
 def _planar_choices_meet(d, tests) -> bool:
@@ -204,11 +206,10 @@ def _band_pair_conflicts(a, b):
     # b_sides[k][m]: b's triangle m against a's plane k, and the converse
     b_sides = [_TRIANGLE_SIDES[_plane_sides(_plane(*t), b)] for t in ta]
     a_sides = [_TRIANGLE_SIDES[_plane_sides(_plane(*t), a)] for t in tb]
-    mat = tuple(
+    return tuple(
         tuple(_choices_meet(ta, a_sides, tb, b_sides, tests) for tests in row)
         for row in _CHOICE_TESTS
     )
-    return _NO_CONFLICT if mat == _NO_CONFLICT else mat
 
 
 def _choices_meet(ta, a_sides, tb, b_sides, tests) -> bool:
@@ -226,7 +227,8 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
     separate them: every quad spans the full height).  `_pair_conflicts`
     runs only on the pairs whose boxes meet, as `geometry._box_pairs` finds
-    them; every other pair is recorded conflict-free.
+    them, and only a pair with a conflict is kept; the kept pairs are
+    sorted by key once at the end.
     It routes each pair on its 8 xy differences: a pair with no vertex
     shared by value is decided in the plane, from subsets of those
     differences; a pair that shares a path edge, with a plane through the
@@ -237,29 +239,32 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     A band's two chord triangles share the chord.  When the quad is not
     coplanar they lie in crossing planes, so they meet only on the chord,
     and the choice has no self-conflict; only coplanar quads are tested,
-    through `geometry._triangles_meet` on the quad's own vertex triples.
+    through `geometry._triangles_meet` on the quad's own vertex triples,
+    left chord before right.
     """
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
     scaled = scaled_to_integers(inst)
     bands = [scaled.band_quad(i) for i in range(n)]
-    self_conflicts = {}
+    self_conflicts = []
     boxes = []
     for i, band in enumerate(bands):
-        tris = _quad_triangles(band) if orient3d(*band) == 0 else None
-        for c, k in ((Chord.RIGHT, 0), (Chord.LEFT, 2)):
-            self_conflicts[(i, c)] = tris is not None and _triangles_meet(
-                tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE
-            )
+        if orient3d(*band) == 0:
+            tris = _quad_triangles(band)
+            for c, k in ((Chord.LEFT, 2), (Chord.RIGHT, 0)):
+                if _triangles_meet(tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE):
+                    self_conflicts.append((i, c))
         xs = [p[0] for p in band]
         ys = [p[1] for p in band]
         boxes.append((min(xs), max(xs), min(ys), max(ys)))
-    pairs = dict.fromkeys(((i, j) for i in range(n) for j in range(i + 1, n)), _NO_CONFLICT)
+    pairs = []
     for j, k in _box_pairs(boxes):
         a, b = (j, k) if j < k else (k, j)
-        pairs[(a, b)] = _pair_conflicts(bands[a], bands[b])
-    return ConflictTable(n, self_conflicts, pairs)
+        mat = _pair_conflicts(bands[a], bands[b])
+        if mat != _NO_CONFLICT:
+            pairs.append(((a, b), mat))
+    return ConflictTable(n, tuple(self_conflicts), dict(sorted(pairs)))
 
 
 def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
@@ -267,9 +272,9 @@ def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
 
     Variable i is True iff band i takes the right chord, so each conflict
     (i, ci), (j, cj) gives the clause "not ci on i or not cj on j".  The
-    self-conflicts come first, per band left before right (the order of the
-    chords' values), then the pairs in key order, which `dict.fromkeys` in
-    `build_conflict_table` already builds sorted.
+    clauses follow the table's order, which `build_conflict_table` sets:
+    the self-conflicts first, per band left before right (the order of the
+    chords' values), then the conflicting pairs in sorted key order.
     """
     if table is None:
         table = build_conflict_table(inst)
@@ -277,13 +282,10 @@ def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
     # the conflict matrices' indices (0 = Right, 1 = Left)
     nots = [(Literal(i, True), Literal(i, False)) for i in range(table.n)]
     clauses = []
-    for i, (not_right, not_left) in enumerate(nots):
-        for c, lit in ((Chord.LEFT, not_left), (Chord.RIGHT, not_right)):
-            if table.self_conflicts[(i, c)]:
-                clauses.append(Clause2(lit, lit))
+    for i, c in table.self_conflicts:
+        lit = nots[i][c is Chord.LEFT]
+        clauses.append(Clause2(lit, lit))
     for (i, j), mat in table.pairs.items():
-        if mat is _NO_CONFLICT:
-            continue
         not_i, not_j = nots[i], nots[j]
         for lit, (right, left) in zip(not_i, mat):
             if right:
@@ -319,11 +321,12 @@ def solve_no_steiner(inst: SliceInstance, *, validate: bool = True) -> SolveOutc
 
     On SAT the surface is re-certified by the independent verifier; a failure
     there means the conflict predicate and the verifier disagree, which is a
-    bug worth crashing over.
+    bug worth crashing over.  The conflict table is built on the integer
+    frame that validation computes; with `validate=False` there is none,
+    and `build_conflict_table` scales the instance itself, so either way
+    the instance is scaled once.
     """
-    if validate:
-        inst.validate()
-    table = build_conflict_table(inst)
+    table = build_conflict_table(_integer_instance(inst, inst.validate()[1]) if validate else inst)
     n, clauses = build_clauses(inst, table)
     result = solve_2sat(n, clauses)
     if not result.satisfiable:

@@ -299,8 +299,7 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
     stays within 2n(n-3)+12 for n <= 12.  See the module docstring for what
     is observed rather than proven.
     """
-    inst.validate()
-    direct = solve_no_steiner(inst, validate=False)
+    direct = solve_no_steiner(inst)
     if direct.satisfiable:
         return direct.surface
 

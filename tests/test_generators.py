@@ -24,6 +24,15 @@ def test_unknown_polygon_kind_is_a_precondition_error():
         random_polygon(random.Random(0), 5, "hexagon")
 
 
+@pytest.mark.parametrize("kind", ["convex", "star", "spiral"])
+def test_random_polygon_has_n_vertices(kind):
+    # spirals with n = 3..5 used to come back as 6-gons
+    for n in range(3, 13):
+        poly = random_polygon(random.Random(n), n, kind)
+        assert poly.n == n
+        poly.validate()
+
+
 def test_star_with_more_vertices_than_directions_is_a_precondition_error():
     # 368 primitive directions lie in [-12, 12]^2; n = 369 used to draw forever
     assert len(random_star_polygon(random.Random(0), 368).vertices) == 368

@@ -91,6 +91,8 @@ class TestTypes:
             for poly in (scaled.source, scaled.target):
                 for p in poly.vertices:
                     assert type(p.x) is int and type(p.y) is int
+            # an instance already on ints comes back as it is
+            assert scaled_to_integers(scaled) is scaled
 
 
 # ---------------------------------------------------------------------------

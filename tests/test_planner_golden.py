@@ -85,7 +85,7 @@ GOLDEN = {
     "c7_11": ("_squash_plan", "56026c2638b88d34be8ddb20b09de0dfafdde162ed373fab9062f896f9052a20"),
     "c7_14": ("_squash_plan", "f50b97ca391f4d5ec51edc86d0afa1cf4fa597ad8d8e3b7dc53e3341c1c8afce"),
     "c7_21": ("_squash_plan", "dd5872f4d75f5535eb6c3f13a8d3dba42d83b0252a1b7a04ba12655a1735afa9"),
-    "c7_83": ("_squash_plan", "160802a4dab03c0e9f3f9999010226ea24232beda268e66374b2677b20957482"),
+    "c7_83": ("direct", "94f4bc89138e08618c0b2baef9dea1ab1c9fbda138bea14680d26bd99d6115a0"),
     "star_505_3": ("_squash_plan", "f58a1c2dff38e95d8349149c74764e94fd4b413e087cd4ed32a802b96b9328a2"),
     "star_505_2": ("_squash_plan", "7c54617048f630770e65d3da4040019bb1061819d3a3dbac579d661a14c9f052"),
     "star_505_10": ("_squash_plan", "e111cc4faf1f8a126d9bf75235e0dc9c70834a4b93ed609a26a84f4ac43f7e21"),

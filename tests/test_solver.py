@@ -8,7 +8,7 @@ from geometry_reference import is_degenerate, segment_triangle_contact_3d
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from banded import geometry, solver, twosat
+from banded import geometry, model, solver, twosat
 from banded.errors import PreconditionError
 from banded.figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
 from banded.generators import (
@@ -223,6 +223,20 @@ def unvalidated_instances(rng, count):
     return out
 
 
+def pair_matrix(table, i, j):
+    """The conflict matrix of bands i and j, rows for band i, read from the
+    sparse table with an absent pair as conflict-free."""
+    if i < j:
+        return table.pairs.get((i, j), solver._NO_CONFLICT)
+    return tuple(zip(*pair_matrix(table, j, i)))
+
+
+def chord_order(choice):
+    """Sort key of a (band, chord) choice: by band, then left before right."""
+    i, c = choice
+    return i, c.value
+
+
 @functools.cache
 def conflict_table_corpus():
     """(label, instance) pairs: figures, coplanar walls, every target style
@@ -335,17 +349,25 @@ class TestConflicts:
         branches = Counter()
         for (label, inst), table in zip(instances, tables):
             branches += kernel_branches(inst, label)
-            assert sorted(table.pairs) == [
-                (i, j) for i in range(inst.n) for j in range(i + 1, inst.n)
-            ]
-            for (i, j), mat in table.pairs.items():
+            # the table stores exactly the conflicts: sorted pairs i < j,
+            # none all False, and an absent pair reads as conflict-free
+            every_pair = [(i, j) for i in range(inst.n) for j in range(i + 1, inst.n)]
+            assert list(table.pairs) == sorted(table.pairs)
+            assert set(table.pairs) <= set(every_pair)
+            assert all(any(map(any, mat)) for mat in table.pairs.values())
+            for i, j in every_pair:
+                mat = pair_matrix(table, i, j)
                 for ci in Chord:
                     for cj in Chord:
                         idx = (0 if ci is Chord.RIGHT else 1, 0 if cj is Chord.RIGHT else 1)
                         assert mat[idx[0]][idx[1]] == conflicts(inst, i, ci, j, cj), (label, inst)
-            for (i, c), folded in table.self_conflicts.items():
-                assert folded == open_triangles_intersect_3d(*chord_triangles(inst, i, c).triangles)
-                branches["folded quad"] += folded
+            # the folded choices, per band left before right
+            assert list(table.self_conflicts) == sorted(table.self_conflicts, key=chord_order)
+            for i in range(inst.n):
+                for c in Chord:
+                    folded = open_triangles_intersect_3d(*chord_triangles(inst, i, c).triangles)
+                    assert ((i, c) in table.self_conflicts) == folded
+                    branches["folded quad"] += folded
         for inst in (pinned, turned):
             assert build_conflict_table(inst).pairs[(0, 3)] == ((True, True), (True, True))
 
@@ -623,9 +645,8 @@ def reference_clauses(table):
         return Literal(i, negated=c is Chord.LEFT)
 
     clauses = []
-    for (i, c), bad in sorted(table.self_conflicts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        if bad:
-            clauses.append(Clause2(~chosen(i, c), ~chosen(i, c)))
+    for i, c in sorted(table.self_conflicts, key=chord_order):
+        clauses.append(Clause2(~chosen(i, c), ~chosen(i, c)))
     for (i, j), mat in sorted(table.pairs.items()):
         for ci, row in zip(Chord, mat):
             for cj, bad in zip(Chord, row):
@@ -707,13 +728,10 @@ def test_conflict_table_under_relabelling_translation_and_scaling(seed, n, kind,
 
     relabelled = _relabelled(inst, k)
     shifted = build_conflict_table(relabelled)
-    assert sorted(shifted.pairs) == sorted(table.pairs)
-    for (i, j), mat in shifted.pairs.items():
-        a, b = (i + k) % n, (j + k) % n
-        assert mat == (table.pairs[(a, b)] if a < b else tuple(zip(*table.pairs[(b, a)])))
-    assert shifted.self_conflicts == {
-        (i, c): table.self_conflicts[((i + k) % n, c)] for i, c in shifted.self_conflicts
-    }
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert pair_matrix(shifted, i, j) == pair_matrix(table, (i + k) % n, (j + k) % n)
+    assert set(shifted.self_conflicts) == {((i - k) % n, c) for i, c in table.self_conflicts}
 
     moved = _moved(inst, scale, dx, dy)
     moved_table = build_conflict_table(moved)
@@ -723,6 +741,25 @@ def test_conflict_table_under_relabelling_translation_and_scaling(seed, n, kind,
     verdict = solve_no_steiner(inst).satisfiable
     assert solve_no_steiner(relabelled).satisfiable == verdict
     assert solve_no_steiner(moved).satisfiable == verdict
+
+
+def test_unsat_solve_frames_the_instance_once(monkeypatch):
+    # validation computes the joint integer frame and the conflict table is
+    # built on it, so `scaled_to_integers` finds the instance on ints and
+    # takes no second lcm; `LabeledPolygon.validate` scales each polygon
+    # through `geometry` on its own, which is not counted here
+    inst = _moved(fig3a_no_surface().instance, Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
+    assert any(type(p.x) is Fraction for p in inst.source.vertices)
+    calls = Counter()
+    for name in ("_frame", "_integer_axis"):
+
+        def counted(*args, _name=name, _inner=getattr(model, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(model, name, counted)
+    assert not solve_no_steiner(inst).satisfiable
+    assert calls == {"_frame": 1, "_integer_axis": 1}
 
 
 def _mirrored(inst):
@@ -746,15 +783,13 @@ def test_verdicts_under_mirror_and_reversal(seed, n, kind):
     image.validate()
     n = inst.n
     table, mirrored = build_conflict_table(inst), build_conflict_table(image)
-    for (i, j), mat in mirrored.pairs.items():
-        a, b = (n - 2 - i) % n, (n - 2 - j) % n
-        old = table.pairs[(a, b)] if a < b else tuple(zip(*table.pairs[(b, a)]))
-        # right and left exchange, so both indices flip
-        assert mat == tuple(tuple(row[::-1]) for row in old[::-1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            old = pair_matrix(table, (n - 2 - i) % n, (n - 2 - j) % n)
+            # right and left exchange, so both indices flip
+            assert pair_matrix(mirrored, i, j) == tuple(tuple(row[::-1]) for row in old[::-1])
     other = {Chord.RIGHT: Chord.LEFT, Chord.LEFT: Chord.RIGHT}
-    assert mirrored.self_conflicts == {
-        (i, c): table.self_conflicts[((n - 2 - i) % n, other[c])] for i, c in mirrored.self_conflicts
-    }
+    assert set(mirrored.self_conflicts) == {((n - 2 - i) % n, other[c]) for i, c in table.self_conflicts}
     assert solve_no_steiner(image).satisfiable == solve_no_steiner(inst).satisfiable
     assert planarity_preserving(image).preserved == planarity_preserving(inst).preserved
 

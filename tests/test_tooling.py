@@ -48,13 +48,17 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
     assert metrics["model.verify_banded_surface.calls"] == 2
     assert metrics["model.cross_section.calls"] == 2
     # the planner's counters read `morph_position` and `similarity_witness`
-    # through the function-body imports in `steiner`
+    # through the function-body imports in `steiner`; the table and clause
+    # counters read the `solver` and `steiner` bindings that the tracer wraps
     for name in (
         "steiner.gap_solves",
         "steiner.morph_snapshots",
         "steiner.rotation_probes",
         "steiner.polygon_is_simple.calls",
         "solver.solve_no_steiner.calls",
+        "solver.build_conflict_table.calls",
+        "steiner.full_table_gaps",
+        "solver.clauses",
         "twosat.solve_2sat.calls",
         "morph.planarity_preserving.total_s",
         "quadfield.roots_in_open_interval.calls",
