@@ -1,5 +1,8 @@
 """Command-line interface.
 
+Each command that reads an instance hands it to its entry point, which
+validates it once; only `check` calls `SliceInstance.validate` itself.
+
 Exit codes: 0 success / positive verdict, 1 invalid input, 2 negative
 mathematical verdict (no surface, morph violated, verification failed,
 non-simple section), 3 usage error or unmet precondition, 4 internal error
@@ -81,26 +84,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_instance(path):
-    inst = fileio.load_instance(path)
-    inst.validate()
-    return inst
-
-
 def _export(surface, path) -> None:
     fmt = "obj" if str(path).lower().endswith(".obj") else "off"
     fileio.export_mesh(surface, fmt, path)
 
 
 def _cmd_check(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = fileio.load_instance(args.instance)
+    inst.validate()
     print(f"ok: {inst.n} vertices, both polygons simple and counterclockwise")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
-    outcome = solve_no_steiner(inst, validate=False)
+    inst = fileio.load_instance(args.instance)
+    outcome = solve_no_steiner(inst)
     if args.brute_force:
         oracle = brute_force_assignments(inst)
         if outcome.satisfiable != bool(oracle):
@@ -119,8 +117,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_steiner(args) -> int:
-    inst = _load_instance(args.instance)
-    surface = build_layered_surface(inst)
+    surface = build_layered_surface(fileio.load_instance(args.instance))
     print(f"steiner points: {surface.steiner_count()}")
     if args.export:
         _export(surface, args.export)
@@ -129,7 +126,7 @@ def _cmd_steiner(args) -> int:
 
 
 def _cmd_morph_check(args) -> int:
-    # the decision validates, on the integer frame and affine fit it reuses
+    # the decision validates, as every entry point does
     verdict = planarity_preserving(fileio.load_instance(args.instance))
     if verdict.preserved:
         print("preserved")
@@ -141,8 +138,7 @@ def _cmd_morph_check(args) -> int:
 
 
 def _cmd_convex_rule(args) -> int:
-    inst = _load_instance(args.instance)
-    print(convex_chord_rule(inst))
+    print(convex_chord_rule(fileio.load_instance(args.instance)))
     return EXIT_OK
 
 

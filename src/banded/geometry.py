@@ -186,6 +186,14 @@ def _end_map(u, w, v, z) -> tuple:
     return m, d
 
 
+def _box(band):
+    """The closed xy box (x0, x1, y0, y1) of a band quad's four (x, y, z)
+    points, as `_box_pairs` takes it."""
+    (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) = band
+    xs, ys = (ax, bx, cx, dx), (ay, by, cy, dy)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 def _box_pairs(boxes):
     """Yield (j, k) for every pair of closed xy boxes (x0, x1, y0, y1) in
     `boxes` that meet, touching included, as indices into `boxes`.

@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, _box_pairs, _sections_apart, _xy_differences, ccw_angle
-from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame
+from .geometry import AngleClass, Point2, _box, _box_pairs, _sections_apart, _xy_differences, ccw_angle
+from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
 from .quadfield import ExactTime, midpoint, rational_between
 
 
@@ -373,7 +373,7 @@ def _tighten_run(run: _Run, predicate) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> PlanarityVerdict:
+def planarity_preserving(inst: SliceInstance) -> PlanarityVerdict:
     """Exact decision: do all intermediate polygons of the linear morph stay
     simple (and positively oriented) for t strictly inside (0, 1)?
 
@@ -384,17 +384,15 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     that instant adjacent vertices collapse their angle, and non-adjacent
     ones bring their edges into contact, which the scans already find.
 
-    The decision reuses the integer frame and affine fit that
-    `SliceInstance.validate` returns; `validate=False` means the caller
-    vouches for a valid instance, as `convex_chord_rule` does by validating
-    first, and the frame and fit are computed here by the same `_frame`.
-    A target that is A p + v of the source points p, with A free of
-    eigenvalues in (-inf, 0], is decided in O(n) without a scan: the
-    snapshot at t is the source mapped by (1 - t) I + tA, whose determinant
-    stays positive on [0, 1], and then translated, so it is simple and
-    counterclockwise like the source.  The fit that validation needs for
-    the target is the one this test reads, so such a pair costs one source
-    sweep and one O(n) fit.
+    The instance is validated first (`SliceInstance.validate` raises
+    `InputError` on an invalid one), and the decision reuses the integer
+    frame and affine fit that validation returns.  A target that is A p + v
+    of the source points p, with A free of eigenvalues in (-inf, 0], is
+    decided in O(n) without a scan: the snapshot at t is the source mapped
+    by (1 - t) I + tA, whose determinant stays positive on [0, 1], and then
+    translated, so it is simple and counterclockwise like the source.  The
+    fit that validation needs for the target is the one this test reads, so
+    such a pair costs one source sweep and one O(n) fit.
 
     Every other instance is scanned.  Only non-adjacent edges whose swept
     boxes meet are examined, and of those only the pairs whose band
@@ -430,7 +428,7 @@ def planarity_preserving(inst: SliceInstance, *, validate: bool = True) -> Plana
     and witness interval is the one a scan of every piece of every
     candidate gives.
     """
-    return _decide(*(inst.validate() if validate else _frame(inst)))
+    return _decide(*inst.validate())
 
 
 def _decide(k: int, cs: list[int], fit) -> PlanarityVerdict:
@@ -542,13 +540,6 @@ def _tiebreak(p, q):
     kp = (p[0].instantaneous, p[1], p[2])
     kq = (q[0].instantaneous, q[1], q[2])
     return -1 if kp < kq else (1 if kp > kq else 0)
-
-
-def _box(band):
-    """The xy box (x0, x1, y0, y1) of a band quad's four points."""
-    (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) = band
-    xs, ys = (ax, bx, cx, dx), (ay, by, cy, dy)
-    return min(xs), max(xs), min(ys), max(ys)
 
 
 def _horizon(start: ExactTime) -> tuple[int, int] | None:

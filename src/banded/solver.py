@@ -16,6 +16,7 @@ from operator import itemgetter
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     _ON_PLANE,
+    _box,
     _box_pairs,
     _plane,
     _plane_sides,
@@ -255,9 +256,7 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
             for c, k in ((Chord.LEFT, 2), (Chord.RIGHT, 0)):
                 if _triangles_meet(tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE):
                     self_conflicts.append((i, c))
-        xs = [p[0] for p in band]
-        ys = [p[1] for p in band]
-        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+        boxes.append(_box(band))
     pairs = []
     for j, k in _box_pairs(boxes):
         a, b = (j, k) if j < k else (k, j)
@@ -267,8 +266,9 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     return ConflictTable(n, tuple(self_conflicts), dict(sorted(pairs)))
 
 
-def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
-    """Clauses whose satisfying assignments are exactly the valid surfaces.
+def build_clauses(table: ConflictTable):
+    """The variable count n and the clauses of a conflict table, whose
+    satisfying assignments are exactly the valid surfaces.
 
     Variable i is True iff band i takes the right chord, so each conflict
     (i, ci), (j, cj) gives the clause "not ci on i or not cj on j".  The
@@ -276,8 +276,6 @@ def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
     the self-conflicts first, per band left before right (the order of the
     chords' values), then the conflicting pairs in sorted key order.
     """
-    if table is None:
-        table = build_conflict_table(inst)
     # per band, its "not right" and "not left" literals, in the order of
     # the conflict matrices' indices (0 = Right, 1 = Left)
     nots = [(Literal(i, True), Literal(i, False)) for i in range(table.n)]
@@ -292,7 +290,7 @@ def build_clauses(inst: SliceInstance, table: ConflictTable | None = None):
                 clauses.append(Clause2(lit, not_j[0]))
             if left:
                 clauses.append(Clause2(lit, not_j[1]))
-    return inst.n, clauses
+    return table.n, clauses
 
 
 @dataclass(frozen=True)
@@ -316,18 +314,18 @@ class SolveOutcome:
         return f"UNSAT (band {w.witness_var} forced both ways{chains})"
 
 
-def solve_no_steiner(inst: SliceInstance, *, validate: bool = True) -> SolveOutcome:
+def solve_no_steiner(inst: SliceInstance) -> SolveOutcome:
     """Find a Steiner-free banded surface or certify that none exists.
 
+    The instance is validated first (`SliceInstance.validate` raises
+    `InputError` on an invalid one), and the conflict table is built on the
+    integer frame that validation computes, so the instance is scaled once.
     On SAT the surface is re-certified by the independent verifier; a failure
     there means the conflict predicate and the verifier disagree, which is a
-    bug worth crashing over.  The conflict table is built on the integer
-    frame that validation computes; with `validate=False` there is none,
-    and `build_conflict_table` scales the instance itself, so either way
-    the instance is scaled once.
+    bug worth crashing over.
     """
-    table = build_conflict_table(_integer_instance(inst, inst.validate()[1]) if validate else inst)
-    n, clauses = build_clauses(inst, table)
+    table = build_conflict_table(_integer_instance(inst, inst.validate()[1]))
+    n, clauses = build_clauses(table)
     result = solve_2sat(n, clauses)
     if not result.satisfiable:
         return SolveOutcome(satisfiable=False, unsat=result)
@@ -342,15 +340,19 @@ def solve_no_steiner(inst: SliceInstance, *, validate: bool = True) -> SolveOutc
     return SolveOutcome(True, assignment, surface, report)
 
 
-def brute_force_assignments(inst: SliceInstance, limit: int = 16) -> list[ChordAssignment]:
-    """Enumerate all 2^n chord assignments and keep those whose surface passes
-    the full verifier.  Independent of the clause/2-SAT machinery.  Each
-    (band, chord) gives the same two faces on every surface, so the
-    verifier's face records and face-pair verdicts are memoised across the
-    enumeration, keyed by the faces' integer vertices."""
+_BRUTE_FORCE_MAX_N = 16
+
+
+def brute_force_assignments(inst: SliceInstance) -> list[ChordAssignment]:
+    """Enumerate all 2^n chord assignments, for n <= 16, and keep those whose
+    surface passes the full verifier; a larger n raises `PreconditionError`.
+    Independent of the clause/2-SAT machinery.  Each (band, chord) gives the
+    same two faces on every surface, so the verifier's face records and
+    face-pair verdicts are memoised across the enumeration, keyed by the
+    faces' integer vertices."""
     n = inst.n
-    if n > limit:
-        raise PreconditionError(f"brute force limited to n <= {limit}, got {n}")
+    if n > _BRUTE_FORCE_MAX_N:
+        raise PreconditionError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
     scaled = scaled_to_integers(inst)
     memo: dict = {}
     valid = []

@@ -69,7 +69,7 @@ def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     verdict = memo.get(key, False)
     if verdict is False:
         inst = SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
-        n, clauses = build_clauses(inst, build_conflict_table(inst))
+        n, clauses = build_clauses(build_conflict_table(inst))
         result = solve_2sat(n, clauses)
         verdict = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
         memo[key] = verdict
@@ -284,9 +284,10 @@ def _squash_plan(inst: SliceInstance, memo: dict) -> list:
 
 
 def build_layered_surface(inst: SliceInstance) -> BandedSurface:
-    """Banded surface for a valid instance, or `InternalConsistencyError`
-    where no plan certifies: the n = 4 dart pair with no common corner
-    triple in tests/test_steiner.py is such a case.
+    """Banded surface for a valid instance, validated by the direct solve
+    (`solve_no_steiner`) first, or `InternalConsistencyError` where no plan
+    certifies: the n = 4 dart pair with no common corner triple in
+    tests/test_steiner.py is such a case.
 
     Strategy ladder, cheapest first, every gap certified by the chord solver:
     the direct chord solution (zero added vertices); interior layers sampled

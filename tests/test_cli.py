@@ -3,11 +3,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from banded import cli
+from banded import cli, model
 from banded.cli import main
 from banded.errors import InternalConsistencyError
 from banded.fileio import save_instance
@@ -73,12 +74,12 @@ class TestExitCodes:
         ],
     )
     def test_morph_check_invalid_target(self, tmp_path, capsys, target, message):
-        # the decision validates: a bowtie target and a clockwise one (the
-        # source reflected, an affine map with det A < 0) are invalid input,
-        # reported as `check` reports them
+        # every entry point validates: a bowtie target and a clockwise one
+        # (the source reflected, an affine map with det A < 0) are invalid
+        # input, reported as `check` reports them
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"P": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]], "Pprime": target}))
-        for command in ("morph-check", "check"):
+        for command in ("morph-check", "check", "solve", "steiner", "convex-rule"):
             assert run(command, str(bad)) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -288,6 +289,36 @@ class TestPipelines:
         bands["paths"][0], bands["paths"][1] = bands["paths"][1], bands["paths"][0]
         Path(str(mesh) + ".bands.json").write_text(json.dumps(bands))
         assert run("verify", str(mesh), "--bands", str(mesh) + ".bands.json") == 2
+
+
+@pytest.mark.parametrize("figure", ["fig1_twisted_prism", "fig3a_no_surface"])
+def test_each_command_validates_once(monkeypatch, capsys, figure):
+    # the entry point validates and the command does not: one integer frame
+    # and one polygon sweep per command (both figures' targets are affine
+    # images of their sources, so only the source is swept)
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(model, "_frame")
+    counted(model.LabeledPolygon, "validate")
+    counted(model, "_integer_axis")
+    for command in ("check", "solve", "steiner", "convex-rule", "morph-check"):
+        calls.clear()
+        run(command, fig(figure))
+        assert (calls["_frame"], calls["validate"]) == (1, 1), command
+        if (command, figure) == ("solve", "fig3a_no_surface"):
+            # the conflict table is built on validation's frame, and an
+            # UNSAT verdict builds no surface to scale
+            assert calls["_integer_axis"] == 1
+    capsys.readouterr()
 
 
 def test_bundled_figures_match_frozen_instances():

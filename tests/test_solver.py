@@ -303,8 +303,7 @@ class TestConflicts:
             conflicts(identity_square(), 1, Chord.RIGHT, 1, Chord.LEFT)
 
     def test_identity_prism_has_no_conflicts(self):
-        inst = identity_square()
-        n, clauses = build_clauses(inst)
+        n, clauses = build_clauses(build_conflict_table(identity_square()))
         assert n == 4 and clauses == []
 
     def test_symmetry(self):
@@ -413,7 +412,7 @@ class TestConflicts:
         inst = fig1_twisted_prism().instance
         for c in Chord:
             assert not conflicts(inst, 0, c, 2, c)
-        n, clauses = build_clauses(inst)
+        n, clauses = build_clauses(build_conflict_table(inst))
         assert n == 3
         res_vars = {cl.first.var for cl in clauses} | {cl.second.var for cl in clauses}
         assert res_vars <= {0, 1, 2}
@@ -461,9 +460,9 @@ class TestBruteForce:
 
     def test_limit(self):
         rng = random.Random(1)
-        inst = random_instance(rng, 5, "convex")
+        inst = random_instance(rng, 17, "convex")
         with pytest.raises(PreconditionError):
-            brute_force_assignments(inst, limit=4)
+            brute_force_assignments(inst)
 
     def test_oracle_equivalence_sample(self):
         rng = random.Random(17)
@@ -684,7 +683,7 @@ def test_clause_path_matches_the_literal_reference():
     outcomes = Counter()
     for _, inst in conflict_table_corpus():
         table = build_conflict_table(inst)
-        n, clauses = build_clauses(inst, table)
+        n, clauses = build_clauses(table)
         expected = reference_clauses(table)
         assert [str(cl) for cl in clauses] == [str(cl) for cl in expected]
         assert clauses == expected

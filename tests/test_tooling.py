@@ -9,6 +9,7 @@ this test makes it break the suite as well.
 """
 
 import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -76,6 +77,8 @@ SHARED = {
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
     "_box_pairs": "geometry.py",
+    # the xy box of a band quad, for the conflict table and the morph scan
+    "_box": "geometry.py",
     "_plane_sides": "geometry.py",
     # the chord split of a band quad, for the surface builder and the
     # conflict table alike
@@ -102,6 +105,18 @@ def test_shared_predicates_and_tables_are_defined_once():
             if name in defined:
                 defined[name].append(path.name)
     assert defined == {name: [module] for name, module in SHARED.items()}
+
+
+def test_entry_points_take_only_the_instance():
+    # each entry point validates its instance, so none takes an option to
+    # skip or repeat that
+    from banded.morph import convex_chord_rule, planarity_preserving
+    from banded.solver import brute_force_assignments, solve_no_steiner
+    from banded.steiner import build_layered_surface
+
+    entries = (solve_no_steiner, planarity_preserving, convex_chord_rule, build_layered_surface, brute_force_assignments)
+    for entry in entries:
+        assert list(inspect.signature(entry).parameters) == ["inst"], entry.__name__
 
 
 def test_package_root_exports_only_documented_names():
