@@ -183,7 +183,6 @@ def export_mesh(
     *,
     include_caps: bool = False,
     floats: bool = False,
-    sidecar: bool = True,
 ) -> None:
     """Write the mesh as OFF or OBJ, plus a `.bands.json` sidecar holding the
     band/path/label structure needed to re-verify after re-import.  When the
@@ -213,15 +212,14 @@ def export_mesh(
         for face in faces:
             lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
     _write_text(path, "\n".join(lines) + "\n")
-    if sidecar:
-        try:
-            save_bands(surface, str(path) + ".bands.json")
-        except InputError:
-            # a mesh without its sidecar cannot be re-verified: leave neither,
-            # and report the sidecar even when the mesh cannot be removed
-            with contextlib.suppress(OSError):
-                Path(path).unlink()
-            raise
+    try:
+        save_bands(surface, str(path) + ".bands.json")
+    except InputError:
+        # a mesh without its sidecar cannot be re-verified: leave neither,
+        # and report the sidecar even when the mesh cannot be removed
+        with contextlib.suppress(OSError):
+            Path(path).unlink()
+        raise
 
 
 def _label_to_doc(label):
@@ -241,6 +239,8 @@ def _label_from_doc(doc, path):
         raise ParseError(f"{path}: unknown label document {doc!r}")
     if not all(type(doc.get(field)) is int for field in fields):
         raise ParseError(f"{path}: label {doc!r} needs integer fields {', '.join(fields)}")
+    if doc[fields[-1]] < 0 or doc["kind"] == "original" and doc["slice"] not in (0, 1):
+        raise ParseError(f"{path}: label {doc!r} is out of range: slice is 0 or 1, {fields[-1]} at least 0")
     if doc["kind"] == "original":
         return OriginalLabel(doc["slice"], doc["index"])
     return SteinerLabel(doc["id"])

@@ -38,6 +38,14 @@ def _primitive_count(spread: int) -> int:
     return sum(math.gcd(x, y) == 1 for x in range(-spread, spread + 1) for y in range(-spread, spread + 1))
 
 
+# Convex polygons draw their edges, and star polygons their ray directions,
+# from [-spread, spread]^2; the counts bound the n each can take.
+_CONVEX_SPREAD = 20
+_CONVEX_MOST = _primitive_count(_CONVEX_SPREAD) + 1  # 1025
+_STAR_SPREAD = 12
+_STAR_MOST = _primitive_count(_STAR_SPREAD)  # 368
+
+
 # Up to this n the n - 1 drawn edges are redrawn together until all n
 # directions differ, the stream that seeded corpora were drawn from; above
 # it a joint redraw almost never succeeds (the draw took seconds at
@@ -45,19 +53,18 @@ def _primitive_count(spread: int) -> int:
 _JOINT_DRAW_MAX_N = 80
 
 
-def random_convex_polygon(rng: random.Random, n: int, spread: int = 20) -> LabeledPolygon:
+def random_convex_polygon(rng: random.Random, n: int) -> LabeledPolygon:
     """Convex CCW n-gon with integer coordinates (edge-vector construction).
-    Its n edges take distinct directions: n - 1 drawn from [-spread,
-    spread]^2 and the closing edge, so n may not exceed one more than the
-    number of primitive vectors there (1025 for spread 20)."""
+    Its n edges take distinct directions: n - 1 drawn from [-20, 20]^2 and
+    the closing edge, so n may not exceed one more than the number of
+    primitive vectors there, 1025."""
     import functools
 
-    most = _primitive_count(spread) + 1
-    if n > most:
-        raise PreconditionError(f"a convex polygon with spread {spread} has at most {most} vertices, not {n}")
+    if n > _CONVEX_MOST:
+        raise PreconditionError(f"a convex polygon has at most {_CONVEX_MOST} vertices, not {n}")
     draw = _joint_edges if n <= _JOINT_DRAW_MAX_N else _one_by_one_edges
     while True:
-        vecs = draw(rng, n, spread)
+        vecs = draw(rng, n, _CONVEX_SPREAD)
         if vecs is None:
             continue
         vecs.sort(key=functools.cmp_to_key(_dir_cmp))
@@ -111,20 +118,19 @@ def _canon_dir(v) -> tuple[int, int]:
     return (v[0] // g, v[1] // g)
 
 
-def random_star_polygon(rng: random.Random, n: int, spread: int = 12) -> LabeledPolygon:
+def random_star_polygon(rng: random.Random, n: int) -> LabeledPolygon:
     """Simple CCW n-gon star-shaped around the origin: distinct ray directions
     in angular order with random integer radii.  The directions are the
-    primitive integer vectors in [-spread, spread]^2, so n may not exceed
-    their number (368 for spread 12)."""
+    primitive integer vectors in [-12, 12]^2, so n may not exceed their
+    number, 368."""
     import functools
 
-    primitive = _primitive_count(spread)
-    if n > primitive:
-        raise PreconditionError(f"a star polygon with spread {spread} has at most {primitive} vertices, not {n}")
+    if n > _STAR_MOST:
+        raise PreconditionError(f"a star polygon has at most {_STAR_MOST} vertices, not {n}")
     while True:
         dirs = set()
         while len(dirs) < n:
-            v = (rng.randint(-spread, spread), rng.randint(-spread, spread))
+            v = (rng.randint(-_STAR_SPREAD, _STAR_SPREAD), rng.randint(-_STAR_SPREAD, _STAR_SPREAD))
             if v != (0, 0):
                 dirs.add(_canon_dir(v))
         ordered = sorted(dirs, key=functools.cmp_to_key(_dir_cmp))

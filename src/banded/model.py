@@ -247,6 +247,9 @@ class CheckResult:
     detail: str = ""
 
 
+_CHECKS = ("topology", "path_disjointness", "face_intersections", "monotone_sections")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     topology: CheckResult
@@ -256,16 +259,11 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.topology.passed
-            and self.path_disjointness.passed
-            and self.face_intersections.passed
-            and self.monotone_sections.passed
-        )
+        return all(getattr(self, name).passed for name in _CHECKS)
 
     def summary(self) -> str:
         lines = []
-        for name in ("topology", "path_disjointness", "face_intersections", "monotone_sections"):
+        for name in _CHECKS:
             check: CheckResult = getattr(self, name)
             if check.passed:
                 status = f"pass ({check.detail})" if check.detail else "pass"
@@ -540,7 +538,9 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
 
 def _check_paths(s: BandedSurface, edges) -> CheckResult:
     """The path checks; `edges` holds every directed edge of every face, so
-    a mesh edge is in it in at least one direction."""
+    a mesh edge is in it in at least one direction.  The path ends must be
+    source and target vertex i of path i, and no other vertex may carry an
+    `OriginalLabel`: a count of 2n such labels then settles it."""
     used: dict[int, int] = {}
     for i, path in enumerate(s.paths):
         if len(path) < 2:
@@ -561,6 +561,8 @@ def _check_paths(s: BandedSurface, edges) -> CheckResult:
         for a, b in zip(path, path[1:]):
             if (a, b) not in edges and (b, a) not in edges:
                 return CheckResult(False, f"path {i} uses ({a},{b}) which is not a mesh edge")
+    if sum(isinstance(label, OriginalLabel) for _, label in s.vertices) != 2 * len(s.paths):
+        return CheckResult(False, "a vertex other than the path ends carries an original label")
     return CheckResult(True)
 
 
@@ -767,13 +769,39 @@ def _section_cycle(points, zs, faces, crossing, level, scale) -> tuple[list[Poin
 
 def _check_sections(s: BandedSurface, points, scale) -> CheckResult:
     """One section per open slab between consecutive vertex z-levels, at
-    its midpoint, by `_section_cycle`; see `verify_banded_surface` for why
-    that is complete.  `points` and `scale` are as `_integer_points` gives
-    them.
+    its midpoint, by `_section_cycle`: the re-check that
+    `verify_banded_surface` runs under force_sections=True.  `points` and
+    `scale` are as `_integer_points` gives them.
+
+    Once topology, paths and the face-pair check have passed, one section
+    per slab is a complete check:
+
+    - Every vertex lies on a path with z in [0, 1].  Topology requires every
+      vertex to be used by a face, every face to belong to a band, and a
+      band's faces to use only vertices of its two paths; each path runs
+      strictly upward from z = 0 to z = 1.  So the vertex levels, with 0
+      and 1, cut (0, 1) into open slabs, and every level lies in one slab
+      or on a vertex level.
+    - Within an open slab no vertex lies on the plane, so the faces and
+      edges that cross it are the same at every level of the slab, and
+      each crossing point moves linearly with the level.  Each crossing
+      face cuts a proper segment between two of its crossing edges, and
+      the path edges make the section non-empty.  The chaining of the
+      segments (which points join, into how many cycles) can then change
+      only where two crossing points of different edges coincide, and a
+      simple section stops being simple only where two of its segments
+      meet outside a shared point.  Either is a common point of two faces
+      outside a vertex or edge they share, which the face-pair check has
+      excluded at every level.  So the verdict is constant on each slab,
+      and one section at each slab's midpoint decides every level in
+      (0, 1) that no vertex sits on, including every level a sampler of
+      fixed levels would test.
 
     The integer z coordinates of `points` are doubled, so that each slab
     midpoint is an integer level, and the faces are swept upward: a face
-    crosses every slab from its lowest vertex level to its highest."""
+    crosses every slab from its lowest vertex level to its highest.
+    `cross_section` shares `_section_cycle` with this check, so the two
+    give the same verdict at each of those levels."""
     zs = [2 * p[2] for p in points]
     kx, ky, kz = scale
     levels = sorted(set(zs))
@@ -814,40 +842,29 @@ def verify_banded_surface(
     topology check already failed hard.
 
     Sections.  `monotone_sections` runs only once topology, paths and the
-    face-pair check have passed, and then one plane section per open slab
-    between consecutive vertex z-levels is a complete check:
+    face-pair check have passed, and then it passes on a proof: every level
+    z = t in (0, 1) that no vertex sits on cuts the surface in one simple
+    cycle.
 
-    - Every vertex lies on a path with z in [0, 1].  Topology requires every
-      vertex to be used by a face, every face to belong to a band, and a
-      band's faces to use only vertices of its two paths; each path runs
-      strictly upward from z = 0 to z = 1.  So the vertex levels, with 0
-      and 1, cut (0, 1) into open slabs, and every level lies in one slab
-      or on a vertex level.
-    - Within an open slab no vertex lies on the plane, so the faces and
-      edges that cross it are the same at every level of the slab, and
-      each crossing point moves linearly with the level.  Each crossing
-      face cuts a proper segment between two of its crossing edges, and
-      the path edges make the section non-empty.  The chaining of the
-      segments (which points join, into how many cycles) can then change
-      only where two crossing points of different edges coincide, and a
-      simple section stops being simple only where two of its segments
-      meet outside a shared point.  Either is a common point of two faces
-      outside a vertex or edge they share, which the face-pair check has
-      excluded at every level.  So the verdict is constant on each slab,
-      and one section at each slab's midpoint decides every level in
-      (0, 1) that no vertex sits on, including every level a sampler of
-      fixed levels would test.
+    - The boundary edges are the two cycles through the paths' ends, at
+      z = 0 and z = 1, and every vertex lies on a path, which runs strictly
+      upward from z = 0 to z = 1.  So every edge that crosses the level is
+      interior and borders two faces, each crossing face cuts one segment
+      (a face is not degenerate), and the section is a union of closed
+      curves in the annulus.
+    - A curve that bounds a disk would need a path to cross it twice: the
+      disk holds a vertex of a face it cuts, that vertex lies on a path,
+      and the path's ends lie on the boundary, outside the disk.  A path
+      crosses the level once, so there is no such curve.
+    - Every other curve separates the two boundary cycles, so each path
+      crosses it; each path crosses the level once, so there is exactly one
+      such curve.
+    - Two of its segments that met outside a shared end would be a common
+      point of two faces outside a vertex or edge they share, which the
+      face-pair check has excluded.  So the curve is simple.
 
-    The sections are taken on the same integer points, with z doubled so
-    that every slab midpoint is an integer level, in one upward sweep over
-    the faces (`_check_sections`).  `cross_section` and this check share
-    one section routine, `_section_cycle`, so they give the same verdict
-    at each of those levels.
-
-    A surface whose only slab is (0, 1), every face spanning the full
-    height, is certified structurally unless force_sections=True: each
-    band's faces cross every level in one arc between its two paths, the
-    arcs chain into one cycle, and the face-pair check keeps it simple.
+    force_sections=True re-checks that by sectioning every slab
+    (`_check_sections`, which gives why one section per slab is complete).
 
     `_memo` lets a caller that verifies many meshes over one set of faces
     memoise face records and face-pair verdicts in one dict: a face's
@@ -873,8 +890,8 @@ def verify_banded_surface(
         sections = CheckResult(False, "skipped: face intersection check failed")
     elif not paths.passed:
         sections = CheckResult(False, "skipped: path check failed")
-    elif len({p[2] for p in points}) == 2 and not force_sections:
-        sections = CheckResult(True, "structural: every face spans the full height")
+    elif not force_sections:
+        sections = CheckResult(True, "structural: paths and face pass force one simple cycle per level")
     else:
         sections = _check_sections(s, points, scale)
     return VerificationReport(topo, paths, inter, sections)

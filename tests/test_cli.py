@@ -174,6 +174,28 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"banded: parse error: {sidecar}: ")
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            {"kind": "original", "slice": 7, "index": -4},
+            {"kind": "original", "slice": 2, "index": 1},
+            {"kind": "original", "slice": 0, "index": -1},
+            {"kind": "steiner", "id": -1},
+        ],
+        ids=["slice_7_index_-4", "slice_2", "negative_index", "negative_id"],
+    )
+    def test_out_of_range_label(self, tmp_path, capsys, label):
+        mesh = tmp_path / "layered.off"
+        run("steiner", fig("fig3a_no_surface"), "--export", str(mesh))
+        sidecar = Path(str(mesh) + ".bands.json")
+        doc = json.loads(sidecar.read_text())
+        doc["labels"][4] = label
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", str(mesh), "--bands", str(sidecar)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"banded: parse error: {sidecar}: label ")
+
 
 class TestFileErrors:
     """A path that cannot be written, or a file that does not decode, ends
@@ -218,6 +240,22 @@ class TestFileErrors:
 
 
 class TestPipelines:
+    def test_interior_vertex_labelled_original_fails_verification(self, tmp_path, capsys):
+        # a Steiner vertex relabelled as a second source vertex 1 is in range,
+        # but only the path ends may carry original labels
+        mesh = tmp_path / "layered.off"
+        assert run("steiner", fig("fig3a_no_surface"), "--export", str(mesh)) == 0
+        sidecar = Path(str(mesh) + ".bands.json")
+        doc = json.loads(sidecar.read_text())
+        assert doc["labels"][4]["kind"] == "steiner"
+        doc["labels"][4] = {"kind": "original", "slice": 0, "index": 1}
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", str(mesh), "--bands", str(sidecar)) == 2
+        out = capsys.readouterr().out
+        assert "path_disjointness: FAIL (a vertex other than the path ends carries an original label)" in out
+        assert "topology: pass" in out and "face_intersections: pass" in out
+
     def test_solve_export_verify_section(self, tmp_path, capsys):
         mesh = tmp_path / "prism.off"
         assert run("solve", fig("fig1_twisted_prism"), "--export", str(mesh)) == 0

@@ -148,7 +148,7 @@ class TestMeshFiles:
         assert not polygon_is_convex(inst.source.vertices)
         s = build_layered_surface(inst)
         path = tmp_path / "capped.off"
-        export_mesh(s, "off", path, include_caps=True, sidecar=False)
+        export_mesh(s, "off", path, include_caps=True)
         vertices, faces = read_off(path)
         assert faces[: len(s.faces)] == list(s.faces)
         caps = faces[len(s.faces) :]
@@ -184,7 +184,7 @@ class TestMeshFiles:
     def test_floats_mode(self, tmp_path):
         s = schonhardt_surface()
         path = tmp_path / "approx.off"
-        export_mesh(s, "off", path, floats=True, sidecar=False)
+        export_mesh(s, "off", path, floats=True)
         assert "/" not in path.read_text()
 
     def test_read_off_errors(self, tmp_path):

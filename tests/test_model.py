@@ -54,6 +54,7 @@ from banded.steiner import build_layered_surface
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
 SIXTEENTHS = [Fraction(j, 16) for j in range(1, 16)]
+STRUCTURAL = "structural: paths and face pass force one simple cycle per level"
 
 
 def identity_square():
@@ -288,6 +289,18 @@ class TestVerifier:
         assert report.topology.passed, report.summary()
         assert not report.path_disjointness.passed
         assert not report.passed
+
+    @pytest.mark.parametrize("label", [OriginalLabel(0, 1), OriginalLabel(1, 0), OriginalLabel(0, 99)])
+    def test_interior_vertex_labelled_original_fails_paths(self, label):
+        # a second "source vertex 1" would make `steiner_count` undercount;
+        # only the 2n path ends may carry an original label
+        s = dict(layered_builds())["fig3a"]
+        v = next(v for v, (_, old) in enumerate(s.vertices) if isinstance(old, SteinerLabel))
+        vertices = s.vertices[:v] + ((s.point(v), label),) + s.vertices[v + 1 :]
+        report = verify_banded_surface(BandedSurface(vertices, s.faces, s.bands, s.paths))
+        assert report.topology.passed and report.face_intersections.passed
+        assert report.path_disjointness.detail == "a vertex other than the path ends carries an original label"
+        assert report.monotone_sections.detail == "skipped: path check failed"
 
     def test_self_intersecting_assignment_fails_face_check(self):
         # folded coplanar band: source edge reversed in the target
@@ -756,16 +769,39 @@ class TestSlabSections:
         assert len(levels) == len(slabs(image)) and min(levels) == Fraction(1, 64)
 
     def test_detail_names_how_sections_passed(self):
+        # unforced, sections pass structurally on one slab or many; forced,
+        # the detail counts the slabs sectioned
         square = assignment_to_surface(identity_square(), ChordAssignment.from_string("RRRR"))
-        assert verify_banded_surface(square).monotone_sections.detail == (
-            "structural: every face spans the full height"
-        )
-        assert verify_banded_surface(square, force_sections=True).monotone_sections.detail == "sectioned 1 slab"
         layered = dict(layered_builds())["fig3a"]
-        report = verify_banded_surface(layered)
-        assert report.monotone_sections.detail == f"sectioned {len(slabs(layered))} slabs"
-        assert f"monotone_sections: pass (sectioned {len(slabs(layered))} slabs)" in report.summary()
         assert len(slabs(layered)) > 1
+        for s, count in ((square, "1 slab"), (layered, f"{len(slabs(layered))} slabs")):
+            report = verify_banded_surface(s)
+            assert report.monotone_sections.detail == STRUCTURAL
+            assert f"monotone_sections: pass ({STRUCTURAL})" in report.summary()
+            assert verify_banded_surface(s, force_sections=True).monotone_sections.detail == f"sectioned {count}"
+
+    def test_only_forced_verification_sections(self, monkeypatch):
+        # the proof in `verify_banded_surface` passes sections unforced, with
+        # no section taken; forced, each slab is sectioned once
+        s = dict(layered_builds())["fig3a"]
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(model, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        with monkeypatch.context() as patch:
+            for name in ("_check_sections", "_section_cycle"):
+                patch.setattr(model, name, counting(name))
+            assert verify_banded_surface(s).passed
+            assert calls == Counter()
+            assert verify_banded_surface(s, force_sections=True).passed
+        assert calls == Counter({"_check_sections": 1, "_section_cycle": len(slabs(s))})
 
     def test_sections_skipped_when_paths_fail(self):
         report = verify_banded_surface(missing_path_mesh(), force_sections=True)
@@ -1068,14 +1104,17 @@ def reference_paths(s: BandedSurface) -> bool:
             return False
         if any(frozenset(e) not in edges for e in zip(path, path[1:])):
             return False
-    return True
+    originals = {v for v, (_, label) in enumerate(s.vertices) if isinstance(label, OriginalLabel)}
+    return originals == {v for path in s.paths for v in (path[0], path[-1])}
 
 
-def reference_verdicts(s: BandedSurface, force_sections: bool) -> tuple[bool, bool, bool, bool]:
+def reference_verdicts(s: BandedSurface) -> tuple[bool, bool, bool, bool]:
     """The per-check verdicts of a reference verifier: `reference_topology`,
     `reference_paths`, every face pair through `open_triangles_intersect_3d`
     with no filter, and one `fraction_cross_section` at each slab's
-    midpoint, with the verifier's skip rules."""
+    midpoint, with the verifier's skip rules.  It sections every mesh that
+    reaches the section check, so both the verifier's forced sections and
+    its unforced structural pass are held to real sections."""
     topology, paths = not reference_topology(s), reference_paths(s)
     if not topology:
         return False, paths, False, False
@@ -1085,8 +1124,6 @@ def reference_verdicts(s: BandedSurface, force_sections: bool) -> tuple[bool, bo
     )
     if not (faces and paths):
         return topology, paths, faces, False
-    if len(slabs(s)) == 1 and not force_sections:
-        return topology, paths, faces, True
     return topology, paths, faces, sections_pass(s, slab_midpoints(s), fraction_cross_section)
 
 
@@ -1094,6 +1131,7 @@ class TestReferenceVerifier:
     def test_every_check_matches_the_reference(self):
         outcomes = Counter()
         for s in face_pass_meshes() + edge_case_meshes() + [missing_path_mesh()]:
+            expected = reference_verdicts(s)
             for force in (False, True):
                 report = verify_banded_surface(s, force_sections=force)
                 got = tuple(
@@ -1105,7 +1143,7 @@ class TestReferenceVerifier:
                         report.monotone_sections,
                     )
                 )
-                assert got == reference_verdicts(s, force), (report.summary(), force)
+                assert got == expected, (report.summary(), force)
                 outcomes[got] += 1
         assert outcomes[(True, True, True, True)] > 0
         assert outcomes[(True, True, False, False)] > 0
@@ -1119,7 +1157,7 @@ class TestReferenceVerifier:
             report = verify_banded_surface(s, force_sections=True)
             assert report.passed, report.summary()
             assert report.monotone_sections.detail == "sectioned 2 slabs"
-            assert verify_banded_surface(s).monotone_sections.detail == "sectioned 2 slabs"
+            assert verify_banded_surface(s).monotone_sections.detail == STRUCTURAL
         touching, simple = self_touching_layer_meshes()[:2], self_touching_layer_meshes()[2:]
         for s in touching:
             report = verify_banded_surface(s, force_sections=True)

@@ -119,6 +119,23 @@ def test_entry_points_take_only_the_instance():
         assert list(inspect.signature(entry).parameters) == ["inst"], entry.__name__
 
 
+def test_options_are_only_those_a_caller_sets():
+    # an option that no caller sets is a code path that nothing runs;
+    # `force_sections` is the benchmark's re-check and `_memo` the oracle's
+    from banded.fileio import export_mesh
+    from banded.generators import random_convex_polygon, random_star_polygon
+    from banded.model import verify_banded_surface
+
+    def keywords(function):
+        parameters = inspect.signature(function).parameters.values()
+        return [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
+
+    assert keywords(verify_banded_surface) == ["force_sections", "_memo"]
+    assert keywords(export_mesh) == ["include_caps", "floats"]
+    for generator in (random_convex_polygon, random_star_polygon):
+        assert list(inspect.signature(generator).parameters) == ["rng", "n"], generator.__name__
+
+
 def test_package_root_exports_only_documented_names():
     # the root holds the entry points and types the README names, and the
     # error classes a caller catches; the kernels stay in their modules
