@@ -91,8 +91,15 @@ class ConflictTable:
     triangles overlap each other (a coplanar quad), per band left before
     right.  pairs[(i, j)][ci][cj] holds the cross-band conflicts for i < j
     with index 0 = Right, 1 = Left, for the pairs with at least one, in
-    sorted key order; an absent pair is conflict-free.  Both are in the
-    order of the clauses that `build_clauses` emits.
+    sorted key order.  Both are in the order of the clauses that
+    `build_clauses` emits.
+
+    A table whose clauses are satisfiable is complete: an absent pair is
+    conflict-free.  Otherwise it may hold only the conflicts of the band
+    pairs nearest in cyclic order, as `build_conflict_table` tests them.
+    Every clause is a conflict of the instance, and clauses with no
+    satisfying assignment have none when more are added, so such a prefix
+    refutes the instance as the complete table would.
     """
 
     n: int
@@ -222,14 +229,16 @@ def _choices_meet(ta, a_sides, tb, b_sides, tests) -> bool:
 
 
 def build_conflict_table(inst: SliceInstance) -> ConflictTable:
-    """The conflict table of an instance, with the verdicts of `conflicts`.
+    """The conflict table of an instance, with the verdicts of `conflicts`:
+    complete whenever its clauses are satisfiable, and otherwise possibly an
+    unsatisfiable prefix of the band pairs, taken nearest-first.
 
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
     separate them: every quad spans the full height).  `_pair_conflicts`
     runs only on the pairs whose boxes meet, as `geometry._box_pairs` finds
     them, and only a pair with a conflict is kept; the kept pairs are
-    sorted by key once at the end.
+    sorted by key.
     It routes each pair on its 8 xy differences: a pair with no vertex
     shared by value is decided in the plane, from subsets of those
     differences; a pair that shares a path edge, with a plane through the
@@ -237,11 +246,25 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     (on a valid instance, adjacent pairs whose bands fold over each other
     at the shared edge) take the sign matrix of `_band_pair_conflicts`.
 
+    The swept pairs are tested nearest-first: a counting sort by cyclic
+    distance min(j - i, n - j + i), keeping sweep order within a distance.
+    After n, 2n, 4n, ... tested pairs, while at least half are untested,
+    the conflicts found so far go through `build_clauses` and `solve_2sat`
+    when one of them breaks the held assignment: the last such check's,
+    or before the first, each band's right chord (its left one where the
+    right one folds).  A prefix that the held assignment meets is
+    satisfiable, so no check is skipped that could refute.  Each clause is
+    a conflict of the instance, and a clause set with no satisfying
+    assignment keeps none when clauses are added, so an unsatisfiable
+    prefix refutes the instance and is returned as it is.  A satisfiable
+    table is complete, so its clauses and its 2-SAT assignment are those
+    of the full table.
+
     A band's two chord triangles share the chord.  When the quad is not
     coplanar they lie in crossing planes, so they meet only on the chord,
     and the choice has no self-conflict; only coplanar quads are tested,
     through `geometry._triangles_meet` on the quad's own vertex triples,
-    left chord before right.
+    left chord before right.  Every table holds all self-conflicts.
     """
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
@@ -257,13 +280,35 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
                 if _triangles_meet(tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE):
                     self_conflicts.append((i, c))
         boxes.append(_box(band))
-    pairs = []
+    self_conflicts = tuple(self_conflicts)
+    by_distance = [[] for _ in range(n // 2 + 1)]
+    # the bucket of index difference j - k, negative too, is that of
+    # distance min(|j - k|, n - |j - k|)
+    bucket = [by_distance[min(d, n - d)] for d in range(n)]
     for j, k in _box_pairs(boxes):
-        a, b = (j, k) if j < k else (k, j)
+        bucket[j - k].append((j, k) if j < k else (k, j))
+    swept = sum(map(len, by_distance))
+    check = n
+    # an assignment that meets every conflict found so far unless `stale`,
+    # True for the right chord: before the first check, each band's right
+    # chord, or its left one where the right one folds
+    assignment = [(i, Chord.RIGHT) not in self_conflicts for i in range(n)]
+    stale = len({i for i, _ in self_conflicts}) < len(self_conflicts)
+    pairs = []
+    for tested, (a, b) in enumerate(itertools.chain.from_iterable(by_distance), 1):
         mat = _pair_conflicts(bands[a], bands[b])
         if mat != _NO_CONFLICT:
             pairs.append(((a, b), mat))
-    return ConflictTable(n, tuple(self_conflicts), dict(sorted(pairs)))
+            stale = stale or mat[not assignment[a]][not assignment[b]]
+        if tested == check and 2 * tested <= swept:
+            check *= 2
+            if stale:
+                table = ConflictTable(n, self_conflicts, dict(sorted(pairs)))
+                result = solve_2sat(*build_clauses(table))
+                if not result.satisfiable:
+                    return table
+                assignment, stale = result.assignment, False
+    return ConflictTable(n, self_conflicts, dict(sorted(pairs)))
 
 
 def build_clauses(table: ConflictTable):
@@ -320,7 +365,10 @@ def solve_no_steiner(inst: SliceInstance) -> SolveOutcome:
     The instance is validated first (`SliceInstance.validate` raises
     `InputError` on an invalid one), and the conflict table is built on the
     integer frame that validation computes, so the instance is scaled once.
-    On SAT the surface is re-certified by the independent verifier; a failure
+    On UNSAT the table may be a prefix that 2-SAT refutes (`ConflictTable`);
+    its clauses are conflicts of the instance, so the witness chains hold
+    as they are.  On SAT the table is complete, and the surface is
+    re-certified by the independent verifier; a failure
     there means the conflict predicate and the verifier disagree, which is a
     bug worth crashing over.
     """

@@ -62,7 +62,9 @@ def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     """Chord assignment for the gap between two layers, given as vertex
     tuples and stood at heights 0 and 1, or None.  `memo` holds the verdicts
     of one build, keyed by the two layers (so an int and the equal
-    `Fraction` share a key); a stored None is an UNSAT verdict."""
+    `Fraction` share a key); a stored None is an UNSAT verdict.  The gap's
+    conflict table is complete when it certifies the gap, and may be a
+    prefix that 2-SAT refutes when it does not (`solver.ConflictTable`)."""
     key = (lower, upper)
     # one hash of the key per call, since Fraction coordinates hash slowly;
     # False marks a gap not solved yet

@@ -237,6 +237,65 @@ def chord_order(choice):
     return i, c.value
 
 
+def complete_table(inst):
+    """The conflict table with every pair tested: each pair that
+    `geometry._box_pairs` sweeps goes through `solver._pair_conflicts`, and
+    each chord choice is tested against itself with
+    `open_triangles_intersect_3d`; the kept pairs and choices come in the
+    table's order."""
+    scaled = scaled_to_integers(inst)
+    bands = [scaled.band_quad(i) for i in range(inst.n)]
+    pairs = {}
+    for j, k in geometry._box_pairs([geometry._box(band) for band in bands]):
+        a, b = min(j, k), max(j, k)
+        mat = solver._pair_conflicts(bands[a], bands[b])
+        if mat != solver._NO_CONFLICT:
+            pairs[(a, b)] = mat
+    folded = [
+        (i, c)
+        for i in range(inst.n)
+        for c in (Chord.LEFT, Chord.RIGHT)
+        if open_triangles_intersect_3d(*chord_triangles(inst, i, c).triangles)
+    ]
+    return solver.ConflictTable(inst.n, tuple(folded), dict(sorted(pairs.items())))
+
+
+def assert_refutes_or_completes(table, reference):
+    """The table's contract against the complete one: equal to it when its
+    clauses are satisfiable, and otherwise a subset of its conflicts, in
+    key order and with all the folded choices, that 2-SAT refutes.  Returns the
+    table's 2-SAT result."""
+    result = solve_2sat(*build_clauses(table))
+    if result.satisfiable:
+        assert table == reference
+    else:
+        assert list(table.pairs) == sorted(table.pairs)
+        assert table.self_conflicts == reference.self_conflicts
+        assert {key: reference.pairs.get(key) for key in table.pairs} == table.pairs
+    return result
+
+
+def assert_chains_are_conflicts(inst, unsat):
+    """Every implication a -> b of both UNSAT chains is a conflict of the
+    instance, read from `conflicts` and the chord triangles, not from a
+    table: choice a against the opposite of b, or a folded choice."""
+
+    def chord(lit):
+        return Chord.LEFT if lit.negated else Chord.RIGHT
+
+    other = {Chord.RIGHT: Chord.LEFT, Chord.LEFT: Chord.RIGHT}
+    v = unsat.witness_var
+    assert unsat.chain_pos_to_neg[0] == unsat.chain_neg_to_pos[-1] == Literal(v)
+    assert unsat.chain_neg_to_pos[0] == unsat.chain_pos_to_neg[-1] == Literal(v, True)
+    for chain in (unsat.chain_pos_to_neg, unsat.chain_neg_to_pos):
+        for a, b in zip(chain, chain[1:]):
+            if a.var == b.var:
+                assert b == ~a
+                assert open_triangles_intersect_3d(*chord_triangles(inst, a.var, chord(a)).triangles)
+            else:
+                assert conflicts(inst, a.var, chord(a), b.var, other[chord(b)]), (a, b)
+
+
 @functools.cache
 def conflict_table_corpus():
     """(label, instance) pairs: figures, coplanar walls, every target style
@@ -320,7 +379,9 @@ class TestConflicts:
 
     def test_conflict_table_matches_conflicts(self, monkeypatch):
         # the swept band-pair kernel against the unpruned pairwise reference,
-        # on every target style and on unvalidated inputs
+        # on every target style and on unvalidated inputs; the kernel is
+        # read through the complete table, since a table that 2-SAT
+        # refutes may stop early
         instances = conflict_table_corpus()
         pinned, turned = (inst for label, inst in instances if label == "pinned")
 
@@ -343,23 +404,29 @@ class TestConflicts:
                 (solver, "sign matrix", solver._band_pair_conflicts),
             ):
                 patched.setattr(module, fn.__name__, counted(name, fn))
-            tables = [build_conflict_table(inst) for _, inst in instances]
+            references = [complete_table(inst) for _, inst in instances]
 
         branches = Counter()
-        for (label, inst), table in zip(instances, tables):
+        outcomes = Counter()
+        for (label, inst), reference in zip(instances, references):
             branches += kernel_branches(inst, label)
-            # the table stores exactly the conflicts: sorted pairs i < j,
-            # none all False, and an absent pair reads as conflict-free
+            # the complete table stores exactly the conflicts: sorted pairs
+            # i < j, none all False, and an absent pair reads as conflict-free
             every_pair = [(i, j) for i in range(inst.n) for j in range(i + 1, inst.n)]
-            assert list(table.pairs) == sorted(table.pairs)
-            assert set(table.pairs) <= set(every_pair)
-            assert all(any(map(any, mat)) for mat in table.pairs.values())
+            assert list(reference.pairs) == sorted(reference.pairs)
+            assert set(reference.pairs) <= set(every_pair)
+            assert all(any(map(any, mat)) for mat in reference.pairs.values())
             for i, j in every_pair:
-                mat = pair_matrix(table, i, j)
+                mat = pair_matrix(reference, i, j)
                 for ci in Chord:
                     for cj in Chord:
                         idx = (0 if ci is Chord.RIGHT else 1, 0 if cj is Chord.RIGHT else 1)
                         assert mat[idx[0]][idx[1]] == conflicts(inst, i, ci, j, cj), (label, inst)
+            # the table is the reference, or a prefix of it that 2-SAT refutes
+            table = build_conflict_table(inst)
+            result = assert_refutes_or_completes(table, reference)
+            outcomes["sat" if result.satisfiable else "unsat"] += 1
+            outcomes["refuted early"] += table != reference
             # the folded choices, per band left before right
             assert list(table.self_conflicts) == sorted(table.self_conflicts, key=chord_order)
             for i in range(inst.n):
@@ -367,8 +434,9 @@ class TestConflicts:
                     folded = open_triangles_intersect_3d(*chord_triangles(inst, i, c).triangles)
                     assert ((i, c) in table.self_conflicts) == folded
                     branches["folded quad"] += folded
-        for inst in (pinned, turned):
-            assert build_conflict_table(inst).pairs[(0, 3)] == ((True, True), (True, True))
+        assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
+        for reference in (complete_table(pinned), complete_table(turned)):
+            assert reference.pairs[(0, 3)] == ((True, True), (True, True))
 
         # every branch of the kernel is reached, and each one that calls out
         # is called exactly as often as the independent tally says: the 3D
@@ -693,6 +761,47 @@ def test_clause_path_matches_the_literal_reference():
         outcomes["self-conflict"] += any(cl.first == cl.second for cl in clauses)
     assert min(outcomes.values()) > 0 and len(outcomes) == 3, outcomes
 
+
+def test_unsat_table_stops_at_a_refuted_prefix(monkeypatch):
+    # a rotated 40-gon star, UNSAT: 2-SAT refutes a prefix of the nearest
+    # band pairs, so the kernel runs on fewer than half of the pairs the
+    # sweep finds, and the solve's chains still rest on the instance's
+    # conflicts
+    rng = random.Random(0)
+    inst = rotated_instance(rng, random_polygon(rng, 40, "star"))
+    scaled = scaled_to_integers(inst)
+    swept = len(list(geometry._box_pairs([geometry._box(scaled.band_quad(i)) for i in range(inst.n)])))
+    tested = Counter()
+    kernel = solver._pair_conflicts
+
+    def counted(a, b):
+        tested["pairs"] += 1
+        return kernel(a, b)
+
+    monkeypatch.setattr(solver, "_pair_conflicts", counted)
+    out = solve_no_steiner(inst)
+    assert not out.satisfiable
+    assert 0 < 2 * tested["pairs"] < swept, (tested, swept)
+    assert_chains_are_conflicts(inst, out.unsat)
+    assert not solve_2sat(*build_clauses(complete_table(inst))).satisfiable
+
+
+@given(st.integers(0, 10**6), st.integers(3, 30), st.sampled_from(["convex", "star", "spiral"]))
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_table_verdict_is_the_complete_tables(seed, n, kind):
+    # `random_instance` draws the target style from the seed: the table's
+    # 2-SAT verdict is the complete table's, and on SAT so are the table,
+    # its clauses and the 2-SAT result
+    inst = random_instance(random.Random(seed), n, kind)
+    table, reference = build_conflict_table(inst), complete_table(inst)
+    expected = solve_2sat(*build_clauses(reference))
+    result = assert_refutes_or_completes(table, reference)
+    assert result.satisfiable == expected.satisfiable
+    if result.satisfiable:
+        assert build_clauses(table) == build_clauses(reference)
+        assert result == expected
+
+
 def _relabelled(inst, k):
     """The instance with vertex i renamed i - k, so that its band i is band
     i + k of inst."""
@@ -723,15 +832,21 @@ def _moved(inst, scale, dx, dy):
 def test_conflict_table_under_relabelling_translation_and_scaling(seed, n, kind, k, scale, dx, dy):
     inst = random_instance(random.Random(seed), n, kind)
     k %= n
-    table = build_conflict_table(inst)
+    table, reference = build_conflict_table(inst), complete_table(inst)
+    assert_refutes_or_completes(table, reference)
 
+    # relabelling changes the order in which pairs are tested, so the
+    # matrices are compared on the complete tables
     relabelled = _relabelled(inst, k)
-    shifted = build_conflict_table(relabelled)
+    shifted = complete_table(relabelled)
+    assert_refutes_or_completes(build_conflict_table(relabelled), shifted)
     for i in range(n):
         for j in range(i + 1, n):
-            assert pair_matrix(shifted, i, j) == pair_matrix(table, (i + k) % n, (j + k) % n)
-    assert set(shifted.self_conflicts) == {((i - k) % n, c) for i, c in table.self_conflicts}
+            assert pair_matrix(shifted, i, j) == pair_matrix(reference, (i + k) % n, (j + k) % n)
+    assert set(shifted.self_conflicts) == {((i - k) % n, c) for i, c in reference.self_conflicts}
 
+    # a positive scaling and a translation keep that order, so the tables
+    # are equal even when 2-SAT refutes a prefix
     moved = _moved(inst, scale, dx, dy)
     moved_table = build_conflict_table(moved)
     assert moved_table.pairs == table.pairs
@@ -781,7 +896,11 @@ def test_verdicts_under_mirror_and_reversal(seed, n, kind):
     image = _mirrored(inst)
     image.validate()
     n = inst.n
-    table, mirrored = build_conflict_table(inst), build_conflict_table(image)
+    # the mirror changes the order in which pairs are tested, so the
+    # matrices are compared on the complete tables
+    table, mirrored = complete_table(inst), complete_table(image)
+    assert_refutes_or_completes(build_conflict_table(inst), table)
+    assert_refutes_or_completes(build_conflict_table(image), mirrored)
     for i in range(n):
         for j in range(i + 1, n):
             old = pair_matrix(table, (n - 2 - i) % n, (n - 2 - j) % n)

@@ -109,12 +109,20 @@ def test_shared_predicates_and_tables_are_defined_once():
 
 def test_entry_points_take_only_the_instance():
     # each entry point validates its instance, so none takes an option to
-    # skip or repeat that
+    # skip or repeat that; the conflict table refutes a prefix whenever it
+    # can, with no option to build it complete
     from banded.morph import convex_chord_rule, planarity_preserving
-    from banded.solver import brute_force_assignments, solve_no_steiner
+    from banded.solver import brute_force_assignments, build_conflict_table, solve_no_steiner
     from banded.steiner import build_layered_surface
 
-    entries = (solve_no_steiner, planarity_preserving, convex_chord_rule, build_layered_surface, brute_force_assignments)
+    entries = (
+        solve_no_steiner,
+        planarity_preserving,
+        convex_chord_rule,
+        build_layered_surface,
+        brute_force_assignments,
+        build_conflict_table,
+    )
     for entry in entries:
         assert list(inspect.signature(entry).parameters) == ["inst"], entry.__name__
 
