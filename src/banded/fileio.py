@@ -257,7 +257,8 @@ def save_bands(surface: BandedSurface, path) -> None:
 
 
 def read_off(path) -> tuple[list, list]:
-    """Vertices (Point3 triples as rationals) and faces from an OFF file."""
+    """Vertices (Point3 triples as rationals) and faces from an OFF file; a
+    negative count or an index out of range is a `ParseError`."""
     raw = _read_text(path)
     tokens: list[tuple[str, int]] = []
     for ln, line in enumerate(raw.splitlines(), start=1):
@@ -284,6 +285,8 @@ def read_off(path) -> tuple[list, list]:
             raise ParseError(f"{path}: expected integer {kind}, got {tok!r}", line=ln)
         if below is not None and not 0 <= value < below:
             raise ParseError(f"{path}: {kind} {value} outside [0, {below})", line=ln)
+        if value < 0:
+            raise ParseError(f"{path}: {kind} {value} is negative", line=ln)
         return value
 
     nv, nf, _ne = take_int("vertex count"), take_int("face count"), take_int("edge count")

@@ -199,7 +199,7 @@ def random_rotation(rng: random.Random):
         return c, s
 
 
-def random_translation(rng: random.Random, spread: int = 15):
+def random_translation(rng: random.Random, spread: int):
     return Fraction(rng.randint(-spread, spread)), Fraction(rng.randint(-spread, spread))
 
 

@@ -7,24 +7,23 @@ quadratics and evaluates exact sign predicates on each resulting piece, at
 rational sample points inside pieces and in Q(sqrt(d)) at the roots
 themselves; no sampling heuristics and no floating point are involved.
 
-With morph time as the z axis, the morph sweeps edge i through the
-tetrahedron on band i, hull(p_i, p_{i+1}, q_{i+1}, q_i) for source vertices p
-at z = 0 and target vertices q at z = 1: its section at z = t holds the edge
-at time t.  Two edges whose tetrahedra are disjoint never meet on [0, 1], and
-`geometry._sections_apart` decides that from the 8 xy differences of the two
-bands, as it does for the conflict table, so such pairs are dismissed before
-any polynomial is built.
+With morph time as the z axis and a rational horizon H in (0, 1], edge i at a
+time t <= H lies in the section at z = t / H of the tetrahedron on the edge
+at times 0 and H, hull(p_i, p_{i+1}, h_{i+1}, h_i) for source vertices p at
+z = 0 and their positions h at time H at z = 1.  Two edges whose tetrahedra
+are disjoint have no common point on [0, H], and `geometry._sections_apart`
+decides that from the 8 xy differences of the two bands, as it does for the
+conflict table, so such pairs are dismissed before any polynomial is built.
+The tetrahedra test runs over [0, H], with H = 1, the band between source
+and target, until a first run is known.
 
 Only the earliest violation is reported, so the scan looks for nothing else
 (detecting an intersection costs less than reporting them all, as Shamos
 and Hoey 1976 observed for segments).  Each candidate's later runs start
 after its first, so only first runs compete, and a candidate's walk stops
 at the first piece that starts after the best start B so far.  Once B is
-known, a rational horizon H > B replaces z = 1: edge i at a time t <= H
-lies in the section at z = t / H of the tetrahedron on edge i at times 0
-and H, so an edge pair whose two such tetrahedra are disjoint has no common
-point before H, cannot start a run at or before B, and is dismissed before
-any polynomial is built.
+known, H drops to a rational horizon above B, below 1 where one can be had:
+an edge pair apart before H cannot start a run at or before B.
 
 A target that is A p + v of the source points p, as rotated, similar and
 translated copies are, needs no scan: the snapshot at time t is the source
@@ -48,7 +47,7 @@ from fractions import Fraction
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
 from .geometry import AngleClass, Point2, _box, _box_pairs, _sections_apart, _xy_differences, ccw_angle
-from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance
+from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame
 from .quadfield import ExactTime, midpoint, rational_between
 
 
@@ -396,37 +395,33 @@ def planarity_preserving(inst: SliceInstance) -> PlanarityVerdict:
 
     Every other instance is scanned.  Only non-adjacent edges whose swept
     boxes meet are examined, and of those only the pairs whose band
-    tetrahedra meet.  With time as z, edge i at time t is the segment
-    from (1 - t) p_i + t q_i to (1 - t) p_{i+1} + t q_{i+1}, which lies in
-    (1 - t) [p_i, p_{i+1}] + t [q_i, q_{i+1}], the section at z = t of the
-    tetrahedron hull(p_i, p_{i+1}, q_{i+1}, q_i).  When two such closed
-    tetrahedra are disjoint (`_sections_apart` on the bands' 8 xy
-    differences, by its lemma), so is every pair of their sections, and
-    the two edges have no common point at any t in [0, 1].  A vertex's
-    angle whose cross product keeps one strict sign over (0, 1) never
-    closes, and an edge pair one of whose edges stays strictly on one side
-    of the other's line never touches.  All three are dismissed before any
-    root is isolated.  The tetrahedron test and the constant-sign test
-    (no root inside (0, 1) and nonzero at 1/2) are exact, so a dismissed
-    candidate never had a violating run.
+    tetrahedra over [0, H] meet, for a rational horizon H in (0, 1].  With
+    time as z, edge i at time t <= H lies in (1 - t/H) e_i(0) + (t/H)
+    e_i(H), the section at z = t/H of the tetrahedron on the edge at times
+    0 and H.  When two such closed tetrahedra are disjoint (the xy boxes,
+    then `_sections_apart` on the bands' 8 xy differences, by its lemma),
+    so is every pair of their sections, and the two edges have no common
+    point at any t in [0, H].  H is 1 until a first run is known.  A
+    vertex's angle whose cross product keeps one strict sign over (0, 1)
+    never closes, and an edge pair one of whose edges stays strictly on
+    one side of the other's line never touches.  All three are dismissed
+    before any root is isolated.  The tetrahedra test and the
+    constant-sign test (no root inside (0, 1) and nonzero at 1/2) are
+    exact, so a dismissed candidate never had a violating run before H.
 
     The scan keeps one best first run: the least start, ties broken by
     `_tiebreak`.  A candidate's later runs start after its first, so they
     never win, and its walk over the pieces between its events stops at
     the first piece, outside a run, that starts strictly after the best
     start B; a run that starts at B is walked to its end, so that ties see
-    whether it is instantaneous.  With B known, each edge pair is tested
-    against a rational horizon H > B (`_horizon`) in place of [0, 1]: edge
-    i at time t <= H lies in (1 - t/H) e_i(0) + (t/H) e_i(H), the section
-    at z = t/H of the tetrahedron on the edge at times 0 and H, so when two
-    such tetrahedra are disjoint (the xy boxes, then `_sections_apart` with
-    levels 0 and H) the edges have no common point on [0, H].  A run that
-    starts at or before B violates at some time below H, so such a pair
-    never holds one.  Times of different candidates are compared on
-    copies, so every bracket, and so the witness interval, depends on the
-    winning candidate's own events and samples alone, and every verdict
-    and witness interval is the one a scan of every piece of every
-    candidate gives.
+    whether it is instantaneous.  With B known, H drops to a rational
+    horizon above B (`_horizon`), or stays 1 when none below 1 can be had.
+    A run that starts at or before B violates at some time below H, so a
+    pair apart before H never holds one.  Times of different candidates
+    are compared on copies, so every bracket, and so the witness interval,
+    depends on the winning candidate's own events and samples alone, and
+    every verdict and witness interval is the one a scan of every piece of
+    every candidate gives.
     """
     return _decide(*inst.validate())
 
@@ -459,12 +454,9 @@ def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
     n = len(cs) // 4
     kk = k * k
     moving = [_MovingPoint(*cs[i : i + 4]) for i in range(0, 4 * n, 4)]
-    # each vertex's source at z = 0 and target at z = 1, and edge i's band
-    # quad (p0, p1, q1, q0) over them, as `_xy_differences` takes it
-    tracks = [((cs[m], cs[m + 1], 0), (cs[m + 2], cs[m + 3], 1)) for m in range(0, 4 * n, 4)]
-    bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
     best = None  # (run, kind, subjects, predicate) of the earliest first run so far
-    horizon, stale = None, False  # `_horizon_bands` for best's start, once an edge pair needs it
+    # `_horizon_bands` over [0, 1], then for best's start once an edge pair needs it
+    horizon, stale = _horizon_bands(cs, (1, 1)), False
 
     def scan(kind, subjects, points, polys, events):
         nonlocal best, stale
@@ -489,16 +481,11 @@ def _scan_verdict(k: int, cs: list[int]) -> PlanarityVerdict:
 
     # non-adjacent edge pairs, ascending, whose swept boxes meet: an edge's
     # box over t in [0, 1] is that of its band quad
-    boxes = [_box(band) for band in bands]
-    pairs = [(j, k) if j < k else (k, j) for j, k in _box_pairs(boxes) if (k - j) % n not in (1, n - 1)]
+    pairs = [(i, j) if i < j else (j, i) for i, j in _box_pairs(horizon[0]) if (j - i) % n not in (1, n - 1)]
     for i, j in sorted(pairs):
         if stale:
-            h = _horizon(best[0].start)
-            horizon, stale = h and _horizon_bands(cs, h), False
-        if horizon is None:
-            if _sections_apart(_xy_differences(bands[i], bands[j])):
-                continue  # the bands' tetrahedra, and so the edges, never meet
-        elif _apart_before(horizon, i, j):
+            horizon, stale = _horizon_bands(cs, _horizon(best[0].start) or (1, 1)), False
+        if _apart_before(horizon, i, j):
             continue  # the edges do not meet before the horizon
         e0, e1, f0, f1 = moving[i], moving[(i + 1) % n], moving[j], moving[(j + 1) % n]
         o1, o2 = _orient_quad(e0, e1, f0), _orient_quad(e0, e1, f1)
@@ -675,6 +662,13 @@ def similarity_witness(a: LabeledPolygon, b: LabeledPolygon):
     """The unique label-preserving, reflection-free similarity mapping polygon
     a onto polygon b exactly, or None when no such map exists.
 
+    The map is read off the affine fit b = A p + v over a's points p with
+    det A > 0 (`model._affine_fit`, O(n) int arithmetic): it is a
+    similarity exactly when A = M / d has M = [[a, -c], [c, a]].  The fit
+    needs three non-collinear vertices of a, vertices 0 and 1 apart and one
+    off their line, which every simple polygon has; for a source without
+    them the result is None.
+
     Raises AllPointsEqualError when either polygon has collapsed to a single
     point (there, shape comparison is meaningless)."""
     if a.n != b.n:
@@ -684,18 +678,12 @@ def similarity_witness(a: LabeledPolygon, b: LabeledPolygon):
         raise AllPointsEqualError("source polygon has all points equal")
     if all(p == bv[0] for p in bv):
         raise AllPointsEqualError("target polygon has all points equal")
-    k = next(i for i in range(1, a.n) if av[i] != av[0])
-    dax, day = Fraction(av[k].x - av[0].x), Fraction(av[k].y - av[0].y)
-    dbx, dby = Fraction(bv[k].x - bv[0].x), Fraction(bv[k].y - bv[0].y)
-    denom = dax * dax + day * day
-    wx = (dbx * dax + dby * day) / denom
-    wy = (dby * dax - dbx * day) / denom
-    tx = bv[0].x - (wx * av[0].x - wy * av[0].y)
-    ty = bv[0].y - (wy * av[0].x + wx * av[0].y)
-    sim = Similarity(wx, wy, Fraction(tx), Fraction(ty))
-    if sim.scale_squared == 0:
+    fit = _frame(SliceInstance(a, b))[2]
+    if fit is None:
         return None
-    for p, q in zip(av, bv):
-        if sim.apply(p) != q:
-            return None
-    return sim
+    (ma, mb, mc, md), d = fit
+    if md != ma or mb != -mc:
+        return None
+    wx, wy = Fraction(ma, d), Fraction(mc, d)
+    (px, py), (qx, qy) = av[0], bv[0]
+    return Similarity(wx, wy, qx - (wx * px - wy * py), qy - (wy * px + wx * py))

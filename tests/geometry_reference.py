@@ -1,7 +1,8 @@
 """Reference predicates for the tests of `banded.geometry`: a point on a
 closed segment in 2D, polygon simplicity edge pair by edge pair, a
 triangle's normal, and a closed segment against a closed triangle in 3D.
-A triangle is a triple of `Point3`s.
+A triangle is a triple of `Point3`s.  Also a similarity fit in `Fraction`s,
+the reference for `morph.similarity_witness`.
 
 All are exact.  The segment-triangle test projects the triangle along its
 dominant normal axis and builds the crossing point as `Fraction`s, a route
@@ -128,3 +129,25 @@ def segment_triangle_contact_3d(p: Point3, q: Point3, tri) -> bool:
     t = Fraction(_dot3(n, _sub3(a, p)), denom)
     x = Point3(p.x + t * d[0], p.y + t * d[1], p.z + t * d[2])
     return inside(_project(x, axis))
+
+
+def similarity_fit(av, bv):
+    """The similarity x -> W x + v taking the points av onto the points bv
+    label by label, as (wx, wy, tx, ty) with W = wx + i wy, or None when
+    there is none with W != 0.  W is fitted in `Fraction`s from vertex 0
+    and the first vertex apart from it, then checked vertex by vertex; av
+    needs a vertex apart from its first."""
+    k = next(i for i in range(1, len(av)) if av[i] != av[0])
+    dax, day = Fraction(av[k].x - av[0].x), Fraction(av[k].y - av[0].y)
+    dbx, dby = Fraction(bv[k].x - bv[0].x), Fraction(bv[k].y - bv[0].y)
+    denom = dax * dax + day * day
+    wx = (dbx * dax + dby * day) / denom
+    wy = (dby * dax - dbx * day) / denom
+    if wx == 0 and wy == 0:
+        return None
+    tx = bv[0].x - (wx * av[0].x - wy * av[0].y)
+    ty = bv[0].y - (wy * av[0].x + wx * av[0].y)
+    for p, q in zip(av, bv):
+        if (wx * p.x - wy * p.y + tx, wy * p.x + wx * p.y + ty) != (q.x, q.y):
+            return None
+    return wx, wy, tx, ty

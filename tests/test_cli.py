@@ -126,6 +126,18 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"banded: parse error: {mesh}: face index {index} outside [0, 3) (line 6)"]
 
+    @pytest.mark.parametrize("command", ["verify", "section"])
+    def test_off_negative_counts_are_invalid_input(self, tmp_path, capsys, command):
+        # not an empty mesh with a topology verdict or no section (exit 2)
+        mesh = tmp_path / "m.off"
+        mesh.write_text("OFF\n-3 -2 0\n")
+        sidecar = tmp_path / "m.off.bands.json"
+        sidecar.write_text(json.dumps({"labels": [], "bands": [], "paths": []}))
+        extra = ("--bands", str(sidecar)) if command == "verify" else ("--t", "1/2")
+        assert run(command, str(mesh), *extra) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"banded: parse error: {mesh}: vertex count -3 is negative (line 2)"]
+
 
 def drop_paths(doc):
     del doc["paths"]

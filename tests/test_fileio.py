@@ -193,6 +193,14 @@ class TestMeshFiles:
         with pytest.raises(ParseError):
             read_off(path)
 
+    @pytest.mark.parametrize("counts", ["-3 -2 0", "0 -1 0", "0 0 -1"])
+    def test_read_off_rejects_negative_counts(self, tmp_path, counts):
+        # a negative count is malformed input, not an empty mesh
+        path = tmp_path / "negative.off"
+        path.write_text(f"OFF\n{counts}\n")
+        with pytest.raises(ParseError, match="is negative"):
+            read_off(path)
+
     def test_mesh_only_surface_sections(self, tmp_path):
         s = schonhardt_surface()
         path = tmp_path / "mesh.off"

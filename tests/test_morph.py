@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import geometry_reference
 import pytest
 import quadfield_reference as ref
 from hypothesis import example, given, settings
@@ -637,22 +638,32 @@ def _independent_stars() -> SliceInstance:
 
 def test_dismissal_keeps_every_verdict():
     # dismissing the candidates of constant sign, the edge pairs whose band
-    # tetrahedra are apart and those apart before the horizon, cutting each
+    # tetrahedra over [0, H] are apart (H = 1 until a first run), cutting each
     # candidate's walk off after its first run or past the best start, and
     # deciding planar affine targets without a scan, changes no verdict and
     # no bit of a witness interval: compare with a scan of every piece of
     # every candidate of every box pair
-    apart, before = morph._sections_apart, morph._apart_before
+    apart, before, bands = morph._sections_apart, morph._apart_before, morph._horizon_bands
     dismissed, horizon = Counter(), Counter()
+    short = {}  # id -> `_horizon_bands` result, for each horizon H < 1
 
     def counted(d):
         verdict = apart(d)
         dismissed[verdict] += 1
         return verdict
 
+    def counted_bands(cs, h):
+        out = bands(cs, h)
+        if h[0] < h[1]:
+            short[id(out)] = out
+        return out
+
     def counted_before(h, i, j):
+        # every edge pair comes here, at H = 1 too; only the pairs tested
+        # against a horizon below 1 count as horizon dismissals
         verdict = before(h, i, j)
-        horizon[verdict] += 1
+        if id(h) in short:
+            horizon[verdict] += 1
         return verdict
 
     @settings(max_examples=200, deadline=None)
@@ -669,7 +680,7 @@ def test_dismissal_keeps_every_verdict():
     def check(inst):
         with mock.patch.object(morph, "_sections_apart", counted), mock.patch.object(
             morph, "_apart_before", counted_before
-        ):
+        ), mock.patch.object(morph, "_horizon_bands", counted_bands):
             fast = planarity_preserving(inst)
         with mock.patch.object(morph, "_constant_sign", lambda q: 0), mock.patch.object(
             morph, "_sections_apart", lambda d: False
@@ -678,10 +689,35 @@ def test_dismissal_keeps_every_verdict():
         assert _verdict_tuple(fast) == _verdict_tuple(slow)
 
     check()
-    # both tetrahedra tests dismissed pairs, so the comparison is not vacuous
-    # (the horizon test only runs on violated morphs, after a first run)
+    # tetrahedra over [0, 1] and over [0, H] for H < 1 both dismissed pairs,
+    # so the comparison is not vacuous (a horizon below 1 only comes on
+    # violated morphs, after a first run)
     assert dismissed[True] > 100, dismissed
     assert horizon[True] > 10, horizon
+
+
+def test_every_box_pair_meets_the_one_dismissal():
+    # before a first run is known the horizon is H = 1, so on a preserved
+    # morph that is scanned every non-adjacent edge pair whose boxes over
+    # [0, 1] meet goes through `_apart_before`, once and in ascending order
+    rng = random.Random(0)
+    inst = jiggled_instance(rng, random_polygon(rng, 30, "star"))
+    n = inst.n
+    boxes = [geometry._box(inst.band_quad(i)) for i in range(n)]
+    pairs = sorted((min(i, j), max(i, j)) for i, j in geometry._box_pairs(boxes))
+    expected = [(i, j) for i, j in pairs if (j - i) % n not in (1, n - 1)]
+    seen = []
+    original = morph._apart_before
+
+    def counted(horizon, i, j):
+        seen.append((i, j))
+        return original(horizon, i, j)
+
+    with mock.patch.object(morph, "_apart_before", counted):
+        verdict, affine = _decide(inst)
+    assert verdict.preserved and not affine
+    assert len(expected) > 50
+    assert seen == expected
 
 
 def test_dismissed_edge_pairs_never_meet():
@@ -937,3 +973,79 @@ class TestSimilarity:
         inst = rotate_copy_instance(tri, Point2(0, 0), (-1, 0))
         snap = morph_position(inst, Fraction(1, 4))
         assert similarity_witness(inst.source, LabeledPolygon(snap.vertices, 0)) is not None
+
+    @pytest.mark.parametrize("scale", [(2, 2), (2, 1), (-1, 1)], ids=["similar", "stretched", "reflected"])
+    def test_fits_once(self, scale):
+        # the witness reads the one affine fit that validation makes too
+        sx, sy = scale
+        a = LabeledPolygon(SQUARE, 0)
+        b = LabeledPolygon(tuple(Point2(sx * p.x, sy * p.y) for p in SQUARE), 0)
+        calls = []
+        original = model._affine_fit
+
+        def counted(cs):
+            calls.append(cs)
+            return original(cs)
+
+        with mock.patch.object(model, "_affine_fit", counted):
+            sim = similarity_witness(a, b)
+        assert (sim is not None) == (scale == (2, 2))
+        assert len(calls) == 1
+
+
+WITNESS_STYLES = ("similar", "rotate", "reflect", "shear", "jiggle", "snapshot", "collapse")
+
+
+@st.composite
+def witness_pairs(draw):
+    """A valid source polygon and a target with the same labels: a similar
+    copy, a rotation, a reflection, a shear, a jiggle, a snapshot of such a
+    morph, or the midpoint of a half turn, where every vertex meets."""
+    kind = draw(st.sampled_from(("convex", "star", "spiral")))
+    n = draw(st.integers(3, 12))
+    style = draw(st.sampled_from(WITNESS_STYLES))
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    polygon = random_polygon(rng, n, kind)
+    pts = polygon.vertices
+    if style == "similar":
+        target = similar_copy_instance(rng, polygon).target.vertices
+    elif style == "rotate":
+        target = rotated_instance(rng, polygon).target.vertices
+    elif style == "reflect":
+        target = tuple(Point2(-p.x, p.y) for p in pts)
+    elif style == "shear":
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        target = tuple(Point2(p.x + s * p.y, p.y) for p in pts)
+    elif style == "jiggle":
+        target = jiggled_instance(rng, polygon).target.vertices
+    elif style == "snapshot":
+        morph_of = rng.choice((similar_copy_instance, rotated_instance, jiggled_instance))
+        target = morph_position(morph_of(rng, polygon), Fraction(rng.randint(1, 15), 16)).vertices
+    else:
+        center = Point2(rng.randint(-5, 5), rng.randint(-5, 5))
+        target = morph_position(rotate_copy_instance(polygon, center, (-1, 0)), Fraction(1, 2)).vertices
+    return LabeledPolygon(pts, 0), LabeledPolygon(target, 0)
+
+
+def test_similarity_witness_matches_the_fraction_fit():
+    # the witness read off the affine fit is the similarity that a fit in
+    # `Fraction`s, checked vertex by vertex, finds, and a target whose
+    # vertices all meet is signalled
+    tally = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(witness_pairs())
+    def check(pair):
+        a, b = pair
+        if all(q == b.vertices[0] for q in b.vertices):
+            tally["collapse"] += 1
+            with pytest.raises(AllPointsEqualError):
+                similarity_witness(a, b)
+            return
+        sim = similarity_witness(a, b)
+        tally["similar" if sim else "none"] += 1
+        got = None if sim is None else (sim.wx, sim.wy, sim.tx, sim.ty)
+        assert got == geometry_reference.similarity_fit(a.vertices, b.vertices)
+
+    check()
+    assert min(tally[key] for key in ("collapse", "similar", "none")) > 10, tally

@@ -85,7 +85,9 @@ SHARED = {
     "_QUAD_TRIPLES": "model.py",
     # the affine end map and its eigenvalue test, for the morph decision's
     # affine shortcut and the ear-squash end gap alike, and the one affine
-    # fit that instance validation makes and the morph decision reuses
+    # fit: instance validation makes it, and the morph decision
+    # (`morph._decide`) and the similarity witness (`similarity_witness`,
+    # which the rotation planner calls) read it
     "_end_map": "geometry.py",
     "_planar_linear_part": "morph.py",
     "_affine_fit": "model.py",
@@ -131,7 +133,7 @@ def test_options_are_only_those_a_caller_sets():
     # an option that no caller sets is a code path that nothing runs;
     # `force_sections` is the benchmark's re-check and `_memo` the oracle's
     from banded.fileio import export_mesh
-    from banded.generators import random_convex_polygon, random_star_polygon
+    from banded.generators import jiggled_instance, random_convex_polygon, random_star_polygon, random_translation
     from banded.model import verify_banded_surface
 
     def keywords(function):
@@ -142,6 +144,13 @@ def test_options_are_only_those_a_caller_sets():
     assert keywords(export_mesh) == ["include_caps", "floats"]
     for generator in (random_convex_polygon, random_star_polygon):
         assert list(inspect.signature(generator).parameters) == ["rng", "n"], generator.__name__
+    # every caller of `random_translation` passes its spread; the convex chord
+    # rule's alternation test jiggles by 1, every other caller by the default
+    def defaulted(function):
+        return [p.name for p in inspect.signature(function).parameters.values() if p.default is not p.empty]
+
+    assert defaulted(random_translation) == []
+    assert defaulted(jiggled_instance) == ["amount"]
 
 
 def test_package_root_exports_only_documented_names():
