@@ -874,7 +874,11 @@ def verify_banded_surface(
     """
     faces: list = []
     edges: dict = {}
+    nv = len(s.vertices)
     try:
+        # a negative index would read a real vertex from the end
+        if any(not 0 <= v < nv for path in s.paths for v in path):
+            raise MeshStructureError(f"malformed mesh: a path index is outside [0, {nv})")
         points, scale = _integer_points(s)
         topo = _check_topology(s, points, faces, edges, _memo)
         if not topo.passed:

@@ -651,12 +651,6 @@ class Similarity:
     def is_identity_rotation(self) -> bool:
         return self.wy == 0 and self.wx > 0
 
-    def apply(self, p: Point2) -> Point2:
-        return Point2(
-            self.wx * p.x - self.wy * p.y + self.tx,
-            self.wy * p.x + self.wx * p.y + self.ty,
-        )
-
 
 def similarity_witness(a: LabeledPolygon, b: LabeledPolygon):
     """The unique label-preserving, reflection-free similarity mapping polygon

@@ -393,15 +393,18 @@ _BRUTE_FORCE_MAX_N = 16
 
 def brute_force_assignments(inst: SliceInstance) -> list[ChordAssignment]:
     """Enumerate all 2^n chord assignments, for n <= 16, and keep those whose
-    surface passes the full verifier; a larger n raises `PreconditionError`.
-    Independent of the clause/2-SAT machinery.  Each (band, chord) gives the
-    same two faces on every surface, so the verifier's face records and
-    face-pair verdicts are memoised across the enumeration, keyed by the
-    faces' integer vertices."""
+    surface passes the full verifier; an invalid instance raises `InputError`
+    (`SliceInstance.validate`) and a larger n `PreconditionError`.  The
+    surfaces are built on validation's integer frame, as in
+    `solve_no_steiner`.  Independent of the clause/2-SAT machinery.  Each
+    (band, chord) gives the same two faces on every surface, so the
+    verifier's face records and face-pair verdicts are memoised across the
+    enumeration, keyed by the faces' integer vertices."""
+    cs = inst.validate()[1]
     n = inst.n
     if n > _BRUTE_FORCE_MAX_N:
         raise PreconditionError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
-    scaled = scaled_to_integers(inst)
+    scaled = _integer_instance(inst, cs)
     memo: dict = {}
     valid = []
     for mask in range(1 << n):

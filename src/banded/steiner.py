@@ -5,9 +5,10 @@ interior planes so that each consecutive pair admits a chord surface, and the
 gap surfaces stack into one annulus.  Every layer keeps all n vertices, so
 the n vertical paths thread through every level and the band structure is
 preserved verbatim.  Plans are tried cheapest first: snapshots of the linear
-morph; exact sub-rotations for rotated instances; and the ear-squash route,
-which has built every pair tried.  Every gap is certified by the chord
-solver.
+morph, taken at the midpoints of a bisection at most 4 deep, which gives up
+at the first midpoint that is not simple; exact sub-rotations for rotated
+instances; and the ear-squash route, which has built every pair tried.
+Every gap is certified by the chord solver.
 
 The ear-squash route picks a corner triple {i, j, k} that is a triangle of
 some triangulation of both polygons (`_is_ear`).  Each side is squashed
@@ -84,37 +85,27 @@ def _layer_budget(n: int) -> int:
 
 
 def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None:
-    """Interior layers taken from the linear morph itself, bisected until all
-    gaps are chord-solvable.  Cheap and small when source and target are
-    already close or related by a rotation; gives up (None) where a snapshot
-    goes non-simple or the layer budget would be exceeded."""
+    """Interior layers taken from the linear morph itself: snapshots at the
+    midpoints of a bisection, at most 4 deep, until every gap is
+    chord-solvable.  Cheap and small when source and target are already
+    close; gives up (None) at the first midpoint snapshot that is not
+    simple, at a gap that still fails at depth 4, or where the plan would
+    exceed the layer budget.  A half turn collapses at t = 1/2, so it falls
+    through at once to `_rotation_plan`."""
     from .morph import morph_position
-
-    def snapshot(t: Fraction):
-        pts = morph_position(inst, t).vertices
-        return pts if polygon_is_simple(pts) else None
 
     def rec(lo_poly, hi_poly, lo_t, hi_t, depth):
         if _gap_assignment(lo_poly, hi_poly, memo) is not None:
             return []
         if depth == 0:
             return None
-        span = hi_t - lo_t
-        # prefer the midpoint, but step around stretches where the morph
-        # itself goes non-simple: one gap may stride across such a window
-        for frac in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(3, 8), Fraction(5, 8)):
-            mid_t = lo_t + span * frac
-            mid = snapshot(mid_t)
-            if mid is None:
-                continue
-            left = rec(lo_poly, mid, lo_t, mid_t, depth - 1)
-            if left is None:
-                continue
-            right = rec(mid, hi_poly, mid_t, hi_t, depth - 1)
-            if right is None:
-                continue
-            return left + [mid] + right
-        return None
+        mid_t = (lo_t + hi_t) / 2
+        mid = morph_position(inst, mid_t).vertices
+        if not polygon_is_simple(mid):
+            return None
+        left = rec(lo_poly, mid, lo_t, mid_t, depth - 1)
+        right = None if left is None else rec(mid, hi_poly, mid_t, hi_t, depth - 1)
+        return None if right is None else left + [mid] + right
 
     plan = rec(inst.source.vertices, inst.target.vertices, Fraction(0), Fraction(1), 4)
     if plan is not None and 0 < len(plan) <= max_layers:
@@ -293,10 +284,10 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
 
     Strategy ladder, cheapest first, every gap certified by the chord solver:
     the direct chord solution (zero added vertices); interior layers sampled
-    from the morph itself (bisected until gaps solve); exact sub-rotations
-    when the target is a rotated copy of the source; and the ear-squash
-    route (`_squash_plan`).  When the two polygons share a corner triple
-    whose end map passes the eigenvalue test, that route adds at most
+    from the morph itself (bisected at midpoints until gaps solve); exact
+    sub-rotations when the target is a rotated copy of the source; and the
+    ear-squash route (`_squash_plan`).  When the two polygons share a corner
+    triple whose end map passes the eigenvalue test, that route adds at most
     2n(n-3) vertices, proven but for the certification of each squash gap;
     with shared triples that all fail it, it adds at most n more, and so
     stays within 2n(n-3)+12 for n <= 12.  See the module docstring for what

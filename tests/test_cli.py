@@ -208,6 +208,21 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"banded: parse error: {sidecar}: label ")
 
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_path_index_out_of_range(self, tmp_path, capsys, shift):
+        # an interior vertex v of path 0 moved to v + V or v - V, with V the
+        # vertex count: v - V must not read a real vertex from the end
+        mesh = tmp_path / "layered.off"
+        run("steiner", fig("fig3a_no_surface"), "--export", str(mesh))
+        sidecar = Path(str(mesh) + ".bands.json")
+        doc = json.loads(sidecar.read_text())
+        doc["paths"][0][1] += shift * len(doc["labels"])
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", str(mesh), "--bands", str(sidecar)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("banded: invalid input: malformed mesh: ")
+
 
 class TestFileErrors:
     """A path that cannot be written, or a file that does not decode, ends

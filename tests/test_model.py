@@ -349,6 +349,17 @@ class TestVerifier:
             with pytest.raises(MeshStructureError):
                 verify_banded_surface(bad)
 
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_path_index_out_of_range_is_a_structure_error(self, shift):
+        # v - V would read a real vertex from the end, so both signs are
+        # malformed, not a topology failure
+        s = assignment_to_surface(identity_square(), ChordAssignment.from_string("RRRR"))
+        (bottom, top), *rest = s.paths
+        bad_paths = ((bottom, top + shift * len(s.vertices)), *rest)
+        bad = BandedSurface(s.vertices, s.faces, s.bands, bad_paths)
+        with pytest.raises(MeshStructureError, match="path index"):
+            verify_banded_surface(bad)
+
     def test_missing_face_breaks_boundary(self):
         inst = identity_square()
         s = assignment_to_surface(inst, ChordAssignment.from_string("RRRR"))

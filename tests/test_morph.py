@@ -959,7 +959,9 @@ class TestSimilarity:
             snap = morph_position(inst, t)
             sim = similarity_witness(inst.source, LabeledPolygon(snap.vertices, 0))
             assert sim is not None
-            assert all(sim.apply(p) == q for p, q in zip(poly.vertices, snap.vertices))
+            # the map x -> W x + v, with W = wx + i wy
+            for p, q in zip(poly.vertices, snap.vertices):
+                assert q == Point2(sim.wx * p.x - sim.wy * p.y + sim.tx, sim.wy * p.x + sim.wx * p.y + sim.ty)
 
     def test_collapse_signal(self):
         tri = LabeledPolygon((Point2(4, 0), Point2(-2, 3), Point2(-2, -3)), 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import banded.morph as morph
 import banded.solver as solver
 import banded.steiner as steiner
 from banded.errors import InternalConsistencyError
@@ -151,6 +152,45 @@ class TestJoins:
         s = build_layered_surface(inst)
         assert s.steiner_count() == 3
         assert verify_banded_surface(s, force_sections=True).passed
+
+
+def counted_gap_tables(monkeypatch) -> list:
+    """The instances of the gap tables built through `steiner`'s binding."""
+    tables = []
+    inner = steiner.build_conflict_table
+
+    def build_conflict_table(table_inst):
+        tables.append(table_inst)
+        return inner(table_inst)
+
+    monkeypatch.setattr(steiner, "build_conflict_table", build_conflict_table)
+    return tables
+
+
+class TestMorphPlan:
+    def test_half_turn_gives_up_at_its_first_midpoint(self, monkeypatch):
+        # fig3a is a half turn, so its snapshot at t = 1/2 collapses to one
+        # point; the bisection splits at midpoints only and tries no other t
+        inst = fig3a_no_surface().instance
+        times = []
+        inner = morph.morph_position
+
+        def morph_position(snap_inst, t):
+            times.append(t)
+            return inner(snap_inst, t)
+
+        monkeypatch.setattr(morph, "morph_position", morph_position)
+        tables = counted_gap_tables(monkeypatch)
+        memo = {(inst.source.vertices, inst.target.vertices): None}
+        assert steiner._morph_plan(inst, steiner._layer_budget(inst.n), memo) is None
+        assert times == [Fraction(1, 2)]
+        assert tables == []
+
+    def test_fig3a_build_reaches_the_rotation_plan_in_few_tables(self, monkeypatch):
+        tables = counted_gap_tables(monkeypatch)
+        s = build_layered_surface(fig3a_no_surface().instance)
+        assert verify_banded_surface(s, force_sections=True).passed
+        assert 0 < len(tables) <= 5
 
 
 class TestRotationPlan:

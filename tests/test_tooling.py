@@ -9,11 +9,14 @@ this test makes it break the suite as well.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,6 +130,43 @@ def test_entry_points_take_only_the_instance():
     )
     for entry in entries:
         assert list(inspect.signature(entry).parameters) == ["inst"], entry.__name__
+
+
+SQUARE = ((0, 0), (4, 0), (4, 4), (0, 4))
+
+# source, target and the target's z level of three invalid instances
+INVALID = {
+    "clockwise_squares": (SQUARE[::-1], SQUARE[::-1], 1),
+    "bowtie_source": (((0, 0), (4, 4), (4, 0), (0, 4)), SQUARE, 1),
+    "z_levels_0_and_2": (SQUARE, SQUARE, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "solver.solve_no_steiner",
+        "morph.planarity_preserving",
+        "morph.convex_chord_rule",
+        "steiner.build_layered_surface",
+        "solver.brute_force_assignments",
+    ],
+)
+def test_entry_points_reject_invalid_instances(entry, case):
+    from banded.errors import InputError
+    from banded.geometry import Point2
+    from banded.model import LabeledPolygon, SliceInstance
+
+    module, name = entry.split(".")
+    function = getattr(importlib.import_module(f"banded.{module}"), name)
+    source, target, z = INVALID[case]
+    inst = SliceInstance(
+        LabeledPolygon(tuple(Point2(*p) for p in source), 0),
+        LabeledPolygon(tuple(Point2(*p) for p in target), z),
+    )
+    with pytest.raises(InputError):
+        function(inst)
 
 
 def test_options_are_only_those_a_caller_sets():
