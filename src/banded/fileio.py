@@ -329,6 +329,10 @@ def load_surface(mesh_path, bands_path) -> BandedSurface:
         raise ParseError(
             f"{bands_path}: {len(labels)} labels for {len(vertices)} mesh vertices"
         )
+    for b, row in enumerate(doc["bands"]):
+        for f in row:
+            if not 0 <= f < len(faces):
+                raise ParseError(f"{bands_path}: band {b} face index {f} outside [0, {len(faces)})")
     n_band_faces = sum(len(b) for b in doc["bands"])
     if n_band_faces != len(faces):
         raise ParseError(f"{bands_path}: band structure covers {n_band_faces} of {len(faces)} faces")

@@ -201,8 +201,8 @@ def _box_pairs(boxes):
     The boxes are swept in order of min-x, ties by index, with an active
     list of the earlier boxes whose max-x reaches the current min-x; j is
     the earlier of the two in that order, and the pairs come grouped by k
-    in sweep order.  Polygon simplicity, the morph decision, the conflict
-    table and the verifier's face pass all prune their pairs here."""
+    in sweep order.  Polygon simplicity, the morph decision and the
+    verifier's face pass all prune their pairs here."""
     active = []
     for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
         x0, x1, y0, y1 = boxes[k]

@@ -17,7 +17,6 @@ from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     _ON_PLANE,
     _box,
-    _box_pairs,
     _plane,
     _plane_sides,
     _sections_apart,
@@ -94,17 +93,18 @@ class ConflictTable:
     sorted key order.  Both are in the order of the clauses that
     `build_clauses` emits.
 
-    A table whose clauses are satisfiable is complete: an absent pair is
-    conflict-free.  Otherwise it may hold only the conflicts of the band
-    pairs nearest in cyclic order, as `build_conflict_table` tests them.
-    Every clause is a conflict of the instance, and clauses with no
-    satisfying assignment have none when more are added, so such a prefix
-    refutes the instance as the complete table would.
+    A table is complete, an absent pair conflict-free, unless 2-SAT refuted
+    it early: then it holds the conflicts of the nearest band pairs, as
+    `build_conflict_table` walks them, and `refutation` is the 2-SAT result
+    that refuted them (else None).  Every clause is a conflict of the
+    instance, and a clause set with no satisfying assignment has none when
+    clauses are added, so the prefix refutes the instance as the whole would.
     """
 
     n: int
     self_conflicts: tuple
     pairs: dict
+    refutation: TwoSatResult | None = None
 
 
 _NO_CONFLICT = ((False, False), (False, False))
@@ -231,14 +231,13 @@ def _choices_meet(ta, a_sides, tb, b_sides, tests) -> bool:
 def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     """The conflict table of an instance, with the verdicts of `conflicts`:
     complete whenever its clauses are satisfiable, and otherwise possibly an
-    unsatisfiable prefix of the band pairs, taken nearest-first.
+    unsatisfiable prefix of the band pairs, walked nearest-first.
 
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
     separate them: every quad spans the full height).  `_pair_conflicts`
-    runs only on the pairs whose boxes meet, as `geometry._box_pairs` finds
-    them, and only a pair with a conflict is kept; the kept pairs are
-    sorted by key.
+    runs only on the pairs whose boxes meet, and only a pair with a
+    conflict is kept; the kept pairs are sorted by key.
     It routes each pair on its 8 xy differences: a pair with no vertex
     shared by value is decided in the plane, from subsets of those
     differences; a pair that shares a path edge, with a plane through the
@@ -246,19 +245,19 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     (on a valid instance, adjacent pairs whose bands fold over each other
     at the shared edge) take the sign matrix of `_band_pair_conflicts`.
 
-    The swept pairs are tested nearest-first: a counting sort by cyclic
-    distance min(j - i, n - j + i), keeping sweep order within a distance.
-    After n, 2n, 4n, ... tested pairs, while at least half are untested,
-    the conflicts found so far go through `build_clauses` and `solve_2sat`
-    when one of them breaks the held assignment: the last such check's,
-    or before the first, each band's right chord (its left one where the
-    right one folds).  A prefix that the held assignment meets is
+    The pairs are walked nearest-first, in rings of cyclic distance: ring
+    d = 1, 2, ..., n // 2 holds the pairs (i, i + d mod n), n of them, or
+    n / 2 in the last ring of an even n.  After rings 1, 2, 4, ... while
+    4d <= n, the conflicts found so far go through `build_clauses` and
+    `solve_2sat` when one of them breaks the held assignment: the last such
+    check's, or before the first, each band's right chord (its left one
+    where the right one folds).  A prefix that the held assignment meets is
     satisfiable, so no check is skipped that could refute.  Each clause is
     a conflict of the instance, and a clause set with no satisfying
     assignment keeps none when clauses are added, so an unsatisfiable
-    prefix refutes the instance and is returned as it is.  A satisfiable
-    table is complete, so its clauses and its 2-SAT assignment are those
-    of the full table.
+    prefix refutes the instance and is returned with that result as its
+    `refutation`.  A satisfiable table is complete, so its clauses and its
+    2-SAT assignment are those of the full table.
 
     A band's two chord triangles share the chord.  When the quad is not
     coplanar they lie in crossing planes, so they meet only on the chord,
@@ -281,33 +280,28 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
                     self_conflicts.append((i, c))
         boxes.append(_box(band))
     self_conflicts = tuple(self_conflicts)
-    by_distance = [[] for _ in range(n // 2 + 1)]
-    # the bucket of index difference j - k, negative too, is that of
-    # distance min(|j - k|, n - |j - k|)
-    bucket = [by_distance[min(d, n - d)] for d in range(n)]
-    for j, k in _box_pairs(boxes):
-        bucket[j - k].append((j, k) if j < k else (k, j))
-    swept = sum(map(len, by_distance))
-    check = n
     # an assignment that meets every conflict found so far unless `stale`,
     # True for the right chord: before the first check, each band's right
     # chord, or its left one where the right one folds
     assignment = [(i, Chord.RIGHT) not in self_conflicts for i in range(n)]
     stale = len({i for i, _ in self_conflicts}) < len(self_conflicts)
     pairs = []
-    for tested, (a, b) in enumerate(itertools.chain.from_iterable(by_distance), 1):
-        mat = _pair_conflicts(bands[a], bands[b])
-        if mat != _NO_CONFLICT:
-            pairs.append(((a, b), mat))
-            stale = stale or mat[not assignment[a]][not assignment[b]]
-        if tested == check and 2 * tested <= swept:
-            check *= 2
-            if stale:
-                table = ConflictTable(n, self_conflicts, dict(sorted(pairs)))
-                result = solve_2sat(*build_clauses(table))
-                if not result.satisfiable:
-                    return table
-                assignment, stale = result.assignment, False
+    for d in range(1, n // 2 + 1):
+        for i in range(n - d if 2 * d == n else n):
+            a, b = (i, i + d) if i + d < n else (i + d - n, i)
+            (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[a], boxes[b]
+            if x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1:
+                mat = _pair_conflicts(bands[a], bands[b])
+                if mat != _NO_CONFLICT:
+                    pairs.append(((a, b), mat))
+                    stale = stale or mat[not assignment[a]][not assignment[b]]
+        # a check after rings 1, 2, 4, ...
+        if stale and d & (d - 1) == 0 and 4 * d <= n:
+            found = dict(sorted(pairs))
+            result = solve_2sat(*build_clauses(ConflictTable(n, self_conflicts, found)))
+            if not result.satisfiable:
+                return ConflictTable(n, self_conflicts, found, result)
+            assignment, stale = result.assignment, False
     return ConflictTable(n, self_conflicts, dict(sorted(pairs)))
 
 
@@ -365,16 +359,16 @@ def solve_no_steiner(inst: SliceInstance) -> SolveOutcome:
     The instance is validated first (`SliceInstance.validate` raises
     `InputError` on an invalid one), and the conflict table is built on the
     integer frame that validation computes, so the instance is scaled once.
-    On UNSAT the table may be a prefix that 2-SAT refutes (`ConflictTable`);
-    its clauses are conflicts of the instance, so the witness chains hold
-    as they are.  On SAT the table is complete, and the surface is
-    re-certified by the independent verifier; a failure
-    there means the conflict predicate and the verifier disagree, which is a
-    bug worth crashing over.
+    On UNSAT the table may be a prefix that 2-SAT refuted, and then carries
+    that result as its `refutation`, so only a complete table is solved
+    here; its clauses are conflicts of the instance, so the witness chains
+    hold as they are.  On SAT the table is complete, and the surface is
+    re-certified by the independent verifier; a failure there means the
+    conflict predicate and the verifier disagree, which is a bug worth
+    crashing over.
     """
     table = build_conflict_table(_integer_instance(inst, inst.validate()[1]))
-    n, clauses = build_clauses(table)
-    result = solve_2sat(n, clauses)
+    result = table.refutation or solve_2sat(*build_clauses(table))
     if not result.satisfiable:
         return SolveOutcome(satisfiable=False, unsat=result)
     assignment = ChordAssignment.from_bools(result.assignment)

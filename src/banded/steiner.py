@@ -63,17 +63,17 @@ def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     """Chord assignment for the gap between two layers, given as vertex
     tuples and stood at heights 0 and 1, or None.  `memo` holds the verdicts
     of one build, keyed by the two layers (so an int and the equal
-    `Fraction` share a key); a stored None is an UNSAT verdict.  The gap's
-    conflict table is complete when it certifies the gap, and may be a
-    prefix that 2-SAT refutes when it does not (`solver.ConflictTable`)."""
+    `Fraction` share a key); a stored None is an UNSAT verdict.  Only a
+    complete conflict table is solved here: a prefix that 2-SAT refuted
+    carries that result (`solver.ConflictTable.refutation`)."""
     key = (lower, upper)
     # one hash of the key per call, since Fraction coordinates hash slowly;
     # False marks a gap not solved yet
     verdict = memo.get(key, False)
     if verdict is False:
         inst = SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
-        n, clauses = build_clauses(build_conflict_table(inst))
-        result = solve_2sat(n, clauses)
+        table = build_conflict_table(inst)
+        result = table.refutation or solve_2sat(*build_clauses(table))
         verdict = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
         memo[key] = verdict
     return verdict

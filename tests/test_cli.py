@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from banded import cli, model
+from banded import cli, model, morph
 from banded.cli import main
 from banded.errors import InternalConsistencyError
 from banded.fileio import save_instance
@@ -223,6 +223,22 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("banded: invalid input: malformed mesh: ")
 
+    @pytest.mark.parametrize("index", [-1, 10**6])
+    def test_band_face_index_out_of_range(self, tmp_path, capsys, index):
+        # malformed, as a face index of the OFF mesh is, and not a topology
+        # FAIL (exit 2)
+        mesh = tmp_path / "layered.off"
+        run("steiner", fig("fig3a_no_surface"), "--export", str(mesh))
+        sidecar = Path(str(mesh) + ".bands.json")
+        doc = json.loads(sidecar.read_text())
+        faces = sum(map(len, doc["bands"]))
+        doc["bands"][0][0] = index
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", str(mesh), "--bands", str(sidecar)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"banded: parse error: {sidecar}: band 0 face index {index} outside [0, {faces})"]
+
 
 class TestFileErrors:
     """A path that cannot be written, or a file that does not decode, ends
@@ -356,34 +372,60 @@ class TestPipelines:
         assert run("verify", str(mesh), "--bands", str(mesh) + ".bands.json") == 2
 
 
+def counted_validation(monkeypatch) -> Counter:
+    """Calls of the integer frame through `model`'s binding and through
+    `morph`'s own, of polygon validation and of `model._integer_axis`."""
+    calls = Counter()
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(model, "_frame", "model._frame")
+    counted(morph, "_frame", "morph._frame")
+    counted(model.LabeledPolygon, "validate", "validate")
+    counted(model, "_integer_axis", "_integer_axis")
+    return calls
+
+
+# the one command and figure that frame twice, in
+# `test_steiner_on_a_half_turn_frames_once`
+FRAMED_TWICE = ("steiner", "fig3a_no_surface")
+
+
 @pytest.mark.parametrize("figure", ["fig1_twisted_prism", "fig3a_no_surface"])
 def test_each_command_validates_once(monkeypatch, capsys, figure):
     # the entry point validates and the command does not: one integer frame
     # and one polygon sweep per command (both figures' targets are affine
     # images of their sources, so only the source is swept)
-    calls = Counter()
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(model, "_frame")
-    counted(model.LabeledPolygon, "validate")
-    counted(model, "_integer_axis")
+    calls = counted_validation(monkeypatch)
     for command in ("check", "solve", "steiner", "convex-rule", "morph-check"):
         calls.clear()
         run(command, fig(figure))
-        assert (calls["_frame"], calls["validate"]) == (1, 1), command
+        assert (calls["model._frame"], calls["validate"]) == (1, 1), command
+        if (command, figure) != FRAMED_TWICE:
+            assert calls["morph._frame"] == 0, command
         if (command, figure) == ("solve", "fig3a_no_surface"):
             # the conflict table is built on validation's frame, and an
             # UNSAT verdict builds no surface to scale
             assert calls["_integer_axis"] == 1
     capsys.readouterr()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: `_rotation_plan` frames the instance again in `similarity_witness`",
+)
+def test_steiner_on_a_half_turn_frames_once(monkeypatch, capsys):
+    calls = counted_validation(monkeypatch)
+    command, figure = FRAMED_TWICE
+    assert run(command, fig(figure)) == 0
+    assert (calls["model._frame"], calls["morph._frame"], calls["validate"]) == (1, 0, 1)
 
 
 def test_bundled_figures_match_frozen_instances():

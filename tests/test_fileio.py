@@ -201,6 +201,18 @@ class TestMeshFiles:
         with pytest.raises(ParseError, match="is negative"):
             read_off(path)
 
+    @pytest.mark.parametrize("index", [-1, 10**6])
+    def test_load_surface_rejects_band_face_index_out_of_range(self, tmp_path, index):
+        # as `read_off` rejects a face vertex index outside the mesh
+        path = tmp_path / "mesh.off"
+        export_mesh(schonhardt_surface(), "off", path)
+        sidecar = tmp_path / "mesh.off.bands.json"
+        doc = json.loads(sidecar.read_text())
+        doc["bands"][0][0] = index
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=rf"band 0 face index {index} outside \[0, 6\)"):
+            load_surface(path, sidecar)
+
     def test_mesh_only_surface_sections(self, tmp_path):
         s = schonhardt_surface()
         path = tmp_path / "mesh.off"

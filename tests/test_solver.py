@@ -791,12 +791,14 @@ def test_unsat_table_stops_at_a_refuted_prefix(monkeypatch):
 def test_table_verdict_is_the_complete_tables(seed, n, kind):
     # `random_instance` draws the target style from the seed: the table's
     # 2-SAT verdict is the complete table's, and on SAT so are the table,
-    # its clauses and the 2-SAT result
+    # its clauses and the 2-SAT result; an UNSAT table carries the 2-SAT
+    # result of its own clauses, and a SAT table none
     inst = random_instance(random.Random(seed), n, kind)
     table, reference = build_conflict_table(inst), complete_table(inst)
     expected = solve_2sat(*build_clauses(reference))
     result = assert_refutes_or_completes(table, reference)
     assert result.satisfiable == expected.satisfiable
+    assert table.refutation == (None if result.satisfiable else result)
     if result.satisfiable:
         assert build_clauses(table) == build_clauses(reference)
         assert result == expected
@@ -855,6 +857,33 @@ def test_conflict_table_under_relabelling_translation_and_scaling(seed, n, kind,
     verdict = solve_no_steiner(inst).satisfiable
     assert solve_no_steiner(relabelled).satisfiable == verdict
     assert solve_no_steiner(moved).satisfiable == verdict
+
+
+def test_a_refuted_table_is_solved_once(monkeypatch):
+    # the rotated 40-gon star of `test_unsat_table_stops_at_a_refuted_prefix`:
+    # each check inside the table builds its clauses and solves them once,
+    # the table keeps the result that refuted it, and the solve calls
+    # neither again after the table returns
+    rng = random.Random(0)
+    inst = rotated_instance(rng, random_polygon(rng, 40, "star"))
+    calls, results = [], []
+
+    def traced(name, inner):
+        def wrapper(*args):
+            out = inner(*args)
+            calls.append(name)
+            results.append(out)
+            return out
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in ("build_clauses", "solve_2sat", "build_conflict_table"):
+        traced(name, getattr(solver, name))
+    out = solve_no_steiner(inst)
+    assert not out.satisfiable
+    checks = len(calls) // 2
+    assert checks > 0 and calls == ["build_clauses", "solve_2sat"] * checks + ["build_conflict_table"]
+    assert results[-1].refutation is results[-2] is out.unsat
 
 
 def test_unsat_solve_frames_the_instance_once(monkeypatch):

@@ -11,7 +11,7 @@ import banded.solver as solver
 import banded.steiner as steiner
 from banded.errors import InternalConsistencyError
 from banded.figures import fig3a_no_surface, fig7_star
-from banded.generators import random_instance, random_polygon, random_star_polygon
+from banded.generators import random_instance, random_polygon, random_star_polygon, rotated_instance
 from banded.geometry import Point2, _is_ear, orient2d, polygon_is_simple
 from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface
 from banded.morph import _rotated, convex_chord_rule, planarity_preserving, rotate_copy_instance
@@ -120,6 +120,26 @@ class TestJoins:
         (layer,) = _squash_chain(QUAD, (0, 1, 2))
         assignment = _gap_assignment(QUAD, layer, {})
         assert len(assignment) == 4
+
+    def test_only_complete_gap_tables_are_solved(self, monkeypatch):
+        # the table of the rotated 40-gon star's gap is refuted inside
+        # `build_conflict_table`, which keeps that result, so the gap makes
+        # no call through `steiner.solve_2sat`; a certified gap makes one
+        calls = []
+        inner = steiner.solve_2sat
+
+        def solve_2sat(*args):
+            calls.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(steiner, "solve_2sat", solve_2sat)
+        rng = random.Random(0)
+        star = rotated_instance(rng, random_polygon(rng, 40, "star"))
+        memo = {}
+        assert _gap_assignment(star.source.vertices, star.target.vertices, memo) is None
+        assert calls == [] and list(memo.values()) == [None]
+        assert len(_gap_assignment(QUAD, QUAD, memo)) == 4
+        assert calls == [4]
 
     def test_congruent_triangles_direct(self):
         tri = (Point2(0, 0), Point2(4, 0), Point2(0, 4))

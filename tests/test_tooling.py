@@ -74,9 +74,9 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
 # shared predicates and tables, each with the one module that binds it
 SHARED = {
     # the conflict table and the morph decision share one copy of the
-    # sections lemma's predicate and of the differences it reads; the four
-    # pair filters share one box sweep, and the kernel and the face pass
-    # one plane-side routine
+    # sections lemma's predicate and of the differences it reads; polygon
+    # simplicity, the morph scan and the face pass share one box sweep, and
+    # the kernel and the face pass one plane-side routine
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
     "_box_pairs": "geometry.py",
