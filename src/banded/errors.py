@@ -26,10 +26,6 @@ class DegenerateTriangleError(InputError):
     """A zero-area triangle was passed where a proper one is required."""
 
 
-class ZeroVectorError(InputError):
-    """A direction argument was the zero vector."""
-
-
 class AllPointsEqualError(InputError):
     """A polygon collapsed to a single point where shape information is needed."""
 

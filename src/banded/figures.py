@@ -9,7 +9,7 @@ the repository's figures/ directory for CLI use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2
@@ -25,7 +25,6 @@ class ReferenceInstance:
     planar_morph: bool  # linear morph preserves planarity
     valid_assignments: tuple[str, ...] = ()  # known members of the oracle list
     notes: str = ""
-    metadata: dict = field(default_factory=dict)
 
 
 def _poly(coords, z=0) -> LabeledPolygon:

@@ -8,13 +8,12 @@ orientation tests of a polygon scale it onto integers first.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateTriangleError, InputError, PreconditionError, ZeroVectorError
+from .errors import DegenerateTriangleError, InputError, PreconditionError
 
 Rational = int | Fraction
 
@@ -58,28 +57,6 @@ def orient3d(a, b, c, d) -> int:
     wx, wy, wz = dx - ax, dy - ay, dz - az
     det = ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
     return (det > 0) - (det < 0)
-
-
-class AngleClass(enum.Enum):
-    LESS_PI = "less_pi"
-    EQUAL_PI = "equal_pi"
-    GREATER_PI = "greater_pi"
-
-
-def ccw_angle(u: Point2, v: Point2) -> AngleClass:
-    """Classify the CCW angle from vector u to vector v against pi: below,
-    exactly or above.  Zero angle classifies as LESS_PI.
-    """
-    if (u.x == 0 and u.y == 0) or (v.x == 0 and v.y == 0):
-        raise ZeroVectorError("ccw_angle requires nonzero vectors")
-    cross = u.x * v.y - u.y * v.x
-    if cross > 0:
-        return AngleClass.LESS_PI
-    if cross < 0:
-        return AngleClass.GREATER_PI
-    if u.x * v.x + u.y * v.y > 0:
-        return AngleClass.LESS_PI
-    return AngleClass.EQUAL_PI
 
 
 def _between_collinear(p, a, b) -> bool:

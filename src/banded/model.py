@@ -27,8 +27,6 @@ from .geometry import (
     _plane_sides,
     _triangles_meet,
     open_triangles_intersect_3d,  # unused; benchmarks/spans.py wraps this binding
-    polygon_is_ccw,
-    polygon_is_convex,
     polygon_is_simple,
     polygon_signed_area2,
 )
@@ -57,15 +55,6 @@ class LabeledPolygon:
     def point3(self, i: int) -> Point3:
         p = self.vertices[i % self.n]
         return Point3(p.x, p.y, self.z_level)
-
-    def is_simple(self) -> bool:
-        return polygon_is_simple(self.vertices)
-
-    def is_ccw(self) -> bool:
-        return polygon_is_ccw(self.vertices)
-
-    def is_convex(self) -> bool:
-        return polygon_is_convex(self.vertices)
 
     def validate(self) -> None:
         # one integer copy serves both tests: polygon_is_simple takes an

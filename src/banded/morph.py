@@ -46,8 +46,8 @@ from fractions import Fraction
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import AngleClass, Point2, _box, _box_pairs, _sections_apart, _xy_differences, ccw_angle
-from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame
+from .geometry import Point2, _box, _box_pairs, _sections_apart, _xy_differences, polygon_is_convex
+from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame, _integer_instance
 from .quadfield import ExactTime, midpoint, rational_between
 
 
@@ -570,41 +570,38 @@ def _apart_before(horizon, i: int, j: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def band_angle_classes(inst: SliceInstance) -> list[AngleClass]:
-    """Per band, classify the CCW turn from the source edge direction to the
-    target edge direction against pi."""
-    classes = []
-    n = inst.n
-    for i in range(n):
-        p0, p1 = inst.source.vertices[i], inst.source.vertices[(i + 1) % n]
-        q0, q1 = inst.target.vertices[i], inst.target.vertices[(i + 1) % n]
-        v0 = Point2(p1.x - p0.x, p1.y - p0.y)
-        v1 = Point2(q1.x - q0.x, q1.y - q0.y)
-        classes.append(ccw_angle(v0, v1))
-    return classes
-
-
 def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
-    """Chord assignment for convex, planarity-preserving instances: left chord
-    when the edge turns by less than pi, right chord when by more, right by
-    convention at exactly pi.  The result is verified before being returned;
-    a verification failure here is a bug and raises loudly."""
-    frame = inst.validate()
-    if not inst.source.is_convex() or not inst.target.is_convex():
+    """Chord assignment for convex, planarity-preserving instances: band i
+    takes the left chord iff cross(u, v) >= 0 for its source edge vector u
+    and target edge vector v, that is, iff the edge turns by less than pi,
+    and the right chord otherwise.  The convexity tests, the turn signs and
+    the self-check surface all use validation's integer frame.
+
+    cross(u, v) = 0 means that u and v point the same way here: were
+    v = -lambda u with lambda > 0, the edge would shrink to a point at
+    t = 1 / (1 + lambda), a vertex collision that the planarity decision
+    reports as an angle collapse, so no band of a planarity-preserving
+    morph turns by exactly pi.  The result is verified before being
+    returned; a verification failure here is a bug and raises loudly."""
+    k, cs, fit = inst.validate()
+    scaled = _integer_instance(inst, cs)
+    if not polygon_is_convex(scaled.source.vertices) or not polygon_is_convex(scaled.target.vertices):
         raise PreconditionError("convex_chord_rule requires convex polygons")
-    verdict = _decide(*frame)
+    verdict = _decide(k, cs, fit)
     if not verdict.preserved:
         raise PreconditionError(
             f"convex_chord_rule requires a planarity-preserving morph; violated at {verdict.interval}"
         )
+    ends = [cs[m : m + 4] for m in range(0, len(cs), 4)]
     choices = []
-    for cls in band_angle_classes(inst):
-        choices.append(Chord.LEFT if cls is AngleClass.LESS_PI else Chord.RIGHT)
+    for (px, py, qx, qy), (px1, py1, qx1, qy1) in zip(ends, ends[1:] + ends[:1]):
+        cross = (px1 - px) * (qy1 - qy) - (py1 - py) * (qx1 - qx)
+        choices.append(Chord.LEFT if cross >= 0 else Chord.RIGHT)
     assignment = ChordAssignment(tuple(choices))
 
     from .model import assignment_to_surface, verify_banded_surface
 
-    report = verify_banded_surface(assignment_to_surface(inst, assignment))
+    report = verify_banded_surface(assignment_to_surface(scaled, assignment))
     if not report.passed:
         raise InternalConsistencyError(
             "convex chord rule produced a surface the verifier rejects:\n" + report.summary()

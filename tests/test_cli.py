@@ -240,6 +240,73 @@ class TestMalformedFiles:
         assert err == [f"banded: parse error: {sidecar}: band 0 face index {index} outside [0, {faces})"]
 
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([[0, 0]], "parse error: {path}: expected a JSON object"),
+            (
+                {"P": [[0, 0], [1, 0, 5], [0, 1]], "Pprime": [[0, 0], [1, 0], [0, 1]]},
+                "parse error: P[1] must be a pair [x, y]",
+            ),
+            (
+                {"P": [[0, 0], [1, 0], [0, 1]], "Pprime": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+                "parse error: P has 3 vertices but Pprime has 4",
+            ),
+            # no vertex off the line of vertices 0 and 1, so no affine fit
+            # and the source sweep rejects it
+            (
+                {"P": [[0, 0], [1, 0], [2, 0]], "Pprime": [[0, 0], [1, 0], [0, 1]]},
+                "invalid input: polygon is not simple",
+            ),
+        ],
+        ids=["list", "row_not_a_pair", "lengths_differ", "collinear_source"],
+    )
+    def test_instance_file(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run("check", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["banded: " + message.format(path=path)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("OFF\n3 1 0\n0 0 0\n1 0\n", "unexpected end of file while reading vertex z"),
+            ("OFF\n3.5 1 0\n", "expected integer vertex count, got '3.5' (line 2)"),
+            ("OFF\n3 1 0\n0 0 0\n1 x 1\n0 1 1\n3 0 1 2\n", "not a finite decimal or fraction: 'x' (line 4)"),
+            ("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 1\n0 1 1\n4 0 1 2 3\n", "only triangle faces supported, got 4-gon"),
+        ],
+        ids=["cut_short", "non_integer_count", "bad_coordinate", "quad_face"],
+    )
+    def test_off_file(self, tmp_path, capsys, text, message):
+        mesh = tmp_path / "m.off"
+        mesh.write_text(text)
+        assert run("section", str(mesh), "--t", "1/2") == 1
+        assert capsys.readouterr().err.splitlines() == [f"banded: parse error: {mesh}: {message}"]
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda doc: "bands", "Expecting value (line 1, column 1)"),
+            (lambda doc: {**doc, "bands": [[0.5, 1], *doc["bands"][1:]]}, "'bands' holds a non-integer index"),
+            (lambda doc: {**doc, "paths": [["0", 3], *doc["paths"][1:]]}, "'paths' holds a non-integer index"),
+            (lambda doc: {**doc, "labels": doc["labels"][:-1]}, "5 labels for 6 mesh vertices"),
+            (lambda doc: {**doc, "bands": [doc["bands"][0][:1], *doc["bands"][1:]]}, "band structure covers 5 of 6 faces"),
+        ],
+        ids=["not_json", "band_index", "path_index", "label_count", "uncovered_face"],
+    )
+    def test_sidecar(self, tmp_path, capsys, tamper, message):
+        mesh = tmp_path / "prism.off"
+        run("solve", fig("fig1_twisted_prism"), "--export", str(mesh))
+        sidecar = Path(str(mesh) + ".bands.json")
+        text = tamper(json.loads(sidecar.read_text()))
+        sidecar.write_text(text if isinstance(text, str) else json.dumps(text))
+        capsys.readouterr()
+        assert run("verify", str(mesh), "--bands", str(sidecar)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"banded: parse error: {sidecar}: {message}"]
+
+
 class TestFileErrors:
     """A path that cannot be written, or a file that does not decode, ends
     in one input-error line and exit 1, not a traceback."""
@@ -370,6 +437,57 @@ class TestPipelines:
         bands["paths"][0], bands["paths"][1] = bands["paths"][1], bands["paths"][0]
         Path(str(mesh) + ".bands.json").write_text(json.dumps(bands))
         assert run("verify", str(mesh), "--bands", str(mesh) + ".bands.json") == 2
+
+
+def exported(tmp_path, command, figure):
+    """The mesh and the sidecar that `command --export` writes for `figure`,
+    the sidecar loaded."""
+    mesh = tmp_path / "mesh.off"
+    assert run(command, fig(figure), "--export", str(mesh)) == 0
+    sidecar = Path(str(mesh) + ".bands.json")
+    return mesh, sidecar, json.loads(sidecar.read_text())
+
+
+def unused_vertex(mesh, doc):
+    lines = mesh.read_text().splitlines()
+    nv, nf, ne = map(int, lines[1].split())
+    lines[1] = f"{nv + 1} {nf} {ne}"
+    lines.insert(2 + nv, "9 9 1/2")
+    mesh.write_text("\n".join(lines) + "\n")
+    doc["labels"].append({"kind": "steiner", "id": 0})
+
+
+def face_in_two_bands(mesh, doc):
+    doc["bands"][1][0] = doc["bands"][0][0]
+
+
+def path_step_off_the_mesh(mesh, doc):
+    doc["paths"][0] = [doc["paths"][0][0], doc["paths"][0][-1]]
+
+
+@pytest.mark.parametrize(
+    "command, figure, edit, line",
+    [
+        ("solve", "fig1_twisted_prism", lambda mesh, doc: doc["paths"].pop(), "topology: FAIL (band count differs from path count)"),
+        ("solve", "fig1_twisted_prism", face_in_two_bands, "topology: FAIL (face 0 belongs to bands 0 and 1)"),
+        ("solve", "fig1_twisted_prism", unused_vertex, "topology: FAIL (mesh has vertices not used by any face)"),
+        (
+            "steiner",
+            "fig3a_no_surface",
+            path_step_off_the_mesh,
+            "path_disjointness: FAIL (path 0 uses (0,15) which is not a mesh edge)",
+        ),
+    ],
+    ids=["band_count", "face_in_two_bands", "unused_vertex", "path_step"],
+)
+def test_verify_reports_an_edited_file(tmp_path, capsys, command, figure, edit, line):
+    # files that load but do not form a banded surface: a FAIL line, exit 2
+    mesh, sidecar, doc = exported(tmp_path, command, figure)
+    edit(mesh, doc)
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", str(mesh), "--bands", str(sidecar)) == 2
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def counted_validation(monkeypatch) -> Counter:

@@ -116,6 +116,14 @@ class TestInstanceFiles:
         with pytest.raises(InputError, match="cannot write"):
             save_instance(fig1_twisted_prism().instance, tmp_path / "missing" / "i.json")
 
+    def test_metadata_is_written_and_ignored_on_load(self, tmp_path):
+        inst = fig1_twisted_prism().instance
+        path = tmp_path / "inst.json"
+        save_instance(inst, path, name="prism", metadata={"seed": 7})
+        doc = json.loads(path.read_text())
+        assert doc["name"] == "prism" and doc["metadata"] == {"seed": 7}
+        assert load_instance(path) == inst
+
 
 def schonhardt_surface():
     inst = fig1_twisted_prism().instance
@@ -170,6 +178,12 @@ class TestMeshFiles:
         before = verify_banded_surface(s, force_sections=True)
         after = verify_banded_surface(back, force_sections=True)
         assert before.passed and after.passed
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        path = tmp_path / "mesh.ply"
+        with pytest.raises(InputError, match="unknown mesh format 'ply'"):
+            export_mesh(schonhardt_surface(), "ply", path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_obj_export_one_based(self, tmp_path):
         s = schonhardt_surface()

@@ -15,12 +15,10 @@ from geometry_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banded.errors import DegenerateTriangleError, InputError, PreconditionError, ZeroVectorError
+from banded.errors import DegenerateTriangleError, InputError, PreconditionError
 from banded.geometry import (
-    AngleClass,
     Point2,
     Point3,
-    ccw_angle,
     open_triangles_intersect_3d,
     orient2d,
     orient3d,
@@ -78,24 +76,6 @@ class TestPointFormat:
     def test_orient2d_takes_points_and_tuples_alike(self, xs):
         pts = [P(xs[k], xs[k + 1]) for k in (0, 2, 4)]
         assert orient2d(*pts) == orient2d(*((p.x, p.y) for p in pts))
-
-
-class TestCcwAngle:
-    def test_quarter_turn_ccw(self):
-        assert ccw_angle(P(1, 0), P(0, 1)) is AngleClass.LESS_PI
-
-    def test_opposite_vectors(self):
-        assert ccw_angle(P(1, 0), P(-1, 0)) is AngleClass.EQUAL_PI
-
-    def test_quarter_turn_cw(self):
-        assert ccw_angle(P(1, 0), P(0, -1)) is AngleClass.GREATER_PI
-
-    def test_zero_angle_counts_below_pi(self):
-        assert ccw_angle(P(2, 3), P(4, 6)) is AngleClass.LESS_PI
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            ccw_angle(P(0, 0), P(1, 0))
 
 
 def _common_points(a, b, c, d):

@@ -1,6 +1,7 @@
 import functools
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,11 +33,13 @@ from banded.geometry import (
     open_triangles_intersect_3d,
     orient2d,
     orient3d,
+    polygon_is_ccw,
     polygon_is_simple,
     polygon_signed_area2,
 )
 from banded.model import (
     BandedSurface,
+    CheckResult,
     Chord,
     ChordAssignment,
     LabeledPolygon,
@@ -381,7 +384,7 @@ class TestCrossSection:
             (4, 4),
             (0, 4),
         }
-        assert section.is_simple() and section.is_ccw()
+        assert polygon_is_simple(section.vertices) and polygon_is_ccw(section.vertices)
 
     def test_schonhardt_hexagon_directions(self):
         inst = fig1_twisted_prism().instance
@@ -427,7 +430,7 @@ class TestCrossSection:
         s = assignment_to_surface(inst, ChordAssignment.from_string("LLL"))
         section = cross_section(s, Fraction(1, 2))
         assert len(section.vertices) == 6
-        assert section.is_simple()
+        assert polygon_is_simple(section.vertices)
 
     def test_level_preconditions(self):
         inst = identity_square()
@@ -1233,6 +1236,69 @@ class TestTopologyPremises:
             report = verify_banded_surface(repeated)
             assert not report.topology.passed
             assert "not 2n distinct" in report.topology.detail
+
+
+def fig1_surface() -> BandedSurface:
+    return assignment_to_surface(fig1_twisted_prism().instance, ChordAssignment.from_string("RRR"))
+
+
+def torus_beside(s: BandedSurface) -> BandedSurface:
+    """s with a 7-vertex torus (faces (i, i+1, i+3) and (i, i+3, i+2) mod 7)
+    beside it, its faces in band 0: a closed component with chi = 0, so the
+    counts and the boundary still say annulus."""
+    v = len(s.vertices)
+    # on a parabola in xy, so no face is degenerate
+    torus = [(10 + t, t * t, Fraction(t + 1, 8)) for t in range(7)]
+    faces = [tuple(v + (i + d) % 7 for d in triple) for triple in ((0, 1, 3), (0, 3, 2)) for i in range(7)]
+    return replace(
+        s,
+        vertices=s.vertices + tuple((Point3(*p), SteinerLabel(t)) for t, p in enumerate(torus)),
+        faces=s.faces + tuple(faces),
+        bands=(s.bands[0] | set(range(len(s.faces), len(s.faces) + len(faces))),) + s.bands[1:],
+    )
+
+
+class TestFailureDetails:
+    """Each failure return of the topology and path checks, reached by one
+    edit of the fig1 surface or of fig3a's layered surface."""
+
+    @pytest.mark.parametrize(
+        "edit, check, detail",
+        [
+            (lambda s: replace(s, paths=s.paths[:-1]), "topology", "band count differs from path count"),
+            (
+                lambda s: replace(s, bands=(s.bands[0], s.bands[1] | {0}, s.bands[2])),
+                "topology",
+                "face 0 belongs to bands 0 and 1",
+            ),
+            (lambda s: replace(s, bands=(s.bands[0] - {1},) + s.bands[1:]), "topology", "face 1 belongs to no band"),
+            (
+                lambda s: replace(s, faces=((0, 1, 6),) + s.faces[1:]),
+                "topology",
+                "face 0 is malformed: (0, 1, 6)",
+            ),
+            (
+                lambda s: replace(s, vertices=s.vertices + ((Point3(9, 9, Fraction(1, 2)), SteinerLabel(0)),)),
+                "topology",
+                "mesh has vertices not used by any face",
+            ),
+            (torus_beside, "topology", "surface is not connected"),
+            (lambda s: replace(s, paths=((0,),) + s.paths[1:]), "path_disjointness", "path 0 is too short"),
+        ],
+        ids=["band_count", "face_in_two_bands", "face_in_no_band", "face_index", "unused_vertex", "torus", "one_vertex_path"],
+    )
+    def test_fig1_edit(self, edit, check, detail):
+        assert verify_banded_surface(fig1_surface()).passed
+        report = verify_banded_surface(edit(fig1_surface()))
+        assert getattr(report, check) == CheckResult(False, detail)
+
+    def test_path_step_that_is_no_mesh_edge(self):
+        # path 0 of fig3a's layered surface, routed from its first vertex
+        # straight to its last
+        s = dict(layered_builds())["fig3a"]
+        first, *_, last = s.paths[0]
+        report = verify_banded_surface(replace(s, paths=((first, last),) + s.paths[1:]))
+        assert report.path_disjointness == CheckResult(False, f"path 0 uses ({first},{last}) which is not a mesh edge")
 
 
 def _metamorphic_surfaces():

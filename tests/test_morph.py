@@ -28,12 +28,12 @@ from banded.generators import (
     similar_copy_instance,
 )
 from banded.geometry import (
-    AngleClass,
     Point2,
     _sections_apart,
     _xy_differences,
     orient2d,
     polygon_is_ccw,
+    polygon_is_convex,
     polygon_is_simple,
     segments_intersect_2d,
 )
@@ -46,7 +46,6 @@ from banded.model import (
 )
 from banded.morph import (
     _rotated,
-    band_angle_classes,
     convex_chord_rule,
     morph_position,
     planarity_preserving,
@@ -845,7 +844,9 @@ class TestConvexChordRule:
         # violated and raises
         kite = tuple(Point2(x, y) for x, y in ((0, 0), (5, 0), (4, 4), (0, 4)))
         inst = {
-            "translation": SliceInstance(LabeledPolygon(SQUARE, 0), LabeledPolygon(SQUARE, 1).translated(3, 2)),
+            "translation": SliceInstance(
+                LabeledPolygon(SQUARE, 0), LabeledPolygon(SQUARE, 1).translated(Fraction(3, 2), 2)
+            ),
             "kite": SliceInstance(LabeledPolygon(SQUARE, 0), LabeledPolygon(kite, 1)),
             "fig3b": fig3b_sat_nonplanar().instance,
         }[name]
@@ -856,12 +857,30 @@ class TestConvexChordRule:
             calls.append(i)
             return original(i)
 
-        with mock.patch.object(model, "_frame", counted):
+        # the convexity tests and the self-check surface see only the
+        # instance on validation's ints, as the turn signs do
+        seen = []
+        original_convex, original_surface = morph.polygon_is_convex, model.assignment_to_surface
+
+        def convex(pts):
+            seen.extend(c for p in pts for c in p)
+            return original_convex(pts)
+
+        def surface(i, assignment):
+            seen.extend(c for poly in (i.source, i.target) for p in poly.vertices for c in p)
+            return original_surface(i, assignment)
+
+        with (
+            mock.patch.object(model, "_frame", counted),
+            mock.patch.object(morph, "polygon_is_convex", convex),
+            mock.patch.object(model, "assignment_to_surface", surface),
+        ):
             try:
                 convex_chord_rule(inst)
             except PreconditionError:
                 assert name == "fig3b"
         assert len(calls) == 1
+        assert seen and all(type(c) is int for c in seen)
 
     def test_errors_in_order(self):
         # an invalid instance is reported before a non-convex one, and a
@@ -885,17 +904,15 @@ class TestConvexChordRule:
         for _ in range(40):
             poly = random_convex_polygon(rng, rng.randint(4, 9))
             inst = jiggled_instance(rng, poly, amount=1)
-            if not inst.target.is_convex():
+            if not polygon_is_convex(inst.target.vertices):
                 continue
             verdict = planarity_preserving(inst)
             if not verdict.preserved:
                 continue
-            assignment = convex_chord_rule(inst)
-            classes = band_angle_classes(inst)
+            choices = convex_chord_rule(inst).choices
             n = inst.n
             for i in range(n):
-                prev_cls = classes[(i - 1) % n]
-                if prev_cls is AngleClass.GREATER_PI and classes[i] is AngleClass.LESS_PI:
+                if choices[(i - 1) % n] is Chord.RIGHT and choices[i] is Chord.LEFT:
                     alternations += 1
                     for t in [Fraction(k, 8) for k in range(1, 8)]:
                         snap = morph_position(inst, t).vertices
@@ -969,6 +986,16 @@ class TestSimilarity:
         snap = morph_position(inst, Fraction(1, 2))
         with pytest.raises(AllPointsEqualError):
             similarity_witness(inst.source, LabeledPolygon(snap.vertices, 0))
+
+    def test_unequal_vertex_counts(self):
+        triangle = LabeledPolygon(SQUARE[:3], 0)
+        with pytest.raises(InputError, match="equal vertex counts"):
+            similarity_witness(triangle, LabeledPolygon(SQUARE, 0))
+
+    def test_collapsed_source(self):
+        point = LabeledPolygon((Point2(1, 1),) * 4, 0)
+        with pytest.raises(AllPointsEqualError, match="source polygon"):
+            similarity_witness(point, LabeledPolygon(SQUARE, 0))
 
     def test_half_turn_other_times_still_similar(self):
         tri = LabeledPolygon((Point2(4, 0), Point2(-2, 3), Point2(-2, -3)), 0)

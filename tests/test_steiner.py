@@ -229,6 +229,13 @@ class TestRotationPlan:
             _rotated(src, Point2(0, 0), Fraction(7, 25), Fraction(24, 25)),
         ]
 
+    def test_a_half_turn_over_one_layer_runs_out_of_budget(self):
+        # one palette step is not the half turn, so a second layer is
+        # needed; the plan gives up before it solves any gap
+        memo = {}
+        assert steiner._rotation_plan(fig3a_no_surface().instance, 1, memo) is None
+        assert memo == {}
+
 
 def affine_pair(matrix):
     """A star polygon and its image under the 2x2 matrix (row by row)."""
