@@ -86,6 +86,15 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}: cannot decode: {exc}") from exc
 
 
+def _read_json(path):
+    """The file's JSON document; text that is not JSON is a ParseError at
+    its line and column."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+
+
 def _write_text(path, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -136,13 +145,14 @@ def instance_to_document(inst: SliceInstance, name=None, metadata=None) -> dict:
 
 
 def load_instance(path) -> SliceInstance:
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    """The instance of a JSON document; every ParseError names the file."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    return instance_from_document(doc)
+    try:
+        return instance_from_document(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_instance(inst: SliceInstance, path, name=None, metadata=None) -> None:
@@ -312,10 +322,7 @@ def read_off(path) -> tuple[list, list]:
 def load_surface(mesh_path, bands_path) -> BandedSurface:
     """Rebuild a full banded surface from an OFF file and its band sidecar."""
     vertices, faces = read_off(mesh_path)
-    try:
-        doc = json.loads(_read_text(bands_path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{bands_path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    doc = _read_json(bands_path)
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise ParseError(f"{bands_path}: expected a JSON object with a 'labels' list")
     for field in ("bands", "paths"):

@@ -171,6 +171,24 @@ def _box(band):
     return min(xs), max(xs), min(ys), max(ys)
 
 
+def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
+    """The boxes and the band quads of every edge over [0, H] for the
+    horizon H = num / den, on the coordinates cs (px, py, qx, qy of every
+    vertex's source p and target q in turn), with each vertex's source at
+    z = 0 and its position at time H at z = 1, all scaled by den onto ints.
+    Band i's quad is (p_i, p_i+1, q_i+1, q_i), bottom pair then top; with
+    H = 1 these are the instance's band quads, for the conflict table and
+    the morph scan alike."""
+    num, den = horizon
+    tracks = []
+    for m in range(0, len(cs), 4):
+        px, py, qx, qy = cs[m : m + 4]
+        x, y = den * px, den * py
+        tracks.append(((x, y, 0), (x + num * (qx - px), y + num * (qy - py), 1)))
+    bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
+    return [_box(band) for band in bands], bands
+
+
 def _box_pairs(boxes):
     """Yield (j, k) for every pair of closed xy boxes (x0, x1, y0, y1) in
     `boxes` that meet, touching included, as indices into `boxes`.

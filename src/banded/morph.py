@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import Point2, _box, _box_pairs, _sections_apart, _xy_differences, polygon_is_convex
+from .geometry import Point2, _box_pairs, _horizon_bands, _sections_apart, _xy_differences, polygon_is_convex
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame, _integer_instance
 from .quadfield import ExactTime, midpoint, rational_between
 
@@ -536,20 +536,6 @@ def _horizon(start: ExactTime) -> tuple[int, int] | None:
     num, den = start.upper() if start.q else (2 * start.p + 1, 2 * start.r)
     g = math.gcd(num, den)
     return (num // g, den // g) if num < den else None
-
-
-def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
-    """The boxes and the band quads of every edge over [0, H] for the
-    horizon H = num / den, with each vertex's source at z = 0 and its
-    position at time H at z = 1, all scaled by den onto ints."""
-    num, den = horizon
-    tracks = []
-    for m in range(0, len(cs), 4):
-        px, py, qx, qy = cs[m : m + 4]
-        x, y = den * px, den * py
-        tracks.append(((x, y, 0), (x + num * (qx - px), y + num * (qy - py), 1)))
-    bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
-    return [_box(band) for band in bands], bands
 
 
 def _apart_before(horizon, i: int, j: int) -> bool:

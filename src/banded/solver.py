@@ -16,7 +16,8 @@ from operator import itemgetter
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     _ON_PLANE,
-    _box,
+    _horizon_bands,
+    _integer_axis,
     _plane,
     _plane_sides,
     _sections_apart,
@@ -233,6 +234,13 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     complete whenever its clauses are satisfiable, and otherwise possibly an
     unsatisfiable prefix of the band pairs, walked nearest-first.
 
+    The band quads and their boxes are those of the morph scan over [0, 1]
+    (`geometry._horizon_bands`), on the instance's coordinates scaled onto
+    integers: the source at z = 0 and the target at z = 1, whatever the
+    instance's two distinct z levels.  Scaling x and y by one positive
+    factor and mapping the two levels onto 0 and 1 is an affine bijection
+    of space, so every contact, and so every conflict, is unchanged.
+
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
     separate them: every quad spans the full height).  `_pair_conflicts`
@@ -268,17 +276,16 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
-    scaled = scaled_to_integers(inst)
-    bands = [scaled.band_quad(i) for i in range(n)]
+    ends = zip(inst.source.vertices, inst.target.vertices)
+    _, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
+    boxes, bands = _horizon_bands(cs, (1, 1))
     self_conflicts = []
-    boxes = []
     for i, band in enumerate(bands):
         if orient3d(*band) == 0:
             tris = _quad_triangles(band)
             for c, k in ((Chord.LEFT, 2), (Chord.RIGHT, 0)):
                 if _triangles_meet(tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE):
                     self_conflicts.append((i, c))
-        boxes.append(_box(band))
     self_conflicts = tuple(self_conflicts)
     # an assignment that meets every conflict found so far unless `stale`,
     # True for the right chord: before the first check, each band's right

@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from reference_figures import reference_instances
 
 from banded.errors import AllPointsEqualError
-from banded.figures import reference_instances
 from banded.generators import (
     random_convex_polygon,
     random_instance,

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -11,9 +12,9 @@ import pytest
 from banded import cli, model, morph
 from banded.cli import main
 from banded.errors import InternalConsistencyError
-from banded.fileio import save_instance
-from banded.figures import reference_instances
+from banded.fileio import load_instance, save_instance
 from banded.generators import random_instance
+from banded.solver import solve_no_steiner
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGDIR = ROOT / "figures"
@@ -118,6 +119,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["banded: internal error: solver and enumeration oracle disagree"]
 
+    def test_oracle_missing_the_solver_assignment_is_internal_error(self, monkeypatch, capsys):
+        # an oracle that agrees on SAT but lists every valid assignment
+        # except the solver's
+        solver_assignment = str(solve_no_steiner(load_instance(fig("fig1_twisted_prism"))).assignment)
+        oracle = cli.brute_force_assignments
+        monkeypatch.setattr(
+            cli, "brute_force_assignments", lambda inst: [a for a in oracle(inst) if str(a) != solver_assignment]
+        )
+        assert run("solve", fig("fig1_twisted_prism"), "--brute-force") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["banded: internal error: solver assignment missing from the oracle list"]
+
+    def test_section_that_does_not_chain_is_negative(self, tmp_path, capsys):
+        # one vertical triangle: the plane z = 1/2 cuts it in one segment,
+        # whose ends each touch only that segment
+        mesh = tmp_path / "one.off"
+        mesh.write_text("OFF\n3 1 3\n0 0 0\n1 0 0\n0 0 1\n3 0 1 2\n")
+        assert run("section", str(mesh), "--t", "1/2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["banded: section point (1/2, 0) touches 1 segments; cannot chain"]
+
     @pytest.mark.parametrize("index", ["5", "-1"])
     def test_off_face_index_out_of_range_is_invalid_input(self, tmp_path, capsys, index):
         mesh = tmp_path / "m.off"
@@ -157,14 +180,14 @@ class TestMalformedFiles:
         bad.write_text(json.dumps({"P": 5, "Pprime": 5}))
         assert run("check", str(bad)) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("banded: parse error:")
+        assert len(err) == 1 and err[0].startswith(f"banded: parse error: {bad}: ")
 
     def test_bool_coordinate(self, tmp_path, capsys):
         bad = tmp_path / "flag.json"
         bad.write_text(json.dumps({"P": [[0, 0], [True, 0], [0, 1]], "Pprime": [[0, 0], [1, 0], [0, 1]]}))
         assert run("check", str(bad)) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("banded: parse error:")
+        assert len(err) == 1 and err[0].startswith(f"banded: parse error: {bad}: ")
 
     @pytest.mark.parametrize(
         "tamper",
@@ -246,11 +269,19 @@ class TestMalformedFiles:
             ([[0, 0]], "parse error: {path}: expected a JSON object"),
             (
                 {"P": [[0, 0], [1, 0, 5], [0, 1]], "Pprime": [[0, 0], [1, 0], [0, 1]]},
-                "parse error: P[1] must be a pair [x, y]",
+                "parse error: {path}: P[1] must be a pair [x, y]",
+            ),
+            (
+                {"P": [[0, 0], [1, 0], [0, 1]], "Pprime": [[0, 0], 7, [0, 1]]},
+                "parse error: {path}: Pprime[1] must be a pair [x, y]",
             ),
             (
                 {"P": [[0, 0], [1, 0], [0, 1]], "Pprime": [[0, 0], [1, 0], [1, 1], [0, 1]]},
-                "parse error: P has 3 vertices but Pprime has 4",
+                "parse error: {path}: P has 3 vertices but Pprime has 4",
+            ),
+            (
+                {"P": [[0, 0], [1, 0], [0, 1]], "Pprime": [[0, 0], ["1/0", 0], [0, 1]]},
+                "parse error: {path}: zero denominator in '1/0'",
             ),
             # no vertex off the line of vertices 0 and 1, so no affine fit
             # and the source sweep rejects it
@@ -259,7 +290,7 @@ class TestMalformedFiles:
                 "invalid input: polygon is not simple",
             ),
         ],
-        ids=["list", "row_not_a_pair", "lengths_differ", "collinear_source"],
+        ids=["list", "row_not_a_pair", "number_row", "lengths_differ", "bad_coordinate", "collinear_source"],
     )
     def test_instance_file(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
@@ -546,13 +577,13 @@ def test_steiner_on_a_half_turn_frames_once(monkeypatch, capsys):
     assert (calls["model._frame"], calls["morph._frame"], calls["validate"]) == (1, 0, 1)
 
 
-def test_bundled_figures_match_frozen_instances():
-    for name, ref in reference_instances().items():
-        from banded.fileio import load_instance
-
-        loaded = load_instance(FIGDIR / f"{name}.json")
-        assert loaded.source.vertices == ref.instance.source.vertices
-        assert loaded.target.vertices == ref.instance.target.vertices
+def test_package_main_runs_the_cli(monkeypatch, capsys):
+    # `python -m banded` runs `banded/__main__.py`, here in this process
+    monkeypatch.setattr(sys, "argv", ["banded", "check", fig("fig1_twisted_prism")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("banded", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("ok: 3 vertices")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from reference_figures import fig1_twisted_prism, fig7_star
 
 from banded.errors import InputError, ParseError
-from banded.figures import fig1_twisted_prism, fig7_star
 from banded.fileio import (
     export_mesh,
     export_section,
@@ -18,9 +19,11 @@ from banded.fileio import (
     read_off,
     save_instance,
 )
-from banded.geometry import polygon_is_convex, polygon_signed_area2
+from banded.geometry import Point2, polygon_is_convex, polygon_signed_area2
 from banded.model import (
     ChordAssignment,
+    LabeledPolygon,
+    SliceInstance,
     assignment_to_surface,
     cross_section,
     verify_banded_surface,
@@ -178,6 +181,23 @@ class TestMeshFiles:
         before = verify_banded_surface(s, force_sections=True)
         after = verify_banded_surface(back, force_sections=True)
         assert before.passed and after.passed
+
+    def test_cap_with_no_ear_is_invalid_input(self, tmp_path):
+        # the paths in reverse order make each end polygon a clockwise
+        # square, where no vertex is an ear
+        square = LabeledPolygon(tuple(Point2(*p) for p in ((0, 0), (4, 0), (4, 4), (0, 4))), 0)
+        target = LabeledPolygon(tuple(Point2(x + 1, y + 2) for x, y in square.vertices), 1)
+        s = assignment_to_surface(SliceInstance(square, target), ChordAssignment.from_string("LLLL"))
+        with pytest.raises(InputError, match="cap triangulation found no ear"):
+            export_mesh(replace(s, paths=s.paths[::-1]), "off", tmp_path / "capped.off", include_caps=True)
+
+    def test_unknown_label_leaves_no_mesh(self, tmp_path):
+        s = schonhardt_surface()
+        point, _ = s.vertices[0]
+        surface = replace(s, vertices=((point, "corner"), *s.vertices[1:]))
+        with pytest.raises(InputError, match="unknown vertex label 'corner'"):
+            export_mesh(surface, "off", tmp_path / "mesh.off")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_format_writes_nothing(self, tmp_path):
         path = tmp_path / "mesh.ply"

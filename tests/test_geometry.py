@@ -207,7 +207,7 @@ class TestPolygons:
         assert polygon_is_convex(cw)  # convex in either orientation
 
     def test_star_simple_not_convex(self):
-        from banded.figures import fig7_star
+        from reference_figures import fig7_star
 
         star = fig7_star().instance.source
         assert polygon_is_simple(star.vertices)
@@ -412,7 +412,7 @@ class TestOpenTrianglesIntersect:
             open_triangles_intersect_3d(bad, good)
 
     def test_twisted_prism_adjacent_bands_compatible(self):
-        from banded.figures import fig1_twisted_prism
+        from reference_figures import fig1_twisted_prism
         from banded.model import Chord
         from banded.solver import chord_triangles
 

@@ -8,6 +8,7 @@ import pytest
 from geometry_reference import is_degenerate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_figures import fig1_twisted_prism, fig3a_no_surface
 
 from banded.errors import (
     BandedError,
@@ -18,7 +19,6 @@ from banded.errors import (
 )
 import banded.geometry as geometry
 import banded.model as model
-from banded.figures import fig1_twisted_prism, fig3a_no_surface
 from banded.generators import (
     jiggled_instance,
     random_instance,
@@ -424,7 +424,7 @@ class TestCrossSection:
     def test_fig3b_mid_height_hexagon(self):
         # the all-left surface over the inverting triangle pair cuts at
         # mid-height in a hexagon even though the morph polygon there is inverted
-        from banded.figures import fig3b_sat_nonplanar
+        from reference_figures import fig3b_sat_nonplanar
 
         inst = fig3b_sat_nonplanar().instance
         s = assignment_to_surface(inst, ChordAssignment.from_string("LLL"))

@@ -15,10 +15,10 @@ import pytest
 import quadfield_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_figures import fig3b_sat_nonplanar, fig7_star
 
 from banded import geometry, model, morph, quadfield
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
-from banded.figures import fig3b_sat_nonplanar, fig7_star
 from banded.generators import (
     jiggled_instance,
     random_convex_polygon,
@@ -510,10 +510,10 @@ class TestTraceBindings:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = "\n".join((
             "import json, sys",
-            "sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks']",
+            "sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks', sys.argv[1] + '/tests']",
             "import spans",
             "import banded.morph as morph",
-            "from banded.figures import fig3b_sat_nonplanar",
+            "from reference_figures import fig3b_sat_nonplanar",
             "from banded.geometry import Point2",
             "from banded.model import LabeledPolygon, SliceInstance",
             "square = tuple(Point2(x, y) for x, y in ((0, 0), (4, 0), (4, 4), (0, 4)))",

@@ -20,9 +20,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_figures import fig3a_no_surface
 
 import banded.steiner as steiner
-from banded.figures import fig3a_no_surface
 from banded.generators import random_instance, random_polygon, random_star_polygon
 from banded.geometry import Point2
 from banded.morph import rotate_copy_instance

@@ -7,10 +7,10 @@ import pytest
 from geometry_reference import is_degenerate, segment_triangle_contact_3d
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference_figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
 
 from banded import geometry, model, solver, twosat
 from banded.errors import PreconditionError
-from banded.figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
 from banded.generators import (
     jiggled_instance,
     random_instance,

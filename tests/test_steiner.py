@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_figures import fig3a_no_surface, fig7_star
 
 import banded.morph as morph
 import banded.solver as solver
 import banded.steiner as steiner
 from banded.errors import InternalConsistencyError
-from banded.figures import fig3a_no_surface, fig7_star
 from banded.generators import random_instance, random_polygon, random_star_polygon, rotated_instance
 from banded.geometry import Point2, _is_ear, orient2d, polygon_is_simple
 from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface

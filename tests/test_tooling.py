@@ -22,13 +22,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
-sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks']
+sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/benchmarks', sys.argv[1] + '/tests']
 import spans
 from fractions import Fraction
 import banded.model as model
 import banded.morph as morph
 import banded.steiner as steiner
-from banded.figures import fig3a_no_surface, fig7_star
+from reference_figures import fig3a_no_surface, fig7_star
 tracer = spans.Tracer()
 spans.install(tracer)
 span = tracer.open(spans.OP)
@@ -80,7 +80,9 @@ SHARED = {
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
     "_box_pairs": "geometry.py",
-    # the xy box of a band quad, for the conflict table and the morph scan
+    # the band quads over a horizon and their xy boxes, for the conflict
+    # table and the morph scan
+    "_horizon_bands": "geometry.py",
     "_box": "geometry.py",
     "_plane_sides": "geometry.py",
     # the chord split of a band quad, for the surface builder and the
