@@ -171,14 +171,27 @@ def _box(band):
     return min(xs), max(xs), min(ys), max(ys)
 
 
+def _end_boxes(band):
+    """The xy boxes of a band quad's bottom pair and of its top pair, as
+    one tuple (x0, x1, y0, y1, x0', x1', y0', y1'), as `_ends_apart`
+    takes it."""
+    (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) = band
+    x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
+    y0, y1 = (ay, by) if ay <= by else (by, ay)
+    u0, u1 = (cx, dx) if cx <= dx else (dx, cx)
+    v0, v1 = (cy, dy) if cy <= dy else (dy, cy)
+    return x0, x1, y0, y1, u0, u1, v0, v1
+
+
 def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
-    """The boxes and the band quads of every edge over [0, H] for the
-    horizon H = num / den, on the coordinates cs (px, py, qx, qy of every
-    vertex's source p and target q in turn), with each vertex's source at
-    z = 0 and its position at time H at z = 1, all scaled by den onto ints.
-    Band i's quad is (p_i, p_i+1, q_i+1, q_i), bottom pair then top; with
-    H = 1 these are the instance's band quads, for the conflict table and
-    the morph scan alike."""
+    """The boxes, the end boxes and the band quads of every edge over
+    [0, H] for the horizon H = num / den, on the coordinates cs (px, py,
+    qx, qy of every vertex's source p and target q in turn), with each
+    vertex's source at z = 0 and its position at time H at z = 1, all
+    scaled by den onto ints.  Band i's quad is (p_i, p_i+1, q_i+1, q_i),
+    bottom pair then top, its box is `_box` of it and its end boxes are
+    `_end_boxes` of it; with H = 1 these are the instance's band quads, for
+    the conflict table and the morph scan alike."""
     num, den = horizon
     tracks = []
     for m in range(0, len(cs), 4):
@@ -186,7 +199,7 @@ def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
         x, y = den * px, den * py
         tracks.append(((x, y, 0), (x + num * (qx - px), y + num * (qy - py), 1)))
     bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
-    return [_box(band) for band in bands], bands
+    return [_box(band) for band in bands], [_end_boxes(band) for band in bands], bands
 
 
 def _box_pairs(boxes):
@@ -544,6 +557,27 @@ def _xy_differences(a, b) -> tuple:
         (a2x - b3x, a2y - b3y),
         (a3x - b2x, a3y - b2y),
         (a3x - b3x, a3y - b3y),
+    )
+
+
+def _ends_apart(e, f) -> bool:
+    """Whether two closed convex bodies, each the hull of its points on the
+    same two levels, are apart by their end boxes: e and f hold the xy box
+    of each body's bottom points and that of its top points, as
+    `_end_boxes` gives them.
+
+    When, along x or along y, the bottom box of one lies strictly below the
+    other's bottom box and its top box strictly below the other's top box,
+    every xy difference of the two bodies' points at either level is
+    strictly negative along that axis.  They then lie in an open half-plane
+    through the origin, so the bodies are disjoint (the lemma of
+    `_sections_apart`) and share no vertex.  Touching boxes, an equal
+    coordinate, dismiss nothing."""
+    return (
+        e[1] < f[0] and e[5] < f[4]
+        or f[1] < e[0] and f[5] < e[4]
+        or e[3] < f[2] and e[7] < f[6]
+        or f[3] < e[2] and f[7] < e[6]
     )
 
 

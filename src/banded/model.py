@@ -10,6 +10,7 @@ as ground truth for the solver and the brute-force oracle.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,12 +20,10 @@ from .errors import InputError, MeshStructureError, PreconditionError, SectionEr
 from .geometry import (
     Point2,
     Point3,
-    _box_pairs,
     _end_map,
     _integer_axis,
     _integer_polygon,
     _plane,
-    _plane_sides,
     _triangles_meet,
     open_triangles_intersect_3d,  # unused; benchmarks/spans.py wraps this binding
     polygon_is_simple,
@@ -372,11 +371,12 @@ def _face_edges(face):
 
 
 def _face_record(verts, plane) -> tuple:
-    """A face's entry in the face pass: (x0, x1, y0, y1, z0, z1, bottom, top,
+    """A face's entry in the face pass: (x0, x1, y0, y1, z0, z1, ends,
     two_level, verts, plane).  The first six bound the face's closed box;
-    bottom and top are the xy boxes (x0, x1, y0, y1) of its vertices at z0
-    and at z1 (a horizontal face is its own bottom and top), and two_level
-    says that z0 < z1 and no vertex lies strictly between them."""
+    ends holds the xy boxes of its vertices at z0 and at z1, as
+    `geometry._end_boxes` lays them out (a horizontal face is its own
+    bottom and top), and two_level says that z0 < z1 and no vertex lies
+    strictly between them."""
     p, q, r = verts
     if p[2] == q[2]:
         lone, u, w = r, p, q
@@ -387,18 +387,17 @@ def _face_record(verts, plane) -> tuple:
     else:  # three levels: the bottom and the top are single vertices
         lo, _, hi = sorted(verts, key=lambda v: v[2])
         xs, ys = (p[0], q[0], r[0]), (p[1], q[1], r[1])
-        bottom, top = (lo[0], lo[0], lo[1], lo[1]), (hi[0], hi[0], hi[1], hi[1])
-        return (min(xs), max(xs), min(ys), max(ys), lo[2], hi[2], bottom, top, False, verts, plane)
+        ends = (lo[0], lo[0], lo[1], lo[1], hi[0], hi[0], hi[1], hi[1])
+        return (min(xs), max(xs), min(ys), max(ys), lo[2], hi[2], ends, False, verts, plane)
     lx, ly, lz = lone
     x0, x1 = (u[0], w[0]) if u[0] <= w[0] else (w[0], u[0])
     y0, y1 = (u[1], w[1]) if u[1] <= w[1] else (w[1], u[1])
-    pair, point = (x0, x1, y0, y1), (lx, lx, ly, ly)
     box = (min(x0, lx), max(x1, lx), min(y0, ly), max(y1, ly))
     if lz > u[2]:
-        return (*box, u[2], lz, pair, point, True, verts, plane)
+        return (*box, u[2], lz, (x0, x1, y0, y1, lx, lx, ly, ly), True, verts, plane)
     if lz < u[2]:
-        return (*box, lz, u[2], point, pair, True, verts, plane)
-    return (*box, lz, lz, box, box, False, verts, plane)
+        return (*box, lz, u[2], (lx, lx, ly, ly, x0, x1, y0, y1), True, verts, plane)
+    return (*box, lz, lz, box + box, False, verts, plane)
 
 
 def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, memo=None) -> CheckResult:
@@ -439,12 +438,13 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
     nv = len(s.vertices)
     if len(s.bands) != len(s.paths):
         return CheckResult(False, "band count differs from path count")
-    seen_coords = {}
-    for idx, key in enumerate(points):
-        if key in seen_coords:
-            p = s.point(idx)
-            return CheckResult(False, f"vertices {seen_coords[key]} and {idx} coincide at {(p.x, p.y, p.z)}")
-        seen_coords[key] = idx
+    if len(set(points)) != nv:
+        first = {}
+        for idx, key in enumerate(points):
+            if key in first:
+                p = s.point(idx)
+                return CheckResult(False, f"vertices {first[key]} and {idx} coincide at {(p.x, p.y, p.z)}")
+            first[key] = idx
 
     face_band = {}
     for b, members in enumerate(s.bands):
@@ -458,7 +458,6 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
         missing = next(f for f in range(len(s.faces)) if f not in face_band)
         return CheckResult(False, f"face {missing} belongs to no band")
 
-    referenced = set()
     for k, face in enumerate(s.faces):
         if len(set(face)) != 3:
             return CheckResult(False, f"face {k} is malformed: {face}")
@@ -473,13 +472,13 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
                 memo[verts] = record
         if record[-1][:3] == (0, 0, 0):
             return CheckResult(False, f"face {k} is degenerate")
-        for e in ((a, b), (b, c), (c, a)):
-            if e in edges:
-                return CheckResult(False, f"directed edge {e} used twice: winding is inconsistent")
-            edges[e] = k
-        referenced.update(face)
+        ab, bc, ca = (a, b), (b, c), (c, a)
+        if ab in edges or bc in edges or ca in edges:
+            e = ab if ab in edges else bc if bc in edges else ca
+            return CheckResult(False, f"directed edge {e} used twice: winding is inconsistent")
+        edges[ab] = edges[bc] = edges[ca] = k
         faces.append(record)
-    if len(referenced) != nv:
+    if len(set(itertools.chain.from_iterable(s.faces))) != nv:
         return CheckResult(False, "mesh has vertices not used by any face")
 
     n = len(s.paths)
@@ -518,9 +517,9 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
 
     # band faces must stay between their two paths
     for b, members in enumerate(s.bands):
-        allowed = set(s.paths[b]) | set(s.paths[(b + 1) % n])
+        allowed = set(s.paths[b]).union(s.paths[(b + 1) % n])
         for f in members:
-            if not set(s.faces[f]) <= allowed:
+            if not allowed.issuperset(s.faces[f]):
                 return CheckResult(False, f"face {f} of band {b} uses vertices off its paths")
     return CheckResult(True)
 
@@ -558,77 +557,94 @@ def _check_paths(s: BandedSurface, edges) -> CheckResult:
 _STRICT_SIDES = ((1, 1, 1), (-1, -1, -1))
 
 
-def _face_pair_verdicts(faces, memo=None):
-    """Yield (j, k, hit) for every pair of faces j, k whose closed boxes
-    meet, hit being the verdict of `open_triangles_intersect_3d`; `faces`
-    holds the `_face_record`s that `_check_topology` leaves.
+def _check_face_intersections(faces, memo) -> CheckResult:
+    """No two faces meet outside a vertex or edge they share; `faces` holds
+    the `_face_record`s that `_check_topology` leaves, and the first pair
+    found that does is reported.
 
-    `geometry._box_pairs` finds the pairs whose xy boxes meet.  A pair
-    whose boxes also meet in z is decided by the first that applies of
-    these exact tests, with no point or triangle object built:
+    The records are swept in order of min-x, ties by index, with an active
+    list of the earlier faces whose max-x reaches the current min-x, as
+    `geometry._box_pairs` sweeps boxes.  A pair whose closed boxes meet is
+    decided by the first that applies of these exact tests, with no point
+    or triangle object built; the earlier face in the sweep is the first:
 
     - Level touch.  When the z-ranges meet in one level, the faces can
       meet only at that level, in their parts there (a vertex, an edge or
       a horizontal face); parts with disjoint xy boxes never meet.
-    - End boxes.  A face with vertices at exactly two levels z0 < z1 cuts
-      the level z0 + s (z1 - z0), 0 <= s <= 1, in points (1 - s) b + s u
-      with b in the hull of its bottom vertices and u in that of its top
-      ones.  So when two such faces share z0 and z1, and on one axis both
-      the bottom and the top box of one lie strictly below those of the
-      other, every level cuts them apart.
-    - j's vertex sides of k's plane.  All strictly on one side: j misses
-      k.  Exactly two on the plane, and both vertices of k: the faces
-      share an edge in crossing planes, and meet in exactly that edge.
-    - Otherwise k's sides of j's plane, and `geometry._triangles_meet`,
-      which decides coplanar pairs too.
+    - End boxes.  A face with vertices at exactly two levels is the hull
+      of its bottom and its top vertices, so two such faces on the same
+      two levels are apart when `geometry._ends_apart` holds for their
+      end boxes; that test is written out here, since it runs on most
+      pairs of a one-gap surface.
+    - The first face's vertex sides of the second's plane.  All strictly
+      on one side: the faces miss.  Exactly two on the plane, and both
+      vertices of the second face: the faces share an edge in crossing
+      planes, and meet in exactly that edge.
+    - Otherwise the second face's sides of the first's plane, and
+      `geometry._triangles_meet`, which decides coplanar pairs too.
 
     With `memo`, the verdicts of the last two tests are memoised under the
     sorted pair of the two faces' integer vertex triples."""
-    for j, k in _box_pairs([face[:4] for face in faces]):
-        _, _, _, _, z0, z1, kb, kt, k2, vk, k_plane = faces[k]
-        _, _, _, _, w0, w1, jb, jt, j2, vj, j_plane = faces[j]
-        if w0 > z1 or z0 > w1:
-            continue
-        if w1 == z0 or z1 == w0:
-            a, b = (jt, kb) if w1 == z0 else (kt, jb)
-            if a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]:
-                yield j, k, False
+    active = []
+    for k in sorted(range(len(faces)), key=lambda k: faces[k][0]):
+        face = faces[k]
+        x0, x1, y0, y1, z0, z1, ke, k2, vk, (nx, ny, nz, off) = face
+        (px, py, pz), (qx, qy, qz), (rx, ry, rz) = vk
+        active = [a for a in active if a[0] >= x0]
+        for _, v0, v1, w0, w1, je, j2, vj, j_plane, j in active:
+            if v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
                 continue
-        elif (
-            j2
-            and k2
-            and w0 == z0
-            and w1 == z1
-            and (
-                jb[1] < kb[0] and jt[1] < kt[0]
-                or kb[1] < jb[0] and kt[1] < jt[0]
-                or jb[3] < kb[2] and jt[3] < kt[2]
-                or kb[3] < jb[2] and kt[3] < jt[2]
+            if w1 == z0 or z1 == w0:
+                lo, hi = (je, ke) if w1 == z0 else (ke, je)
+                if lo[5] < hi[0] or hi[1] < lo[4] or lo[7] < hi[2] or hi[3] < lo[6]:
+                    continue
+            elif (
+                j2
+                and k2
+                and w0 == z0
+                and w1 == z1
+                and (
+                    je[1] < ke[0] and je[5] < ke[4]
+                    or ke[1] < je[0] and ke[5] < je[4]
+                    or je[3] < ke[2] and je[7] < ke[6]
+                    or ke[3] < je[2] and ke[7] < je[6]
+                )
+            ):
+                continue
+            if memo is not None:
+                key = (vj, vk) if vj < vk else (vk, vj)
+                hit = memo.get(key)
+                if hit is not None:
+                    if hit:
+                        return CheckResult(False, f"faces {j} and {k} intersect improperly")
+                    continue
+            a, b, c = vj
+            da = nx * a[0] + ny * a[1] + nz * a[2]
+            db = nx * b[0] + ny * b[1] + nz * b[2]
+            dc = nx * c[0] + ny * c[1] + nz * c[2]
+            sj = (
+                1 if da > off else -1 if da < off else 0,
+                1 if db > off else -1 if db < off else 0,
+                1 if dc > off else -1 if dc < off else 0,
             )
-        ):
-            yield j, k, False
-            continue
-        if memo is not None:
-            key = (vj, vk) if vj < vk else (vk, vj)
-            hit = memo.get(key)
-            if hit is not None:
-                yield j, k, hit
-                continue
-        sj = _plane_sides(k_plane, vj)
-        if sj in _STRICT_SIDES or sj.count(0) == 2 and (vj[0] in vk) + (vj[1] in vk) + (vj[2] in vk) == 2:
-            hit = False
-        else:
-            hit = _triangles_meet(vj, sj, vk, _plane_sides(j_plane, vk))
-        if memo is not None:
-            memo[key] = hit
-        yield j, k, hit
-
-
-def _check_face_intersections(faces, memo) -> CheckResult:
-    """No two faces meet outside a vertex or edge they share."""
-    for j, k, hit in _face_pair_verdicts(faces, memo):
-        if hit:
-            return CheckResult(False, f"faces {j} and {k} intersect improperly")
+            if sj in _STRICT_SIDES or sj.count(0) == 2 and (a in vk) + (b in vk) + (c in vk) == 2:
+                hit = False
+            else:
+                mx, my, mz, moff = j_plane
+                dp = mx * px + my * py + mz * pz
+                dq = mx * qx + my * qy + mz * qz
+                dr = mx * rx + my * ry + mz * rz
+                sk = (
+                    1 if dp > moff else -1 if dp < moff else 0,
+                    1 if dq > moff else -1 if dq < moff else 0,
+                    1 if dr > moff else -1 if dr < moff else 0,
+                )
+                hit = _triangles_meet(vj, sj, vk, sk)
+            if memo is not None:
+                memo[key] = hit
+            if hit:
+                return CheckResult(False, f"faces {j} and {k} intersect improperly")
+        active.append(face[1:] + (k,))
     return CheckResult(True)
 
 
@@ -825,10 +841,11 @@ def verify_banded_surface(
     annulus from counts and edge incidences alone (the argument is in
     `_check_topology`); its one pass over the faces also leaves the edge
     map that the path check reads, and each face's integer vertices, plane,
-    box and end boxes for the face-pair check (`_face_pair_verdicts`
-    gives its exact filters).  Later checks assume structurally sound
-    input, so they are skipped (marked failed with a note) when the
-    topology check already failed hard.
+    box and end boxes for the face-pair check, which stops at the first
+    improper pair (`_check_face_intersections` gives its exact filters).
+    Later checks assume structurally sound input, so they are skipped
+    (marked failed with a note) when the topology check already failed
+    hard.
 
     Sections.  `monotone_sections` runs only once topology, paths and the
     face-pair check have passed, and then it passes on a proof: every level

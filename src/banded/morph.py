@@ -46,7 +46,15 @@ from fractions import Fraction
 
 from . import quadfield
 from .errors import AllPointsEqualError, InputError, InternalConsistencyError, PreconditionError
-from .geometry import Point2, _box_pairs, _horizon_bands, _sections_apart, _xy_differences, polygon_is_convex
+from .geometry import (
+    Point2,
+    _box_pairs,
+    _ends_apart,
+    _horizon_bands,
+    _sections_apart,
+    _xy_differences,
+    polygon_is_convex,
+)
 from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame, _integer_instance
 from .quadfield import ExactTime, midpoint, rational_between
 
@@ -540,13 +548,14 @@ def _horizon(start: ExactTime) -> tuple[int, int] | None:
 
 def _apart_before(horizon, i: int, j: int) -> bool:
     """Whether edges i and j have no common point at any time t in [0, H],
-    from their boxes and band quads over [0, H] (`_horizon_bands`): edge i
-    at t lies in the section at z = t / H of the tetrahedron on its band
-    quad over [0, H], and `_sections_apart` decides whether two such
-    tetrahedra are disjoint."""
-    boxes, bands = horizon
+    from their boxes, end boxes and band quads over [0, H]
+    (`_horizon_bands`): edge i at t lies in the section at z = t / H of the
+    tetrahedron on its band quad over [0, H], and `_sections_apart` decides
+    whether two such tetrahedra are disjoint.  Disjoint boxes, or end boxes
+    that `_ends_apart` sets apart, settle it first with the same verdict."""
+    boxes, ends, bands = horizon
     (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[i], boxes[j]
-    if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
+    if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0 or _ends_apart(ends[i], ends[j]):
         return True
     return _sections_apart(_xy_differences(bands[i], bands[j]))
 

@@ -16,6 +16,7 @@ from operator import itemgetter
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     _ON_PLANE,
+    _ends_apart,
     _horizon_bands,
     _integer_axis,
     _plane,
@@ -243,9 +244,13 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
 
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
-    separate them: every quad spans the full height).  `_pair_conflicts`
-    runs only on the pairs whose boxes meet, and only a pair with a
-    conflict is kept; the kept pairs are sorted by key.
+    separate them: every quad spans the full height), and nor can two
+    whose tetrahedra `geometry._ends_apart` sets apart by the xy boxes of
+    their bottom and of their top pairs; such a pair would reach
+    `_sections_apart` with no zero difference and be dismissed there.
+    `_pair_conflicts` runs only on the pairs that pass both tests, box
+    test first, and only a pair with a conflict is kept; the kept pairs
+    are sorted by key.
     It routes each pair on its 8 xy differences: a pair with no vertex
     shared by value is decided in the plane, from subsets of those
     differences; a pair that shares a path edge, with a plane through the
@@ -276,9 +281,9 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
-    ends = zip(inst.source.vertices, inst.target.vertices)
-    _, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
-    boxes, bands = _horizon_bands(cs, (1, 1))
+    tracks = zip(inst.source.vertices, inst.target.vertices)
+    _, cs = _integer_axis([c for p, q in tracks for c in (p.x, p.y, q.x, q.y)])
+    boxes, ends, bands = _horizon_bands(cs, (1, 1))
     self_conflicts = []
     for i, band in enumerate(bands):
         if orient3d(*band) == 0:
@@ -294,10 +299,14 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     stale = len({i for i, _ in self_conflicts}) < len(self_conflicts)
     pairs = []
     for d in range(1, n // 2 + 1):
-        for i in range(n - d if 2 * d == n else n):
-            a, b = (i, i + d) if i + d < n else (i + d - n, i)
+        # (i, i + d) for i < n - d, then (i + d - n, i) for the rest of the
+        # ring, which the last ring of an even n does not have
+        ring = zip(range(n - d), range(d, n))
+        if 2 * d < n:
+            ring = itertools.chain(ring, zip(range(d), range(n - d, n)))
+        for a, b in ring:
             (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[a], boxes[b]
-            if x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1:
+            if x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1 and not _ends_apart(ends[a], ends[b]):
                 mat = _pair_conflicts(bands[a], bands[b])
                 if mat != _NO_CONFLICT:
                     pairs.append(((a, b), mat))

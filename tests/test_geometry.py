@@ -19,6 +19,11 @@ from banded.errors import DegenerateTriangleError, InputError, PreconditionError
 from banded.geometry import (
     Point2,
     Point3,
+    _box,
+    _end_boxes,
+    _ends_apart,
+    _sections_apart,
+    _xy_differences,
     open_triangles_intersect_3d,
     orient2d,
     orient3d,
@@ -772,3 +777,76 @@ class TestCoplanarClip:
             assert verdict == open_triangles_intersect_3d(t2, t1) == expected, (s, c, lift(1, 1))
             seen[len(shared), verdict] += 1
         assert all(seen[k, hit] >= 100 for k in (0, 1, 2) for hit in (True, False)), seen
+
+
+def band_quad(p0, p1, q1, q0):
+    """A band quad (p0, p1, q1, q0) from four xy points, the p's at z = 0
+    and the q's at z = 1."""
+    return (*p0, 0), (*p1, 0), (*q1, 1), (*q0, 1)
+
+
+def grid_quads(x0=0, x1=4):
+    """Band quads on the 5 x 5 grid, with x in [x0, x1]: shared vertices,
+    touching boxes and zero-length edges are common."""
+    point = st.tuples(st.integers(x0, x1), st.integers(0, 4))
+    return st.tuples(point, point, point, point)
+
+
+# the symmetries of the grid that keep x or swap it with y, with or
+# without a mirror, so that draws split along x also split along y
+GRID_TURNS = (lambda x, y: (x, y), lambda x, y: (4 - x, y), lambda x, y: (y, x), lambda x, y: (y, 4 - x))
+
+
+@st.composite
+def grid_quad_pairs(draw):
+    """Two band quads anywhere on the grid, or one on the columns 0..2 and
+    the other on 2..4, under one of `GRID_TURNS`."""
+    a, b = draw(st.one_of(st.tuples(grid_quads(), grid_quads()), st.tuples(grid_quads(0, 2), grid_quads(2, 4))))
+    turn = draw(st.sampled_from(GRID_TURNS))
+    return band_quad(*(turn(*p) for p in a)), band_quad(*(turn(*p) for p in b))
+
+
+class TestEndsApart:
+    def test_dismissal_implies_sections_apart(self):
+        # `_ends_apart` is symmetric, and a pair it sets apart has no zero
+        # difference and is apart by `_sections_apart`, both ways round;
+        # some of those pairs have boxes that meet, so the test dismisses
+        # pairs that the box test keeps
+        seen = Counter()
+
+        @settings(max_examples=1500, derandomize=True, deadline=None)
+        @given(grid_quad_pairs())
+        def check(pair):
+            a, b = pair
+            apart = _ends_apart(_end_boxes(a), _end_boxes(b))
+            assert apart == _ends_apart(_end_boxes(b), _end_boxes(a))
+            if apart:
+                for d in (_xy_differences(a, b), _xy_differences(b, a)):
+                    assert (0, 0) not in d and _sections_apart(d)
+                (x0, x1, y0, y1), (u0, u1, v0, v1) = _box(a), _box(b)
+                seen["boxes meet"] += x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1
+            seen[apart] += 1
+
+        check()
+        assert seen[True] > 100 and seen[False] > 100 and seen["boxes meet"] > 10, seen
+
+    @pytest.mark.parametrize("turn", [lambda x, y: (x, y), lambda x, y: (-y, x)])
+    def test_touching_end_boxes_are_not_dismissed(self, turn):
+        # the bottom boxes touch at x = 1, an equal coordinate, while the
+        # top boxes lie strictly apart; the bottom edges share the vertex
+        # (1, 0), so the bodies meet and the pair must not be dismissed
+        # (the quarter turn puts the touch on a y boundary)
+        a = band_quad(*(turn(*p) for p in ((0, 0), (1, 0), (1, 1), (0, 1))))
+        b = band_quad(*(turn(*p) for p in ((1, 0), (2, 0), (4, 1), (3, 1))))
+        assert not _ends_apart(_end_boxes(a), _end_boxes(b))
+        assert not _ends_apart(_end_boxes(b), _end_boxes(a))
+        assert not _sections_apart(_xy_differences(a, b))
+
+    def test_ends_apart_on_different_axes_are_kept(self):
+        # the bottoms lie apart along x and the tops along y: the bodies are
+        # apart, but no one axis and order holds at both levels, so the end
+        # test keeps the pair for `_sections_apart`, which dismisses it
+        a = band_quad((0, 0), (1, 0), (1, 1), (0, 1))
+        b = band_quad((2, 0), (3, 0), (1, 2), (0, 2))
+        assert not _ends_apart(_end_boxes(a), _end_boxes(b))
+        assert _sections_apart(_xy_differences(a, b))

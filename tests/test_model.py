@@ -969,13 +969,14 @@ def face_pass_meshes():
 
 
 class TestFacePass:
-    def test_every_box_pair_matches_the_general_predicate(self, monkeypatch):
-        # the x-swept pass visits exactly the pairs whose closed boxes meet
-        # and decides each as `open_triangles_intersect_3d` does; the pairs
-        # that the slab filters dismiss, or that the first face's plane
-        # sides settle, never reach the kernel, and its coplanar branch is
-        # reached by the coplanar pairs that do; every pair is checked, not
-        # only those up to a first hit
+    def test_kernel_pairs_match_the_reference_cascade(self, monkeypatch):
+        # the first-hit pass visits the pairs whose closed boxes meet in
+        # sweep order (k by min-x, ties by index, and j before it in that
+        # order), up to the first pair that `open_triangles_intersect_3d`
+        # finds improper, and reports that pair; the pairs that the slab
+        # filters dismiss, or that the first face's plane sides settle,
+        # never reach the kernel, the others reach it in that order, and
+        # its coplanar branch is reached by the coplanar pairs that do
         kernel_pairs = []
         coplanar_calls = []
         kernel = model._triangles_meet
@@ -990,48 +991,59 @@ class TestFacePass:
             return coplanar(v1, v2)
 
         branches = Counter()
+        outcomes = Counter()
         for s in face_pass_meshes():
             points, faces = face_pass_faces(s)
-            boxes = [[(min(c), max(c)) for c in zip(*f[9])] for f in faces]
-            expected = {
-                (j, k)
-                for k in range(len(faces))
-                for j in range(k)
-                if all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
-            }
-            seen = {}
-            kernel_pairs.clear()
-            with monkeypatch.context() as patched:
-                patched.setattr(model, "_triangles_meet", counted_kernel)
-                patched.setattr(geometry, "_coplanar_triangles_meet", counted_coplanar)
-                for j, k, hit in model._face_pair_verdicts(faces):
-                    key = (min(j, k), max(j, k))
-                    assert key not in seen
-                    seen[key] = (j, k, hit)
-            assert set(seen) == expected
-            triangles = [tuple(Point3(*p) for p in f[9]) for f in faces]
-            reached = []
-            for j, k, hit in seen.values():
+            boxes = [[(min(c), max(c)) for c in zip(*f[8])] for f in faces]
+            rank = {k: r for r, k in enumerate(sorted(range(len(faces)), key=lambda k: faces[k][0]))}
+            swept = sorted(
+                (
+                    (j, k) if rank[j] < rank[k] else (k, j)
+                    for k in range(len(faces))
+                    for j in range(k)
+                    if all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
+                ),
+                key=lambda pair: (rank[pair[1]], rank[pair[0]]),
+            )
+            triangles = [tuple(Point3(*p) for p in f[8]) for f in faces]
+            reached, hit = [], None
+            for j, k in swept:
                 t1, t2 = triangles[j], triangles[k]
-                assert hit == open_triangles_intersect_3d(t1, t2), (j, k)
+                meets = open_triangles_intersect_3d(t1, t2)
                 cascade = face_pair_branch(t1, t2)
                 branch = slab_filter(t1, t2) or cascade
                 branches[branch] += 1
                 branches["coplanar, all"] += cascade == "coplanar"
                 if branch == "crossing":
-                    branches["crossing, meet" if hit else "crossing, disjoint"] += 1
-                if branch in ("level touch", "end boxes"):
-                    continue
-                # the first face's sides of the second's plane
-                sides = [orient3d(*t2, p) for p in t1]
-                if sides[0] == sides[1] == sides[2] != 0:
-                    branches["first sides strict"] += 1
-                elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
-                    branches["first sides shared edge"] += 1
-                else:
-                    reached.append((faces[j][9], faces[k][9]))
-                    branches["kernel, coplanar"] += branch == "coplanar"
-            assert sorted(kernel_pairs) == sorted(reached)
+                    branches["crossing, meet" if meets else "crossing, disjoint"] += 1
+                if branch not in ("level touch", "end boxes"):
+                    # the first face's sides of the second's plane
+                    sides = [orient3d(*t2, p) for p in t1]
+                    if sides[0] == sides[1] == sides[2] != 0:
+                        branches["first sides strict"] += 1
+                    elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
+                        branches["first sides shared edge"] += 1
+                    else:
+                        reached.append((faces[j][8], faces[k][8]))
+                        branches["kernel, coplanar"] += branch == "coplanar"
+                if meets:
+                    hit = (j, k)
+                    break
+            kernel_pairs.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(model, "_triangles_meet", counted_kernel)
+                patched.setattr(geometry, "_coplanar_triangles_meet", counted_coplanar)
+                result = model._check_face_intersections(faces, None)
+            assert kernel_pairs == reached
+            if hit is None:
+                assert result.passed
+            else:
+                j, k = hit
+                assert all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
+                assert open_triangles_intersect_3d(triangles[j], triangles[k])
+                assert result == CheckResult(False, f"faces {j} and {k} intersect improperly")
+            outcomes[result.passed] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
         for branch in (
             "level touch",
             "end boxes",

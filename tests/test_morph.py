@@ -637,18 +637,24 @@ def _independent_stars() -> SliceInstance:
 
 def test_dismissal_keeps_every_verdict():
     # dismissing the candidates of constant sign, the edge pairs whose band
-    # tetrahedra over [0, H] are apart (H = 1 until a first run), cutting each
-    # candidate's walk off after its first run or past the best start, and
-    # deciding planar affine targets without a scan, changes no verdict and
-    # no bit of a witness interval: compare with a scan of every piece of
-    # every candidate of every box pair
-    apart, before, bands = morph._sections_apart, morph._apart_before, morph._horizon_bands
-    dismissed, horizon = Counter(), Counter()
+    # tetrahedra over [0, H] are apart by their end boxes or their sections
+    # (H = 1 until a first run), cutting each candidate's walk off after its
+    # first run or past the best start, and deciding planar affine targets
+    # without a scan, changes no verdict and no bit of a witness interval:
+    # compare with a scan of every piece of every candidate of every box pair
+    apart, ends_apart = morph._sections_apart, morph._ends_apart
+    before, bands = morph._apart_before, morph._horizon_bands
+    dismissed, by_ends, horizon = Counter(), Counter(), Counter()
     short = {}  # id -> `_horizon_bands` result, for each horizon H < 1
 
     def counted(d):
         verdict = apart(d)
         dismissed[verdict] += 1
+        return verdict
+
+    def counted_ends(e, f):
+        verdict = ends_apart(e, f)
+        by_ends[verdict] += 1
         return verdict
 
     def counted_bands(cs, h):
@@ -676,22 +682,33 @@ def test_dismissal_keeps_every_verdict():
     # a violated morph whose scan dismisses hundreds of edge pairs by the
     # horizon, so that the horizon count below does not rest on the draws
     @example(_independent_stars())
+    # a grid morph whose scan dismisses 6 edge pairs by their end boxes
+    # alone, so that the end-box count below does not rest on the draws
+    @example(
+        _instance(
+            [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (1, 3), (0, 2)],
+            [(0, 1), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2), (2, 3)],
+        )
+    )
     def check(inst):
         with mock.patch.object(morph, "_sections_apart", counted), mock.patch.object(
-            morph, "_apart_before", counted_before
-        ), mock.patch.object(morph, "_horizon_bands", counted_bands):
+            morph, "_ends_apart", counted_ends
+        ), mock.patch.object(morph, "_apart_before", counted_before), mock.patch.object(
+            morph, "_horizon_bands", counted_bands
+        ):
             fast = planarity_preserving(inst)
         with mock.patch.object(morph, "_constant_sign", lambda q: 0), mock.patch.object(
             morph, "_sections_apart", lambda d: False
-        ), _exhaustive():
+        ), mock.patch.object(morph, "_ends_apart", lambda e, f: False), _exhaustive():
             slow = _scan(inst)
         assert _verdict_tuple(fast) == _verdict_tuple(slow)
 
     check()
-    # tetrahedra over [0, 1] and over [0, H] for H < 1 both dismissed pairs,
-    # so the comparison is not vacuous (a horizon below 1 only comes on
-    # violated morphs, after a first run)
+    # end boxes and sections over [0, 1], and tetrahedra over [0, H] for
+    # H < 1, all dismissed pairs, so the comparison is not vacuous (a
+    # horizon below 1 only comes on violated morphs, after a first run)
     assert dismissed[True] > 100, dismissed
+    assert by_ends[True] > 5, by_ends
     assert horizon[True] > 10, horizon
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from geometry_reference import is_degenerate, segment_triangle_contact_3d
+from grid_polygons import grid_polygon
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
@@ -21,6 +22,7 @@ from banded.generators import (
 from banded.geometry import (
     Point2,
     open_triangles_intersect_3d,
+    orient2d,
     orient3d,
     polygon_is_ccw,
     polygon_is_simple,
@@ -163,12 +165,15 @@ def kernel_branches(inst, label: str) -> Counter:
     ]
     counts = Counter()
     counts["coplanar quad"] = sum(orient3d(*quad) == 0 for quad in quads)
+    for poly in (scaled.source.vertices, scaled.target.vertices):
+        counts[f"flat vertex, {label}"] += sum(orient2d(poly[k - 1], poly[k], poly[(k + 1) % n]) == 0 for k in range(n))
     for i in range(n):
         for j in range(i + 1, n):
             a, b = (tuple(map(tuple, quads[k])) for k in (i, j))
             (x0, x1, y0, y1), (u0, u1, v0, v1) = boxes[i], boxes[j]
             if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                 continue
+            counts[f"end boxes touch, {label}"] += _end_boxes_touch(a, b)
             if not set(a) & set(b):
                 counts["planar apart" if tetrahedra_disjoint(a, b) else "planar meet"] += 1
                 continue
@@ -203,6 +208,19 @@ def kernel_branches(inst, label: str) -> Counter:
                         if hit:
                             break
     return counts
+
+
+def _end_boxes_touch(a, b) -> bool:
+    """Whether, along x or along y, the xy box of one quad's bottom pair
+    and that of its top pair each lie below the other quad's, closed, with
+    at least one of the two touching: `geometry._ends_apart` keeps such a
+    pair for the kernel."""
+    for axis in (0, 1):
+        for u, w in ((a, b), (b, a)):
+            gaps = [min(p[axis] for p in w[k : k + 2]) - max(p[axis] for p in u[k : k + 2]) for k in (0, 2)]
+            if min(gaps) == 0:
+                return True
+    return False
 
 
 def unvalidated_instances(rng, count):
@@ -299,10 +317,12 @@ def assert_chains_are_conflicts(inst, unsat):
 @functools.cache
 def conflict_table_corpus():
     """(label, instance) pairs: figures, coplanar walls, every target style
-    at n = 3..12, and unvalidated inputs.  The two "pinned" instances have
-    bands 0 and 3 conflicting while their boxes meet only along the line
-    x = 5; the second is the first turned a quarter, which puts that line
-    on a y boundary, so an open-box sweep misses both."""
+    at n = 3..12, pairs of polygons drawn on a 5 x 5 grid at n = 4..6, with
+    flat vertices and end boxes that touch, and unvalidated inputs.  The two
+    "pinned" instances have bands 0 and 3 conflicting while their boxes
+    meet only along the line x = 5; the second is the first turned a
+    quarter, which puts that line on a y boundary, so an open-box sweep
+    misses both."""
     rng = random.Random(17)
     source = ((5, 0), (5, 4), (6, 7), (5, 6), (4, 5), (2, 6))
     target = ((5, 6), (7, 6), (1, 9), (5, 2), (4, 5), (3, 7))
@@ -328,6 +348,11 @@ def conflict_table_corpus():
                 ("random", rotated_instance(rng, poly)),
                 ("random", SliceInstance(poly, LabeledPolygon(other.vertices, 1))),
             ]
+    grid = random.Random(5)  # its own draws, so the others stay as they were
+    for n in (4, 5, 6):
+        for _ in range(8):
+            bottom, top = grid_polygon(grid, n), grid_polygon(grid, n)
+            instances.append(("grid", SliceInstance(LabeledPolygon(bottom, 0), LabeledPolygon(top, 1))))
     for _, inst in instances:
         inst.validate()
     return tuple(instances + [("unvalidated", inst) for inst in unvalidated_instances(rng, 40)])
@@ -460,6 +485,8 @@ class TestConflicts:
             "crossing, disjoint",
             "coplanar quad",
             "folded quad",
+            "flat vertex, grid",
+            "end boxes touch, grid",
         ):
             assert branches[branch] > 0, branch
         assert calls["sign matrix"] == branches["sign matrix"]

@@ -74,16 +74,19 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
 # shared predicates and tables, each with the one module that binds it
 SHARED = {
     # the conflict table and the morph decision share one copy of the
-    # sections lemma's predicate and of the differences it reads; polygon
-    # simplicity, the morph scan and the face pass share one box sweep, and
-    # the kernel and the face pass one plane-side routine
+    # sections lemma's predicate, of the differences it reads and of the
+    # end-box test that runs before them; polygon simplicity and the morph
+    # scan share one box sweep, and the 3D kernel and the table's sign
+    # matrix one plane-side routine
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
+    "_ends_apart": "geometry.py",
     "_box_pairs": "geometry.py",
-    # the band quads over a horizon and their xy boxes, for the conflict
-    # table and the morph scan
+    # the band quads over a horizon, their xy boxes and their end boxes,
+    # for the conflict table and the morph scan
     "_horizon_bands": "geometry.py",
     "_box": "geometry.py",
+    "_end_boxes": "geometry.py",
     "_plane_sides": "geometry.py",
     # the chord split of a band quad, for the surface builder and the
     # conflict table alike
