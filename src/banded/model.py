@@ -24,7 +24,9 @@ from .geometry import (
     _integer_axis,
     _integer_polygon,
     _plane,
+    _sections_apart,
     _triangles_meet,
+    _xy_differences,
     open_triangles_intersect_3d,  # unused; benchmarks/spans.py wraps this binding
     polygon_is_simple,
     polygon_signed_area2,
@@ -392,7 +394,7 @@ def _face_record(verts, plane) -> tuple:
     lx, ly, lz = lone
     x0, x1 = (u[0], w[0]) if u[0] <= w[0] else (w[0], u[0])
     y0, y1 = (u[1], w[1]) if u[1] <= w[1] else (w[1], u[1])
-    box = (min(x0, lx), max(x1, lx), min(y0, ly), max(y1, ly))
+    box = (x0 if x0 <= lx else lx, x1 if x1 >= lx else lx, y0 if y0 <= ly else ly, y1 if y1 >= ly else ly)
     if lz > u[2]:
         return (*box, u[2], lz, (x0, x1, y0, y1, lx, lx, ly, ly), True, verts, plane)
     if lz < u[2]:
@@ -489,11 +491,9 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
     if len(set(starts + ends)) != 2 * n:
         return CheckResult(False, "the paths' first and last vertices are not 2n distinct vertices")
     boundary = {(a, b) if a < b else (b, a) for a, b in edges if (b, a) not in edges}
-    expected_boundary = set()
-    for i in range(n):
-        j = (i + 1) % n
-        expected_boundary.add((min(starts[i], starts[j]), max(starts[i], starts[j])))
-        expected_boundary.add((min(ends[i], ends[j]), max(ends[i], ends[j])))
+    expected_boundary = {
+        (a, b) if a < b else (b, a) for cycle in (starts, ends) for a, b in zip(cycle, cycle[1:] + cycle[:1])
+    }
     if boundary != expected_boundary:
         return CheckResult(False, "boundary edges are not exactly the two polygon cycles")
 
@@ -524,10 +524,12 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
     return CheckResult(True)
 
 
-def _check_paths(s: BandedSurface, edges) -> CheckResult:
+def _check_paths(s: BandedSurface, edges, points, kz) -> CheckResult:
     """The path checks; `edges` holds every directed edge of every face, so
-    a mesh edge is in it in at least one direction.  The path ends must be
-    source and target vertex i of path i, and no other vertex may carry an
+    a mesh edge is in it in at least one direction, and `points` and the z
+    factor `kz` are as `_integer_points` gives them, so that z = 0 and
+    z = 1 are the integer levels 0 and kz.  The path ends must be source
+    and target vertex i of path i, and no other vertex may carry an
     `OriginalLabel`: a count of 2n such labels then settles it."""
     used: dict[int, int] = {}
     for i, path in enumerate(s.paths):
@@ -537,14 +539,19 @@ def _check_paths(s: BandedSurface, edges) -> CheckResult:
             if v in used:
                 return CheckResult(False, f"paths {used[v]} and {i} share vertex {v}")
             used[v] = i
-        pts = [s.point(v) for v in path]
-        if pts[0].z != 0 or pts[-1].z != 1:
+        zs = [points[v][2] for v in path]
+        if zs[0] != 0 or zs[-1] != kz:
             return CheckResult(False, f"path {i} does not run from z=0 to z=1")
-        label0, label1 = s.vertices[path[0]][1], s.vertices[path[-1]][1]
-        if label0 != OriginalLabel(0, i) or label1 != OriginalLabel(1, i):
+        # the labels' dataclass equality, with no label built to compare
+        first, last = s.vertices[path[0]][1], s.vertices[path[-1]][1]
+        if not (
+            type(first) is OriginalLabel
+            and type(last) is OriginalLabel
+            and (first.slice, first.index, last.slice, last.index) == (0, i, 1, i)
+        ):
             return CheckResult(False, f"path {i} endpoints are not source/target vertex {i}")
-        for a, b in zip(pts, pts[1:]):
-            if not a.z < b.z:
+        for a, b in zip(zs, zs[1:]):
+            if not a < b:
                 return CheckResult(False, f"path {i} is not strictly z-increasing")
         for a, b in zip(path, path[1:]):
             if (a, b) not in edges and (b, a) not in edges:
@@ -555,96 +562,249 @@ def _check_paths(s: BandedSurface, edges) -> CheckResult:
 
 
 _STRICT_SIDES = ((1, 1, 1), (-1, -1, -1))
+_ZERO = (0, 0)
 
 
-def _check_face_intersections(faces, memo) -> CheckResult:
-    """No two faces meet outside a vertex or edge they share; `faces` holds
-    the `_face_record`s that `_check_topology` leaves, and the first pair
-    found that does is reported.
+def _face_cells(bands, faces) -> list:
+    """The cells of the face pass, as (x0, x1, y0, y1, z0, z1, ends,
+    two_level, quad, members) tuples: the first eight are laid out as in a
+    `_face_record`, and `members` holds the cell's face indices into
+    `faces`, the `_face_record`s of the mesh whose faces `bands`
+    partitions.
 
-    The records are swept in order of min-x, ties by index, with an active
-    list of the earlier faces whose max-x reaches the current min-x, as
-    `geometry._box_pairs` sweeps boxes.  A pair whose closed boxes meet is
-    decided by the first that applies of these exact tests, with no point
-    or triangle object built; the earlier face in the sweep is the first:
+    A band's faces whose vertices lie on the same two levels z0 < z1, and
+    take exactly two points at each level, form one cell.  Its quad holds
+    those points, the two bottom ones and then the two top ones, each pair
+    sorted, so that it depends only on the points and not on the chord;
+    every face of the cell lies in the hull of the quad, and the box and
+    end boxes are the quad's.  Every other face is a cell on its own, with
+    no quad."""
+    cells = []
+    for members in bands:
+        slabs: dict = {}
+        for k in members:
+            f = faces[k]
+            if f[7]:
+                slabs.setdefault((f[4], f[5]), []).append(k)
+            else:
+                cells.append(f[:8] + (None, (k,)))
+        for (z0, z1), ks in slabs.items():
+            bottom, top = set(), set()
+            for k in ks:
+                for p in faces[k][8]:
+                    if p[2] == z0:
+                        bottom.add(p)
+                    else:
+                        top.add(p)
+            if len(bottom) != 2 or len(top) != 2:
+                cells.extend(faces[k][:8] + (None, (k,)) for k in ks)
+                continue
+            a, b = bottom
+            if b < a:
+                a, b = b, a
+            c, e = top
+            if e < c:
+                c, e = e, c
+            x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+            y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+            u0, u1 = (c[0], e[0]) if c[0] <= e[0] else (e[0], c[0])
+            v0, v1 = (c[1], e[1]) if c[1] <= e[1] else (e[1], c[1])
+            cells.append(
+                (
+                    x0 if x0 <= u0 else u0,
+                    x1 if x1 >= u1 else u1,
+                    y0 if y0 <= v0 else v0,
+                    y1 if y1 >= v1 else v1,
+                    z0,
+                    z1,
+                    (x0, x1, y0, y1, u0, u1, v0, v1),
+                    True,
+                    (a, b, c, e),
+                    tuple(ks),
+                )
+            )
+    return cells
 
+
+def _quads_apart(a, b) -> bool:
+    """Whether no face in the hull of quad a meets one in the hull of quad
+    b outside a vertex or edge they share, by one test on their 8 xy
+    differences; a and b are cell quads on the same two levels, as
+    `_face_cells` gives them, laid out as `geometry._xy_differences` takes
+    them.
+
+    With no zero difference, the quads share no point, and their hulls are
+    disjoint iff `geometry._sections_apart` holds for all 8.  With exactly
+    one zero difference at each level, the quads share one bottom point s
+    and one top point t.  Let P be a plane through the line s t with a's
+    other two points strictly on one side and b's on the other.  A face of
+    a has its vertices among a's points, so it meets P only in the hull of
+    its vertices among s and t, and likewise for b; so two faces meet at
+    most in the hull of the vertices among s and t that both have, a
+    vertex or an edge they share.  Projecting along s t onto the xy plane
+    maps the line to a point and P to a line through it, and sends a
+    bottom point x to x - s and a top point to x - t.  So P exists iff a's
+    other points minus the shared ones and the shared ones minus b's other
+    points lie in an open half-plane: `_sections_apart` on those four
+    differences, the ones beside each zero in the 2 x 2 layout of its
+    level.  Any other pair is not dismissed."""
+    d = _xy_differences(a, b)
+    if _ZERO not in d:
+        return _sections_apart(d)
+    bottom, top = d[:4], d[4:]
+    if bottom.count(_ZERO) != 1 or top.count(_ZERO) != 1:
+        return False
+    i, j = bottom.index(_ZERO), top.index(_ZERO)
+    return _sections_apart((bottom[i ^ 1], bottom[i ^ 2], top[j ^ 1], top[j ^ 2]))
+
+
+def _faces_meet(f, g, memo) -> bool:
+    """Whether the faces of the `_face_record`s f and g meet outside a
+    vertex or edge they share, by the first that applies of these exact
+    tests, with no point or triangle object built:
+
+    - Boxes.  Faces whose closed boxes miss each other never meet.
     - Level touch.  When the z-ranges meet in one level, the faces can
       meet only at that level, in their parts there (a vertex, an edge or
       a horizontal face); parts with disjoint xy boxes never meet.
     - End boxes.  A face with vertices at exactly two levels is the hull
       of its bottom and its top vertices, so two such faces on the same
       two levels are apart when `geometry._ends_apart` holds for their
-      end boxes; that test is written out here, since it runs on most
-      pairs of a one-gap surface.
-    - The first face's vertex sides of the second's plane.  All strictly
-      on one side: the faces miss.  Exactly two on the plane, and both
-      vertices of the second face: the faces share an edge in crossing
-      planes, and meet in exactly that edge.
-    - Otherwise the second face's sides of the first's plane, and
-      `geometry._triangles_meet`, which decides coplanar pairs too.
+      end boxes; that test is written out here.
+    - f's vertex sides of g's plane.  All strictly on one side: the faces
+      miss.  Exactly two on the plane, and both vertices of g: the faces
+      share an edge in crossing planes, and meet in exactly that edge.
+    - Otherwise g's sides of f's plane, and `geometry._triangles_meet`,
+      which decides coplanar pairs too.
 
     With `memo`, the verdicts of the last two tests are memoised under the
     sorted pair of the two faces' integer vertex triples."""
+    x0, x1, y0, y1, z0, z1, fe, f2, vf, f_plane = f
+    u0, u1, v0, v1, w0, w1, ge, g2, vg, (nx, ny, nz, off) = g
+    if u0 > x1 or x0 > u1 or v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
+        return False
+    if w1 == z0 or z1 == w0:
+        lo, hi = (ge, fe) if w1 == z0 else (fe, ge)
+        if lo[5] < hi[0] or hi[1] < lo[4] or lo[7] < hi[2] or hi[3] < lo[6]:
+            return False
+    elif (
+        f2
+        and g2
+        and w0 == z0
+        and w1 == z1
+        and (
+            fe[1] < ge[0] and fe[5] < ge[4]
+            or ge[1] < fe[0] and ge[5] < fe[4]
+            or fe[3] < ge[2] and fe[7] < ge[6]
+            or ge[3] < fe[2] and ge[7] < fe[6]
+        )
+    ):
+        return False
+    if memo is not None:
+        key = (vf, vg) if vf < vg else (vg, vf)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    a, b, c = vf
+    da = nx * a[0] + ny * a[1] + nz * a[2]
+    db = nx * b[0] + ny * b[1] + nz * b[2]
+    dc = nx * c[0] + ny * c[1] + nz * c[2]
+    sf = (
+        1 if da > off else -1 if da < off else 0,
+        1 if db > off else -1 if db < off else 0,
+        1 if dc > off else -1 if dc < off else 0,
+    )
+    if sf in _STRICT_SIDES or sf.count(0) == 2 and (a in vg) + (b in vg) + (c in vg) == 2:
+        hit = False
+    else:
+        mx, my, mz, moff = f_plane
+        (px, py, pz), (qx, qy, qz), (rx, ry, rz) = vg
+        dp = mx * px + my * py + mz * pz
+        dq = mx * qx + my * qy + mz * qz
+        dr = mx * rx + my * ry + mz * rz
+        sg = (
+            1 if dp > moff else -1 if dp < moff else 0,
+            1 if dq > moff else -1 if dq < moff else 0,
+            1 if dr > moff else -1 if dr < moff else 0,
+        )
+        hit = _triangles_meet(vf, sf, vg, sg)
+    if memo is not None:
+        memo[key] = hit
+    return hit
+
+
+def _check_face_intersections(bands, faces, memo) -> CheckResult:
+    """No two faces meet outside a vertex or edge they share; `faces` holds
+    the `_face_record`s that `_check_topology` leaves, `bands` the mesh's
+    partition of them into bands, and the first pair found that does is
+    reported.
+
+    The pass sweeps cells before faces: a band's faces on the same two
+    levels, whose hull is that of the quad of their two bottom and two top
+    points, are one cell, and every other face is a cell on its own
+    (`_face_cells`).  The cells are swept in order of min-x, ties by their
+    order in `_face_cells`, with an active list of the earlier cells whose
+    max-x reaches the current min-x, as `geometry._box_pairs` sweeps boxes.
+    The faces of a cell are first tested pairwise, in their order in the
+    cell.  Two cells whose closed boxes meet are then dismissed by the
+    first that applies of these exact tests on cells, which hold for every
+    face of each:
+
+    - Level touch.  When the z-ranges meet in one level, the cells can
+      meet only at that level, in their parts there; parts with disjoint
+      xy boxes never meet.
+    - End boxes.  Two cells with vertices at the same two levels and no
+      other are apart when `geometry._ends_apart` holds for their end
+      boxes; that test is written out here, since it runs on most pairs of
+      a one-gap surface.
+    - Quads.  Two cells with quads, on the same two levels, are dismissed
+      by `_quads_apart`: the sections lemma on their 8 xy differences, or
+      a plane through the one bottom and one top point they share.
+
+    Every face pair across two cells that no test dismisses goes through
+    `_faces_meet`, the earlier cell's face first.
+
+    With `memo`, the verdicts of `_quads_apart` are memoised under the
+    pair's levels and its sorted pair of quads, beside what `_faces_meet`
+    memoises."""
     active = []
-    for k in sorted(range(len(faces)), key=lambda k: faces[k][0]):
-        face = faces[k]
-        x0, x1, y0, y1, z0, z1, ke, k2, vk, (nx, ny, nz, off) = face
-        (px, py, pz), (qx, qy, qz), (rx, ry, rz) = vk
+    for cell in sorted(_face_cells(bands, faces), key=itemgetter(0)):
+        x0, x1, y0, y1, z0, z1, ke, k2, kq, km = cell
         active = [a for a in active if a[0] >= x0]
-        for _, v0, v1, w0, w1, je, j2, vj, j_plane, j in active:
+        for j, k in itertools.combinations(km, 2):
+            if _faces_meet(faces[j], faces[k], memo):
+                return CheckResult(False, f"faces {j} and {k} intersect improperly")
+        for _, v0, v1, w0, w1, je, j2, jq, jm in active:
             if v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
                 continue
             if w1 == z0 or z1 == w0:
                 lo, hi = (je, ke) if w1 == z0 else (ke, je)
                 if lo[5] < hi[0] or hi[1] < lo[4] or lo[7] < hi[2] or hi[3] < lo[6]:
                     continue
-            elif (
-                j2
-                and k2
-                and w0 == z0
-                and w1 == z1
-                and (
+            elif j2 and k2 and w0 == z0 and w1 == z1:
+                if (
                     je[1] < ke[0] and je[5] < ke[4]
                     or ke[1] < je[0] and ke[5] < je[4]
                     or je[3] < ke[2] and je[7] < ke[6]
                     or ke[3] < je[2] and ke[7] < je[6]
-                )
-            ):
-                continue
-            if memo is not None:
-                key = (vj, vk) if vj < vk else (vk, vj)
-                hit = memo.get(key)
-                if hit is not None:
-                    if hit:
-                        return CheckResult(False, f"faces {j} and {k} intersect improperly")
+                ):
                     continue
-            a, b, c = vj
-            da = nx * a[0] + ny * a[1] + nz * a[2]
-            db = nx * b[0] + ny * b[1] + nz * b[2]
-            dc = nx * c[0] + ny * c[1] + nz * c[2]
-            sj = (
-                1 if da > off else -1 if da < off else 0,
-                1 if db > off else -1 if db < off else 0,
-                1 if dc > off else -1 if dc < off else 0,
-            )
-            if sj in _STRICT_SIDES or sj.count(0) == 2 and (a in vk) + (b in vk) + (c in vk) == 2:
-                hit = False
-            else:
-                mx, my, mz, moff = j_plane
-                dp = mx * px + my * py + mz * pz
-                dq = mx * qx + my * qy + mz * qz
-                dr = mx * rx + my * ry + mz * rz
-                sk = (
-                    1 if dp > moff else -1 if dp < moff else 0,
-                    1 if dq > moff else -1 if dq < moff else 0,
-                    1 if dr > moff else -1 if dr < moff else 0,
-                )
-                hit = _triangles_meet(vj, sj, vk, sk)
-            if memo is not None:
-                memo[key] = hit
-            if hit:
-                return CheckResult(False, f"faces {j} and {k} intersect improperly")
-        active.append(face[1:] + (k,))
+                if jq is not None and kq is not None:
+                    if memo is None:
+                        apart = _quads_apart(jq, kq)
+                    else:
+                        key = (z0, z1, jq, kq) if jq < kq else (z0, z1, kq, jq)
+                        apart = memo.get(key)
+                        if apart is None:
+                            apart = memo[key] = _quads_apart(jq, kq)
+                    if apart:
+                        continue
+            for j in jm:
+                fj = faces[j]
+                for k in km:
+                    if _faces_meet(fj, faces[k], memo):
+                        return CheckResult(False, f"faces {j} and {k} intersect improperly")
+        active.append(cell[1:])
     return CheckResult(True)
 
 
@@ -841,8 +1001,10 @@ def verify_banded_surface(
     annulus from counts and edge incidences alone (the argument is in
     `_check_topology`); its one pass over the faces also leaves the edge
     map that the path check reads, and each face's integer vertices, plane,
-    box and end boxes for the face-pair check, which stops at the first
-    improper pair (`_check_face_intersections` gives its exact filters).
+    box and end boxes for the face-pair check.  That check sweeps the
+    mesh's cells, a band's faces in one slab, before their faces, and
+    stops at the first improper pair (`_check_face_intersections` gives
+    its exact filters).
     Later checks assume structurally sound input, so they are skipped
     (marked failed with a note) when the topology check already failed
     hard.
@@ -873,10 +1035,14 @@ def verify_banded_surface(
     (`_check_sections`, which gives why one section per slab is complete).
 
     `_memo` lets a caller that verifies many meshes over one set of faces
-    memoise face records and face-pair verdicts in one dict: a face's
-    integer vertex triple maps to its `_face_record`, and a sorted pair of
-    such triples to the pair's verdict.  A key of three points and a key
-    of two triples never collide.
+    memoise face records, face-pair verdicts and cell-pair dismissals in
+    one dict: a face's integer vertex triple maps to its `_face_record`, a
+    sorted pair of such triples to the pair's verdict, and a cell pair's
+    key (z0, z1, a, b), its two levels and its sorted pair of quads, to
+    `_quads_apart` of the quads.  A cell's quad holds its points and not
+    its chord, so both chords of a band share its cell keys.  A key of
+    three points, a key of two triples and a key of four items never
+    collide.
     """
     faces: list = []
     edges: dict = {}
@@ -889,13 +1055,13 @@ def verify_banded_surface(
         topo = _check_topology(s, points, faces, edges, _memo)
         if not topo.passed:
             edges = {e for face in s.faces for e in _face_edges(face)}
-        paths = _check_paths(s, edges)
+        paths = _check_paths(s, edges, points, scale[2])
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise MeshStructureError(f"malformed mesh: {exc}") from exc
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
-    inter = _check_face_intersections(faces, _memo)
+    inter = _check_face_intersections(s.bands, faces, _memo)
     if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
     elif not paths.passed:

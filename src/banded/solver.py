@@ -409,7 +409,9 @@ def brute_force_assignments(inst: SliceInstance) -> list[ChordAssignment]:
     `solve_no_steiner`.  Independent of the clause/2-SAT machinery.  Each
     (band, chord) gives the same two faces on every surface, so the
     verifier's face records and face-pair verdicts are memoised across the
-    enumeration, keyed by the faces' integer vertices."""
+    enumeration, keyed by the faces' integer vertices, and so are the
+    verifier's cell-pair dismissals, keyed by the bands' quads, which are
+    the same for either chord."""
     cs = inst.validate()[1]
     n = inst.n
     if n > _BRUTE_FORCE_MAX_N:

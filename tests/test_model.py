@@ -1,14 +1,17 @@
 import functools
+import itertools
 import random
+import unittest.mock
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from geometry_reference import is_degenerate
+from grid_polygons import grid_polygon
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_figures import fig1_twisted_prism, fig3a_no_surface
+from reference_figures import fig1_twisted_prism, fig3a_no_surface, reference_instances
 
 from banded.errors import (
     BandedError,
@@ -948,6 +951,15 @@ def slab_filter_meshes() -> list[BandedSurface]:
     return touching_pair_meshes() + two_slab_meshes() + self_touching_layer_meshes()
 
 
+def pushed_through(pts: list, v: int) -> list:
+    """pts with point v pushed through the far side of the annulus, to
+    3c - 2p for the centroid c of pts."""
+    cx = Fraction(sum(p.x for p in pts), len(pts))
+    cy = Fraction(sum(p.y for p in pts), len(pts))
+    p = pts[v]
+    return pts[:v] + [Point3(3 * cx - 2 * p.x, 3 * cy - 2 * p.y, p.z)] + pts[v + 1 :]
+
+
 def face_pass_meshes():
     """Every layered-corpus surface, and meshes whose faces intersect: a
     vertex of every fifth surface pushed through the far side of the
@@ -956,27 +968,100 @@ def face_pass_meshes():
     out = list(layered_surfaces())
     for s in layered_surfaces()[::5]:
         pts = [p for p, _ in s.vertices]
-        cx = Fraction(sum(p.x for p in pts), len(pts))
-        cy = Fraction(sum(p.y for p in pts), len(pts))
         for v in (len(pts) // 2, len(pts) // 3):
-            p = pts[v]
-            moved = pts[:v] + [Point3(3 * cx - 2 * p.x, 3 * cy - 2 * p.y, p.z)] + pts[v + 1 :]
-            image = mesh(moved, s.faces)
+            image = mesh(pushed_through(pts, v), s.faces)
             if not any(is_degenerate(image.face_triangle(k)) for k in range(len(s.faces))):
                 out.append(image)
         out.append(mesh(pts, s.faces + s.faces[:1]))
     return out + slab_filter_meshes()
 
 
+def reference_cells(s: BandedSurface, faces) -> set[frozenset[int]]:
+    """The face pass's cells by their definition, as sets of face indices:
+    per band, the faces whose vertices take exactly two z values, grouped by
+    those values; a group with exactly two points at each of its levels is
+    one cell, and every other face is a cell on its own."""
+    out = set()
+    for members in s.bands:
+        groups: dict[tuple, list[int]] = {}
+        for k in members:
+            zs = sorted({p[2] for p in faces[k][8]})
+            if len(zs) == 2:
+                groups.setdefault(tuple(zs), []).append(k)
+            else:
+                out.add(frozenset([k]))
+        for (lo, hi), ks in groups.items():
+            pts = {p for k in ks for p in faces[k][8]}
+            if sum(p[2] == lo for p in pts) == 2 == sum(p[2] == hi for p in pts):
+                out.add(frozenset(ks))
+            else:
+                out.update(frozenset([k]) for k in ks)
+    return out
+
+
+def quad_filter(cell1, cell2) -> str:
+    """The quad test that dismisses two cells of two bottom and two top
+    points each, given as their points, from point values alone: "" unless
+    they lie on the same two levels; "cell
+    sections" when they share no point and every xy difference of their
+    points at the same level lies in one open half-plane; "cell path edge"
+    when they share one point s at the bottom and one point t at the top,
+    and their other points less the shared one at their level, as x - s
+    or x - t for the first cell and s - x or t - x for the second, lie in
+    one open half-plane; else ""."""
+    lo, hi = min(p.z for p in cell1), max(p.z for p in cell1)
+    if (lo, hi) != (min(p.z for p in cell2), max(p.z for p in cell2)):
+        return ""
+    at = [[[p for p in cell if p.z == z] for z in (lo, hi)] for cell in (cell1, cell2)]
+    shared = [[p for p in at[0][e] if p in at[1][e]] for e in (0, 1)]
+    if shared == [[], []]:
+        diffs = [(p.x - q.x, p.y - q.y) for e in (0, 1) for p in at[0][e] for q in at[1][e]]
+        return "cell sections" if geometry._sections_apart(diffs) else ""
+    if [len(level) for level in shared] != [1, 1]:
+        return ""
+    vectors = []
+    for e in (0, 1):
+        (c,) = shared[e]
+        vectors += [(p.x - c.x, p.y - c.y) for p in at[0][e] if p != c]
+        vectors += [(c.x - q.x, c.y - q.y) for q in at[1][e] if q != c]
+    return "cell path edge" if geometry._sections_apart(vectors) else ""
+
+
+def _closed_boxes_meet(a, b) -> bool:
+    return all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(a, b))
+
+
+def _point_box(points):
+    return [(min(c), max(c)) for c in zip(*points)]
+
+
+def banded_failing_meshes() -> list[BandedSurface]:
+    """Meshes with their bands, so with cells of two faces, whose faces
+    intersect: a vertex of every fifth layered surface pushed through the
+    far side of the annulus (skipped where a face degenerates), and the
+    bowtie prism."""
+    out = [bowtie_prism()]
+    for s in layered_surfaces()[::5]:
+        moved = pushed_through([p for p, _ in s.vertices], len(s.vertices) // 2)
+        image = replace(s, vertices=tuple((p, label) for p, (_, label) in zip(moved, s.vertices)))
+        if not any(is_degenerate(image.face_triangle(k)) for k in range(len(s.faces))):
+            out.append(image)
+    return out
+
+
 class TestFacePass:
     def test_kernel_pairs_match_the_reference_cascade(self, monkeypatch):
-        # the first-hit pass visits the pairs whose closed boxes meet in
-        # sweep order (k by min-x, ties by index, and j before it in that
-        # order), up to the first pair that `open_triangles_intersect_3d`
-        # finds improper, and reports that pair; the pairs that the slab
-        # filters dismiss, or that the first face's plane sides settle,
-        # never reach the kernel, the others reach it in that order, and
-        # its coplanar branch is reached by the coplanar pairs that do
+        # the pass sweeps cells before faces: the cells are the reference
+        # cells, swept by min-x (ties by their order); a later cell's face
+        # pairs are visited first, in their order in the cell, then the
+        # face pairs across each earlier cell whose closed box meets its
+        # own, unless the slab filters or the quad test dismiss that cell
+        # pair; every visited face pair whose boxes meet goes through the
+        # reference cascade, up to the first that `open_triangles_intersect_3d`
+        # finds improper, which is reported.  So the pairs that reach the
+        # kernel are exactly the cascade's pairs within cells and across
+        # the cell pairs that no test clears, in that order; and no face
+        # pair across a dismissed cell pair is improper
         kernel_pairs = []
         coplanar_calls = []
         kernel = model._triangles_meet
@@ -992,54 +1077,70 @@ class TestFacePass:
 
         branches = Counter()
         outcomes = Counter()
-        for s in face_pass_meshes():
+        for s in face_pass_meshes() + banded_failing_meshes():
             points, faces = face_pass_faces(s)
-            boxes = [[(min(c), max(c)) for c in zip(*f[8])] for f in faces]
-            rank = {k: r for r, k in enumerate(sorted(range(len(faces)), key=lambda k: faces[k][0]))}
-            swept = sorted(
-                (
-                    (j, k) if rank[j] < rank[k] else (k, j)
-                    for k in range(len(faces))
-                    for j in range(k)
-                    if all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
-                ),
-                key=lambda pair: (rank[pair[1]], rank[pair[0]]),
-            )
+            cells = model._face_cells(s.bands, faces)
+            assert {frozenset(c[9]) for c in cells} == reference_cells(s, faces)
+            assert sorted(k for c in cells for k in c[9]) == list(range(len(faces)))
             triangles = [tuple(Point3(*p) for p in f[8]) for f in faces]
+            boxes = [_point_box(f[8]) for f in faces]
+            cell_points = [sorted({p for k in c[9] for p in triangles[k]}) for c in cells]
+            cell_boxes = [_point_box(pts) for pts in cell_points]
+            order = sorted(range(len(cells)), key=lambda c: cells[c][0])
             reached, hit = [], None
-            for j, k in swept:
-                t1, t2 = triangles[j], triangles[k]
-                meets = open_triangles_intersect_3d(t1, t2)
-                cascade = face_pair_branch(t1, t2)
-                branch = slab_filter(t1, t2) or cascade
-                branches[branch] += 1
-                branches["coplanar, all"] += cascade == "coplanar"
-                if branch == "crossing":
-                    branches["crossing, meet" if meets else "crossing, disjoint"] += 1
-                if branch not in ("level touch", "end boxes"):
-                    # the first face's sides of the second's plane
-                    sides = [orient3d(*t2, p) for p in t1]
-                    if sides[0] == sides[1] == sides[2] != 0:
-                        branches["first sides strict"] += 1
-                    elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
-                        branches["first sides shared edge"] += 1
-                    else:
-                        reached.append((faces[j][8], faces[k][8]))
-                        branches["kernel, coplanar"] += branch == "coplanar"
-                if meets:
-                    hit = (j, k)
+            for r, ck in enumerate(order):
+                visits = list(itertools.combinations(cells[ck][9], 2))
+                for cj in order[:r]:
+                    if not _closed_boxes_meet(cell_boxes[cj], cell_boxes[ck]):
+                        continue
+                    across = [(j, k) for j in cells[cj][9] for k in cells[ck][9]]
+                    branch = slab_filter(cell_points[cj], cell_points[ck])
+                    if not branch and len(cells[cj][9]) > 1 and len(cells[ck][9]) > 1:
+                        branch = quad_filter(cell_points[cj], cell_points[ck])
+                    if branch:
+                        branches[branch] += 1
+                        for j, k in across:
+                            assert not open_triangles_intersect_3d(triangles[j], triangles[k])
+                        continue
+                    visits += across
+                for j, k in visits:
+                    if not _closed_boxes_meet(boxes[j], boxes[k]):
+                        continue
+                    t1, t2 = triangles[j], triangles[k]
+                    meets = open_triangles_intersect_3d(t1, t2)
+                    cascade = face_pair_branch(t1, t2)
+                    branch = slab_filter(t1, t2) or cascade
+                    branches[branch] += 1
+                    branches["coplanar, all"] += cascade == "coplanar"
+                    if branch == "crossing":
+                        branches["crossing, meet" if meets else "crossing, disjoint"] += 1
+                    if branch not in ("level touch", "end boxes"):
+                        # the first face's sides of the second's plane
+                        sides = [orient3d(*t2, p) for p in t1]
+                        if sides[0] == sides[1] == sides[2] != 0:
+                            branches["first sides strict"] += 1
+                        elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
+                            branches["first sides shared edge"] += 1
+                        else:
+                            reached.append((faces[j][8], faces[k][8]))
+                            branches["kernel, coplanar"] += branch == "coplanar"
+                    if meets:
+                        hit = (j, k)
+                        branches["hit across quads"] += len(cells[ck][9]) > 1
+                        break
+                if hit is not None:
                     break
             kernel_pairs.clear()
             with monkeypatch.context() as patched:
                 patched.setattr(model, "_triangles_meet", counted_kernel)
                 patched.setattr(geometry, "_coplanar_triangles_meet", counted_coplanar)
-                result = model._check_face_intersections(faces, None)
+                result = model._check_face_intersections(s.bands, faces, None)
             assert kernel_pairs == reached
             if hit is None:
                 assert result.passed
             else:
                 j, k = hit
-                assert all(lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2) in zip(boxes[j], boxes[k]))
+                assert _closed_boxes_meet(boxes[j], boxes[k])
                 assert open_triangles_intersect_3d(triangles[j], triangles[k])
                 assert result == CheckResult(False, f"faces {j} and {k} intersect improperly")
             outcomes[result.passed] += 1
@@ -1047,6 +1148,8 @@ class TestFacePass:
         for branch in (
             "level touch",
             "end boxes",
+            "cell sections",
+            "cell path edge",
             "first sides strict",
             "first sides shared edge",
             "strict dismissal",
@@ -1055,10 +1158,158 @@ class TestFacePass:
             "one shared vertex",
             "crossing, meet",
             "crossing, disjoint",
+            "hit across quads",
         ):
             assert branches[branch] > 0, branch
         assert len(coplanar_calls) == branches["kernel, coplanar"] > 0
         assert branches["coplanar, all"] > branches["kernel, coplanar"]
+
+
+def all_pairs_face_verdict(s: BandedSurface) -> bool:
+    """Whether no two faces of s are improper by `open_triangles_intersect_3d`,
+    with no filter."""
+    triangles = [s.face_triangle(k) for k in range(len(s.faces))]
+    return not any(open_triangles_intersect_3d(t1, t2) for t1, t2 in itertools.combinations(triangles, 2))
+
+
+@st.composite
+def grid_surfaces(draw) -> BandedSurface:
+    """A surface over polygons drawn on the 5 x 5 grid, n 3..6, with random
+    chords: one gap, or a two-gap stack through a third grid polygon at
+    z = 1/2."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 6))
+    gaps = draw(st.integers(1, 2))
+    levels = [Fraction(g, gaps) for g in range(gaps + 1)]
+    polys = [LabeledPolygon(grid_polygon(rng, n), z) for z in levels]
+    chords = st.lists(st.booleans(), min_size=n, max_size=n)
+    return model.layers_to_surface(polys, [ChordAssignment.from_bools(draw(chords)) for _ in range(gaps)])
+
+
+def quads_share_a_path_edge(a, b) -> bool:
+    return len(set(a[:2]) & set(b[:2])) == 1 == len(set(a[2:]) & set(b[2:]))
+
+
+def verify_recording_face_pairs(s: BandedSurface):
+    """`verify_banded_surface(s)`, and the set of face pairs, as pairs of
+    integer vertex triples, that the face pass handed to `_faces_meet`."""
+    visited = set()
+    faces_meet = model._faces_meet
+
+    def recorded(f, g, memo):
+        visited.add(frozenset((f[8], g[8])))
+        return faces_meet(f, g, memo)
+
+    with unittest.mock.patch.object(model, "_faces_meet", recorded):
+        return verify_banded_surface(s), visited
+
+
+def assert_quad_dismissals_are_sound(s: BandedSurface) -> Counter:
+    """Every face pair across two quad cells on the same two levels that
+    `_quads_apart` dismisses is proper by `open_triangles_intersect_3d`;
+    returns the dismissals counted by route."""
+    _, faces = face_pass_faces(s)
+    cells = [c for c in model._face_cells(s.bands, faces) if c[8] is not None]
+    routes = Counter()
+    for a, b in itertools.combinations(cells, 2):
+        if a[4:6] != b[4:6] or not model._quads_apart(a[8], b[8]):
+            continue
+        routes["path edge" if quads_share_a_path_edge(a[8], b[8]) else "sections"] += 1
+        for j in a[9]:
+            for k in b[9]:
+                assert not open_triangles_intersect_3d(s.face_triangle(j), s.face_triangle(k))
+    return routes
+
+
+@given(grid_surfaces())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_cell_dismissals_keep_the_face_verdict_on_grid_draws(s):
+    # the cell tests dismiss only proper face pairs: those that `_quads_apart`
+    # dismisses, and on a passing mesh every pair the pass never hands to
+    # `_faces_meet`; the verdict is the all-pairs one
+    assert_quad_dismissals_are_sound(s)
+    report, visited = verify_recording_face_pairs(s)
+    assert report.topology.passed
+    assert report.face_intersections.passed == all_pairs_face_verdict(s)
+    if report.face_intersections.passed:
+        _, faces = face_pass_faces(s)
+        for j, k in itertools.combinations(range(len(faces)), 2):
+            if frozenset((faces[j][8], faces[k][8])) not in visited:
+                assert not open_triangles_intersect_3d(s.face_triangle(j), s.face_triangle(k))
+
+
+class TestPinnedCellPairs:
+    def test_bands_folded_over_their_shared_path_edge_go_to_face_pairs(self):
+        # bands 0 and 1 share a path edge and fold over it: no plane through
+        # the edge parts their other points, so the face pairs decide, and
+        # on the first instance they find the surface valid, on the second
+        # an improper pair
+        for source, target, chords, passed in (
+            (((1, 1), (1, 3), (0, 2)), ((1, 2), (4, 1), (3, 4)), "RRL", True),
+            (((4, 0), (3, 3), (0, 2)), ((3, 4), (0, 0), (3, 0)), "RRL", False),
+        ):
+            inst = SliceInstance(
+                LabeledPolygon(tuple(Point2(*p) for p in source), 0),
+                LabeledPolygon(tuple(Point2(*p) for p in target), 1),
+            )
+            s = assignment_to_surface(inst, ChordAssignment.from_string(chords))
+            _, faces = face_pass_faces(s)
+            cells = model._face_cells(s.bands, faces)
+            a, b = cells[0][8], cells[1][8]
+            assert quads_share_a_path_edge(a, b) and not model._quads_apart(a, b)
+            across = {frozenset((faces[j][8], faces[k][8])) for j in cells[0][9] for k in cells[1][9]}
+            report, visited = verify_recording_face_pairs(s)
+            assert report.face_intersections.passed == passed == all_pairs_face_verdict(s)
+            assert visited & across
+
+    def test_end_boxes_that_touch_leave_the_pair_to_the_quad_test(self):
+        # bands 1 and 3: the bottom boxes touch at x = 1, the top boxes are
+        # strictly apart along x, so the end-box test keeps the pair, and
+        # the sections lemma on the 8 differences dismisses it
+        inst = SliceInstance(
+            LabeledPolygon(tuple(Point2(*p) for p in ((0, 0), (1, 2), (1, 1), (3, 2), (1, 3))), 0),
+            LabeledPolygon(tuple(Point2(*p) for p in ((2, 3), (0, 4), (0, 0), (2, 0), (2, 1))), 1),
+        )
+        s = assignment_to_surface(inst, ChordAssignment.from_string("LLLRL"))
+        _, faces = face_pass_faces(s)
+        cells = model._face_cells(s.bands, faces)
+        e, f = cells[1][6], cells[3][6]
+        assert e[1] == f[0] and e[5] < f[4]
+        assert not geometry._ends_apart(e, f)
+        assert model._quads_apart(cells[1][8], cells[3][8])
+        assert assert_quad_dismissals_are_sound(s)["sections"] > 0
+        assert verify_banded_surface(s).face_intersections.passed == all_pairs_face_verdict(s)
+
+
+def memo_instances() -> list[SliceInstance]:
+    """Instances with n <= 6: the figures, generator draws and grid pairs."""
+    out = [fig.instance for fig in reference_instances().values() if fig.instance.n <= 6]
+    rng = random.Random(606)
+    for n, kind in ((4, "convex"), (5, "star"), (6, "spiral")):
+        out.append(random_instance(rng, n, kind))
+    grid = random.Random(607)
+    for n in (4, 5, 6):
+        out.append(SliceInstance(LabeledPolygon(grid_polygon(grid, n), 0), LabeledPolygon(grid_polygon(grid, n), 1)))
+    return out
+
+
+def test_memo_keeps_every_verdict():
+    # one memo dict shared across every mask of an instance, as
+    # `brute_force_assignments` shares it, gives each check the verdict and
+    # detail of a verification with no memo
+    outcomes = Counter()
+    cell_keys = 0
+    for inst in memo_instances():
+        memo: dict = {}
+        for mask in range(1 << inst.n):
+            s = assignment_to_surface(inst, ChordAssignment.from_bools((mask >> i) & 1 for i in range(inst.n)))
+            memoised, plain = verify_banded_surface(s, _memo=memo), verify_banded_surface(s)
+            for name in model._CHECKS:
+                assert getattr(memoised, name) == getattr(plain, name), (inst, mask, name)
+            outcomes[plain.passed] += 1
+        cell_keys += sum(len(key) == 4 for key in memo)  # cell-pair verdicts
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+    assert cell_keys > 0
 
 
 def reference_topology(s: BandedSurface) -> str:

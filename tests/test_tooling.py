@@ -73,8 +73,9 @@ def test_tracer_installs_and_sees_every_traced_layer_of_a_build():
 
 # shared predicates and tables, each with the one module that binds it
 SHARED = {
-    # the conflict table and the morph decision share one copy of the
-    # sections lemma's predicate, of the differences it reads and of the
+    # the conflict table, the morph decision and the verifier's face pass
+    # share one copy of the sections lemma's predicate and of the
+    # differences it reads; the table and the morph decision share the
     # end-box test that runs before them; polygon simplicity and the morph
     # scan share one box sweep, and the 3D kernel and the table's sign
     # matrix one plane-side routine
@@ -115,6 +116,29 @@ def test_shared_predicates_and_tables_are_defined_once():
             if name in defined:
                 defined[name].append(path.name)
     assert defined == {name: [module] for name, module in SHARED.items()}
+
+
+# what the verifier may not use: the solver's band structure and conflict
+# engine, whatever module binds it
+SOLVER_ONLY = ("_horizon_bands", "_pair_conflicts", "build_conflict_table")
+
+
+def test_the_verifier_stays_independent_of_the_solver():
+    # `model` re-derives every verdict from the mesh alone: of the package
+    # it imports only the errors and the exact predicates of `geometry`,
+    # and it names nothing of the conflict engine, so a verdict of the
+    # solver is never certified by the solver's own code
+    path = ROOT / "src" / "banded" / "model.py"
+    text = path.read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    package = {module for module in imported if module.startswith(".") or module.split(".")[0] == "banded"}
+    assert package == {".errors", ".geometry"}
+    assert [name for name in SOLVER_ONLY if name in text] == []
 
 
 def test_entry_points_take_only_the_instance():
