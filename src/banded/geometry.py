@@ -602,12 +602,41 @@ def _sections_apart(vectors) -> bool:
     (8 differences; the Minkowski-difference criterion of Gilbert, Johnson
     and Keerthi 1988), and a chord triangle, from its one or two vertices
     on each level (4 or 5 differences of a triangle pair).  The conflict
-    table (`solver._pair_conflicts`) tests both; the morph decision
+    table (`solver._pair_conflicts`) tests both, and the triangle pairs
+    that share a vertex by the corollary below; the morph decision
     (`morph.planarity_preserving`) tests the tetrahedra of two edges' bands
     with morph time as z, whose sections at t hold the edges at time t,
     and, once it knows a violation at B, the tetrahedra of the two edges at
     levels 0 and a horizon H > B, whose sections at z = t / H hold the
     edges at times t <= H.
+
+    Corollary (a shared vertex).  Let T and U be triangles, each with two
+    distinct points on one of the levels and one on the other, that share
+    exactly one vertex v, on z0 say.  Let D hold T's other points on z0
+    minus v, v minus U's other points on z0, and T's points on z1 minus
+    U's points on z1.  Then T and U meet beyond v iff the origin lies in
+    the hull of D.
+
+    Proof.  Each triangle equals its cone at v near v, so T and U meet
+    beyond v iff some w != 0 is both sum a_P (P - v) and sum b_Q (Q - v),
+    over their other vertices, with a, b >= 0.  The z-row makes the
+    weights of T's points on z1 and of U's have one sum; pair them as a
+    transport plan g, with a_P the row sums of g and b_Q its column sums.
+    Then the xy rows read sum a_P (P - v) + sum b_Q (v - Q) +
+    sum g_PQ (P - Q) = 0, over the points on z0 and the pairs on z1: a
+    nonnegative combination of D, not all zero, that vanishes, which
+    exists iff the origin lies in the hull of D.  Conversely such a
+    combination gives a and b with one sum on z1, so w is in both cones,
+    and w != 0: each triangle's two edges at v are independent, so w = 0
+    would make every weight zero.
+
+    Two such triangles that share an edge s t, s on z0 and t on z1, meet
+    beyond it iff they lie in one plane with their third points on one
+    side of it.  The projection along s t, x -> x - s on z0 and x -> x - t
+    on z1, sends s t to the origin and each triangle onto the segment from
+    there to its third point's image, so they do iff the image of T's third
+    point and minus that of U's hold the origin in their hull: again the
+    differences that the corollary takes per level.
 
     The origin is outside that hull iff all of D lies in an open half-plane
     through it.  That holds iff some v in D has every w in D with

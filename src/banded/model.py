@@ -847,7 +847,9 @@ def cross_section(s: BandedSurface, t) -> LabeledPolygon:
     level = zs.pop()
     if level in set(zs):
         raise PreconditionError(f"section level {t} hits a vertex; retry slightly off")
-    crossing = [k for k, f in enumerate(s.faces) if min(zs[v] for v in f) < level < max(zs[v] for v in f)]
+    # no vertex lies on the level, so a face crosses it iff one or two of
+    # its vertices lie below
+    crossing = [k for k, (a, b, c) in enumerate(s.faces) if 0 < (zs[a] < level) + (zs[b] < level) + (zs[c] < level) < 3]
     cycle, w = _section_cycle(list(zip(xs, ys)), zs, s.faces, crossing, level, (kx, ky, kz))
     if polygon_signed_area2(cycle) < 0:
         cycle.reverse()
@@ -973,7 +975,12 @@ def _check_sections(s: BandedSurface, points, scale) -> CheckResult:
     tops = []
     rising: dict[int, list[int]] = {}  # lowest level -> faces that rise from it
     for k, (a, b, c) in enumerate(s.faces):
-        bottom, top = min(zs[a], zs[b], zs[c]), max(zs[a], zs[b], zs[c])
+        za, zb, zc = zs[a], zs[b], zs[c]
+        bottom, top = (za, zb) if za <= zb else (zb, za)
+        if zc < bottom:
+            bottom = zc
+        elif zc > top:
+            top = zc
         tops.append(top)
         if bottom < top:
             rising.setdefault(bottom, []).append(k)

@@ -15,14 +15,10 @@ from operator import itemgetter
 
 from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
-    _ON_PLANE,
     _ends_apart,
     _horizon_bands,
     _integer_axis,
-    _plane,
-    _plane_sides,
     _sections_apart,
-    _triangles_meet,
     _xy_differences,
     open_triangles_intersect_3d,
     orient3d,
@@ -42,12 +38,6 @@ from .model import (
 from .twosat import Clause2, Literal, TwoSatResult, solve_2sat
 
 
-def _quad_triangles(points) -> tuple:
-    """The four chord triangles of a band quad, in `_QUAD_TRIPLES` order, as
-    vertex triples of its points."""
-    return tuple(tuple(points[v] for v in triple) for triple in _QUAD_TRIPLES)
-
-
 @dataclass(frozen=True)
 class ChordChoiceTriangles:
     band: int
@@ -62,8 +52,8 @@ def chord_triangles(inst: SliceInstance, i: int, choice: Chord) -> ChordChoiceTr
         raise PreconditionError(f"band index {i} out of range")
     quad = inst.band_quad(i)
     k = 0 if choice is Chord.RIGHT else 2
-    coplanar = orient3d(*quad) == 0
-    return ChordChoiceTriangles(i, choice, _quad_triangles(quad)[k : k + 2], coplanar)
+    triangles = tuple(tuple(quad[v] for v in triple) for triple in _QUAD_TRIPLES[k : k + 2])
+    return ChordChoiceTriangles(i, choice, triangles, orient3d(*quad) == 0)
 
 
 def _tris_conflict(a: ChordChoiceTriangles, b: ChordChoiceTriangles) -> bool:
@@ -89,11 +79,12 @@ class ConflictTable:
     """The conflicts of an instance, and nothing else.
 
     self_conflicts holds the folded choices (i, c), those whose two
-    triangles overlap each other (a coplanar quad), per band left before
-    right.  pairs[(i, j)][ci][cj] holds the cross-band conflicts for i < j
-    with index 0 = Right, 1 = Left, for the pairs with at least one, in
-    sorted key order.  Both are in the order of the clauses that
-    `build_clauses` emits.
+    triangles overlap each other (a coplanar quad whose bottom and top
+    edges point in opposite directions, which folds both chords), per band
+    left before right.  pairs[(i, j)][ci][cj] holds the cross-band
+    conflicts for i < j with index 0 = Right, 1 = Left, for the pairs with
+    at least one, in sorted key order.  Both are in the order of the
+    clauses that `build_clauses` emits.
 
     A table is complete, an absent pair conflict-free, unless 2-SAT refuted
     it early: then it holds the conflicts of the nearest band pairs, as
@@ -111,13 +102,6 @@ class ConflictTable:
 
 _NO_CONFLICT = ((False, False), (False, False))
 
-# the sides of a quad's four points against a plane, split into the side
-# triples of its four chord triangles, for every row of signs
-_TRIANGLE_SIDES = {
-    row: tuple(tuple(row[v] for v in triple) for triple in _QUAD_TRIPLES)
-    for row in itertools.product((-1, 0, 1), repeat=4)
-}
-
 # per choice pair (right = 0, left = 1), its four triangle tests (k, m),
 # triangle k of the lower band against triangle m of the upper one
 _CHOICE_TESTS = tuple(
@@ -126,67 +110,110 @@ _CHOICE_TESTS = tuple(
 )
 
 
-def _level_pairs(k: int, m: int):
-    """The `_xy_differences` indices of triangle k of the lower band against
-    triangle m of the upper one (`_QUAD_TRIPLES` order): their bottom
-    vertices against each other, then their top vertices."""
+def _difference(u: int, w: int) -> int:
+    """The `_xy_differences` index of the lower band's point u against the
+    upper band's point w, both on one level."""
+    return 2 * u + w - (2 if u >= 2 else 0)
+
+
+def _level_pairs(k: int, m: int, zeros=()) -> list:
+    """The `_sections_apart` tests of triangle k of the lower band against
+    triangle m of the upper one (`_QUAD_TRIPLES` order), as lists of
+    `_xy_differences` indices, given the indices `zeros` of the zero
+    differences, the vertices the bands share by value.  The triangles meet
+    beyond the vertex or edge they share iff the differences of one of the
+    tests hold the origin in their hull.
+
+    Per level: with no vertex of the two triangles shared there, every
+    difference of their points on it; with one, v, the lower triangle's
+    other points minus v and v minus the upper one's other points (the
+    corollary of `_sections_apart`).  When a level holds the same two points
+    of both, the triangles share that edge and each has one point, P and Q,
+    on the other level; they meet beyond the edge iff P - Q is zero or
+    parallel to the edge, so there are two tests, P - Q with either of the
+    level's two nonzero differences."""
     tk, tm = _QUAD_TRIPLES[k], _QUAD_TRIPLES[m]
-    bottom = [2 * u + w for u in tk if u < 2 for w in tm if w < 2]
-    top = [2 * u + w - 2 for u in tk if u >= 2 for w in tm if w >= 2]
-    return bottom + top
+    every, picks = [], []
+    for level in ((0, 1), (2, 3)):
+        mine = [u for u in tk if u in level]
+        theirs = [w for w in tm if w in level]
+        every.append([_difference(u, w) for u in mine for w in theirs])
+        shared = [(u, w) for u in mine for w in theirs if _difference(u, w) in zeros]
+        if len(shared) == 1:
+            ((s, t),) = shared
+            picks.append([_difference(u, t) for u in mine if u != s] + [_difference(s, w) for w in theirs if w != t])
+        else:
+            picks.append(None if shared else every[-1])
+    for level, other in ((0, 1), (1, 0)):
+        if picks[level] is None:
+            return [every[other] + [i] for i in every[level] if i not in zeros]
+    return [picks[0] + picks[1]]
 
 
-# per choice pair, as in `_CHOICE_TESTS`, a getter per triangle test that
-# picks its 4 or 5 differences out of the 8
-_PLANAR_TESTS = tuple(
-    tuple(tuple(itemgetter(*_level_pairs(k, m)) for k, m in tests) for tests in row)
-    for row in _CHOICE_TESTS
-)
+def _choice_tests(zeros=()):
+    """Per choice pair, as in `_CHOICE_TESTS`, a getter per `_level_pairs`
+    test of its four triangle tests, given the zero differences `zeros`."""
+    return tuple(
+        tuple(tuple(itemgetter(*pick) for k, m in tests for pick in _level_pairs(k, m, zeros)) for tests in row)
+        for row in _CHOICE_TESTS
+    )
+
+
+# the tests of a pair that shares no vertex, each on 4 or 5 differences,
+# and of the two zero patterns of the adjacent pairs of a valid instance:
+# a's p1 q1 as b's p0 q0 (zero differences 2 and 5), and the wrap pair's
+# a's p0 q0 as b's p1 q1 (1 and 6)
+_PLANAR_TESTS = _choice_tests()
+_EDGE_TESTS = {zeros: _choice_tests(zeros) for zeros in ((2, 5), (1, 6))}
 
 # the differences that hold a band's other two points against a path edge
-# it shares with the other band: a's p1 q1 as b's p0 q0 (zero differences
-# 2 and 5) or a's p0 q0 as b's p1 q1 (1 and 6)
+# it shares with the other band, in either of those patterns
 _AROUND_EDGE = itemgetter(0, 3, 4, 7)
 
 
 def _pair_conflicts(a, b):
     """The conflict matrix of band quads a < b, given as in `_xy_differences`,
-    with the verdicts of `conflicts`.
+    with the verdicts of `conflicts`, decided in the plane from the pair's
+    8 xy differences.
+
+    Every chord triangle has two distinct points on one level and one on
+    the other, so none is degenerate.  A choice pair conflicts iff one of
+    its four triangle pairs meets beyond the vertex or edge it shares,
+    which `_level_pairs` reduces to `_sections_apart` on subsets of the
+    differences (the lemma of `_sections_apart` and its corollary).
 
     No shared vertex.  The pair cannot conflict when its closed tetrahedra
-    are disjoint (`_sections_apart` on all 8 differences).  Otherwise a
-    choice pair conflicts iff one of its four triangle pairs has the origin
-    in the hull of its own 4 or 5 differences.  With no vertex shared,
-    `geometry._triangles_meet` reports any common point of the closed
-    triangles (its "none shared" coplanar branch and
-    `_crossing_triangles_meet`), and by the lemma of `_sections_apart` two
-    closed chord triangles have one iff their differences hold the origin in
-    their hull; so the verdicts are equal, with no plane and no `orient3d`.
+    are disjoint (`_sections_apart` on all 8 differences); otherwise each
+    triangle pair is tested on its own 4 or 5 differences.
 
     A shared vertex.  A zero difference is a vertex the quads share by
     value: on a valid instance, adjacent bands, the wrap pair and every
-    pair at n = 3; the route is chosen on values, not on indices.  When the
-    shared vertices include a path edge s t, let P be a plane through the
-    line s t with a's other two points strictly on one side and b's on the
-    other.  Each chord triangle meets P only in the hull of its vertices
-    among s and t, so a triangle of a and one of b meet at most in the
-    vertex or edge they share, and the pair cannot conflict.  Projecting
-    along s t onto the xy plane maps that line to a point and P to a line
-    through it, and sends a bottom point x to x - s and a top point to
-    x - t, up to the factor z(t) - z(s).  So P exists iff a's other points
-    minus the shared ones and the shared ones minus b's other points lie in
-    an open half-plane; those four vectors are the differences that
-    `_AROUND_EDGE` picks.  Every other pair takes the sign matrix of
-    `_band_pair_conflicts`.
+    pair at n = 3, always as a path edge s t; the route is chosen on
+    values, not on indices.  When the shared vertices include a path edge,
+    let P be a plane through the line s t with a's other two points
+    strictly on one side and b's on the other.  Each chord triangle meets P
+    only in the hull of its vertices among s and t, so a triangle of a and
+    one of b meet at most in the vertex or edge they share, and the pair
+    cannot conflict.  Projecting along s t onto the xy plane maps that line
+    to a point and P to a line through it, and sends a bottom point x to
+    x - s and a top point to x - t, up to the factor z(t) - z(s).  So P
+    exists iff a's other points minus the shared ones and the shared ones
+    minus b's other points lie in an open half-plane; those four vectors
+    are the differences that `_AROUND_EDGE` picks.  Otherwise the triangle
+    tests of the zero pattern decide: built at import for the two patterns
+    of a valid instance, and per pair for any other.
     """
     d = _xy_differences(a, b)
     if (0, 0) in d:
         if (d[2] == d[5] == (0, 0) or d[1] == d[6] == (0, 0)) and _sections_apart(_AROUND_EDGE(d)):
             return _NO_CONFLICT
-        return _band_pair_conflicts(a, b)
-    if _sections_apart(d):
+        zeros = tuple(k for k, v in enumerate(d) if v == (0, 0))
+        tests = _EDGE_TESTS[zeros] if zeros in _EDGE_TESTS else _choice_tests(zeros)
+    elif _sections_apart(d):
         return _NO_CONFLICT
-    (rr, rl), (lr, ll) = _PLANAR_TESTS
+    else:
+        tests = _PLANAR_TESTS
+    (rr, rl), (lr, ll) = tests
     return (
         (_planar_choices_meet(d, rr), _planar_choices_meet(d, rl)),
         (_planar_choices_meet(d, lr), _planar_choices_meet(d, ll)),
@@ -198,34 +225,6 @@ def _planar_choices_meet(d, tests) -> bool:
     the origin in their hull."""
     for pick in tests:
         if not _sections_apart(pick(d)):
-            return True
-    return False
-
-
-def _band_pair_conflicts(a, b):
-    """The conflict matrix of band quads a < b that share a vertex by value.
-
-    A sign matrix holds b's four points against the planes of a's four
-    chord triangles and the converse, 32 signs, and each of the 16 triangle
-    pairs goes through `geometry._triangles_meet` with its side triples read
-    from the matrix; a coplanar pair is decided there too.  The closed
-    tetrahedra of such a pair always meet, so no sections test precedes the
-    matrix.
-    """
-    ta, tb = _quad_triangles(a), _quad_triangles(b)
-    # b_sides[k][m]: b's triangle m against a's plane k, and the converse
-    b_sides = [_TRIANGLE_SIDES[_plane_sides(_plane(*t), b)] for t in ta]
-    a_sides = [_TRIANGLE_SIDES[_plane_sides(_plane(*t), a)] for t in tb]
-    return tuple(
-        tuple(_choices_meet(ta, a_sides, tb, b_sides, tests) for tests in row)
-        for row in _CHOICE_TESTS
-    )
-
-
-def _choices_meet(ta, a_sides, tb, b_sides, tests) -> bool:
-    """Whether any triangle test (k, m) of one choice pair finds contact."""
-    for k, m in tests:
-        if _triangles_meet(ta[k], a_sides[m][k], tb[m], b_sides[k][m]):
             return True
     return False
 
@@ -251,20 +250,19 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     `_pair_conflicts` runs only on the pairs that pass both tests, box
     test first, and only a pair with a conflict is kept; the kept pairs
     are sorted by key.
-    It routes each pair on its 8 xy differences: a pair with no vertex
-    shared by value is decided in the plane, from subsets of those
-    differences; a pair that shares a path edge, with a plane through the
-    edge between the two bands' other points, is dismissed; only the rest
-    (on a valid instance, adjacent pairs whose bands fold over each other
-    at the shared edge) take the sign matrix of `_band_pair_conflicts`.
+    It decides each pair in the plane, from subsets of its 8 xy
+    differences: a pair that shares a path edge, with a plane through the
+    edge between the two bands' other points, is dismissed, and every other
+    pair takes one `_sections_apart` test per triangle pair on the subset
+    that the pair's shared vertices pick.  No 3D predicate runs.
 
     The pairs are walked nearest-first, in rings of cyclic distance: ring
     d = 1, 2, ..., n // 2 holds the pairs (i, i + d mod n), n of them, or
     n / 2 in the last ring of an even n.  After rings 1, 2, 4, ... while
     4d <= n, the conflicts found so far go through `build_clauses` and
     `solve_2sat` when one of them breaks the held assignment: the last such
-    check's, or before the first, each band's right chord (its left one
-    where the right one folds).  A prefix that the held assignment meets is
+    check's, or before the first, each band's right chord, which a folded
+    band breaks from the start.  A prefix that the held assignment meets is
     satisfiable, so no check is skipped that could refute.  Each clause is
     a conflict of the instance, and a clause set with no satisfying
     assignment keeps none when clauses are added, so an unsatisfiable
@@ -272,11 +270,14 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     `refutation`.  A satisfiable table is complete, so its clauses and its
     2-SAT assignment are those of the full table.
 
-    A band's two chord triangles share the chord.  When the quad is not
-    coplanar they lie in crossing planes, so they meet only on the chord,
-    and the choice has no self-conflict; only coplanar quads are tested,
-    through `geometry._triangles_meet` on the quad's own vertex triples,
-    left chord before right.  Every table holds all self-conflicts.
+    A band's two chord triangles share the chord, and they meet beyond it
+    iff, projected along the chord, their third points point the same way
+    (the shared-edge case of the corollary of `_sections_apart`).  For
+    either chord those images are the band's bottom edge p1 - p0 and its
+    top edge reversed, q0 - q1, up to one sign, so a chord folds iff the
+    two edges point in opposite directions, and then both do: one
+    `_sections_apart` test on the two edge vectors per band.  Every table
+    holds all self-conflicts, left chord before right.
     """
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
@@ -285,18 +286,14 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     _, cs = _integer_axis([c for p, q in tracks for c in (p.x, p.y, q.x, q.y)])
     boxes, ends, bands = _horizon_bands(cs, (1, 1))
     self_conflicts = []
-    for i, band in enumerate(bands):
-        if orient3d(*band) == 0:
-            tris = _quad_triangles(band)
-            for c, k in ((Chord.LEFT, 2), (Chord.RIGHT, 0)):
-                if _triangles_meet(tris[k], _ON_PLANE, tris[k + 1], _ON_PLANE):
-                    self_conflicts.append((i, c))
+    for i, ((p0x, p0y, _), (p1x, p1y, _), (q1x, q1y, _), (q0x, q0y, _)) in enumerate(bands):
+        if not _sections_apart(((p1x - p0x, p1y - p0y), (q1x - q0x, q1y - q0y))):
+            self_conflicts += ((i, Chord.LEFT), (i, Chord.RIGHT))
     self_conflicts = tuple(self_conflicts)
     # an assignment that meets every conflict found so far unless `stale`,
     # True for the right chord: before the first check, each band's right
-    # chord, or its left one where the right one folds
-    assignment = [(i, Chord.RIGHT) not in self_conflicts for i in range(n)]
-    stale = len({i for i, _ in self_conflicts}) < len(self_conflicts)
+    # chord, which a folded band breaks
+    assignment, stale = [True] * n, bool(self_conflicts)
     pairs = []
     for d in range(1, n // 2 + 1):
         # (i, i + d) for i < n - d, then (i + d - n, i) for the rest of the

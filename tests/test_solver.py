@@ -151,11 +151,11 @@ def kernel_branches(inst, label: str) -> Counter:
     triangle tests ("planar meet").  A pair that shares a path edge, with a
     plane through it strictly between the two bands' other points, is
     dismissed ("edge apart"; two walls in one plane count again under
-    `label`).  Every other pair takes the sign matrix
-    ("sign matrix"), with one branch per triangle test, in the order of
-    `open_triangles_intersect_3d` and stopping a choice pair at its first
-    conflict.  Some branches also count under `label` or the pair, and each
-    coplanar quad under "coplanar quad"."""
+    `label`).  Every other pair takes the triangle tests of its zero
+    pattern ("shared tests"), tallied here with one branch of
+    `open_triangles_intersect_3d` per triangle test, stopping a choice pair
+    at its first conflict.  Some branches also count under `label` or the
+    pair, and each coplanar quad under "coplanar quad"."""
     scaled = scaled_to_integers(inst)
     n = inst.n
     quads = [scaled.band_quad(i) for i in range(n)]
@@ -183,9 +183,9 @@ def kernel_branches(inst, label: str) -> Counter:
                 if all(orient3d(*a[:3], p) == 0 for p in a[3:] + b):
                     counts[f"edge apart, coplanar, {label}"] += 1
                 continue
-            counts["sign matrix"] += 1
+            counts["shared tests"] += 1
             if j - i not in (1, n - 1):
-                counts["sign matrix, shared by value"] += 1
+                counts["shared tests, shared by value"] += 1
             for ci in Chord:
                 for cj in Chord:
                     tests = [
@@ -419,16 +419,23 @@ class TestConflicts:
 
             return wrapped
 
-        # the tails are looked up in `geometry`, where the shared sign
-        # cascade calls them; the sign matrix in `solver`
+        def choice_pair(d, tests):
+            # four per pair that reaches the triangle tests, by its route
+            calls["shared tests" if (0, 0) in d else "planar meet"] += 1
+            return planar_choices_meet(d, tests)
+
+        # the tails are looked up in `geometry`, where the sign cascade of
+        # `open_triangles_intersect_3d` calls them; the choice tests in
+        # `solver`
+        planar_choices_meet = solver._planar_choices_meet
         with monkeypatch.context() as patched:
-            for module, name, fn in (
-                (geometry, "crossing", geometry._crossing_triangles_meet),
-                (geometry, "one shared vertex", geometry._shared_vertex_triangles_meet),
-                (geometry, "coplanar", geometry._coplanar_triangles_meet),
-                (solver, "sign matrix", solver._band_pair_conflicts),
+            for name, fn in (
+                ("crossing", geometry._crossing_triangles_meet),
+                ("one shared vertex", geometry._shared_vertex_triangles_meet),
+                ("coplanar", geometry._coplanar_triangles_meet),
             ):
-                patched.setattr(module, fn.__name__, counted(name, fn))
+                patched.setattr(geometry, fn.__name__, counted(name, fn))
+            patched.setattr(solver, "_planar_choices_meet", choice_pair)
             references = [complete_table(inst) for _, inst in instances]
 
         branches = Counter()
@@ -463,17 +470,16 @@ class TestConflicts:
         for reference in (complete_table(pinned), complete_table(turned)):
             assert reference.pairs[(0, 3)] == ((True, True), (True, True))
 
-        # every branch of the kernel is reached, and each one that calls out
-        # is called exactly as often as the independent tally says: the 3D
-        # tails run only inside the sign matrix, on pairs that share a
-        # vertex, and the coplanar one also serves the two self-conflict
-        # tests of each coplanar quad
+        # every branch of the kernel is reached, and the pairs that reach
+        # the triangle tests are those of the independent tally, by route;
+        # the 3D tails run only in the reference's self-conflict tests, the
+        # coplanar one twice per coplanar quad, and never for the kernel
         for branch in (
             "planar apart",
             "planar meet",
             "edge apart",
-            "sign matrix",
-            "sign matrix, shared by value",
+            "shared tests",
+            "shared tests, shared by value",
             "strict dismissal",
             "edge apart, coplanar, identity",
             "edge apart, coplanar, wall",
@@ -489,10 +495,10 @@ class TestConflicts:
             "end boxes touch, grid",
         ):
             assert branches[branch] > 0, branch
-        assert calls["sign matrix"] == branches["sign matrix"]
-        assert calls["crossing"] == branches["crossing"]
-        assert calls["one shared vertex"] == branches["one shared vertex"]
-        assert calls["coplanar"] == branches["coplanar"] + 2 * branches["coplanar quad"]
+        assert calls["shared tests"] == 4 * branches["shared tests"]
+        assert calls["planar meet"] == 4 * branches["planar meet"]
+        assert calls["crossing"] == calls["one shared vertex"] == 0
+        assert calls["coplanar"] == 2 * branches["coplanar quad"]
 
     def test_equal_levels_are_rejected(self):
         # the sections-apart test needs two distinct levels
@@ -662,19 +668,32 @@ def _choice_matrix(inst, i, j):
     )
 
 
+# the 3D predicates, which no path of the conflict table calls
+THREE_D = ("orient3d", "_plane", "_plane_sides", "_triangles_meet", "open_triangles_intersect_3d")
+
+
 def _forbidden(*args):
-    raise AssertionError("the sign matrix is for pairs that share a vertex")
+    raise AssertionError("the conflict table calls no 3D predicate")
+
+
+def forbid_3d(patched):
+    """Bind every 3D predicate to `_forbidden` in `geometry` and, where it
+    binds one for the reference `conflicts`, in `solver`."""
+    for module in (geometry, solver):
+        for name in THREE_D:
+            if hasattr(module, name):
+                patched.setattr(module, name, _forbidden)
 
 
 def test_planar_route_matches_the_3d_kernel(monkeypatch):
     # 20,000 pairs of quads on levels 0 and 1 that share no vertex, twisted
     # or both in one plane, put as bands 0 and 2 of an unvalidated 4-gon
-    # instance: the planar route decides each without the sign matrix, and
-    # its matrix is that of the 3D predicate on the chord triangles
-    monkeypatch.setattr(solver, "_band_pair_conflicts", _forbidden)
+    # instance: the planar route decides each with every 3D predicate
+    # forbidden, and its matrix is that of the 3D predicate on the chord
+    # triangles, computed outside that patch
     rng = random.Random(41)
-    tally = Counter()
-    while tally["pairs"] < 20000:
+    cases = []
+    while len(cases) < 20000:
         coplanar = rng.random() < 0.5
         bottom, top = _grid_levels(rng, coplanar, 4)
         if any(len(set(level[k : k + 2])) < 2 for level in (bottom, top) for k in (0, 2)):
@@ -682,10 +701,13 @@ def test_planar_route_matches_the_3d_kernel(monkeypatch):
         if set(bottom[:2]) & set(bottom[2:]) or set(top[:2]) & set(top[2:]):
             continue  # a shared vertex
         inst = _instance(bottom, top)
-        a, b = (tuple(map(tuple, inst.band_quad(k))) for k in (0, 2))
-        mat = solver._pair_conflicts(a, b)
-        assert mat == _choice_matrix(inst, 0, 2), (bottom, top)
-        tally["pairs"] += 1
+        cases.append((inst, *(tuple(map(tuple, inst.band_quad(k))) for k in (0, 2))))
+    with monkeypatch.context() as patched:
+        forbid_3d(patched)
+        mats = [solver._pair_conflicts(a, b) for _, a, b in cases]
+    tally = Counter()
+    for (inst, a, b), mat in zip(cases, mats):
+        assert mat == _choice_matrix(inst, 0, 2), inst
         if geometry._sections_apart(geometry._xy_differences(a, b)):
             tally["apart"] += 1
             continue
@@ -699,36 +721,100 @@ def test_shared_path_edge_route_matches_the_3d_kernel(monkeypatch):
     # unvalidated 4-gon instances on the grid: bands 0 and 1 share the path
     # edge at vertex 1, and bands 0 and 3 the one at vertex 0 (the wrap
     # pair); each is dismissed by the plane through that edge, or goes
-    # through the sign matrix, and either way its matrix is that of the 3D
+    # through the triangle tests of its zero pattern, with every 3D
+    # predicate forbidden, and either way its matrix is that of the 3D
     # predicate
     rng = random.Random(43)
-    tally = Counter()
-    original = solver._band_pair_conflicts
-
-    def sign_matrix(a, b):
-        tally["sign matrix"] += 1
-        return original(a, b)
-
-    monkeypatch.setattr(solver, "_band_pair_conflicts", sign_matrix)
-    while tally["pairs"] < 3000:
+    cases = []
+    while len(cases) < 3000:
         coplanar = rng.random() < 0.3
         bottom, top = _grid_levels(rng, coplanar, 4, ordered=rng.random() < 0.5)
         if any(level[k] == level[k - 1] for level in (bottom, top) for k in range(4)):
             continue  # a quad edge of length 0 has no chord triangles
         inst = _instance(bottom, top)
         bands = [tuple(map(tuple, inst.band_quad(k))) for k in range(4)]
-        for j in (1, 3):
-            before = tally["sign matrix"]
-            mat = solver._pair_conflicts(bands[0], bands[j])
-            assert mat == _choice_matrix(inst, 0, j), (bottom, top, j)
-            tally["pairs"] += 1
-            if tally["sign matrix"] == before:
-                tally["edge apart"] += 1
-                tally["edge apart, coplanar"] += coplanar
-            else:
-                tally["sign matrix, partial"] += not all(map(all, mat))
-    keys = ("edge apart", "edge apart, coplanar", "sign matrix", "sign matrix, partial")
+        cases += [(inst, coplanar, j, bands[0], bands[j]) for j in (1, 3)]
+    with monkeypatch.context() as patched:
+        forbid_3d(patched)
+        mats = [solver._pair_conflicts(a, b) for *_, a, b in cases]
+    tally = Counter()
+    for (inst, coplanar, j, a, b), mat in zip(cases, mats):
+        assert mat == _choice_matrix(inst, 0, j), (inst, j)
+        if geometry._sections_apart(solver._AROUND_EDGE(geometry._xy_differences(a, b))):
+            tally["edge apart"] += 1
+            tally["edge apart, coplanar"] += coplanar
+        else:
+            tally["edge tests"] += 1
+            tally["edge tests, partial"] += not all(map(all, mat))
+    keys = ("edge apart", "edge apart, coplanar", "edge tests", "edge tests, partial")
     assert min(tally[key] for key in keys) > 200, tally
+
+
+def _sharing_patterns(a, b) -> list:
+    """The sharing patterns of band quads a and b, read from their points:
+    which of their 8 `_xy_differences` are zero (which vertices they share
+    by value), and whether a chord triangle of one is one of the other."""
+    d = [(u[0] - w[0], u[1] - w[1]) for k in (0, 2) for u in a[k : k + 2] for w in b[k : k + 2]]
+    zeros = {k for k in range(8) if d[k] == (0, 0)}
+    patterns = []
+    if zeros in ({2, 5}, {1, 6}):
+        patterns.append(f"path edge {sorted(zeros)}")
+    if not zeros:
+        patterns.append("no zero")
+    if len(zeros) == 1:
+        patterns.append("single zero")
+    if any(level <= zeros for level in ({0, 3}, {1, 2}, {4, 7}, {5, 6})):
+        patterns.append("two zeros on one level")
+    triangles = [{tuple(q[v]) for v in triple} for q in (a, b) for triple in QUAD_TRIPLES]
+    if any(t in triangles[4:] for t in triangles[:4]):
+        patterns.append("identical triangles")
+    return patterns
+
+
+def test_every_sharing_pattern_matches_the_3d_kernel(monkeypatch):
+    # unvalidated 4-gon instances on a 4 x 4 grid, twisted or in one plane,
+    # so that bands share vertices by value in every pattern: with every 3D
+    # predicate forbidden, the kernel's matrices of band 0 against bands 1,
+    # 2 and 3, and the table's folded choices, are those of the 3D
+    # predicate, computed outside that patch
+    rng = random.Random(45)
+    instances = []
+    while len(instances) < 2000:
+        if rng.random() < 0.3:
+            bottom, top = _grid_levels(rng, True, 4)
+        else:
+            bottom, top = ([(rng.randrange(4), rng.randrange(4)) for _ in range(4)] for _ in range(2))
+        if any(level[k] == level[k - 1] for level in (bottom, top) for k in range(4)):
+            continue  # a quad edge of length 0 has no chord triangles
+        instances.append(_instance(bottom, top))
+    bands = [[tuple(map(tuple, inst.band_quad(k))) for k in range(4)] for inst in instances]
+    with monkeypatch.context() as patched:
+        forbid_3d(patched)
+        mats = [[solver._pair_conflicts(quads[0], quads[j]) for j in (1, 2, 3)] for quads in bands]
+        folded = [build_conflict_table(inst).self_conflicts for inst in instances]
+    tally = Counter()
+    for inst, quads, row, table_folded in zip(instances, bands, mats, folded):
+        for j, mat in zip((1, 2, 3), row):
+            assert mat == _choice_matrix(inst, 0, j), (inst, j)
+            tally.update(_sharing_patterns(quads[0], quads[j]))
+        expected = [
+            (i, c)
+            for i in range(4)
+            for c in (Chord.LEFT, Chord.RIGHT)
+            if open_triangles_intersect_3d(*chord_triangles(inst, i, c).triangles)
+        ]
+        assert list(table_folded) == expected, inst
+        tally["folded"] += len(expected)
+    floors = {
+        "path edge [2, 5]": 800,
+        "path edge [1, 6]": 800,
+        "no zero": 600,
+        "single zero": 200,
+        "two zeros on one level": 300,
+        "identical triangles": 300,
+        "folded": 800,
+    }
+    assert all(tally[key] > floor for key, floor in floors.items()), tally
 
 
 def reference_clauses(table):

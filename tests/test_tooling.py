@@ -77,8 +77,8 @@ SHARED = {
     # share one copy of the sections lemma's predicate and of the
     # differences it reads; the table and the morph decision share the
     # end-box test that runs before them; polygon simplicity and the morph
-    # scan share one box sweep, and the 3D kernel and the table's sign
-    # matrix one plane-side routine
+    # scan share one box sweep, and the 3D kernel keeps one plane-side
+    # routine
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
     "_ends_apart": "geometry.py",
@@ -139,6 +139,41 @@ def test_the_verifier_stays_independent_of_the_solver():
     package = {module for module in imported if module.startswith(".") or module.split(".")[0] == "banded"}
     assert package == {".errors", ".geometry"}
     assert [name for name in SOLVER_ONLY if name in text] == []
+
+
+# the 3D predicates, which the reference `solver.conflicts` and
+# `chord_triangles` call and the conflict table does not
+THREE_D = ("orient3d", "_plane", "_plane_sides", "_triangles_meet", "open_triangles_intersect_3d")
+
+
+def test_the_conflict_table_names_no_3d_predicate():
+    # the table decides every band pair and every folded chord in the plane:
+    # `build_conflict_table` and `_pair_conflicts`, and every function or
+    # module-level table of `solver` and `geometry` that they reach by
+    # name, name none of the 3D predicates
+    defined = {}
+    for module in ("solver.py", "geometry.py"):
+        path = ROOT / "src" / "banded" / module
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = node
+    reached, todo = set(), ["build_conflict_table", "_pair_conflicts"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defined[name]):
+            if isinstance(node, ast.Name) and node.id in defined:
+                todo.append(node.id)
+    assert {"_level_pairs", "_sections_apart", "_xy_differences", "build_clauses"} <= reached
+    assert [name for name in THREE_D if name in reached] == []
+    # the reference keeps its own: the names are bound, just not reached
+    assert {"chord_triangles", "conflicts"} <= set(defined) - reached
 
 
 def test_entry_points_take_only_the_instance():
