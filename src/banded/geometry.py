@@ -602,8 +602,10 @@ def _sections_apart(vectors) -> bool:
     (8 differences; the Minkowski-difference criterion of Gilbert, Johnson
     and Keerthi 1988), and a chord triangle, from its one or two vertices
     on each level (4 or 5 differences of a triangle pair).  The conflict
-    table (`solver._pair_conflicts`) tests both, and the triangle pairs
-    that share a vertex by the corollary below; the morph decision
+    table (`solver._pair_conflicts`) tests both, the tetrahedra through
+    `_quads_apart`, and the triangle pairs that share a vertex by the
+    corollary below; the verifier's face pass tests the tetrahedra of two
+    cells through `_quads_apart`; the morph decision
     (`morph.planarity_preserving`) tests the tetrahedra of two edges' bands
     with morph time as z, whose sections at t hold the edges at time t,
     and, once it knows a violation at B, the tetrahedra of the two edges at
@@ -655,3 +657,34 @@ def _sections_apart(vectors) -> bool:
         if cross < 0 or (cross == 0 and vx * wx + vy * wy <= 0):
             return False
     return True
+
+
+def _quads_apart(d) -> bool:
+    """Whether no triangle on the points of quad a meets one on the points
+    of quad b outside a vertex or edge they share, from the 8 xy
+    differences d of two quads on the same two levels, two points of each
+    at each level, laid out as `_xy_differences` gives them.
+
+    With no zero difference, the quads share no point, and their closed
+    tetrahedra are disjoint iff `_sections_apart` holds for all 8.  With
+    exactly one zero difference at each level, the quads share one bottom
+    point s and one top point t.  Let P be a plane through the line s t
+    with a's other two points strictly on one side and b's on the other.
+    A triangle on a's points meets P only in the hull of its vertices
+    among s and t, and likewise for b; so two triangles meet at most in
+    the hull of the vertices among s and t that both have, a vertex or an
+    edge they share.  Projecting along s t onto the xy plane maps the line
+    to a point and P to a line through it, and sends a bottom point x to
+    x - s and a top point to x - t, up to the factor z(t) - z(s).  So P
+    exists iff a's other points minus the shared ones and the shared ones
+    minus b's other points lie in an open half-plane: `_sections_apart` on
+    those four differences, the ones beside each zero in the 2 x 2 layout
+    of its level.  Any other pair is not dismissed."""
+    if (0, 0) not in d:
+        return _sections_apart(d)
+    # the first zero at the bottom, the second and last at the top
+    i = d.index((0, 0))
+    if i > 3 or d.count((0, 0)) != 2:
+        return False
+    j = d.index((0, 0), i + 1)
+    return j > 3 and _sections_apart((d[i ^ 1], d[i ^ 2], d[j ^ 1], d[j ^ 2]))

@@ -24,7 +24,7 @@ from .geometry import (
     _integer_axis,
     _integer_polygon,
     _plane,
-    _sections_apart,
+    _quads_apart,
     _triangles_meet,
     _xy_differences,
     open_triangles_intersect_3d,  # unused; benchmarks/spans.py wraps this binding
@@ -562,7 +562,6 @@ def _check_paths(s: BandedSurface, edges, points, kz) -> CheckResult:
 
 
 _STRICT_SIDES = ((1, 1, 1), (-1, -1, -1))
-_ZERO = (0, 0)
 
 
 def _face_cells(bands, faces) -> list:
@@ -626,80 +625,23 @@ def _face_cells(bands, faces) -> list:
     return cells
 
 
-def _quads_apart(a, b) -> bool:
-    """Whether no face in the hull of quad a meets one in the hull of quad
-    b outside a vertex or edge they share, by one test on their 8 xy
-    differences; a and b are cell quads on the same two levels, as
-    `_face_cells` gives them, laid out as `geometry._xy_differences` takes
-    them.
-
-    With no zero difference, the quads share no point, and their hulls are
-    disjoint iff `geometry._sections_apart` holds for all 8.  With exactly
-    one zero difference at each level, the quads share one bottom point s
-    and one top point t.  Let P be a plane through the line s t with a's
-    other two points strictly on one side and b's on the other.  A face of
-    a has its vertices among a's points, so it meets P only in the hull of
-    its vertices among s and t, and likewise for b; so two faces meet at
-    most in the hull of the vertices among s and t that both have, a
-    vertex or an edge they share.  Projecting along s t onto the xy plane
-    maps the line to a point and P to a line through it, and sends a
-    bottom point x to x - s and a top point to x - t.  So P exists iff a's
-    other points minus the shared ones and the shared ones minus b's other
-    points lie in an open half-plane: `_sections_apart` on those four
-    differences, the ones beside each zero in the 2 x 2 layout of its
-    level.  Any other pair is not dismissed."""
-    d = _xy_differences(a, b)
-    if _ZERO not in d:
-        return _sections_apart(d)
-    bottom, top = d[:4], d[4:]
-    if bottom.count(_ZERO) != 1 or top.count(_ZERO) != 1:
-        return False
-    i, j = bottom.index(_ZERO), top.index(_ZERO)
-    return _sections_apart((bottom[i ^ 1], bottom[i ^ 2], top[j ^ 1], top[j ^ 2]))
-
-
 def _faces_meet(f, g, memo) -> bool:
     """Whether the faces of the `_face_record`s f and g meet outside a
-    vertex or edge they share, by the first that applies of these exact
-    tests, with no point or triangle object built:
+    vertex or edge they share, from their integer vertex triples and planes
+    alone, by the first that applies of these exact tests, with no point or
+    triangle object built:
 
-    - Boxes.  Faces whose closed boxes miss each other never meet.
-    - Level touch.  When the z-ranges meet in one level, the faces can
-      meet only at that level, in their parts there (a vertex, an edge or
-      a horizontal face); parts with disjoint xy boxes never meet.
-    - End boxes.  A face with vertices at exactly two levels is the hull
-      of its bottom and its top vertices, so two such faces on the same
-      two levels are apart when `geometry._ends_apart` holds for their
-      end boxes; that test is written out here.
     - f's vertex sides of g's plane.  All strictly on one side: the faces
       miss.  Exactly two on the plane, and both vertices of g: the faces
       share an edge in crossing planes, and meet in exactly that edge.
     - Otherwise g's sides of f's plane, and `geometry._triangles_meet`,
       which decides coplanar pairs too.
 
-    With `memo`, the verdicts of the last two tests are memoised under the
-    sorted pair of the two faces' integer vertex triples."""
-    x0, x1, y0, y1, z0, z1, fe, f2, vf, f_plane = f
-    u0, u1, v0, v1, w0, w1, ge, g2, vg, (nx, ny, nz, off) = g
-    if u0 > x1 or x0 > u1 or v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
-        return False
-    if w1 == z0 or z1 == w0:
-        lo, hi = (ge, fe) if w1 == z0 else (fe, ge)
-        if lo[5] < hi[0] or hi[1] < lo[4] or lo[7] < hi[2] or hi[3] < lo[6]:
-            return False
-    elif (
-        f2
-        and g2
-        and w0 == z0
-        and w1 == z1
-        and (
-            fe[1] < ge[0] and fe[5] < ge[4]
-            or ge[1] < fe[0] and ge[5] < fe[4]
-            or fe[3] < ge[2] and fe[7] < ge[6]
-            or ge[3] < fe[2] and ge[7] < fe[6]
-        )
-    ):
-        return False
+    The face pass filters its pairs by box, level touch and end boxes on
+    cells before it calls this.  With `memo`, the verdicts are memoised
+    under the sorted pair of the two faces' integer vertex triples."""
+    vf, vg = f[8], g[8]
+    nx, ny, nz, off = g[9]
     if memo is not None:
         key = (vf, vg) if vf < vg else (vg, vf)
         hit = memo.get(key)
@@ -717,7 +659,7 @@ def _faces_meet(f, g, memo) -> bool:
     if sf in _STRICT_SIDES or sf.count(0) == 2 and (a in vg) + (b in vg) + (c in vg) == 2:
         hit = False
     else:
-        mx, my, mz, moff = f_plane
+        mx, my, mz, moff = f[9]
         (px, py, pz), (qx, qy, qz), (rx, ry, rz) = vg
         dp = mx * px + my * py + mz * pz
         dq = mx * qx + my * qy + mz * qz
@@ -746,9 +688,9 @@ def _check_face_intersections(bands, faces, memo) -> CheckResult:
     order in `_face_cells`, with an active list of the earlier cells whose
     max-x reaches the current min-x, as `geometry._box_pairs` sweeps boxes.
     The faces of a cell are first tested pairwise, in their order in the
-    cell.  Two cells whose closed boxes meet are then dismissed by the
-    first that applies of these exact tests on cells, which hold for every
-    face of each:
+    cell, with no filter: they share the chord.  Two cells whose closed
+    boxes meet are then dismissed by the first that applies of these exact
+    tests on cells, which hold for every face of each:
 
     - Level touch.  When the z-ranges meet in one level, the cells can
       meet only at that level, in their parts there; parts with disjoint
@@ -758,11 +700,14 @@ def _check_face_intersections(bands, faces, memo) -> CheckResult:
       boxes; that test is written out here, since it runs on most pairs of
       a one-gap surface.
     - Quads.  Two cells with quads, on the same two levels, are dismissed
-      by `_quads_apart`: the sections lemma on their 8 xy differences, or
-      a plane through the one bottom and one top point they share.
+      by `geometry._quads_apart` on their 8 xy differences: the sections
+      lemma, or a plane through the one bottom and one top point they
+      share.
 
-    Every face pair across two cells that no test dismisses goes through
-    `_faces_meet`, the earlier cell's face first.
+    Every face pair across two cells that no test dismisses, and whose
+    closed xy boxes meet, goes through `_faces_meet`, the earlier cell's
+    face first; a face's z-range is its cell's, which the cell pair's box
+    test has met.
 
     With `memo`, the verdicts of `_quads_apart` are memoised under the
     pair's levels and its sorted pair of quads, beside what `_faces_meet`
@@ -791,18 +736,20 @@ def _check_face_intersections(bands, faces, memo) -> CheckResult:
                     continue
                 if jq is not None and kq is not None:
                     if memo is None:
-                        apart = _quads_apart(jq, kq)
+                        apart = _quads_apart(_xy_differences(jq, kq))
                     else:
                         key = (z0, z1, jq, kq) if jq < kq else (z0, z1, kq, jq)
                         apart = memo.get(key)
                         if apart is None:
-                            apart = memo[key] = _quads_apart(jq, kq)
+                            apart = memo[key] = _quads_apart(_xy_differences(jq, kq))
                     if apart:
                         continue
             for j in jm:
                 fj = faces[j]
+                fx0, fx1, fy0, fy1 = fj[:4]
                 for k in km:
-                    if _faces_meet(fj, faces[k], memo):
+                    fk = faces[k]
+                    if fk[0] <= fx1 and fx0 <= fk[1] and fk[2] <= fy1 and fy0 <= fk[3] and _faces_meet(fj, fk, memo):
                         return CheckResult(False, f"faces {j} and {k} intersect improperly")
         active.append(cell[1:])
     return CheckResult(True)
@@ -1046,10 +993,10 @@ def verify_banded_surface(
     one dict: a face's integer vertex triple maps to its `_face_record`, a
     sorted pair of such triples to the pair's verdict, and a cell pair's
     key (z0, z1, a, b), its two levels and its sorted pair of quads, to
-    `_quads_apart` of the quads.  A cell's quad holds its points and not
-    its chord, so both chords of a band share its cell keys.  A key of
-    three points, a key of two triples and a key of four items never
-    collide.
+    `geometry._quads_apart` on the quads' xy differences.  A cell's quad
+    holds its points and not its chord, so both chords of a band share its
+    cell keys.  A key of three points, a key of two triples and a key of
+    four items never collide.
     """
     faces: list = []
     edges: dict = {}

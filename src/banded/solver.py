@@ -18,6 +18,7 @@ from .geometry import (
     _ends_apart,
     _horizon_bands,
     _integer_axis,
+    _quads_apart,
     _sections_apart,
     _xy_differences,
     open_triangles_intersect_3d,
@@ -166,10 +167,6 @@ def _choice_tests(zeros=()):
 _PLANAR_TESTS = _choice_tests()
 _EDGE_TESTS = {zeros: _choice_tests(zeros) for zeros in ((2, 5), (1, 6))}
 
-# the differences that hold a band's other two points against a path edge
-# it shares with the other band, in either of those patterns
-_AROUND_EDGE = itemgetter(0, 3, 4, 7)
-
 
 def _pair_conflicts(a, b):
     """The conflict matrix of band quads a < b, given as in `_xy_differences`,
@@ -182,35 +179,23 @@ def _pair_conflicts(a, b):
     which `_level_pairs` reduces to `_sections_apart` on subsets of the
     differences (the lemma of `_sections_apart` and its corollary).
 
-    No shared vertex.  The pair cannot conflict when its closed tetrahedra
-    are disjoint (`_sections_apart` on all 8 differences); otherwise each
-    triangle pair is tested on its own 4 or 5 differences.
-
-    A shared vertex.  A zero difference is a vertex the quads share by
-    value: on a valid instance, adjacent bands, the wrap pair and every
-    pair at n = 3, always as a path edge s t; the route is chosen on
-    values, not on indices.  When the shared vertices include a path edge,
-    let P be a plane through the line s t with a's other two points
-    strictly on one side and b's on the other.  Each chord triangle meets P
-    only in the hull of its vertices among s and t, so a triangle of a and
-    one of b meet at most in the vertex or edge they share, and the pair
-    cannot conflict.  Projecting along s t onto the xy plane maps that line
-    to a point and P to a line through it, and sends a bottom point x to
-    x - s and a top point to x - t, up to the factor z(t) - z(s).  So P
-    exists iff a's other points minus the shared ones and the shared ones
-    minus b's other points lie in an open half-plane; those four vectors
-    are the differences that `_AROUND_EDGE` picks.  Otherwise the triangle
-    tests of the zero pattern decide: built at import for the two patterns
-    of a valid instance, and per pair for any other.
+    The pair cannot conflict when `geometry._quads_apart` dismisses it:
+    its closed tetrahedra are disjoint, or it shares one bottom and one top
+    point and a plane through them parts the two bands' other points.
+    Otherwise each triangle pair is tested on its own 4 or 5 differences,
+    or, when the quads share a vertex by value (a zero difference: on a
+    valid instance, adjacent bands, the wrap pair and every pair at n = 3,
+    always as a path edge), on the subset that the zero pattern picks: its
+    tests are built at import for the two patterns of a valid instance,
+    and per pair for any other.  The route is chosen on values, not on
+    indices.
     """
     d = _xy_differences(a, b)
+    if _quads_apart(d):
+        return _NO_CONFLICT
     if (0, 0) in d:
-        if (d[2] == d[5] == (0, 0) or d[1] == d[6] == (0, 0)) and _sections_apart(_AROUND_EDGE(d)):
-            return _NO_CONFLICT
         zeros = tuple(k for k, v in enumerate(d) if v == (0, 0))
         tests = _EDGE_TESTS[zeros] if zeros in _EDGE_TESTS else _choice_tests(zeros)
-    elif _sections_apart(d):
-        return _NO_CONFLICT
     else:
         tests = _PLANAR_TESTS
     (rr, rl), (lr, ll) = tests
@@ -251,10 +236,10 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     test first, and only a pair with a conflict is kept; the kept pairs
     are sorted by key.
     It decides each pair in the plane, from subsets of its 8 xy
-    differences: a pair that shares a path edge, with a plane through the
-    edge between the two bands' other points, is dismissed, and every other
-    pair takes one `_sections_apart` test per triangle pair on the subset
-    that the pair's shared vertices pick.  No 3D predicate runs.
+    differences: a pair that `geometry._quads_apart` dismisses is
+    conflict-free, and every other pair takes one `_sections_apart` test
+    per triangle pair on the subset that the pair's shared vertices pick.
+    No 3D predicate runs.
 
     The pairs are walked nearest-first, in rings of cyclic distance: ring
     d = 1, 2, ..., n // 2 holds the pairs (i, i + d mod n), n of them, or

@@ -22,6 +22,7 @@ from banded.geometry import (
     _box,
     _end_boxes,
     _ends_apart,
+    _quads_apart,
     _sections_apart,
     _xy_differences,
     open_triangles_intersect_3d,
@@ -850,3 +851,84 @@ class TestEndsApart:
         b = band_quad((2, 0), (3, 0), (1, 2), (0, 2))
         assert not _ends_apart(_end_boxes(a), _end_boxes(b))
         assert _sections_apart(_xy_differences(a, b))
+
+
+GRID = [(x, y) for x in range(5) for y in range(5)]
+
+# the zeros a level can hold when each quad has two distinct points there:
+# none, one of a's points as one of b's, or both
+LEVEL_ZEROS = ((), (0,), (1,), (2,), (3,), (0, 3), (1, 2))
+
+
+def _zeros(bottom, top):
+    return bottom + tuple(4 + k for k in top)
+
+
+# every zero pattern of two such quads, in the classes that `_quads_apart`
+# routes apart; the last two overlap
+ZERO_PATTERNS = {
+    "no zero": [()],
+    "path edge": [(2, 5), (1, 6)],
+    # a chord of one quad on a side or a chord of the other, e.g. (2, 4),
+    # or two sides in the orientation no two bands of a polygon take
+    "other shared segment": [_zeros((i,), (j,)) for i in range(4) for j in range(4) if (i, j) not in ((2, 1), (1, 2))],
+    "zeros on one level only": [_zeros(z, ()) for z in LEVEL_ZEROS[1:]] + [_zeros((), z) for z in LEVEL_ZEROS[1:]],
+    "two zeros on one level": [
+        _zeros(b, t) for b in LEVEL_ZEROS for t in LEVEL_ZEROS if max(len(b), len(t)) == 2
+    ],
+}
+
+
+@st.composite
+def quad_pairs_sharing(draw, patterns):
+    """Two band quads on the 5 x 5 grid, as `band_quad` gives them, with
+    two distinct points at each level, whose 8 `_xy_differences` are zero
+    exactly at one of `patterns`: a's point k and b's point m are equal at
+    a level iff 2k + m, plus 4 at the top, is in the pattern."""
+    zeros = draw(st.sampled_from(patterns))
+    a, b = [], []
+    for level in (0, 1):
+        mine = draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True))
+        theirs = [None, None]
+        for k, m in itertools.product(range(2), range(2)):
+            if 4 * level + 2 * k + m in zeros:
+                theirs[m] = mine[k]
+        for m in range(2):
+            if theirs[m] is None:
+                theirs[m] = draw(st.sampled_from([p for p in GRID if p not in mine and p not in theirs]))
+        a += mine
+        b += theirs
+    return zeros, band_quad(*a), band_quad(*b)
+
+
+@pytest.mark.parametrize("pattern_class", sorted(ZERO_PATTERNS))
+def test_quads_apart_dismisses_only_proper_triangle_pairs(pattern_class):
+    # a dismissal by `_quads_apart` leaves every triangle on three points of
+    # one quad proper against every triangle on three points of the other,
+    # by `open_triangles_intersect_3d`; with no zero the verdict is the
+    # sections lemma's, and it dismisses nothing unless the quads share
+    # exactly one point at each level.  No valid instance's conflict table
+    # reaches the shared segments that are not path edges
+    seen, verdicts = set(), Counter()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(quad_pairs_sharing(ZERO_PATTERNS[pattern_class]))
+    def check(pair):
+        zeros, a, b = pair
+        d = _xy_differences(a, b)
+        assert tuple(k for k, v in enumerate(d) if v == (0, 0)) == zeros
+        apart = _quads_apart(d)
+        if not zeros:
+            assert apart == _sections_apart(d)
+        elif sum(k < 4 for k in zeros) != 1 or len(zeros) != 2:
+            assert not apart
+        if apart:
+            for t1, t2 in itertools.product(itertools.combinations(a, 3), itertools.combinations(b, 3)):
+                assert not open_triangles_intersect_3d(tri(*t1), tri(*t2)), (a, b)
+        seen.add((a, b))
+        verdicts[apart] += 1
+
+    check()
+    assert len(seen) >= 50, len(seen)
+    if pattern_class in ("no zero", "path edge", "other shared segment"):
+        assert verdicts[True] > 0 and verdicts[False] > 0, verdicts

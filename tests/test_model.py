@@ -1053,15 +1053,17 @@ class TestFacePass:
     def test_kernel_pairs_match_the_reference_cascade(self, monkeypatch):
         # the pass sweeps cells before faces: the cells are the reference
         # cells, swept by min-x (ties by their order); a later cell's face
-        # pairs are visited first, in their order in the cell, then the
-        # face pairs across each earlier cell whose closed box meets its
-        # own, unless the slab filters or the quad test dismiss that cell
-        # pair; every visited face pair whose boxes meet goes through the
-        # reference cascade, up to the first that `open_triangles_intersect_3d`
-        # finds improper, which is reported.  So the pairs that reach the
-        # kernel are exactly the cascade's pairs within cells and across
-        # the cell pairs that no test clears, in that order; and no face
-        # pair across a dismissed cell pair is improper
+        # pairs are visited first, in their order in the cell, with no
+        # filter, then the face pairs across each earlier cell whose closed
+        # box meets its own, unless the slab filters or the quad test
+        # dismiss that cell pair, and whose own closed boxes meet; every
+        # visited face pair goes through the reference cascade, up to the
+        # first that `open_triangles_intersect_3d` finds improper, which is
+        # reported.  So the pairs that reach the kernel are exactly the
+        # cascade's pairs within cells and across the cell pairs that no
+        # test clears, in that order; no face pair across a dismissed cell
+        # pair is improper; and the filters the pass no longer runs on
+        # faces would dismiss no pair within a cell
         kernel_pairs = []
         coplanar_calls = []
         kernel = model._triangles_meet
@@ -1102,28 +1104,30 @@ class TestFacePass:
                         for j, k in across:
                             assert not open_triangles_intersect_3d(triangles[j], triangles[k])
                         continue
-                    visits += across
+                    for j, k in across:
+                        if _closed_boxes_meet(boxes[j], boxes[k]):
+                            visits.append((j, k))
+                        else:
+                            branches["face boxes"] += 1
+                            assert not open_triangles_intersect_3d(triangles[j], triangles[k])
                 for j, k in visits:
-                    if not _closed_boxes_meet(boxes[j], boxes[k]):
-                        continue
                     t1, t2 = triangles[j], triangles[k]
                     meets = open_triangles_intersect_3d(t1, t2)
-                    cascade = face_pair_branch(t1, t2)
-                    branch = slab_filter(t1, t2) or cascade
+                    branch = face_pair_branch(t1, t2)
                     branches[branch] += 1
-                    branches["coplanar, all"] += cascade == "coplanar"
                     if branch == "crossing":
                         branches["crossing, meet" if meets else "crossing, disjoint"] += 1
-                    if branch not in ("level touch", "end boxes"):
-                        # the first face's sides of the second's plane
-                        sides = [orient3d(*t2, p) for p in t1]
-                        if sides[0] == sides[1] == sides[2] != 0:
-                            branches["first sides strict"] += 1
-                        elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
-                            branches["first sides shared edge"] += 1
-                        else:
-                            reached.append((faces[j][8], faces[k][8]))
-                            branches["kernel, coplanar"] += branch == "coplanar"
+                    if j in cells[ck][9] and k in cells[ck][9]:
+                        assert _closed_boxes_meet(boxes[j], boxes[k]) and not slab_filter(t1, t2)
+                    # the first face's sides of the second's plane
+                    sides = [orient3d(*t2, p) for p in t1]
+                    if sides[0] == sides[1] == sides[2] != 0:
+                        branches["first sides strict"] += 1
+                    elif sides.count(0) == 2 and sum(p in t2 for p in t1) == 2:
+                        branches["first sides shared edge"] += 1
+                    else:
+                        reached.append((faces[j][8], faces[k][8]))
+                        branches["kernel, coplanar"] += branch == "coplanar"
                     if meets:
                         hit = (j, k)
                         branches["hit across quads"] += len(cells[ck][9]) > 1
@@ -1150,6 +1154,7 @@ class TestFacePass:
             "end boxes",
             "cell sections",
             "cell path edge",
+            "face boxes",
             "first sides strict",
             "first sides shared edge",
             "strict dismissal",
@@ -1161,8 +1166,8 @@ class TestFacePass:
             "hit across quads",
         ):
             assert branches[branch] > 0, branch
-        assert len(coplanar_calls) == branches["kernel, coplanar"] > 0
-        assert branches["coplanar, all"] > branches["kernel, coplanar"]
+        # no filter is left on faces that could settle a coplanar pair
+        assert len(coplanar_calls) == branches["kernel, coplanar"] == branches["coplanar"] > 0
 
 
 def all_pairs_face_verdict(s: BandedSurface) -> bool:
@@ -1212,7 +1217,7 @@ def assert_quad_dismissals_are_sound(s: BandedSurface) -> Counter:
     cells = [c for c in model._face_cells(s.bands, faces) if c[8] is not None]
     routes = Counter()
     for a, b in itertools.combinations(cells, 2):
-        if a[4:6] != b[4:6] or not model._quads_apart(a[8], b[8]):
+        if a[4:6] != b[4:6] or not geometry._quads_apart(geometry._xy_differences(a[8], b[8])):
             continue
         routes["path edge" if quads_share_a_path_edge(a[8], b[8]) else "sections"] += 1
         for j in a[9]:
@@ -1256,7 +1261,7 @@ class TestPinnedCellPairs:
             _, faces = face_pass_faces(s)
             cells = model._face_cells(s.bands, faces)
             a, b = cells[0][8], cells[1][8]
-            assert quads_share_a_path_edge(a, b) and not model._quads_apart(a, b)
+            assert quads_share_a_path_edge(a, b) and not geometry._quads_apart(geometry._xy_differences(a, b))
             across = {frozenset((faces[j][8], faces[k][8])) for j in cells[0][9] for k in cells[1][9]}
             report, visited = verify_recording_face_pairs(s)
             assert report.face_intersections.passed == passed == all_pairs_face_verdict(s)
@@ -1276,7 +1281,7 @@ class TestPinnedCellPairs:
         e, f = cells[1][6], cells[3][6]
         assert e[1] == f[0] and e[5] < f[4]
         assert not geometry._ends_apart(e, f)
-        assert model._quads_apart(cells[1][8], cells[3][8])
+        assert geometry._quads_apart(geometry._xy_differences(cells[1][8], cells[3][8]))
         assert assert_quad_dismissals_are_sound(s)["sections"] > 0
         assert verify_banded_surface(s).face_intersections.passed == all_pairs_face_verdict(s)
 

@@ -83,6 +83,10 @@ SHARED = {
     "_xy_differences": "geometry.py",
     "_ends_apart": "geometry.py",
     "_box_pairs": "geometry.py",
+    # the conflict table and the face pass share one dismissal of two
+    # quads: apart by the sections lemma, or by a plane through the bottom
+    # and top point they share
+    "_quads_apart": "geometry.py",
     # the band quads over a horizon, their xy boxes and their end boxes,
     # for the conflict table and the morph scan
     "_horizon_bands": "geometry.py",
@@ -170,7 +174,7 @@ def test_the_conflict_table_names_no_3d_predicate():
         for node in ast.walk(defined[name]):
             if isinstance(node, ast.Name) and node.id in defined:
                 todo.append(node.id)
-    assert {"_level_pairs", "_sections_apart", "_xy_differences", "build_clauses"} <= reached
+    assert {"_level_pairs", "_quads_apart", "_sections_apart", "_xy_differences", "build_clauses"} <= reached
     assert [name for name in THREE_D if name in reached] == []
     # the reference keeps its own: the names are bound, just not reached
     assert {"chord_triangles", "conflicts"} <= set(defined) - reached
