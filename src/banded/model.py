@@ -20,6 +20,7 @@ from .errors import InputError, MeshStructureError, PreconditionError, SectionEr
 from .geometry import (
     Point2,
     Point3,
+    _end_boxes,
     _end_map,
     _integer_axis,
     _integer_polygon,
@@ -84,7 +85,8 @@ class SliceInstance:
         return len(self.source.vertices)
 
     def validate(self) -> tuple[int, list[int], tuple | None]:
-        """Raise `InputError` unless the z levels are 0 and 1, the vertex
+        """Raise `InputError` unless the z levels are the int or `Fraction`
+        values 0 and 1, every coordinate is an int or `Fraction`, the vertex
         counts match and both polygons are simple and counterclockwise, and
         return the instance's integer frame and affine fit (k, cs, fit), as
         `_frame` gives them, for the morph decision to reuse.
@@ -100,7 +102,8 @@ class SliceInstance:
         integer copy (`LabeledPolygon.validate`), which for a polygon on
         integers is the polygon itself.
         """
-        if self.source.z_level != 0 or self.target.z_level != 1:
+        z0, z1 = self.source.z_level, self.target.z_level
+        if not (isinstance(z0, (int, Fraction)) and isinstance(z1, (int, Fraction)) and z0 == 0 and z1 == 1):
             raise InputError("slice instance requires z levels exactly 0 and 1")
         if len(self.source.vertices) != len(self.target.vertices):
             raise InputError("source and target must have the same vertex count")
@@ -126,9 +129,13 @@ def _frame(inst: SliceInstance) -> tuple[int, list[int], tuple | None]:
     k that puts every coordinate of both polygons on integers, the scaled
     coordinates cs, which are px, py, qx, qy of every vertex's source p and
     target q in turn, and `_affine_fit(cs)`.  One factor for both polygons
-    is a similarity of space, so every morph event time is unchanged."""
+    is a similarity of space, so every morph event time is unchanged.
+    A coordinate that is no int or `Fraction` raises `InputError`."""
     ends = zip(inst.source.vertices, inst.target.vertices)
-    k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
+    try:
+        k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
+    except AttributeError as exc:  # a float, which has no denominator
+        raise InputError("coordinates must be ints or Fractions") from exc
     return k, cs, _affine_fit(cs)
 
 
@@ -402,13 +409,12 @@ def _face_record(verts, plane) -> tuple:
     return (*box, lz, lz, box + box, False, verts, plane)
 
 
-def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, memo=None) -> CheckResult:
+def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict) -> CheckResult:
     """The annulus checks on the mesh, with `points` its `_integer_points`.
     Each face's `_face_record` is appended to `faces` once the face has
     passed its own checks, and edges[(a, b)] = k is entered for each
     directed edge (a, b) of face k, so a pass leaves one record per face
-    and the mesh's complete edge map.  With `memo`, the records are
-    memoised under the faces' integer vertex triples.
+    and the mesh's complete edge map.
 
     The checks are: every directed edge is used once (the winding is
     consistent, and an edge borders at most two faces, one per direction);
@@ -467,11 +473,7 @@ def _check_topology(s: BandedSurface, points: list, faces: list, edges: dict, me
         if not (0 <= a < nv and 0 <= b < nv and 0 <= c < nv):
             return CheckResult(False, f"face {k} is malformed: {face}")
         verts = (points[a], points[b], points[c])
-        record = None if memo is None else memo.get(verts)
-        if record is None:
-            record = _face_record(verts, _plane(*verts))
-            if memo is not None:
-                memo[verts] = record
+        record = _face_record(verts, _plane(*verts))
         if record[-1][:3] == (0, 0, 0):
             return CheckResult(False, f"face {k} is degenerate")
         ab, bc, ca = (a, b), (b, c), (c, a)
@@ -575,9 +577,9 @@ def _face_cells(bands, faces) -> list:
     take exactly two points at each level, form one cell.  Its quad holds
     those points, the two bottom ones and then the two top ones, each pair
     sorted, so that it depends only on the points and not on the chord;
-    every face of the cell lies in the hull of the quad, and the box and
-    end boxes are the quad's.  Every other face is a cell on its own, with
-    no quad."""
+    every face of the cell lies in the hull of the quad, its end boxes are
+    `geometry._end_boxes` of the quad and its box is their union.  Every
+    other face is a cell on its own, with no quad."""
     cells = []
     for members in bands:
         slabs: dict = {}
@@ -604,28 +606,15 @@ def _face_cells(bands, faces) -> list:
             c, e = top
             if e < c:
                 c, e = e, c
-            x0, x1 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-            y0, y1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-            u0, u1 = (c[0], e[0]) if c[0] <= e[0] else (e[0], c[0])
-            v0, v1 = (c[1], e[1]) if c[1] <= e[1] else (e[1], c[1])
-            cells.append(
-                (
-                    x0 if x0 <= u0 else u0,
-                    x1 if x1 >= u1 else u1,
-                    y0 if y0 <= v0 else v0,
-                    y1 if y1 >= v1 else v1,
-                    z0,
-                    z1,
-                    (x0, x1, y0, y1, u0, u1, v0, v1),
-                    True,
-                    (a, b, c, e),
-                    tuple(ks),
-                )
-            )
+            quad = (a, b, c, e)
+            ends = _end_boxes(quad)
+            x0, x1, y0, y1, u0, u1, v0, v1 = ends
+            box = (x0 if x0 <= u0 else u0, x1 if x1 >= u1 else u1, y0 if y0 <= v0 else v0, y1 if y1 >= v1 else v1)
+            cells.append((*box, z0, z1, ends, True, quad, tuple(ks)))
     return cells
 
 
-def _faces_meet(f, g, memo) -> bool:
+def _faces_meet(f, g) -> bool:
     """Whether the faces of the `_face_record`s f and g meet outside a
     vertex or edge they share, from their integer vertex triples and planes
     alone, by the first that applies of these exact tests, with no point or
@@ -638,15 +627,9 @@ def _faces_meet(f, g, memo) -> bool:
       which decides coplanar pairs too.
 
     The face pass filters its pairs by box, level touch and end boxes on
-    cells before it calls this.  With `memo`, the verdicts are memoised
-    under the sorted pair of the two faces' integer vertex triples."""
+    cells before it calls this."""
     vf, vg = f[8], g[8]
     nx, ny, nz, off = g[9]
-    if memo is not None:
-        key = (vf, vg) if vf < vg else (vg, vf)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
     a, b, c = vf
     da = nx * a[0] + ny * a[1] + nz * a[2]
     db = nx * b[0] + ny * b[1] + nz * b[2]
@@ -657,25 +640,21 @@ def _faces_meet(f, g, memo) -> bool:
         1 if dc > off else -1 if dc < off else 0,
     )
     if sf in _STRICT_SIDES or sf.count(0) == 2 and (a in vg) + (b in vg) + (c in vg) == 2:
-        hit = False
-    else:
-        mx, my, mz, moff = f[9]
-        (px, py, pz), (qx, qy, qz), (rx, ry, rz) = vg
-        dp = mx * px + my * py + mz * pz
-        dq = mx * qx + my * qy + mz * qz
-        dr = mx * rx + my * ry + mz * rz
-        sg = (
-            1 if dp > moff else -1 if dp < moff else 0,
-            1 if dq > moff else -1 if dq < moff else 0,
-            1 if dr > moff else -1 if dr < moff else 0,
-        )
-        hit = _triangles_meet(vf, sf, vg, sg)
-    if memo is not None:
-        memo[key] = hit
-    return hit
+        return False
+    mx, my, mz, moff = f[9]
+    (px, py, pz), (qx, qy, qz), (rx, ry, rz) = vg
+    dp = mx * px + my * py + mz * pz
+    dq = mx * qx + my * qy + mz * qz
+    dr = mx * rx + my * ry + mz * rz
+    sg = (
+        1 if dp > moff else -1 if dp < moff else 0,
+        1 if dq > moff else -1 if dq < moff else 0,
+        1 if dr > moff else -1 if dr < moff else 0,
+    )
+    return _triangles_meet(vf, sf, vg, sg)
 
 
-def _check_face_intersections(bands, faces, memo) -> CheckResult:
+def _check_face_intersections(bands, faces) -> CheckResult:
     """No two faces meet outside a vertex or edge they share; `faces` holds
     the `_face_record`s that `_check_topology` leaves, `bands` the mesh's
     partition of them into bands, and the first pair found that does is
@@ -707,17 +686,13 @@ def _check_face_intersections(bands, faces, memo) -> CheckResult:
     Every face pair across two cells that no test dismisses, and whose
     closed xy boxes meet, goes through `_faces_meet`, the earlier cell's
     face first; a face's z-range is its cell's, which the cell pair's box
-    test has met.
-
-    With `memo`, the verdicts of `_quads_apart` are memoised under the
-    pair's levels and its sorted pair of quads, beside what `_faces_meet`
-    memoises."""
+    test has met."""
     active = []
     for cell in sorted(_face_cells(bands, faces), key=itemgetter(0)):
         x0, x1, y0, y1, z0, z1, ke, k2, kq, km = cell
         active = [a for a in active if a[0] >= x0]
         for j, k in itertools.combinations(km, 2):
-            if _faces_meet(faces[j], faces[k], memo):
+            if _faces_meet(faces[j], faces[k]):
                 return CheckResult(False, f"faces {j} and {k} intersect improperly")
         for _, v0, v1, w0, w1, je, j2, jq, jm in active:
             if v0 > y1 or y0 > v1 or w0 > z1 or z0 > w1:
@@ -734,22 +709,14 @@ def _check_face_intersections(bands, faces, memo) -> CheckResult:
                     or ke[3] < je[2] and ke[7] < je[6]
                 ):
                     continue
-                if jq is not None and kq is not None:
-                    if memo is None:
-                        apart = _quads_apart(_xy_differences(jq, kq))
-                    else:
-                        key = (z0, z1, jq, kq) if jq < kq else (z0, z1, kq, jq)
-                        apart = memo.get(key)
-                        if apart is None:
-                            apart = memo[key] = _quads_apart(_xy_differences(jq, kq))
-                    if apart:
-                        continue
+                if jq is not None and kq is not None and _quads_apart(_xy_differences(jq, kq)):
+                    continue
             for j in jm:
                 fj = faces[j]
                 fx0, fx1, fy0, fy1 = fj[:4]
                 for k in km:
                     fk = faces[k]
-                    if fk[0] <= fx1 and fx0 <= fk[1] and fk[2] <= fy1 and fy0 <= fk[3] and _faces_meet(fj, fk, memo):
+                    if fk[0] <= fx1 and fx0 <= fk[1] and fk[2] <= fy1 and fy0 <= fk[3] and _faces_meet(fj, fk):
                         return CheckResult(False, f"faces {j} and {k} intersect improperly")
         active.append(cell[1:])
     return CheckResult(True)
@@ -946,7 +913,6 @@ def verify_banded_surface(
     s: BandedSurface,
     *,
     force_sections: bool = False,
-    _memo=None,
 ) -> VerificationReport:
     """Run the four certification checks and report per-check verdicts.
 
@@ -987,16 +953,6 @@ def verify_banded_surface(
 
     force_sections=True re-checks that by sectioning every slab
     (`_check_sections`, which gives why one section per slab is complete).
-
-    `_memo` lets a caller that verifies many meshes over one set of faces
-    memoise face records, face-pair verdicts and cell-pair dismissals in
-    one dict: a face's integer vertex triple maps to its `_face_record`, a
-    sorted pair of such triples to the pair's verdict, and a cell pair's
-    key (z0, z1, a, b), its two levels and its sorted pair of quads, to
-    `geometry._quads_apart` on the quads' xy differences.  A cell's quad
-    holds its points and not its chord, so both chords of a band share its
-    cell keys.  A key of three points, a key of two triples and a key of
-    four items never collide.
     """
     faces: list = []
     edges: dict = {}
@@ -1006,7 +962,7 @@ def verify_banded_surface(
         if any(not 0 <= v < nv for path in s.paths for v in path):
             raise MeshStructureError(f"malformed mesh: a path index is outside [0, {nv})")
         points, scale = _integer_points(s)
-        topo = _check_topology(s, points, faces, edges, _memo)
+        topo = _check_topology(s, points, faces, edges)
         if not topo.passed:
             edges = {e for face in s.faces for e in _face_edges(face)}
         paths = _check_paths(s, edges, points, scale[2])
@@ -1015,7 +971,7 @@ def verify_banded_surface(
     if not topo.passed:
         skipped = CheckResult(False, "skipped: topology check failed")
         return VerificationReport(topo, paths, skipped, skipped)
-    inter = _check_face_intersections(s.bands, faces, _memo)
+    inter = _check_face_intersections(s.bands, faces)
     if not inter.passed:
         sections = CheckResult(False, "skipped: face intersection check failed")
     elif not paths.passed:

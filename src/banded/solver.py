@@ -10,7 +10,7 @@ clause, so satisfiability of the O(n^2) clauses decides existence exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from .errors import InternalConsistencyError, PreconditionError
@@ -386,27 +386,24 @@ _BRUTE_FORCE_MAX_N = 16
 def brute_force_assignments(inst: SliceInstance) -> list[ChordAssignment]:
     """Enumerate all 2^n chord assignments, for n <= 16, and keep those whose
     surface passes the full verifier; an invalid instance raises `InputError`
-    (`SliceInstance.validate`) and a larger n `PreconditionError`.  The
-    surfaces are built on validation's integer frame, as in
-    `solve_no_steiner`.  Independent of the clause/2-SAT machinery.  Each
-    (band, chord) gives the same two faces on every surface, so the
-    verifier's face records and face-pair verdicts are memoised across the
-    enumeration, keyed by the faces' integer vertices, and so are the
-    verifier's cell-pair dismissals, keyed by the bands' quads, which are
-    the same for either chord."""
+    (`SliceInstance.validate`) and a larger n `PreconditionError`.
+    Independent of the clause/2-SAT machinery.  The surfaces are built on
+    validation's integer frame, and the all-right and all-left ones only
+    once: band i's two faces are faces 2i and 2i + 1 of either
+    (`layers_to_surface`), whose vertices, bands and paths are the same, so
+    each assignment's surface is the all-right one with band i's faces
+    taken from the surface of band i's chord."""
     cs = inst.validate()[1]
     n = inst.n
     if n > _BRUTE_FORCE_MAX_N:
         raise PreconditionError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
     scaled = _integer_instance(inst, cs)
-    memo: dict = {}
+    right, left = (assignment_to_surface(scaled, ChordAssignment((c,) * n)) for c in (Chord.RIGHT, Chord.LEFT))
+    # band i's two faces under either chord, indexed by bit i of a mask
+    pairs = [(left.faces[2 * i : 2 * i + 2], right.faces[2 * i : 2 * i + 2]) for i in range(n)]
     valid = []
     for mask in range(1 << n):
-        assignment = ChordAssignment(
-            tuple(Chord.RIGHT if (mask >> i) & 1 else Chord.LEFT for i in range(n))
-        )
-        surface = assignment_to_surface(scaled, assignment)
-        report = verify_banded_surface(surface, _memo=memo)
-        if report.passed:
-            valid.append(assignment)
+        faces = itertools.chain.from_iterable(pairs[i][(mask >> i) & 1] for i in range(n))
+        if verify_banded_surface(replace(right, faces=tuple(faces))).passed:
+            valid.append(ChordAssignment.from_bools((mask >> i) & 1 for i in range(n)))
     return valid

@@ -56,6 +56,7 @@ from banded.model import (
     verify_banded_surface,
 )
 from banded.morph import _decide, planarity_preserving
+from banded.solver import brute_force_assignments
 from banded.steiner import build_layered_surface
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -1138,7 +1139,7 @@ class TestFacePass:
             with monkeypatch.context() as patched:
                 patched.setattr(model, "_triangles_meet", counted_kernel)
                 patched.setattr(geometry, "_coplanar_triangles_meet", counted_coplanar)
-                result = model._check_face_intersections(s.bands, faces, None)
+                result = model._check_face_intersections(s.bands, faces)
             assert kernel_pairs == reached
             if hit is None:
                 assert result.passed
@@ -1201,9 +1202,9 @@ def verify_recording_face_pairs(s: BandedSurface):
     visited = set()
     faces_meet = model._faces_meet
 
-    def recorded(f, g, memo):
+    def recorded(f, g):
         visited.add(frozenset((f[8], g[8])))
-        return faces_meet(f, g, memo)
+        return faces_meet(f, g)
 
     with unittest.mock.patch.object(model, "_faces_meet", recorded):
         return verify_banded_surface(s), visited
@@ -1286,8 +1287,9 @@ class TestPinnedCellPairs:
         assert verify_banded_surface(s).face_intersections.passed == all_pairs_face_verdict(s)
 
 
-def memo_instances() -> list[SliceInstance]:
-    """Instances with n <= 6: the figures, generator draws and grid pairs."""
+def oracle_instances() -> list[SliceInstance]:
+    """Instances with n <= 6: the figures, generator draws, grid pairs and
+    one draw moved off integers by a similarity on `Fraction` coordinates."""
     out = [fig.instance for fig in reference_instances().values() if fig.instance.n <= 6]
     rng = random.Random(606)
     for n, kind in ((4, "convex"), (5, "star"), (6, "spiral")):
@@ -1295,26 +1297,36 @@ def memo_instances() -> list[SliceInstance]:
     grid = random.Random(607)
     for n in (4, 5, 6):
         out.append(SliceInstance(LabeledPolygon(grid_polygon(grid, n), 0), LabeledPolygon(grid_polygon(grid, n), 1)))
+    inst = random_instance(rng, 6, "star")
+    thirds = [LabeledPolygon(tuple(Point2(Fraction(x, 3), Fraction(y, 3)) for x, y in p.vertices), p.z_level) for p in (inst.source, inst.target)]
+    out.append(SliceInstance(*(p.translated(Fraction(1, 2), Fraction(-2, 5)) for p in thirds)))
     return out
 
 
-def test_memo_keeps_every_verdict():
-    # one memo dict shared across every mask of an instance, as
-    # `brute_force_assignments` shares it, gives each check the verdict and
-    # detail of a verification with no memo
+def test_oracle_lists_the_assignments_whose_surface_passes():
+    # the oracle swaps band i's faces in from the surface of its chord; it
+    # lists, in mask order, exactly the assignments whose own surface, built
+    # on the instance's coordinates, passes a plain verification
     outcomes = Counter()
-    cell_keys = 0
-    for inst in memo_instances():
-        memo: dict = {}
-        for mask in range(1 << inst.n):
-            s = assignment_to_surface(inst, ChordAssignment.from_bools((mask >> i) & 1 for i in range(inst.n)))
-            memoised, plain = verify_banded_surface(s, _memo=memo), verify_banded_surface(s)
-            for name in model._CHECKS:
-                assert getattr(memoised, name) == getattr(plain, name), (inst, mask, name)
-            outcomes[plain.passed] += 1
-        cell_keys += sum(len(key) == 4 for key in memo)  # cell-pair verdicts
+    for inst in oracle_instances():
+        n = inst.n
+        listed = []
+        for mask in range(1 << n):
+            assignment = ChordAssignment.from_bools((mask >> i) & 1 for i in range(n))
+            s = assignment_to_surface(inst, assignment)
+            # the layout the swap reads: band i's faces are 2i and 2i + 1,
+            # its quad split by its own chord
+            for i, chord in enumerate(assignment.choices):
+                quad = (i, (i + 1) % n, n + (i + 1) % n, n + i)
+                triples = model._QUAD_TRIPLES[:2] if chord is Chord.RIGHT else model._QUAD_TRIPLES[2:]
+                assert s.bands[i] == {2 * i, 2 * i + 1}
+                assert s.faces[2 * i : 2 * i + 2] == tuple(tuple(quad[v] for v in t) for t in triples)
+            passed = verify_banded_surface(s).passed
+            outcomes[passed] += 1
+            if passed:
+                listed.append(assignment)
+        assert brute_force_assignments(inst) == listed, inst
     assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
-    assert cell_keys > 0
 
 
 def reference_topology(s: BandedSurface) -> str:

@@ -88,7 +88,8 @@ SHARED = {
     # and top point they share
     "_quads_apart": "geometry.py",
     # the band quads over a horizon, their xy boxes and their end boxes,
-    # for the conflict table and the morph scan
+    # for the conflict table and the morph scan; the face pass takes its
+    # quad cells' end boxes from `_end_boxes` too
     "_horizon_bands": "geometry.py",
     "_box": "geometry.py",
     "_end_boxes": "geometry.py",
@@ -202,11 +203,13 @@ def test_entry_points_take_only_the_instance():
 
 SQUARE = ((0, 0), (4, 0), (4, 4), (0, 4))
 
-# source, target and the target's z level of three invalid instances
+# source, target and the target's z level of five invalid instances
 INVALID = {
     "clockwise_squares": (SQUARE[::-1], SQUARE[::-1], 1),
     "bowtie_source": (((0, 0), (4, 4), (4, 0), (0, 4)), SQUARE, 1),
     "z_levels_0_and_2": (SQUARE, SQUARE, 2),
+    "float_coordinate": (((0.5, 0),) + SQUARE[1:], SQUARE, 1),
+    "float_z_level": (SQUARE, SQUARE, 1.0),
 }
 
 
@@ -239,7 +242,7 @@ def test_entry_points_reject_invalid_instances(entry, case):
 
 def test_options_are_only_those_a_caller_sets():
     # an option that no caller sets is a code path that nothing runs;
-    # `force_sections` is the benchmark's re-check and `_memo` the oracle's
+    # `force_sections` is the benchmark's re-check
     from banded.fileio import export_mesh
     from banded.generators import jiggled_instance, random_convex_polygon, random_star_polygon, random_translation
     from banded.model import verify_banded_surface
@@ -248,7 +251,7 @@ def test_options_are_only_those_a_caller_sets():
         parameters = inspect.signature(function).parameters.values()
         return [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
 
-    assert keywords(verify_banded_surface) == ["force_sections", "_memo"]
+    assert keywords(verify_banded_surface) == ["force_sections"]
     assert keywords(export_mesh) == ["include_caps", "floats"]
     for generator in (random_convex_polygon, random_star_polygon):
         assert list(inspect.signature(generator).parameters) == ["rng", "n"], generator.__name__
