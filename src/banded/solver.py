@@ -36,7 +36,7 @@ from .model import (
     scaled_to_integers,
     verify_banded_surface,
 )
-from .twosat import Clause2, Literal, TwoSatResult, solve_2sat
+from .twosat import TwoSatResult, solve_2sat
 
 
 @dataclass(frozen=True)
@@ -308,25 +308,22 @@ def build_clauses(table: ConflictTable):
     satisfying assignments are exactly the valid surfaces.
 
     Variable i is True iff band i takes the right chord, so each conflict
-    (i, ci), (j, cj) gives the clause "not ci on i or not cj on j".  The
-    clauses follow the table's order, which `build_conflict_table` sets:
-    the self-conflicts first, per band left before right (the order of the
-    chords' values), then the conflicting pairs in sorted key order.
+    (i, ci), (j, cj) gives the clause "not ci on i or not cj on j", as the
+    pair of `solve_2sat` nodes: "not right" on band i is node 2i + 1 and
+    "not left" node 2i.  The clauses follow the table's order, which
+    `build_conflict_table` sets: the self-conflicts first, per band left
+    before right (the order of the chords' values), then the conflicting
+    pairs in sorted key order, row Right before Left.
     """
-    # per band, its "not right" and "not left" literals, in the order of
-    # the conflict matrices' indices (0 = Right, 1 = Left)
-    nots = [(Literal(i, True), Literal(i, False)) for i in range(table.n)]
-    clauses = []
-    for i, c in table.self_conflicts:
-        lit = nots[i][c is Chord.LEFT]
-        clauses.append(Clause2(lit, lit))
+    # a folded chord c on band i gives the clause "not c or not c"
+    clauses = [(2 * i + (c is Chord.RIGHT),) * 2 for i, c in table.self_conflicts]
     for (i, j), mat in table.pairs.items():
-        not_i, not_j = nots[i], nots[j]
-        for lit, (right, left) in zip(not_i, mat):
+        # the rows and columns of a matrix are indexed 0 = Right, 1 = Left
+        for u, (right, left) in zip((2 * i + 1, 2 * i), mat):
             if right:
-                clauses.append(Clause2(lit, not_j[0]))
+                clauses.append((u, 2 * j + 1))
             if left:
-                clauses.append(Clause2(lit, not_j[1]))
+                clauses.append((u, 2 * j))
     return table.n, clauses
 
 

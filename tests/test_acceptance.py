@@ -39,7 +39,7 @@ from banded.morph import (
 )
 from banded.solver import brute_force_assignments, solve_no_steiner
 from banded.steiner import build_layered_surface
-from banded.twosat import Clause2, Literal, evaluate_clauses, solve_2sat
+from banded.twosat import evaluate_clauses, solve_2sat
 
 KINDS = ("convex", "star", "spiral")
 
@@ -322,17 +322,19 @@ def test_criterion_9_two_sat_engine():
         sat = full
         for cl in clauses:
             cm = 0
-            for lit in (cl.first, cl.second):
-                cm |= (full ^ masks[lit.var]) if lit.negated else masks[lit.var]
+            for node in cl:
+                v, negated = divmod(node, 2)
+                cm |= (full ^ masks[v]) if negated else masks[v]
             sat &= cm
         return sat != 0
 
     for k in range(500):
         n = rng.randint(1, 12)
+        # a clause is a pair of nodes 2 var + negated
         clauses = [
-            Clause2(
-                Literal(rng.randrange(n), rng.random() < 0.5),
-                Literal(rng.randrange(n), rng.random() < 0.5),
+            (
+                2 * rng.randrange(n) + (rng.random() < 0.5),
+                2 * rng.randrange(n) + (rng.random() < 0.5),
             )
             for _ in range(rng.randint(0, 40))
         ]

@@ -312,3 +312,28 @@ def test_exact_modules_use_no_floats():
                 # an alias would hide the attribute check above
                 found += [(module, node.lineno, "aliased math") for a in node.names if a.name == "math" and a.asname]
     assert found == []
+
+
+# the only modules that end the process themselves, with the CLI's exit code
+EXITING_MODULES = {"cli.py", "__main__.py"}
+
+
+def test_every_raise_names_a_package_error():
+    # every failure is a `BandedError` subtype, which `cli.main` maps to an
+    # exit code: each `raise` names a class of `banded.errors` or re-raises
+    # what a handler caught, and only the entry points raise `SystemExit`
+    from banded import errors
+
+    allowed = {
+        name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.BandedError)
+    }
+    found = []
+    for path in sorted((ROOT / "src" / "banded").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+            if name not in allowed and not (name == "SystemExit" and path.name in EXITING_MODULES):
+                found.append((path.name, node.lineno, name))
+    assert found == []

@@ -1,16 +1,15 @@
 import random
+from collections import Counter, deque
 
 import pytest
 
-from banded.twosat import Clause2, Literal, evaluate_clauses, solve_2sat
+from banded.errors import PreconditionError
+from banded.twosat import Literal, _tarjan_scc, evaluate_clauses, solve_2sat
 
 
 def lit(v, neg=False):
-    return Literal(v, neg)
-
-
-def clause(a, b):
-    return Clause2(a, b)
+    """The node of x_v, or of ~x_v: 2 v + negated."""
+    return 2 * v + neg
 
 
 def enumeration_verdict(n_vars, clauses):
@@ -29,23 +28,24 @@ def enumeration_verdict(n_vars, clauses):
     sat = full
     for cl in clauses:
         cm = 0
-        for l in (cl.first, cl.second):
-            cm |= (full ^ var_mask[l.var]) if l.negated else var_mask[l.var]
+        for node in cl:
+            v, negated = divmod(node, 2)
+            cm |= (full ^ var_mask[v]) if negated else var_mask[v]
         sat &= cm
     return sat != 0
 
 
 def test_forced_contradiction_unsat():
-    res = solve_2sat(1, [clause(lit(0), lit(0)), clause(lit(0, True), lit(0, True))])
+    res = solve_2sat(1, [(lit(0), lit(0)), (lit(0, True), lit(0, True))])
     assert not res.satisfiable
     assert res.witness_var == 0
     # witness chains start and end at the variable's two literals
-    assert res.chain_pos_to_neg[0] == lit(0) and res.chain_pos_to_neg[-1] == lit(0, True)
-    assert res.chain_neg_to_pos[0] == lit(0, True) and res.chain_neg_to_pos[-1] == lit(0)
+    assert res.chain_pos_to_neg[0] == Literal(0) and res.chain_pos_to_neg[-1] == Literal(0, True)
+    assert res.chain_neg_to_pos[0] == Literal(0, True) and res.chain_neg_to_pos[-1] == Literal(0)
 
 
 def test_single_clause_satisfied():
-    clauses = [clause(lit(0), lit(1))]
+    clauses = [(lit(0), lit(1))]
     res = solve_2sat(2, clauses)
     assert res.satisfiable
     assert evaluate_clauses(res.assignment, clauses)
@@ -54,9 +54,9 @@ def test_single_clause_satisfied():
 def test_implication_chain_forces_all_true():
     # x0, x0 -> x1, x1 -> x2; the only model is (1, 1, 1)
     clauses = [
-        clause(lit(0), lit(0)),
-        clause(lit(0, True), lit(1)),
-        clause(lit(1, True), lit(2)),
+        (lit(0), lit(0)),
+        (lit(0, True), lit(1)),
+        (lit(1, True), lit(2)),
     ]
     res = solve_2sat(3, clauses)
     assert res.satisfiable
@@ -71,14 +71,17 @@ def test_implication_chain_forces_all_true():
 
 
 def test_out_of_range_literal():
-    with pytest.raises(IndexError):
-        solve_2sat(1, [clause(lit(0), lit(1))])
+    # a node outside [0, 2 n_vars) is the caller's error, negative ones
+    # included, which a list would otherwise read from its end
+    for clause in ((lit(0), lit(1)), (lit(1, True), lit(0)), (-1, lit(0)), (lit(0), -2)):
+        with pytest.raises(PreconditionError):
+            solve_2sat(1, [clause])
 
 
 def test_deterministic():
     rng = random.Random(3)
     clauses = [
-        clause(lit(rng.randrange(6), rng.random() < 0.5), lit(rng.randrange(6), rng.random() < 0.5))
+        (lit(rng.randrange(6), rng.random() < 0.5), lit(rng.randrange(6), rng.random() < 0.5))
         for _ in range(15)
     ]
     first = solve_2sat(6, clauses)
@@ -91,7 +94,7 @@ def test_matches_enumeration_on_random_instances():
     for _ in range(150):
         n = rng.randint(1, 10)
         clauses = [
-            clause(
+            (
                 lit(rng.randrange(n), rng.random() < 0.5),
                 lit(rng.randrange(n), rng.random() < 0.5),
             )
@@ -103,13 +106,52 @@ def test_matches_enumeration_on_random_instances():
             assert evaluate_clauses(res.assignment, clauses)
         else:
             v = res.witness_var
-            assert res.chain_pos_to_neg[0] == lit(v)
-            assert res.chain_pos_to_neg[-1] == lit(v, True)
-            # every step of both chains must be a real implication edge
+            assert res.chain_pos_to_neg[0] == Literal(v)
+            assert res.chain_pos_to_neg[-1] == Literal(v, True)
+            # every step of both chains must be a real implication edge:
+            # "a or b" gives ~a -> b and ~b -> a
             edges = set()
             for cl in clauses:
-                for a, b in ((cl.first, cl.second), (cl.second, cl.first)):
-                    edges.add((Literal(a.var, not a.negated), b))
+                a, b = (Literal(node // 2, bool(node % 2)) for node in cl)
+                edges |= {(~a, b), (~b, a)}
             for chain in (res.chain_pos_to_neg, res.chain_neg_to_pos):
                 for u, w in zip(chain, chain[1:]):
                     assert (u, w) in edges
+
+
+def test_scc_ids_are_reachability_classes_in_reverse_topological_order():
+    # the assignment rule comp[2v] < comp[2v + 1] rests on three facts:
+    # components are the mutual-reachability classes, every edge between
+    # two of them goes to a smaller id (id 0 is a sink), and the ids are
+    # 0..k-1
+    rng = random.Random(1972)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        edges += rng.sample(edges, len(edges) // 4)  # parallel edges
+        rng.shuffle(edges)
+        adj = [[] for _ in range(n)]
+        for u, w in edges:
+            adj[u].append(w)
+        comp = _tarjan_scc(n, adj)
+
+        reach = []
+        for start in range(n):
+            found, queue = {start}, deque([start])
+            while queue:
+                for w in adj[queue.popleft()]:
+                    if w not in found:
+                        found.add(w)
+                        queue.append(w)
+            reach.append(found)
+        for u in range(n):
+            assert {w for w in range(n) if comp[w] == comp[u]} == {w for w in reach[u] if u in reach[w]}
+        assert all(comp[u] > comp[w] for u, w in edges if comp[u] != comp[w])
+        assert sorted(set(comp)) == list(range(len(set(comp))))
+
+        seen["self-loop"] += any(u == w for u, w in edges)
+        seen["parallel"] += len(set(edges)) < len(edges)
+        seen["cycle"] += len(set(comp)) < n
+        seen["acyclic"] += len(set(comp)) == n and n > 1
+    assert min(seen.values()) > 20, seen
