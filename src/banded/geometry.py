@@ -128,13 +128,20 @@ def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
 
 def _integer_axis(values: list) -> tuple[int, list[int]]:
     """The least positive k with k * v an integer for every int or Fraction
-    v in `values`, and those integers k * v, in order, built without
-    `Fraction` arithmetic.
+    v in `values`, and those integers k * v, in order, as ints even when k
+    is 1, built without `Fraction` arithmetic.  Every function that scales
+    coordinates does it here, so this holds the number policy: a value
+    with no `denominator`, such as a float, raises `InputError`.
 
     Multiplying coordinates by one positive factor is a similarity, so exact
     predicates give the same verdicts on the integer copy, and far faster.
     """
-    k = math.lcm(*{v.denominator for v in values})
+    try:
+        k = math.lcm(*{v.denominator for v in values})
+    except AttributeError as exc:
+        raise InputError("coordinates must be ints or Fractions") from exc
+    if k == 1:
+        return 1, [v.numerator for v in values]
     return k, [v.numerator * (k // v.denominator) for v in values]
 
 
@@ -144,9 +151,8 @@ def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
     integers is returned as it is."""
     if all(type(p.x) is int and type(p.y) is int for p in pts):
         return pts
-    n = len(pts)
-    _, cs = _integer_axis([p.x for p in pts] + [p.y for p in pts])
-    return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
+    _, cs = _integer_axis([c for p in pts for c in p])
+    return list(map(Point2, cs[0::2], cs[1::2]))
 
 
 def _end_map(u, w, v, z) -> tuple:
@@ -185,13 +191,13 @@ def _end_boxes(band):
 
 def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
     """The boxes, the end boxes and the band quads of every edge over
-    [0, H] for the horizon H = num / den, on the coordinates cs (px, py,
-    qx, qy of every vertex's source p and target q in turn), with each
-    vertex's source at z = 0 and its position at time H at z = 1, all
-    scaled by den onto ints.  Band i's quad is (p_i, p_i+1, q_i+1, q_i),
-    bottom pair then top, its box is `_box` of it and its end boxes are
-    `_end_boxes` of it; with H = 1 these are the instance's band quads, for
-    the conflict table and the morph scan alike."""
+    [0, H] for the horizon H = num / den, on the coordinates cs laid out
+    as `model._coordinates`, with each vertex's source at z = 0 and its
+    position at time H at z = 1, all scaled by den onto ints.  Band i's
+    quad is (p_i, p_i+1, q_i+1, q_i), bottom pair then top, its box is
+    `_box` of it and its end boxes are `_end_boxes` of it; with H = 1 these
+    are the instance's band quads, for the conflict table and the morph
+    scan alike."""
     num, den = horizon
     tracks = []
     for m in range(0, len(cs), 4):

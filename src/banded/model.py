@@ -124,18 +124,18 @@ class SliceInstance:
         )
 
 
+def _coordinates(inst: SliceInstance) -> list:
+    """px, py, qx, qy of every vertex's source p and target q, in turn."""
+    return [c for p, q in zip(inst.source.vertices, inst.target.vertices) for c in (p.x, p.y, q.x, q.y)]
+
+
 def _frame(inst: SliceInstance) -> tuple[int, list[int], tuple | None]:
     """The instance's joint integer frame and affine fit: the least factor
     k that puts every coordinate of both polygons on integers, the scaled
-    coordinates cs, which are px, py, qx, qy of every vertex's source p and
-    target q in turn, and `_affine_fit(cs)`.  One factor for both polygons
-    is a similarity of space, so every morph event time is unchanged.
-    A coordinate that is no int or `Fraction` raises `InputError`."""
-    ends = zip(inst.source.vertices, inst.target.vertices)
-    try:
-        k, cs = _integer_axis([c for p, q in ends for c in (p.x, p.y, q.x, q.y)])
-    except AttributeError as exc:  # a float, which has no denominator
-        raise InputError("coordinates must be ints or Fractions") from exc
+    `_coordinates` cs, and `_affine_fit(cs)`.  One factor for both polygons
+    is a similarity of space, so every morph event time is unchanged.  A
+    float raises `InputError` in `_integer_axis`, which holds that policy."""
+    k, cs = _integer_axis(_coordinates(inst))
     return k, cs, _affine_fit(cs)
 
 
@@ -275,20 +275,17 @@ def scaled_to_integers(inst: SliceInstance) -> SliceInstance:
     factor.  Scaling x and y together (z untouched) is a linear bijection of
     space, so chord conflicts, solvability, and verifier verdicts all carry
     over unchanged; integer coordinates make the exact predicates much faster.
-    The coordinates come back as ints even when the factor is 1: integral
-    `Fraction` values cost as much in arithmetic as any other `Fraction`.
     An instance already on ints is returned as it is.
     """
-    ends = zip(inst.source.vertices, inst.target.vertices)
-    values = [c for p, q in ends for c in (p.x, p.y, q.x, q.y)]
+    values = _coordinates(inst)
     if all(type(c) is int for c in values):
         return inst
     return _integer_instance(inst, _integer_axis(values)[1])
 
 
 def _integer_instance(inst: SliceInstance, cs: list[int]) -> SliceInstance:
-    """The instance on the scaled coordinates cs of `_frame` (px, py, qx,
-    qy of every vertex in turn), at its own z levels."""
+    """The instance on the scaled coordinates cs of `_frame`, in the
+    layout of `_coordinates`, at its own z levels."""
     return SliceInstance(
         LabeledPolygon(tuple(map(Point2, cs[0::4], cs[1::4])), inst.source.z_level),
         LabeledPolygon(tuple(map(Point2, cs[2::4], cs[3::4])), inst.target.z_level),
@@ -299,9 +296,7 @@ def _integer_points(s: "BandedSurface") -> tuple[list[tuple[int, int, int]], tup
     """The mesh's vertices scaled onto integers, one positive factor per
     axis, as (x, y, z) tuples, and the factors (kx, ky, kz).  Such a
     scaling keeps coincidence, degeneracy and every intersection verdict,
-    and int arithmetic is far faster than `Fraction` arithmetic; as in
-    `scaled_to_integers`, the coordinates come back as ints even when a
-    factor is 1."""
+    and int arithmetic is far faster than `Fraction` arithmetic."""
     pts = [p for p, _ in s.vertices]
     kx, xs = _integer_axis([p.x for p in pts])
     ky, ys = _integer_axis([p.y for p in pts])
@@ -917,14 +912,15 @@ def verify_banded_surface(
     """Run the four certification checks and report per-check verdicts.
 
     The vertices are scaled onto integers once, one positive factor per
-    axis, which keeps every verdict.  The topology check proves the mesh an
-    annulus from counts and edge incidences alone (the argument is in
-    `_check_topology`); its one pass over the faces also leaves the edge
-    map that the path check reads, and each face's integer vertices, plane,
-    box and end boxes for the face-pair check.  That check sweeps the
-    mesh's cells, a band's faces in one slab, before their faces, and
-    stops at the first improper pair (`_check_face_intersections` gives
-    its exact filters).
+    axis, which keeps every verdict; as in every function that scales
+    coordinates, `geometry._integer_axis` raises `InputError` on a float
+    there.  The topology check proves the mesh an annulus from counts and
+    edge incidences alone (the argument is in `_check_topology`); its one
+    pass over the faces also leaves the edge map that the path check
+    reads, and each face's integer vertices, plane, box and end boxes for
+    the face-pair check.  That check sweeps the mesh's cells, a band's
+    faces in one slab, before their faces, and stops at the first improper
+    pair (`_check_face_intersections` gives its exact filters).
     Later checks assume structurally sound input, so they are skipped
     (marked failed with a note) when the topology check already failed
     hard.

@@ -31,6 +31,7 @@ from .model import (
     SliceInstance,
     VerificationReport,
     _QUAD_TRIPLES,
+    _coordinates,
     _integer_instance,
     assignment_to_surface,
     scaled_to_integers,
@@ -267,8 +268,7 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     if inst.source.z_level == inst.target.z_level:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
-    tracks = zip(inst.source.vertices, inst.target.vertices)
-    _, cs = _integer_axis([c for p, q in tracks for c in (p.x, p.y, q.x, q.y)])
+    _, cs = _integer_axis(_coordinates(inst))
     boxes, ends, bands = _horizon_bands(cs, (1, 1))
     self_conflicts = []
     for i, ((p0x, p0y, _), (p1x, p1y, _), (q1x, q1y, _), (q0x, q0y, _)) in enumerate(bands):
@@ -353,7 +353,7 @@ def solve_no_steiner(inst: SliceInstance) -> SolveOutcome:
 
     The instance is validated first (`SliceInstance.validate` raises
     `InputError` on an invalid one), and the conflict table is built on the
-    integer frame that validation computes, so the instance is scaled once.
+    instance rebuilt from validation's integer frame, at factor 1.
     On UNSAT the table may be a prefix that 2-SAT refuted, and then carries
     that result as its `refutation`, so only a complete table is solved
     here; its clauses are conflicts of the instance, so the witness chains

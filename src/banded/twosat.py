@@ -22,9 +22,6 @@ class Literal:
     var: int
     negated: bool = False
 
-    def __invert__(self) -> "Literal":
-        return Literal(self.var, not self.negated)
-
     def __str__(self):
         return f"~x{self.var}" if self.negated else f"x{self.var}"
 

@@ -304,6 +304,11 @@ def assert_refutes_or_completes(table, reference):
     return result
 
 
+def negation(lit):
+    """The literal of the opposite sign on the same variable."""
+    return Literal(lit.var, not lit.negated)
+
+
 def assert_chains_are_conflicts(inst, unsat):
     """Every implication a -> b of both UNSAT chains is a conflict of the
     instance, read from `conflicts` and the chord triangles, not from a
@@ -319,7 +324,7 @@ def assert_chains_are_conflicts(inst, unsat):
     for chain in (unsat.chain_pos_to_neg, unsat.chain_neg_to_pos):
         for a, b in zip(chain, chain[1:]):
             if a.var == b.var:
-                assert b == ~a
+                assert b == negation(a)
                 assert open_triangles_intersect_3d(*chord_triangles(inst, a.var, chord(a)).triangles)
             else:
                 assert conflicts(inst, a.var, chord(a), b.var, other[chord(b)]), (a, b)
@@ -852,30 +857,30 @@ def literal_node(lit):
 
 
 def reference_clauses(table):
-    """`build_clauses` the old way: pairs of fresh `~Literal`s of the chosen
-    chords over the sorted items of the table."""
+    """`build_clauses` the old way: pairs of the negated `Literal`s of the
+    chosen chords over the sorted items of the table."""
 
     def chosen(i, c):
         return Literal(i, negated=c is Chord.LEFT)
 
     clauses = []
     for i, c in sorted(table.self_conflicts, key=chord_order):
-        clauses.append((~chosen(i, c), ~chosen(i, c)))
+        clauses.append((negation(chosen(i, c)), negation(chosen(i, c))))
     for (i, j), mat in sorted(table.pairs.items()):
         for ci, row in zip(Chord, mat):
             for cj, bad in zip(Chord, row):
                 if bad:
-                    clauses.append((~chosen(i, ci), ~chosen(j, cj)))
+                    clauses.append((negation(chosen(i, ci)), negation(chosen(j, cj))))
     return clauses
 
 
 def reference_solve_2sat(n, clauses):
     """`solve_2sat` on `Literal` pairs, with the implication graph built
-    from `~lit` nodes."""
+    from the nodes of negated literals."""
     adj = [[] for _ in range(2 * n)]
     for first, second in clauses:
-        adj[literal_node(~first)].append(literal_node(second))
-        adj[literal_node(~second)].append(literal_node(first))
+        adj[literal_node(negation(first))].append(literal_node(second))
+        adj[literal_node(negation(second))].append(literal_node(first))
     comp = twosat._tarjan_scc(2 * n, adj)
     for v in range(n):
         if comp[2 * v] == comp[2 * v + 1]:

@@ -240,6 +240,92 @@ def test_entry_points_reject_invalid_instances(entry, case):
         function(inst)
 
 
+# every function that puts coordinates on integers, each of which meets a
+# float in `geometry._integer_axis`
+SCALERS = (
+    "LabeledPolygon.validate",
+    "polygon_is_simple",
+    "polygon_is_ccw",
+    "scaled_to_integers",
+    "build_conflict_table",
+    "conflicts",
+    "verify_banded_surface",
+    "cross_section",
+)
+
+
+@pytest.mark.parametrize("scaler", SCALERS)
+def test_every_scaler_rejects_a_float_coordinate(scaler):
+    from fractions import Fraction
+
+    from banded.errors import InputError
+    from banded.geometry import Point2, polygon_is_ccw, polygon_is_simple
+    from banded.model import (
+        Chord,
+        ChordAssignment,
+        LabeledPolygon,
+        SliceInstance,
+        assignment_to_surface,
+        cross_section,
+        scaled_to_integers,
+        verify_banded_surface,
+    )
+    from banded.solver import build_conflict_table, conflicts
+
+    source = LabeledPolygon(tuple(Point2(*p) for p in INVALID["float_coordinate"][0]), 0)
+    inst = SliceInstance(source, LabeledPolygon(tuple(Point2(*p) for p in SQUARE), 1))
+    surface = assignment_to_surface(inst, ChordAssignment((Chord.RIGHT,) * inst.n))
+    calls = {
+        "LabeledPolygon.validate": source.validate,
+        "polygon_is_simple": lambda: polygon_is_simple(source.vertices),
+        "polygon_is_ccw": lambda: polygon_is_ccw(source.vertices),
+        "scaled_to_integers": lambda: scaled_to_integers(inst),
+        "build_conflict_table": lambda: build_conflict_table(inst),
+        "conflicts": lambda: conflicts(inst, 0, Chord.RIGHT, 2, Chord.LEFT),
+        "verify_banded_surface": lambda: verify_banded_surface(surface),
+        "cross_section": lambda: cross_section(surface, Fraction(1, 2)),
+    }
+    with pytest.raises(InputError, match="ints or Fractions"):
+        calls[scaler]()
+
+
+# between them the three figures give SAT and UNSAT decisions, the
+# brute-force oracle (n <= 10), both morph verdicts and a layered build that
+# adds vertices
+CHECKED_FIGURES = ("fig1_twisted_prism", "fig3a_no_surface", "fig7_star")
+
+
+def test_the_benchmark_checks_pass_on_the_figures(monkeypatch):
+    # `benchmarks/checks.py` imports library names (`scaled_to_integers`,
+    # `chord_triangles`, `conflicts`, `OriginalLabel`, ...) that the timed
+    # loop does not; a change that drops one fails here, not only in a
+    # benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import checks
+    from reference_figures import reference_instance
+
+    from banded.model import verify_banded_surface
+    from banded.morph import planarity_preserving
+    from banded.solver import solve_no_steiner
+    from banded.steiner import build_layered_surface
+
+    verdicts = []
+    for name in CHECKED_FIGURES:
+        inst = reference_instance(name).instance
+        surface = build_layered_surface(inst)
+        for check, result in (
+            (checks.check_decide, solve_no_steiner(inst)),
+            (checks.check_morph, planarity_preserving(inst)),
+            (checks.check_layered, (surface, verify_banded_surface(surface, force_sections=True))),
+        ):
+            ok, verdict, detail = check(inst, result)
+            assert ok, (name, check.__name__, verdict, detail)
+            verdicts.append(verdict.split()[0])
+    assert {"SAT", "UNSAT", "preserved"} <= set(verdicts)
+    assert {"edge_contact", "angle_collapse", "orientation_flip"} & set(verdicts)
+    assert any(v.startswith("steiner=") and v != "steiner=0" for v in verdicts)
+
+
 def test_options_are_only_those_a_caller_sets():
     # an option that no caller sets is a code path that nothing runs;
     # `force_sections` is the benchmark's re-check

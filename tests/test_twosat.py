@@ -113,7 +113,7 @@ def test_matches_enumeration_on_random_instances():
             edges = set()
             for cl in clauses:
                 a, b = (Literal(node // 2, bool(node % 2)) for node in cl)
-                edges |= {(~a, b), (~b, a)}
+                edges |= {(Literal(a.var, not a.negated), b), (Literal(b.var, not b.negated), a)}
             for chain in (res.chain_pos_to_neg, res.chain_neg_to_pos):
                 for u, w in zip(chain, chain[1:]):
                     assert (u, w) in edges
