@@ -140,8 +140,6 @@ def _integer_axis(values: list) -> tuple[int, list[int]]:
         k = math.lcm(*{v.denominator for v in values})
     except AttributeError as exc:
         raise InputError("coordinates must be ints or Fractions") from exc
-    if k == 1:
-        return 1, [v.numerator for v in values]
     return k, [v.numerator * (k // v.denominator) for v in values]
 
 
@@ -151,8 +149,9 @@ def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
     integers is returned as it is."""
     if all(type(p.x) is int and type(p.y) is int for p in pts):
         return pts
-    _, cs = _integer_axis([c for p in pts for c in p])
-    return list(map(Point2, cs[0::2], cs[1::2]))
+    n = len(pts)
+    _, cs = _integer_axis([p.x for p in pts] + [p.y for p in pts])
+    return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
 
 
 def _end_map(u, w, v, z) -> tuple:

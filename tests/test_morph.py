@@ -579,51 +579,45 @@ def generated_instances(draw):
     return SliceInstance(LabeledPolygon(polygon.vertices, 0), LabeledPolygon(other.vertices, 1))
 
 
-def _valid_at(inst, t) -> bool:
-    pts = morph_position(inst, t).vertices
-    return polygon_is_simple(pts) and polygon_is_ccw(pts)
+def _snapshot_is_valid(inst, t) -> bool:
+    """The morph at time t is simple and counterclockwise, by a route that
+    shares no code with `morph`: the snapshot interpolated here and put on
+    integers by the lcm of its denominators (a similarity), the pairwise
+    segment test of `geometry_reference` and the shoelace sign."""
+    ends = zip(inst.source.vertices, inst.target.vertices)
+    xys = [(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)) for p, q in ends]
+    k = math.lcm(*(c.denominator for xy in xys for c in xy))
+    pts = [Point2(int(x * k), int(y * k)) for x, y in xys]
+    area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    return area2 > 0 and geometry_reference.polygon_is_simple_pairwise(pts)
 
 
-@settings(max_examples=80, deadline=None)
-@given(generated_instances())
-def test_verdict_agrees_with_snapshots(inst):
+def _assert_verdict_agrees_with_snapshots(inst):
     # a preserved morph is simple and counterclockwise at every snapshot; a
     # violated one is valid before its witness interval, and invalid at the
     # interval's midpoint unless the violation is a single instant
     verdict = planarity_preserving(inst)
     grid = [Fraction(j, 64) for j in range(1, 64)]
     if verdict.preserved:
-        assert all(_valid_at(inst, t) for t in grid)
+        assert all(_snapshot_is_valid(inst, t) for t in grid)
         return
     lo, hi = verdict.interval
-    assert all(_valid_at(inst, t) for t in grid if t < lo)
+    assert all(_snapshot_is_valid(inst, t) for t in grid if t < lo)
     if not verdict.instantaneous:
-        assert not _valid_at(inst, (lo + hi) / 2)
+        assert not _snapshot_is_valid(inst, (lo + hi) / 2)
 
 
-def _snapshot_is_valid(inst, t) -> bool:
-    """The morph at time t is simple and counterclockwise, by a route that
-    shares no code with `morph`: the snapshot interpolated here, the
-    pairwise segment test of `geometry_reference` and the shoelace sign."""
-    ends = zip(inst.source.vertices, inst.target.vertices)
-    pts = [Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)) for p, q in ends]
-    area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    return area2 > 0 and geometry_reference.polygon_is_simple_pairwise(pts)
+@settings(max_examples=80, deadline=None)
+@given(generated_instances())
+def test_verdict_agrees_with_snapshots(inst):
+    _assert_verdict_agrees_with_snapshots(inst)
 
 
 @given(st.randoms(use_true_random=True), st.integers(3, 6))
 @settings(max_examples=600, derandomize=True, deadline=None)
 def test_grid_morphs_agree_with_snapshots(rng, n):
-    # two polygons on the 5 x 5 grid, as in the solver's grid property: a
-    # preserved morph is valid at every t = k/16, and a violated one that
-    # is not a single instant is invalid at its interval's midpoint
-    inst = _instance(grid_polygon(rng, n), grid_polygon(rng, n))
-    verdict = planarity_preserving(inst)
-    if verdict.preserved:
-        assert all(_snapshot_is_valid(inst, Fraction(k, 16)) for k in range(17))
-    elif not verdict.instantaneous:
-        lo, hi = verdict.interval
-        assert not _snapshot_is_valid(inst, (lo + hi) / 2)
+    # two polygons on the 5 x 5 grid, as in the solver's grid property
+    _assert_verdict_agrees_with_snapshots(_instance(grid_polygon(rng, n), grid_polygon(rng, n)))
 
 
 GRID = [(x, y) for x in range(4) for y in range(4)]
