@@ -226,6 +226,28 @@ def _box_pairs(boxes):
         active.append((x1, y0, y1, k))
 
 
+def _meet_only_at_ends(segments) -> bool:
+    """Whether every two of the closed segments (p, q) of `Point2`s in
+    `segments` meet only in endpoints they share; a segment with p == q is
+    the point p, which may touch another segment only at an endpoint equal
+    to p.  So two segments that cross, touch an interior point or overlap
+    along a collinear stretch fail, and so does a point inside a segment.
+
+    One sweep in the style of Shamos and Hoey (1976): the pairs whose
+    closed boxes meet, as `_box_pairs` finds them, go through
+    `segments_intersect_2d(..., mode="proper")`, and a pair with disjoint
+    boxes has no common point."""
+    boxes = []
+    for (px, py), (qx, qy) in segments:
+        x0, x1 = (px, qx) if px <= qx else (qx, px)
+        y0, y1 = (py, qy) if py <= qy else (qy, py)
+        boxes.append((x0, x1, y0, y1))
+    for j, k in _box_pairs(boxes):
+        if segments_intersect_2d(*segments[j], *segments[k], mode="proper"):
+            return False
+    return True
+
+
 def polygon_signed_area2(pts: Sequence[Point2]):
     """Twice the signed area (positive for counterclockwise order)."""
     total = 0

@@ -24,6 +24,7 @@ from .geometry import (
     _end_map,
     _integer_axis,
     _integer_polygon,
+    _meet_only_at_ends,
     _plane,
     _quads_apart,
     _triangles_meet,
@@ -102,8 +103,8 @@ class SliceInstance:
         integer copy (`LabeledPolygon.validate`), which for a polygon on
         integers is the polygon itself.
         """
-        z0, z1 = self.source.z_level, self.target.z_level
-        if not (isinstance(z0, (int, Fraction)) and isinstance(z1, (int, Fraction)) and z0 == 0 and z1 == 1):
+        z0, z1 = _levels(self)
+        if not (z0 == 0 and z1 == 1):
             raise InputError("slice instance requires z levels exactly 0 and 1")
         if len(self.source.vertices) != len(self.target.vertices):
             raise InputError("source and target must have the same vertex count")
@@ -122,6 +123,16 @@ class SliceInstance:
             self.target.point3(i + 1),
             self.target.point3(i),
         )
+
+
+def _levels(inst: SliceInstance) -> tuple:
+    """The source and target z levels, or `InputError` where one is not an
+    int or a `Fraction`: the exact kernels take no float level, as
+    `_integer_axis` takes no float coordinate."""
+    levels = inst.source.z_level, inst.target.z_level
+    if not all(isinstance(z, (int, Fraction)) for z in levels):
+        raise InputError("z levels must be ints or Fractions")
+    return levels
 
 
 def _coordinates(inst: SliceInstance) -> list:
@@ -649,6 +660,38 @@ def _faces_meet(f, g) -> bool:
     return _triangles_meet(vf, sf, vg, sg)
 
 
+class _CleanLevels(dict):
+    """Whether each z level of the `_face_record`s `faces` is clean, by
+    level, computed at its first lookup.  A level is clean when every mesh
+    edge with both ends on it meets every other such edge only in shared
+    endpoints, and no vertex on it lies on such an edge but at an end:
+    `geometry._meet_only_at_ends` on the level's edges and on its lone
+    vertices, those at no end of one, as points.  The first lookup takes
+    every level's edges and vertices from one pass over the records."""
+
+    def __init__(self, faces):
+        super().__init__()
+        self.faces = faces
+        self.parts = None
+
+    def __missing__(self, z):
+        if self.parts is None:
+            self.parts = {}
+            for f in self.faces:
+                a, b, c = f[8]
+                for p, q in ((a, b), (b, c), (c, a)):
+                    edges, points = self.parts.setdefault(p[2], (set(), set()))
+                    points.add(p[:2])
+                    if p[2] == q[2]:
+                        edges.add((p[:2], q[:2]) if p < q else (q[:2], p[:2]))
+        edges, points = self.parts[z]
+        ends = {p for edge in edges for p in edge}
+        segments = [(Point2(*p), Point2(*q)) for p, q in edges]
+        segments += [(Point2(*p),) * 2 for p in points - ends]
+        verdict = self[z] = _meet_only_at_ends(segments)
+        return verdict
+
+
 def _check_face_intersections(bands, faces) -> CheckResult:
     """No two faces meet outside a vertex or edge they share; `faces` holds
     the `_face_record`s that `_check_topology` leaves, `bands` the mesh's
@@ -669,6 +712,9 @@ def _check_face_intersections(bands, faces) -> CheckResult:
     - Level touch.  When the z-ranges meet in one level, the cells can
       meet only at that level, in their parts there; parts with disjoint
       xy boxes never meet.
+    - Clean level.  Two two-level cells whose z-ranges meet in one level
+      z are apart when z is clean (`_CleanLevels`), which is checked the
+      first time such a pair reaches this test at z.
     - End boxes.  Two cells with vertices at the same two levels and no
       other are apart when `geometry._ends_apart` holds for their end
       boxes; that test is written out here, since it runs on most pairs of
@@ -681,7 +727,25 @@ def _check_face_intersections(bands, faces) -> CheckResult:
     Every face pair across two cells that no test dismisses, and whose
     closed xy boxes meet, goes through `_faces_meet`, the earlier cell's
     face first; a face's z-range is its cell's, which the cell pair's box
-    test has met."""
+    test has met.  Every dismissed pair is proper, so the first improper
+    pair is the one the undismissed sweep would report.
+
+    Lemma (clean level).  Let F and G be two-level faces, F with its
+    vertices on the levels a < z and G on z < b.  If z is clean, F and G
+    meet at most in a vertex or edge they share.
+
+    Proof.  F lies in the slab a <= z' <= z and G in z <= z' <= b, so they
+    meet only in the plane z' = z.  A triangle's part in that plane is the
+    hull of its vertices there, and F has one or two: a vertex, or an edge
+    of F, which is a mesh edge with both ends at z; so is G's part.  Two
+    such edges meet only in shared endpoints, a vertex that is on an edge
+    is one of its ends, and two vertices meet only when equal.  So every
+    common point of F and G is a vertex of both, and when they have two,
+    the parts are one edge, which both share.  Each cell of a two-level
+    cell pair holds only two-level faces on its own two levels, so the
+    lemma clears every face pair across it, and keeping the one global
+    sweep keeps the order in which the rest are tested."""
+    clean = _CleanLevels(faces)
     active = []
     for cell in sorted(_face_cells(bands, faces), key=itemgetter(0)):
         x0, x1, y0, y1, z0, z1, ke, k2, kq, km = cell
@@ -695,6 +759,8 @@ def _check_face_intersections(bands, faces) -> CheckResult:
             if w1 == z0 or z1 == w0:
                 lo, hi = (je, ke) if w1 == z0 else (ke, je)
                 if lo[5] < hi[0] or hi[1] < lo[4] or lo[7] < hi[2] or hi[3] < lo[6]:
+                    continue
+                if j2 and k2 and clean[z0 if w1 == z0 else w0]:
                     continue
             elif j2 and k2 and w0 == z0 and w1 == z1:
                 if (

@@ -33,6 +33,7 @@ from .model import (
     _QUAD_TRIPLES,
     _coordinates,
     _integer_instance,
+    _levels,
     assignment_to_surface,
     scaled_to_integers,
     verify_banded_surface,
@@ -49,9 +50,11 @@ class ChordChoiceTriangles:
 
 
 def chord_triangles(inst: SliceInstance, i: int, choice: Chord) -> ChordChoiceTriangles:
-    """The two faces induced on band i by choosing the given chord."""
+    """The two faces induced on band i by choosing the given chord; a z
+    level that is not an int or a `Fraction` raises `InputError`."""
     if not 0 <= i < inst.n:
         raise PreconditionError(f"band index {i} out of range")
+    _levels(inst)
     quad = inst.band_quad(i)
     k = 0 if choice is Chord.RIGHT else 2
     triangles = tuple(tuple(quad[v] for v in triple) for triple in _QUAD_TRIPLES[k : k + 2])
@@ -223,9 +226,11 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     The band quads and their boxes are those of the morph scan over [0, 1]
     (`geometry._horizon_bands`), on the instance's coordinates scaled onto
     integers: the source at z = 0 and the target at z = 1, whatever the
-    instance's two distinct z levels.  Scaling x and y by one positive
-    factor and mapping the two levels onto 0 and 1 is an affine bijection
-    of space, so every contact, and so every conflict, is unchanged.
+    instance's two distinct z levels, which must be ints or `Fraction`s
+    (`model._levels`), as every coordinate must.  Scaling x and y by one
+    positive factor and mapping the two levels onto 0 and 1 is an affine
+    bijection of space, so every contact, and so every conflict, is
+    unchanged.
 
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
@@ -265,7 +270,8 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     `_sections_apart` test on the two edge vectors per band.  Every table
     holds all self-conflicts, left chord before right.
     """
-    if inst.source.z_level == inst.target.z_level:
+    z0, z1 = _levels(inst)
+    if z0 == z1:
         raise PreconditionError("conflict tables need distinct source and target z-levels")
     n = inst.n
     _, cs = _integer_axis(_coordinates(inst))

@@ -8,7 +8,9 @@ preserved verbatim.  Plans are tried cheapest first: snapshots of the linear
 morph, taken at the midpoints of a bisection at most 4 deep, which gives up
 at the first midpoint that is not simple; exact sub-rotations for rotated
 instances; and the ear-squash route, which has built every pair tried.
-Every gap is certified by the chord solver.
+Every gap is certified by the chord solver, once per build: its verdict is
+memoised under the gap put on one integer frame (`_gap_key`), and gaps
+with one key, which are equal up to a positive factor, share one table.
 
 The ear-squash route picks a corner triple {i, j, k} that is a triangle of
 some triangulation of both polygons (`_is_ear`).  Each side is squashed
@@ -52,26 +54,48 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalConsistencyError
-from .geometry import Point2, _end_map, _is_ear, polygon_is_simple
-from .model import BandedSurface, ChordAssignment, LabeledPolygon, SliceInstance, layers_to_surface
+from .geometry import Point2, _end_map, _integer_axis, _is_ear, polygon_is_simple
+from .model import (
+    BandedSurface,
+    ChordAssignment,
+    LabeledPolygon,
+    SliceInstance,
+    _coordinates,
+    _integer_instance,
+    layers_to_surface,
+)
 from .morph import _planar_linear_part, _rotated
 from .solver import build_clauses, build_conflict_table, solve_no_steiner
 from .twosat import solve_2sat
 
 
+def _gap_instance(lower, upper) -> SliceInstance:
+    """The gap between two layers, given as vertex tuples, stood at heights
+    0 and 1."""
+    return SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
+
+
+def _gap_key(lower, upper) -> tuple[int, ...]:
+    """The gap between two layers on one integer frame: its
+    `model._coordinates`, scaled by one `_integer_axis` call over both
+    layers."""
+    return tuple(_integer_axis(_coordinates(_gap_instance(lower, upper)))[1])
+
+
 def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     """Chord assignment for the gap between two layers, given as vertex
     tuples and stood at heights 0 and 1, or None.  `memo` holds the verdicts
-    of one build, keyed by the two layers (so an int and the equal
-    `Fraction` share a key); a stored None is an UNSAT verdict.  Only a
-    complete conflict table is solved here: a prefix that 2-SAT refuted
-    carries that result (`solver.ConflictTable.refutation`)."""
-    key = (lower, upper)
-    # one hash of the key per call, since Fraction coordinates hash slowly;
+    of one build, keyed by the gap's `_gap_key`; a stored None is an UNSAT
+    verdict.  Two gaps share a key only when one is the other scaled by a
+    positive factor, a similarity that keeps every chord verdict.  The
+    table is built on the key's integer points, so its own scaling runs at
+    factor 1.  Only a complete conflict table is solved here: a prefix that
+    2-SAT refuted carries that result (`solver.ConflictTable.refutation`)."""
+    key = _gap_key(lower, upper)
     # False marks a gap not solved yet
     verdict = memo.get(key, False)
     if verdict is False:
-        inst = SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
+        inst = _integer_instance(_gap_instance(lower, upper), key)
         table = build_conflict_table(inst)
         result = table.refutation or solve_2sat(*build_clauses(table))
         verdict = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
@@ -298,7 +322,7 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
         return direct.surface
 
     # gap verdicts of this build only, starting with the direct pair's
-    memo = {(inst.source.vertices, inst.target.vertices): None}
+    memo = {_gap_key(inst.source.vertices, inst.target.vertices): None}
     budget = _layer_budget(inst.n)
     plan = _morph_plan(inst, budget, memo)
     if plan is None:
@@ -306,7 +330,7 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
     if plan is None:
         plan = _squash_plan(inst, memo)
     layers = [inst.source.vertices, *plan, inst.target.vertices]
-    assignments = [memo.get(gap) for gap in zip(layers, layers[1:])]
+    assignments = [memo.get(_gap_key(lo, hi)) for lo, hi in zip(layers, layers[1:])]
     if None in assignments:
         raise InternalConsistencyError("a planned gap has no certified assignment")
     m = len(plan) + 1

@@ -1,5 +1,6 @@
 """Reference predicates for the tests of `banded.geometry`: a point on a
-closed segment in 2D, polygon simplicity edge pair by edge pair, a
+closed segment in 2D, the common points of two segments and how they
+meet, polygon simplicity edge pair by edge pair, a
 triangle's normal, and a closed segment against a closed triangle in 3D.
 A triangle is a triple of `Point3`s.  Also a similarity fit in `Fraction`s,
 the reference for `morph.similarity_witness`.
@@ -56,6 +57,58 @@ def is_degenerate(tri) -> bool:
 def point_on_segment_2d(p, a, b) -> bool:
     """True iff p lies on the closed segment [a, b]."""
     return orient2d(a, b, p) == 0 and _between_collinear(p, a, b)
+
+
+def common_points(a, b, c, d):
+    """Common points of the closed segments ab and cd, each of positive
+    length, from a + s (b - a) = c + u (d - c) solved in Fractions; a
+    collinear overlap gives its two ends and its midpoint.  An oracle that
+    shares no code with `segments_intersect_2d`."""
+    rx, ry = b.x - a.x, b.y - a.y
+    sx, sy = d.x - c.x, d.y - c.y
+    qx, qy = c.x - a.x, c.y - a.y
+    den = rx * sy - ry * sx
+    if den:
+        s = Fraction(qx * sy - qy * sx, den)
+        u = Fraction(qx * ry - qy * rx, den)
+        return [Point2(a.x + s * rx, a.y + s * ry)] if 0 <= s <= 1 and 0 <= u <= 1 else []
+    if qx * ry - qy * rx:
+        return []  # parallel, on two lines
+    rr = rx * rx + ry * ry
+    sc = Fraction(qx * rx + qy * ry, rr)
+    sd = Fraction((d.x - a.x) * rx + (d.y - a.y) * ry, rr)
+    lo, hi = max(0, min(sc, sd)), min(1, max(sc, sd))
+    if lo > hi:
+        return []
+    return [Point2(a.x + t * rx, a.y + t * ry) for t in {lo, hi, (lo + hi) / 2}]
+
+
+def segment_contact(s, t) -> str:
+    """How the closed segments s and t meet, each a pair of `Point2`s and a
+    point where its two ends are equal: "apart"; "shared end", in an end of
+    both; "inside", in an end of one that is no end of the other;
+    "crossing", in a point that is an end of neither; or "overlap", along
+    a collinear stretch.  From `common_points`, or `point_on_segment_2d`
+    for a point."""
+    (a, b), (c, d) = s, t
+    if a == b or c == d:
+        (p, _), (u, w) = (s, t) if a == b else (t, s)
+        common = [p] if point_on_segment_2d(p, u, w) else []
+    else:
+        common = common_points(a, b, c, d)
+    if not common:
+        return "apart"
+    if len(common) > 1:
+        return "overlap"
+    (x,) = common
+    ends = (x in (a, b)) + (x in (c, d))
+    return ("crossing", "inside", "shared end")[ends]
+
+
+def segments_meet_only_at_ends_pairwise(segments) -> bool:
+    """`geometry._meet_only_at_ends` pair by pair, with no sweep, by
+    `segment_contact`."""
+    return all(segment_contact(s, t) in ("apart", "shared end") for s, t in itertools.combinations(segments, 2))
 
 
 def polygon_is_simple_pairwise(pts) -> bool:

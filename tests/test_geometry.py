@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 from geometry_reference import (
+    common_points,
     is_degenerate,
     point_on_segment_2d,
     polygon_is_simple_pairwise,
+    segment_contact,
     segment_triangle_contact_3d,
+    segments_meet_only_at_ends_pairwise,
     triangle_normal,
 )
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from banded.geometry import (
     _box,
     _end_boxes,
     _ends_apart,
+    _meet_only_at_ends,
     _quads_apart,
     _sections_apart,
     _xy_differences,
@@ -84,35 +88,11 @@ class TestPointFormat:
         assert orient2d(*pts) == orient2d(*((p.x, p.y) for p in pts))
 
 
-def _common_points(a, b, c, d):
-    """Common points of the closed segments ab and cd, each of positive
-    length, from a + s (b - a) = c + u (d - c) solved in Fractions; a
-    collinear overlap gives its two ends and its midpoint.  An oracle that
-    shares no code with `segments_intersect_2d`."""
-    rx, ry = b.x - a.x, b.y - a.y
-    sx, sy = d.x - c.x, d.y - c.y
-    qx, qy = c.x - a.x, c.y - a.y
-    den = rx * sy - ry * sx
-    if den:
-        s = Fraction(qx * sy - qy * sx, den)
-        u = Fraction(qx * ry - qy * rx, den)
-        return [P(a.x + s * rx, a.y + s * ry)] if 0 <= s <= 1 and 0 <= u <= 1 else []
-    if qx * ry - qy * rx:
-        return []  # parallel, on two lines
-    rr = rx * rx + ry * ry
-    sc = Fraction(qx * rx + qy * ry, rr)
-    sd = Fraction((d.x - a.x) * rx + (d.y - a.y) * ry, rr)
-    lo, hi = max(0, min(sc, sd)), min(1, max(sc, sd))
-    if lo > hi:
-        return []
-    return [P(a.x + t * rx, a.y + t * ry) for t in {lo, hi, (lo + hi) / 2}]
-
-
 def _oracle_meets(a, b, c, d, mode):
-    """`segments_intersect_2d` by `_common_points`: "proper" asks for a
+    """`segments_intersect_2d` by `common_points`: "proper" asks for a
     common point that is not an endpoint shared by both segments."""
     shared = [u for u in (a, b) if u == c or u == d]
-    common = _common_points(a, b, c, d)
+    common = common_points(a, b, c, d)
     return bool(common) if mode == "any" else any(p not in shared for p in common)
 
 
@@ -191,6 +171,48 @@ class TestSegments:
         a, b, c = P(xs[0], xs[1]), P(xs[2], xs[3]), P(xs[4], xs[5])
         pair = (c, c, a, b) if first else (a, b, c, c)
         assert segments_intersect_2d(*pair, mode="any") == point_on_segment_2d(c, a, b)
+
+
+def grid_segments(rng: random.Random) -> list:
+    """2 to 6 segments on the 4 x 4 grid, a fifth of them points, drawn
+    apart or, on half the draws, chained end to end."""
+    chained = rng.random() < 0.5
+    a, out = None, []
+    for _ in range(rng.randint(2, 6)):
+        if a is None or not chained:
+            a = P(rng.randrange(4), rng.randrange(4))
+        b = a if rng.random() < 0.2 else P(rng.randrange(4), rng.randrange(4))
+        out.append((a, b))
+        a = b
+    return out
+
+
+class TestMeetOnlyAtEnds:
+    def test_matches_the_pairwise_reference(self):
+        # the face pass's clean-level check: the sweep agrees with every
+        # pair's contact, and the draws cover each kind of contact, a point
+        # inside a segment, and sets that meet only in shared ends
+        kinds, verdicts = Counter(), Counter()
+        for seed in range(500):
+            segments = grid_segments(random.Random(seed))
+            got = _meet_only_at_ends(segments)
+            assert got == segments_meet_only_at_ends_pairwise(segments), segments
+            contacts = set()
+            for s, t in itertools.combinations(segments, 2):
+                kind = segment_contact(s, t)
+                contacts.add(kind + (" point" if s[0] == s[1] or t[0] == t[1] else ""))
+            kinds.update(contacts)
+            verdicts[got, "shared end" in contacts] += 1
+        for kind in ("crossing", "inside", "inside point", "overlap", "shared end", "shared end point"):
+            assert kinds[kind] > 0, kind
+        assert verdicts[True, True] > 0 and verdicts[False, True] > 0 and verdicts[False, False] > 0
+
+    def test_points_and_ends(self):
+        edge = (P(0, 0), P(2, 0))
+        assert _meet_only_at_ends([edge, (P(2, 0), P(2, 2)), (P(1, 1),) * 2])
+        assert not _meet_only_at_ends([edge, (P(1, 0),) * 2])
+        assert not _meet_only_at_ends([edge, (P(1, 0), P(1, 2))])
+        assert not _meet_only_at_ends([edge, (P(2, 0), P(1, 0))])
 
 
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))

@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from geometry_reference import is_degenerate
+from geometry_reference import is_degenerate, segments_meet_only_at_ends_pairwise
 from grid_polygons import grid_polygon
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -884,6 +884,29 @@ def slab_filter(t1, t2) -> str:
     return ""
 
 
+def two_level_touch(cell1, cell2):
+    """The level at which two cells, given as their points, touch when each
+    has its points on exactly two levels and their z-ranges meet in one
+    level, else None."""
+    z1, z2 = sorted({p.z for p in cell1}), sorted({p.z for p in cell2})
+    if len(z1) != 2 or len(z2) != 2:
+        return None
+    if z1[1] == z2[0]:
+        return z1[1]
+    if z2[1] == z1[0]:
+        return z1[0]
+    return None
+
+
+def reference_clean_level(triangles, z) -> bool:
+    """Whether the level z of the faces `triangles` is clean, pair by pair:
+    the edges with both ends at z and the vertices at z, as points, meet
+    only in shared ends (`segments_meet_only_at_ends_pairwise`)."""
+    edges = {frozenset((p.xy, q.xy)) for t in triangles for p, q in zip(t, t[1:] + t[:1]) if p.z == q.z == z}
+    points = {p.xy for t in triangles for p in t if p.z == z}
+    return segments_meet_only_at_ends_pairwise([tuple(e) for e in edges] + [(p, p) for p in points])
+
+
 def touching_pair_meshes() -> list[BandedSurface]:
     """Bare two-face meshes whose z-ranges touch at exactly one level,
     z = 1/2: a lower face's top vertex inside, at an end of, beside and
@@ -961,11 +984,30 @@ def pushed_through(pts: list, v: int) -> list:
     return pts[:v] + [Point3(3 * cx - 2 * p.x, 3 * cy - 2 * p.y, p.z)] + pts[v + 1 :]
 
 
+def broken_at_a_level_meshes() -> list[BandedSurface]:
+    """Every layered-corpus surface of more than one gap with vertex 0 of
+    its first interior layer moved onto the middle of that layer's edge
+    from vertex n // 2 to the next, so that only that level is not clean;
+    skipped where a face degenerates."""
+    out = []
+    for s in layered_surfaces():
+        if len(s.paths[0]) < 3:
+            continue
+        a = s.n // 2
+        v, u, w = s.paths[0][1], s.paths[a][1], s.paths[(a + 1) % s.n][1]
+        pu, pw = s.point(u), s.point(w)
+        moved = Point3(Fraction(pu.x + pw.x, 2), Fraction(pu.y + pw.y, 2), s.point(v).z)
+        image = replace(s, vertices=s.vertices[:v] + ((moved, s.vertices[v][1]),) + s.vertices[v + 1 :])
+        if not any(is_degenerate(image.face_triangle(k)) for k in range(len(s.faces))):
+            out.append(image)
+    return out
+
+
 def face_pass_meshes():
     """Every layered-corpus surface, and meshes whose faces intersect: a
     vertex of every fifth surface pushed through the far side of the
-    annulus (skipped where a face degenerates), and a duplicated face; and
-    the `slab_filter_meshes`."""
+    annulus (skipped where a face degenerates), and a duplicated face; the
+    `slab_filter_meshes`; and the `broken_at_a_level_meshes`."""
     out = list(layered_surfaces())
     for s in layered_surfaces()[::5]:
         pts = [p for p, _ in s.vertices]
@@ -974,7 +1016,7 @@ def face_pass_meshes():
             if not any(is_degenerate(image.face_triangle(k)) for k in range(len(s.faces))):
                 out.append(image)
         out.append(mesh(pts, s.faces + s.faces[:1]))
-    return out + slab_filter_meshes()
+    return out + slab_filter_meshes() + broken_at_a_level_meshes()
 
 
 def reference_cells(s: BandedSurface, faces) -> set[frozenset[int]]:
@@ -1056,15 +1098,19 @@ class TestFacePass:
         # cells, swept by min-x (ties by their order); a later cell's face
         # pairs are visited first, in their order in the cell, with no
         # filter, then the face pairs across each earlier cell whose closed
-        # box meets its own, unless the slab filters or the quad test
-        # dismiss that cell pair, and whose own closed boxes meet; every
+        # box meets its own, unless the slab filters, the clean-level skip
+        # (two cells on two levels each that touch at a level where the
+        # mesh's edges and vertices meet only in shared ends, by the
+        # pairwise reference) or the quad test dismiss that cell pair, and
+        # whose own closed boxes meet; every
         # visited face pair goes through the reference cascade, up to the
         # first that `open_triangles_intersect_3d` finds improper, which is
         # reported.  So the pairs that reach the kernel are exactly the
         # cascade's pairs within cells and across the cell pairs that no
         # test clears, in that order; no face pair across a dismissed cell
-        # pair is improper; and the filters the pass no longer runs on
-        # faces would dismiss no pair within a cell
+        # pair is improper, a skipped one at a clean level included; and
+        # the filters the pass no longer runs on faces would dismiss no
+        # pair within a cell
         kernel_pairs = []
         coplanar_calls = []
         kernel = model._triangles_meet
@@ -1090,7 +1136,7 @@ class TestFacePass:
             cell_points = [sorted({p for k in c[9] for p in triangles[k]}) for c in cells]
             cell_boxes = [_point_box(pts) for pts in cell_points]
             order = sorted(range(len(cells)), key=lambda c: cells[c][0])
-            reached, hit = [], None
+            reached, hit, clean = [], None, {}
             for r, ck in enumerate(order):
                 visits = list(itertools.combinations(cells[ck][9], 2))
                 for cj in order[:r]:
@@ -1098,6 +1144,12 @@ class TestFacePass:
                         continue
                     across = [(j, k) for j in cells[cj][9] for k in cells[ck][9]]
                     branch = slab_filter(cell_points[cj], cell_points[ck])
+                    level = None if branch else two_level_touch(cell_points[cj], cell_points[ck])
+                    if level is not None:
+                        if level not in clean:
+                            clean[level] = reference_clean_level(triangles, level)
+                        branch = "clean level" if clean[level] else ""
+                        branches["unclean level"] += not clean[level]
                     if not branch and len(cells[cj][9]) > 1 and len(cells[ck][9]) > 1:
                         branch = quad_filter(cell_points[cj], cell_points[ck])
                     if branch:
@@ -1152,6 +1204,8 @@ class TestFacePass:
         assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
         for branch in (
             "level touch",
+            "clean level",
+            "unclean level",
             "end boxes",
             "cell sections",
             "cell path edge",
@@ -1169,6 +1223,19 @@ class TestFacePass:
             assert branches[branch] > 0, branch
         # no filter is left on faces that could settle a coplanar pair
         assert len(coplanar_calls) == branches["kernel, coplanar"] == branches["coplanar"] > 0
+
+    def test_meshes_broken_at_a_level_report_the_pinned_pair(self):
+        meshes = broken_at_a_level_meshes()
+        assert len(meshes) == len(BROKEN_AT_A_LEVEL_PAIRS)
+        for s, (j, k) in zip(meshes, BROKEN_AT_A_LEVEL_PAIRS):
+            report = verify_banded_surface(s)
+            assert report.topology.passed and report.path_disjointness.passed
+            assert report.face_intersections == CheckResult(False, f"faces {j} and {k} intersect improperly")
+
+
+# the first improper pair of each of the `broken_at_a_level_meshes`, pinned
+# so that skipping pairs at clean levels cannot change which pair is found
+BROKEN_AT_A_LEVEL_PAIRS = ((6, 8), (32, 1), (6, 11), (5, 1), (11, 1), (25, 27), (13, 1), (11, 1), (10, 1), (11, 1), (20, 22))
 
 
 def all_pairs_face_verdict(s: BandedSurface) -> bool:

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from grid_polygons import grid_polygon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_figures import fig3a_no_surface, fig7_star
@@ -201,7 +203,7 @@ class TestMorphPlan:
 
         monkeypatch.setattr(morph, "morph_position", morph_position)
         tables = counted_gap_tables(monkeypatch)
-        memo = {(inst.source.vertices, inst.target.vertices): None}
+        memo = {steiner._gap_key(inst.source.vertices, inst.target.vertices): None}
         assert steiner._morph_plan(inst, steiner._layer_budget(inst.n), memo) is None
         assert times == [Fraction(1, 2)]
         assert tables == []
@@ -405,3 +407,44 @@ def test_independent_targets_build_within_bound(seed, n, kind):
     assert s.steiner_count() <= 2 * n * (n - 3) + 12
     report = verify_banded_surface(s, force_sections=True)
     assert report.passed, report.summary()
+
+
+# the seeds of `grid_pair` whose two polygons share no corner triple and
+# whose build raises (ROADMAP item 1)
+GRID_PAIRS_THAT_RAISE = (22, 93, 232, 297)
+
+
+def grid_pair(seed: int) -> SliceInstance:
+    """Two polygons on the 5 x 5 grid, n = 4 + seed % 3, from `Random(seed)`."""
+    rng = random.Random(seed)
+    n = 4 + seed % 3
+    return as_instance(grid_polygon(rng, n), grid_polygon(rng, n))
+
+
+def test_grid_pairs_build_within_the_bound():
+    # ROADMAP item 12's builder property over 300 seeded grid pairs, with
+    # one-gap and multi-gap builds both common
+    gaps = Counter()
+    for seed in range(300):
+        if seed in GRID_PAIRS_THAT_RAISE:
+            continue
+        inst = grid_pair(seed)
+        s = build_layered_surface(inst)
+        assert s.steiner_count() <= 2 * inst.n * (inst.n - 3) + 12, seed
+        assert verify_banded_surface(s, force_sections=True).passed, seed
+        gaps["multi" if len(s.paths[0]) > 2 else "one"] += 1
+    assert gaps["multi"] >= 100 and gaps["one"] >= 100, gaps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalConsistencyError,
+    reason="ROADMAP item 1: no ear-squash plan certifies a pair with no common corner triple",
+)
+@pytest.mark.parametrize("seed", GRID_PAIRS_THAT_RAISE)
+def test_grid_pairs_without_a_common_triple_build(seed):
+    inst = grid_pair(seed)
+    assert not set(triples(inst.source.vertices)) & set(triples(inst.target.vertices))
+    s = build_layered_surface(inst)
+    assert s.steiner_count() <= 2 * inst.n * (inst.n - 3) + 12
+    assert verify_banded_surface(s, force_sections=True).passed

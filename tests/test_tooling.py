@@ -289,6 +289,32 @@ def test_every_scaler_rejects_a_float_coordinate(scaler):
         calls[scaler]()
 
 
+# the kernels that take an instance's z levels as they are, each of which
+# meets a float level in `model._levels`
+LEVEL_KERNELS = ("build_conflict_table", "conflicts", "chord_triangles")
+
+
+@pytest.mark.parametrize("kernel", LEVEL_KERNELS)
+def test_every_kernel_rejects_a_float_z_level(kernel):
+    from banded.errors import InputError
+    from banded.geometry import Point2
+    from banded.model import Chord, LabeledPolygon, SliceInstance
+    from banded.solver import build_conflict_table, chord_triangles, conflicts
+
+    source, target, z = INVALID["float_z_level"]
+    inst = SliceInstance(
+        LabeledPolygon(tuple(Point2(*p) for p in source), 0),
+        LabeledPolygon(tuple(Point2(*p) for p in target), z),
+    )
+    calls = {
+        "build_conflict_table": lambda: build_conflict_table(inst),
+        "conflicts": lambda: conflicts(inst, 0, Chord.RIGHT, 2, Chord.LEFT),
+        "chord_triangles": lambda: chord_triangles(inst, 0, Chord.RIGHT),
+    }
+    with pytest.raises(InputError, match="ints or Fractions"):
+        calls[kernel]()
+
+
 # between them the three figures give SAT and UNSAT decisions, the
 # brute-force oracle (n <= 10), both morph verdicts and a layered build that
 # adds vertices
