@@ -168,14 +168,6 @@ def _end_map(u, w, v, z) -> tuple:
     return m, d
 
 
-def _box(band):
-    """The closed xy box (x0, x1, y0, y1) of a band quad's four (x, y, z)
-    points, as `_box_pairs` takes it."""
-    (ax, ay, _), (bx, by, _), (cx, cy, _), (dx, dy, _) = band
-    xs, ys = (ax, bx, cx, dx), (ay, by, cy, dy)
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def _end_boxes(band):
     """The xy boxes of a band quad's bottom pair and of its top pair, as
     one tuple (x0, x1, y0, y1, x0', x1', y0', y1'), as `_ends_apart`
@@ -188,15 +180,24 @@ def _end_boxes(band):
     return x0, x1, y0, y1, u0, u1, v0, v1
 
 
+def _box(ends):
+    """The closed xy box (x0, x1, y0, y1) of a body's points on two levels,
+    as `_box_pairs` takes it, from the `_end_boxes` of those points: the
+    union of the bottom box and the top box."""
+    x0, x1, y0, y1, u0, u1, v0, v1 = ends
+    return (x0 if x0 <= u0 else u0, x1 if x1 >= u1 else u1, y0 if y0 <= v0 else v0, y1 if y1 >= v1 else v1)
+
+
 def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
     """The boxes, the end boxes and the band quads of every edge over
     [0, H] for the horizon H = num / den, on the coordinates cs laid out
     as `model._coordinates`, with each vertex's source at z = 0 and its
     position at time H at z = 1, all scaled by den onto ints.  Band i's
-    quad is (p_i, p_i+1, q_i+1, q_i), bottom pair then top, its box is
-    `_box` of it and its end boxes are `_end_boxes` of it; with H = 1 these
-    are the instance's band quads, for the conflict table and the morph
-    scan alike."""
+    quad is (p_i, p_i+1, q_i+1, q_i), bottom pair then top, its end boxes
+    are `_end_boxes` of it, and its box is `_box` of those, the union of
+    the two end boxes, which is the box of the quad's four points; with
+    H = 1 these are the instance's band quads, for the conflict table and
+    the morph scan alike."""
     num, den = horizon
     tracks = []
     for m in range(0, len(cs), 4):
@@ -204,7 +205,8 @@ def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
         x, y = den * px, den * py
         tracks.append(((x, y, 0), (x + num * (qx - px), y + num * (qy - py), 1)))
     bands = [(p0, p1, q1, q0) for (p0, q0), (p1, q1) in zip(tracks, tracks[1:] + tracks[:1])]
-    return [_box(band) for band in bands], [_end_boxes(band) for band in bands], bands
+    ends = [_end_boxes(band) for band in bands]
+    return [_box(e) for e in ends], ends, bands
 
 
 def _box_pairs(boxes):
@@ -629,14 +631,14 @@ def _sections_apart(vectors) -> bool:
     (8 differences; the Minkowski-difference criterion of Gilbert, Johnson
     and Keerthi 1988), and a chord triangle, from its one or two vertices
     on each level (4 or 5 differences of a triangle pair).  The conflict
-    table (`solver._pair_conflicts`) tests both, the tetrahedra through
-    `_quads_apart`, and the triangle pairs that share a vertex by the
-    corollary below; the verifier's face pass tests the tetrahedra of two
-    cells through `_quads_apart`; the morph decision
-    (`morph.planarity_preserving`) tests the tetrahedra of two edges' bands
-    with morph time as z, whose sections at t hold the edges at time t,
-    and, once it knows a violation at B, the tetrahedra of the two edges at
-    levels 0 and a horizon H > B, whose sections at z = t / H hold the
+    table (`solver._pair_conflicts`) tests both, the tetrahedra by the
+    dismissal of `_quads_apart`, and the triangle pairs that share a
+    vertex by the corollary below; the verifier's face pass tests the
+    tetrahedra of two cells through `_quads_apart`; the morph decision
+    (`morph.planarity_preserving`) tests the tetrahedra of two edges'
+    bands with morph time as z, whose sections at t hold the edges at time
+    t, and, once it knows a violation at B, the tetrahedra of the two edges
+    at levels 0 and a horizon H > B, whose sections at z = t / H hold the
     edges at times t <= H.
 
     Corollary (a shared vertex).  Let T and U be triangles, each with two
@@ -686,6 +688,28 @@ def _sections_apart(vectors) -> bool:
     return True
 
 
+def _shared_edge_apart(d, i: int, j: int) -> bool:
+    """Whether no triangle on the points of quad a meets one on the points
+    of quad b outside a vertex or edge they share, for two quads on the
+    same two levels, two points of each at each level, that share the
+    bottom point s at the zero difference d[i] and the top point t at the
+    zero d[j], given their 8 xy differences d as `_xy_differences` lays
+    them out.
+
+    Let P be a plane through the line s t with a's other two points
+    strictly on one side and b's on the other.  A triangle on a's points
+    meets P only in the hull of its vertices among s and t, and likewise
+    for b; so two triangles meet at most in the hull of the vertices among
+    s and t that both have, a vertex or an edge they share.  Projecting
+    along s t onto the xy plane maps the line to a point and P to a line
+    through it, and sends a bottom point x to x - s and a top point to
+    x - t, up to the factor z(t) - z(s).  So P exists iff a's other points
+    minus the shared ones and the shared ones minus b's other points lie
+    in an open half-plane: `_sections_apart` on those four differences,
+    the ones beside each zero in the 2 x 2 layout of its level."""
+    return _sections_apart((d[i ^ 1], d[i ^ 2], d[j ^ 1], d[j ^ 2]))
+
+
 def _quads_apart(d) -> bool:
     """Whether no triangle on the points of quad a meets one on the points
     of quad b outside a vertex or edge they share, from the 8 xy
@@ -695,18 +719,8 @@ def _quads_apart(d) -> bool:
     With no zero difference, the quads share no point, and their closed
     tetrahedra are disjoint iff `_sections_apart` holds for all 8.  With
     exactly one zero difference at each level, the quads share one bottom
-    point s and one top point t.  Let P be a plane through the line s t
-    with a's other two points strictly on one side and b's on the other.
-    A triangle on a's points meets P only in the hull of its vertices
-    among s and t, and likewise for b; so two triangles meet at most in
-    the hull of the vertices among s and t that both have, a vertex or an
-    edge they share.  Projecting along s t onto the xy plane maps the line
-    to a point and P to a line through it, and sends a bottom point x to
-    x - s and a top point to x - t, up to the factor z(t) - z(s).  So P
-    exists iff a's other points minus the shared ones and the shared ones
-    minus b's other points lie in an open half-plane: `_sections_apart` on
-    those four differences, the ones beside each zero in the 2 x 2 layout
-    of its level.  Any other pair is not dismissed."""
+    point and one top point, and `_shared_edge_apart` decides.  Any other
+    pair is not dismissed."""
     if (0, 0) not in d:
         return _sections_apart(d)
     # the first zero at the bottom, the second and last at the top
@@ -714,4 +728,4 @@ def _quads_apart(d) -> bool:
     if i > 3 or d.count((0, 0)) != 2:
         return False
     j = d.index((0, 0), i + 1)
-    return j > 3 and _sections_apart((d[i ^ 1], d[i ^ 2], d[j ^ 1], d[j ^ 2]))
+    return j > 3 and _shared_edge_apart(d, i, j)

@@ -20,6 +20,7 @@ from .errors import InputError, MeshStructureError, PreconditionError, SectionEr
 from .geometry import (
     Point2,
     Point3,
+    _box,
     _end_boxes,
     _end_map,
     _integer_axis,
@@ -584,8 +585,9 @@ def _face_cells(bands, faces) -> list:
     those points, the two bottom ones and then the two top ones, each pair
     sorted, so that it depends only on the points and not on the chord;
     every face of the cell lies in the hull of the quad, its end boxes are
-    `geometry._end_boxes` of the quad and its box is their union.  Every
-    other face is a cell on its own, with no quad."""
+    `geometry._end_boxes` of the quad and its box is their union,
+    `geometry._box` of them.  Every other face is a cell on its own, with
+    no quad."""
     cells = []
     for members in bands:
         slabs: dict = {}
@@ -614,9 +616,7 @@ def _face_cells(bands, faces) -> list:
                 c, e = e, c
             quad = (a, b, c, e)
             ends = _end_boxes(quad)
-            x0, x1, y0, y1, u0, u1, v0, v1 = ends
-            box = (x0 if x0 <= u0 else u0, x1 if x1 >= u1 else u1, y0 if y0 <= v0 else v0, y1 if y1 >= v1 else v1)
-            cells.append((*box, z0, z1, ends, True, quad, tuple(ks)))
+            cells.append((*_box(ends), z0, z1, ends, True, quad, tuple(ks)))
     return cells
 
 

@@ -20,6 +20,7 @@ from .geometry import (
     _integer_axis,
     _quads_apart,
     _sections_apart,
+    _shared_edge_apart,
     _xy_differences,
     open_triangles_intersect_3d,
     orient3d,
@@ -183,25 +184,35 @@ def _pair_conflicts(a, b):
     which `_level_pairs` reduces to `_sections_apart` on subsets of the
     differences (the lemma of `_sections_apart` and its corollary).
 
-    The pair cannot conflict when `geometry._quads_apart` dismisses it:
-    its closed tetrahedra are disjoint, or it shares one bottom and one top
-    point and a plane through them parts the two bands' other points.
-    Otherwise each triangle pair is tested on its own 4 or 5 differences,
-    or, when the quads share a vertex by value (a zero difference: on a
-    valid instance, adjacent bands, the wrap pair and every pair at n = 3,
-    always as a path edge), on the subset that the zero pattern picks: its
-    tests are built at import for the two patterns of a valid instance,
-    and per pair for any other.  The route is chosen on values, not on
-    indices.
+    The zero differences, the vertices the quads share by value, are
+    found once, and they route the pair.  With none, the pair cannot
+    conflict when `_sections_apart` holds on all 8 (its closed tetrahedra
+    are disjoint), and otherwise each triangle pair is tested on its own 4
+    or 5 differences.  With one of the two zero patterns of a valid
+    instance (adjacent bands, the wrap pair and every pair at n = 3, always
+    sharing a path edge), it cannot conflict when
+    `geometry._shared_edge_apart` finds a plane through the shared bottom
+    and top point that parts the two bands' other points, and otherwise
+    takes the tests built at import for that pattern.  Any other pattern,
+    on unvalidated input, goes to `geometry._quads_apart`, and its tests
+    are built per pair.  So every pair meets the dismissal of
+    `_quads_apart`, and the route is chosen on values, not on indices.
     """
     d = _xy_differences(a, b)
-    if _quads_apart(d):
-        return _NO_CONFLICT
-    if (0, 0) in d:
-        zeros = tuple(k for k, v in enumerate(d) if v == (0, 0))
-        tests = _EDGE_TESTS[zeros] if zeros in _EDGE_TESTS else _choice_tests(zeros)
-    else:
+    if (0, 0) not in d:
+        if _sections_apart(d):
+            return _NO_CONFLICT
         tests = _PLANAR_TESTS
+    else:
+        zeros = tuple(k for k, v in enumerate(d) if v == (0, 0))
+        if zeros in _EDGE_TESTS:
+            if _shared_edge_apart(d, *zeros):
+                return _NO_CONFLICT
+            tests = _EDGE_TESTS[zeros]
+        elif _quads_apart(d):
+            return _NO_CONFLICT
+        else:
+            tests = _choice_tests(zeros)
     (rr, rl), (lr, ll) = tests
     return (
         (_planar_choices_meet(d, rr), _planar_choices_meet(d, rl)),
@@ -223,14 +234,30 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     complete whenever its clauses are satisfiable, and otherwise possibly an
     unsatisfiable prefix of the band pairs, walked nearest-first.
 
-    The band quads and their boxes are those of the morph scan over [0, 1]
-    (`geometry._horizon_bands`), on the instance's coordinates scaled onto
-    integers: the source at z = 0 and the target at z = 1, whatever the
-    instance's two distinct z levels, which must be ints or `Fraction`s
-    (`model._levels`), as every coordinate must.  Scaling x and y by one
-    positive factor and mapping the two levels onto 0 and 1 is an affine
-    bijection of space, so every contact, and so every conflict, is
-    unchanged.
+    The instance's two z levels must be distinct ints or `Fraction`s
+    (`model._levels`), as every coordinate must be.  Its coordinates are
+    scaled onto integers by one `_integer_axis` call, and `_conflict_table`
+    builds the table on them, with the source at z = 0 and the target at
+    z = 1, whatever the two levels.  Scaling x and y by one positive factor
+    and mapping the two levels onto 0 and 1 is an affine bijection of
+    space, so every contact, and so every conflict, is unchanged.
+    """
+    z0, z1 = _levels(inst)
+    if z0 == z1:
+        raise PreconditionError("conflict tables need distinct source and target z-levels")
+    return _conflict_table(inst.n, _integer_axis(_coordinates(inst))[1])
+
+
+def _conflict_table(n: int, cs: list[int]) -> ConflictTable:
+    """The table that `build_conflict_table` returns, for the n-vertex
+    instance whose integer coordinates cs are laid out as
+    `model._coordinates`, with the source at z = 0 and the target at z = 1.
+    `solve_no_steiner` passes validation's frame here, and
+    `build_conflict_table` its own scaling of the instance, so there is
+    one table body.
+
+    The band quads, their boxes and their end boxes are those of the morph
+    scan over [0, 1] (`geometry._horizon_bands`).
 
     Every chord triangle of band i lies in band i's quad, so two bands whose
     quads have disjoint closed xy bounding boxes cannot conflict (z cannot
@@ -242,10 +269,10 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     test first, and only a pair with a conflict is kept; the kept pairs
     are sorted by key.
     It decides each pair in the plane, from subsets of its 8 xy
-    differences: a pair that `geometry._quads_apart` dismisses is
-    conflict-free, and every other pair takes one `_sections_apart` test
-    per triangle pair on the subset that the pair's shared vertices pick.
-    No 3D predicate runs.
+    differences: a pair that the dismissal of `geometry._quads_apart`
+    sets apart is conflict-free, and every other pair takes one
+    `_sections_apart` test per triangle pair on the subset that the pair's
+    shared vertices pick.  No 3D predicate runs.
 
     The pairs are walked nearest-first, in rings of cyclic distance: ring
     d = 1, 2, ..., n // 2 holds the pairs (i, i + d mod n), n of them, or
@@ -270,11 +297,6 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     `_sections_apart` test on the two edge vectors per band.  Every table
     holds all self-conflicts, left chord before right.
     """
-    z0, z1 = _levels(inst)
-    if z0 == z1:
-        raise PreconditionError("conflict tables need distinct source and target z-levels")
-    n = inst.n
-    _, cs = _integer_axis(_coordinates(inst))
     boxes, ends, bands = _horizon_bands(cs, (1, 1))
     self_conflicts = []
     for i, ((p0x, p0y, _), (p1x, p1y, _), (q1x, q1y, _), (q0x, q0y, _)) in enumerate(bands):
@@ -358,17 +380,17 @@ def solve_no_steiner(inst: SliceInstance) -> SolveOutcome:
     """Find a Steiner-free banded surface or certify that none exists.
 
     The instance is validated first (`SliceInstance.validate` raises
-    `InputError` on an invalid one), and the conflict table is built on the
-    instance rebuilt from validation's integer frame, at factor 1.
-    On UNSAT the table may be a prefix that 2-SAT refuted, and then carries
-    that result as its `refutation`, so only a complete table is solved
-    here; its clauses are conflicts of the instance, so the witness chains
-    hold as they are.  On SAT the table is complete, and the surface is
-    re-certified by the independent verifier; a failure there means the
-    conflict predicate and the verifier disagree, which is a bug worth
-    crashing over.
+    `InputError` on an invalid one), and the conflict table is built
+    (`_conflict_table`) on the coordinates of validation's integer frame,
+    so only validation clears denominators.  On UNSAT the table may be a
+    prefix that 2-SAT refuted, and then carries that result as its
+    `refutation`, so only a complete table is solved here; its clauses are
+    conflicts of the instance, so the witness chains hold as they are.  On
+    SAT the table is complete, and the surface is re-certified by the
+    independent verifier; a failure there means the conflict predicate and
+    the verifier disagree, which is a bug worth crashing over.
     """
-    table = build_conflict_table(_integer_instance(inst, inst.validate()[1]))
+    table = _conflict_table(inst.n, inst.validate()[1])
     result = table.refutation or solve_2sat(*build_clauses(table))
     if not result.satisfiable:
         return SolveOutcome(satisfiable=False, unsat=result)

@@ -25,9 +25,11 @@ from banded.geometry import (
     _box,
     _end_boxes,
     _ends_apart,
+    _horizon_bands,
     _meet_only_at_ends,
     _quads_apart,
     _sections_apart,
+    _shared_edge_apart,
     _xy_differences,
     open_triangles_intersect_3d,
     orient2d,
@@ -846,7 +848,7 @@ class TestEndsApart:
             if apart:
                 for d in (_xy_differences(a, b), _xy_differences(b, a)):
                     assert (0, 0) not in d and _sections_apart(d)
-                (x0, x1, y0, y1), (u0, u1, v0, v1) = _box(a), _box(b)
+                (x0, x1, y0, y1), (u0, u1, v0, v1) = _box(_end_boxes(a)), _box(_end_boxes(b))
                 seen["boxes meet"] += x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1
             seen[apart] += 1
 
@@ -876,6 +878,34 @@ class TestEndsApart:
 
 
 GRID = [(x, y) for x in range(5) for y in range(5)]
+
+@pytest.mark.parametrize("horizon", [(1, 1), (2, 3)])
+def test_horizon_band_boxes_are_the_boxes_of_their_points(horizon):
+    # `_horizon_bands` takes each band's box as the union of its end boxes
+    # (`_box`): it must be the plain min/max box of the band's four points,
+    # and hold both end boxes, which are the boxes of the bottom pair and
+    # of the top pair; seeded draws on the 5 x 5 grid, at H = 1 and at a
+    # fractional horizon
+    rng = random.Random(0)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        boxes, ends, bands = _horizon_bands([rng.randrange(5) for _ in range(4 * n)], horizon)
+        for box, end, band in zip(boxes, ends, bands):
+            xs, ys = [p[0] for p in band], [p[1] for p in band]
+            x0, x1, y0, y1 = box
+            assert box == (min(xs), max(xs), min(ys), max(ys)), band
+            pairs = [band[:2], band[2:]]
+            assert end == tuple(c for pair in pairs for k in (0, 1) for c in sorted(p[k] for p in pair))
+            assert all(x0 <= u0 <= u1 <= x1 and y0 <= v0 <= v1 <= y1 for u0, u1, v0, v1 in (end[:4], end[4:]))
+            points = {p[:2] for p in band}
+            seen["shared coordinate"] += len(set(xs)) < 4 or len(set(ys)) < 4
+            seen["degenerate"] += any(p[:2] == q[:2] for p, q in pairs)
+            seen["collinear"] += len(points) > 2 and all(orient2d(*t) == 0 for t in itertools.combinations(points, 3))
+        for (x0, x1, y0, y1), (u0, u1, v0, v1) in itertools.combinations(boxes, 2):
+            seen["touching"] += x1 == u0 or u1 == x0 or y1 == v0 or v1 == y0
+    assert min(seen[k] for k in ("shared coordinate", "degenerate", "collinear", "touching")) >= 10, seen
+
 
 # the zeros a level can hold when each quad has two distinct points there:
 # none, one of a's points as one of b's, or both
@@ -944,6 +974,8 @@ def test_quads_apart_dismisses_only_proper_triangle_pairs(pattern_class):
             assert apart == _sections_apart(d)
         elif sum(k < 4 for k in zeros) != 1 or len(zeros) != 2:
             assert not apart
+        else:
+            assert apart == _shared_edge_apart(d, *zeros)
         if apart:
             for t1, t2 in itertools.product(itertools.combinations(a, 3), itertools.combinations(b, 3)):
                 assert not open_triangles_intersect_3d(tri(*t1), tri(*t2)), (a, b)

@@ -275,7 +275,7 @@ def complete_table(inst):
     scaled = scaled_to_integers(inst)
     bands = [scaled.band_quad(i) for i in range(inst.n)]
     pairs = {}
-    for j, k in geometry._box_pairs([geometry._box(band) for band in bands]):
+    for j, k in geometry._box_pairs([geometry._box(geometry._end_boxes(band)) for band in bands]):
         a, b = min(j, k), max(j, k)
         mat = solver._pair_conflicts(bands[a], bands[b])
         if mat != solver._NO_CONFLICT:
@@ -918,7 +918,7 @@ def test_unsat_table_stops_at_a_refuted_prefix(monkeypatch):
     rng = random.Random(0)
     inst = rotated_instance(rng, random_polygon(rng, 40, "star"))
     scaled = scaled_to_integers(inst)
-    swept = len(list(geometry._box_pairs([geometry._box(scaled.band_quad(i)) for i in range(inst.n)])))
+    swept = len(list(geometry._box_pairs([geometry._box(geometry._end_boxes(scaled.band_quad(i))) for i in range(inst.n)])))
     tested = Counter()
     kernel = solver._pair_conflicts
 
@@ -1025,21 +1025,20 @@ def test_a_refuted_table_is_solved_once(monkeypatch):
 
         monkeypatch.setattr(solver, name, wrapper)
 
-    for name in ("build_clauses", "solve_2sat", "build_conflict_table"):
+    for name in ("build_clauses", "solve_2sat", "_conflict_table"):
         traced(name, getattr(solver, name))
     out = solve_no_steiner(inst)
     assert not out.satisfiable
     checks = len(calls) // 2
-    assert checks > 0 and calls == ["build_clauses", "solve_2sat"] * checks + ["build_conflict_table"]
+    assert checks > 0 and calls == ["build_clauses", "solve_2sat"] * checks + ["_conflict_table"]
     assert results[-1].refutation is results[-2] is out.unsat
 
 
 def test_unsat_solve_frames_the_instance_once(monkeypatch):
-    # validation computes the joint integer frame, and the conflict table's
-    # instance is built on it by `_integer_instance`, which takes no second
-    # lcm; `LabeledPolygon.validate` scales each polygon through `geometry`
-    # on its own, and the table's own pass goes through `solver`'s binding
-    # (the xfail below), so neither is counted here
+    # validation computes the joint integer frame, and the conflict table
+    # takes its coordinates as they are; `LabeledPolygon.validate` scales
+    # each polygon through `geometry` on its own, so that is not counted
+    # here
     inst = _moved(fig3a_no_surface().instance, Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
     assert any(type(p.x) is Fraction for p in inst.source.vertices)
     calls = Counter()
@@ -1054,16 +1053,15 @@ def test_unsat_solve_frames_the_instance_once(monkeypatch):
     assert calls == {"_frame": 1, "_integer_axis": 1}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: `build_conflict_table` flattens `_integer_instance` back through `_integer_axis`",
-)
-def test_unsat_solve_puts_the_instance_on_integers_once(monkeypatch):
-    # validation's frame already holds every coordinate on one integer
-    # axis; the table could read it, but `build_conflict_table` runs the
-    # integer instance through `_integer_axis` again
-    inst = _moved(fig3a_no_surface().instance, Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
-    calls = Counter()
+@pytest.mark.parametrize("figure", [fig3a_no_surface, fig1_twisted_prism], ids=["unsat", "sat"])
+def test_solve_puts_the_instance_on_integers_once(monkeypatch, figure):
+    # validation's frame holds every coordinate on one integer axis, and
+    # the conflict table reads it as it is: up to verification, which
+    # scales the surface's points on its own, the solve scales once, in
+    # validation, and never through `solver`'s binding
+    inst = _moved(figure().instance, Fraction(1, 3), Fraction(2, 7), Fraction(-1, 5))
+    assert any(type(p.x) is Fraction for p in inst.source.vertices)
+    calls, before_verification = Counter(), []
     for module in (model, solver):
 
         def counted(*args, _name=module.__name__, _inner=module._integer_axis):
@@ -1071,8 +1069,16 @@ def test_unsat_solve_puts_the_instance_on_integers_once(monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(module, "_integer_axis", counted)
-    assert not solve_no_steiner(inst).satisfiable
-    assert sum(calls.values()) == 1, calls
+
+    def verify(surface, _inner=solver.verify_banded_surface):
+        before_verification.append(Counter(calls))
+        return _inner(surface)
+
+    monkeypatch.setattr(solver, "verify_banded_surface", verify)
+    sat = solve_no_steiner(inst).satisfiable
+    assert sat == (figure is fig1_twisted_prism) and len(before_verification) == sat
+    framed = before_verification[0] if sat else calls
+    assert framed == {model.__name__: 1}, framed
 
 
 def _mirrored(inst):

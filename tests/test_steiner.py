@@ -15,7 +15,7 @@ import banded.steiner as steiner
 from banded.errors import InternalConsistencyError
 from banded.generators import random_instance, random_polygon, random_star_polygon, rotated_instance
 from banded.geometry import Point2, _is_ear, orient2d, polygon_is_simple
-from banded.model import LabeledPolygon, SliceInstance, verify_banded_surface
+from banded.model import LabeledPolygon, SliceInstance, _coordinates, verify_banded_surface
 from banded.morph import _rotated, convex_chord_rule, planarity_preserving, rotate_copy_instance
 from banded.solver import solve_no_steiner
 from banded.steiner import (
@@ -318,22 +318,23 @@ class TestBuildLayeredSurface:
 
     def test_no_state_between_calls(self, monkeypatch):
         # two builds of one instance do the same work, and the direct pair's
-        # table, built by the failed direct solve, is not built again
+        # table, built by the failed direct solve on validation's frame, is
+        # not built again; every table, a gap's included, goes through
+        # `solver._conflict_table`, which sees its integer coordinates
         inst = fig3a_no_surface().instance
-        pair = (inst.source.vertices, inst.target.vertices)
+        pair = inst.validate()[1]
         tables = []
 
-        def counted(module):
-            inner = module.build_conflict_table
+        def conflict_table(n, cs, _inner=solver._conflict_table):
+            tables.append((solver.__name__, cs))
+            return _inner(n, cs)
 
-            def build_conflict_table(table_inst):
-                tables.append((module.__name__, (table_inst.source.vertices, table_inst.target.vertices)))
-                return inner(table_inst)
+        def build_conflict_table(table_inst, _inner=steiner.build_conflict_table):
+            tables.append((steiner.__name__, _coordinates(table_inst)))
+            return _inner(table_inst)
 
-            return build_conflict_table
-
-        monkeypatch.setattr(solver, "build_conflict_table", counted(solver))
-        monkeypatch.setattr(steiner, "build_conflict_table", counted(steiner))
+        monkeypatch.setattr(solver, "_conflict_table", conflict_table)
+        monkeypatch.setattr(steiner, "build_conflict_table", build_conflict_table)
         per_call = []
         for _ in range(2):
             tables.clear()

@@ -85,11 +85,14 @@ SHARED = {
     "_box_pairs": "geometry.py",
     # the conflict table and the face pass share one dismissal of two
     # quads: apart by the sections lemma, or by a plane through the bottom
-    # and top point they share
+    # and top point they share, which the table also calls on its own for
+    # the zero patterns of a valid instance
     "_quads_apart": "geometry.py",
+    "_shared_edge_apart": "geometry.py",
     # the band quads over a horizon, their xy boxes and their end boxes,
     # for the conflict table and the morph scan; the face pass takes its
-    # quad cells' end boxes from `_end_boxes` too
+    # quad cells' end boxes from `_end_boxes` too, and both take a box as
+    # the union of its end boxes from `_box`
     "_horizon_bands": "geometry.py",
     "_box": "geometry.py",
     "_end_boxes": "geometry.py",
