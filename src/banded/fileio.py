@@ -29,24 +29,23 @@ _DECIMAL_RE = re.compile(r"^-?(\d+)(\.\d+)?$")
 _FRACTION_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
 
-def parse_rational(text) -> Fraction:
+def parse_rational(text) -> int | Fraction:
     """Exact rational from an int, or from a decimal string like '-12.625'
-    or 'p/q'; a bool is not a number here."""
+    or 'p/q'; a bool is not a number here.  An integral value is an int,
+    which the exact kernels take without `Fraction` arithmetic, and any
+    other value a `Fraction`; the two compare and hash alike."""
     if type(text) is int:
-        return Fraction(text)
+        return text
     if not isinstance(text, str):
         raise ParseError(f"expected a number string, got {text!r}")
     s = text.strip()
-    m = _DECIMAL_RE.match(s)
-    if m:
-        return Fraction(s)
     m = _FRACTION_RE.match(s)
-    if m:
-        den = int(m.group(2))
-        if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(m.group(1)), den)
-    raise ParseError(f"not a finite decimal or fraction: {text!r}")
+    if m and int(m.group(2)) == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    if not (m or _DECIMAL_RE.match(s)):
+        raise ParseError(f"not a finite decimal or fraction: {text!r}")
+    value = Fraction(s)
+    return value.numerator if value.denominator == 1 else value
 
 
 def format_rational(value) -> str:

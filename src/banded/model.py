@@ -151,15 +151,17 @@ def _frame(inst: SliceInstance) -> tuple[int, list[int], tuple | None]:
     return k, cs, _affine_fit(cs)
 
 
-def _affine_fit(cs: list[int]) -> tuple | None:
+def _affine_fit(cs: list) -> tuple | None:
     """(M, d) with target = A p + v over the source points p for A = M / d
-    and det A > 0, on the coordinates cs of `_frame`, or None when the
-    target is no such image of the source.
+    and det A > 0, on coordinates cs in `_coordinates`' layout, or None
+    when the target is no such image of the source.  cs may hold any exact
+    rationals: `_frame` passes validation's ints, and the ear-squash planner
+    (`steiner._planar_end_map`) a corner triple's ints and `Fraction`s.
 
     A is fixed by vertices 0 and 1 and the first vertex k that is not on
     their line (`_end_map`); every vertex m must then satisfy d (q_m - q_0)
-    = M (p_m - p_0).  det M = d^2 det A has the sign of det A.  Int
-    arithmetic only."""
+    = M (p_m - p_0).  det M = d^2 det A has the sign of det A.  Exact
+    arithmetic only, in the type of cs."""
     px, py, qx, qy = cs[0::4], cs[1::4], cs[2::4], cs[3::4]
     x0, y0, s0, t0 = cs[:4]
     ux, uy = px[1] - x0, py[1] - y0

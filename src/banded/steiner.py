@@ -45,7 +45,9 @@ The turned end replaces the last source squash where that gap certifies,
 and is otherwise an added layer, which the bound affords only for n <= 12.
 When no triple is common to both polygons, prefixes of the chains toward
 every triple of each side are paired, cheapest first, and the build raises
-`InternalConsistencyError` if none certifies.
+`InternalConsistencyError` if none certifies.  Only this case lists each
+side's ear triples; in the other two, a lazy search in lexicographic
+order stops at the triple taken.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalConsistencyError
-from .geometry import Point2, _end_map, _integer_axis, _is_ear, polygon_is_simple
+from .geometry import Point2, _integer_axis, _is_ear, polygon_is_simple
 from .model import (
     BandedSurface,
     ChordAssignment,
     LabeledPolygon,
     SliceInstance,
+    _affine_fit,
     _coordinates,
     _integer_instance,
     layers_to_surface,
@@ -215,19 +218,14 @@ def _squash_chain(pts, triple) -> list[tuple[Point2, ...]]:
 
 
 def _planar_end_map(src, tgt, triple) -> bool:
-    """The matrix A of the affine map taking the source triple onto the
-    target triple has no eigenvalue in (-inf, 0], so (1 - t) I + tA keeps a
-    positive determinant for every t in [0, 1] (`morph._planar_linear_part`
-    on the edge vectors from vertex i to j and k)."""
-    i, j, k = triple
-    p, q = src[i], tgt[i]
-    m, d = _end_map(
-        (src[j].x - p.x, src[j].y - p.y),
-        (src[k].x - p.x, src[k].y - p.y),
-        (tgt[j].x - q.x, tgt[j].y - q.y),
-        (tgt[k].x - q.x, tgt[k].y - q.y),
-    )
-    return _planar_linear_part(m, d)
+    """The affine map taking the source triple onto the target triple has
+    a linear part A with no eigenvalue in (-inf, 0], so (1 - t) I + tA keeps
+    a positive determinant for every t in [0, 1]: `morph._decide`'s test of
+    an affine instance (`model._affine_fit`, then `_planar_linear_part`),
+    made on the triple alone.  A collinear or orientation-reversing triple
+    has no fit and fails."""
+    fit = _affine_fit([c for v in triple for c in (src[v].x, src[v].y, tgt[v].x, tgt[v].y)])
+    return fit is not None and _planar_linear_part(*fit)
 
 
 def _prefixes(pts, triples) -> list[tuple]:
@@ -268,33 +266,34 @@ def _squash_plan(inst: SliceInstance, memo: dict) -> list:
     first common corner triple that passes the eigenvalue test: prefix
     pairs cheapest first, the full pair last.  The module docstring gives
     the quarter-turn bridge for common triples that all fail the test and
-    the pairing over every triple when none is common."""
+    the pairing over every triple when none is common; each side's list of
+    ear triples is built only in that last case, and the first common
+    triple is otherwise found by one lazy search."""
     src, tgt = inst.source.vertices, inst.target.vertices
     n = inst.n
     triples = list(combinations(range(n), 3))
     passing = next(
         (t for t in triples if _planar_end_map(src, tgt, t) and _is_ear(src, *t) and _is_ear(tgt, *t)), None
     )
-    bridged = None  # a shared triple whose two ends a quarter turn joins
-    if passing is not None:
-        below = above = [passing]
+    # with none passing, the first shared triple, whose two ends a quarter turn joins
+    bridged = None if passing else next((t for t in triples if _is_ear(src, *t) and _is_ear(tgt, *t)), None)
+    if passing or bridged:
+        below = above = [passing or bridged]
     else:
         below = [t for t in triples if _is_ear(src, *t)]
         above = [t for t in triples if _is_ear(tgt, *t)]
-        shared = sorted(set(below).intersection(above))
-        if shared:
-            bridged = shared[0]
-            below = above = [bridged]
-    plan = _ladder(src, tgt, _prefixes(src, below), _prefixes(tgt, above), memo, 2 * (n - 3))
-    if plan is None and bridged is not None:
-        lo, hi = _squash_chain(src, bridged), _squash_chain(tgt, bridged)
+    bottoms, tops = _prefixes(src, below), _prefixes(tgt, above)
+    plan = _ladder(src, tgt, bottoms, tops, memo, 2 * (n - 3))
+    if plan is None and bridged:
+        # the full chains are the last prefixes of their sides
+        lo, hi = bottoms[-1], tops[-1]
         end, top = (lo[-1] if lo else src), (hi[-1] if hi else tgt)
         # a quarter turn R about a triple corner; A R^-1 passes for at least
         # one of the two turns, as its trace is c - b for one, b - c for the other
         turned = (_rotated(end, src[bridged[0]], 0, turn) for turn in (1, -1))
         mids = [mid for mid in turned if _planar_end_map(mid, top, bridged)]
         bottoms = [(*lo[:-1], mid) for mid in mids] + [(*lo, mid) for mid in mids]
-        plan = _ladder(src, tgt, bottoms, [tuple(hi)], memo, 2 * (n - 3) + 1)
+        plan = _ladder(src, tgt, bottoms, [hi], memo, 2 * (n - 3) + 1)
     if plan is None:
         raise InternalConsistencyError("no ear-squash plan certifies")
     return plan

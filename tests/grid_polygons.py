@@ -1,5 +1,5 @@
-"""Simple, counterclockwise polygons drawn on a small integer grid, and
-convex ones.
+"""Simple, counterclockwise polygons drawn on a small integer grid, convex
+ones, and seeded pairs of them.
 
 Vertices drawn uniformly from a g x g grid make flat vertices, shared
 coordinates, touching edges and touching boxes common, which the
@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from banded.geometry import Point2, orient2d, polygon_is_ccw, polygon_is_simple
+from banded.model import LabeledPolygon, SliceInstance
 
 
 def grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:
@@ -22,6 +23,18 @@ def grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:
         pts = tuple(Point2(*p) for p in rng.sample(cells, n))
         if polygon_is_simple(pts) and polygon_is_ccw(pts):
             return pts
+
+
+# the seeds of `grid_pair` whose two polygons share no corner triple and
+# whose layered build raises (ROADMAP item 1)
+GRID_PAIRS_THAT_RAISE = (22, 93, 232, 297)
+
+
+def grid_pair(seed: int) -> SliceInstance:
+    """Two polygons on the 5 x 5 grid, n = 4 + seed % 3, from `Random(seed)`."""
+    rng = random.Random(seed)
+    n = 4 + seed % 3
+    return SliceInstance(LabeledPolygon(grid_polygon(rng, n), 0), LabeledPolygon(grid_polygon(rng, n), 1))
 
 
 def convex_grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:

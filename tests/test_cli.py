@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from grid_polygons import GRID_PAIRS_THAT_RAISE, grid_pair
 
 from banded import cli, model, morph
 from banded.cli import main
@@ -575,6 +576,49 @@ def test_steiner_on_a_half_turn_frames_once(monkeypatch, capsys):
     command, figure = FRAMED_TWICE
     assert run(command, fig(figure)) == 0
     assert (calls["model._frame"], calls["morph._frame"], calls["validate"]) == (1, 0, 1)
+
+
+GRID_COMMANDS = ("check", "solve", "morph-check", "convex-rule", "steiner")
+
+
+def run_on_grid_pair(tmp_path, capsys, seed, command):
+    """The exit code and stderr of one command on the saved `grid_pair`,
+    with stderr checked to hold at most one line and no traceback."""
+    path = tmp_path / f"grid_{seed}.json"
+    if not path.exists():
+        save_instance(grid_pair(seed), path)
+    code = run(command, str(path))
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (seed, command, err)
+    return code
+
+
+def test_grid_files_exit_cleanly(tmp_path, capsys):
+    # ROADMAP item 12's CLI slice: each entry point, run on the 300 seeded
+    # grid pairs of the builder property, gives a defined verdict (0-3) and
+    # a one-line message at most; `steiner` on the item-1 seeds is pinned
+    # below
+    codes = Counter()
+    for seed in range(300):
+        for command in GRID_COMMANDS:
+            if command == "steiner" and seed in GRID_PAIRS_THAT_RAISE:
+                continue
+            code = run_on_grid_pair(tmp_path, capsys, seed, command)
+            assert 0 <= code <= 3, (seed, command)
+            codes[command, code] += 1
+    # the draw reaches both verdicts of the deciding commands, and the
+    # turn rule's precondition
+    assert {("solve", 2), ("morph-check", 2), ("convex-rule", 0), ("convex-rule", 3)} <= set(codes)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: `steiner` exits 4 on a grid pair with no common corner triple",
+)
+@pytest.mark.parametrize("seed", GRID_PAIRS_THAT_RAISE)
+def test_steiner_on_grid_pairs_without_a_common_triple_exits_cleanly(tmp_path, capsys, seed):
+    assert run_on_grid_pair(tmp_path, capsys, seed, "steiner") <= 3
 
 
 def test_package_main_runs_the_cli(monkeypatch, capsys):

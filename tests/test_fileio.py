@@ -81,6 +81,22 @@ class TestInstanceFiles:
         assert loaded.source.vertices == inst.source.vertices
         assert loaded.target.vertices == inst.target.vertices
 
+    def test_integral_values_load_as_ints(self, tmp_path):
+        # JSON ints, integral decimals and integral fractions all load as
+        # ints, so the exact kernels skip `Fraction` arithmetic on them
+        doc = {
+            "P": [[0, "0"], ["4.0", -0], ["8/2", "3"]],
+            "Pprime": [["-1", 0], ["3", "0.00"], ["3", "12/4"]],
+        }
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        inst = load_instance(path)
+        assert {type(c) for poly in (inst.source, inst.target) for p in poly.vertices for c in p} == {int}
+        assert inst.source.vertices[2] == Point2(4, 3)
+        doc["Pprime"][2] = ["3", "5/2"]
+        value = instance_from_document(doc).target.vertices[2].y
+        assert type(value) is Fraction and value == Fraction(5, 2)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"n": 3, "P": [["0", "0"], ["1", "0"], ["0", "1"]]}))

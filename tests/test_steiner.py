@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from grid_polygons import grid_polygon
+from grid_polygons import GRID_PAIRS_THAT_RAISE, grid_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_figures import fig3a_no_surface, fig7_star
@@ -166,6 +166,27 @@ class TestJoins:
         s = build_layered_surface(as_instance(src, tgt))
         assert s.steiner_count() == 8 * len(plan)
         assert verify_banded_surface(s, force_sections=True).passed
+
+    def test_the_shared_triple_search_stops_at_the_first_shared_ear(self, monkeypatch):
+        # A = -2I fails the eigenvalue test for every triple, so the bridge
+        # takes the first triple that is an ear of both polygons; a convex
+        # pair shares (0, 1, 2), two whole-polygon ear tests, and neither
+        # side's list of every ear triple is built
+        src = random_polygon(random.Random(12), 12, "convex").vertices
+        inst = as_instance(src, tuple(Point2(-2 * p.x, -2 * p.y) for p in src))
+        polygons = (inst.source.vertices, inst.target.vertices)
+        calls = []
+        inner = steiner._is_ear
+
+        def is_ear(pts, *triple):
+            # `_squash_chain` tests its corner rings, which are lists
+            if any(pts is poly for poly in polygons):
+                calls.append(triple)
+            return inner(pts, *triple)
+
+        monkeypatch.setattr(steiner, "_is_ear", is_ear)
+        assert len(_squash_plan(inst, {})) == 2 * (12 - 3)
+        assert len(calls) <= 2
 
     def test_quarter_turn_bridge_builds_seed_505_star_3(self):
         inst = seed_505_star(3)
@@ -408,18 +429,6 @@ def test_independent_targets_build_within_bound(seed, n, kind):
     assert s.steiner_count() <= 2 * n * (n - 3) + 12
     report = verify_banded_surface(s, force_sections=True)
     assert report.passed, report.summary()
-
-
-# the seeds of `grid_pair` whose two polygons share no corner triple and
-# whose build raises (ROADMAP item 1)
-GRID_PAIRS_THAT_RAISE = (22, 93, 232, 297)
-
-
-def grid_pair(seed: int) -> SliceInstance:
-    """Two polygons on the 5 x 5 grid, n = 4 + seed % 3, from `Random(seed)`."""
-    rng = random.Random(seed)
-    n = 4 + seed % 3
-    return as_instance(grid_polygon(rng, n), grid_polygon(rng, n))
 
 
 def test_grid_pairs_build_within_the_bound():

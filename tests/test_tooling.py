@@ -104,7 +104,8 @@ SHARED = {
     # affine shortcut and the ear-squash end gap alike, and the one affine
     # fit: instance validation makes it, and the morph decision
     # (`morph._decide`) and the similarity witness (`similarity_witness`,
-    # which the rotation planner calls) read it
+    # which the rotation planner calls) read it; the squash end gap
+    # (`steiner._planar_end_map`) fits a corner triple with it
     "_end_map": "geometry.py",
     "_planar_linear_part": "morph.py",
     "_affine_fit": "model.py",
