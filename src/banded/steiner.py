@@ -8,9 +8,11 @@ preserved verbatim.  Plans are tried cheapest first: snapshots of the linear
 morph, taken at the midpoints of a bisection at most 4 deep, which gives up
 at the first midpoint that is not simple; exact sub-rotations for rotated
 instances; and the ear-squash route, which has built every pair tried.
-Every gap is certified by the chord solver, once per build: its verdict is
-memoised under the gap put on one integer frame (`_gap_key`), and gaps
-with one key, which are equal up to a positive factor, share one table.
+The morph snapshots are taken on the instance's integer frame, so that
+search does no `Fraction` arithmetic.  Every gap is certified by the chord
+solver, once per build: its verdict is memoised under the gap's primitive
+int vector (`_gap_key`), which two gaps share exactly when one is the other
+scaled by a positive factor, and such gaps share one table.
 
 The ear-squash route picks a corner triple {i, j, k} that is a triangle of
 some triangulation of both polygons (`_is_ear`).  Each side is squashed
@@ -52,6 +54,7 @@ order stops at the triple taken.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -64,11 +67,12 @@ from .model import (
     SliceInstance,
     _affine_fit,
     _coordinates,
-    _integer_instance,
     layers_to_surface,
 )
 from .morph import _planar_linear_part, _rotated
-from .solver import build_clauses, build_conflict_table, solve_no_steiner
+# `build_conflict_table` is not called here; the benchmark's tracer
+# (benchmarks/spans.py) wraps this module's binding of it by name
+from .solver import _conflict_table, build_clauses, build_conflict_table, solve_no_steiner  # noqa: F401
 from .twosat import solve_2sat
 
 
@@ -79,27 +83,31 @@ def _gap_instance(lower, upper) -> SliceInstance:
 
 
 def _gap_key(lower, upper) -> tuple[int, ...]:
-    """The gap between two layers on one integer frame: its
-    `model._coordinates`, scaled by one `_integer_axis` call over both
-    layers."""
-    return tuple(_integer_axis(_coordinates(_gap_instance(lower, upper)))[1])
+    """The gap between two layers as its primitive int vector: its
+    `model._coordinates`, scaled onto integers by one `_integer_axis` call
+    over both layers, then divided by their gcd.  Two gaps share a key
+    exactly when one is the other scaled by a positive factor, whether their
+    coordinates are spelled as ints or `Fraction`s."""
+    cs = _integer_axis(_coordinates(_gap_instance(lower, upper)))[1]
+    g = math.gcd(*cs)
+    return tuple(cs) if g <= 1 else tuple(c // g for c in cs)
 
 
 def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     """Chord assignment for the gap between two layers, given as vertex
     tuples and stood at heights 0 and 1, or None.  `memo` holds the verdicts
     of one build, keyed by the gap's `_gap_key`; a stored None is an UNSAT
-    verdict.  Two gaps share a key only when one is the other scaled by a
-    positive factor, a similarity that keeps every chord verdict.  The
-    table is built on the key's integer points, so its own scaling runs at
-    factor 1.  Only a complete conflict table is solved here: a prefix that
-    2-SAT refuted carries that result (`solver.ConflictTable.refutation`)."""
+    verdict.  The table is built by `solver._conflict_table` on the key's
+    own integers.  Scaling x and y by one positive factor, with z fixed, is
+    an affine bijection of space, so it keeps every contact, and so every
+    conflict, the table and its 2-SAT verdict: gaps that share a key share
+    it.  Only a complete conflict table is solved here: a prefix that 2-SAT
+    refuted carries that result (`solver.ConflictTable.refutation`)."""
     key = _gap_key(lower, upper)
     # False marks a gap not solved yet
     verdict = memo.get(key, False)
     if verdict is False:
-        inst = _integer_instance(_gap_instance(lower, upper), key)
-        table = build_conflict_table(inst)
+        table = _conflict_table(len(lower), key)
         result = table.refutation or solve_2sat(*build_clauses(table))
         verdict = ChordAssignment.from_bools(result.assignment) if result.satisfiable else None
         memo[key] = verdict
@@ -118,26 +126,41 @@ def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None
     close; gives up (None) at the first midpoint snapshot that is not
     simple, at a gap that still fails at depth 4, or where the plan would
     exceed the layer budget.  A half turn collapses at t = 1/2, so it falls
-    through at once to `_rotation_plan`."""
-    from .morph import morph_position
+    through at once to `_rotation_plan`.
 
-    def rec(lo_poly, hi_poly, lo_t, hi_t, depth):
+    Every time is a multiple of 1/16, so the search runs on the instance's
+    integer frame (`_integer_axis` of its `_coordinates`, factor k) scaled by
+    16: the snapshot at t = j/16 is the int polygon (16 - j) P + j Q, for the
+    source P and target Q on that frame, which is 16k times
+    `morph.morph_position(inst, t)`.  A positive factor keeps simplicity,
+    and `_gap_key`'s primitive key makes each gap share its verdict with the
+    unscaled gap, so the 0-16 gap finds the direct pair's entry.  The layers
+    of a plan become `Fraction`s only at the end, as x / 16k, equal point for
+    point to `morph_position`'s."""
+    k, cs = _integer_axis(_coordinates(inst))
+    tracks = list(zip(cs[0::4], cs[1::4], cs[2::4], cs[3::4]))
+
+    def snapshot(j):
+        return tuple(Point2((16 - j) * px + j * qx, (16 - j) * py + j * qy) for px, py, qx, qy in tracks)
+
+    def rec(lo_poly, hi_poly, lo_j, hi_j, depth):
         if _gap_assignment(lo_poly, hi_poly, memo) is not None:
             return []
         if depth == 0:
             return None
-        mid_t = (lo_t + hi_t) / 2
-        mid = morph_position(inst, mid_t).vertices
+        mid_j = (lo_j + hi_j) // 2
+        mid = snapshot(mid_j)
         if not polygon_is_simple(mid):
             return None
-        left = rec(lo_poly, mid, lo_t, mid_t, depth - 1)
-        right = None if left is None else rec(mid, hi_poly, mid_t, hi_t, depth - 1)
+        left = rec(lo_poly, mid, lo_j, mid_j, depth - 1)
+        right = None if left is None else rec(mid, hi_poly, mid_j, hi_j, depth - 1)
         return None if right is None else left + [mid] + right
 
-    plan = rec(inst.source.vertices, inst.target.vertices, Fraction(0), Fraction(1), 4)
-    if plan is not None and 0 < len(plan) <= max_layers:
-        return plan
-    return None
+    plan = rec(snapshot(0), snapshot(16), 0, 16, 4)
+    if plan is None or not 0 < len(plan) <= max_layers:
+        return None
+    d = 16 * k
+    return [tuple(Point2(Fraction(x, d), Fraction(y, d)) for x, y in layer) for layer in plan]
 
 
 _ROTATION_PALETTE = (

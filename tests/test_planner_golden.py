@@ -11,7 +11,8 @@ criterion-7 draw (seed 70707) of test_acceptance, the seed-505 star stream
 of test_model, and `fig3a_no_surface`.  Rotation win c7_36 is a near half
 turn whose morph bisection gives up at depth 4.  Squash win star_505_3
 (n = 3) has no triple that passes the eigenvalue test and takes the
-quarter-turn bridge.
+quarter-turn bridge.  The morph route's layers are also checked, point for
+point, against `morph_position` at their morph times.
 """
 
 import functools
@@ -25,7 +26,8 @@ from reference_figures import fig3a_no_surface
 import banded.steiner as steiner
 from banded.generators import random_instance, random_polygon, random_star_polygon
 from banded.geometry import Point2
-from banded.morph import rotate_copy_instance
+from banded.model import LabeledPolygon
+from banded.morph import morph_position, rotate_copy_instance
 
 KINDS = ("convex", "star", "spiral")
 PLANS = ("_morph_plan", "_rotation_plan", "_squash_plan")
@@ -33,7 +35,8 @@ PLANS = ("_morph_plan", "_rotation_plan", "_squash_plan")
 
 @functools.cache
 def criterion_7_cases():
-    """The first 100 instances of the criterion-7 recipe (n 4-15)."""
+    """The 110 instances of the criterion-7 recipe: 100 with n 4-15, then
+    10 with n = 30."""
     rng = random.Random(70707)
     cases = []
     for k in range(100):
@@ -43,6 +46,13 @@ def criterion_7_cases():
             inst = rotate_copy_instance(poly, Point2(0, 0), (Fraction(-24, 25), Fraction(7, 25)))
         else:
             inst = random_instance(rng, n, KINDS[k % 3])
+        cases.append(inst)
+    for k in range(10):
+        if k % 2 == 0:
+            poly = random_polygon(rng, 30, "star")
+            inst = rotate_copy_instance(poly, Point2(0, 0), (Fraction(-4, 5), Fraction(3, 5)))
+        else:
+            inst = random_instance(rng, 30, KINDS[k % 3])
         cases.append(inst)
     return cases
 
@@ -123,3 +133,75 @@ def test_golden_surface(name, monkeypatch):
 def test_golden_set_covers_every_route():
     assert {route for route, _ in GOLDEN.values()} == {"direct", *PLANS}
     assert set(GOLDEN) == set(INSTANCES)
+
+
+class NotTheMorphRoute(Exception):
+    pass
+
+
+def morph_route_surface(inst):
+    """The surface that the morph route builds for inst, or None where the
+    direct solve or a later route builds it."""
+
+    def later_route(*args):
+        raise NotTheMorphRoute
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steiner, "_rotation_plan", later_route)
+        try:
+            s = steiner.build_layered_surface(inst)
+        except NotTheMorphRoute:
+            return None
+    return s if len(s.paths[0]) > 2 else None
+
+
+def assert_layers_are_morph_snapshots(inst, s):
+    # layer g of m + 1 stands at z = g/m, and its points equal, as values
+    # and as `Fraction`s, those of `morph_position` at some t = j/16, with t
+    # rising from 0 to 1
+    m = len(s.paths[0]) - 1
+    snapshots = {Fraction(j, 16): morph_position(inst, Fraction(j, 16)).vertices for j in range(17)}
+    times = []
+    for g in range(m + 1):
+        layer = [s.vertices[path[g]][0] for path in s.paths]
+        assert {p.z for p in layer} == {Fraction(g, m)}
+        xy = tuple(Point2(p.x, p.y) for p in layer)
+        times.append(next(t for t, snap in snapshots.items() if snap == xy))
+        if 0 < g < m:
+            assert all(type(c) is Fraction for p in xy for c in p)
+    assert times[0] == 0 and times[-1] == 1
+    assert times == sorted(set(times))
+
+
+@pytest.mark.parametrize("name", [name for name, (route, _) in GOLDEN.items() if route == "_morph_plan"])
+def test_golden_morph_layers_are_morph_snapshots(name):
+    inst = INSTANCES[name]()
+    assert_layers_are_morph_snapshots(inst, morph_route_surface(inst))
+
+
+def test_criterion_7_morph_layers_are_morph_snapshots():
+    wins = []
+    for k, inst in enumerate(criterion_7_cases()):
+        s = morph_route_surface(inst)
+        if s is not None:
+            assert_layers_are_morph_snapshots(inst, s)
+            wins.append(k)
+    assert {0, 4} <= set(wins) and len(wins) >= 30, wins
+
+
+def test_near_half_turn_stars_on_fractions_take_morph_snapshots():
+    # star coordinates with denominators 3 and 6, turned by (-24/25, 7/25)
+    # about (1/7, 0), so the integer frame's factor is not 1
+    wins = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        star = random_star_polygon(rng, rng.randint(5, 12))
+        source = tuple(Point2(Fraction(p.x, 3), Fraction(2 * p.y + 1, 6)) for p in star.vertices)
+        inst = rotate_copy_instance(
+            LabeledPolygon(source, 0), Point2(Fraction(1, 7), 0), (Fraction(-24, 25), Fraction(7, 25))
+        )
+        s = morph_route_surface(inst)
+        if s is not None:
+            assert_layers_are_morph_snapshots(inst, s)
+            wins += 1
+    assert wins >= 30

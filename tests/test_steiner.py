@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -125,7 +126,7 @@ class TestJoins:
 
     def test_only_complete_gap_tables_are_solved(self, monkeypatch):
         # the table of the rotated 40-gon star's gap is refuted inside
-        # `build_conflict_table`, which keeps that result, so the gap makes
+        # `solver._conflict_table`, which keeps that result, so the gap makes
         # no call through `steiner.solve_2sat`; a certified gap makes one
         calls = []
         inner = steiner.solve_2sat
@@ -198,35 +199,101 @@ class TestJoins:
 
 
 def counted_gap_tables(monkeypatch) -> list:
-    """The instances of the gap tables built through `steiner`'s binding."""
+    """The integer coordinates of the gap tables built through `steiner`'s
+    binding of `solver._conflict_table`."""
     tables = []
-    inner = steiner.build_conflict_table
+    inner = steiner._conflict_table
 
-    def build_conflict_table(table_inst):
-        tables.append(table_inst)
-        return inner(table_inst)
+    def conflict_table(n, cs):
+        tables.append(cs)
+        return inner(n, cs)
 
-    monkeypatch.setattr(steiner, "build_conflict_table", build_conflict_table)
+    monkeypatch.setattr(steiner, "_conflict_table", conflict_table)
     return tables
+
+
+def positive_multiple(a, b) -> bool:
+    """True iff the polygon a is the polygon b scaled by a positive factor."""
+    fa = [c for p in a for c in p]
+    fb = [c for p in b for c in p]
+    pivot = next((i for i, c in enumerate(fb) if c != 0), None)
+    if pivot is None:
+        return not any(fa)
+    factor = Fraction(fa[pivot]) / fb[pivot]
+    return factor > 0 and all(x == factor * y for x, y in zip(fa, fb))
+
+
+def scaled(layer, factor):
+    return tuple(Point2(factor * p.x, factor * p.y) for p in layer)
+
+
+class TestGapKey:
+    """`_gap_key`, the memo key: two gaps share one exactly when one is the
+    other scaled by a positive factor."""
+
+    KITE = (Point2(1, 0), Point2(5, 2), Point2(3, 6), Point2(0, 3))
+
+    def test_positive_multiples_share_a_key(self):
+        key = steiner._gap_key(QUAD, self.KITE)
+        assert all(type(c) is int for c in key) and math.gcd(*key) == 1
+        for factor in (1, 2, 12, Fraction(1, 3), Fraction(7, 4), Fraction(10, 15)):
+            assert steiner._gap_key(scaled(QUAD, factor), scaled(self.KITE, factor)) == key, factor
+
+    def test_int_and_fraction_spellings_share_a_key(self):
+        spelled = [tuple(Point2(Fraction(p.x), Fraction(p.y)) for p in layer) for layer in (QUAD, self.KITE)]
+        assert steiner._gap_key(*spelled) == steiner._gap_key(QUAD, self.KITE)
+        thirds = [scaled(layer, Fraction(2, 3)) for layer in (QUAD, self.KITE)]
+        assert steiner._gap_key(*thirds) == steiner._gap_key(scaled(QUAD, 2), scaled(self.KITE, 2))
+
+    def test_other_gaps_have_other_keys(self):
+        key = steiner._gap_key(QUAD, self.KITE)
+        others = [
+            (scaled(QUAD, -1), scaled(self.KITE, -1)),  # a negative factor
+            (scaled(QUAD, 2), self.KITE),  # one layer scaled
+            (QUAD, scaled(self.KITE, Fraction(1, 2))),
+            (self.KITE, QUAD),  # the layers swapped
+            (tuple(p.translated(1, 0) for p in QUAD), tuple(p.translated(1, 0) for p in self.KITE)),
+        ]
+        assert all(steiner._gap_key(*gap) != key for gap in others)
+
+    def test_keys_are_shared_exactly_by_positive_multiples(self):
+        # random small gaps and their multiples by int and `Fraction`
+        # factors, both signs: equal keys iff one gap is a positive
+        # multiple of the other
+        rng = random.Random(5)
+        gaps = []
+        for _ in range(12):
+            lo, hi = (tuple(Point2(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)) for _ in range(2))
+            for factor in (1, rng.choice((-1, 1)) * Fraction(rng.randint(1, 6), rng.randint(1, 6))):
+                gaps.append((scaled(lo, factor), scaled(hi, factor)))
+        gaps = [gap for gap in gaps if any(p != (0, 0) for layer in gap for p in layer)]
+        for a in gaps:
+            for b in gaps:
+                same = steiner._gap_key(*a) == steiner._gap_key(*b)
+                assert same == positive_multiple(a[0] + a[1], b[0] + b[1]), (a, b)
 
 
 class TestMorphPlan:
     def test_half_turn_gives_up_at_its_first_midpoint(self, monkeypatch):
         # fig3a is a half turn, so its snapshot at t = 1/2 collapses to one
-        # point; the bisection splits at midpoints only and tries no other t
+        # point; the bisection splits at midpoints only and tries no other t.
+        # The snapshots are taken on integers, so the one polygon tested is
+        # a positive multiple of `morph_position`'s at t = 1/2
         inst = fig3a_no_surface().instance
-        times = []
-        inner = morph.morph_position
+        tested = []
+        inner = steiner.polygon_is_simple
 
-        def morph_position(snap_inst, t):
-            times.append(t)
-            return inner(snap_inst, t)
+        def polygon_is_simple(pts):
+            tested.append(pts)
+            return inner(pts)
 
-        monkeypatch.setattr(morph, "morph_position", morph_position)
+        monkeypatch.setattr(steiner, "polygon_is_simple", polygon_is_simple)
         tables = counted_gap_tables(monkeypatch)
         memo = {steiner._gap_key(inst.source.vertices, inst.target.vertices): None}
         assert steiner._morph_plan(inst, steiner._layer_budget(inst.n), memo) is None
-        assert times == [Fraction(1, 2)]
+        assert len(tested) == 1
+        assert positive_multiple(tested[0], morph.morph_position(inst, Fraction(1, 2)).vertices)
+        assert not positive_multiple(tested[0], morph.morph_position(inst, Fraction(1, 4)).vertices)
         assert tables == []
 
     def test_fig3a_build_reaches_the_rotation_plan_in_few_tables(self, monkeypatch):
@@ -234,6 +301,34 @@ class TestMorphPlan:
         s = build_layered_surface(fig3a_no_surface().instance)
         assert verify_banded_surface(s, force_sections=True).passed
         assert 0 < len(tables) <= 5
+
+    def test_a_morph_route_build_does_no_fraction_arithmetic(self, monkeypatch):
+        # fig7_star has int coordinates, and the morph route builds it: the
+        # snapshots and their gap tables are ints, and the chosen layers are
+        # built as `Fraction`s from ints, so no `Fraction` is added,
+        # subtracted, multiplied or divided
+        inst = fig7_star().instance
+        assert all(type(c) is int for c in _coordinates(inst))
+
+        def later_route(*args):
+            raise AssertionError("fig7_star is a morph-route build")
+
+        monkeypatch.setattr(steiner, "_rotation_plan", later_route)
+        ops = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+
+            def op(a, b, _name=name, _inner=getattr(Fraction, name)):
+                ops.append(_name)
+                return _inner(a, b)
+
+            monkeypatch.setattr(Fraction, name, op)
+        assert 1 - Fraction(1, 2) == Fraction(1, 2) and ops == ["__rsub__"]
+        ops.clear()
+        s = build_layered_surface(inst)
+        assert ops == []
+        monkeypatch.undo()
+        assert s.steiner_count() > 0
+        assert verify_banded_surface(s, force_sections=True).passed
 
 
 class TestRotationPlan:
@@ -340,22 +435,22 @@ class TestBuildLayeredSurface:
     def test_no_state_between_calls(self, monkeypatch):
         # two builds of one instance do the same work, and the direct pair's
         # table, built by the failed direct solve on validation's frame, is
-        # not built again; every table, a gap's included, goes through
-        # `solver._conflict_table`, which sees its integer coordinates
+        # not built again, at any scale; every table, a gap's included, goes
+        # through `solver._conflict_table`, which sees its integer coordinates
         inst = fig3a_no_surface().instance
-        pair = inst.validate()[1]
+        pair = primitive(inst.validate()[1])
         tables = []
 
         def conflict_table(n, cs, _inner=solver._conflict_table):
-            tables.append((solver.__name__, cs))
+            tables.append((solver.__name__, primitive(cs)))
             return _inner(n, cs)
 
-        def build_conflict_table(table_inst, _inner=steiner.build_conflict_table):
-            tables.append((steiner.__name__, _coordinates(table_inst)))
-            return _inner(table_inst)
+        def gap_table(n, cs, _inner=steiner._conflict_table):
+            tables.append((steiner.__name__, primitive(cs)))
+            return _inner(n, cs)
 
         monkeypatch.setattr(solver, "_conflict_table", conflict_table)
-        monkeypatch.setattr(steiner, "build_conflict_table", build_conflict_table)
+        monkeypatch.setattr(steiner, "_conflict_table", gap_table)
         per_call = []
         for _ in range(2):
             tables.clear()
@@ -376,6 +471,12 @@ class TestBuildLayeredSurface:
             assert s.steiner_count() <= 2 * n * (n - 3) + 12
             report = verify_banded_surface(s)
             assert report.passed, report.summary()
+
+
+def primitive(cs) -> tuple:
+    """The int coordinates cs divided by their gcd."""
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs)
 
 
 def seed_505_star(index):
