@@ -143,15 +143,16 @@ def _integer_axis(values: list) -> tuple[int, list[int]]:
     return k, [v.numerator * (k // v.denominator) for v in values]
 
 
-def _integer_polygon(pts: Sequence[Point2]) -> list[Point2]:
-    """The polygon scaled onto integers by one positive factor: a similarity,
-    so simplicity and orientation are unchanged.  A polygon already on
-    integers is returned as it is."""
-    if all(type(p.x) is int and type(p.y) is int for p in pts):
+def _integer_polygon(pts: Sequence) -> Sequence:
+    """The polygon, given as any (x, y) pairs, scaled onto integers by one
+    positive factor: a similarity, so simplicity and orientation are
+    unchanged.  A polygon already on integers is returned as it is, and
+    another one as a list of (x, y) tuples."""
+    if all(type(x) is int and type(y) is int for x, y in pts):
         return pts
     n = len(pts)
-    _, cs = _integer_axis([p.x for p in pts] + [p.y for p in pts])
-    return [Point2(x, y) for x, y in zip(cs[:n], cs[n:])]
+    _, cs = _integer_axis([x for x, _ in pts] + [y for _, y in pts])
+    return list(zip(cs[:n], cs[n:]))
 
 
 def _end_map(u, w, v, z) -> tuple:
@@ -250,25 +251,45 @@ def _meet_only_at_ends(segments) -> bool:
     return True
 
 
-def polygon_signed_area2(pts: Sequence[Point2]):
-    """Twice the signed area (positive for counterclockwise order)."""
+def polygon_signed_area2(pts: Sequence):
+    """Twice the signed area (positive for counterclockwise order) of the
+    polygon given as any (x, y) pairs."""
     total = 0
-    n = len(pts)
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        total += p.x * q.y - p.y * q.x
+    px, py = pts[-1]
+    for x, y in pts:
+        total += px * y - py * x
+        px, py = x, y
     return total
 
 
-def polygon_is_simple(pts: Sequence[Point2]) -> bool:
-    """True iff the closed polygonal chain is simple.
+def _edges_meet(e, f) -> bool:
+    """Whether two closed segments e and f, each given as (ax, ay, bx, by,
+    ux, uy) with the ends a != b and u = b - a, have a common point,
+    provided that their closed boxes meet: the straddle test, whose lemma
+    and proof are in `polygon_is_simple`."""
+    ax, ay, bx, by, ux, uy = e
+    cx, cy, dx, dy, vx, vy = f
+    s = ux * (cy - ay) - uy * (cx - ax)
+    t = ux * (dy - ay) - uy * (dx - ax)
+    if s > 0 < t or s < 0 > t:
+        return False  # f strictly on one side of e's line
+    s = vx * (ay - cy) - vy * (ax - cx)
+    t = vx * (by - cy) - vy * (bx - cx)
+    return not (s > 0 < t or s < 0 > t)
+
+
+def polygon_is_simple(pts: Sequence) -> bool:
+    """True iff the closed polygonal chain, given as any (x, y) pairs, is
+    simple.
 
     Vertices must be distinct, non-adjacent edges disjoint, and adjacent
     edges may share only their common vertex.  Collinear (flat) vertices are
     allowed.  Exact: the polygon is first scaled onto integers by one
-    positive factor (a similarity, so the verdict is unchanged), then the
-    exact segment test runs only on the non-adjacent edge pairs whose
-    bounding boxes meet, as `_box_pairs` finds them.
+    positive factor (a similarity, so the verdict is unchanged; a polygon on
+    ints is taken as it is), then one pass over consecutive vertices makes
+    the fold-back test of each pair of adjacent edges and the closed box of
+    each edge, and only the non-adjacent edge pairs whose boxes meet, as
+    `_box_pairs` finds them, take the straddle test (`_edges_meet`).
 
     Adjacent edges ab and bc, with a, b, c distinct, share more than b iff
     the path folds back at b: a, b, c are collinear and (b - a) . (c - b) <
@@ -276,6 +297,28 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     closed form: off a line the two segments meet only in b, and on one,
     c - a projects onto b - a at less than |b - a|^2 iff the dot product
     is negative, which makes the overlap a segment rather than b alone.
+
+    Lemma (straddle).  Let ab and cd be closed segments with a != b and
+    c != d whose closed boxes meet.  They have a common point iff neither
+    has both ends of the other strictly on one side of its line.
+
+    Proof.  A common point lies on both lines, so neither segment lies
+    strictly on one side of the other's line.  Conversely, let s and t be
+    the sides of line ab that c and d lie on, and s' and t' those of line
+    cd that a and b lie on (+1, -1, or 0 on the line), with neither pair
+    equal and nonzero.  (1) s = t = 0: all four ends lie on one line, and
+    two segments on a line meet iff their extents along it meet, which is
+    iff their boxes meet.  (2) Exactly one of s, t is 0, say s: c lies on
+    line ab and d does not, so the lines differ and meet only in c.  If a
+    or b is c, c is common.  Otherwise a and b, on line ab but not c, are
+    off line cd, so s' and t' are nonzero and differ: ab crosses line cd
+    at a point of line ab, which is c.  (3) s and t nonzero: they differ.
+    If s' = t' = 0, line cd is line ab, against s != 0; if exactly one is
+    0, (2) applies with the segments swapped; if neither is, they differ
+    too, and each segment crosses the other's line, both at the one point
+    where the two distinct lines meet.  So the boxes matter only in (1),
+    where the collinear case is exactly box overlap.  Non-adjacent edges of
+    a polygon with distinct vertices satisfy a != b and c != d.
     """
     n = len(pts)
     if n < 3:
@@ -283,26 +326,29 @@ def polygon_is_simple(pts: Sequence[Point2]) -> bool:
     q = _integer_polygon(pts)
     if len(set(q)) != n:
         return False
-    boxes = []
-    for i in range(n):
-        (ax, ay), (bx, by), (cx, cy) = q[i], q[(i + 1) % n], q[(i + 2) % n]
-        ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
+    # edge m runs from vertex m - 1 to vertex m; adjacency is cyclic, so the
+    # rotated numbering changes no pair
+    edges, boxes = [], []
+    (ax, ay), (bx, by) = q[-2], q[-1]
+    ux, uy = bx - ax, by - ay
+    for cx, cy in q:
+        vx, vy = cx - bx, cy - by
         if ux * vy == uy * vx and ux * vx + uy * vy < 0:
-            return False  # edge i+1 folds back onto edge i
-        x0, x1 = (ax, bx) if ax <= bx else (bx, ax)
-        y0, y1 = (ay, by) if ay <= by else (by, ay)
+            return False  # the path folds back at b
+        x0, x1 = (bx, cx) if bx <= cx else (cx, bx)
+        y0, y1 = (by, cy) if by <= cy else (cy, by)
         boxes.append((x0, x1, y0, y1))
+        edges.append((bx, by, cx, cy, vx, vy))
+        bx, by, ux, uy = cx, cy, vx, vy
     for j, k in _box_pairs(boxes):
-        if (k - j) % n not in (1, n - 1) and segments_intersect_2d(
-            q[j], q[(j + 1) % n], q[k], q[(k + 1) % n], mode="any"
-        ):
+        if (k - j) % n not in (1, n - 1) and _edges_meet(edges[j], edges[k]):
             return False
     return True
 
 
-def polygon_is_ccw(pts: Sequence[Point2]) -> bool:
+def polygon_is_ccw(pts: Sequence) -> bool:
     """Orientation test by signed area, taken on the integer copy of the
-    polygon; meaningful for simple polygons."""
+    polygon, given as any (x, y) pairs; meaningful for simple polygons."""
     return polygon_signed_area2(_integer_polygon(pts)) > 0
 
 

@@ -61,18 +61,25 @@ class LabeledPolygon:
         return Point3(p.x, p.y, self.z_level)
 
     def validate(self) -> None:
-        # one integer copy serves both tests: polygon_is_simple takes an
-        # integer polygon as it is
-        q = _integer_polygon(self.vertices)
-        if not polygon_is_simple(q):
-            raise InputError("polygon is not simple")
-        if polygon_signed_area2(q) <= 0:
-            raise InputError("polygon is not counterclockwise")
+        _check_polygon(_integer_polygon(self.vertices))
 
     def translated(self, dx, dy) -> "LabeledPolygon":
         return LabeledPolygon(
             tuple(Point2(p.x + dx, p.y + dy) for p in self.vertices), self.z_level
         )
+
+
+def _check_polygon(pts) -> None:
+    """Raise `InputError` unless the polygon, given as (x, y) pairs on
+    integers, is simple and then counterclockwise: the one check of
+    `LabeledPolygon.validate` and `SliceInstance.validate`.  It calls this
+    module's binding of `polygon_is_simple`, which the benchmark's tracer
+    (benchmarks/spans.py) wraps."""
+    if not polygon_is_simple(pts):
+        raise InputError("polygon is not simple")
+    if polygon_signed_area2(pts) <= 0:
+        raise InputError("polygon is not counterclockwise")
+
 
 @dataclass(frozen=True, slots=True)
 class SliceInstance:
@@ -100,9 +107,11 @@ class SliceInstance:
         one, and which scales the signed area by det A > 0, so it keeps
         counterclockwise order.  A valid source thus has a valid target,
         and every instance raises the error that sweeping the source and
-        then the target would raise.  Each sweep runs on its polygon's own
-        integer copy (`LabeledPolygon.validate`), which for a polygon on
-        integers is the polygon itself.
+        then the target would raise.  Each sweep (`_check_polygon`) takes
+        its polygon as plain (x, y) int pairs from the frame's cs: one
+        positive factor k for both polygons is a similarity, so simplicity
+        and orientation read as on the given coordinates, and no polygon is
+        scaled a second time.
         """
         z0, z1 = _levels(self)
         if not (z0 == 0 and z1 == 1):
@@ -110,9 +119,10 @@ class SliceInstance:
         if len(self.source.vertices) != len(self.target.vertices):
             raise InputError("source and target must have the same vertex count")
         frame = _frame(self)
-        self.source.validate()
-        if frame[2] is None:
-            self.target.validate()
+        _, cs, fit = frame
+        _check_polygon(list(zip(cs[0::4], cs[1::4])))
+        if fit is None:
+            _check_polygon(list(zip(cs[2::4], cs[3::4])))
         return frame
 
     def band_quad(self, i: int) -> tuple[Point3, Point3, Point3, Point3]:

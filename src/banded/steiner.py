@@ -76,19 +76,14 @@ from .solver import _conflict_table, build_clauses, build_conflict_table, solve_
 from .twosat import solve_2sat
 
 
-def _gap_instance(lower, upper) -> SliceInstance:
-    """The gap between two layers, given as vertex tuples, stood at heights
-    0 and 1."""
-    return SliceInstance(LabeledPolygon(lower, 0), LabeledPolygon(upper, 1))
-
-
 def _gap_key(lower, upper) -> tuple[int, ...]:
     """The gap between two layers as its primitive int vector: its
-    `model._coordinates`, scaled onto integers by one `_integer_axis` call
-    over both layers, then divided by their gcd.  Two gaps share a key
-    exactly when one is the other scaled by a positive factor, whether their
-    coordinates are spelled as ints or `Fraction`s."""
-    cs = _integer_axis(_coordinates(_gap_instance(lower, upper)))[1]
+    coordinates px, py, qx, qy per vertex, in `model._coordinates`' layout
+    with the lower layer as source, scaled onto integers by one
+    `_integer_axis` call over both layers, then divided by their gcd.  Two
+    gaps share a key exactly when one is the other scaled by a positive
+    factor, whether their coordinates are spelled as ints or `Fraction`s."""
+    cs = _integer_axis([c for p, q in zip(lower, upper) for c in (p.x, p.y, q.x, q.y)])[1]
     g = math.gcd(*cs)
     return tuple(cs) if g <= 1 else tuple(c // g for c in cs)
 
@@ -114,17 +109,30 @@ def _gap_assignment(lower, upper, memo: dict) -> ChordAssignment | None:
     return verdict
 
 
+def _certified(stack, memo: dict) -> list | None:
+    """The `_gap_assignment` of every gap of the stack of layers, bottom
+    up, or None from the first gap that has none, with no later gap
+    solved."""
+    assignments = []
+    for lo, hi in zip(stack, stack[1:]):
+        assignment = _gap_assignment(lo, hi, memo)
+        if assignment is None:
+            return None
+        assignments.append(assignment)
+    return assignments
+
+
 def _layer_budget(n: int) -> int:
     # interior layers allowed by the added-vertex bound 2n(n-3) + 12
     return 2 * (n - 3) + 12 // n
 
 
-def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None:
-    """Interior layers taken from the linear morph itself: snapshots at the
-    midpoints of a bisection, at most 4 deep, until every gap is
-    chord-solvable.  Cheap and small when source and target are already
-    close; gives up (None) at the first midpoint snapshot that is not
-    simple, at a gap that still fails at depth 4, or where the plan would
+def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> tuple | None:
+    """Interior layers taken from the linear morph itself, with the
+    certified assignment of each gap: snapshots at the midpoints of a
+    bisection, at most 4 deep, until every gap is chord-solvable.  Cheap
+    and small when source and target are already close; gives up (None) at
+    the first midpoint snapshot that is not simple, at a gap that still fails at depth 4, or where the plan would
     exceed the layer budget.  A half turn collapses at t = 1/2, so it falls
     through at once to `_rotation_plan`.
 
@@ -143,24 +151,28 @@ def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None
     def snapshot(j):
         return tuple(Point2((16 - j) * px + j * qx, (16 - j) * py + j * qy) for px, py, qx, qy in tracks)
 
-    def rec(lo_poly, hi_poly, lo_j, hi_j, depth):
-        if _gap_assignment(lo_poly, hi_poly, memo) is not None:
-            return []
+    layers, assignments = [], []
+
+    def rec(lo_poly, hi_poly, lo_j, hi_j, depth) -> bool:
+        # appends, left to right, the layers strictly between and the gaps'
+        # assignments; False where the bisection gives up
+        assignment = _gap_assignment(lo_poly, hi_poly, memo)
+        if assignment is not None:
+            assignments.append(assignment)
+            return True
         if depth == 0:
-            return None
+            return False
         mid_j = (lo_j + hi_j) // 2
         mid = snapshot(mid_j)
-        if not polygon_is_simple(mid):
-            return None
-        left = rec(lo_poly, mid, lo_j, mid_j, depth - 1)
-        right = None if left is None else rec(mid, hi_poly, mid_j, hi_j, depth - 1)
-        return None if right is None else left + [mid] + right
+        if not polygon_is_simple(mid) or not rec(lo_poly, mid, lo_j, mid_j, depth - 1):
+            return False
+        layers.append(mid)
+        return rec(mid, hi_poly, mid_j, hi_j, depth - 1)
 
-    plan = rec(snapshot(0), snapshot(16), 0, 16, 4)
-    if plan is None or not 0 < len(plan) <= max_layers:
+    if not rec(snapshot(0), snapshot(16), 0, 16, 4) or not 0 < len(layers) <= max_layers:
         return None
     d = 16 * k
-    return [tuple(Point2(Fraction(x, d), Fraction(y, d)) for x, y in layer) for layer in plan]
+    return [tuple(Point2(Fraction(x, d), Fraction(y, d)) for x, y in layer) for layer in layers], assignments
 
 
 _ROTATION_PALETTE = (
@@ -172,11 +184,12 @@ _ROTATION_PALETTE = (
 )
 
 
-def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | None:
+def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> tuple | None:
     """For targets that are an exact rotation (plus translation) of the
     source: stand full-size copies rotated by rational sub-steps between the
     two, refining the step size until every gap solves or the layer budget
-    runs out.  Avoids the tiny-scale bottleneck that the straight morph of a
+    runs out; the layers come with their gaps' certified assignments.
+    Avoids the tiny-scale bottleneck that the straight morph of a
     near-half-turn rotation dives through.
 
     The steps are counted exactly: with W the target's rotation and C the
@@ -206,9 +219,9 @@ def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> list | N
             step = us if wy * c - wx * s >= 0 else -us
             c, s = c * uc - s * step, c * step + s * uc
             layers.append(_rotated(src, center, c, s))
-        stack = [src, *layers, tgt]
-        if all(_gap_assignment(lo, hi, memo) is not None for lo, hi in zip(stack, stack[1:])):
-            return layers
+        assignments = _certified([src, *layers, tgt], memo)
+        if assignments is not None:
+            return layers, assignments
     return None
 
 
@@ -262,14 +275,11 @@ def _prefixes(pts, triples) -> list[tuple]:
     return list(ends.values())
 
 
-def _ladder(src, tgt, bottoms, tops, memo: dict, max_cost: int) -> list | None:
+def _ladder(src, tgt, bottoms, tops, memo: dict, max_cost: int) -> tuple | None:
     """The interior layers of the cheapest stack (src, *bottom, *reversed
     top, tgt) whose every gap certifies, over prefixes from the source
-    and the target side, or None; ties go to the earlier prefixes."""
-
-    def certified(lo, hi) -> bool:
-        return _gap_assignment(lo, hi, memo) is not None
-
+    and the target side, with the gaps' certified assignments, or None;
+    ties go to the earlier prefixes.  The join gap is tried first."""
     pairs = sorted(
         (len(bot) + len(top), x, y)
         for x, bot in enumerate(bottoms)
@@ -279,18 +289,22 @@ def _ladder(src, tgt, bottoms, tops, memo: dict, max_cost: int) -> list | None:
     for _cost, x, y in pairs:
         stack = [src, *bottoms[x], *reversed(tops[y]), tgt]
         split = len(bottoms[x])
-        if certified(stack[split], stack[split + 1]) and all(map(certified, stack, stack[1:])):
-            return stack[1:-1]
+        if _gap_assignment(stack[split], stack[split + 1], memo) is None:
+            continue
+        assignments = _certified(stack, memo)
+        if assignments is not None:
+            return stack[1:-1], assignments
     return None
 
 
-def _squash_plan(inst: SliceInstance, memo: dict) -> list:
+def _squash_plan(inst: SliceInstance, memo: dict) -> tuple:
     """Interior layers from the ear-squash chains of both sides toward the
-    first common corner triple that passes the eigenvalue test: prefix
-    pairs cheapest first, the full pair last.  The module docstring gives
-    the quarter-turn bridge for common triples that all fail the test and
-    the pairing over every triple when none is common; each side's list of
-    ear triples is built only in that last case, and the first common
+    first common corner triple that passes the eigenvalue test, with their
+    gaps' certified assignments: prefix pairs cheapest first, the full pair
+    last.  The module docstring gives the quarter-turn bridge for common
+    triples that all fail the test and the pairing over every triple when
+    none is common; each side's list of ear triples is built only in that
+    last case, and the first common
     triple is otherwise found by one lazy search."""
     src, tgt = inst.source.vertices, inst.target.vertices
     n = inst.n
@@ -351,10 +365,7 @@ def build_layered_surface(inst: SliceInstance) -> BandedSurface:
         plan = _rotation_plan(inst, budget, memo)
     if plan is None:
         plan = _squash_plan(inst, memo)
-    layers = [inst.source.vertices, *plan, inst.target.vertices]
-    assignments = [memo.get(_gap_key(lo, hi)) for lo, hi in zip(layers, layers[1:])]
-    if None in assignments:
-        raise InternalConsistencyError("a planned gap has no certified assignment")
-    m = len(plan) + 1
-    interior = (LabeledPolygon(layer, Fraction(k, m)) for k, layer in enumerate(plan, start=1))
+    layers, assignments = plan
+    m = len(layers) + 1
+    interior = (LabeledPolygon(layer, Fraction(k, m)) for k, layer in enumerate(layers, start=1))
     return layers_to_surface([inst.source, *interior, inst.target], assignments)

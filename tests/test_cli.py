@@ -524,7 +524,8 @@ def test_verify_reports_an_edited_file(tmp_path, capsys, command, figure, edit, 
 
 def counted_validation(monkeypatch) -> Counter:
     """Calls of the integer frame through `model`'s binding and through
-    `morph`'s own, of polygon validation and of `model._integer_axis`."""
+    `morph`'s own, of the simple-and-counterclockwise check of one polygon
+    (`model._check_polygon`) and of `model._integer_axis`."""
     calls = Counter()
 
     def counted(owner, name, key):
@@ -538,7 +539,7 @@ def counted_validation(monkeypatch) -> Counter:
 
     counted(model, "_frame", "model._frame")
     counted(morph, "_frame", "morph._frame")
-    counted(model.LabeledPolygon, "validate", "validate")
+    counted(model, "_check_polygon", "_check_polygon")
     counted(model, "_integer_axis", "_integer_axis")
     return calls
 
@@ -557,7 +558,7 @@ def test_each_command_validates_once(monkeypatch, capsys, figure):
     for command in ("check", "solve", "steiner", "convex-rule", "morph-check"):
         calls.clear()
         run(command, fig(figure))
-        assert (calls["model._frame"], calls["validate"]) == (1, 1), command
+        assert (calls["model._frame"], calls["_check_polygon"]) == (1, 1), command
         if (command, figure) != FRAMED_TWICE:
             assert calls["morph._frame"] == 0, command
         if (command, figure) == ("solve", "fig3a_no_surface"):
@@ -575,7 +576,7 @@ def test_steiner_on_a_half_turn_frames_once(monkeypatch, capsys):
     calls = counted_validation(monkeypatch)
     command, figure = FRAMED_TWICE
     assert run(command, fig(figure)) == 0
-    assert (calls["model._frame"], calls["morph._frame"], calls["validate"]) == (1, 0, 1)
+    assert (calls["model._frame"], calls["morph._frame"], calls["_check_polygon"]) == (1, 0, 1)
 
 
 GRID_COMMANDS = ("check", "solve", "morph-check", "convex-rule", "steiner")

@@ -23,9 +23,12 @@ from banded.geometry import (
     Point2,
     Point3,
     _box,
+    _box_pairs,
+    _edges_meet,
     _end_boxes,
     _ends_apart,
     _horizon_bands,
+    _integer_polygon,
     _meet_only_at_ends,
     _quads_apart,
     _sections_apart,
@@ -37,6 +40,7 @@ from banded.geometry import (
     polygon_is_ccw,
     polygon_is_convex,
     polygon_is_simple,
+    polygon_signed_area2,
     segments_intersect_2d,
 )
 
@@ -381,6 +385,79 @@ class TestPolygons:
             tally[verdict] += 1
             assert verdict == polygon_is_simple_pairwise(pts), pts
         assert min(tally.values()) > 500, tally
+
+    def test_straddle_test_matches_the_segment_test_where_boxes_meet(self):
+        # the straddle lemma of `polygon_is_simple`: on small int and
+        # Fraction grids, full of collinear, touching and overlapping
+        # edges, every non-adjacent edge pair whose closed boxes meet, as
+        # the kernel sweeps them on the integer copy, gets from
+        # `_edges_meet` the verdict of `segments_intersect_2d(..., "any")`
+        # on the given points
+        rng = random.Random(23)
+        tally = Counter()
+        for k in range(3000):
+            n = rng.randint(4, 8)
+            d = 1 if k % 2 else rng.choice((2, 3, 6))
+            r = rng.choice((2, 3))
+
+            def coordinate():
+                return rng.randint(0, r) if d == 1 else Fraction(rng.randint(0, r * d), d)
+
+            pts = []
+            while len(pts) < n:
+                if len(pts) >= 2 and rng.random() < 0.4:
+                    # continue the last edge forwards or back along its line
+                    a, b = pts[-2], pts[-1]
+                    f = rng.randint(1, 3) if d == 1 else Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                    f *= rng.choice((1, -1))
+                    p = P(b.x + f * (b.x - a.x), b.y + f * (b.y - a.y))
+                else:
+                    p = P(coordinate(), coordinate())
+                if p not in pts:
+                    pts.append(p)
+            q = _integer_polygon(pts)
+            # edge m runs from vertex m - 1 to vertex m, as in the kernel
+            edges = [(*q[m - 1], *q[m], q[m][0] - q[m - 1][0], q[m][1] - q[m - 1][1]) for m in range(n)]
+            boxes = [(min(e[0], e[2]), max(e[0], e[2]), min(e[1], e[3]), max(e[1], e[3])) for e in edges]
+            for j, m in _box_pairs(boxes):
+                if (m - j) % n in (1, n - 1):
+                    continue
+                a, b, c, e = pts[j - 1], pts[j], pts[m - 1], pts[m]
+                meet = segments_intersect_2d(a, b, c, e, mode="any")
+                assert _edges_meet(edges[j], edges[m]) == meet, (pts, j, m)
+                sides = (orient2d(a, b, c), orient2d(a, b, e), orient2d(c, e, a), orient2d(c, e, b))
+                if sides[0] == sides[1] == 0:
+                    assert meet  # on one line, meeting boxes mean meeting extents
+                    tally["collinear"] += 1
+                elif meet:
+                    tally["touch" if 0 in sides else "cross"] += 1
+                else:
+                    tally["apart"] += 1
+        assert min(tally.values()) > 200, tally
+
+    def test_points_and_plain_tuples_answer_alike(self):
+        # the polygon predicates take any (x, y) pairs: `Point2`s, and
+        # plain tuples of ints or of `Fraction`s
+        rng = random.Random(29)
+        verdicts = Counter()
+        for k in range(600):
+            n = rng.randint(3, 9)
+            d = 1 if k % 2 else rng.choice((2, 3))
+
+            def coordinate():
+                return rng.randint(-4, 4) if d == 1 else Fraction(rng.randint(-4 * d, 4 * d), d)
+
+            pts = [P(coordinate(), coordinate()) for _ in range(n)]
+            if k % 3 == 0:  # star-shaped order, so simple polygons are common
+                pts.sort(key=lambda p: math.atan2(p.y - 0.1, p.x - 0.2))
+            tuples = [(p.x, p.y) for p in pts]
+            assert all(type(t) is tuple for t in tuples)
+            verdict = polygon_is_simple(pts)
+            assert polygon_is_simple(tuples) == verdict, pts
+            assert polygon_signed_area2(tuples) == polygon_signed_area2(pts), pts
+            assert polygon_is_ccw(tuples) == polygon_is_ccw(pts), pts
+            verdicts[verdict, d == 1] += 1
+        assert len(verdicts) == 4 and min(verdicts.values()) > 50, verdicts
 
     @given(
         st.lists(

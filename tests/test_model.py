@@ -233,6 +233,35 @@ class TestValidateByAffineFit:
         assert kite.validate()[2] is None
         assert len(swept) == 3
 
+    def test_a_target_without_fit_is_put_on_integers_once(self, monkeypatch):
+        # both polygons are swept on the instance's integer frame, so the
+        # frame's `_integer_axis` call, through `model`'s binding, is the
+        # only one, and a `Fraction` target is not scaled again through
+        # `geometry`'s
+        calls = []
+        inner = geometry._integer_axis
+
+        def counted(values):
+            calls.append(len(values))
+            return inner(values)
+
+        monkeypatch.setattr(geometry, "_integer_axis", counted)
+        monkeypatch.setattr(model, "_integer_axis", counted)
+        kite = self.instance(Point2(Fraction(x, 3), Fraction(y, 2)) for x, y in ((0, 0), (5, 0), (4, 4), (0, 4)))
+        assert kite.validate()[2] is None
+        assert calls == [16]
+
+    def test_with_both_polygons_invalid_the_source_error_is_raised(self):
+        bowtie = tuple(Point2(*xy) for xy in ((0, 0), (4, 4), (4, 0), (0, 4)))
+        clockwise = SQUARE[::-1]
+        for source, target, message in (
+            (bowtie, clockwise, "polygon is not simple"),
+            (clockwise, bowtie, "polygon is not counterclockwise"),
+        ):
+            inst = SliceInstance(LabeledPolygon(source, 0), LabeledPolygon(target, 1))
+            assert model._frame(inst)[2] is None
+            assert validation_error(inst.validate) == message
+
 
 class TestAssignmentToSurface:
     def test_counts_and_structure(self):

@@ -53,6 +53,14 @@ def orient_area(a, b, c):
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
+def assert_certified(src, tgt, layers, assignments):
+    # a plan's layers stack between src and tgt, and its assignments are
+    # the verdicts of its gaps, bottom up, as a fresh memo certifies them
+    stack = [src, *layers, tgt]
+    fresh = [_gap_assignment(lo, hi, {}) for lo, hi in zip(stack, stack[1:])]
+    assert None not in fresh and assignments == fresh
+
+
 def barycentric(p, a, b, c):
     d = orient_area(a, b, c)
     return (Fraction(orient_area(p, b, c), d), Fraction(orient_area(a, p, c), d))
@@ -146,13 +154,16 @@ class TestJoins:
 
     def test_congruent_triangles_direct(self):
         tri = (Point2(0, 0), Point2(4, 0), Point2(0, 4))
-        assert _ladder(tri, tri, [()], [()], {}, 0) == []
+        layers, assignments = _ladder(tri, tri, [()], [()], {}, 0)
+        assert layers == []
+        assert_certified(tri, tri, layers, assignments)
 
     def test_half_turn_triangles_need_layers(self):
         inst = fig3a_no_surface().instance
         src, tgt = inst.source.vertices, inst.target.vertices
         assert not _planar_end_map(src, tgt, (0, 1, 2))  # A = -I
-        (mid,) = _squash_plan(inst, {})
+        (mid,), assignments = _squash_plan(inst, {})
+        assert_certified(src, tgt, [mid], assignments)
         # one quarter turn about vertex 0, either way round
         o = src[0]
         turns = [tuple(Point2(o.x - s * (p.y - o.y), o.y + s * (p.x - o.x)) for p in src) for s in (1, -1)]
@@ -162,7 +173,8 @@ class TestJoins:
         # A = -2I for every triple: the turned end replaces a squash layer
         src = random_polygon(random.Random(8), 8, "convex").vertices
         tgt = tuple(Point2(5 - 2 * p.x, -3 - 2 * p.y) for p in src)
-        plan = _squash_plan(as_instance(src, tgt), {})
+        plan, assignments = _squash_plan(as_instance(src, tgt), {})
+        assert_certified(src, tgt, plan, assignments)
         assert len(plan) == 2 * (8 - 3)
         s = build_layered_surface(as_instance(src, tgt))
         assert s.steiner_count() == 8 * len(plan)
@@ -186,7 +198,7 @@ class TestJoins:
             return inner(pts, *triple)
 
         monkeypatch.setattr(steiner, "_is_ear", is_ear)
-        assert len(_squash_plan(inst, {})) == 2 * (12 - 3)
+        assert len(_squash_plan(inst, {})[0]) == 2 * (12 - 3)
         assert len(calls) <= 2
 
     def test_quarter_turn_bridge_builds_seed_505_star_3(self):
@@ -338,7 +350,8 @@ class TestRotationPlan:
         # two layers lie between source and target, one and two steps round
         poly = random_polygon(random.Random(3), 6, kind)
         inst = rotate_copy_instance(poly, Point2(0, 0), (Fraction(-44, 125), Fraction(117, 125)))
-        plan = steiner._rotation_plan(inst, steiner._layer_budget(inst.n), {})
+        plan, assignments = steiner._rotation_plan(inst, steiner._layer_budget(inst.n), {})
+        assert_certified(inst.source.vertices, inst.target.vertices, plan, assignments)
         assert len(plan) == 2
         assert inst.target.vertices not in plan
         src = inst.source.vertices

@@ -80,9 +80,10 @@ SHARED = {
     # the conflict table, the morph decision and the verifier's face pass
     # share one copy of the sections lemma's predicate and of the
     # differences it reads; the table and the morph decision share the
-    # end-box test that runs before them; polygon simplicity and the morph
-    # scan share one box sweep, and the 3D kernel keeps one plane-side
-    # routine
+    # end-box test that runs before them; polygon simplicity, the morph
+    # scan and the face pass's clean-level test prune their pairs with one
+    # box sweep, which polygon simplicity follows with the straddle test
+    # alone, and the 3D kernel keeps one plane-side routine
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
     "_ends_apart": "geometry.py",
@@ -113,6 +114,9 @@ SHARED = {
     "_end_map": "geometry.py",
     "_planar_linear_part": "morph.py",
     "_affine_fit": "model.py",
+    # the simple-and-counterclockwise check of one polygon, for instance
+    # validation on its integer frame and for `LabeledPolygon.validate`
+    "_check_polygon": "model.py",
 }
 
 
