@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .geometry import Point3, _is_ear
+from .geometry import Point3, _is_ear, polygon_is_simple
 from .model import (
     BandedSurface,
     LabeledPolygon,
@@ -167,11 +167,15 @@ def save_instance(inst: SliceInstance, path, name=None, metadata=None) -> None:
 def _cap_faces(surface: BandedSurface) -> list[tuple[int, int, int]]:
     """The two caps' triangles, by ear clipping each end polygon of the
     paths: the first vertex that is an ear (`_is_ear`) is clipped until a
-    triangle is left.  The bottom cap's triangles face downward."""
+    triangle is left.  The bottom cap's triangles face downward.  An end
+    polygon of fewer than 3 vertices, or one that is not simple, raises
+    `InputError`."""
     faces = []
     for end in (0, -1):
         ring = [path[end] for path in surface.paths]
         pts = [surface.point(v).xy for v in ring]
+        if len(pts) < 3 or not polygon_is_simple(pts):
+            raise InputError("cap needs a simple end polygon of at least 3 vertices")
         cap = []
         while len(ring) > 3:
             n = len(ring)

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateTriangleError, InputError, PreconditionError
+from .errors import DegenerateTriangleError, InputError
 
 Rational = int | Fraction
 
@@ -57,68 +57,6 @@ def orient3d(a, b, c, d) -> int:
     wx, wy, wz = dx - ax, dy - ay, dz - az
     det = ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
     return (det > 0) - (det < 0)
-
-
-def _between_collinear(p, a, b) -> bool:
-    # assumes p collinear with a,b; where a and b share their x, p must share
-    # it too, so that a zero-length segment touches only its own point
-    if a.x != b.x:
-        return a.x <= p.x <= b.x or b.x <= p.x <= a.x
-    return p.x == a.x and (a.y <= p.y <= b.y or b.y <= p.y <= a.y)
-
-
-def segments_intersect_2d(p1, p2, p3, p4, mode: str = "any") -> bool:
-    """Exact closed-segment intersection test.
-
-    mode="any":     any common point counts.
-    mode="proper":  a common point that is not a shared endpoint of the two
-                    segments is required (touching endpoint-to-endpoint does
-                    not count, but endpoint-into-interior contact does).
-
-    A zero-length segment is a point, which touches the other segment only
-    where it lies on it.
-    """
-    if mode not in ("any", "proper"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    o1 = orient2d(p1, p2, p3)
-    o2 = orient2d(p1, p2, p4)
-    if o1 == o2 != 0:
-        return False  # p3 and p4 strictly on one side of p1p2
-    o3 = orient2d(p3, p4, p1)
-    o4 = orient2d(p3, p4, p2)
-    if o3 == o4 != 0:
-        return False  # p1 and p2 strictly on one side of p3p4
-
-    if o1 == 0 and o2 == 0 and p1 != p2 and p3 != p4:
-        # collinear: compare parameter intervals along p1->p2
-        dx, dy = p2.x - p1.x, p2.y - p1.y
-        t2 = dx * dx + dy * dy
-        t3 = (p3.x - p1.x) * dx + (p3.y - p1.y) * dy
-        t4 = (p4.x - p1.x) * dx + (p4.y - p1.y) * dy
-        lo = max(0, min(t3, t4))
-        hi = min(t2, max(t3, t4))
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        return mode == "any"  # single-point overlap is an endpoint of both
-
-    if o1 and o2 and o3 and o4:
-        return True  # strict interior crossing: the signs differ on both lines
-
-    contacts = []
-    if o1 == 0 and _between_collinear(p3, p1, p2):
-        contacts.append(p3)
-    if o2 == 0 and _between_collinear(p4, p1, p2):
-        contacts.append(p4)
-    if o3 == 0 and _between_collinear(p1, p3, p4):
-        contacts.append(p1)
-    if o4 == 0 and _between_collinear(p2, p3, p4):
-        contacts.append(p2)
-    if mode == "any":
-        return bool(contacts)
-    shared = [q for q in (p1, p2) if q == p3 or q == p4]
-    return any(p not in shared for p in contacts)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +168,7 @@ def _box_pairs(boxes):
 
 
 def _meet_only_at_ends(segments) -> bool:
-    """Whether every two of the closed segments (p, q) of `Point2`s in
+    """Whether every two of the closed segments (p, q) of (x, y) points in
     `segments` meet only in endpoints they share; a segment with p == q is
     the point p, which may touch another segment only at an endpoint equal
     to p.  So two segments that cross, touch an interior point or overlap
@@ -238,15 +176,15 @@ def _meet_only_at_ends(segments) -> bool:
 
     One sweep in the style of Shamos and Hoey (1976): the pairs whose
     closed boxes meet, as `_box_pairs` finds them, go through
-    `segments_intersect_2d(..., mode="proper")`, and a pair with disjoint
-    boxes has no common point."""
+    `_meet_beyond_ends`, and a pair with disjoint boxes has no common
+    point."""
     boxes = []
     for (px, py), (qx, qy) in segments:
         x0, x1 = (px, qx) if px <= qx else (qx, px)
         y0, y1 = (py, qy) if py <= qy else (qy, py)
         boxes.append((x0, x1, y0, y1))
     for j, k in _box_pairs(boxes):
-        if segments_intersect_2d(*segments[j], *segments[k], mode="proper"):
+        if _meet_beyond_ends(segments[j], segments[k]):
             return False
     return True
 
@@ -278,6 +216,32 @@ def _edges_meet(e, f) -> bool:
     return not (s > 0 < t or s < 0 > t)
 
 
+def _meet_beyond_ends(s, t) -> bool:
+    """Whether the closed segments s and t, each a pair (p, q) of (x, y)
+    points, have a common point that is not an end of both, provided that
+    their closed boxes meet; a segment with p == q is the point p.
+
+    A point meets the other segment beyond its ends iff it lies on it and
+    is neither of its ends; within the box, lying on it is lying on its
+    line.  Two segments with both ends in common overlap.  Two that share
+    one end v meet beyond it iff their other ends lie on one ray from v:
+    the fold-back test of `polygon_is_simple`.  Two that share no end
+    meet iff the straddle test (`_edges_meet`) says so."""
+    (a, b), (c, d) = s, t
+    if a == b or c == d:
+        (p, _), (u, w) = (s, t) if a == b else (t, s)
+        return p != u and p != w and orient2d(u, w, p) == 0
+    if a in t and b in t:
+        return True
+    if a in t or b in t:
+        v, p = (a, b) if a in t else (b, a)
+        (vx, vy), (px, py), (qx, qy) = v, p, d if c == v else c
+        px, py, qx, qy = px - vx, py - vy, qx - vx, qy - vy
+        return px * qy == py * qx and px * qx + py * qy > 0
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    return _edges_meet((ax, ay, bx, by, bx - ax, by - ay), (cx, cy, dx, dy, dx - cx, dy - cy))
+
+
 def polygon_is_simple(pts: Sequence) -> bool:
     """True iff the closed polygonal chain, given as any (x, y) pairs, is
     simple.
@@ -293,10 +257,10 @@ def polygon_is_simple(pts: Sequence) -> bool:
 
     Adjacent edges ab and bc, with a, b, c distinct, share more than b iff
     the path folds back at b: a, b, c are collinear and (b - a) . (c - b) <
-    0.  That is `segments_intersect_2d(a, b, b, c, mode="proper")` in
-    closed form: off a line the two segments meet only in b, and on one,
-    c - a projects onto b - a at less than |b - a|^2 iff the dot product
-    is negative, which makes the overlap a segment rather than b alone.
+    0: off a line the two segments meet only in b, and on one, a and c lie
+    on one ray from b iff the dot product is negative, which makes the
+    overlap a segment rather than b alone.  That is the shared-end case of
+    `_meet_beyond_ends`, written out here to keep the pass free of calls.
 
     Lemma (straddle).  Let ab and cd be closed segments with a != b and
     c != d whose closed boxes meet.  They have a common point iff neither
@@ -370,30 +334,47 @@ def polygon_is_convex(pts: Sequence[Point2]) -> bool:
     return max(pos, neg) >= 3
 
 
+def _in_closed_triangle(a, b, c, p) -> bool:
+    """Whether p lies in the closed triangle a, b, c, which turns left."""
+    return orient2d(a, b, p) >= 0 and orient2d(b, c, p) >= 0 and orient2d(c, a, p) >= 0
+
+
+def _cross_strictly(p, q, u, w) -> bool:
+    """Whether the segments pq and uw cross in a point that is an end of
+    neither: each has the other's ends strictly on opposite sides of its
+    line."""
+    return orient2d(p, q, u) * orient2d(p, q, w) < 0 and orient2d(u, w, p) * orient2d(u, w, q) < 0
+
+
 def _is_ear(pts, i: int, j: int, k: int) -> bool:
     """Vertices i, j, k, in the cyclic order of the counterclockwise simple
     polygon `pts`, span a triangle of some triangulation of it: the triangle
     turns left, its closed area holds no other vertex and no polygon edge
-    crosses a side.  The indices lie in range(len(pts)); with j = i + 1 and
-    k = j + 1, mod len(pts), this is an ear at j."""
+    but a side meets a side outside their shared ends.  The indices lie in
+    range(len(pts)); with j = i + 1 and k = j + 1, mod len(pts), this is an
+    ear at j.
+
+    Once the triangle turns left and holds no other vertex, an edge e that
+    is not a side meets a side s outside their shared ends only by crossing
+    it strictly, so the edge loop tests strict crossings alone; and no side
+    crosses a side strictly, so it takes every edge.  Let x be such a
+    common point.  If x is an end of e, it is a vertex on s: another vertex
+    would lie in the closed triangle, and the third one of i, j, k lies off
+    s's line, so x is an end of s too, and so of both.  If x is an end of
+    s and not of e, a vertex lies inside an edge, which a simple polygon
+    does not allow.  So x is an end of neither.  Were e and s on one line,
+    each end of their common stretch would be an end of one lying on the
+    other, so by the two cases an end of both, and e would join the ends of
+    s and be a side.  So their lines differ and meet in x alone, inside
+    both: each has the other's ends strictly on opposite sides of its
+    line."""
     a, b, c = pts[i], pts[j], pts[k]
     if orient2d(a, b, c) <= 0:
         return False
-    triple = (i, j, k)
-    n = len(pts)
-    for m, p in enumerate(pts):
-        if m in triple:
-            continue
-        if orient2d(a, b, p) >= 0 and orient2d(b, c, p) >= 0 and orient2d(c, a, p) >= 0:
-            return False  # p lies in the closed triangle
+    if any(_in_closed_triangle(a, b, c, p) for m, p in enumerate(pts) if m not in (i, j, k)):
+        return False
     sides = ((a, b), (b, c), (c, a))
-    for m in range(n):
-        if m in triple and (m + 1) % n in triple:
-            continue  # the edge is a side of the triangle
-        e0, e1 = pts[m], pts[(m + 1) % n]
-        if any(segments_intersect_2d(e0, e1, s0, s1, mode="proper") for s0, s1 in sides):
-            return False
-    return True
+    return not any(_cross_strictly(pts[m - 1], pts[m], u, w) for m in range(len(pts)) for u, w in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +550,9 @@ def _coplanar_triangles_meet(v1, v2) -> bool:
         return any(orient2d(v, c, p) >= 0 and orient2d(d, v, p) >= 0 for p in (a, b)) or any(
             orient2d(v, a, p) >= 0 and orient2d(b, v, p) >= 0 for p in (c, d)
         )
-    for s, t in ((t1, t2), (t2, t1)):
-        a, b, c = t
-        if any(orient2d(a, b, p) >= 0 and orient2d(b, c, p) >= 0 and orient2d(c, a, p) >= 0 for p in s):
-            return True
-    for k in range(3):
-        p, q = t1[k - 1], t1[k]
-        for m in range(3):
-            u, w = t2[m - 1], t2[m]
-            if orient2d(p, q, u) * orient2d(p, q, w) < 0 and orient2d(u, w, p) * orient2d(u, w, q) < 0:
-                return True
-    return False
+    if any(_in_closed_triangle(*t1, p) for p in t2) or any(_in_closed_triangle(*t2, p) for p in t1):
+        return True
+    return any(_cross_strictly(t1[k - 1], t1[k], t2[m - 1], t2[m]) for k in range(3) for m in range(3))
 
 
 def open_triangles_intersect_3d(t1, t2) -> bool:

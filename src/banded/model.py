@@ -698,9 +698,7 @@ class _CleanLevels(dict):
                         edges.add((p[:2], q[:2]) if p < q else (q[:2], p[:2]))
         edges, points = self.parts[z]
         ends = {p for edge in edges for p in edge}
-        segments = [(Point2(*p), Point2(*q)) for p, q in edges]
-        segments += [(Point2(*p),) * 2 for p in points - ends]
-        verdict = self[z] = _meet_only_at_ends(segments)
+        verdict = self[z] = _meet_only_at_ends([*edges, *((p, p) for p in points - ends)])
         return verdict
 
 

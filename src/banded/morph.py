@@ -224,9 +224,10 @@ def _apart(t: ExactTime, a: _MovingPoint, b: _MovingPoint) -> bool:
 
 
 def _between(t: ExactTime, p: _MovingPoint, a: _MovingPoint, b: _MovingPoint) -> bool:
-    """`geometry._between_collinear(p, a, b)` on the positions at t: p lies
-    between a and b in x, or, where a and b share their x, shares it and
-    lies between them in y."""
+    """Whether p, collinear with a and b at t, lies on the closed segment
+    ab at t: between a and b in x, or, where a and b share their x, sharing
+    it and between them in y, so that a zero-length segment holds only its
+    own point."""
     if t.sign(_gap(a.x, b.x)):
         return t.sign(_gap(p.x, a.x)) * t.sign(_gap(p.x, b.x)) <= 0
     return not t.sign(_gap(p.x, a.x)) and t.sign(_gap(p.y, a.y)) * t.sign(_gap(p.y, b.y)) <= 0
@@ -237,8 +238,8 @@ def _predicate(kind: str, points, polys):
     `points` are the moving points involved and `polys` the candidate's
     polynomials: the shoelace for orientation_flip, the cross and dot
     product at the middle vertex for angle_collapse, and for edge_contact
-    the four orientations that `segments_intersect_2d` takes, whose signs
-    settle it unless one of them is 0."""
+    the four orientations of each edge's ends against the other's line,
+    whose signs settle it unless one of them is 0."""
     if kind == "orientation_flip":
         (shoelace,) = polys
         return lambda t: t.sign(shoelace) <= 0
@@ -248,7 +249,8 @@ def _predicate(kind: str, points, polys):
     e0, e1, f0, f1 = points
 
     def edges_touch(t):
-        """`segments_intersect_2d(e0, e1, f0, f1, mode="any")` at t."""
+        """Whether the closed segments e0 e1 and f0 f1 have a common point at
+        t; a zero-length one is its point."""
         o1, o2, o3, o4 = (t.sign(q) for q in polys)
         if o1 and o2 and o3 and o4:
             return o1 != o2 and o3 != o4

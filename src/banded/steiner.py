@@ -132,9 +132,10 @@ def _morph_plan(inst: SliceInstance, max_layers: int, memo: dict) -> tuple | Non
     certified assignment of each gap: snapshots at the midpoints of a
     bisection, at most 4 deep, until every gap is chord-solvable.  Cheap
     and small when source and target are already close; gives up (None) at
-    the first midpoint snapshot that is not simple, at a gap that still fails at depth 4, or where the plan would
-    exceed the layer budget.  A half turn collapses at t = 1/2, so it falls
-    through at once to `_rotation_plan`.
+    the first midpoint snapshot that is not simple, at a gap that still
+    fails at depth 4, or where the plan would exceed the layer budget.  A
+    half turn collapses at t = 1/2, so it falls through at once to
+    `_rotation_plan`.
 
     Every time is a multiple of 1/16, so the search runs on the instance's
     integer frame (`_integer_axis` of its `_coordinates`, factor k) scaled by
@@ -304,8 +305,8 @@ def _squash_plan(inst: SliceInstance, memo: dict) -> tuple:
     last.  The module docstring gives the quarter-turn bridge for common
     triples that all fail the test and the pairing over every triple when
     none is common; each side's list of ear triples is built only in that
-    last case, and the first common
-    triple is otherwise found by one lazy search."""
+    last case, and the first common triple is otherwise found by one lazy
+    search."""
     src, tgt = inst.source.vertices, inst.target.vertices
     n = inst.n
     triples = list(combinations(range(n), 3))

@@ -1,14 +1,17 @@
 """Reference predicates for the tests of `banded.geometry`: a point on a
 closed segment in 2D, the common points of two segments and how they
-meet, polygon simplicity edge pair by edge pair, a
-triangle's normal, and a closed segment against a closed triangle in 3D.
-A triangle is a triple of `Point3`s.  Also a similarity fit in `Fraction`s,
-the reference for `morph.similarity_witness`.
+meet, polygon simplicity edge pair by edge pair, a point in a closed
+triangle, the ear test vertex by vertex and edge by edge, a triangle's
+normal, and a closed segment against a closed triangle in 3D.  A triangle
+is a triple of `Point3`s.  Also a similarity fit in `Fraction`s, the
+reference for `morph.similarity_witness`.
 
-All are exact.  The segment-triangle test projects the triangle along its
-dominant normal axis and builds the crossing point as `Fraction`s, a route
-independent of the sign kernel in `banded.geometry`, so the tests use it as
-an oracle for triangle contact.  Test-only: nothing in `banded` imports it.
+All are exact.  Segment contact solves for the common points as
+`Fraction`s, and the triangle tests solve for barycentric coordinates or
+build the crossing point as `Fraction`s: routes independent of the sign
+kernels in `banded.geometry` (the straddle test, `_meet_beyond_ends`, the
+strict crossing and the closed-triangle test), so the tests use them as
+oracles.  Test-only: nothing in `banded` imports it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ import itertools
 from fractions import Fraction
 
 from banded.errors import DegenerateTriangleError
-from banded.geometry import (
-    Point2,
-    Point3,
-    _between_collinear,
-    orient2d,
-    segments_intersect_2d,
-)
+from banded.geometry import Point2, Point3, orient2d
 
 
 def _sign(v) -> int:
@@ -55,32 +52,47 @@ def is_degenerate(tri) -> bool:
 
 
 def point_on_segment_2d(p, a, b) -> bool:
-    """True iff p lies on the closed segment [a, b]."""
-    return orient2d(a, b, p) == 0 and _between_collinear(p, a, b)
+    """True iff p lies on the closed segment [a, b], which may be the point
+    a = b: on its line and in its closed box."""
+    return (
+        orient2d(a, b, p) == 0
+        and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
+def _quotient(num, den):
+    """num / den, exactly: a `Fraction` for rationals, and the quotient of
+    another exact number type, such as `quadfield_reference.QuadExt`."""
+    try:
+        return Fraction(num, den)
+    except TypeError:
+        return num / den
 
 
 def common_points(a, b, c, d):
     """Common points of the closed segments ab and cd, each of positive
-    length, from a + s (b - a) = c + u (d - c) solved in Fractions; a
-    collinear overlap gives its two ends and its midpoint.  An oracle that
-    shares no code with `segments_intersect_2d`."""
+    length, from a + s (b - a) = c + u (d - c) solved exactly; a collinear
+    overlap gives its two ends and, when they differ, its midpoint.  An
+    oracle that shares no code with the sign kernels of `banded.geometry`."""
     rx, ry = b.x - a.x, b.y - a.y
     sx, sy = d.x - c.x, d.y - c.y
     qx, qy = c.x - a.x, c.y - a.y
     den = rx * sy - ry * sx
-    if den:
-        s = Fraction(qx * sy - qy * sx, den)
-        u = Fraction(qx * ry - qy * rx, den)
+    if den != 0:
+        s = _quotient(qx * sy - qy * sx, den)
+        u = _quotient(qx * ry - qy * rx, den)
         return [Point2(a.x + s * rx, a.y + s * ry)] if 0 <= s <= 1 and 0 <= u <= 1 else []
-    if qx * ry - qy * rx:
+    if qx * ry - qy * rx != 0:
         return []  # parallel, on two lines
     rr = rx * rx + ry * ry
-    sc = Fraction(qx * rx + qy * ry, rr)
-    sd = Fraction((d.x - a.x) * rx + (d.y - a.y) * ry, rr)
+    sc = _quotient(qx * rx + qy * ry, rr)
+    sd = _quotient((d.x - a.x) * rx + (d.y - a.y) * ry, rr)
     lo, hi = max(0, min(sc, sd)), min(1, max(sc, sd))
     if lo > hi:
         return []
-    return [Point2(a.x + t * rx, a.y + t * ry) for t in {lo, hi, (lo + hi) / 2}]
+    ts = [lo] if lo == hi else [lo, hi, _quotient(lo + hi, 2)]
+    return [Point2(a.x + t * rx, a.y + t * ry) for t in ts]
 
 
 def segment_contact(s, t) -> str:
@@ -112,19 +124,52 @@ def segments_meet_only_at_ends_pairwise(segments) -> bool:
 
 
 def polygon_is_simple_pairwise(pts) -> bool:
-    """`polygon_is_simple` by the segment test on every edge pair, with no
+    """`polygon_is_simple` by `segment_contact` on every edge pair, with no
     sweep and no scaling: distinct vertices, adjacent edges meeting only in
-    their shared vertex (`segments_intersect_2d(..., mode="proper")`), and
-    non-adjacent edges disjoint."""
+    their shared vertex, and non-adjacent edges apart."""
     n = len(pts)
     if len(set(pts)) != n:
         return False
     edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
     for i in range(n):
-        if segments_intersect_2d(*edges[i], *edges[(i + 1) % n], mode="proper"):
+        if segment_contact(edges[i], edges[(i + 1) % n]) != "shared end":
             return False
     for i, j in itertools.combinations(range(n), 2):
-        if (j - i) % n not in (1, n - 1) and segments_intersect_2d(*edges[i], *edges[j], mode="any"):
+        if (j - i) % n not in (1, n - 1) and segment_contact(edges[i], edges[j]) != "apart":
+            return False
+    return True
+
+
+def point_in_closed_triangle(p, a, b, c) -> bool:
+    """True iff p lies in the closed triangle a, b, c, which must not be
+    flat: p = a + s (b - a) + u (c - a) solved in `Fraction`s, with s, u
+    and 1 - s - u all at least 0."""
+    bx, by, cx, cy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+    px, py = p.x - a.x, p.y - a.y
+    den = bx * cy - by * cx
+    s = Fraction(px * cy - py * cx, den)
+    u = Fraction(bx * py - by * px, den)
+    return s >= 0 and u >= 0 and s + u <= 1
+
+
+def is_ear_pairwise(pts, i: int, j: int, k: int) -> bool:
+    """`geometry._is_ear` vertex by vertex and edge by edge, on `Point2`s:
+    the triangle of vertices i, j, k turns left (twice its signed area is
+    positive), no other vertex lies in it (`point_in_closed_triangle`), and
+    every polygon edge that is not a side is apart from each side or meets
+    it in a shared end (`segment_contact`)."""
+    a, b, c = pts[i], pts[j], pts[k]
+    if (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x) <= 0:
+        return False
+    triple = (i, j, k)
+    if any(point_in_closed_triangle(p, a, b, c) for m, p in enumerate(pts) if m not in triple):
+        return False
+    n = len(pts)
+    for m in range(n):
+        if m in triple and (m + 1) % n in triple:
+            continue  # the edge is a side
+        edge = (pts[m], pts[(m + 1) % n])
+        if any(segment_contact(edge, side) not in ("apart", "shared end") for side in ((a, b), (b, c), (c, a))):
             return False
     return True
 
@@ -168,10 +213,7 @@ def segment_triangle_contact_3d(p: Point3, q: Point3, tri) -> bool:
         a2, b2 = _project(p, axis), _project(q, axis)
         if inside(a2) or inside(b2):
             return True
-        return any(
-            segments_intersect_2d(a2, b2, verts[i], verts[(i + 1) % 3], mode="any")
-            for i in range(3)
-        )
+        return any(segment_contact((a2, b2), (verts[i], verts[(i + 1) % 3])) != "apart" for i in range(3))
     if sp == 0:
         return inside(_project(p, axis))
     if sq == 0:

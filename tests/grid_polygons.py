@@ -1,5 +1,5 @@
 """Simple, counterclockwise polygons drawn on a small integer grid, convex
-ones, and seeded pairs of them.
+ones, star-shaped ones, and seeded pairs of them.
 
 Vertices drawn uniformly from a g x g grid make flat vertices, shared
 coordinates, touching edges and touching boxes common, which the
@@ -9,6 +9,7 @@ generators in `banded.generators` rarely draw.  Test-only: nothing in
 
 from __future__ import annotations
 
+import functools
 import random
 
 from banded.geometry import Point2, orient2d, polygon_is_ccw, polygon_is_simple
@@ -49,6 +50,30 @@ def convex_grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2,
             pts = [hull[k] for k in sorted(rng.sample(range(len(hull)), n))]
             start = rng.randrange(n)
             return tuple(Point2(*p) for p in pts[start:] + pts[:start])
+
+
+def star_grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:
+    """n distinct cells of the g x g grid drawn around a drawn interior cell
+    c, in counterclockwise order of their angle about c, the nearer first
+    on one ray.  Never redrawn, so a shrinking random shrinks the draw
+    toward small coordinates, which `grid_polygon` does not allow.
+
+    The polygon is simple, counterclockwise and star-shaped about c when
+    no two cells lie on one ray from c and consecutive cells turn less
+    than half a turn about it; other draws, such as cells on one line, may
+    be clockwise or not simple."""
+    c = (rng.randrange(1, g - 1), rng.randrange(1, g - 1))
+    cells = [(x, y) for x in range(g) for y in range(g) if (x, y) != c]
+
+    def half(p):
+        # 0 on the open upper half-plane about c and its ray toward +x
+        return 0 if p[1] > c[1] or p[1] == c[1] and p[0] > c[0] else 1
+
+    def before(p, q):
+        distance = (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2 - (q[0] - c[0]) ** 2 - (q[1] - c[1]) ** 2
+        return half(p) - half(q) or -orient2d(c, p, q) or distance
+
+    return tuple(Point2(*p) for p in sorted(rng.sample(cells, n), key=functools.cmp_to_key(before)))
 
 
 def _strict_hull(points) -> list:

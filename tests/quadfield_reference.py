@@ -50,9 +50,10 @@ def sign_a_plus_b_sqrt(a: Rat, b: Rat, d: Rat) -> int:
 class QuadExt:
     """Number a + b*sqrt(d) with rational a, b and a fixed non-square d > 0.
 
-    Supports ring arithmetic with other QuadExt values over the same d and
+    Supports field arithmetic with other QuadExt values over the same d and
     with rationals, plus exact comparisons; this is enough to run the
-    division-free geometric predicates at a quadratic irrationality.
+    division-free geometric predicates at a quadratic irrationality, and
+    the reference segment contact of tests/geometry_reference.py.
     """
 
     __slots__ = ("a", "b", "d")
@@ -110,6 +111,21 @@ class QuadExt:
         return QuadExt(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        p = self._pair(other)
+        if p is None:
+            return NotImplemented
+        a1, b1, a2, b2, d = p
+        n = Fraction(a2 * a2 - b2 * b2 * d)  # not 0: d is no square
+        return QuadExt((a1 * a2 - b1 * b2 * d) / n, (b1 * a2 - a1 * b2) / n, d)
+
+    def __rtruediv__(self, other):
+        p = self._pair(other)
+        if p is None:
+            return NotImplemented
+        a1, b1, a2, b2, d = p
+        return QuadExt(a2, b2, d) / QuadExt(a1, b1, d)
 
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.d)

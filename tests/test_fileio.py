@@ -207,6 +207,21 @@ class TestMeshFiles:
         with pytest.raises(InputError, match="cap triangulation found no ear"):
             export_mesh(replace(s, paths=s.paths[::-1]), "off", tmp_path / "capped.off", include_caps=True)
 
+    def test_caps_of_a_path_free_mesh_are_invalid_input(self, tmp_path):
+        # a mesh read without its sidecar has no paths, so no end polygon
+        # to cap, and the paths of a square taken out of order make each
+        # end polygon a bowtie; neither writes a mesh
+        mesh = tmp_path / "mesh.off"
+        export_mesh(schonhardt_surface(), "off", mesh)
+        square = LabeledPolygon(tuple(Point2(*p) for p in ((0, 0), (4, 0), (4, 4), (0, 4))), 0)
+        target = LabeledPolygon(tuple(Point2(x + 1, y + 2) for x, y in square.vertices), 1)
+        s = assignment_to_surface(SliceInstance(square, target), ChordAssignment.from_string("LLLL"))
+        bowtie = replace(s, paths=tuple(s.paths[k] for k in (0, 2, 1, 3)))
+        for surface in (mesh_only_surface(mesh), bowtie):
+            with pytest.raises(InputError, match="cap needs a simple end polygon of at least 3 vertices"):
+                export_mesh(surface, "off", tmp_path / "capped.off", include_caps=True)
+        assert not (tmp_path / "capped.off").exists()
+
     def test_unknown_label_leaves_no_mesh(self, tmp_path):
         s = schonhardt_surface()
         point, _ = s.vertices[0]

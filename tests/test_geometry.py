@@ -8,6 +8,8 @@ import pytest
 from geometry_reference import (
     common_points,
     is_degenerate,
+    is_ear_pairwise,
+    point_in_closed_triangle,
     point_on_segment_2d,
     polygon_is_simple_pairwise,
     segment_contact,
@@ -15,10 +17,12 @@ from geometry_reference import (
     segments_meet_only_at_ends_pairwise,
     triangle_normal,
 )
+from grid_polygons import grid_polygon, star_grid_polygon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banded.errors import DegenerateTriangleError, InputError, PreconditionError
+from banded.errors import DegenerateTriangleError, InputError
+from banded.generators import random_polygon
 from banded.geometry import (
     Point2,
     Point3,
@@ -29,6 +33,8 @@ from banded.geometry import (
     _ends_apart,
     _horizon_bands,
     _integer_polygon,
+    _is_ear,
+    _meet_beyond_ends,
     _meet_only_at_ends,
     _quads_apart,
     _sections_apart,
@@ -41,7 +47,6 @@ from banded.geometry import (
     polygon_is_convex,
     polygon_is_simple,
     polygon_signed_area2,
-    segments_intersect_2d,
 )
 
 P = Point2
@@ -95,19 +100,42 @@ class TestPointFormat:
 
 
 def _oracle_meets(a, b, c, d, mode):
-    """`segments_intersect_2d` by `common_points`: "proper" asks for a
-    common point that is not an endpoint shared by both segments."""
+    """Whether the segments ab and cd of positive length meet, by
+    `common_points`: "any" asks for a common point, "proper" for one that
+    is not an endpoint shared by both."""
     shared = [u for u in (a, b) if u == c or u == d]
     common = common_points(a, b, c, d)
     return bool(common) if mode == "any" else any(p not in shared for p in common)
 
 
+def _boxes_meet(a, b, c, d) -> bool:
+    """Whether the closed boxes of the segments ab and cd meet."""
+    return (
+        max(min(a.x, b.x), min(c.x, d.x)) <= min(max(a.x, b.x), max(c.x, d.x))
+        and max(min(a.y, b.y), min(c.y, d.y)) <= min(max(a.y, b.y), max(c.y, d.y))
+    )
+
+
+def _meets(a, b, c, d) -> bool:
+    """Whether the segments ab and cd of positive length have a common
+    point, as `polygon_is_simple` decides it: their closed boxes meet and
+    the straddle test (`_edges_meet`) holds."""
+    return _boxes_meet(a, b, c, d) and _edges_meet((*a, *b, b.x - a.x, b.y - a.y), (*c, *d, d.x - c.x, d.y - c.y))
+
+
+def _beyond(s, t) -> bool:
+    """Whether the segments s and t meet outside their shared ends, as the
+    clean-level sweep decides it: their closed boxes meet and
+    `_meet_beyond_ends` holds."""
+    return _boxes_meet(*s, *t) and _meet_beyond_ends(s, t)
+
+
 class TestSegments:
-    # (segment, segment, verdict in mode "any", verdict in mode "proper"),
-    # each against the segment (0, 0)-(4, 0)
+    # (segment, segment, whether they meet, whether they meet outside their
+    # shared ends), each against the segment (0, 0)-(4, 0)
     EARLY_EXITS = (
-        # strictly on one side of the other's line: the first test exits in
-        # one argument order, the second in the other
+        # strictly on one side of the other's line: the straddle test exits
+        # at its first line in one argument order, at its second in the other
         ((1, 1), (3, 2), False, False),
         ((6, -1), (6, 1), False, False),
         # one endpoint on the other's line
@@ -120,45 +148,53 @@ class TestSegments:
         ((4, 0), (6, 0), True, False),
     )
 
-    @pytest.mark.parametrize("c, d, any_, proper", EARLY_EXITS)
-    def test_early_exits_in_both_modes_and_orders(self, c, d, any_, proper):
+    @pytest.mark.parametrize("c, d, meet, beyond", EARLY_EXITS)
+    def test_early_exits_in_both_modes_and_orders(self, c, d, meet, beyond):
+        # both questions the library asks of a segment pair, any contact
+        # (the straddle test) and contact outside the shared ends
+        # (`_meet_beyond_ends`), in every order of segments and of ends
         a, b, c, d = P(0, 0), P(4, 0), P(*c), P(*d)
         orders = [(a, b, c, d), (c, d, a, b), (b, a, d, c), (d, c, b, a)]
-        for mode, expected in (("any", any_), ("proper", proper)):
-            for args in orders:
-                assert segments_intersect_2d(*args, mode=mode) == expected, (args, mode)
-                assert _oracle_meets(*args, mode) == expected, (args, mode)
-
-    def test_unknown_mode_is_a_precondition_error(self):
-        with pytest.raises(PreconditionError):
-            segments_intersect_2d(P(0, 0), P(1, 0), P(0, 1), P(1, 1), mode="open")
+        for args in orders:
+            assert _meets(*args) == meet == _oracle_meets(*args, "any"), args
+            assert _beyond(args[:2], args[2:]) == beyond == _oracle_meets(*args, "proper"), args
 
     def test_crossing_diagonals(self):
-        assert segments_intersect_2d(P(0, 0), P(2, 2), P(0, 2), P(2, 0), mode="proper")
+        assert _meet_beyond_ends((P(0, 0), P(2, 2)), (P(0, 2), P(2, 0)))
 
     def test_shared_endpoint_not_proper(self):
-        assert not segments_intersect_2d(P(0, 0), P(1, 0), P(1, 0), P(2, 0), mode="proper")
+        assert not _meet_beyond_ends((P(0, 0), P(1, 0)), (P(1, 0), P(2, 0)))
+        assert not _meet_beyond_ends((P(0, 0), P(1, 0)), (P(1, 0), P(0, 1)))
 
     def test_shared_endpoint_any(self):
-        assert segments_intersect_2d(P(0, 0), P(1, 0), P(1, 0), P(2, 0), mode="any")
+        assert _meets(P(0, 0), P(1, 0), P(1, 0), P(2, 0))
 
     def test_t_touch_is_proper(self):
-        assert segments_intersect_2d(P(0, 0), P(2, 0), P(1, 0), P(1, 5), mode="proper")
+        assert _meet_beyond_ends((P(0, 0), P(2, 0)), (P(1, 0), P(1, 5)))
 
     def test_collinear_overlap(self):
-        assert segments_intersect_2d(P(0, 0), P(3, 0), P(1, 0), P(5, 0), mode="proper")
+        assert _meet_beyond_ends((P(0, 0), P(3, 0)), (P(1, 0), P(5, 0)))
+        # sharing one end, along one ray from it
+        assert _meet_beyond_ends((P(0, 0), P(3, 0)), (P(0, 0), P(5, 0)))
 
     def test_identical_segments_proper(self):
-        assert segments_intersect_2d(P(0, 0), P(3, 0), P(0, 0), P(3, 0), mode="proper")
+        assert _meet_beyond_ends((P(0, 0), P(3, 0)), (P(0, 0), P(3, 0)))
+        assert _meet_beyond_ends((P(0, 0), P(3, 0)), (P(3, 0), P(0, 0)))
 
     def test_disjoint_collinear(self):
-        assert not segments_intersect_2d(P(0, 0), P(1, 0), P(2, 0), P(3, 0), mode="any")
+        assert not _meets(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
+        assert _meet_only_at_ends([(P(0, 0), P(1, 0)), (P(2, 0), P(3, 0))])
 
     def test_zero_length_segment_touches_only_its_point(self):
-        # the point (5, 0) shares only its y with the segment's end (0, 0)
-        for mode in ("any", "proper"):
-            assert not segments_intersect_2d(P(0, 0), P(1, 1), P(5, 0), P(5, 0), mode=mode)
-            assert not segments_intersect_2d(P(5, 0), P(5, 0), P(0, 0), P(1, 1), mode=mode)
+        # a point within the segment's box meets it beyond its ends only on
+        # its line and off its ends; the point (5, 0) shares only its y with
+        # the segment's end (0, 0), and its box is apart
+        edge = (P(0, 0), P(2, 2))
+        for point, verdict in (((1, 0), False), ((1, 1), True), ((2, 2), False)):
+            point = (P(*point),) * 2
+            assert _meet_beyond_ends(point, edge) == _meet_beyond_ends(edge, point) == verdict, point
+        for segments in ([edge, (P(5, 0),) * 2], [(P(5, 0),) * 2, edge]):
+            assert _meet_only_at_ends(segments)
 
     coords = st.integers(min_value=-8, max_value=8)
 
@@ -166,17 +202,18 @@ class TestSegments:
     @settings(max_examples=300, derandomize=True)
     def test_symmetric(self, xs):
         a, b, c, d = P(xs[0], xs[1]), P(xs[2], xs[3]), P(xs[4], xs[5]), P(xs[6], xs[7])
-        for mode in ("any", "proper"):
-            assert segments_intersect_2d(a, b, c, d, mode=mode) == segments_intersect_2d(
-                c, d, a, b, mode=mode
-            )
+        beyond = _beyond((a, b), (c, d))
+        assert beyond == _beyond((c, d), (a, b)) == _beyond((b, a), (d, c))
+        if a != b and c != d:
+            assert beyond == _oracle_meets(a, b, c, d, "proper")
+            assert _meets(a, b, c, d) == _meets(c, d, a, b) == _oracle_meets(a, b, c, d, "any")
 
     @given(st.tuples(*(coords,) * 6), st.booleans())
     @settings(max_examples=300, derandomize=True)
     def test_zero_length_segment_is_a_point(self, xs, first):
         a, b, c = P(xs[0], xs[1]), P(xs[2], xs[3]), P(xs[4], xs[5])
-        pair = (c, c, a, b) if first else (a, b, c, c)
-        assert segments_intersect_2d(*pair, mode="any") == point_on_segment_2d(c, a, b)
+        pair = ((c, c), (a, b)) if first else ((a, b), (c, c))
+        assert _beyond(*pair) == (point_on_segment_2d(c, a, b) and c not in (a, b))
 
 
 def grid_segments(rng: random.Random) -> list:
@@ -219,6 +256,56 @@ class TestMeetOnlyAtEnds:
         assert not _meet_only_at_ends([edge, (P(1, 0),) * 2])
         assert not _meet_only_at_ends([edge, (P(1, 0), P(1, 2))])
         assert not _meet_only_at_ends([edge, (P(2, 0), P(1, 0))])
+
+
+class TestEars:
+    def test_matches_the_pairwise_reference(self):
+        # every triple of seeded generator polygons (convex, star and
+        # spiral) and of grid polygons, where flat vertices and touching
+        # edges are common, against the reference that tests each vertex
+        # in the closed triangle and each edge's contact with each side; a
+        # share of the triples turns left and holds no other vertex but is
+        # rejected by the edge test alone
+        polygons = []
+        rng = random.Random(4949)
+        for k in range(45):
+            polygons.append(random_polygon(rng, rng.randint(4, 12), ("convex", "star", "spiral")[k % 3]).vertices)
+        for seed in range(400):
+            grid = random.Random(seed)
+            polygons.append(grid_polygon(grid, grid.randint(4, 8)))
+        tally = Counter()
+        for pts in polygons:
+            for i, j, k in itertools.combinations(range(len(pts)), 3):
+                got = _is_ear(pts, i, j, k)
+                assert got == is_ear_pairwise(pts, i, j, k), (pts, i, j, k)
+                if got:
+                    tally["ear"] += 1
+                elif orient2d(pts[i], pts[j], pts[k]) > 0 and not any(
+                    point_in_closed_triangle(p, pts[i], pts[j], pts[k])
+                    for m, p in enumerate(pts)
+                    if m not in (i, j, k)
+                ):
+                    tally["edge only"] += 1
+                else:
+                    tally["turn or vertex"] += 1
+        assert min(tally.values()) > 500, tally
+
+
+@given(st.randoms(use_true_random=False), st.integers(3, 8))
+@settings(max_examples=200, derandomize=True)
+def test_star_grid_draws_match_the_pairwise_references(rng, n):
+    # a grid draw that shrinks: simplicity, the clean-level sweep on the
+    # polygon's edges (which, with distinct vertices, is simplicity again)
+    # and, on simple counterclockwise draws, every triple's ear test, each
+    # against its pairwise reference
+    pts = star_grid_polygon(rng, n)
+    simple = polygon_is_simple(pts)
+    assert simple == polygon_is_simple_pairwise(pts)
+    edges = [(pts[m - 1], pts[m]) for m in range(n)]
+    assert _meet_only_at_ends(edges) == segments_meet_only_at_ends_pairwise(edges) == simple
+    if simple and polygon_is_ccw(pts):
+        for t in itertools.combinations(range(n), 3):
+            assert _is_ear(pts, *t) == is_ear_pairwise(pts, *t), (pts, t)
 
 
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -347,8 +434,7 @@ class TestPolygons:
 
     def test_fold_test_matches_the_segment_test_on_adjacent_edges(self):
         # the closed-form fold test against `polygon_is_simple_pairwise`,
-        # which asks `segments_intersect_2d(..., "proper")` of every pair of
-        # adjacent edges: small int and Fraction grids, where collinear
+        # which asks `segment_contact` of every pair of adjacent edges: small int and Fraction grids, where collinear
         # vertices are common, with vertices put straight through or folded
         # back along the previous edge, and polygons on one line
         rng = random.Random(19)
@@ -391,8 +477,7 @@ class TestPolygons:
         # Fraction grids, full of collinear, touching and overlapping
         # edges, every non-adjacent edge pair whose closed boxes meet, as
         # the kernel sweeps them on the integer copy, gets from
-        # `_edges_meet` the verdict of `segments_intersect_2d(..., "any")`
-        # on the given points
+        # `_edges_meet` the verdict of `common_points` on the given points
         rng = random.Random(23)
         tally = Counter()
         for k in range(3000):
@@ -423,7 +508,7 @@ class TestPolygons:
                 if (m - j) % n in (1, n - 1):
                     continue
                 a, b, c, e = pts[j - 1], pts[j], pts[m - 1], pts[m]
-                meet = segments_intersect_2d(a, b, c, e, mode="any")
+                meet = bool(common_points(a, b, c, e))
                 assert _edges_meet(edges[j], edges[m]) == meet, (pts, j, m)
                 sides = (orient2d(a, b, c), orient2d(a, b, e), orient2d(c, e, a), orient2d(c, e, b))
                 if sides[0] == sides[1] == 0:

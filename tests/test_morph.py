@@ -36,7 +36,6 @@ from banded.geometry import (
     polygon_is_ccw,
     polygon_is_convex,
     polygon_is_simple,
-    segments_intersect_2d,
 )
 from banded.model import (
     Chord,
@@ -58,6 +57,13 @@ from banded.solver import brute_force_assignments, solve_no_steiner
 from test_morph_verdicts import drawn
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
+
+
+def _edge_contact(pts, i: int, j: int) -> str:
+    """How edges i and j of the polygon `pts` meet, by the reference
+    `segment_contact`."""
+    n = len(pts)
+    return geometry_reference.segment_contact((pts[i], pts[(i + 1) % n]), (pts[j], pts[(j + 1) % n]))
 
 
 class TestMorphPosition:
@@ -130,11 +136,7 @@ class TestPlanarity:
         i, j = verdict.subjects
         mid = sum(verdict.interval, Fraction(0)) / 2
         snap = morph_position(inst, mid).vertices
-        from banded.geometry import segments_intersect_2d
-
-        assert segments_intersect_2d(
-            snap[i], snap[(i + 1) % 4], snap[j], snap[(j + 1) % 4], mode="any"
-        )
+        assert _edge_contact(snap, i, j) != "apart"
 
     def test_angle_collapse_detected(self):
         src = (Point2(0, 0), Point2(4, 0), Point2(4, 3), Point2(-4, 3))
@@ -355,7 +357,7 @@ class TestContactFallback:
         cases = {"zero-length edge": 0, "collinear overlap": 0, "collinear disjoint": 0, "endpoint touch": 0}
         for points, t, got in seen:
             e0, e1, f0, f1 = p = [_position(m, _reference_time(t)) for m in points]
-            assert got == segments_intersect_2d(*p, mode="any"), (p, t)
+            assert got == (geometry_reference.segment_contact((e0, e1), (f0, f1)) != "apart"), (p, t)
             if e0 == e1 or f0 == f1:
                 cases["zero-length edge"] += 1
             elif orient2d(e0, e1, f0) == 0 and orient2d(e0, e1, f1) == 0:
@@ -772,7 +774,7 @@ def test_dismissed_edge_pairs_never_meet():
                 continue
             tally["apart"] += 1
             for pts in snapshots:
-                assert not segments_intersect_2d(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])
+                assert _edge_contact(pts, i, j) == "apart"
 
     check()
     assert tally["apart"] > 100, tally
@@ -828,7 +830,7 @@ def test_horizon_dismissed_edge_pairs_never_meet():
                 tally["apart"] += 1
                 for t, pts in snapshots:
                     if t * den <= num:
-                        assert not segments_intersect_2d(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])
+                        assert _edge_contact(pts, i, j) == "apart"
 
     assert all(num < den for num, den in HORIZONS), HORIZONS
     check()

@@ -82,12 +82,19 @@ SHARED = {
     # differences it reads; the table and the morph decision share the
     # end-box test that runs before them; polygon simplicity, the morph
     # scan and the face pass's clean-level test prune their pairs with one
-    # box sweep, which polygon simplicity follows with the straddle test
-    # alone, and the 3D kernel keeps one plane-side routine
+    # box sweep, and the 3D kernel keeps one plane-side routine
     "_sections_apart": "geometry.py",
     "_xy_differences": "geometry.py",
     "_ends_apart": "geometry.py",
     "_box_pairs": "geometry.py",
+    # one segment-contact test: polygon simplicity follows the sweep with
+    # the straddle test, and the clean-level test with the routine that
+    # puts the shared-end cases before it; the ear test and the coplanar
+    # triangle test share the closed-triangle and strict-crossing tests
+    "_edges_meet": "geometry.py",
+    "_meet_beyond_ends": "geometry.py",
+    "_in_closed_triangle": "geometry.py",
+    "_cross_strictly": "geometry.py",
     # the conflict table and the face pass share one dismissal of two
     # quads: apart by the sections lemma, or by a plane through the bottom
     # and top point they share, which the table also calls on its own for
