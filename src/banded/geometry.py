@@ -148,6 +148,21 @@ def _horizon_bands(cs: list[int], horizon: tuple[int, int]):
     return [_box(e) for e in ends], ends, bands
 
 
+def _turn_rule(cs: list[int]) -> list[bool]:
+    """The convex turn rule on the coordinates cs laid out as
+    `model._coordinates`: band i takes the left chord iff
+    cross(u_i, v_i) >= 0, for its source edge vector u_i = p_i+1 - p_i and
+    its target edge vector v_i = q_i+1 - q_i, that is, iff its edge turns
+    by less than pi.  Returned per band as the solver's variable, True for
+    the right chord.  One positive factor on every coordinate keeps each
+    sign, so any integer frame of an instance gives its rule."""
+    ends = [cs[m : m + 4] for m in range(0, len(cs), 4)]
+    return [
+        (px1 - px) * (qy1 - qy) < (py1 - py) * (qx1 - qx)
+        for (px, py, qx, qy), (px1, py1, qx1, qy1) in zip(ends, ends[1:] + ends[:1])
+    ]
+
+
 def _box_pairs(boxes):
     """Yield (j, k) for every pair of closed xy boxes (x0, x1, y0, y1) in
     `boxes` that meet, touching included, as indices into `boxes`.

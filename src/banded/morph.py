@@ -52,10 +52,11 @@ from .geometry import (
     _ends_apart,
     _horizon_bands,
     _sections_apart,
+    _turn_rule,
     _xy_differences,
     polygon_is_convex,
 )
-from .model import Chord, ChordAssignment, LabeledPolygon, SliceInstance, _frame, _integer_instance
+from .model import ChordAssignment, LabeledPolygon, SliceInstance, _frame, _integer_instance
 from .quadfield import ExactTime, midpoint, rational_between
 
 
@@ -572,7 +573,10 @@ def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
     takes the left chord iff cross(u, v) >= 0 for its source edge vector u
     and target edge vector v, that is, iff the edge turns by less than pi,
     and the right chord otherwise.  The convexity tests, the turn signs and
-    the self-check surface all use validation's integer frame.
+    the self-check surface all use validation's integer frame, and the
+    signs come from `geometry._turn_rule`, the start that every conflict
+    table holds and that `solve_no_steiner` certifies after ring 1, so on
+    the theorem's instances the solve returns this assignment.
 
     cross(u, v) = 0 means that u and v point the same way here: were
     v = -lambda u with lambda > 0, the edge would shrink to a point at
@@ -589,12 +593,7 @@ def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
         raise PreconditionError(
             f"convex_chord_rule requires a planarity-preserving morph; violated at {verdict.interval}"
         )
-    ends = [cs[m : m + 4] for m in range(0, len(cs), 4)]
-    choices = []
-    for (px, py, qx, qy), (px1, py1, qx1, qy1) in zip(ends, ends[1:] + ends[:1]):
-        cross = (px1 - px) * (qy1 - qy) - (py1 - py) * (qx1 - qx)
-        choices.append(Chord.LEFT if cross >= 0 else Chord.RIGHT)
-    assignment = ChordAssignment(tuple(choices))
+    assignment = ChordAssignment.from_bools(_turn_rule(cs))
 
     from .model import assignment_to_surface, verify_banded_surface
 

@@ -21,6 +21,7 @@ from .geometry import (
     _quads_apart,
     _sections_apart,
     _shared_edge_apart,
+    _turn_rule,
     _xy_differences,
     open_triangles_intersect_3d,
     orient3d,
@@ -92,18 +93,24 @@ class ConflictTable:
     at least one, in sorted key order.  Both are in the order of the
     clauses that `build_clauses` emits.
 
-    A table is complete, an absent pair conflict-free, unless 2-SAT refuted
-    it early: then it holds the conflicts of the nearest band pairs, as
-    `build_conflict_table` walks them, and `refutation` is the 2-SAT result
-    that refuted them (else None).  Every clause is a conflict of the
-    instance, and a clause set with no satisfying assignment has none when
-    clauses are added, so the prefix refutes the instance as the whole would.
+    A table is complete, an absent pair conflict-free, unless its walk
+    stopped early, in one of two ways; it then holds the conflicts of the
+    nearest band pairs, as `build_conflict_table` walks them.  Either 2-SAT
+    refuted them, and `refutation` is that 2-SAT result (else None): every
+    clause is a conflict of the instance, and a clause set with no
+    satisfying assignment has none when clauses are added, so the prefix
+    refutes the instance as the whole would.  Or the turn rule met every
+    conflict of ring 1 and the walk's `certify` accepted it there, and
+    `certificate` is what `certify` returned (else None): the table then
+    holds ring 1 only, and the instance is satisfiable because the accepted
+    surface is, not because of these clauses.
     """
 
     n: int
     self_conflicts: tuple
     pairs: dict
     refutation: TwoSatResult | None = None
+    certificate: SolveOutcome | None = None
 
 
 _NO_CONFLICT = ((False, False), (False, False))
@@ -248,13 +255,13 @@ def build_conflict_table(inst: SliceInstance) -> ConflictTable:
     return _conflict_table(inst.n, _integer_axis(_coordinates(inst))[1])
 
 
-def _conflict_table(n: int, cs: list[int]) -> ConflictTable:
+def _conflict_table(n: int, cs: list[int], certify=None) -> ConflictTable:
     """The table that `build_conflict_table` returns, for the n-vertex
     instance whose integer coordinates cs are laid out as
     `model._coordinates`, with the source at z = 0 and the target at z = 1.
     `solve_no_steiner` passes validation's frame here, and
     `build_conflict_table` its own scaling of the instance, so there is
-    one table body.
+    one table body; the planner's gap tables come here too.
 
     The band quads, their boxes and their end boxes are those of the morph
     scan over [0, 1] (`geometry._horizon_bands`).
@@ -279,14 +286,23 @@ def _conflict_table(n: int, cs: list[int]) -> ConflictTable:
     n / 2 in the last ring of an even n.  After rings 1, 2, 4, ... while
     4d <= n, the conflicts found so far go through `build_clauses` and
     `solve_2sat` when one of them breaks the held assignment: the last such
-    check's, or before the first, each band's right chord, which a folded
-    band breaks from the start.  A prefix that the held assignment meets is
-    satisfiable, so no check is skipped that could refute.  Each clause is
+    check's, or before the first, the turn rule (`geometry._turn_rule`, the
+    assignment of `morph.convex_chord_rule`), which a folded band breaks
+    from the start.  A prefix that the held assignment meets is
+    satisfiable, so no check is skipped that could refute, and an
+    unsatisfiable prefix breaks any start: the refuting check, and so the
+    refutation, do not depend on the start.  Each clause is
     a conflict of the instance, and a clause set with no satisfying
     assignment keeps none when clauses are added, so an unsatisfiable
     prefix refutes the instance and is returned with that result as its
-    `refutation`.  A satisfiable table is complete, so its clauses and its
-    2-SAT assignment are those of the full table.
+    `refutation`.  When the turn rule still meets every conflict after
+    ring 1 (the fold scan and the n adjacent pairs), `certify`, when given,
+    is called with it, as a list of bools, True for the right chord; a
+    result other than None stops the walk, and the table of ring 1 is
+    returned with that result as its `certificate`.  `solve_no_steiner`
+    certifies by the independent verifier; a planner's gap table takes no
+    `certify`.  Any other satisfiable table is complete, so its clauses and
+    its 2-SAT assignment are those of the full table.
 
     A band's two chord triangles share the chord, and they meet beyond it
     iff, projected along the chord, their third points point the same way
@@ -304,9 +320,9 @@ def _conflict_table(n: int, cs: list[int]) -> ConflictTable:
             self_conflicts += ((i, Chord.LEFT), (i, Chord.RIGHT))
     self_conflicts = tuple(self_conflicts)
     # an assignment that meets every conflict found so far unless `stale`,
-    # True for the right chord: before the first check, each band's right
-    # chord, which a folded band breaks
-    assignment, stale = [True] * n, bool(self_conflicts)
+    # True for the right chord: before the first check, the turn rule, which
+    # a folded band breaks
+    assignment, stale = _turn_rule(cs), bool(self_conflicts)
     pairs = []
     for d in range(1, n // 2 + 1):
         # (i, i + d) for i < n - d, then (i + d - n, i) for the rest of the
@@ -321,6 +337,10 @@ def _conflict_table(n: int, cs: list[int]) -> ConflictTable:
                 if mat != _NO_CONFLICT:
                     pairs.append(((a, b), mat))
                     stale = stale or mat[not assignment[a]][not assignment[b]]
+        if d == 1 and not stale and certify is not None:
+            certificate = certify(assignment)
+            if certificate is not None:
+                return ConflictTable(n, self_conflicts, dict(sorted(pairs)), certificate=certificate)
         # a check after rings 1, 2, 4, ...
         if stale and d & (d - 1) == 0 and 4 * d <= n:
             found = dict(sorted(pairs))
@@ -357,11 +377,18 @@ def build_clauses(table: ConflictTable):
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """The verdict of one `solve_no_steiner` call.  On SAT, `certified_by`
+    says how the assignment was found before the verifier passed its
+    surface: "turn rule" when the turn rule was accepted after ring 1 of
+    the conflict table, "2-SAT" when the complete table was solved; on
+    UNSAT it is None."""
+
     satisfiable: bool
     assignment: ChordAssignment | None = None
     surface: BandedSurface | None = None
     report: VerificationReport | None = None
     unsat: TwoSatResult | None = None
+    certified_by: str | None = None
 
     def describe(self) -> str:
         if self.satisfiable:
@@ -376,33 +403,56 @@ class SolveOutcome:
         return f"UNSAT (band {w.witness_var} forced both ways{chains})"
 
 
+def _verified(inst: SliceInstance, choices, certified_by: str) -> SolveOutcome:
+    """The SAT outcome of the assignment `choices` (True for the right
+    chord), with its surface and the independent verifier's report on it,
+    which may fail."""
+    assignment = ChordAssignment.from_bools(choices)
+    surface = assignment_to_surface(inst, assignment)
+    return SolveOutcome(True, assignment, surface, verify_banded_surface(surface), certified_by=certified_by)
+
+
 def solve_no_steiner(inst: SliceInstance) -> SolveOutcome:
     """Find a Steiner-free banded surface or certify that none exists.
 
     The instance is validated first (`SliceInstance.validate` raises
     `InputError` on an invalid one), and the conflict table is built
     (`_conflict_table`) on the coordinates of validation's integer frame,
-    so only validation clears denominators.  On UNSAT the table may be a
-    prefix that 2-SAT refuted, and then carries that result as its
-    `refutation`, so only a complete table is solved here; its clauses are
-    conflicts of the instance, so the witness chains hold as they are.  On
-    SAT the table is complete, and the surface is re-certified by the
-    independent verifier; a failure there means the conflict predicate and
-    the verifier disagree, which is a bug worth crashing over.
+    so only validation clears denominators.
+
+    A certificate and an independent checker (McConnell, Mehlhorn, Naeher
+    and Schweitzer, "Certifying algorithms", 2011): every SAT answer is a
+    surface that the verifier passes, whichever way it was found.  When
+    the turn rule still meets every conflict after ring 1, its surface goes
+    to the verifier there; if it passes, that is the answer, and no further
+    ring and no 2-SAT solve run.  If it fails, nothing is raised (the rule
+    is a guess outside the convex-morph theorem) and the table is walked to
+    the end as before.  On UNSAT the table may be a prefix that 2-SAT
+    refuted, and then carries that result as its `refutation`, so only a
+    complete table is solved here; its clauses are conflicts of the
+    instance, so the witness chains hold as they are.  A complete table's
+    2-SAT assignment whose surface the verifier rejects means the conflict
+    predicate and the verifier disagree, which is a bug worth crashing
+    over.  `SolveOutcome.certified_by` records which way a SAT answer came.
     """
-    table = _conflict_table(inst.n, inst.validate()[1])
+
+    def by_rule(choices):
+        outcome = _verified(inst, choices, "turn rule")
+        return outcome if outcome.report.passed else None
+
+    table = _conflict_table(inst.n, inst.validate()[1], by_rule)
+    if table.certificate is not None:
+        return table.certificate
     result = table.refutation or solve_2sat(*build_clauses(table))
     if not result.satisfiable:
         return SolveOutcome(satisfiable=False, unsat=result)
-    assignment = ChordAssignment.from_bools(result.assignment)
-    surface = assignment_to_surface(inst, assignment)
-    report = verify_banded_surface(surface)
-    if not report.passed:
+    outcome = _verified(inst, result.assignment, "2-SAT")
+    if not outcome.report.passed:
         raise InternalConsistencyError(
             "2-SAT found an assignment but the verifier rejects the surface:\n"
-            + report.summary()
+            + outcome.report.summary()
         )
-    return SolveOutcome(True, assignment, surface, report)
+    return outcome
 
 
 _BRUTE_FORCE_MAX_N = 16

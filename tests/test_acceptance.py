@@ -37,7 +37,7 @@ from banded.morph import (
     rotate_copy_instance,
     similarity_witness,
 )
-from banded.solver import brute_force_assignments, solve_no_steiner
+from banded.solver import brute_force_assignments, build_clauses, build_conflict_table, solve_no_steiner
 from banded.steiner import build_layered_surface
 from banded.twosat import evaluate_clauses, solve_2sat
 
@@ -76,6 +76,14 @@ def test_criterion_1_oracle_equivalence(oracle_results):
             sat += 1
             if str(outcome.assignment) not in {str(a) for a in oracle}:
                 failures.append(f"#{idx}: assignment not oracle-listed")
+        # the paper's 2-SAT route on the table walked to the end or to a
+        # refuted prefix, whatever the solve certified by the turn rule
+        table = build_conflict_table(inst)
+        result = table.refutation or solve_2sat(*build_clauses(table))
+        if result.satisfiable != bool(oracle):
+            failures.append(f"#{idx}: table 2-SAT={result.satisfiable} oracle={len(oracle)}")
+        elif result.satisfiable and ChordAssignment.from_bools(result.assignment) not in oracle:
+            failures.append(f"#{idx}: table 2-SAT assignment not oracle-listed")
     if elapsed >= 300:
         failures.append(f"runtime {elapsed:.0f}s exceeds 5 min")
     print(f"\n  [criterion 1] {len(results)} instances, {sat} SAT, {elapsed:.1f}s")

@@ -837,6 +837,22 @@ def test_horizon_dismissed_edge_pairs_never_meet():
     assert tally["apart"] > 100, tally
 
 
+def planar_convex_grid_morphs():
+    """The grid draws of the paper's convex-morph theorem (ROADMAP item
+    12), as (name, seed, instance): both polygons convex and the linear
+    morph planar.  `grid_polygon` draws few convex polygons beyond
+    n = 4, so `convex_grid_polygon` draws convex ones at every n."""
+    for draw, seeds in ((grid_polygon, 1500), (convex_grid_polygon, 800)):
+        for seed in range(seeds):
+            rng = random.Random(seed)
+            n = 3 + seed % 4
+            inst = _instance(draw(rng, n), draw(rng, n))
+            if not (polygon_is_convex(inst.source.vertices) and polygon_is_convex(inst.target.vertices)):
+                continue
+            if planarity_preserving(inst).preserved:
+                yield draw.__name__, seed, inst
+
+
 class TestConvexChordRule:
     def test_translation_gives_all_left(self):
         inst = SliceInstance(
@@ -961,26 +977,23 @@ class TestConvexChordRule:
         assert alternations >= 3
 
     def test_grid_convex_morphs_take_the_rule(self):
-        # the paper's convex-morph theorem on grid draws (ROADMAP item 12):
-        # where both polygons are convex and the linear morph preserves
-        # planarity, the rule returns a surface that its own check
-        # verifies, and the decision is SAT.  `grid_polygon` draws few
-        # convex polygons beyond n = 4, so `convex_grid_polygon` draws
-        # convex ones at every n
+        # the rule returns a surface that its own check verifies, and the
+        # decision is SAT, on at least 100 draws per n
         counts = Counter()
-        for draw, seeds in ((grid_polygon, 1500), (convex_grid_polygon, 800)):
-            for seed in range(seeds):
-                rng = random.Random(seed)
-                n = 3 + seed % 4
-                inst = _instance(draw(rng, n), draw(rng, n))
-                if not (polygon_is_convex(inst.source.vertices) and polygon_is_convex(inst.target.vertices)):
-                    continue
-                if not planarity_preserving(inst).preserved:
-                    continue
-                convex_chord_rule(inst)
-                assert solve_no_steiner(inst).satisfiable, (draw.__name__, seed)
-                counts[n] += 1
+        for name, seed, inst in planar_convex_grid_morphs():
+            convex_chord_rule(inst)
+            assert solve_no_steiner(inst).satisfiable, (name, seed)
+            counts[inst.n] += 1
         assert min(counts[n] for n in range(3, 7)) >= 100, counts
+
+    def test_the_solve_certifies_the_theorem_case_by_the_rule(self):
+        # the theorem's surface meets every conflict, so the solve accepts
+        # the rule after ring 1 of its conflict table, walks no further
+        # ring, and returns the rule's assignment
+        for name, seed, inst in planar_convex_grid_morphs():
+            outcome = solve_no_steiner(inst)
+            assert outcome.certified_by == "turn rule", (name, seed)
+            assert outcome.assignment == convex_chord_rule(inst), (name, seed)
 
 
 class TestRotateCopy:

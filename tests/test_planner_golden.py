@@ -25,9 +25,10 @@ from reference_figures import fig3a_no_surface
 
 import banded.steiner as steiner
 from banded.generators import random_instance, random_polygon, random_star_polygon
-from banded.geometry import Point2
-from banded.model import LabeledPolygon
+from banded.geometry import Point2, _turn_rule
+from banded.model import ChordAssignment, LabeledPolygon
 from banded.morph import morph_position, rotate_copy_instance
+from banded.solver import solve_no_steiner
 
 KINDS = ("convex", "star", "spiral")
 PLANS = ("_morph_plan", "_rotation_plan", "_squash_plan")
@@ -88,7 +89,7 @@ INSTANCES = {
 
 # name -> (route, sha256 of the surface)
 GOLDEN = {
-    "c7_1": ("direct", "25402a2fe2725c281be0b9cad73135db5010282f2a4949d3e833c9eb568c6da4"),
+    "c7_1": ("direct", "9e8001aa8e69cffe5d159494808c92eeda6eb687bd28e3a784def8a12d0694ec"),
     "c7_0": ("_morph_plan", "7467f527e9c7b73b2506c9e5a9a9f2063f6fe1bb9ff3f729d2ee44a0132f492d"),
     "c7_4": ("_morph_plan", "390bf6a73b6e0c22d8b671e963a6fe60afd2a52f1dad50ade3995ca3a934d037"),
     "rotated_star_77": ("_morph_plan", "ba5ddfc81f4c4bcc622019c2694e4d20df33aa95a4f25008d2c38f411322837a"),
@@ -97,7 +98,7 @@ GOLDEN = {
     "c7_11": ("_squash_plan", "56026c2638b88d34be8ddb20b09de0dfafdde162ed373fab9062f896f9052a20"),
     "c7_14": ("_squash_plan", "f50b97ca391f4d5ec51edc86d0afa1cf4fa597ad8d8e3b7dc53e3341c1c8afce"),
     "c7_21": ("_squash_plan", "dd5872f4d75f5535eb6c3f13a8d3dba42d83b0252a1b7a04ba12655a1735afa9"),
-    "c7_83": ("direct", "94f4bc89138e08618c0b2baef9dea1ab1c9fbda138bea14680d26bd99d6115a0"),
+    "c7_83": ("direct", "e664711d55f8340d4fb013b657f122a601ba343e1d2678bb9f470b79feea9b60"),
     # bisecting this near half turn leaves a gap below t = 1/2, where the
     # copy is smallest, that still fails at depth 4
     "c7_36": ("_rotation_plan", "56d02b0a8b41991b632df5317a2d7d91a457f66a5467fb6acf1dc19833ace285"),
@@ -128,6 +129,16 @@ def test_golden_surface(name, monkeypatch):
     # every plan before the winner was tried once and gave up
     assert calls == list(PLANS[: len(calls)])
     assert (route, surface_digest(surface)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", [name for name, (route, _) in GOLDEN.items() if route == "direct"])
+def test_golden_direct_surfaces_take_the_turn_rule(name):
+    # each direct golden is the turn rule's surface, accepted by the
+    # verifier after ring 1 of the conflict table
+    inst = INSTANCES[name]()
+    outcome = solve_no_steiner(inst)
+    assert outcome.certified_by == "turn rule"
+    assert outcome.assignment == ChordAssignment.from_bools(_turn_rule(inst.validate()[1]))
 
 
 def test_golden_set_covers_every_route():

@@ -304,6 +304,19 @@ def assert_refutes_or_completes(table, reference):
     return result
 
 
+def assert_table_agrees_with_the_oracle(inst, oracle):
+    """The 2-SAT verdict of the conflict table, walked to the end or to a
+    refuted prefix with no turn-rule exit (`build_conflict_table`), is the
+    oracle's, and on SAT its assignment is one of the oracle's: the paper's
+    polynomial algorithm stays covered whatever `solve_no_steiner`
+    certifies by the turn rule."""
+    table = build_conflict_table(inst)
+    result = table.refutation or solve_2sat(*build_clauses(table))
+    assert result.satisfiable == bool(oracle)
+    if result.satisfiable:
+        assert ChordAssignment.from_bools(result.assignment) in oracle
+
+
 def negation(lit):
     """The literal of the opposite sign on the same variable."""
     return Literal(lit.var, not lit.negated)
@@ -564,6 +577,54 @@ class TestSolve:
         assert out.satisfiable and out.report.passed
 
 
+# two pairs on the 5 x 5 grid whose turn rule meets every conflict of ring 1
+# (the fold scan and the adjacent pairs) while its surface fails the
+# verifier: the first has a surface, the second none
+RULE_FAILS_SAT = (((2, 2), (3, 2), (4, 0), (3, 3), (0, 1)), ((2, 1), (2, 2), (2, 4), (1, 1), (4, 0)))
+RULE_FAILS_UNSAT = (
+    ((2, 4), (1, 2), (0, 0), (2, 0), (3, 3), (4, 3)),
+    ((4, 1), (3, 1), (2, 4), (0, 2), (1, 2), (4, 0)),
+)
+
+
+def turn_rule(inst) -> ChordAssignment:
+    return ChordAssignment.from_bools(geometry._turn_rule(inst.validate()[1]))
+
+
+def assert_rule_meets_ring_1_and_fails(inst):
+    # read from the complete table and the verifier, not from the solve
+    rule, table, n = turn_rule(inst), complete_table(inst), inst.n
+    assert table.self_conflicts == ()
+    for i in range(n):
+        j = (i + 1) % n
+        assert not pair_matrix(table, i, j)[rule.choices[i] is Chord.LEFT][rule.choices[j] is Chord.LEFT]
+    assert not verify_banded_surface(assignment_to_surface(inst, rule)).passed
+
+
+class TestTurnRuleExit:
+    def test_a_rejected_rule_falls_back_to_the_complete_table(self):
+        # the solve walks on past ring 1 and returns the complete table's
+        # 2-SAT assignment, which is not the rule's
+        inst = _instance(*RULE_FAILS_SAT)
+        assert_rule_meets_ring_1_and_fails(inst)
+        out = solve_no_steiner(inst)
+        assert out.certified_by == "2-SAT" and out.report.passed
+        expected = solve_2sat(*build_clauses(complete_table(inst)))
+        assert out.assignment == ChordAssignment.from_bools(expected.assignment)
+        assert out.assignment != turn_rule(inst)
+
+    def test_a_failed_rule_verification_does_not_raise(self):
+        # the rule's surface is rejected after ring 1, and the walk goes on
+        # to refute the pair; only a 2-SAT assignment that the verifier
+        # rejects raises
+        inst = _instance(*RULE_FAILS_UNSAT)
+        assert_rule_meets_ring_1_and_fails(inst)
+        out = solve_no_steiner(inst)
+        assert not out.satisfiable and out.certified_by is None
+        assert_chains_are_conflicts(inst, out.unsat)
+        assert brute_force_assignments(inst) == []
+
+
 class TestBruteForce:
     def test_identity_square_all_valid(self):
         assert len(brute_force_assignments(identity_square())) == 16
@@ -591,6 +652,7 @@ class TestBruteForce:
             assert out.satisfiable == bool(oracle)
             if out.satisfiable:
                 assert str(out.assignment) in {str(a) for a in oracle}
+            assert_table_agrees_with_the_oracle(inst, oracle)
 
     def test_translation_invariance(self):
         rng = random.Random(23)
@@ -615,7 +677,8 @@ def test_grid_pairs_agree_with_brute_force(rng, n):
     # coordinates and touching boxes random targets rarely draw: the solver
     # is SAT iff the oracle finds a surface, its assignment is one of the
     # oracle's, and every step of an UNSAT chain is a conflict of the
-    # instance
+    # instance; the conflict table's own 2-SAT verdict and assignment agree
+    # with the oracle too
     inst = SliceInstance(LabeledPolygon(grid_polygon(rng, n), 0), LabeledPolygon(grid_polygon(rng, n), 1))
     outcome = solve_no_steiner(inst)
     oracle = brute_force_assignments(inst)
@@ -624,6 +687,7 @@ def test_grid_pairs_agree_with_brute_force(rng, n):
         assert outcome.assignment in oracle
     else:
         assert_chains_are_conflicts(inst, outcome.unsat)
+    assert_table_agrees_with_the_oracle(inst, oracle)
 
 
 GRID = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -1144,6 +1208,7 @@ def test_coplanar_bands_agree_with_brute_force(seed, n, kind, factor, dx, dy):
     assert outcome.satisfiable == bool(oracle)
     if outcome.satisfiable:
         assert outcome.assignment in oracle
+    assert_table_agrees_with_the_oracle(inst, oracle)
 
 
 def _with_flat_vertices(polygon, flats: int):
@@ -1212,6 +1277,7 @@ def test_flat_sources_and_shared_xy_agree_with_brute_force(seed, m, flats, kind,
     assert outcome.satisfiable == bool(oracle)
     if outcome.satisfiable:
         assert outcome.assignment in oracle
+    assert_table_agrees_with_the_oracle(inst, oracle)
     for mask in rng.sample(range(1 << n), 12):
         assignment = ChordAssignment.from_bools((mask >> i) & 1 for i in range(n))
         report = verify_banded_surface(assignment_to_surface(inst, assignment), force_sections=True)

@@ -454,13 +454,13 @@ class TestBuildLayeredSurface:
         pair = primitive(inst.validate()[1])
         tables = []
 
-        def conflict_table(n, cs, _inner=solver._conflict_table):
+        def conflict_table(n, cs, *args, _inner=solver._conflict_table):
             tables.append((solver.__name__, primitive(cs)))
-            return _inner(n, cs)
+            return _inner(n, cs, *args)
 
-        def gap_table(n, cs, _inner=steiner._conflict_table):
+        def gap_table(n, cs, *args, _inner=steiner._conflict_table):
             tables.append((steiner.__name__, primitive(cs)))
-            return _inner(n, cs)
+            return _inner(n, cs, *args)
 
         monkeypatch.setattr(solver, "_conflict_table", conflict_table)
         monkeypatch.setattr(steiner, "_conflict_table", gap_table)

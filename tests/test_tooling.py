@@ -124,6 +124,9 @@ SHARED = {
     # the simple-and-counterclockwise check of one polygon, for instance
     # validation on its integer frame and for `LabeledPolygon.validate`
     "_check_polygon": "model.py",
+    # the convex turn rule: the start of every conflict table, which
+    # `solve_no_steiner` certifies after ring 1, and `convex_chord_rule`
+    "_turn_rule": "geometry.py",
 }
 
 
@@ -142,9 +145,9 @@ def test_shared_predicates_and_tables_are_defined_once():
     assert defined == {name: [module] for name, module in SHARED.items()}
 
 
-# what the verifier may not use: the solver's band structure and conflict
-# engine, whatever module binds it
-SOLVER_ONLY = ("_horizon_bands", "_pair_conflicts", "build_conflict_table")
+# what the verifier may not use: the solver's band structure, conflict
+# engine and turn-rule start, whatever module binds them
+SOLVER_ONLY = ("_horizon_bands", "_pair_conflicts", "build_conflict_table", "_turn_rule")
 
 
 def test_the_verifier_stays_independent_of_the_solver():
