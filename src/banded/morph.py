@@ -605,16 +605,6 @@ def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
     return assignment
 
 
-def rotate_copy_instance(polygon: LabeledPolygon, center: Point2, cos_sin) -> SliceInstance:
-    """Instance whose target is the source rotated about `center` by the exact
-    rotation (cos, sin); the pair must satisfy cos^2 + sin^2 == 1."""
-    c, s = Fraction(cos_sin[0]), Fraction(cos_sin[1])
-    if c * c + s * s != 1:
-        raise PreconditionError("rotation pair must lie exactly on the unit circle")
-    target = _rotated(polygon.vertices, center, c, s)
-    return SliceInstance(LabeledPolygon(polygon.vertices, 0), LabeledPolygon(target, 1))
-
-
 def _rotated(pts, center: Point2, c, s) -> tuple[Point2, ...]:
     """The points turned about `center` by the rotation (c, s) = (cos, sin);
     int coordinates with an int pair, such as a quarter turn (0, 1), stay

@@ -1,22 +1,34 @@
-"""Seeded random polygons and instances for tests and the acceptance suite.
+"""Seeded random polygons and instances, for the tests only: nothing in
+`banded` imports this module.
 
-Generators may consult floating point to propose shapes, but every emitted
-coordinate is rational and every claimed property (simple, counterclockwise,
-convex) is re-checked exactly before the polygon is returned; a failed check
-just retries with fresh randomness from the same stream, so output is fully
-determined by the seed.
+The first generators draw convex, star and spiral polygons of any size, and
+instances whose targets range from benign to adversarial.  They may consult
+floating point to propose shapes, but every emitted coordinate is rational
+and every claimed property (simple, counterclockwise, convex) is re-checked
+exactly before the polygon is returned; a failed check just retries with
+fresh randomness from the same stream, so output is fully determined by the
+seed.
+
+The grid draws take their vertices from a small g x g integer grid.  That
+makes flat vertices, shared coordinates, touching edges and touching boxes
+common, which the generators above rarely draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 
-from .errors import GenerationError, PreconditionError
-from .geometry import Point2, polygon_is_ccw, polygon_is_convex, polygon_is_simple
-from .model import LabeledPolygon, SliceInstance
-from .morph import rotate_copy_instance
+from banded.errors import PreconditionError
+from banded.geometry import Point2, orient2d, polygon_is_ccw, polygon_is_convex, polygon_is_simple
+from banded.model import LabeledPolygon, SliceInstance
+from banded.morph import _rotated
+
+
+class GenerationError(Exception):
+    """A random instance generator gave up before producing a valid instance."""
 
 
 def _dir_half(v: tuple[int, int]) -> int:
@@ -58,8 +70,6 @@ def random_convex_polygon(rng: random.Random, n: int) -> LabeledPolygon:
     Its n edges take distinct directions: n - 1 drawn from [-20, 20]^2 and
     the closing edge, so n may not exceed one more than the number of
     primitive vectors there, 1025."""
-    import functools
-
     if n > _CONVEX_MOST:
         raise PreconditionError(f"a convex polygon has at most {_CONVEX_MOST} vertices, not {n}")
     draw = _joint_edges if n <= _JOINT_DRAW_MAX_N else _one_by_one_edges
@@ -123,8 +133,6 @@ def random_star_polygon(rng: random.Random, n: int) -> LabeledPolygon:
     in angular order with random integer radii.  The directions are the
     primitive integer vectors in [-12, 12]^2, so n may not exceed their
     number, 368."""
-    import functools
-
     if n > _STAR_MOST:
         raise PreconditionError(f"a star polygon has at most {_STAR_MOST} vertices, not {n}")
     while True:
@@ -251,6 +259,16 @@ def rotated_instance(rng: random.Random, polygon: LabeledPolygon) -> SliceInstan
     return rotate_copy_instance(polygon, Point2(cx, cy), (c, s))
 
 
+def rotate_copy_instance(polygon: LabeledPolygon, center: Point2, cos_sin) -> SliceInstance:
+    """Instance whose target is the source rotated about `center` by the exact
+    rotation (cos, sin); the pair must satisfy cos^2 + sin^2 == 1."""
+    c, s = Fraction(cos_sin[0]), Fraction(cos_sin[1])
+    if c * c + s * s != 1:
+        raise PreconditionError("rotation pair must lie exactly on the unit circle")
+    target = _rotated(polygon.vertices, center, c, s)
+    return SliceInstance(LabeledPolygon(polygon.vertices, 0), LabeledPolygon(target, 1))
+
+
 def random_polygon(rng: random.Random, n: int, kind: str) -> LabeledPolygon:
     if kind == "convex":
         return random_convex_polygon(rng, n)
@@ -274,3 +292,75 @@ def random_instance(rng: random.Random, n: int, kind: str) -> SliceInstance:
         return rotated_instance(rng, polygon)
     other = random_polygon(rng, polygon.n, kind)
     return _as_instance(polygon, (p for p in other.vertices))
+
+
+def grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:
+    """n distinct vertices drawn uniformly from the g x g grid, in the order
+    drawn, redrawn until the polygon is simple and counterclockwise."""
+    cells = [(x, y) for x in range(g) for y in range(g)]
+    while True:
+        pts = tuple(Point2(*p) for p in rng.sample(cells, n))
+        if polygon_is_simple(pts) and polygon_is_ccw(pts):
+            return pts
+
+
+# the seeds of `grid_pair` whose two polygons share no corner triple and
+# whose layered build raises (ROADMAP item 1)
+GRID_PAIRS_THAT_RAISE = (22, 93, 232, 297)
+
+
+def grid_pair(seed: int) -> SliceInstance:
+    """Two polygons on the 5 x 5 grid, n = 4 + seed % 3, from `Random(seed)`."""
+    rng = random.Random(seed)
+    n = 4 + seed % 3
+    return SliceInstance(LabeledPolygon(grid_polygon(rng, n), 0), LabeledPolygon(grid_polygon(rng, n), 1))
+
+
+def convex_grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:
+    """n vertices of the strict convex hull of 2n cells drawn from the
+    g x g grid, kept in counterclockwise order from a drawn start vertex,
+    redrawn until the hull has n vertices.  `grid_polygon` rarely draws a
+    convex polygon beyond n = 4."""
+    cells = [(x, y) for x in range(g) for y in range(g)]
+    while True:
+        hull = _strict_hull(rng.sample(cells, 2 * n))
+        if len(hull) >= n:
+            pts = [hull[k] for k in sorted(rng.sample(range(len(hull)), n))]
+            start = rng.randrange(n)
+            return tuple(Point2(*p) for p in pts[start:] + pts[:start])
+
+
+def star_grid_polygon(rng: random.Random, n: int, g: int = 5) -> tuple[Point2, ...]:
+    """n distinct cells of the g x g grid drawn around a drawn interior cell
+    c, in counterclockwise order of their angle about c, the nearer first
+    on one ray.  Never redrawn, so a shrinking random shrinks the draw
+    toward small coordinates, which `grid_polygon` does not allow.
+
+    The polygon is simple, counterclockwise and star-shaped about c when
+    no two cells lie on one ray from c and consecutive cells turn less
+    than half a turn about it; other draws, such as cells on one line, may
+    be clockwise or not simple."""
+    c = (rng.randrange(1, g - 1), rng.randrange(1, g - 1))
+    cells = [(x, y) for x in range(g) for y in range(g) if (x, y) != c]
+
+    def before(p, q):
+        u, v = (p[0] - c[0], p[1] - c[1]), (q[0] - c[0], q[1] - c[1])
+        return _dir_cmp(u, v) or u[0] ** 2 + u[1] ** 2 - v[0] ** 2 - v[1] ** 2
+
+    return tuple(Point2(*p) for p in sorted(rng.sample(cells, n), key=functools.cmp_to_key(before)))
+
+
+def _strict_hull(points) -> list:
+    """The vertices of the convex hull of `points`, counterclockwise, with
+    no flat vertex (Andrew's monotone chain)."""
+    pts = sorted(points)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and orient2d(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])

@@ -10,17 +10,18 @@ import time
 from fractions import Fraction
 
 import pytest
-from reference_figures import reference_instances
-
-from banded.errors import AllPointsEqualError
-from banded.generators import (
+from generators import (
     random_convex_polygon,
     random_instance,
     random_polygon,
     random_rotation,
     random_translation,
+    rotate_copy_instance,
     similar_copy_instance,
 )
+from reference_figures import reference_instances
+
+from banded.errors import AllPointsEqualError
 from banded.geometry import Point2, polygon_is_simple
 from banded.model import (
     ChordAssignment,
@@ -34,7 +35,6 @@ from banded.morph import (
     convex_chord_rule,
     morph_position,
     planarity_preserving,
-    rotate_copy_instance,
     similarity_witness,
 )
 from banded.solver import brute_force_assignments, build_clauses, build_conflict_table, solve_no_steiner

@@ -8,13 +8,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from grid_polygons import GRID_PAIRS_THAT_RAISE, grid_pair
+from generators import GRID_PAIRS_THAT_RAISE, grid_pair, random_instance
 
 from banded import cli, model, morph
 from banded.cli import main
 from banded.errors import InternalConsistencyError
 from banded.fileio import load_instance, save_instance
-from banded.generators import random_instance
 from banded.solver import solve_no_steiner
 
 ROOT = Path(__file__).resolve().parent.parent

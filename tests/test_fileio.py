@@ -299,9 +299,10 @@ class TestMeshFiles:
     def test_layered_surface_round_trip_with_fraction_heights(self, tmp_path):
         # coordinates in thirds have no finite decimal form, so the layered
         # surface of this instance must exercise the p/q writer and round-trip
+        from generators import rotate_copy_instance
+
         from banded.geometry import Point2
         from banded.model import LabeledPolygon
-        from banded.morph import rotate_copy_instance
         from banded.steiner import build_layered_surface
 
         tri = LabeledPolygon(

@@ -1,14 +1,22 @@
 import hashlib
+import inspect
 import random
 import time
 from fractions import Fraction
 
+import generators
 import pytest
+from generators import (
+    GenerationError,
+    jiggled_instance,
+    random_convex_polygon,
+    random_polygon,
+    random_star_polygon,
+    random_translation,
+)
 
-from banded import generators
-from banded.errors import GenerationError, PreconditionError
+from banded.errors import PreconditionError
 from banded.geometry import Point2, polygon_is_ccw, polygon_is_convex, polygon_is_simple
-from banded.generators import jiggled_instance, random_convex_polygon, random_polygon, random_star_polygon
 
 
 def test_jiggle_that_never_finds_a_simple_target_raises_generation_error(monkeypatch):
@@ -17,6 +25,19 @@ def test_jiggle_that_never_finds_a_simple_target_raises_generation_error(monkeyp
     monkeypatch.setattr(generators, "polygon_is_simple", lambda pts: False)
     with pytest.raises(GenerationError):
         jiggled_instance(rng, poly)
+
+
+def test_generator_options_are_only_those_a_caller_sets():
+    # an option that no caller sets is a code path that nothing runs
+    for generator in (random_convex_polygon, random_star_polygon):
+        assert list(inspect.signature(generator).parameters) == ["rng", "n"], generator.__name__
+    # every caller of `random_translation` passes its spread; the convex chord
+    # rule's alternation test jiggles by 1, every other caller by the default
+    def defaulted(function):
+        return [p.name for p in inspect.signature(function).parameters.values() if p.default is not p.empty]
+
+    assert defaulted(random_translation) == []
+    assert defaulted(jiggled_instance) == ["amount"]
 
 
 def test_unknown_polygon_kind_is_a_precondition_error():

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from generators import grid_polygon, random_polygon, star_grid_polygon
 from geometry_reference import (
     common_points,
     is_degenerate,
@@ -17,12 +18,10 @@ from geometry_reference import (
     segments_meet_only_at_ends_pairwise,
     triangle_normal,
 )
-from grid_polygons import grid_polygon, star_grid_polygon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banded.errors import DegenerateTriangleError, InputError
-from banded.generators import random_polygon
 from banded.geometry import (
     Point2,
     Point3,

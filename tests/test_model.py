@@ -7,8 +7,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from generators import (
+    grid_polygon,
+    jiggled_instance,
+    random_instance,
+    random_polygon,
+    rotated_instance,
+    similar_copy_instance,
+)
 from geometry_reference import is_degenerate, segments_meet_only_at_ends_pairwise
-from grid_polygons import grid_polygon
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_figures import fig1_twisted_prism, fig3a_no_surface, reference_instances
@@ -22,13 +29,6 @@ from banded.errors import (
 )
 import banded.geometry as geometry
 import banded.model as model
-from banded.generators import (
-    jiggled_instance,
-    random_instance,
-    random_polygon,
-    rotated_instance,
-    similar_copy_instance,
-)
 from banded.geometry import (
     Point2,
     Point3,
@@ -508,7 +508,7 @@ def test_combinatorial_checks_never_fail_for_assignment_surfaces():
     # every chord surface passes them; only the geometric checks may fail
     import random
 
-    from banded.generators import random_instance
+    from generators import random_instance
 
     rng = random.Random(9)
     kinds = ["convex", "star", "spiral"]

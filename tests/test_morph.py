@@ -13,21 +13,23 @@ from unittest import mock
 import geometry_reference
 import pytest
 import quadfield_reference as ref
-from grid_polygons import convex_grid_polygon, grid_polygon
+from generators import (
+    convex_grid_polygon,
+    grid_polygon,
+    jiggled_instance,
+    random_convex_polygon,
+    random_polygon,
+    random_star_polygon,
+    rotate_copy_instance,
+    rotated_instance,
+    similar_copy_instance,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_figures import fig3b_sat_nonplanar, fig7_star
 
 from banded import geometry, model, morph, quadfield
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
-from banded.generators import (
-    jiggled_instance,
-    random_convex_polygon,
-    random_polygon,
-    random_star_polygon,
-    rotated_instance,
-    similar_copy_instance,
-)
 from banded.geometry import (
     Point2,
     _sections_apart,
@@ -49,11 +51,11 @@ from banded.morph import (
     convex_chord_rule,
     morph_position,
     planarity_preserving,
-    rotate_copy_instance,
     similarity_witness,
 )
 from banded.quadfield import ExactTime, roots_in_open_interval
 from banded.solver import brute_force_assignments, solve_no_steiner
+from banded.steiner import build_layered_surface
 from test_morph_verdicts import drawn
 
 SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -994,6 +996,27 @@ class TestConvexChordRule:
             outcome = solve_no_steiner(inst)
             assert outcome.certified_by == "turn rule", (name, seed)
             assert outcome.assignment == convex_chord_rule(inst), (name, seed)
+
+
+# two non-convex pentagons whose linear morph preserves planarity, though no
+# chord assignment gives a surface: the theorem's convexity cannot be dropped
+NONCONVEX_SOURCE = tuple(Point2(*xy) for xy in ((4, 2), (1, 3), (1, 4), (0, 4), (2, 1)))
+NONCONVEX_TARGET = tuple(Point2(*xy) for xy in ((1, 1), (3, 2), (4, 0), (3, 3), (1, 4)))
+
+
+def test_planarity_without_convexity_does_not_give_a_surface():
+    inst = SliceInstance(LabeledPolygon(NONCONVEX_SOURCE, 0), LabeledPolygon(NONCONVEX_TARGET, 1))
+    assert not polygon_is_convex(NONCONVEX_SOURCE) and not polygon_is_convex(NONCONVEX_TARGET)
+    assert planarity_preserving(inst).preserved
+    outcome = solve_no_steiner(inst)
+    assert not outcome.satisfiable
+    # band 0 is forced both ways
+    assert outcome.unsat.witness_var == 0
+    assert brute_force_assignments(inst) == []
+    # the layered construction still builds the pair
+    surface = build_layered_surface(inst)
+    assert surface.steiner_count() == 5
+    assert verify_banded_surface(surface, force_sections=True).passed
 
 
 class TestRotateCopy:

@@ -1,7 +1,7 @@
 """Golden verdicts of the exact morph planarity decision.
 
 Each instance is drawn here, from a seeded stream of its own (not from
-`banded.generators`, which may change), or pinned by hand.  The expected
+`tests/generators.py`, which may change), or pinned by hand.  The expected
 `(preserved, kind, subjects, interval, instantaneous)` tuples were recorded
 with the all-pairs `Fraction` kernel that the integer-scaled, swept kernel
 replaced, so any change to a verdict or to the bits of a witness interval

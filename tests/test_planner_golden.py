@@ -21,13 +21,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from generators import random_instance, random_polygon, random_star_polygon, rotate_copy_instance
 from reference_figures import fig3a_no_surface
 
 import banded.steiner as steiner
-from banded.generators import random_instance, random_polygon, random_star_polygon
 from banded.geometry import Point2, _turn_rule
 from banded.model import ChordAssignment, LabeledPolygon
-from banded.morph import morph_position, rotate_copy_instance
+from banded.morph import morph_position
 from banded.solver import solve_no_steiner
 
 KINDS = ("convex", "star", "spiral")

@@ -4,21 +4,21 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from geometry_reference import is_degenerate, segment_triangle_contact_3d
-from grid_polygons import grid_polygon
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
-from reference_figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
-
-from banded import geometry, model, solver, twosat
-from banded.errors import PreconditionError
-from banded.generators import (
+from generators import (
+    grid_polygon,
     jiggled_instance,
     random_instance,
     random_polygon,
     rotated_instance,
     similar_copy_instance,
 )
+from geometry_reference import is_degenerate, segment_triangle_contact_3d
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from reference_figures import fig1_twisted_prism, fig3a_no_surface, fig7_star
+
+from banded import geometry, model, solver, twosat
+from banded.errors import PreconditionError
 from banded.geometry import (
     Point2,
     open_triangles_intersect_3d,

@@ -5,7 +5,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from grid_polygons import GRID_PAIRS_THAT_RAISE, grid_pair
+from generators import (
+    GRID_PAIRS_THAT_RAISE,
+    grid_pair,
+    random_instance,
+    random_polygon,
+    random_star_polygon,
+    rotate_copy_instance,
+    rotated_instance,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_figures import fig3a_no_surface, fig7_star
@@ -14,10 +22,9 @@ import banded.morph as morph
 import banded.solver as solver
 import banded.steiner as steiner
 from banded.errors import InternalConsistencyError
-from banded.generators import random_instance, random_polygon, random_star_polygon, rotated_instance
 from banded.geometry import Point2, _is_ear, orient2d, polygon_is_simple
 from banded.model import LabeledPolygon, SliceInstance, _coordinates, verify_banded_surface
-from banded.morph import _rotated, convex_chord_rule, planarity_preserving, rotate_copy_instance
+from banded.morph import _rotated, convex_chord_rule, planarity_preserving
 from banded.solver import solve_no_steiner
 from banded.steiner import (
     build_layered_surface,
@@ -285,6 +292,14 @@ class TestGapKey:
                 assert same == positive_multiple(a[0] + a[1], b[0] + b[1]), (a, b)
 
 
+def test_the_layer_budget_is_the_most_layers_within_the_bound():
+    # each interior layer adds n vertices, so the budget is the largest
+    # number of layers whose vertices fit in 2n(n - 3) + 12
+    for n in range(3, 65):
+        budget = steiner._layer_budget(n)
+        assert n * budget <= 2 * n * (n - 3) + 12 < n * (budget + 1), n
+
+
 class TestMorphPlan:
     def test_half_turn_gives_up_at_its_first_midpoint(self, monkeypatch):
         # fig3a is a half turn, so its snapshot at t = 1/2 collapses to one
@@ -366,6 +381,18 @@ class TestRotationPlan:
         memo = {}
         assert steiner._rotation_plan(fig3a_no_surface().instance, 1, memo) is None
         assert memo == {}
+
+    def test_fig3a_takes_the_whole_layer_budget(self):
+        # the half turn needs four layers, the budget at n = 3, and they add
+        # 12 vertices, exactly the bound 2n(n - 3) + 12; one layer fewer is
+        # not enough
+        inst = fig3a_no_surface().instance
+        budget = steiner._layer_budget(inst.n)
+        plan, assignments = steiner._rotation_plan(inst, budget, {})
+        assert_certified(inst.source.vertices, inst.target.vertices, plan, assignments)
+        assert len(plan) == budget == 4
+        assert inst.n * len(plan) == 2 * inst.n * (inst.n - 3) + 12
+        assert steiner._rotation_plan(inst, budget - 1, {}) is None
 
 
 def affine_pair(matrix):

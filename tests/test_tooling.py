@@ -1,6 +1,7 @@
 """The benchmark's span tracer against the library it wraps, the layout of
-the library's shared predicates and of its package root, and the exact
-modules' freedom from floats.
+the library's shared predicates and of its package root, the exact
+modules' freedom from floats, and the reach of every module from an entry
+module.
 
 `benchmarks/spans.py` replaces module attributes by name (`model.cross_section`,
 `model.open_triangles_intersect_3d`, `steiner.polygon_is_simple`, ...).  A
@@ -378,7 +379,6 @@ def test_options_are_only_those_a_caller_sets():
     # an option that no caller sets is a code path that nothing runs;
     # `force_sections` is the benchmark's re-check
     from banded.fileio import export_mesh
-    from banded.generators import jiggled_instance, random_convex_polygon, random_star_polygon, random_translation
     from banded.model import verify_banded_surface
 
     def keywords(function):
@@ -387,15 +387,6 @@ def test_options_are_only_those_a_caller_sets():
 
     assert keywords(verify_banded_surface) == ["force_sections"]
     assert keywords(export_mesh) == ["include_caps", "floats"]
-    for generator in (random_convex_polygon, random_star_polygon):
-        assert list(inspect.signature(generator).parameters) == ["rng", "n"], generator.__name__
-    # every caller of `random_translation` passes its spread; the convex chord
-    # rule's alternation test jiggles by 1, every other caller by the default
-    def defaulted(function):
-        return [p.name for p in inspect.signature(function).parameters.values() if p.default is not p.empty]
-
-    assert defaulted(random_translation) == []
-    assert defaulted(jiggled_instance) == ["amount"]
 
 
 def test_package_root_exports_only_documented_names():
@@ -420,9 +411,9 @@ def test_package_import_loads_the_timed_modules():
     assert {"banded.model", "banded.morph", "banded.solver", "banded.steiner"} <= loaded
 
 
-# every module on the exact path; `generators` proposes shapes with floats and
-# re-checks them exactly, and `fileio`'s `floats=True` export is lossy output
-EXACT_MODULES = ("geometry", "model", "solver", "morph", "quadfield", "twosat", "steiner")
+# the one module that may use floats: `fileio`'s `floats=True` export is the
+# documented lossy output; every other module is on the exact path
+FLOAT_MODULES = {"fileio.py"}
 EXACT_MATH = {"gcd", "lcm", "isqrt"}
 
 
@@ -430,8 +421,10 @@ def test_exact_modules_use_no_floats():
     # no epsilons: no `float`, no float literal, and of `math` only the
     # integer functions
     found = []
-    for module in EXACT_MODULES:
-        path = ROOT / "src" / "banded" / f"{module}.py"
+    for path in sorted((ROOT / "src" / "banded").glob("*.py")):
+        if path.name in FLOAT_MODULES:
+            continue
+        module = path.name
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and node.id == "float":
                 found.append((module, node.lineno, "float"))
@@ -446,6 +439,33 @@ def test_exact_modules_use_no_floats():
                 # an alias would hide the attribute check above
                 found += [(module, node.lineno, "aliased math") for a in node.names if a.name == "math" and a.asname]
     assert found == []
+
+
+# the modules a caller enters the package by: the package root, the CLI and
+# `python -m banded`
+ENTRY_MODULES = ("__init__", "cli", "__main__")
+
+
+def test_every_module_is_reached_from_an_entry_module():
+    # a module that no entry module reaches by its relative imports, at
+    # module level or in a function body, is test-only code, which belongs
+    # under tests/
+    package = ROOT / "src" / "banded"
+    modules = {path.stem for path in package.glob("*.py")}
+    reached, todo = set(), list(ENTRY_MODULES)
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        path = package / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    todo.append(node.module.split(".")[0])
+                else:
+                    todo += [a.name for a in node.names if a.name in modules]
+    assert sorted(modules - reached) == []
 
 
 # the only modules that end the process themselves, with the CLI's exit code
