@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .geometry import Point3, _is_ear, polygon_is_simple
+from .geometry import Point3, _ear_clips, polygon_is_ccw, polygon_is_simple
 from .model import (
     BandedSurface,
     LabeledPolygon,
@@ -166,25 +166,18 @@ def save_instance(inst: SliceInstance, path, name=None, metadata=None) -> None:
 
 def _cap_faces(surface: BandedSurface) -> list[tuple[int, int, int]]:
     """The two caps' triangles, by ear clipping each end polygon of the
-    paths: the first vertex that is an ear (`_is_ear`) is clipped until a
-    triangle is left.  The bottom cap's triangles face downward.  An end
-    polygon of fewer than 3 vertices, or one that is not simple, raises
-    `InputError`."""
+    paths (`_ear_clips`).  The bottom cap's triangles face downward.  An end
+    polygon of fewer than 3 vertices, one that is not simple, or a
+    clockwise one raises `InputError`."""
     faces = []
     for end in (0, -1):
         ring = [path[end] for path in surface.paths]
         pts = [surface.point(v).xy for v in ring]
         if len(pts) < 3 or not polygon_is_simple(pts):
             raise InputError("cap needs a simple end polygon of at least 3 vertices")
-        cap = []
-        while len(ring) > 3:
-            n = len(ring)
-            k = next((k for k in range(n) if _is_ear(pts, (k - 1) % n, k, (k + 1) % n)), None)
-            if k is None:
-                raise InputError("cap triangulation found no ear; polygon may be non-simple")
-            cap.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
-            del ring[k], pts[k]
-        cap.append(tuple(ring))
+        if not polygon_is_ccw(pts):
+            raise InputError("cap needs a counterclockwise end polygon; its paths run clockwise")
+        cap = [tuple(ring[k] for k in clip) for clip in _ear_clips(pts)]
         faces += [(c, v, a) for a, v, c in cap] if end == 0 else cap
     return faces
 

@@ -392,6 +392,34 @@ def _is_ear(pts, i: int, j: int, k: int) -> bool:
     return not any(_cross_strictly(pts[m - 1], pts[m], u, w) for m in range(len(pts)) for u, w in sides)
 
 
+def _ear_clips(pts, keep=()) -> list[tuple[int, int, int]] | None:
+    """Ear clipping of the counterclockwise simple polygon `pts`: the
+    triangles, as index triples (a, v, c) into `pts` that turn left, that
+    clipping the lowest ear a-v-c (`_is_ear`) of the polygon left with v
+    outside `keep` cuts off, in order, then the three indices left in
+    ascending order; None when no such ear is left before three remain.
+
+    With `keep` empty, or a triple that `_is_ear` accepts, None never
+    comes (Meisters 1975): a triangulation of more than three vertices, one
+    that holds the triple's triangle if there is one, has at least two
+    leaves in its dual tree, each an ear whose tip lies in no other
+    triangle, so some tip lies outside the triple; and clipping an ear
+    whose tip is outside the triple keeps the triple's triangle one of a
+    triangulation of the polygon left."""
+    corners = list(range(len(pts)))
+    clips = []
+    while len(corners) > 3:
+        m = len(corners)
+        ring = [pts[c] for c in corners]
+        ears = (s for s in range(m) if corners[s] not in keep and _is_ear(ring, (s - 1) % m, s, (s + 1) % m))
+        s = next(ears, None)
+        if s is None:
+            return None
+        clips.append((corners[s - 1], corners[s], corners[(s + 1) % m]))
+        del corners[s]
+    return [*clips, tuple(corners)]
+
+
 # ---------------------------------------------------------------------------
 # triangle-triangle contact in 3D
 # ---------------------------------------------------------------------------

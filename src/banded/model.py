@@ -352,18 +352,12 @@ def layers_to_surface(polys, assignments) -> BandedSurface:
     """
     n = polys[0].n
     m = len(polys)
-    vertices = []
-    steiner_id = 0
-    for li, poly in enumerate(polys):
-        for i in range(n):
-            if li == 0:
-                label = OriginalLabel(0, i)
-            elif li == m - 1:
-                label = OriginalLabel(1, i)
-            else:
-                label = SteinerLabel(steiner_id)
-                steiner_id += 1
-            vertices.append((poly.point3(i), label))
+    labels = (
+        [OriginalLabel(0, i) for i in range(n)]
+        + [SteinerLabel(s) for s in range((m - 2) * n)]
+        + [OriginalLabel(1, i) for i in range(n)]
+    )
+    vertices = tuple(zip((poly.point3(i) for poly in polys for i in range(n)), labels))
     # per chord, the getters that take its two faces from a quad's indices
     split = {
         Chord.RIGHT: [itemgetter(*triple) for triple in _QUAD_TRIPLES[:2]],
@@ -381,7 +375,7 @@ def layers_to_surface(polys, assignments) -> BandedSurface:
             faces += (first(quad), second(quad))
     paths = tuple(tuple(g * n + i for g in range(m)) for i in range(n))
     return BandedSurface(
-        tuple(vertices),
+        vertices,
         tuple(faces),
         tuple(frozenset(b) for b in band_faces),
         paths,

@@ -58,6 +58,7 @@ from .geometry import (
 )
 from .model import ChordAssignment, LabeledPolygon, SliceInstance, _frame, _integer_instance
 from .quadfield import ExactTime, midpoint, rational_between
+from .solver import _verified
 
 
 @dataclass(frozen=True)
@@ -185,29 +186,19 @@ def _roots01(q, kk: int):
 
 
 def _collision_times(a: _MovingPoint, b: _MovingPoint):
-    """Rational times in (0,1) at which the two moving points coincide."""
+    """Rational times in (0,1) at which the two moving points coincide: the
+    root of whichever coordinate difference moves, x first, kept where both
+    differences vanish."""
     (x0, x1), (y0, y1) = _lin_sub(a.x, b.x), _lin_sub(a.y, b.y)
-    if not x1 and not y1:
-        if not x0 and not y0:
-            raise InputError("two vertices travel identically; polygons have repeated vertices")
-        return []
-    # both differences must vanish at one time: -x0 / x1, or -y0 / y1 where
-    # the x difference is identically zero
-    if not x1:
-        if x0:
-            return []
-        num, den = -y0, y1
-    elif not y1:
-        if y0:
-            return []
-        num, den = -x0, x1
-    elif x0 * y1 != y0 * x1:
-        return []
-    else:
-        num, den = -x0, x1
+    num, den = (-x0, x1) if x1 else (-y0, y1)
+    if not (den or x0 or y0):
+        raise InputError("two vertices travel identically; polygons have repeated vertices")
     if den < 0:
         num, den = -num, -den
-    return [Fraction(num, den)] if 0 < num < den else []
+    # with neither difference moving, den = 0 and no time is in (0, 1)
+    if x0 * den + x1 * num or y0 * den + y1 * num or not 0 < num < den:
+        return []
+    return [Fraction(num, den)]
 
 
 def _collision_events(pairs):
@@ -582,7 +573,8 @@ def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
     v = -lambda u with lambda > 0, the edge would shrink to a point at
     t = 1 / (1 + lambda), a vertex collision that the planarity decision
     reports as an angle collapse, so no band of a planarity-preserving
-    morph turns by exactly pi.  The result is verified before being
+    morph turns by exactly pi.  The result's surface is built and verified
+    by `solver._verified`, as `solve_no_steiner` does, before it is
     returned; a verification failure here is a bug and raises loudly."""
     k, cs, fit = inst.validate()
     scaled = _integer_instance(inst, cs)
@@ -593,16 +585,12 @@ def convex_chord_rule(inst: SliceInstance) -> ChordAssignment:
         raise PreconditionError(
             f"convex_chord_rule requires a planarity-preserving morph; violated at {verdict.interval}"
         )
-    assignment = ChordAssignment.from_bools(_turn_rule(cs))
-
-    from .model import assignment_to_surface, verify_banded_surface
-
-    report = verify_banded_surface(assignment_to_surface(scaled, assignment))
-    if not report.passed:
+    outcome = _verified(scaled, _turn_rule(cs), "turn rule")
+    if not outcome.report.passed:
         raise InternalConsistencyError(
-            "convex chord rule produced a surface the verifier rejects:\n" + report.summary()
+            "convex chord rule produced a surface the verifier rejects:\n" + outcome.report.summary()
         )
-    return assignment
+    return outcome.assignment
 
 
 def _rotated(pts, center: Point2, c, s) -> tuple[Point2, ...]:

@@ -20,8 +20,8 @@ toward it: the *corners* are the vertices not yet squashed, and each layer
 takes an ear a-v-c of the corner polygon with v outside the triple and
 spreads v and every squashed vertex between a and c evenly over a-c.  The
 corners never move and each layer removes one corner, so a side takes
-n - 3 layers, and an ear outside the triple always exists (the leaves of the
-dual tree of a triangulation that contains the triple; Meisters 1975).
+n - 3 layers, and an ear outside the triple always exists (Meisters 1975;
+the argument is in `geometry._ear_clips`).
 Both chains end with every vertex at the same barycentric position of the
 triple's triangle, so the end gap is the affine morph x -> ((1 - t) I + tA) x
 + tv.  It is planar iff A has no eigenvalue in (-inf, 0], and convex
@@ -59,7 +59,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalConsistencyError
-from .geometry import Point2, _integer_axis, _is_ear, polygon_is_simple
+from .geometry import Point2, _ear_clips, _integer_axis, _is_ear, polygon_is_simple
 from .model import (
     BandedSurface,
     ChordAssignment,
@@ -228,21 +228,16 @@ def _rotation_plan(inst: SliceInstance, max_layers: int, memo: dict) -> tuple | 
 
 def _squash_chain(pts, triple) -> list[tuple[Point2, ...]]:
     """The layers, as vertex tuples, that squash the polygon `pts` ear by
-    ear down to the corner triple.  Each takes the lowest ear a-v-c of the
-    corner polygon with v outside the triple and puts the r-th of the k
-    vertices after a (v and the squashed vertices on a-v and v-c) at
-    a + r/(k + 1) (c - a)."""
+    ear down to the corner triple, one per clip of `_ear_clips(pts,
+    triple)`, which always finds an ear for an ear triple.  The clip a-v-c
+    puts the r-th of the k vertices after a (v and the squashed vertices on
+    a-v and v-c) at a + r/(k + 1) (c - a)."""
+    clips = _ear_clips(pts, triple)
+    if clips is None:
+        raise InternalConsistencyError("no ear outside the corner triple")
     n = len(pts)
-    corners = list(range(n))
     layer, chain = tuple(pts), []
-    while len(corners) > 3:
-        m = len(corners)
-        ring = [pts[c] for c in corners]
-        ears = (s for s in range(m) if corners[s] not in triple and _is_ear(ring, (s - 1) % m, s, (s + 1) % m))
-        s = next(ears, None)
-        if s is None:
-            raise InternalConsistencyError("no ear outside the corner triple")
-        a, c = corners[s - 1], corners[(s + 1) % m]
+    for a, _v, c in clips[:-1]:
         moved = [(a + r) % n for r in range(1, (c - a) % n)]
         pa, pc, new = pts[a], pts[c], list(layer)
         for r, v in enumerate(moved, start=1):
@@ -250,7 +245,6 @@ def _squash_chain(pts, triple) -> list[tuple[Point2, ...]]:
             new[v] = Point2(pa.x + f * (pc.x - pa.x), pa.y + f * (pc.y - pa.y))
         layer = tuple(new)
         chain.append(layer)
-        del corners[s]
     return chain
 
 

@@ -200,12 +200,20 @@ class TestMeshFiles:
 
     def test_cap_with_no_ear_is_invalid_input(self, tmp_path):
         # the paths in reverse order make each end polygon a clockwise
-        # square, where no vertex is an ear
+        # square, where no vertex is an ear, or a clockwise dart, whose
+        # reflex vertex turns left and would be clipped as an ear into a cap
+        # outside the polygon; neither writes a mesh
         square = LabeledPolygon(tuple(Point2(*p) for p in ((0, 0), (4, 0), (4, 4), (0, 4))), 0)
         target = LabeledPolygon(tuple(Point2(x + 1, y + 2) for x, y in square.vertices), 1)
         s = assignment_to_surface(SliceInstance(square, target), ChordAssignment.from_string("LLLL"))
-        with pytest.raises(InputError, match="cap triangulation found no ear"):
-            export_mesh(replace(s, paths=s.paths[::-1]), "off", tmp_path / "capped.off", include_caps=True)
+        dart = LabeledPolygon(tuple(Point2(*p) for p in ((0, 0), (2, 1), (4, 0), (2, 4))), 0)
+        moved = LabeledPolygon(tuple(Point2(x + 1, y) for x, y in dart.vertices), 1)
+        d = assignment_to_surface(SliceInstance(dart, moved), ChordAssignment.from_string("RRRR"))
+        for surface in (s, d):
+            reversed_paths = replace(surface, paths=surface.paths[::-1])
+            with pytest.raises(InputError, match="cap needs a counterclockwise end polygon"):
+                export_mesh(reversed_paths, "off", tmp_path / "capped.off", include_caps=True)
+        assert not (tmp_path / "capped.off").exists()
 
     def test_caps_of_a_path_free_mesh_are_invalid_input(self, tmp_path):
         # a mesh read without its sidecar has no paths, so no end polygon

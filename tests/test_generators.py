@@ -13,10 +13,15 @@ from generators import (
     random_polygon,
     random_star_polygon,
     random_translation,
+    rotate_copy_instance,
 )
 
 from banded.errors import PreconditionError
 from banded.geometry import Point2, polygon_is_ccw, polygon_is_convex, polygon_is_simple
+from banded.model import LabeledPolygon
+from banded.solver import brute_force_assignments, solve_no_steiner
+
+SQUARE = tuple(Point2(*xy) for xy in ((0, 0), (4, 0), (4, 4), (0, 4)))
 
 
 def test_jiggle_that_never_finds_a_simple_target_raises_generation_error(monkeypatch):
@@ -133,3 +138,27 @@ def test_jiggle_is_total_and_keeps_full_range_draws(kind, n, seeds, full_range_s
         if seed in full_range_seeds:
             rng.setstate(state)
             assert inst.target.vertices == full_range_jiggle(rng, poly)
+
+
+class TestRotateCopy:
+    def test_exact_rotation(self):
+        inst = rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(0, 0), (Fraction(3, 5), Fraction(4, 5)))
+        inst.validate()
+        assert solve_no_steiner(inst).satisfiable
+
+    def test_identity_rotation(self):
+        inst = rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(1, 1), (1, 0))
+        assert inst.target.vertices == SQUARE
+        assert solve_no_steiner(inst).satisfiable
+
+    def test_obtuse_rotation_pentagon(self):
+        rng = random.Random(12)
+        poly = random_convex_polygon(rng, 5)
+        inst = rotate_copy_instance(poly, Point2(0, 0), (Fraction(-3, 5), Fraction(4, 5)))
+        out = solve_no_steiner(inst)
+        assert out.satisfiable
+        assert brute_force_assignments(inst)
+
+    def test_non_unit_pair_rejected(self):
+        with pytest.raises(PreconditionError):
+            rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(0, 0), (Fraction(1, 2), Fraction(1, 2)))

@@ -27,6 +27,7 @@ from banded.geometry import (
     Point3,
     _box,
     _box_pairs,
+    _ear_clips,
     _edges_meet,
     _end_boxes,
     _ends_apart,
@@ -306,6 +307,32 @@ def test_star_grid_draws_match_the_pairwise_references(rng, n):
         for t in itertools.combinations(range(n), 3):
             assert _is_ear(pts, *t) == is_ear_pairwise(pts, *t), (pts, t)
 
+
+
+@given(st.randoms(use_true_random=False), st.integers(3, 8))
+@settings(max_examples=300, derandomize=True)
+def test_ear_clips_triangulate_the_polygon_and_keep_an_ear_triple(rng, n):
+    # on a simple counterclockwise grid draw, with nothing kept and with
+    # each triple kept: n - 2 left-turning triangles whose doubled areas sum
+    # to the polygon's, no kept vertex clipped, and an ear triple left as
+    # the last triangle; only a triple that is no ear may leave no clip
+    pts = star_grid_polygon(rng, n)
+    if not (polygon_is_simple(pts) and polygon_is_ccw(pts)):
+        return
+    area2 = polygon_signed_area2(pts)
+    for keep in [(), *itertools.combinations(range(n), 3)]:
+        ear = bool(keep) and _is_ear(pts, *keep)
+        clips = _ear_clips(pts, keep)
+        if clips is None:
+            assert keep and not ear, (pts, keep)
+            continue
+        triangles = [tuple(pts[k] for k in clip) for clip in clips]
+        assert len(clips) == n - 2
+        assert all(orient2d(*t) > 0 for t in triangles), (pts, keep)
+        assert sum(polygon_signed_area2(t) for t in triangles) == area2, (pts, keep)
+        assert not {v for _, v, _ in clips[:-1]} & set(keep), (pts, keep)
+        if ear:
+            assert clips[-1] == keep, (pts, keep)
 
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
 BOWTIE = (P(0, 0), P(2, 2), P(2, 0), P(0, 2))

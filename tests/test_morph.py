@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_figures import fig3b_sat_nonplanar, fig7_star
 
-from banded import geometry, model, morph, quadfield
+from banded import geometry, model, morph, quadfield, solver
 from banded.errors import AllPointsEqualError, InputError, PreconditionError
 from banded.geometry import (
     Point2,
@@ -238,6 +238,22 @@ class TestKernel:
         assert morph._collision_times(moving((0, 0), (4, 0)), moving((1, 3), (5, -3))) == []
         with pytest.raises(InputError):
             morph._collision_times(moving((1, 1), (2, 3)), moving((1, 1), (2, 3)))
+
+    def test_collision_times_match_a_fraction_reference(self):
+        # every pair of int differences x0 + x1 t and y0 + y1 t with
+        # coefficients in [-3, 3]: the candidate roots -x0 / x1 and -y0 / y1
+        # in (0, 1) at which both differences vanish, and identical travel
+        # an input error
+        span = range(-3, 4)
+        for x0, x1, y0, y1 in itertools.product(span, repeat=4):
+            a, b = morph._MovingPoint(x0, y0, x0 + x1, y0 + y1), morph._MovingPoint(0, 0, 0, 0)
+            if x0 == x1 == y0 == y1 == 0:
+                with pytest.raises(InputError):
+                    morph._collision_times(a, b)
+                continue
+            roots = {Fraction(-c0, c1) for c0, c1 in ((x0, x1), (y0, y1)) if c1}
+            expected = sorted(t for t in roots if 0 < t < 1 and x0 + x1 * t == 0 and y0 + y1 * t == 0)
+            assert morph._collision_times(a, b) == expected, (x0, x1, y0, y1)
 
     def test_box_pairs_match_all_pairs(self):
         # `geometry._box_pairs`, which prunes the morph's edge pairs, yields
@@ -917,7 +933,7 @@ class TestConvexChordRule:
         # the convexity tests and the self-check surface see only the
         # instance on validation's ints, as the turn signs do
         seen = []
-        original_convex, original_surface = morph.polygon_is_convex, model.assignment_to_surface
+        original_convex, original_surface = morph.polygon_is_convex, solver.assignment_to_surface
 
         def convex(pts):
             seen.extend(c for p in pts for c in p)
@@ -930,7 +946,7 @@ class TestConvexChordRule:
         with (
             mock.patch.object(model, "_frame", counted),
             mock.patch.object(morph, "polygon_is_convex", convex),
-            mock.patch.object(model, "assignment_to_surface", surface),
+            mock.patch.object(solver, "assignment_to_surface", surface),
         ):
             try:
                 convex_chord_rule(inst)
@@ -1020,28 +1036,6 @@ def test_planarity_without_convexity_does_not_give_a_surface():
 
 
 class TestRotateCopy:
-    def test_exact_rotation(self):
-        inst = rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(0, 0), (Fraction(3, 5), Fraction(4, 5)))
-        inst.validate()
-        assert solve_no_steiner(inst).satisfiable
-
-    def test_identity_rotation(self):
-        inst = rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(1, 1), (1, 0))
-        assert inst.target.vertices == SQUARE
-        assert solve_no_steiner(inst).satisfiable
-
-    def test_obtuse_rotation_pentagon(self):
-        rng = random.Random(12)
-        poly = random_convex_polygon(rng, 5)
-        inst = rotate_copy_instance(poly, Point2(0, 0), (Fraction(-3, 5), Fraction(4, 5)))
-        out = solve_no_steiner(inst)
-        assert out.satisfiable
-        assert brute_force_assignments(inst)
-
-    def test_non_unit_pair_rejected(self):
-        with pytest.raises(PreconditionError):
-            rotate_copy_instance(LabeledPolygon(SQUARE, 0), Point2(0, 0), (Fraction(1, 2), Fraction(1, 2)))
-
     def test_int_quarter_turns_keep_int_coordinates(self):
         # the planner's quarter-turn bridge turns int points by (0, +-1)
         center = Point2(1, 2)

@@ -128,6 +128,11 @@ SHARED = {
     # the convex turn rule: the start of every conflict table, which
     # `solve_no_steiner` certifies after ring 1, and `convex_chord_rule`
     "_turn_rule": "geometry.py",
+    # one lowest-ear loop, for the planner's squash chains and the mesh
+    # caps, and one build-and-verify of a chord surface, for both exits of
+    # `solve_no_steiner` and `convex_chord_rule`
+    "_ear_clips": "geometry.py",
+    "_verified": "solver.py",
 }
 
 
